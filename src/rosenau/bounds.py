@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import gamma as sp_gamma
 
 from .errors import InputDomainError, InvariantViolation, PreconditionError
+from .evolution import propagator
 from .model import (
     DEFAULT_SINC,
     ModelParams,
@@ -85,13 +86,7 @@ def low_band_mass(
     bands = band_boundaries(params, sinc_constants, t)
 
     def integrand(r):
-        r = np.asarray(r, dtype=float)
-        f = eval_dispersion(params, r)
-        phase = t * f
-        small = np.abs(phase) < 1e-4
-        safe = np.where(small, 1.0, phase)
-        sinc_sq = np.where(small, (1.0 - phase**2 / 6.0) ** 2, (np.sin(safe) / safe) ** 2)
-        return t * t * sinc_sq
+        return propagator(t, eval_dispersion(params, np.asarray(r, dtype=float))) ** 2
 
     value, _ = integrate_adaptive(integrand, uniform_edges(0.0, bands.beta, 32), 1e-10)
     value *= 2.0  # omega_1: both half-lines
@@ -149,11 +144,9 @@ def fluctuation_remainder(
         nodes, weights = np.polynomial.legendre.leggauss(24)
         r = 0.5 * beta * (nodes + 1.0)
         w = 0.5 * beta * weights
-        f = eval_dispersion(params, r)
-        phase = t * f
-        sinc_sq = np.where(np.abs(phase) < 1e-4, 1.0, np.sin(phase) / np.maximum(phase, 1e-300)) ** 2
+        prop = propagator(t, eval_dispersion(params, r))
         amp = np.array([fluctuation(moments.profile, rho)[0] for rho in r])
-        value = 2.0 * float(np.sum(w * amp**2 * t * t * sinc_sq))
+        value = 2.0 * float(np.sum(w * amp**2 * prop**2))
         if value > ceiling * (1.0 + 1e-9):
             raise InvariantViolation(
                 f"fluctuation remainder {value} exceeds its ceiling {ceiling}"

@@ -52,7 +52,7 @@ def _gaussian_hat(dim: int, a: float, amplitude: float):
     factor = amplitude * (math.pi / a) ** (dim / 2.0)
 
     def hat(r):
-        return factor * np.exp(-np.asarray(r, dtype=float) ** 2 / (4.0 * a)) + 0j
+        return factor * np.exp(-np.asarray(r, dtype=float) ** 2 / (4.0 * a))
 
     tail = TailBound(kind="gaussian", amplitude=abs(factor), rate=1.0 / (4.0 * a))
     return hat, tail
@@ -91,7 +91,7 @@ def compact_band_data(dim: int, r_lo: float, r_hi: float, amplitude: float = 1.0
 
     def hat(r):
         r = np.asarray(r, dtype=float)
-        return np.where((r >= r_lo) & (r <= r_hi), amplitude, 0.0) + 0j
+        return np.where((r >= r_lo) & (r <= r_hi), amplitude, 0.0)
 
     return RadialInitialData(
         w0_profile=zero_profile,
@@ -138,7 +138,8 @@ def _annular_laplacian_l1(profile: RadialProfile, r0: float, width: float, ampli
         return np.abs(lap) * r ** (n - 1)
 
     edges = np.linspace(r0 - width, r0 + width, 257)
-    return unit_sphere_area(n) * float(np.sum(panel_integrals(second, edges[:-1], edges[1:])))
+    values, _ = panel_integrals(second, edges[:-1], edges[1:])
+    return unit_sphere_area(n) * float(np.sum(values))
 
 
 def annular_velocity_data(
@@ -157,7 +158,7 @@ def annular_velocity_data(
         rho = np.atleast_1d(np.asarray(r, dtype=float))
         kern = radial_kernel(n, rho[:, None] * r_nodes[None, :])
         out = area * (kern @ base)
-        return (out if np.ndim(r) else out[0]) + 0j
+        return out if np.ndim(r) else out[0]
 
     lap_l1 = _annular_laplacian_l1(profile, r0, width, amplitude)
     return RadialInitialData(

@@ -37,7 +37,7 @@ from .model import (
     epsilon0,
     eval_dispersion,
 )
-from .moments import MomentDecomposition, l2_norm_sq
+from .moments import MomentDecomposition, l1_norm, l2_norm_sq
 from .norms import (
     NormTrace,
     QuadratureConfig,
@@ -156,8 +156,8 @@ class ExperimentConfig:
             raise InputDomainError("preset prop-4-1 requires dim >= 3")
         window = cfg["t_window"]
         t_min, t_max = float(window["t_min"]), float(window["t_max"])
-        if t_min <= 0 or t_max <= t_min:
-            raise InputDomainError("t_window must satisfy 0 < t_min < t_max")
+        if not (0 < t_min < t_max < math.inf):
+            raise InputDomainError("t_window must satisfy 0 < t_min < t_max < inf")
         q = cfg["quadrature"]
         quad = QuadratureConfig(
             rel_tol=float(q["rel_tol"]),
@@ -275,16 +275,15 @@ def _trace_and_fits(config: ExperimentConfig, out: Path, checks: dict) -> NormTr
             0.05,
         )
     elif config.preset == "prop-4-1":
-        data_obj = data
         profile = gaussian_profile(
             params.dim,
             float(config.data_spec.get("a", 1.0)),
             float(config.data_spec.get("amplitude", 1.0)),
         )
-        moments = MomentDecomposition.from_profile(profile, config.gamma_moment)
         u1_l2 = math.sqrt(l2_norm_sq(profile))
+        l1 = l1_norm(profile)  # the moment decomposition's L1 norm, which ignores gamma
         ceiling = bounds_mod.upper_envelope(
-            params, config.sinc, moments.l1, u1_l2, 0.0, float(trace.times[-1]), params.dim
+            params, config.sinc, l1, u1_l2, 0.0, float(trace.times[-1]), params.dim
         ) / (2.0 * math.pi) ** params.dim
         _check(
             checks,

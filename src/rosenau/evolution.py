@@ -6,9 +6,9 @@ Each Fourier mode of the model obeys the parameter ODE
 
 whose solution is w(t) = cos(t f) w0 + sin(t f)/f * w1 with f the dispersion
 rate at |xi|.  This module supplies those multipliers (with the removable
-singularity at f = 0 filled by series), the per-mode evolution, the running
-time integral of the solution, a periodic-box DFT realization for non-radial
-data, and the conserved quadratic energy.
+singularity of sin(t f)/f at f = 0 filled by its limit t), the per-mode
+evolution, the running time integral of the solution, a periodic-box DFT
+realization for non-radial data, and the conserved quadratic energy.
 
 Conventions: u_hat(xi) = integral exp(-i x.xi) u(x) dx, so physical L2 norms
 carry the factor (2 pi)^(-n/2) relative to spectral ones.
@@ -36,6 +36,7 @@ __all__ = [
     "EnergyReport",
     "sinc",
     "cosc",
+    "propagator",
     "multipliers",
     "evolve_mode",
     "time_integral_mode",
@@ -45,15 +46,40 @@ __all__ = [
 ]
 
 _SERIES_CUT = 1e-4
+# below this |t f|, sin(t f)/f equals t to double precision (relative gap (t f)^2/6)
+_FLAT_PHASE = 1e-8
+
+
+def _check_time(t) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise InputDomainError(f"time must be finite and nonnegative, got {t}")
 
 
 def sinc(x):
     """sin(x)/x with the x = 0 singularity removed (series below 1e-4)."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    out = np.empty_like(x)
+    xs = x[small]
+    out[small] = 1.0 - xs * xs / 6.0
+    xb = x[~small]
+    out[~small] = np.sin(xb) / xb
     return out if out.ndim else float(out)
+
+
+def propagator(t: float, f):
+    """sin(t f)/f in real arithmetic, with its f = 0 limit t; |value| <= t for f >= 0."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 0:
+        phase = t * float(f)
+        return float(t) if abs(phase) < _FLAT_PHASE else math.sin(phase) / float(f)
+    phase = t * f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(phase) / f
+    flat = np.abs(phase) < _FLAT_PHASE
+    if flat.any():
+        out[flat] = t
+    return out
 
 
 def cosc(x):
@@ -150,26 +176,23 @@ def multipliers(params: ModelParams, t: float, r):
 
     The propagator part equals t at r = 0 and is bounded by t everywhere.
     """
-    if t < 0:
-        raise InputDomainError("time must be nonnegative")
-    f = eval_dispersion(params, r)
-    phase = t * np.asarray(f, dtype=float)
-    cosine = np.cos(phase)
-    propagator = t * sinc(phase)
+    _check_time(t)
+    f = np.asarray(eval_dispersion(params, r), dtype=float)
+    cosine = np.cos(t * f)
+    prop = propagator(t, f)
     if np.ndim(r) == 0:
-        return float(cosine), float(propagator)
-    return cosine, propagator
+        return float(cosine), float(prop)
+    return cosine, prop
 
 
 def evolve_mode(params: ModelParams, mode: ModePair, t: float) -> tuple[complex, complex]:
     """Evolve one mode: returns (w(t), w_t(t)); exact at t = 0."""
-    if t < 0:
-        raise InputDomainError("time must be nonnegative")
+    _check_time(t)
     f = eval_dispersion(params, mode.xi_norm)
     phase = t * f
     c = math.cos(phase)
     s = math.sin(phase)
-    prop = t * float(sinc(phase))
+    prop = propagator(t, f)
     w = c * mode.w0 + prop * mode.w1
     w_t = -f * s * mode.w0 + c * mode.w1
     return w, w_t
@@ -183,8 +206,7 @@ def time_integral_mode(params: ModelParams, mode: ModePair, t: float) -> complex
     """
     if mode.w0 != 0:
         raise PreconditionError("time integral route requires w0 = 0")
-    if t < 0:
-        raise InputDomainError("time must be nonnegative")
+    _check_time(t)
     f = eval_dispersion(params, mode.xi_norm)
     return t * t * float(cosc(t * f)) * mode.w1
 
@@ -298,8 +320,7 @@ def evolve_grid(
         field1.samples_per_axis,
     ):
         raise InputDomainError("field0 and field1 must share one grid")
-    if t < 0:
-        raise InputDomainError("time must be nonnegative")
+    _check_time(t)
 
     rho = _grid_xi_norm(field0)
     positive = rho[rho > 0]
@@ -316,7 +337,7 @@ def evolve_grid(
     f = eval_dispersion(params, rho)
     phase = t * f
     cosine = np.cos(phase)
-    prop = t * sinc(phase)
+    prop = propagator(t, f)
     hat0 = np.fft.fftn(field0.values)
     hat1 = np.fft.fftn(field1.values)
     out = np.fft.ifftn(cosine * hat0 + prop * hat1)
@@ -359,8 +380,7 @@ def total_energy(
     t = 0 value exactly, so the total is conserved to round-off on any fixed
     partition; the individual components do oscillate in time.
     """
-    if t < 0:
-        raise InputDomainError("time must be nonnegative")
+    _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
     n = params.dim
@@ -369,39 +389,27 @@ def total_energy(
     if edges is None:
         edges = energy_quadrature_nodes(data)
 
-    def weights(r):
+    def densities(r):
+        # (w, w_t) once per node, then the four component densities
         f = eval_dispersion(params, r)
         phase = t * f
         c = np.cos(phase)
         s = np.sin(phase)
-        prop = t * sinc(phase)
+        prop = propagator(t, f)
         w0 = np.asarray(data.w0_profile(r))
         w1 = np.asarray(data.w1_profile(r))
-        w = c * w0 + prop * w1
-        w_t = -f * s * w0 + c * w1
-        return np.abs(w) ** 2, np.abs(w_t) ** 2, r
+        w_sq = np.abs(c * w0 + prop * w1) ** 2
+        wt_sq = np.abs(-f * s * w0 + c * w1) ** 2
+        rn = r ** (n - 1)
+        return np.stack([
+            0.5 * wt_sq * rn,
+            0.5 * params.delta * r ** (2.0 * params.theta) * wt_sq * rn,
+            0.5 * params.mu * r**4 * w_sq * rn,
+            0.5 * params.kappa * r**2 * w_sq * rn,
+        ])
 
-    def kinetic_d(r):
-        w_sq, wt_sq, r = weights(r)
-        return 0.5 * wt_sq * r ** (n - 1)
-
-    def frac_d(r):
-        w_sq, wt_sq, r = weights(r)
-        return 0.5 * params.delta * r ** (2.0 * params.theta) * wt_sq * r ** (n - 1)
-
-    def bending_d(r):
-        w_sq, wt_sq, r = weights(r)
-        return 0.5 * params.mu * r**4 * w_sq * r ** (n - 1)
-
-    def stretching_d(r):
-        w_sq, wt_sq, r = weights(r)
-        return 0.5 * params.kappa * r**2 * w_sq * r ** (n - 1)
-
-    lo, hi = edges[:-1], edges[1:]
-    kin = scale * float(np.sum(panel_integrals(kinetic_d, lo, hi)))
-    frac = scale * float(np.sum(panel_integrals(frac_d, lo, hi)))
-    bend = scale * float(np.sum(panel_integrals(bending_d, lo, hi)))
-    stretch = scale * float(np.sum(panel_integrals(stretching_d, lo, hi)))
+    values, _ = panel_integrals(densities, edges[:-1], edges[1:])
+    kin, frac, bend, stretch = (scale * float(np.sum(v)) for v in values)
     return EnergyReport(
         kinetic=kin,
         fractional_kinetic=frac,

@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
 )
-from .evolution import RadialInitialData, cosc, sinc
+from .evolution import RadialInitialData, cosc, propagator
 from .model import ModelParams, eval_dispersion, unit_sphere_area
 from .norms import QuadratureConfig, DEFAULT_QUADRATURE, _resolve_r_max
 from .quadrature import integrate_adaptive, phase_resolved_edges
@@ -413,7 +413,7 @@ def energy_identity_check(
         f = eval_dispersion(params, r)
         phase = t * f
         w1 = np.asarray(data.w1_profile(r))
-        w_sq = (t * sinc(phase)) ** 2 * np.abs(w1) ** 2
+        w_sq = propagator(t, f) ** 2 * np.abs(w1) ** 2
         v_sq = (t * t * cosc(phase)) ** 2 * np.abs(w1) ** 2
         return (
             0.5 * (1.0 + de * r**2) * w_sq + 0.5 * (mu * r**4 + ka * r**2) * v_sq
@@ -440,9 +440,8 @@ def energy_identity_check(
     def half_norm_density(r):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
-        phase = t * f
         w1 = np.asarray(data.w1_profile(r))
-        return 0.5 * (t * sinc(phase)) ** 2 * np.abs(w1) ** 2 * r
+        return 0.5 * propagator(t, f) ** 2 * np.abs(w1) ** 2 * r
 
     half_norm, _ = integrate_adaptive(half_norm_density, edges, 1e-9)
     residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)

@@ -8,8 +8,12 @@ The squared norm of the evolved state is
 an integrand that oscillates in r with local period pi/(t f'(r)).  Two
 evaluation modes are provided:
 
-* exact-adaptive: a phase-resolved panel partition (>= points_per_period
-  Gauss nodes per period) refined adaptively to the requested tolerance;
+* exact-adaptive: a phase-resolved panel partition (more than
+  points_per_period nodes per period) integrated with the G10/K21
+  Gauss-Kronrod pair, each panel evaluated once and bisected only while its
+  |K21 - G10| estimate misses its share of the requested tolerance.  The
+  integrand is evaluated in real arithmetic and skips a component whose tail
+  certifies it zero;
 * oscillation-averaged: for t >= 1e3, sin^2 and cos^2 are replaced by 1/2 on
   regions of genuine oscillation, the discarded cos(2 t f) / sin(2 t f)
   contributions are bounded by one integration by parts (a boundary term
@@ -36,7 +40,13 @@ from .errors import (
     PreconditionError,
     UncertifiedTailError,
 )
-from .evolution import RadialInitialData, sinc, total_energy, energy_quadrature_nodes
+from .evolution import (
+    RadialInitialData,
+    _check_time,
+    energy_quadrature_nodes,
+    propagator,
+    total_energy,
+)
 from .model import (
     DEFAULT_SINC,
     ModelParams,
@@ -46,7 +56,12 @@ from .model import (
     eval_dispersion,
     unit_sphere_area,
 )
-from .quadrature import integrate_adaptive, phase_resolved_edges, uniform_edges
+from .quadrature import (
+    integrate_adaptive,
+    panel_integrals,
+    phase_resolved_edges,
+    uniform_edges,
+)
 
 __all__ = [
     "QuadratureConfig",
@@ -125,10 +140,8 @@ def _coarse_estimate(params: ModelParams, data: RadialInitialData, t: float, hi:
         w1 = np.abs(np.asarray(data.w1_profile(r))) ** 2
         return (w0 + prop_sq * w1) * r ** (n - 1)
 
-    from .quadrature import panel_integrals
-
     edges = uniform_edges(0.0, hi, 256)
-    return abs(float(np.sum(panel_integrals(envelope, edges[:-1], edges[1:]))))
+    return abs(float(np.sum(panel_integrals(envelope, edges[:-1], edges[1:])[0])))
 
 
 def _resolve_r_max(
@@ -161,16 +174,37 @@ def _resolve_r_max(
 
 
 def _amplitude_sq(params: ModelParams, data: RadialInitialData, t: float):
+    """The norm integrand |cos(t f) w0 + sin(t f)/f w1|^2 r^(n-1), in real arithmetic.
+
+    A component whose tail certifies it zero is skipped, and imaginary parts
+    enter only where a profile returns nonzero ones.
+    """
     n = data.dim
+    parts = []
+    if not data.w0_tail.vanishes:
+        parts.append((data.w0_profile, lambda f: np.cos(t * f)))
+    if not data.w1_tail.vanishes:
+        parts.append((data.w1_profile, lambda f: propagator(t, f)))
 
     def fn(r):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
-        phase = t * f
-        w = np.cos(phase) * np.asarray(data.w0_profile(r)) + (t * sinc(phase)) * np.asarray(
-            data.w1_profile(r)
-        )
-        return (w.real**2 + w.imag**2) * r ** (n - 1)
+        re = np.zeros_like(r)
+        im = None
+        for profile, multiplier in parts:
+            m = multiplier(f)
+            w = np.asarray(profile(r))
+            if np.iscomplexobj(w):
+                if w.imag.any():
+                    im = m * w.imag if im is None else im + m * w.imag
+                w = w.real
+            re += m * w
+        out = re * re
+        if im is not None:
+            out += im * im
+        if n > 1:
+            out *= r ** (n - 1)
+        return out
 
     return fn
 
@@ -203,8 +237,7 @@ def norm_squared(
     spectral: bool = False,
 ) -> float:
     """||u(t)||^2, physical side by default (spectral=True skips (2 pi)^(-n))."""
-    if t < 0:
-        raise InputDomainError("time must be nonnegative")
+    _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
     if cfg.mode == "oscillation-averaged":
@@ -242,6 +275,7 @@ def band_split_norm(
     Requires t > e so the band radii are defined; the three parts sum to
     norm_squared within the configured tolerance.
     """
+    _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
     bands = band_boundaries(params, sinc_constants, t)
@@ -372,7 +406,7 @@ def _averaged_interval(
         w1 = np.asarray(data.w1_profile(r))
         return np.real(w0 * np.conj(w1)) / f * r ** (n - 1)
 
-    has_w0 = data.w0_tail.kind != "compact" or data.w0_tail.cutoff > 0.0
+    has_w0 = not data.w0_tail.vanishes
     for seg_lo, seg_hi, kind in segments:
         if seg_hi <= seg_lo:
             continue
@@ -406,6 +440,7 @@ def oscillation_averaged_norm(
     result lies inside the reported band.  Falls back to exact-adaptive with
     a warning when the remainder exceeds 10% of the value.
     """
+    _check_time(t)
     if t < _AVERAGING_MIN_T:
         raise PreconditionError(
             f"oscillation averaging needs t >= {_AVERAGING_MIN_T}, got {t}"

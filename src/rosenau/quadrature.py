@@ -1,13 +1,17 @@
 """Panel-based quadrature tuned for integrands oscillating like sin(t f(r)).
 
-The primitive is a composite 16-point Gauss-Legendre rule over an explicit
-partition.  Two layers sit on top:
+The primitive is the embedded 10/21-point Gauss-Kronrod pair of QUADPACK
+(Piessens et al. 1983): on each panel the 21-point Kronrod sum K21 is the
+result, and |K21 - G10|, where the 10-point Gauss sum G10 reuses ten of the
+same 21 integrand values, is its error estimate.  Laurie (1997, Math. Comp.
+66) describes how the Kronrod extension is computed.  Two layers sit on top:
 
 * ``phase_resolved_edges`` builds an initial partition whose panel widths
   track the local oscillation period pi/(t |f'(r)|), so that every period of
   sin^2(t f) receives at least ``points_per_period`` nodes;
-* ``integrate_adaptive`` bisects panels until a width-proportional error
-  allocation meets the requested relative tolerance.
+* ``integrate_adaptive`` evaluates every pending panel once per round,
+  accepts the panels whose error estimate meets a width-proportional share
+  of the requested relative tolerance, and bisects only the others.
 
 Both layers are deterministic: the partition depends only on the inputs and
 accepted panel contributions are summed in left-to-right order.
@@ -24,36 +28,96 @@ from .model import ModelParams, dispersion_derivatives
 
 __all__ = [
     "GL_ORDER",
+    "KRONROD_POINTS",
     "panel_integrals",
     "integrate_adaptive",
     "phase_resolved_edges",
     "uniform_edges",
 ]
 
+# Panel-width unit of phase_resolved_edges: a panel spans at most
+# safety * GL_ORDER / points_per_period periods of sin^2(t f).  The value is
+# that of the 16-point Gauss-Legendre rule the partition was first sized for;
+# the 21 Kronrod nodes per panel only add resolution.
 GL_ORDER = 16
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+
+# Nonnegative G10/K21 abscissae on [-1, 1] in decreasing order, with the
+# Kronrod weights; every other abscissa, starting with the second, is a node
+# of the 10-point Gauss rule, whose weights are listed separately.
+_XK_HALF = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+])
+_WK_HALF = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG_HALF = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+
+KRONROD_POINTS = 21
+_NODES = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
+_GAUSS_WEIGHTS = np.zeros(KRONROD_POINTS)
+_GAUSS_WEIGHTS[1::2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
+# one product gives K21 and K21 - G10 per panel
+_RULE = np.stack([_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS], axis=1)
+
+# evaluate about 2^18 integrand nodes at a time
+_PANEL_CHUNK = (1 << 18) // KRONROD_POINTS
 
 
-_PANEL_CHUNK = 1 << 18
+def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K21 estimate of the integral of fn over each [lo_i, hi_i], and |K21 - G10|.
 
-
-def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre estimate of the integral of fn over each [lo_i, hi_i].
-
-    Evaluates in bounded chunks so huge phase-resolved partitions stay within
-    memory; chunking does not change the per-panel results.
+    fn maps a flat array of nodes to values, or to an (m, nodes) array for m
+    integrands sharing the nodes; the results then have shape (m, panels).
+    Evaluates in chunks of about 2^18 nodes so huge phase-resolved partitions
+    stay within memory.  The chunks depend only on the panel count, so the
+    results are reproducible; a panel's result may differ in the last bit
+    with the chunk it falls in, since BLAS blocking depends on the chunk size.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    out = np.empty(lo.shape, dtype=float)
+    values = errors = None
     for start in range(0, lo.size, _PANEL_CHUNK):
         sl = slice(start, min(start + _PANEL_CHUNK, lo.size))
         mid = 0.5 * (lo[sl] + hi[sl])
         half = 0.5 * (hi[sl] - lo[sl])
         x = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-        out[sl] = (vals @ _WEIGHTS) * half
-    return out
+        vals = np.asarray(fn(x.ravel()), dtype=float)
+        sums = vals.reshape(vals.shape[:-1] + x.shape) @ _RULE
+        if values is None:
+            values = np.empty(sums.shape[:-2] + lo.shape)
+            errors = np.empty_like(values)
+        values[..., sl] = sums[..., 0] * half
+        errors[..., sl] = np.abs(sums[..., 1]) * half
+    if values is None:
+        values = errors = np.empty(lo.shape)
+    return values, errors
 
 
 def uniform_edges(lo: float, hi: float, panels: int) -> np.ndarray:
@@ -67,63 +131,56 @@ def integrate_adaptive(
     abs_tol: float = 0.0,
     max_rounds: int = 30,
 ) -> tuple[float, float]:
-    """Integrate fn over the partition, bisecting panels until converged.
+    """Integrate fn over the partition, bisecting only the panels that fail.
 
-    A panel is accepted when |GL(panel) - GL(left half) - GL(right half)| is
-    below the share of the global budget proportional to its width.  Returns
-    (value, error_estimate).
+    Each round evaluates every pending panel once with the G10/K21 pair.  A
+    panel is accepted when |K21 - G10| is below the share of the global
+    budget max(rel_tol * |estimate|, abs_tol) proportional to its width;
+    the others are bisected for the next round.  After max_rounds bisections
+    the panels still pending keep their last K21 value and |K21 - G10| error.
+    Returns (value, error_estimate), the estimate being the sum of the
+    accepted panels' errors.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise InputDomainError("edges must be strictly increasing with >= 2 entries")
     total_len = edges[-1] - edges[0]
 
-    pend_lo = edges[:-1].copy()
-    pend_hi = edges[1:].copy()
-    pend_coarse = panel_integrals(fn, pend_lo, pend_hi)
+    pend_lo = edges[:-1]
+    pend_hi = edges[1:]
 
     acc_lo: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
     acc_sum = 0.0
 
-    for _ in range(max_rounds):
-        if pend_lo.size == 0:
-            break
-        mid = 0.5 * (pend_lo + pend_hi)
-        left = panel_integrals(fn, pend_lo, mid)
-        right = panel_integrals(fn, mid, pend_hi)
-        fine = left + right
-        err = np.abs(fine - pend_coarse)
-
-        total_est = acc_sum + float(np.sum(fine))
+    for depth in range(max_rounds + 1):
+        val, err = panel_integrals(fn, pend_lo, pend_hi)
+        total_est = acc_sum + float(np.sum(val))
         budget = max(rel_tol * abs(total_est), abs_tol, 1e-300)
         ok = err <= budget * (pend_hi - pend_lo) / total_len
+        if depth == max_rounds:
+            ok[:] = True
 
-        if np.any(ok):
-            acc_lo.append(pend_lo[ok])
-            acc_val.append(fine[ok])
-            acc_err.append(err[ok])
-            acc_sum += float(np.sum(fine[ok]))
+        acc_lo.append(pend_lo[ok])
+        acc_val.append(val[ok])
+        acc_err.append(err[ok])
+        acc_sum += float(np.sum(val[ok]))
 
         bad = ~ok
-        pend_lo = np.concatenate([pend_lo[bad], mid[bad]])
-        pend_hi = np.concatenate([mid[bad], pend_hi[bad]])
-        pend_coarse = np.concatenate([left[bad], right[bad]])
+        if not np.any(bad):
+            break
+        mid = 0.5 * (pend_lo[bad] + pend_hi[bad])
+        pend_lo, pend_hi = (
+            np.concatenate([pend_lo[bad], mid]),
+            np.concatenate([mid, pend_hi[bad]]),
+        )
 
-    if pend_lo.size:
-        # rounds exhausted: keep the deepest estimates, flag a pessimistic error
-        acc_lo.append(pend_lo)
-        acc_val.append(pend_coarse)
-        acc_err.append(0.02 * np.abs(pend_coarse) + 1e-300)
-
-    lo_all = np.concatenate(acc_lo) if acc_lo else np.empty(0)
-    val_all = np.concatenate(acc_val) if acc_val else np.empty(0)
-    err_all = np.concatenate(acc_err) if acc_err else np.empty(0)
+    lo_all = np.concatenate(acc_lo)
+    val_all = np.concatenate(acc_val)
+    err_all = np.concatenate(acc_err)
     order = np.argsort(lo_all, kind="stable")
-    value = float(np.sum(val_all[order]))
-    err = float(np.sum(err_all[order]))
-    return value, err
+    return float(np.sum(val_all[order])), float(np.sum(err_all[order]))
 
 
 def phase_resolved_edges(
@@ -140,8 +197,9 @@ def phase_resolved_edges(
 
     The cumulative phase t * integral |f'| is sampled on a dense base grid
     and edges are placed at equal phase increments of safety * GL_ORDER * pi
-    / points_per_period, guaranteeing >= points_per_period Gauss nodes per
-    period of sin^2(t f).  A width cap keeps panels small where the phase is
+    / points_per_period, so a panel spans at most safety * GL_ORDER /
+    points_per_period periods of sin^2(t f) and every period receives more
+    than points_per_period of the 21 Kronrod nodes.  A width cap keeps panels small where the phase is
     stationary (f' ~ 0) or t is small.
     """
     if hi <= lo:

@@ -34,6 +34,11 @@ class TailBound:
         if self.kind == "power" and (self.power <= 0 or self.cutoff <= 0):
             raise InputDomainError("power tail needs positive power and cutoff")
 
+    @property
+    def vanishes(self) -> bool:
+        """Whether the certificate says the profile is zero for every r > 0."""
+        return self.kind == "compact" and self.cutoff == 0.0
+
     def mass_beyond(self, r0: float, dim: int) -> float:
         """Upper bound on integral_{r0}^inf |g(r)|^2 r^(dim-1) dr."""
         from scipy.special import gammaincc, gamma as sp_gamma

@@ -43,6 +43,13 @@ class TestConfig:
                 {"preset": "custom", "t_window": {"t_min": 10.0, "t_max": 5.0}}
             )
 
+    @pytest.mark.parametrize("key", ["t_min", "t_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, key, value):
+        window = {"t_min": 1e2, "t_max": 1e4, "points_per_decade": 4, key: value}
+        with pytest.raises(InputDomainError, match="t_window"):
+            ExperimentConfig.from_dict({"preset": "custom", "t_window": window})
+
     def test_print_default_config_flag(self, capsys):
         assert main(["--print-default-config", "prop-4-1"]) == 0
         out = capsys.readouterr().out
@@ -118,6 +125,17 @@ class TestRunners:
         bad = tmp_path / "bad.yaml"
         bad.write_text("preset: nonsense\n")
         assert main(["run", str(bad)]) == 2
+
+    def test_cli_run_rejects_nan_time(self, capsys, tmp_path):
+        cfg_path = tmp_path / "nan.yaml"
+        cfg_path.write_text(
+            "preset: theorem-1-1\n"
+            "t_window: {t_min: 100.0, t_max: .nan, points_per_decade: 4}\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg_path)]) == 2
+        assert "t_window" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

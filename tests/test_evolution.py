@@ -204,3 +204,74 @@ class TestEnergy:
             u, v = evolve_grid(P1, zero, bump, t, with_velocity=True)
             now = total_energy_grid(P1, u, v).total
             assert abs(now - base) / base <= 1e-8
+
+
+class TestPropagator:
+    def test_limit_and_branches(self):
+        from rosenau.evolution import propagator
+
+        f = np.array([0.0, 1e-300, 1e-12, 1e-3, 0.5, 2.0])
+        t = 7.0
+        got = propagator(t, f)
+        expected = np.array([t, t, t] + [math.sin(t * x) / x for x in f[3:]])
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
+        assert got.dtype == np.float64
+        assert propagator(t, 0.0) == t
+        assert propagator(t, 2.0) == pytest.approx(math.sin(14.0) / 2.0, rel=1e-15)
+        assert np.all(propagator(0.0, f) == 0.0)
+
+    def test_sinc_branches(self):
+        from rosenau.evolution import sinc
+
+        x = np.array([0.0, 1e-6, -5e-5, 1e-4, 0.3, -2.0])
+        expected = [1.0, 1.0 - 1e-12 / 6.0, 1.0 - 25e-10 / 6.0] + [
+            math.sin(v) / v for v in x[3:]
+        ]
+        np.testing.assert_allclose(sinc(x), expected, rtol=1e-15)
+        assert sinc(0.0) == 1.0
+        assert sinc(2.0) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-15)
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_multipliers(self, t):
+        with pytest.raises(InputDomainError, match="finite"):
+            multipliers(P1, t, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_total_energy(self, t):
+        with pytest.raises(InputDomainError, match="finite"):
+            total_energy(P1, gaussian_velocity_data(1), t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_evolve_grid(self, t):
+        bump = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 20.0, 64)
+        with pytest.raises(InputDomainError, match="finite"):
+            evolve_grid(P1, bump, bump, t)
+
+    def test_evolve_mode(self):
+        with pytest.raises(InputDomainError, match="finite"):
+            evolve_mode(P1, ModePair(1.0, 0.0, 1.0), math.nan)
+
+
+def test_total_energy_evaluates_each_node_once():
+    velocity = gaussian_velocity_data(2)
+    nodes = []
+
+    def counted(r):
+        nodes.append(np.size(r))
+        return velocity.w1_profile(r)
+
+    from rosenau import RadialInitialData
+    from rosenau.evolution import energy_quadrature_nodes
+
+    data = RadialInitialData(
+        velocity.w0_profile, counted, 2, "gaussian-type", velocity.w0_tail, velocity.w1_tail
+    )
+    nodes.clear()  # construction probes the profiles
+    report = total_energy(ModelParams(1.0, 1.0, 1.0, 2.0, 2), data, 3.0)
+    panels = energy_quadrature_nodes(data).size - 1
+    assert sum(nodes) == 21 * panels
+    assert report.total == pytest.approx(
+        total_energy(ModelParams(1.0, 1.0, 1.0, 2.0, 2), velocity, 0.0).total, rel=1e-12
+    )

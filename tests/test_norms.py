@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from rosenau import (
+    InputDomainError,
     ModelParams,
     PreconditionError,
     QuadratureConfig,
@@ -22,6 +23,7 @@ from rosenau import (
     write_norm_trace_csv,
 )
 from rosenau.evolution import sinc as vect_sinc, zero_profile
+from rosenau.norms import _amplitude_sq
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
@@ -192,3 +194,101 @@ class TestTraceArtifacts:
         first = lines[1].split(b",")
         assert len(first) == 6
         assert float(first[0]) == trace_1d_exact.times[0]
+
+
+def _gaussian_tail(amplitude, rate=0.25):
+    return TailBound(kind="gaussian", amplitude=amplitude, rate=rate)
+
+
+def _profile_cases():
+    """(label, w0, w0 tail, w1, w1 tail) covering each component and complex values."""
+    g = lambda r: 1.5 * np.exp(-0.25 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
+    h = lambda r: np.exp(-0.3 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
+    zero_tail = TailBound(kind="compact", cutoff=0.0)
+    return [
+        ("w0 only", g, _gaussian_tail(1.5), zero_profile, zero_tail),
+        ("w1 only", zero_profile, zero_tail, g, _gaussian_tail(1.5)),
+        ("both", g, _gaussian_tail(1.5), h, _gaussian_tail(1.0, 0.3)),
+        (
+            "complex",
+            lambda r: (0.6 - 0.8j) * g(r),
+            _gaussian_tail(1.5),
+            lambda r: (0.3 + 2.0j) * h(r),
+            _gaussian_tail(2.1, 0.3),
+        ),
+        ("complex dtype, real values", lambda r: g(r) + 0j, _gaussian_tail(1.5), h,
+         _gaussian_tail(1.0, 0.3)),
+    ]
+
+
+class TestFusedIntegrand:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.0, 3.0, 1e4])
+    @pytest.mark.parametrize("case", _profile_cases(), ids=lambda c: c[0])
+    def test_matches_complex_formula(self, case, t, dim):
+        _, w0, tail0, w1, tail1 = case
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = RadialInitialData(w0, w1, dim, "gaussian-type", tail0, tail1)
+        r = np.concatenate([[0.0, 1e-12], np.linspace(1e-3, 12.0, 997)])
+        f = eval_dispersion(params, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prop = np.where(f > 0, np.sin(t * f) / f, t)
+        a = np.cos(t * f) * np.asarray(w0(r), dtype=complex)
+        b = prop * np.asarray(w1(r), dtype=complex)
+        expected = np.abs(a + b) ** 2 * r ** (dim - 1)
+        scale = (np.abs(a) + np.abs(b)) ** 2 * r ** (dim - 1)
+        got = _amplitude_sq(params, data, t)(r)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale + 1e-300)
+        if dim == 1:
+            assert got[0] == pytest.approx(expected[0], rel=1e-14)
+
+    def test_zero_certified_component_is_not_evaluated(self):
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return zero_profile(r)
+
+        velocity = gaussian_velocity_data(1)
+        data = RadialInitialData(
+            counted, velocity.w1_profile, 1, "gaussian-type",
+            TailBound(kind="compact", cutoff=0.0), velocity.w1_tail,
+        )
+        calls.clear()  # construction probes both profiles
+        _amplitude_sq(P1, data, 5.0)(np.linspace(0.0, 3.0, 50))
+        assert calls == []
+
+
+# values from the previous panel rule (16-point Gauss-Legendre, accepted by
+# comparing a panel with its two halves), default configuration
+GL16_NORMS = {
+    1: (156.23327136423075, 15707.13798079255, 1570795.5046946097),
+    2: (4.661523320921328, 8.329018314810257, 11.953689150224132),
+    3: (1.2013522525338556, 1.2775060719795626, 1.2895938542017713),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("index,t", [(0, 1e2), (1, 1e4), (2, 1e6)])
+def test_norm_squared_matches_previous_rule(dim, index, t):
+    params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+    val = norm_squared(params, gaussian_velocity_data(dim), t)
+    assert val == pytest.approx(GL16_NORMS[dim][index], rel=1e-10)
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_norm_squared(self, t):
+        with pytest.raises(InputDomainError, match="finite"):
+            norm_squared(P1, gaussian_velocity_data(1), t)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_band_split_norm(self, t):
+        with pytest.raises(InputDomainError, match="finite"):
+            band_split_norm(P1, gaussian_velocity_data(1), t)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_oscillation_averaged_norm(self, t):
+        with pytest.raises(InputDomainError, match="finite"):
+            oscillation_averaged_norm(P2, gaussian_velocity_data(2), t)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rosenau import ModelParams
+from rosenau import quadrature
 from rosenau.quadrature import (
+    KRONROD_POINTS,
     integrate_adaptive,
     panel_integrals,
     phase_resolved_edges,
@@ -15,9 +17,104 @@ P = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 
 
 def test_panel_integrals_polynomial_exact():
-    # GL-16 integrates degree-31 polynomials exactly
-    vals = panel_integrals(lambda x: x**7, np.array([0.0]), np.array([2.0]))
+    vals, _ = panel_integrals(lambda x: x**7, np.array([0.0]), np.array([2.0]))
     assert vals[0] == pytest.approx(2.0**8 / 8.0, rel=1e-14)
+
+
+class TestKronrodRule:
+    def test_k21_exact_to_degree_31(self):
+        vals, _ = panel_integrals(lambda x: x**31, np.array([0.0]), np.array([2.0]))
+        assert vals[0] == pytest.approx(2.0**32 / 32.0, rel=1e-14)
+
+    def test_g10_exact_to_degree_19(self):
+        # on [0, 2] the nodes map to 1 + x with unit half-width
+        x = 1.0 + quadrature._NODES
+        g10 = float(np.sum(quadrature._GAUSS_WEIGHTS * x**19))
+        assert g10 == pytest.approx(2.0**20 / 20.0, rel=1e-14)
+        # so the embedded error estimate vanishes there and not one degree up
+        _, err19 = panel_integrals(lambda x: x**19, np.array([0.0]), np.array([2.0]))
+        _, err20 = panel_integrals(lambda x: x**20, np.array([0.0]), np.array([2.0]))
+        assert err19[0] <= 1e-14 * 2.0**20 / 20.0
+        assert err20[0] > 1e-12 * 2.0**21 / 21.0
+
+    def test_tables(self):
+        nodes = quadrature._NODES
+        gauss = quadrature._GAUSS_WEIGHTS
+        kronrod = quadrature._KRONROD_WEIGHTS
+        assert nodes.size == kronrod.size == gauss.size == KRONROD_POINTS
+        g_nodes, g_weights = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(nodes[1::2], g_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauss[1::2], g_weights, rtol=0, atol=1e-15)
+        assert np.all(gauss[0::2] == 0.0)
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        np.testing.assert_array_equal(kronrod, kronrod[::-1])
+        np.testing.assert_array_equal(gauss, gauss[::-1])
+        assert math.fsum(kronrod) == pytest.approx(2.0, abs=1e-15)
+        assert math.fsum(gauss) == pytest.approx(2.0, abs=1e-15)
+
+    def test_vector_valued_integrand(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+        vals, errs = panel_integrals(lambda x: np.stack([x, x**2]), lo, hi)
+        assert vals.shape == errs.shape == (2, 2)
+        np.testing.assert_allclose(vals[0], [0.5, 4.0], rtol=1e-14)
+        np.testing.assert_allclose(vals[1], [1.0 / 3.0, 26.0 / 3.0], rtol=1e-14)
+
+    def test_chunking_does_not_change_panels(self):
+        # more panels than one chunk holds, compared with one-panel calls
+        fn = lambda x: np.sin(3.0 * x) * np.exp(-x)  # noqa: E731
+        edges = uniform_edges(0.0, 40.0, quadrature._PANEL_CHUNK + 7)
+        vals, errs = panel_integrals(fn, edges[:-1], edges[1:])
+        for i in (0, quadrature._PANEL_CHUNK - 1, quadrature._PANEL_CHUNK, edges.size - 2):
+            v, e = panel_integrals(fn, edges[i : i + 1], edges[i + 1 : i + 2])
+            # equal up to the round-off of BLAS blocking, which depends on the chunk size
+            assert vals[i] == pytest.approx(v[0], rel=1e-14, abs=1e-300)
+            assert errs[i] == pytest.approx(e[0], abs=1e-14 * abs(v[0]))
+
+
+class TestSinglePassAdaptive:
+    def test_accepted_in_round_one_costs_one_rule_per_panel(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return np.exp(-x)
+
+        panels = 37
+        val, err = integrate_adaptive(counted, uniform_edges(0.0, 3.0, panels), 1e-10)
+        assert sum(calls) == KRONROD_POINTS * panels
+        assert val == pytest.approx(1.0 - math.exp(-3.0), rel=1e-14)
+        assert err <= 1e-10 * val
+
+    def test_bisects_only_failing_panels(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return np.sqrt(x)
+
+        val, _ = integrate_adaptive(counted, uniform_edges(0.0, 1.0, 4), 1e-8)
+        assert val == pytest.approx(2.0 / 3.0, rel=1e-8)
+        # round one evaluates all 4 panels; afterwards only the two halves
+        # of the panel touching the singularity are pending each round
+        assert calls[0] == 4 * KRONROD_POINTS
+        assert all(c == 2 * KRONROD_POINTS for c in calls[1:])
+
+    @pytest.mark.parametrize(
+        "fn,lo,hi,exact",
+        [
+            (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
+            (np.log, 0.0, 1.0, -1.0),
+            (lambda x: np.abs(x - 0.3), 0.0, 1.0, 0.29),
+            (lambda x: 1.0 / (1.0 + 100.0 * x**2), -1.0, 1.0, 0.2 * math.atan(10.0)),
+        ],
+    )
+    @pytest.mark.parametrize("max_rounds", [0, 1, 3])
+    def test_exhausted_rounds_error_covers_true_error(self, fn, lo, hi, exact, max_rounds):
+        val, err = integrate_adaptive(
+            fn, uniform_edges(lo, hi, 2), 1e-15, max_rounds=max_rounds
+        )
+        assert err >= abs(val - exact)
+        assert err > 0.0
 
 
 def test_adaptive_gaussian_integral():
