@@ -46,7 +46,13 @@ from .model import (
     unit_sphere_area,
 )
 from .moments import MomentDecomposition, fluctuation
-from .quadrature import integrate_adaptive, phase_resolved_edges, uniform_edges
+from .norms import oscillation_segments
+from .quadrature import (
+    integrate_adaptive,
+    integrate_levin,
+    phase_resolved_edges,
+    uniform_edges,
+)
 
 __all__ = [
     "LowBandMass",
@@ -201,7 +207,9 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
     """Oscillatory tail term T2(t) of the two-dimensional main-term split.
 
     T2(t) = integral_{1/t}^{eps0} e^(-r^2) cos(2 t f) (1 + delta r^(2 theta))
-    / (mu r^3 + kappa r) dr, evaluated by oscillation-resolved quadrature.
+    / (mu r^3 + kappa r) dr, evaluated on the segments of
+    norms.oscillation_segments: phase-resolved quadrature where t f <= 16 pi
+    and Levin collocation beyond, so the cost does not grow with t.
     The bound is (K1 + K2)/(2 t) with K1 the boundary envelope at both ends
     (|sin| <= 1, f' >= its explicit floor) and K2 the integral of the
     derivative envelope assembled from the same floor and the explicit
@@ -222,8 +230,22 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
         f = eval_dispersion(params, r)
         return _t2_weight(params, r) * np.cos(2.0 * t * f)
 
-    edges = phase_resolved_edges(params, 2.0 * t, lo, eps, 8, max_width=(eps - lo) / 48.0)
-    value, _ = integrate_adaptive(integrand, edges, 1e-9, abs_tol=1e-12)
+    value = 0.0
+    for a, b, kind in oscillation_segments(params, t, lo, eps):
+        if kind == "fast":
+            osc, _ = integrate_levin(
+                lambda r: _t2_weight(params, r),
+                lambda r: eval_dispersion(params, r),
+                lambda r: dispersion_derivatives(params, r)[0],
+                2.0 * t,
+                np.geomspace(a, b, 129),
+                1e-9,
+                abs_tol=1e-12,
+            )
+            value += osc.real
+        else:
+            edges = phase_resolved_edges(params, 2.0 * t, a, b, 8, max_width=(b - a) / 48.0)
+            value += integrate_adaptive(integrand, edges, 1e-9, abs_tol=1e-12)[0]
 
     c_lo = derivative_floor(params)
     c_pp = second_derivative_bound(params)

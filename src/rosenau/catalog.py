@@ -14,6 +14,7 @@ moment machinery:
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -183,4 +184,9 @@ def data_from_spec(name: str, dim: int, **kwargs) -> RadialInitialData:
         raise InputDomainError(
             f"unknown data spec {name!r}; choose from {sorted(builders)}"
         )
-    return builders[name](dim, **kwargs)
+    builder = builders[name]
+    try:
+        inspect.signature(builder).bind(dim, **kwargs)
+    except TypeError as exc:
+        raise InputDomainError(f"data spec {name!r}: {exc}") from None
+    return builder(dim, **kwargs)

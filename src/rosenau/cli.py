@@ -112,6 +112,18 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _reject_unknown_keys(raw: dict, schema: dict, where: str = "") -> None:
+    """Raise on config keys the schema does not have; data keywords are checked
+    against the chosen data builder instead."""
+    for key, value in raw.items():
+        if key not in schema:
+            raise InputDomainError(
+                f"unknown config key {where + str(key)!r}; expected one of {sorted(schema)}"
+            )
+        if key != "data" and isinstance(value, dict) and isinstance(schema[key], dict):
+            _reject_unknown_keys(value, schema[key], f"{where}{key}.")
+
+
 def default_config(preset: str) -> dict:
     if preset not in PRESETS:
         raise InputDomainError(f"unknown preset {preset!r}; choose from {PRESETS}")
@@ -136,7 +148,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise InputDomainError("a config must be a mapping")
+        _reject_unknown_keys(raw, _BASE_CONFIG)
         cfg = _merge(default_config(raw.get("preset", "custom")), raw)
+        if isinstance(raw.get("data"), dict) and "name" in raw["data"]:
+            # another datum takes none of the default datum's keywords
+            cfg["data"] = dict(raw["data"])
         preset = cfg["preset"]
         p = cfg["params"]
         params = ModelParams(
@@ -158,6 +176,12 @@ class ExperimentConfig:
         t_min, t_max = float(window["t_min"]), float(window["t_max"])
         if not (0 < t_min < t_max < math.inf):
             raise InputDomainError("t_window must satisfy 0 < t_min < t_max < inf")
+        points_per_decade = window["points_per_decade"]
+        if isinstance(points_per_decade, bool) or not isinstance(points_per_decade, int) \
+                or points_per_decade < 1:
+            raise InputDomainError(
+                f"t_window.points_per_decade must be an integer >= 1, got {points_per_decade!r}"
+            )
         q = cfg["quadrature"]
         quad = QuadratureConfig(
             rel_tol=float(q["rel_tol"]),
@@ -174,7 +198,7 @@ class ExperimentConfig:
             sinc=SincConstants(delta0=float(cfg["sinc_threshold"])),
             data_spec=dict(cfg["data"]),
             gamma_moment=float(cfg["gamma_moment"]),
-            t_window=(t_min, t_max, int(window["points_per_decade"])),
+            t_window=(t_min, t_max, points_per_decade),
             quadrature=quad,
             threads=threads,
             output_dir=Path(cfg["output_dir"]),

@@ -5,24 +5,35 @@ The squared norm of the evolved state is
     ||u(t)||^2 = (2 pi)^(-n) omega_n integral_0^inf
                  |cos(t f) w0(r) + t sinc(t f) w1(r)|^2 r^(n-1) dr,
 
-an integrand that oscillates in r with local period pi/(t f'(r)).  Two
-evaluation modes are provided:
+an integrand that oscillates in r with local period pi/(t f'(r)).
+``oscillation_segments`` splits [0, r_max] into the slow region t f <= 16 pi,
+windows of half-width min(1/4, 2 t^(-1/4)) around the stationary points of f,
+and the fast segments between them.  Two evaluation modes are provided:
 
-* exact-adaptive: a phase-resolved panel partition (more than
-  points_per_period nodes per period) integrated with the G10/K21
-  Gauss-Kronrod pair, each panel evaluated once and bisected only while its
-  |K21 - G10| estimate misses its share of the requested tolerance.  The
-  integrand is evaluated in real arithmetic and skips a component whose tail
-  certifies it zero;
-* oscillation-averaged: for t >= 1e3, sin^2 and cos^2 are replaced by 1/2 on
-  regions of genuine oscillation, the discarded cos(2 t f) / sin(2 t f)
-  contributions are bounded by one integration by parts (a boundary term
-  plus one derivative term), and the result is reported as value +/-
-  remainder.  Stationary points of f and the slow region t f <= Phi_0 are
-  integrated exactly, so the remainder bound never meets a vanishing f'.
+* exact-adaptive: on the slow region and the windows, a phase-resolved
+  panel partition (more than points_per_period nodes per period) integrated
+  with the G10/K21 Gauss-Kronrod pair, each panel evaluated once and
+  bisected only while its |K21 - G10| estimate misses its share of the
+  requested tolerance; the integrand is evaluated in real arithmetic and
+  skips a component whose tail certifies it zero.  On the fast segments the
+  integrand is written as the mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2, which is
+  integrated with the K21 rule, plus Re[g e^(2 i t f)] with
+  g = [(|w0|^2 - |w1|^2/f^2)/2 - i Re(w0 conj(w1))/f] r^(n-1), which is
+  integrated by Levin collocation.  Neither partition depends on t, so the
+  fast segments cost the same at every t; only the windows grow, like
+  t^(1/2);
+* oscillation-averaged: for t >= 1e3, the fast segments keep only the mean,
+  the discarded cos(2 t f) / sin(2 t f) contributions are bounded by one
+  integration by parts (a boundary term plus one derivative term), and the
+  result is reported as value +/- remainder.  The slow region and the
+  windows are integrated as in exact mode, so the remainder bound never
+  meets a vanishing f'.
 
 Truncation at r_max is certified against the declared tail of the data; the
-tail bound is kept below rel_tol/10 of the running total.
+tail bound is kept below rel_tol/10 of the running total.  Levin
+collocation needs g smooth on each panel; a jump inside a fast segment, like
+the edge of a compact band, is found from the Chebyshev tail of g and
+bisected down like a K21 panel.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     InputDomainError,
@@ -58,6 +70,7 @@ from .model import (
 )
 from .quadrature import (
     integrate_adaptive,
+    integrate_levin,
     panel_integrals,
     phase_resolved_edges,
     uniform_edges,
@@ -71,6 +84,7 @@ __all__ = [
     "norm_squared",
     "band_split_norm",
     "oscillation_averaged_norm",
+    "oscillation_segments",
     "compute_norm_trace",
     "write_norm_trace_csv",
 ]
@@ -209,7 +223,7 @@ def _amplitude_sq(params: ModelParams, data: RadialInitialData, t: float):
     return fn
 
 
-def _exact_interval(
+def _resolved_interval(
     params: ModelParams,
     data: RadialInitialData,
     t: float,
@@ -217,6 +231,7 @@ def _exact_interval(
     hi: float,
     cfg: QuadratureConfig,
 ) -> tuple[float, float]:
+    """The norm integrand over [lo, hi] on a phase-resolved K21 partition."""
     fn = _amplitude_sq(params, data, t)
     if hi <= lo:
         return 0.0, 0.0
@@ -227,6 +242,86 @@ def _exact_interval(
     else:
         edges = uniform_edges(lo, hi, 64)
     return integrate_adaptive(fn, edges, 0.5 * cfg.rel_tol)
+
+
+def _averaged_density(params: ModelParams, data: RadialInitialData, r):
+    """The mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2 of the norm integrand over sin^2(t f)."""
+    r = np.asarray(r, dtype=float)
+    f = eval_dispersion(params, r)
+    w0 = np.asarray(data.w0_profile(r))
+    w1 = np.asarray(data.w1_profile(r))
+    return 0.5 * (np.abs(w0) ** 2 + np.abs(w1) ** 2 / f**2) * r ** (data.dim - 1)
+
+
+def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
+    """g with norm integrand = averaged density + Re[g e^(2 i t f)].
+
+    g = cos_coefficient - i sin_coefficient, the coefficients of cos(2 t f)
+    and sin(2 t f): (|w0|^2 - |w1|^2/f^2) r^(n-1)/2 and Re(w0 conj(w1))/f
+    r^(n-1).  Neither depends on t; both need f > 0.
+    """
+    r = np.asarray(r, dtype=float)
+    f = eval_dispersion(params, r)
+    w0 = np.asarray(data.w0_profile(r))
+    w1 = np.asarray(data.w1_profile(r))
+    weight = r ** (data.dim - 1)
+    cos_coefficient = 0.5 * (np.abs(w0) ** 2 - np.abs(w1) ** 2 / f**2) * weight
+    sin_coefficient = np.real(w0 * np.conj(w1)) / f * weight
+    return cos_coefficient - 1j * sin_coefficient
+
+
+def _geometric_edges(lo: float, hi: float) -> np.ndarray:
+    edges = np.geomspace(max(lo, 1e-12), hi, 129)
+    edges[0] = lo
+    return edges
+
+
+def _fast_interval(
+    params: ModelParams,
+    data: RadialInitialData,
+    t: float,
+    lo: float,
+    hi: float,
+    cfg: QuadratureConfig,
+) -> tuple[float, float]:
+    """The norm integrand over a fast segment: mean plus Re[g e^(2 i t f)].
+
+    The mean is integrated with the K21 rule and the oscillatory part by
+    Levin collocation; neither partition depends on t.
+    """
+    edges = _geometric_edges(lo, hi)
+    mean, mean_err = integrate_adaptive(
+        lambda r: _averaged_density(params, data, r), edges, 0.5 * cfg.rel_tol
+    )
+    osc, osc_err = integrate_levin(
+        lambda r: _oscillating_coefficient(params, data, r),
+        lambda r: eval_dispersion(params, r),
+        lambda r: dispersion_derivatives(params, r)[0],
+        2.0 * t,
+        edges,
+        0.5 * cfg.rel_tol,
+        abs_tol=0.5 * cfg.rel_tol * abs(mean),
+    )
+    return mean + osc.real, mean_err + osc_err
+
+
+def _exact_interval(
+    params: ModelParams,
+    data: RadialInitialData,
+    t: float,
+    lo: float,
+    hi: float,
+    cfg: QuadratureConfig,
+) -> tuple[float, float]:
+    """The norm integrand over [lo, hi]: phase-resolved K21 on the slow region
+    and the stationary-point windows, mean plus Levin on the fast segments."""
+    value, error = 0.0, 0.0
+    for seg_lo, seg_hi, kind in oscillation_segments(params, t, lo, hi):
+        piece = _fast_interval if kind == "fast" else _resolved_interval
+        v, e = piece(params, data, t, seg_lo, seg_hi, cfg)
+        value += v
+        error += e
+    return value, error
 
 
 def norm_squared(
@@ -313,14 +408,60 @@ class AveragedNorm:
 def _stationary_points(params: ModelParams, lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return []
-    from scipy.optimize import brentq
-
     r = np.geomspace(max(lo, 1e-10), hi, 2048)
     fp, _ = dispersion_derivatives(params, r)
     sign = np.sign(fp)
     flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
     return [float(brentq(lambda x: dispersion_derivatives(params, x)[0], r[i], r[i + 1]))
             for i in flips]
+
+
+def oscillation_segments(
+    params: ModelParams, t: float, lo: float, hi: float
+) -> list[tuple[float, float, str]]:
+    """Split [lo, hi] by how fast e^(2 i t f) oscillates, left to right.
+
+    Returns (lo, hi, kind) pieces covering [lo, hi]: "slow" where
+    t f <= 16 pi, "window" within min(1/4, 2 t^(-1/4)) of a stationary point
+    of f, and "fast" elsewhere, where f' does not vanish.
+    """
+    if hi <= lo:
+        return []
+    # f(r) <= r sqrt(mu r^2 + kappa), a bound that needs no sampling
+    if t * hi * math.sqrt(params.mu * hi * hi + params.kappa) <= _PHASE_SLOW:
+        return [(lo, hi, "slow")]
+    r = np.geomspace(max(lo, 1e-10), hi, 256)
+    if lo < r[0]:
+        r = np.concatenate([[lo], r])
+    slow = t * eval_dispersion(params, r) <= _PHASE_SLOW
+    flips = np.nonzero(slow[1:] != slow[:-1])[0]
+    cuts = [lo]
+    for k, i in enumerate(flips):
+        # the outermost brackets reach to the interval ends
+        a = max(lo, 1e-300) if k == 0 else r[i]
+        b = hi if k == flips.size - 1 else r[i + 1]
+        cuts.append(float(brentq(lambda x: t * eval_dispersion(params, x) - _PHASE_SLOW, a, b)))
+    cuts.append(hi)
+
+    h_window = min(0.25, 2.0 * t**-0.25)
+    segments = []
+    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if b <= a:
+            continue
+        if slow[0] == (k % 2 == 0):
+            segments.append((a, b, "slow"))
+            continue
+        cursor = a
+        for r_star in _stationary_points(params, a, b):
+            w_lo, w_hi = max(cursor, r_star - h_window), min(b, r_star + h_window)
+            if w_lo > cursor:
+                segments.append((cursor, w_lo, "fast"))
+            if w_hi > w_lo:
+                segments.append((w_lo, w_hi, "window"))
+            cursor = max(cursor, w_hi)
+        if cursor < b:
+            segments.append((cursor, b, "fast"))
+    return segments
 
 
 def _oscillatory_ibp_bound(params: ModelParams, g, a: float, b: float, t: float) -> float:
@@ -344,86 +485,28 @@ def _averaged_interval(
     cfg: QuadratureConfig,
 ) -> AveragedNorm:
     """Averaged value +/- remainder of the unscaled norm integrand over [lo, hi]."""
-    if hi <= lo:
-        return AveragedNorm(0.0, 0.0)
-    n = data.dim
-
-    # slow region t f <= Phi_0 handled exactly
-    f_lo = eval_dispersion(params, max(lo, 0.0))
-    f_hi = eval_dispersion(params, hi)
-    if t * max(f_lo, f_hi) <= _PHASE_SLOW:
-        val, err = _exact_interval(params, data, t, lo, hi, cfg)
-        return AveragedNorm(val, err)
-    if t * f_lo < _PHASE_SLOW:
-        from scipy.optimize import brentq
-
-        r_osc = float(
-            brentq(lambda x: t * eval_dispersion(params, x) - _PHASE_SLOW, max(lo, 1e-300), hi)
-        )
-    else:
-        r_osc = lo
-
     value, remainder = 0.0, 0.0
-    if r_osc > lo:
-        v, e = _exact_interval(params, data, t, lo, r_osc, cfg)
+    has_w0 = not data.w0_tail.vanishes
+    for seg_lo, seg_hi, kind in oscillation_segments(params, t, lo, hi):
+        if kind != "fast":
+            v, e = _resolved_interval(params, data, t, seg_lo, seg_hi, cfg)
+            value += v
+            remainder += e
+            continue
+        v, e = integrate_adaptive(
+            lambda r: _averaged_density(params, data, r),
+            _geometric_edges(seg_lo, seg_hi),
+            0.5 * cfg.rel_tol,
+        )
         value += v
         remainder += e
-
-    # windows around stationary points of f are integrated exactly as well
-    h_window = min(0.25, 2.0 * t**-0.25)
-    exact_windows = []
-    for r_star in _stationary_points(params, r_osc, hi):
-        exact_windows.append((max(r_osc, r_star - h_window), min(hi, r_star + h_window)))
-
-    segments = []
-    cursor = r_osc
-    for w_lo, w_hi in sorted(exact_windows):
-        if w_lo > cursor:
-            segments.append((cursor, w_lo, "avg"))
-        segments.append((max(cursor, w_lo), w_hi, "exact"))
-        cursor = max(cursor, w_hi)
-    if cursor < hi:
-        segments.append((cursor, hi, "avg"))
-
-    def averaged_density(r):
-        r = np.asarray(r, dtype=float)
-        f = eval_dispersion(params, r)
-        w0 = np.asarray(data.w0_profile(r))
-        w1 = np.asarray(data.w1_profile(r))
-        return 0.5 * (np.abs(w0) ** 2 + np.abs(w1) ** 2 / f**2) * r ** (n - 1)
-
-    def cos_coefficient(r):
-        r = np.asarray(r, dtype=float)
-        f = eval_dispersion(params, r)
-        w0 = np.asarray(data.w0_profile(r))
-        w1 = np.asarray(data.w1_profile(r))
-        return 0.5 * (np.abs(w0) ** 2 - np.abs(w1) ** 2 / f**2) * r ** (n - 1)
-
-    def sin_coefficient(r):
-        r = np.asarray(r, dtype=float)
-        f = eval_dispersion(params, r)
-        w0 = np.asarray(data.w0_profile(r))
-        w1 = np.asarray(data.w1_profile(r))
-        return np.real(w0 * np.conj(w1)) / f * r ** (n - 1)
-
-    has_w0 = not data.w0_tail.vanishes
-    for seg_lo, seg_hi, kind in segments:
-        if seg_hi <= seg_lo:
-            continue
-        if kind == "exact":
-            v, e = _exact_interval(params, data, t, seg_lo, seg_hi, cfg)
-            value += v
-            remainder += e
-        else:
-            edges = np.geomspace(max(seg_lo, 1e-12), seg_hi, 129)
-            edges[0] = seg_lo
-            v, e = integrate_adaptive(averaged_density, edges, 0.5 * cfg.rel_tol)
-            value += v
-            remainder += e
-            remainder += _oscillatory_ibp_bound(params, cos_coefficient, seg_lo, seg_hi, t)
-            if has_w0:
-                remainder += _oscillatory_ibp_bound(params, sin_coefficient, seg_lo, seg_hi, t)
-
+        remainder += _oscillatory_ibp_bound(
+            params, lambda r: _oscillating_coefficient(params, data, r).real, seg_lo, seg_hi, t
+        )
+        if has_w0:
+            remainder += _oscillatory_ibp_bound(
+                params, lambda r: -_oscillating_coefficient(params, data, r).imag, seg_lo, seg_hi, t
+            )
     return AveragedNorm(value, remainder)
 
 
@@ -495,8 +578,16 @@ class NormTrace:
             raise InvariantViolation("band contributions do not reconstruct the norm")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 def geometric_times(t_min: float, t_max: float, points_per_decade: int) -> np.ndarray:
     """Log-uniform sampling, points_per_decade per factor of 10."""
+    if not (0 < t_min < t_max < math.inf):
+        raise InputDomainError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
+    if not _is_count(points_per_decade):
+        raise InputDomainError(f"points_per_decade must be an integer >= 1, got {points_per_decade!r}")
     decades = math.log10(t_max / t_min)
     count = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(t_min, t_max, count)

@@ -1,19 +1,32 @@
-"""Panel-based quadrature tuned for integrands oscillating like sin(t f(r)).
+"""Panel-based quadrature for integrands oscillating like sin(t f(r)).
 
-The primitive is the embedded 10/21-point Gauss-Kronrod pair of QUADPACK
-(Piessens et al. 1983): on each panel the 21-point Kronrod sum K21 is the
-result, and |K21 - G10|, where the 10-point Gauss sum G10 reuses ten of the
-same 21 integrand values, is its error estimate.  Laurie (1997, Math. Comp.
-66) describes how the Kronrod extension is computed.  Two layers sit on top:
+Two panel rules share one refinement engine:
+
+* the embedded 10/21-point Gauss-Kronrod pair of QUADPACK (Piessens et al.
+  1983): on each panel the 21-point Kronrod sum K21 is the result, and
+  |K21 - G10|, where the 10-point Gauss sum G10 reuses ten of the same 21
+  integrand values, is its error estimate.  Laurie (1997, Math. Comp. 66)
+  describes how the Kronrod extension is computed;
+* Levin collocation for integral g(r) e^(i omega f(r)) dr where f' does not
+  vanish (Levin 1982, Math. Comp. 38; Olver 2006, IMA J. Numer. Anal. 26):
+  the ODE p' + i omega f' p = g is collocated at 17 Chebyshev-Lobatto nodes
+  per panel and at the 9 of them that form the embedded lower order, and the
+  integral is p e^(i omega f) between the panel ends.  Panels are sized to g
+  and f, not to the period, so the cost does not grow with omega.  Panels
+  with under a radian of phase use Clenshaw-Curtis on the same nodes.
+
+On top of them:
 
 * ``phase_resolved_edges`` builds an initial partition whose panel widths
   track the local oscillation period pi/(t |f'(r)|), so that every period of
   sin^2(t f) receives at least ``points_per_period`` nodes;
-* ``integrate_adaptive`` evaluates every pending panel once per round,
-  accepts the panels whose error estimate meets a width-proportional share
-  of the requested relative tolerance, and bisects only the others.
+* ``integrate_adaptive`` (K21) and ``integrate_levin`` evaluate every
+  pending panel once per round, accept the panels whose error estimate
+  meets a width-proportional share of the requested tolerance or has
+  reached rounding level, and bisect only the others.  A non-finite value
+  raises IntegrabilityError in the round that produces it.
 
-Both layers are deterministic: the partition depends only on the inputs and
+All of it is deterministic: the partition depends only on the inputs and
 accepted panel contributions are summed in left-to-right order.
 """
 
@@ -23,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, IntegrabilityError
 from .model import ModelParams, dispersion_derivatives
 
 __all__ = [
@@ -31,6 +44,8 @@ __all__ = [
     "KRONROD_POINTS",
     "panel_integrals",
     "integrate_adaptive",
+    "LEVIN_POINTS",
+    "integrate_levin",
     "phase_resolved_edges",
     "uniform_edges",
 ]
@@ -124,22 +139,16 @@ def uniform_edges(lo: float, hi: float, panels: int) -> np.ndarray:
     return np.linspace(lo, hi, panels + 1)
 
 
-def integrate_adaptive(
-    fn,
-    edges: np.ndarray,
-    rel_tol: float,
-    abs_tol: float = 0.0,
-    max_rounds: int = 30,
-) -> tuple[float, float]:
-    """Integrate fn over the partition, bisecting only the panels that fail.
+def _refine(rule, edges, rel_tol: float, abs_tol: float, max_rounds: int):
+    """Bisect the panels of a partition until each meets its share of the budget.
 
-    Each round evaluates every pending panel once with the G10/K21 pair.  A
-    panel is accepted when |K21 - G10| is below the share of the global
-    budget max(rel_tol * |estimate|, abs_tol) proportional to its width;
-    the others are bisected for the next round.  After max_rounds bisections
-    the panels still pending keep their last K21 value and |K21 - G10| error.
-    Returns (value, error_estimate), the estimate being the sum of the
-    accepted panels' errors.
+    rule(lo, hi) returns per-panel (values, errors, floors).  A panel is
+    accepted when its error is below the share of the global budget
+    max(rel_tol * |estimate|, abs_tol) proportional to its width, or below its
+    floor (the rounding level of the rule); the others are bisected for the
+    next round.  After max_rounds bisections the pending panels keep their
+    last value and error.  Returns (value, error), both summed over the
+    accepted panels in left-to-right order.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -155,17 +164,22 @@ def integrate_adaptive(
     acc_sum = 0.0
 
     for depth in range(max_rounds + 1):
-        val, err = panel_integrals(fn, pend_lo, pend_hi)
-        total_est = acc_sum + float(np.sum(val))
+        val, err, floor = rule(pend_lo, pend_hi)
+        if not (np.all(np.isfinite(val)) and np.all(np.isfinite(err))):
+            bad = ~(np.isfinite(val) & np.isfinite(err))
+            raise IntegrabilityError(
+                f"non-finite integrand on [{pend_lo[bad][0]:.17g}, {pend_hi[bad][0]:.17g}]"
+            )
+        total_est = acc_sum + np.sum(val)
         budget = max(rel_tol * abs(total_est), abs_tol, 1e-300)
-        ok = err <= budget * (pend_hi - pend_lo) / total_len
+        ok = (err <= budget * (pend_hi - pend_lo) / total_len) | (err <= floor)
         if depth == max_rounds:
             ok[:] = True
 
         acc_lo.append(pend_lo[ok])
         acc_val.append(val[ok])
         acc_err.append(err[ok])
-        acc_sum += float(np.sum(val[ok]))
+        acc_sum += np.sum(val[ok])
 
         bad = ~ok
         if not np.any(bad):
@@ -180,7 +194,168 @@ def integrate_adaptive(
     val_all = np.concatenate(acc_val)
     err_all = np.concatenate(acc_err)
     order = np.argsort(lo_all, kind="stable")
-    return float(np.sum(val_all[order])), float(np.sum(err_all[order]))
+    return np.sum(val_all[order]), float(np.sum(err_all[order]))
+
+
+def integrate_adaptive(
+    fn,
+    edges: np.ndarray,
+    rel_tol: float,
+    abs_tol: float = 0.0,
+    max_rounds: int = 30,
+) -> tuple[float, float]:
+    """Integrate fn over the partition, bisecting only the panels that fail.
+
+    Each round evaluates every pending panel once with the G10/K21 pair and
+    bisects the panels whose |K21 - G10| misses its width share of the
+    budget max(rel_tol * |estimate|, abs_tol).  After max_rounds bisections
+    the panels still pending keep their last K21 value and |K21 - G10| error.
+    Returns (value, error_estimate), the estimate being the sum of the
+    accepted panels' errors.  Raises IntegrabilityError in the first round
+    that produces a non-finite value or error.
+    """
+
+    def rule(lo, hi):
+        val, err = panel_integrals(fn, lo, hi)
+        return val, err, 0.0
+
+    value, error = _refine(rule, edges, rel_tol, abs_tol, max_rounds)
+    return float(value), error
+
+
+def _chebyshev_lobatto(n: int):
+    """Nodes cos(pi k / (n - 1)), k = 0..n-1, on [-1, 1], with their
+    differentiation matrix, Clenshaw-Curtis weights and the map from node
+    values to Chebyshev coefficients.
+
+    The nodes decrease from 1 to -1; the matrix is Trefethen's (Spectral
+    Methods in MATLAB, 2000, program cheb), with the diagonal set by the
+    negative row sums.  The weights integrate T_0 .. T_(n-1) exactly.
+    """
+    k = np.arange(n)
+    x = np.cos(math.pi * k / (n - 1))
+    c = np.where((k == 0) | (k == n - 1), 2.0, 1.0) * (-1.0) ** k
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n))
+    d -= np.diag(d.sum(axis=1))
+    chebyshev = np.cos(np.outer(k, math.pi * k / (n - 1)))  # T_k at node j
+    moments = np.zeros(n)
+    moments[::2] = 2.0 / (1.0 - k[::2] ** 2)
+    weights = np.linalg.solve(chebyshev, moments)
+    return x, d, weights, np.linalg.inv(chebyshev.T)
+
+
+# Levin collocation pair: 17 Chebyshev-Lobatto nodes, every other one of
+# which is a node of the 9-point member, so one evaluation serves both.
+LEVIN_POINTS = 17
+_LEVIN_NODES, _LEVIN_DIFF, _CC_WEIGHTS, _TO_CHEBYSHEV = _chebyshev_lobatto(LEVIN_POINTS)
+_LEVIN_DIFF_LOW, _CC_WEIGHTS_LOW = _chebyshev_lobatto((LEVIN_POINTS + 1) // 2)[1:3]
+# the two highest Chebyshev coefficients of g on a panel
+_CHEBYSHEV_TAIL = _TO_CHEBYSHEV[-2:].T
+# Below one radian of phase per unit of the reference panel [-1, 1] the
+# collocation matrix tends to the nilpotent differentiation matrix and turns
+# singular, while e^(i omega f) is smooth enough for Clenshaw-Curtis on the
+# same nodes.
+_LEVIN_MIN_PHASE = 1.0
+# An error below this share of h max|g| is rounding level: bisection cannot
+# lower it.  It bounds the Levin rounding too, eps |g| / (omega |f'|) <= eps h |g|
+# on the panels with at least _LEVIN_MIN_PHASE of phase.
+_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def _levin_solve(diff, half, fp, g, omega):
+    """Collocation values of p with p' + i omega f' p = g on each panel."""
+    n = diff.shape[0]
+    system = np.empty((half.size, n, n), dtype=complex)
+    system[:] = diff
+    diag = np.arange(n)
+    system[:, diag, diag] += 1j * omega * half[:, None] * fp
+    try:
+        return np.linalg.solve(system, (half[:, None] * g)[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise IntegrabilityError(
+            "singular Levin system: the phase is stationary on a panel"
+        ) from None
+
+
+def _levin_panels(g, f, fprime, omega: float, lo: np.ndarray, hi: np.ndarray):
+    """Estimates of integral g(r) e^(i omega f(r)) dr over each [lo_i, hi_i].
+
+    Collocates p' + i omega f' p = g at the 17 Chebyshev-Lobatto nodes of each
+    panel (and at the 9 of them that form the lower-order rule), so that the
+    integral is p(hi) e^(i omega f(hi)) - p(lo) e^(i omega f(lo)) (Levin 1982,
+    Math. Comp. 38; Olver 2006, IMA J. Numer. Anal. 26).  The cost does not
+    depend on omega, and the error of a panel falls as omega grows.  Panels
+    with less than _LEVIN_MIN_PHASE of phase use the Clenshaw-Curtis pair on
+    the same nodes instead.
+
+    Once the phase is fast, both Levin values tend to the endpoint terms
+    g/(i omega f') and agree even where g is not resolved: a jump or an
+    oscillation of g inside the panel would go unseen.  So the error of a
+    Levin panel is |I17 - I9| plus the integral bound 2 h (|c_15| + |c_16|)
+    of the interpolation error of g, from its two highest Chebyshev
+    coefficients.  Returns (values, errors, rounding floors).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + half[:, None] * _LEVIN_NODES
+    x[:, 0] = hi
+    x[:, -1] = lo
+    flat = x.ravel()
+    gv = np.asarray(g(flat)).reshape(x.shape)
+    fv = np.asarray(f(flat), dtype=float).reshape(x.shape)
+    fp = np.asarray(fprime(flat), dtype=float).reshape(x.shape)
+    if not (np.all(np.isfinite(gv)) and np.all(np.isfinite(fv)) and np.all(np.isfinite(fp))):
+        raise IntegrabilityError("non-finite integrand or phase in a Levin panel")
+
+    value = np.empty(lo.shape, dtype=complex)
+    error = np.empty(lo.shape)
+    floor = _ROUNDING * half * np.max(np.abs(gv), axis=1)
+    levin = omega * half * np.min(np.abs(fp), axis=1) >= _LEVIN_MIN_PHASE
+    if np.any(levin):
+        h, fl, gl = half[levin], fp[levin], gv[levin]
+        ends = np.exp(1j * omega * fv[levin][:, [0, -1]])
+        p_high = _levin_solve(_LEVIN_DIFF, h, fl, gl, omega)
+        p_low = _levin_solve(_LEVIN_DIFF_LOW, h, fl[:, ::2], gl[:, ::2], omega)
+        high = p_high[:, 0] * ends[:, 0] - p_high[:, -1] * ends[:, 1]
+        low = p_low[:, 0] * ends[:, 0] - p_low[:, -1] * ends[:, 1]
+        unresolved = 2.0 * h * np.sum(np.abs(gl @ _CHEBYSHEV_TAIL), axis=1)
+        value[levin] = high
+        error[levin] = np.abs(high - low) + unresolved
+    direct = ~levin
+    if np.any(direct):
+        h = half[direct]
+        vals = gv[direct] * np.exp(1j * omega * fv[direct])
+        value[direct] = h * (vals @ _CC_WEIGHTS)
+        error[direct] = np.abs(value[direct] - h * (vals[:, ::2] @ _CC_WEIGHTS_LOW))
+    return value, error, floor
+
+
+def integrate_levin(
+    g,
+    f,
+    fprime,
+    omega: float,
+    edges: np.ndarray,
+    rel_tol: float,
+    abs_tol: float = 0.0,
+    max_rounds: int = 30,
+) -> tuple[complex, float]:
+    """Integral of g(r) e^(i omega f(r)) over the partition by Levin collocation.
+
+    g may be complex; f and fprime are the real phase and its derivative,
+    which must not vanish on the partition.  Panels are refined as in
+    integrate_adaptive, with |I17 - I9| as the error estimate; a panel whose
+    estimate has reached rounding level is accepted too, since bisection
+    cannot lower it further.  Returns (complex value, error estimate).
+    Raises IntegrabilityError on non-finite values and singular panels.
+    """
+
+    def rule(lo, hi):
+        return _levin_panels(g, f, fprime, omega, lo, hi)
+
+    value, error = _refine(rule, edges, rel_tol, abs_tol, max_rounds)
+    return complex(value), error
 
 
 def phase_resolved_edges(

@@ -145,6 +145,30 @@ class TestTailTerm:
         assert averaged_tail_remainder(P2, t).value == pytest.approx(oracle, rel=1e-4)
 
 
+class TestTailTermOscillatoryPath:
+    def test_matches_phase_resolved_quadrature(self):
+        # the whole interval on one phase-resolved partition, as before the
+        # fast segment moved to Levin collocation
+        from rosenau.model import epsilon0, eval_dispersion
+        from rosenau.quadrature import integrate_adaptive, phase_resolved_edges
+
+        t = 1e5
+        eps = epsilon0(P2)
+        edges = phase_resolved_edges(P2, 2 * t, 1 / t, eps, 8, max_width=(eps - 1 / t) / 48)
+        reference, _ = integrate_adaptive(
+            lambda r: (np.exp(-(r**2)) * np.cos(2 * t * eval_dispersion(P2, r))
+                       * (1 + r**4) / (r**3 + r)),
+            edges, 1e-9, abs_tol=1e-12,
+        )
+        assert averaged_tail_remainder(P2, t).value == pytest.approx(reference, rel=1e-9)
+
+    def test_large_time_within_bound(self):
+        out = averaged_tail_remainder(P2, 1e7)
+        assert abs(out.value) <= out.bound
+        # T2 settles: the change from t = 1e6 is of the order of its 1/t bound
+        assert abs(out.value - averaged_tail_remainder(P2, 1e6).value) <= 1e-5
+
+
 class TestEnvelopes:
     def test_lower_linear_rate_1d(self, moments_1d):
         ratios = [lower_envelope(P1, SINC, moments_1d, 0.0, t, 1) / t for t in (1e4, 1e5, 1e6)]

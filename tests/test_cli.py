@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rosenau import InputDomainError, export_plotdata
+from rosenau import InputDomainError, export_plotdata, geometric_times
 from rosenau.cli import ExperimentConfig, default_config, main, run_experiment
 
 
@@ -49,6 +49,31 @@ class TestConfig:
         window = {"t_min": 1e2, "t_max": 1e4, "points_per_decade": 4, key: value}
         with pytest.raises(InputDomainError, match="t_window"):
             ExperimentConfig.from_dict({"preset": "custom", "t_window": window})
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(InputDomainError, match="t_windw"):
+            ExperimentConfig.from_dict({"preset": "custom", "t_windw": {"t_min": 1.0}})
+        with pytest.raises(InputDomainError, match="params.dimm"):
+            ExperimentConfig.from_dict({"preset": "custom", "params": {"dimm": 2}})
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, float("nan"), True, "4"])
+    def test_bad_points_per_decade_rejected(self, value):
+        window = {"t_min": 1e2, "t_max": 1e4, "points_per_decade": value}
+        with pytest.raises(InputDomainError, match="points_per_decade"):
+            ExperimentConfig.from_dict({"preset": "custom", "t_window": window})
+
+    @pytest.mark.parametrize(
+        "args", [(0.0, 1e3, 4), (1e3, 1e2, 4), (1e2, 1e3, 0), (1e2, 1e3, -2)]
+    )
+    def test_geometric_times_rejects_bad_window(self, args):
+        with pytest.raises(InputDomainError):
+            geometric_times(*args)
+
+    def test_other_datum_takes_its_own_keywords(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(
+            {"data": {"name": "compact-band", "r_lo": 0.0, "r_hi": 0.5}}
+        )
+        assert cfg.data_spec == {"name": "compact-band", "r_lo": 0.0, "r_hi": 0.5}
 
     def test_print_default_config_flag(self, capsys):
         assert main(["--print-default-config", "prop-4-1"]) == 0
@@ -125,6 +150,21 @@ class TestRunners:
         bad = tmp_path / "bad.yaml"
         bad.write_text("preset: nonsense\n")
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("t_windw: {t_min: 100.0}\n", "t_windw"),
+            ("t_window: {points_per_decade: 0}\n", "points_per_decade"),
+            ("data: {bogus: 3}\n", "bogus"),
+        ],
+    )
+    def test_cli_run_rejects_malformed_config(self, capsys, tmp_path, body, message):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(body + f"output_dir: {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_cli_run_rejects_nan_time(self, capsys, tmp_path):
         cfg_path = tmp_path / "nan.yaml"

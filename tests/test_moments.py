@@ -17,7 +17,7 @@ from rosenau import (
     weighted_l1_norm,
     zeroth_moment,
 )
-from rosenau.moments import radial_fourier
+from rosenau.moments import _fluctuation_values, _kernel_minus_one, radial_fourier
 
 
 def indicator_profile(dim=1):
@@ -75,6 +75,39 @@ class TestFluctuation:
             a, b = fluctuation(profile, rho)
             direct = radial_fourier(profile, rho)
             assert p + a - 1j * b == pytest.approx(direct, abs=1e-8)
+
+
+class TestPanelFluctuation:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gaussian_closed_form_on_the_default_grid(self, dim):
+        # u1 = e^(-|x|^2) has the transform pi^(n/2) e^(-rho^2/4)
+        rhos = np.geomspace(1e-3, 50.0, 96)
+        values = _fluctuation_values(gaussian_profile(dim), rhos)
+        expected = math.pi ** (dim / 2) * np.expm1(-0.25 * rhos**2)
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
+
+    def test_kernel_minus_one_has_no_cancellation(self):
+        s = np.array([1e-6, 1e-3, 0.1])
+        two = -(s**2) / 4 + s**4 / 64 - s**6 / 2304 + s**8 / 147456
+        three = -(s**2) / 6 + s**4 / 120 - s**6 / 5040 + s**8 / 362880
+        np.testing.assert_allclose(_kernel_minus_one(2, s), two, rtol=1e-14)
+        np.testing.assert_allclose(_kernel_minus_one(3, s), three, rtol=1e-14)
+
+    def test_bound_check_is_the_pointwise_maximum(self):
+        profile = gaussian_profile(2, a=0.7)
+        grid = np.geomspace(1e-2, 30.0, 12)
+        wnorm = weighted_l1_norm(profile, 0.5)
+        pointwise = max(abs(fluctuation(profile, rho)[0]) / (rho**0.5 * wnorm) for rho in grid)
+        assert moment_bound_check(profile, 0.5, grid) == pytest.approx(pointwise, rel=1e-12)
+
+    def test_needs_a_finite_radius(self):
+        power = RadialProfile(
+            func=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)) ** 3,
+            dim=1,
+            tail=TailBound(kind="power", amplitude=1.0, power=3.0, cutoff=1.0),
+        )
+        with pytest.raises(IntegrabilityError, match="finite certified radius"):
+            fluctuation(power, 1.0)
 
 
 class TestWeightedNorm:

@@ -23,7 +23,16 @@ from rosenau import (
     write_norm_trace_csv,
 )
 from rosenau.evolution import sinc as vect_sinc, zero_profile
-from rosenau.norms import _amplitude_sq
+from rosenau.catalog import data_from_spec
+from rosenau.norms import (
+    DEFAULT_QUADRATURE,
+    _amplitude_sq,
+    _fast_interval,
+    _physical_scale,
+    _resolve_r_max,
+    _resolved_interval,
+    oscillation_segments,
+)
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
@@ -292,3 +301,93 @@ class TestNonFiniteTime:
     def test_oscillation_averaged_norm(self, t):
         with pytest.raises(InputDomainError, match="finite"):
             oscillation_averaged_norm(P2, gaussian_velocity_data(2), t)
+
+
+def _complex_data(dim):
+    """Complex w0 and w1, both present: the sin(2 t f) coefficient is nonzero."""
+    g = lambda r: 1.5 * np.exp(-0.25 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
+    h = lambda r: np.exp(-0.3 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
+    return RadialInitialData(
+        lambda r: (0.6 - 0.8j) * g(r), lambda r: (0.3 + 2.0j) * h(r), dim, "gaussian-type",
+        _gaussian_tail(1.5), _gaussian_tail(2.1, 0.3),
+    )
+
+
+_CATALOG = {
+    "gaussian": lambda dim: data_from_spec("gaussian", dim),
+    "gaussian-u0": lambda dim: data_from_spec("gaussian-u0", dim),
+    "compact-band": lambda dim: data_from_spec("compact-band", dim, r_lo=0.5, r_hi=3.0),
+    "annular-bump": lambda dim: data_from_spec("annular-bump", dim),
+    "complex": _complex_data,
+}
+
+# norm_squared of the 1-D annular bump at t = 1e6 on the phase-resolved path
+# alone, as computed before the fast segments used Levin collocation (11 s)
+_ANNULAR_1D_PHASE_RESOLVED_1E6 = 1671834.9757013218
+
+
+class TestOscillatoryPath:
+    # the annular bump runs in 1-D only: in 2-D and 3-D its r_max exceeds 1e4,
+    # where its 96-node transform is aliased, and one reference takes minutes
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize(
+        "name,dim",
+        [(name, dim) for name in sorted(_CATALOG) for dim in (1, 2, 3)
+         if name != "annular-bump" or dim == 1],
+    )
+    def test_matches_phase_resolved_path(self, name, dim, t):
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = _CATALOG[name](dim)
+        value = norm_squared(params, data, t)
+        if name == "annular-bump" and t == 1e6:
+            reference = _ANNULAR_1D_PHASE_RESOLVED_1E6
+        else:
+            r_max = _resolve_r_max(params, data, t, DEFAULT_QUADRATURE)
+            reference = _physical_scale(dim, False) * _resolved_interval(
+                params, data, t, 0.0, r_max, DEFAULT_QUADRATURE
+            )[0]
+        assert value == pytest.approx(reference, rel=1e-10)
+
+    def test_segments_cover_the_interval(self):
+        for t in (10.0, 1e2, 1e4, 1e9):
+            segments = oscillation_segments(P1, t, 0.0, 14.0)
+            assert segments[0][0] == 0.0 and segments[-1][1] == 14.0
+            for (_, b, _), (a, _, _) in zip(segments[:-1], segments[1:]):
+                assert a == b
+            for a, b, kind in segments:
+                assert a < b
+                mid = 0.5 * (a + b)
+                if kind == "slow":
+                    assert t * eval_dispersion(P1, mid) <= 16 * math.pi * (1 + 1e-12)
+                else:
+                    assert t * eval_dispersion(P1, mid) > 16 * math.pi
+                if kind == "fast":
+                    fp, _ = dispersion_derivatives(P1, np.linspace(a, b, 1001)[1:])
+                    assert np.all(fp > 0) or np.all(fp < 0)
+        # below t f = 16 pi everywhere, the whole interval is slow
+        assert oscillation_segments(P1, 10.0, 0.0, 14.0) == [(0.0, 14.0, "slow")]
+
+    def test_fast_segment_cost_does_not_grow_with_t(self):
+        counts = {}
+        for t in (1e3, 1e9):
+            calls = []
+            base = gaussian_velocity_data(1)
+
+            def counted(r):
+                calls.append(np.size(r))
+                return base.w1_profile(r)
+
+            data = RadialInitialData(zero_profile, counted, 1, "gaussian-type",
+                                     base.w0_tail, base.w1_tail)
+            calls.clear()
+            for a, b, kind in oscillation_segments(P1, t, 0.0, 6.4):
+                if kind == "fast":
+                    _fast_interval(P1, data, t, a, b, DEFAULT_QUADRATURE)
+            counts[t] = sum(calls)
+        assert counts[1e3] / 2 <= counts[1e9] <= 2 * counts[1e3]
+
+    def test_one_dimensional_asymptote(self):
+        # ||u(t)||^2 / t -> P^2 / (2 sqrt(kappa)) / (2 pi) = pi / 2 for u1 = e^(-x^2)
+        t = 1e9
+        ratio = norm_squared(P1, gaussian_velocity_data(1), t) / (t * math.pi / 2)
+        assert abs(ratio - 1.0) <= 1e-6

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rosenau import ModelParams
+from rosenau import InputDomainError, IntegrabilityError, ModelParams
+from rosenau.model import dispersion_derivatives, eval_dispersion
 from rosenau import quadrature
 from rosenau.quadrature import (
     KRONROD_POINTS,
+    LEVIN_POINTS,
     integrate_adaptive,
+    integrate_levin,
     panel_integrals,
     phase_resolved_edges,
     uniform_edges,
@@ -158,3 +161,136 @@ def test_deterministic_repeatability():
     a = integrate_adaptive(fn, edges, 1e-9)
     b = integrate_adaptive(fn, edges, 1e-9)
     assert a == b
+
+
+class TestNonFiniteIntegrand:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_raises_in_first_round(self, bad):
+        nodes = []
+
+        def fn(x):
+            nodes.append(x.size)
+            return np.where(x > 0.5, bad, x)
+
+        with pytest.raises(IntegrabilityError, match="non-finite"), np.errstate(invalid="ignore"):
+            integrate_adaptive(fn, uniform_edges(0.0, 1.0, 4), 1e-10, max_rounds=8)
+        assert sum(nodes) <= KRONROD_POINTS * 4
+
+
+def _ones(x):
+    return np.ones_like(x)
+
+
+def _linear_exact(a, b, omega):
+    return (np.exp(1j * omega * b) - np.exp(1j * omega * a)) / (1j * omega)
+
+
+class TestLevin:
+    # omega below 2 puts the panels under one radian of phase, on the
+    # Clenshaw-Curtis branch of the rule
+    OMEGAS = [0.3, 1.0, 10.0, 1e3, 1e6, 1e9]
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_constant_amplitude_linear_phase_exact(self, omega):
+        val, err = integrate_levin(_ones, lambda x: x, _ones, omega, np.array([0.3, 2.0]), 1e-12)
+        exact = _linear_exact(0.3, 2.0, omega)
+        assert abs(val - exact) <= 1e-14 * abs(exact)
+        assert err <= 1e-13
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_polynomial_amplitude_closed_form(self, omega):
+        # integral of x^3 e^(i w x): x^3/(iw) - 3x^2/(iw)^2 + 6x/(iw)^3 - 6/(iw)^4, times e^(i w x)
+        iw = 1j * omega
+
+        def antiderivative(x):
+            return np.exp(iw * x) * (x**3 / iw - 3 * x**2 / iw**2 + 6 * x / iw**3 - 6 / iw**4)
+
+        exact = antiderivative(2.0) - antiderivative(-1.0)
+        val, _ = integrate_levin(lambda x: x**3, lambda x: x, _ones, omega,
+                                 uniform_edges(-1.0, 2.0, 3), 1e-12)
+        assert abs(val - exact) <= 1e-13 * max(abs(exact), 1.0 / omega)
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_nonlinear_phase_closed_form(self, omega):
+        # 2x e^(i w x^2) has the antiderivative e^(i w x^2)/(i w)
+        val, _ = integrate_levin(lambda x: 2 * x, lambda x: x**2, lambda x: 2 * x, omega,
+                                 uniform_edges(0.5, 3.0, 4), 1e-12)
+        exact = (np.exp(1j * omega * 9.0) - np.exp(1j * omega * 0.25)) / (1j * omega)
+        assert abs(val - exact) <= 1e-13 * abs(exact)
+
+    def test_complex_amplitude_is_linear(self):
+        g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
+        args = (lambda x: x**2, lambda x: 2 * x, 300.0, uniform_edges(0.5, 3.0, 8), 1e-12)
+        whole, _ = integrate_levin(g, *args)
+        re, _ = integrate_levin(lambda x: g(x).real, *args)
+        im, _ = integrate_levin(lambda x: g(x).imag, *args)
+        assert abs(whole - (re + 1j * im)) <= 1e-14 * abs(whole)
+
+    def test_against_dense_simpson(self):
+        from scipy.integrate import simpson
+
+        t = 1e3
+        g = lambda r: np.exp(-0.25 * r**2) / r  # noqa: E731
+        val, _ = integrate_levin(g, lambda r: eval_dispersion(P, r),
+                                 lambda r: dispersion_derivatives(P, r)[0], 2 * t,
+                                 np.geomspace(2.0, 9.0, 9), 1e-12)
+        r = np.linspace(2.0, 9.0, 2_000_001)
+        oracle = simpson(g(r) * np.exp(2j * t * eval_dispersion(P, r)), x=r)
+        assert abs(val - oracle) <= 1e-10 * abs(oracle)
+
+    def test_cost_does_not_grow_with_omega(self):
+        nodes = {}
+        for omega in (1e3, 1e9):
+            calls = []
+
+            def g(x):
+                calls.append(x.size)
+                return np.exp(-x) / (1.0 + x)
+
+            integrate_levin(g, np.log1p, lambda x: 1.0 / (1.0 + x), omega,
+                            uniform_edges(0.0, 5.0, 8), 1e-10)
+            nodes[omega] = sum(calls)
+        assert nodes[1e9] <= 2 * nodes[1e3]
+        assert nodes[1e3] <= 2 * 8 * LEVIN_POINTS
+
+    def test_refinement_stops_at_rounding_level(self):
+        # the width-proportional share of 1e-16 cannot be met; the panels
+        # stop once |I17 - I9| is at rounding level
+        calls = []
+
+        def g(x):
+            calls.append(x.size)
+            return np.exp(-x)
+
+        val, _ = integrate_levin(g, lambda x: x, _ones, 2e7, uniform_edges(1.0, 2.0, 4), 1e-16)
+        exact = (np.exp((-1 + 2e7j) * 2.0) - np.exp((-1 + 2e7j) * 1.0)) / (-1 + 2e7j)
+        assert abs(val - exact) <= 1e-12 * abs(exact)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("omega", [1e4, 1e5, 1e6])
+    def test_jump_inside_a_panel_is_resolved(self, omega):
+        # the panel holding the jump at 0.4 is bisected down to max_rounds,
+        # through the ill-conditioned Levin panels near one radian of phase
+        val, err = integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), lambda x: x, _ones,
+                                   omega, uniform_edges(0.0, 1.0, 2), 1e-10)
+        exact = _linear_exact(0.0, 0.4, omega)
+        assert abs(val - exact) <= 1e-10
+        assert err >= abs(val - exact)
+
+    def test_stationary_phase_panel_stays_finite(self):
+        # f' = 0: no Levin system is solved, the rule integrates g e^(i w c) directly
+        val, _ = integrate_levin(lambda x: x, lambda x: np.full_like(x, 2.0), np.zeros_like,
+                                 50.0, uniform_edges(0.0, 1.0, 2), 1e-12)
+        assert val == pytest.approx(0.5 * np.exp(100j), rel=1e-14)
+
+    @pytest.mark.parametrize("part", ["g", "f", "fprime"])
+    def test_non_finite_values_raise(self, part):
+        fns = {"g": _ones, "f": lambda x: x, "fprime": _ones}
+        fns[part] = lambda x: np.where(x > 0.5, np.nan, x)
+        with pytest.raises(IntegrabilityError):
+            integrate_levin(fns["g"], fns["f"], fns["fprime"], 1e3, uniform_edges(0.0, 1.0, 4), 1e-10)
+
+    def test_rejects_bad_edges(self):
+        with pytest.raises(InputDomainError):
+            integrate_levin(_ones, lambda x: x, _ones, 1e3, np.array([1.0, 0.5]), 1e-10)
+
