@@ -45,7 +45,7 @@ from .model import (
     second_derivative_bound,
     unit_sphere_area,
 )
-from .moments import MomentDecomposition, fluctuation
+from .moments import MomentDecomposition, _fluctuation_values
 from .norms import oscillation_segments
 from .quadrature import (
     integrate_adaptive,
@@ -151,7 +151,7 @@ def fluctuation_remainder(
         r = 0.5 * beta * (nodes + 1.0)
         w = 0.5 * beta * weights
         prop = propagator(t, eval_dispersion(params, r))
-        amp = np.array([fluctuation(moments.profile, rho)[0] for rho in r])
+        amp = _fluctuation_values(moments.profile, r)
         value = 2.0 * float(np.sum(w * amp**2 * prop**2))
         if value > ceiling * (1.0 + 1e-9):
             raise InvariantViolation(

@@ -174,14 +174,11 @@ class ExperimentConfig:
             raise InputDomainError("preset prop-4-1 requires dim >= 3")
         window = cfg["t_window"]
         t_min, t_max = float(window["t_min"]), float(window["t_max"])
-        if not (0 < t_min < t_max < math.inf):
-            raise InputDomainError("t_window must satisfy 0 < t_min < t_max < inf")
         points_per_decade = window["points_per_decade"]
-        if isinstance(points_per_decade, bool) or not isinstance(points_per_decade, int) \
-                or points_per_decade < 1:
-            raise InputDomainError(
-                f"t_window.points_per_decade must be an integer >= 1, got {points_per_decade!r}"
-            )
+        try:
+            geometric_times(t_min, t_max, points_per_decade)
+        except InputDomainError as exc:
+            raise InputDomainError(f"t_window: {exc}") from None
         q = cfg["quadrature"]
         quad = QuadratureConfig(
             rel_tol=float(q["rel_tol"]),
@@ -198,7 +195,7 @@ class ExperimentConfig:
             sinc=SincConstants(delta0=float(cfg["sinc_threshold"])),
             data_spec=dict(cfg["data"]),
             gamma_moment=float(cfg["gamma_moment"]),
-            t_window=(t_min, t_max, points_per_decade),
+            t_window=(t_min, t_max, int(points_per_decade)),
             quadrature=quad,
             threads=threads,
             output_dir=Path(cfg["output_dir"]),

@@ -159,22 +159,33 @@ def l2_norm_sq(u1: RadialProfile) -> float:
 
 
 def _fluctuation_values(u1: RadialProfile, rhos: np.ndarray) -> np.ndarray:
-    """A(rho) for every rho of the grid as one kernel-matrix product.
+    """A(rho) for every rho of the grid.
 
-    Integrates u1(r) (K(rho r) - 1) r^(n-1) for all rho on one uniform K21
-    partition of [0, R] with about one panel per period of the fastest
-    kernel, cos(rho_max r).  Every rho's summed |K21 - G10| must stay below
-    1e-12 of its summed |K21|; the panel count doubles until it does.
+    A profile with a finite certified radius R goes through
+    _panel_fluctuation, one kernel-matrix product for the whole grid.  A
+    profile without one (a power tail), or one that the uniform partition
+    does not resolve (a jump inside the support), takes one adaptive scipy
+    quad integral per rho out to its upper limit.
     """
     _require_integrable(u1)
-    radius = u1.upper_limit()
-    if not math.isfinite(radius):
-        raise IntegrabilityError(
-            f"profile {u1.label or u1!r} has no finite certified radius for the "
-            "moment decomposition"
-        )
-    n = u1.dim
     rhos = np.asarray(rhos, dtype=float)
+    radius = u1.upper_limit()
+    if math.isfinite(radius):
+        values = _panel_fluctuation(u1, rhos, radius)
+        if values is not None:
+            return values
+    return np.array([_quad_fluctuation(u1, rho) for rho in rhos])
+
+
+def _panel_fluctuation(u1: RadialProfile, rhos: np.ndarray, radius: float):
+    """A(rho) on one uniform K21 partition of [0, R], or None if unresolved.
+
+    Integrates u1(r) (K(rho r) - 1) r^(n-1) for all rho at once, starting
+    from about one panel per period of the fastest kernel, cos(rho_max r).
+    Every rho's summed |K21 - G10| must stay below 1e-12 of its summed
+    |K21|; the panel count doubles at most three times until it does.
+    """
+    n = u1.dim
 
     def integrand(r):
         u = np.real(u1.func(r)) * r ** (n - 1)
@@ -188,9 +199,19 @@ def _fluctuation_values(u1: RadialProfile, rhos: np.ndarray) -> np.ndarray:
         if np.all(np.sum(errors, axis=1) <= _MOMENT_REL_TOL * scale):
             return unit_sphere_area(n) * np.sum(values, axis=1)
         panels *= 2
-    raise IntegrabilityError(
-        f"moment fluctuation of {u1.label or u1!r} not resolved by {panels // 2} panels"
-    )
+    return None
+
+
+def _quad_fluctuation(u1: RadialProfile, rho: float) -> float:
+    """A(rho) by scipy quad, split at the first few kernel oscillations."""
+    n = u1.dim
+
+    def integrand(r):
+        val = float(np.real(u1.func(np.array([r]))[0]))
+        return val * float(_kernel_minus_one(n, np.array([rho * r]))[0]) * r ** (n - 1)
+
+    pieces = [k * math.pi / rho for k in (1, 2, 4, 8, 16) if k * math.pi / rho < u1.upper_limit()]
+    return unit_sphere_area(n) * _quad(integrand, 0.0, u1.upper_limit(), pieces=pieces)
 
 
 def fluctuation(u1: RadialProfile, xi) -> tuple[float, float]:

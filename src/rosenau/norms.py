@@ -579,11 +579,18 @@ class NormTrace:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    """Whether value is a whole number >= 1; integer-valued floats count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return float(value).is_integer() and value >= 1
 
 
 def geometric_times(t_min: float, t_max: float, points_per_decade: int) -> np.ndarray:
-    """Log-uniform sampling, points_per_decade per factor of 10."""
+    """Log-uniform sampling, points_per_decade per factor of 10.
+
+    Raises InputDomainError unless 0 < t_min < t_max < inf and
+    points_per_decade is a whole number >= 1.
+    """
     if not (0 < t_min < t_max < math.inf):
         raise InputDomainError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if not _is_count(points_per_decade):

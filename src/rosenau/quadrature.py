@@ -94,6 +94,8 @@ _WG_HALF = np.array([
 ])
 
 KRONROD_POINTS = 21
+# bisection rounds before pending panels keep their last value and error
+_MAX_ROUNDS = 30
 _NODES = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
 _KRONROD_WEIGHTS = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _GAUSS_WEIGHTS = np.zeros(KRONROD_POINTS)
@@ -202,7 +204,7 @@ def integrate_adaptive(
     edges: np.ndarray,
     rel_tol: float,
     abs_tol: float = 0.0,
-    max_rounds: int = 30,
+    max_rounds: int = _MAX_ROUNDS,
 ) -> tuple[float, float]:
     """Integrate fn over the partition, bisecting only the panels that fail.
 
@@ -339,22 +341,21 @@ def integrate_levin(
     edges: np.ndarray,
     rel_tol: float,
     abs_tol: float = 0.0,
-    max_rounds: int = 30,
 ) -> tuple[complex, float]:
     """Integral of g(r) e^(i omega f(r)) over the partition by Levin collocation.
 
     g may be complex; f and fprime are the real phase and its derivative,
     which must not vanish on the partition.  Panels are refined as in
-    integrate_adaptive, with |I17 - I9| as the error estimate; a panel whose
-    estimate has reached rounding level is accepted too, since bisection
-    cannot lower it further.  Returns (complex value, error estimate).
+    integrate_adaptive with its default round limit, with |I17 - I9| as the
+    error estimate; a panel whose estimate has reached rounding level is
+    accepted too, since bisection cannot lower it further.  Returns (complex value, error estimate).
     Raises IntegrabilityError on non-finite values and singular panels.
     """
 
     def rule(lo, hi):
         return _levin_panels(g, f, fprime, omega, lo, hi)
 
-    value, error = _refine(rule, edges, rel_tol, abs_tol, max_rounds)
+    value, error = _refine(rule, edges, rel_tol, abs_tol, _MAX_ROUNDS)
     return complex(value), error
 
 

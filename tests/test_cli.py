@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(InputDomainError, match="points_per_decade"):
             ExperimentConfig.from_dict({"preset": "custom", "t_window": window})
 
+    @pytest.mark.parametrize("value", [12, 12.0, np.int64(12)])
+    def test_whole_points_per_decade_accepted(self, value):
+        window = {"t_min": 1e2, "t_max": 1e4, "points_per_decade": value}
+        cfg = ExperimentConfig.from_dict({"preset": "custom", "t_window": window})
+        assert cfg.t_window == (1e2, 1e4, 12)
+        assert type(cfg.t_window[2]) is int
+
     @pytest.mark.parametrize(
         "args", [(0.0, 1e3, 4), (1e3, 1e2, 4), (1e2, 1e3, 0), (1e2, 1e3, -2)]
     )

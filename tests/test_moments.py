@@ -100,14 +100,29 @@ class TestPanelFluctuation:
         pointwise = max(abs(fluctuation(profile, rho)[0]) / (rho**0.5 * wnorm) for rho in grid)
         assert moment_bound_check(profile, 0.5, grid) == pytest.approx(pointwise, rel=1e-12)
 
-    def test_needs_a_finite_radius(self):
-        power = RadialProfile(
-            func=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)) ** 3,
+    def test_power_tail_takes_the_quad_path(self):
+        # 1 / (1 + x^2) has the transform pi e^(-|xi|) and no finite radius
+        lorentzian = RadialProfile(
+            func=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2),
             dim=1,
-            tail=TailBound(kind="power", amplitude=1.0, power=3.0, cutoff=1.0),
+            tail=TailBound(kind="power", amplitude=1.0, power=2.0, cutoff=1.0),
         )
-        with pytest.raises(IntegrabilityError, match="finite certified radius"):
-            fluctuation(power, 1.0)
+        for rho in (1e-3, 0.1, 1.0):
+            assert fluctuation(lorentzian, rho)[0] == pytest.approx(
+                math.pi * math.expm1(-rho), rel=1e-4
+            )
+        assert 0.0 < moment_bound_check(lorentzian, 0.5, [0.1, 1.0]) <= 2.0**0.5 + 1.0
+
+    def test_jump_inside_the_support_takes_the_quad_path(self):
+        # 1 on [0, 0.7), 1/2 on [0.7, 2]: the jump falls inside a uniform panel
+        step = RadialProfile(
+            func=lambda r: np.where(np.asarray(r) < 0.7, 1.0, 0.5),
+            dim=1,
+            tail=TailBound(kind="compact", cutoff=2.0),
+        )
+        rhos = np.array([0.5, 3.0, 20.0])
+        expected = 2.0 * ((np.sin(0.7 * rhos) + np.sin(2.0 * rhos)) / (2.0 * rhos) - 1.35)
+        np.testing.assert_allclose(_fluctuation_values(step, rhos), expected, rtol=1e-9)
 
 
 class TestWeightedNorm:

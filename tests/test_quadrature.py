@@ -269,7 +269,7 @@ class TestLevin:
 
     @pytest.mark.parametrize("omega", [1e4, 1e5, 1e6])
     def test_jump_inside_a_panel_is_resolved(self, omega):
-        # the panel holding the jump at 0.4 is bisected down to max_rounds,
+        # the panel holding the jump at 0.4 is bisected to the round limit,
         # through the ill-conditioned Levin panels near one radian of phase
         val, err = integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), lambda x: x, _ones,
                                    omega, uniform_edges(0.0, 1.0, 2), 1e-10)
