@@ -60,7 +60,6 @@ from .moments import (
     zeroth_moment,
 )
 from .norms import (
-    AveragedNorm,
     BandSplit,
     NormTrace,
     QuadratureConfig,
@@ -68,7 +67,6 @@ from .norms import (
     compute_norm_trace,
     geometric_times,
     norm_squared,
-    oscillation_averaged_norm,
     write_norm_trace_csv,
 )
 from .bounds import (

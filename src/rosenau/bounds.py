@@ -46,7 +46,7 @@ from .model import (
     unit_sphere_area,
 )
 from .moments import MomentDecomposition, _fluctuation_values
-from .norms import oscillation_segments
+from .norms import fast_segment_edges, oscillation_segments
 from .quadrature import (
     integrate_adaptive,
     integrate_levin,
@@ -238,7 +238,7 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
                 lambda r: eval_dispersion(params, r),
                 lambda r: dispersion_derivatives(params, r)[0],
                 2.0 * t,
-                np.geomspace(a, b, 129),
+                fast_segment_edges(a, b),
                 1e-9,
                 abs_tol=1e-12,
             )

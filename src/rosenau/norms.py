@@ -8,26 +8,22 @@ The squared norm of the evolved state is
 an integrand that oscillates in r with local period pi/(t f'(r)).
 ``oscillation_segments`` splits [0, r_max] into the slow region t f <= 16 pi,
 windows of half-width min(1/4, 2 t^(-1/4)) around the stationary points of f,
-and the fast segments between them.  Two evaluation modes are provided:
+and the fast segments between them.  Every time t takes the same path:
 
-* exact-adaptive: on the slow region and the windows, a phase-resolved
-  panel partition (more than points_per_period nodes per period) integrated
-  with the G10/K21 Gauss-Kronrod pair, each panel evaluated once and
-  bisected only while its |K21 - G10| estimate misses its share of the
-  requested tolerance; the integrand is evaluated in real arithmetic and
-  skips a component whose tail certifies it zero.  On the fast segments the
-  integrand is written as the mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2, which is
-  integrated with the K21 rule, plus Re[g e^(2 i t f)] with
+* on the slow region and the windows, a phase-resolved panel partition (more
+  than points_per_period nodes per period) is integrated with the G10/K21
+  Gauss-Kronrod pair, each panel evaluated once and bisected only while its
+  |K21 - G10| estimate misses its share of the requested tolerance; the
+  integrand is evaluated in real arithmetic and skips a component whose tail
+  certifies it zero;
+* on the fast segments the integrand is written as the mean
+  (|w0|^2 + |w1|^2/f^2) r^(n-1)/2, which is integrated with the K21 rule,
+  plus Re[g e^(2 i t f)] with
   g = [(|w0|^2 - |w1|^2/f^2)/2 - i Re(w0 conj(w1))/f] r^(n-1), which is
-  integrated by Levin collocation.  Neither partition depends on t, so the
-  fast segments cost the same at every t; only the windows grow, like
-  t^(1/2);
-* oscillation-averaged: for t >= 1e3, the fast segments keep only the mean,
-  the discarded cos(2 t f) / sin(2 t f) contributions are bounded by one
-  integration by parts (a boundary term plus one derivative term), and the
-  result is reported as value +/- remainder.  The slow region and the
-  windows are integrated as in exact mode, so the remainder bound never
-  meets a vanishing f'.
+  integrated by Levin collocation.  Both start from the partition
+  ``fast_segment_edges``, which does not depend on t, and bisect where
+  needed, so the fast segments cost the same at every t; only the windows
+  grow, like t^(1/2).
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of the running total.  Levin
@@ -40,18 +36,12 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    InputDomainError,
-    InvariantViolation,
-    PreconditionError,
-    UncertifiedTailError,
-)
+from .errors import InputDomainError, UncertifiedTailError
 from .evolution import (
     RadialInitialData,
     _check_time,
@@ -80,22 +70,25 @@ __all__ = [
     "QuadratureConfig",
     "NormTrace",
     "BandSplit",
-    "AveragedNorm",
     "norm_squared",
     "band_split_norm",
-    "oscillation_averaged_norm",
     "oscillation_segments",
+    "fast_segment_edges",
     "compute_norm_trace",
     "write_norm_trace_csv",
 ]
 
-_AVERAGING_MIN_T = 1e3
 _PHASE_SLOW = 16.0 * math.pi
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and resolution knobs for the radial quadrature."""
+    """Tolerance and resolution knobs for the radial quadrature.
+
+    There is one evaluation path.  ``mode`` is kept so that configs naming
+    either "exact-adaptive" or the retired "oscillation-averaged" still load;
+    both map to the one path, and the field always reads "exact-adaptive".
+    """
 
     rel_tol: float = 1e-6
     points_per_period: int = 8
@@ -109,6 +102,7 @@ class QuadratureConfig:
             raise InputDomainError("points_per_period must be >= 4")
         if self.mode not in ("exact-adaptive", "oscillation-averaged"):
             raise InputDomainError(f"unknown quadrature mode {self.mode!r}")
+        object.__setattr__(self, "mode", "exact-adaptive")
         if self.r_max is not None and self.r_max <= 0:
             raise InputDomainError("r_max must be positive when given")
 
@@ -244,7 +238,7 @@ def _resolved_interval(
     return integrate_adaptive(fn, edges, 0.5 * cfg.rel_tol)
 
 
-def _averaged_density(params: ModelParams, data: RadialInitialData, r):
+def _mean_density(params: ModelParams, data: RadialInitialData, r):
     """The mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2 of the norm integrand over sin^2(t f)."""
     r = np.asarray(r, dtype=float)
     f = eval_dispersion(params, r)
@@ -254,7 +248,7 @@ def _averaged_density(params: ModelParams, data: RadialInitialData, r):
 
 
 def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
-    """g with norm integrand = averaged density + Re[g e^(2 i t f)].
+    """g with norm integrand = mean density + Re[g e^(2 i t f)].
 
     g = cos_coefficient - i sin_coefficient, the coefficients of cos(2 t f)
     and sin(2 t f): (|w0|^2 - |w1|^2/f^2) r^(n-1)/2 and Re(w0 conj(w1))/f
@@ -270,12 +264,6 @@ def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
     return cos_coefficient - 1j * sin_coefficient
 
 
-def _geometric_edges(lo: float, hi: float) -> np.ndarray:
-    edges = np.geomspace(max(lo, 1e-12), hi, 129)
-    edges[0] = lo
-    return edges
-
-
 def _fast_interval(
     params: ModelParams,
     data: RadialInitialData,
@@ -287,11 +275,11 @@ def _fast_interval(
     """The norm integrand over a fast segment: mean plus Re[g e^(2 i t f)].
 
     The mean is integrated with the K21 rule and the oscillatory part by
-    Levin collocation; neither partition depends on t.
+    Levin collocation, both from fast_segment_edges, which does not depend on t.
     """
-    edges = _geometric_edges(lo, hi)
+    edges = fast_segment_edges(lo, hi)
     mean, mean_err = integrate_adaptive(
-        lambda r: _averaged_density(params, data, r), edges, 0.5 * cfg.rel_tol
+        lambda r: _mean_density(params, data, r), edges, 0.5 * cfg.rel_tol
     )
     osc, osc_err = integrate_levin(
         lambda r: _oscillating_coefficient(params, data, r),
@@ -335,8 +323,6 @@ def norm_squared(
     _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
-    if cfg.mode == "oscillation-averaged":
-        return oscillation_averaged_norm(params, data, t, cfg, spectral=spectral).value
     r_max = _resolve_r_max(params, data, t, cfg)
     val, _ = _exact_interval(params, data, t, 0.0, r_max, cfg)
     return _physical_scale(data.dim, spectral) * val
@@ -381,28 +367,14 @@ def band_split_norm(
     beta = min(bands.beta, r_max)
     split = min(max(split, beta), r_max)
 
-    averaged = cfg.mode == "oscillation-averaged" and t >= _AVERAGING_MIN_T
     low, _ = _exact_interval(params, data, t, 0.0, beta, cfg)
-    if averaged:
-        mid = _averaged_interval(params, data, t, beta, split, cfg).value
-        high = _averaged_interval(params, data, t, split, r_max, cfg).value
-    else:
-        mid, _ = _exact_interval(params, data, t, beta, split, cfg)
-        high, _ = _exact_interval(params, data, t, split, r_max, cfg)
+    mid, _ = _exact_interval(params, data, t, beta, split, cfg)
+    high, _ = _exact_interval(params, data, t, split, r_max, cfg)
     return BandSplit(scale * low, scale * mid, scale * high, beta, split)
 
 
 # ---------------------------------------------------------------------------
-# oscillation-averaged mode
-
-
-@dataclass(frozen=True)
-class AveragedNorm:
-    """Averaged-mode result: value with a certified oscillation remainder."""
-
-    value: float
-    remainder: float
-    used_fallback: bool = False
+# segmentation
 
 
 def _stationary_points(params: ModelParams, lo: float, hi: float) -> list[float]:
@@ -464,84 +436,15 @@ def oscillation_segments(
     return segments
 
 
-def _oscillatory_ibp_bound(params: ModelParams, g, a: float, b: float, t: float) -> float:
-    """Bound |integral_a^b g(r) e^(2 i t f(r)) dr| by parts: needs f' != 0 on [a, b]."""
-    if b <= a:
-        return 0.0
-    r = np.linspace(a, b, 2049)
-    fp, _ = dispersion_derivatives(params, r)
-    ratio = np.asarray(g(r), dtype=float) / fp
-    deriv = np.gradient(ratio, r)
-    total_var = float(np.trapezoid(np.abs(deriv), r))
-    return (abs(ratio[0]) + abs(ratio[-1]) + total_var) / (2.0 * t)
+def fast_segment_edges(lo: float, hi: float) -> np.ndarray:
+    """Initial partition of a fast segment: 17 geometric edges.
 
-
-def _averaged_interval(
-    params: ModelParams,
-    data: RadialInitialData,
-    t: float,
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig,
-) -> AveragedNorm:
-    """Averaged value +/- remainder of the unscaled norm integrand over [lo, hi]."""
-    value, remainder = 0.0, 0.0
-    has_w0 = not data.w0_tail.vanishes
-    for seg_lo, seg_hi, kind in oscillation_segments(params, t, lo, hi):
-        if kind != "fast":
-            v, e = _resolved_interval(params, data, t, seg_lo, seg_hi, cfg)
-            value += v
-            remainder += e
-            continue
-        v, e = integrate_adaptive(
-            lambda r: _averaged_density(params, data, r),
-            _geometric_edges(seg_lo, seg_hi),
-            0.5 * cfg.rel_tol,
-        )
-        value += v
-        remainder += e
-        remainder += _oscillatory_ibp_bound(
-            params, lambda r: _oscillating_coefficient(params, data, r).real, seg_lo, seg_hi, t
-        )
-        if has_w0:
-            remainder += _oscillatory_ibp_bound(
-                params, lambda r: -_oscillating_coefficient(params, data, r).imag, seg_lo, seg_hi, t
-            )
-    return AveragedNorm(value, remainder)
-
-
-def oscillation_averaged_norm(
-    params: ModelParams,
-    data: RadialInitialData,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    spectral: bool = False,
-) -> AveragedNorm:
-    """||u(t)||^2 with sin^2(t f) averaged to 1/2 where oscillation is fast.
-
-    Valid for t >= 1e3.  Returns value +/- remainder; the exact-adaptive
-    result lies inside the reported band.  Falls back to exact-adaptive with
-    a warning when the remainder exceeds 10% of the value.
+    It does not depend on t; the panel rules bisect where g or the mean
+    need it.
     """
-    _check_time(t)
-    if t < _AVERAGING_MIN_T:
-        raise PreconditionError(
-            f"oscillation averaging needs t >= {_AVERAGING_MIN_T}, got {t}"
-        )
-    if params.dim != data.dim:
-        raise InputDomainError("params.dim and data.dim disagree")
-    r_max = _resolve_r_max(params, data, t, cfg)
-    out = _averaged_interval(params, data, t, 0.0, r_max, cfg)
-    scale = _physical_scale(data.dim, spectral)
-    if out.remainder > 0.1 * abs(out.value):
-        warnings.warn(
-            f"averaged-mode remainder {out.remainder:.3g} exceeds 10% of the value; "
-            "falling back to exact-adaptive",
-            stacklevel=2,
-        )
-        val, err = _exact_interval(params, data, t, 0.0, r_max, cfg)
-        return AveragedNorm(scale * val, scale * err, used_fallback=True)
-    return AveragedNorm(scale * out.value, scale * out.remainder)
+    edges = np.geomspace(max(lo, 1e-12), hi, 17)
+    edges[0] = lo
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +476,6 @@ class NormTrace:
             raise InputDomainError("trace columns must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise InputDomainError("times must be strictly increasing")
-        recon = self.band_low + self.band_mid + self.band_high
-        if np.any(np.abs(recon - self.norms_sq) > 1e-6 * np.abs(self.norms_sq) + 1e-300):
-            raise InvariantViolation("band contributions do not reconstruct the norm")
 
 
 def _is_count(value) -> bool:
@@ -610,9 +510,10 @@ def compute_norm_trace(
 ) -> NormTrace:
     """Band-split norms and total energy over a sampled time window.
 
-    In oscillation-averaged mode, samples below t = 1e3 silently use the
-    exact path (the averaging precondition).  Thread-parallel over samples
-    with index-ordered collection, so results do not depend on thread count.
+    Each sample is the sum of the three band integrals of band_split_norm,
+    all on the one evaluation path of norm_squared.  Thread-parallel over
+    samples with index-ordered collection, so results do not depend on
+    thread count.
     """
     ts = np.asarray(times, dtype=float)
     energy_edges = energy_quadrature_nodes(data)

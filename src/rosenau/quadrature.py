@@ -96,6 +96,12 @@ _WG_HALF = np.array([
 KRONROD_POINTS = 21
 # bisection rounds before pending panels keep their last value and error
 _MAX_ROUNDS = 30
+# An error below this share of a panel's scale is rounding level: bisection
+# cannot lower it.  The scale is |K21| for the Gauss-Kronrod pair and h max|g|
+# for Levin panels, where it bounds the Levin rounding too,
+# eps |g| / (omega |f'|) <= eps h |g| on panels with at least
+# _LEVIN_MIN_PHASE of phase.
+_ROUNDING = 64.0 * np.finfo(float).eps
 _NODES = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
 _KRONROD_WEIGHTS = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _GAUSS_WEIGHTS = np.zeros(KRONROD_POINTS)
@@ -210,7 +216,8 @@ def integrate_adaptive(
 
     Each round evaluates every pending panel once with the G10/K21 pair and
     bisects the panels whose |K21 - G10| misses its width share of the
-    budget max(rel_tol * |estimate|, abs_tol).  After max_rounds bisections
+    budget max(rel_tol * |estimate|, abs_tol) and exceeds the rounding level
+    64 eps |K21| of the panel.  After max_rounds bisections
     the panels still pending keep their last K21 value and |K21 - G10| error.
     Returns (value, error_estimate), the estimate being the sum of the
     accepted panels' errors.  Raises IntegrabilityError in the first round
@@ -219,7 +226,7 @@ def integrate_adaptive(
 
     def rule(lo, hi):
         val, err = panel_integrals(fn, lo, hi)
-        return val, err, 0.0
+        return val, err, _ROUNDING * np.abs(val)
 
     value, error = _refine(rule, edges, rel_tol, abs_tol, max_rounds)
     return float(value), error
@@ -258,10 +265,6 @@ _CHEBYSHEV_TAIL = _TO_CHEBYSHEV[-2:].T
 # singular, while e^(i omega f) is smooth enough for Clenshaw-Curtis on the
 # same nodes.
 _LEVIN_MIN_PHASE = 1.0
-# An error below this share of h max|g| is rounding level: bisection cannot
-# lower it.  It bounds the Levin rounding too, eps |g| / (omega |f'|) <= eps h |g|
-# on the panels with at least _LEVIN_MIN_PHASE of phase.
-_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 def _levin_solve(diff, half, fp, g, omega):
@@ -347,8 +350,8 @@ def integrate_levin(
     g may be complex; f and fprime are the real phase and its derivative,
     which must not vanish on the partition.  Panels are refined as in
     integrate_adaptive with its default round limit, with |I17 - I9| as the
-    error estimate; a panel whose estimate has reached rounding level is
-    accepted too, since bisection cannot lower it further.  Returns (complex value, error estimate).
+    error estimate and 64 eps h max|g| as the rounding level of a panel of
+    half-width h.  Returns (complex value, error estimate).
     Raises IntegrabilityError on non-finite values and singular panels.
     """
 

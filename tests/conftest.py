@@ -15,7 +15,6 @@ from rosenau import (
     geometric_times,
 )
 
-AVERAGED = QuadratureConfig(mode="oscillation-averaged")
 EXACT = QuadratureConfig()
 
 # wall-clock seconds for the session traces, keyed by fixture name; the
@@ -79,18 +78,12 @@ def trace_1d_exact(params_1d, gauss_data_1d):
 
 
 @pytest.fixture(scope="session")
-def trace_2d_averaged(params_2d, gauss_data_2d):
+def trace_2d(params_2d, gauss_data_2d):
     times = geometric_times(1e2, 1e7, 12)
-    return _timed(
-        "trace_2d_averaged",
-        lambda: compute_norm_trace(params_2d, gauss_data_2d, times, AVERAGED),
-    )
+    return _timed("trace_2d", lambda: compute_norm_trace(params_2d, gauss_data_2d, times, EXACT))
 
 
 @pytest.fixture(scope="session")
-def trace_3d_averaged(params_3d, gauss_data_3d):
+def trace_3d(params_3d, gauss_data_3d):
     times = geometric_times(1e2, 1e7, 12)
-    return _timed(
-        "trace_3d_averaged",
-        lambda: compute_norm_trace(params_3d, gauss_data_3d, times, AVERAGED),
-    )
+    return _timed("trace_3d", lambda: compute_norm_trace(params_3d, gauss_data_3d, times, EXACT))

@@ -168,6 +168,29 @@ class TestTailTermOscillatoryPath:
         # T2 settles: the change from t = 1e6 is of the order of its 1/t bound
         assert abs(out.value - averaged_tail_remainder(P2, 1e6).value) <= 1e-5
 
+    def test_k21_panels_do_not_grow_with_t(self, monkeypatch):
+        # at t = 1e9 the K2 envelope panels near r = 1/t reach the rounding
+        # level of the K21 rule before their width share of the budget; they
+        # are accepted there instead of being bisected for 30 rounds
+        from rosenau import quadrature
+
+        panels = []
+        panel_integrals = quadrature.panel_integrals
+
+        def counted(fn, lo, hi):
+            panels.append(np.size(lo))
+            return panel_integrals(fn, lo, hi)
+
+        monkeypatch.setattr(quadrature, "panel_integrals", counted)
+        counts, values = {}, {}
+        for t in (1e5, 1e9):
+            panels.clear()
+            out = averaged_tail_remainder(P2, t)
+            counts[t], values[t] = sum(panels), out.value
+            assert abs(out.value) <= out.bound
+        assert counts[1e9] <= 2 * counts[1e5]
+        assert abs(values[1e9] - values[1e5]) <= 1e-5
+
 
 class TestEnvelopes:
     def test_lower_linear_rate_1d(self, moments_1d):

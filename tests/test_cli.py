@@ -25,6 +25,15 @@ class TestConfig:
         assert cfg.params.dim == 1
         assert cfg.quadrature.mode == "exact-adaptive"
 
+    @pytest.mark.parametrize("mode", ["exact-adaptive", "oscillation-averaged"])
+    def test_quadrature_mode_names_the_one_path(self, mode):
+        cfg = ExperimentConfig.from_dict({"preset": "custom", "quadrature": {"mode": mode}})
+        assert cfg.quadrature.mode == "exact-adaptive"
+
+    def test_unknown_quadrature_mode_rejected(self):
+        with pytest.raises(InputDomainError, match="quadrature mode"):
+            ExperimentConfig.from_dict({"preset": "custom", "quadrature": {"mode": "fast"}})
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(InputDomainError):
             ExperimentConfig.from_dict({"preset": "bogus"})
@@ -213,6 +222,23 @@ class TestDeterminism:
             )
             run_experiment(cfg)
             outs.append(digests(tmp_path / name))
+        assert outs[0] == outs[1]
+
+
+    def test_retired_mode_name_writes_identical_artifacts(self, tmp_path):
+        outs = []
+        for mode in ("exact-adaptive", "oscillation-averaged"):
+            cfg = ExperimentConfig.from_dict(
+                {
+                    "preset": "theorem-1-2",
+                    "t_window": {"t_min": 1e2, "t_max": 1e5, "points_per_decade": 4},
+                    "quadrature": {"mode": mode},
+                    "output_dir": str(tmp_path / mode),
+                }
+            )
+            result = run_experiment(cfg)
+            assert result.checks["band_sum_matches_unsplit"]["value"] <= 1e-10
+            outs.append(digests(tmp_path / mode))
         assert outs[0] == outs[1]
 
 

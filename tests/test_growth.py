@@ -76,21 +76,21 @@ class TestClassify:
         assert abs(report.power.exponent_or_offset - 0.5) <= 0.05
         assert report.margin_ok
 
-    def test_pipeline_2d(self, trace_2d_averaged):
-        report = classify_growth(trace_2d_averaged, 2)
+    def test_pipeline_2d(self, trace_2d):
+        report = classify_growth(trace_2d, 2)
         assert report.verdict == "logarithmic"
         assert report.matches_expected
         # a small-power impostor cannot explain sqrt(log t)
         assert report.power.exponent_or_offset < 0.05
 
-    def test_pipeline_3d(self, trace_3d_averaged):
-        report = classify_growth(trace_3d_averaged, 3)
+    def test_pipeline_3d(self, trace_3d):
+        report = classify_growth(trace_3d, 3)
         assert report.verdict == "bounded"
         assert report.matches_expected
 
-    def test_scaling_invariance(self, trace_2d_averaged):
-        scaled = synthetic_trace(trace_2d_averaged.times, 17.0 * trace_2d_averaged.norms_sq)
-        a = classify_growth(trace_2d_averaged, 2)
+    def test_scaling_invariance(self, trace_2d):
+        scaled = synthetic_trace(trace_2d.times, 17.0 * trace_2d.norms_sq)
+        a = classify_growth(trace_2d, 2)
         b = classify_growth(scaled, 2)
         assert a.verdict == b.verdict
 
@@ -146,14 +146,14 @@ class TestSandwich:
         report = sandwich_report(trace_1d_exact, massless, 1)
         assert report.vacuous_lower
 
-    def test_rate_2d(self, trace_2d_averaged, moments_2d):
-        report = sandwich_report(trace_2d_averaged, moments_2d, 2)
+    def test_rate_2d(self, trace_2d, moments_2d):
+        report = sandwich_report(trace_2d, moments_2d, 2)
         assert report.rate == "sqrt_log_t"
         assert report.lower_const > 0
 
-    def test_rejects_high_dimension(self, trace_3d_averaged, moments_1d):
+    def test_rejects_high_dimension(self, trace_3d, moments_1d):
         with pytest.raises(InputDomainError):
-            sandwich_report(trace_3d_averaged, moments_1d, 3)
+            sandwich_report(trace_3d, moments_1d, 3)
 
 
 class TestExports:

@@ -102,6 +102,19 @@ class TestSinglePassAdaptive:
         assert calls[0] == 4 * KRONROD_POINTS
         assert all(c == 2 * KRONROD_POINTS for c in calls[1:])
 
+    def test_refinement_stops_at_rounding_level(self):
+        # the width share of 1e-20 cannot be met; a panel whose |K21 - G10|
+        # is within 64 eps |K21| is accepted instead of bisected
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return np.exp(x)
+
+        val, _ = integrate_adaptive(counted, uniform_edges(0.0, 1.0, 4), 1e-20, max_rounds=8)
+        assert val == pytest.approx(math.e - 1.0, rel=1e-14)
+        assert calls == [4 * KRONROD_POINTS]
+
     @pytest.mark.parametrize(
         "fn,lo,hi,exact",
         [
