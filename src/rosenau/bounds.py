@@ -24,13 +24,13 @@ All comparisons happen on the spectral side; callers convert once with the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma as sp_gamma
 
+from .artifacts import write_json
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .evolution import propagator
 from .model import (
@@ -445,6 +445,4 @@ def write_envelope_json(report: EnvelopeReport, path) -> None:
         "upper": report.upper,
         "components": report.components,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

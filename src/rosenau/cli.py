@@ -4,9 +4,9 @@ Subcommands: ``dispersion``, ``evolve``, ``norm-growth``, ``bounds``,
 ``hardy``, ``wellposed``, ``run``.  ``run`` consumes a YAML config (or a
 preset name) and writes trace CSVs plus a verdict JSON whose checks mirror
 the acceptance suite for that preset.  All outputs are byte-deterministic:
-fixed float formatting, sorted JSON keys, no timestamps, and thread
-parallelism only across independent time samples with index-ordered
-collection.
+fixed float formatting, sorted JSON keys and no timestamps (see artifacts).
+The ``PRESETS`` table declares each preset once: its config overrides, its
+parameter requirement and the runner that holds its checks.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -26,6 +27,7 @@ from . import bounds as bounds_mod
 from . import growth as growth_mod
 from . import hardy as hardy_mod
 from . import wellposed as wellposed_mod
+from .artifacts import write_columns, write_json
 from .catalog import data_from_spec, gaussian_profile
 from .errors import InputDomainError, RosenauError
 from .evolution import GridField, evolve_grid, total_energy, total_energy_grid
@@ -37,7 +39,7 @@ from .model import (
     epsilon0,
     eval_dispersion,
 )
-from .moments import MomentDecomposition, l1_norm, l2_norm_sq
+from .moments import MomentDecomposition, l2_norm_sq
 from .norms import (
     NormTrace,
     QuadratureConfig,
@@ -48,16 +50,6 @@ from .norms import (
 )
 
 __all__ = ["ExperimentConfig", "run_experiment", "export_plotdata", "main"]
-
-PRESETS = (
-    "theorem-1-1",
-    "theorem-1-2",
-    "prop-4-1",
-    "hardy-failure",
-    "wellposed-check",
-    "energy-conservation",
-    "custom",
-)
 
 _BASE_CONFIG = {
     "preset": "custom",
@@ -74,30 +66,7 @@ _BASE_CONFIG = {
         # second path, is accepted and evaluated the same way
         "mode": "exact-adaptive",
     },
-    "threads": 1,
     "output_dir": "out",
-}
-
-_PRESET_OVERRIDES = {
-    "theorem-1-1": {
-        "params": {"dim": 1},
-        "t_window": {"t_min": 1e2, "t_max": 1e6, "points_per_decade": 12},
-    },
-    "theorem-1-2": {
-        "params": {"dim": 2},
-        "t_window": {"t_min": 1e2, "t_max": 1e7, "points_per_decade": 12},
-    },
-    "prop-4-1": {
-        "params": {"dim": 3},
-        "t_window": {"t_min": 1e2, "t_max": 1e7, "points_per_decade": 12},
-    },
-    "hardy-failure": {
-        "params": {"dim": 2, "theta": 1.0},
-        "t_window": {"t_min": 1e2, "t_max": 1e3, "points_per_decade": 4},
-    },
-    "wellposed-check": {},
-    "energy-conservation": {},
-    "custom": {},
 }
 
 
@@ -124,9 +93,9 @@ def _reject_unknown_keys(raw: dict, schema: dict, where: str = "") -> None:
 
 
 def default_config(preset: str) -> dict:
-    if preset not in PRESETS:
-        raise InputDomainError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    cfg = _merge(_BASE_CONFIG, _PRESET_OVERRIDES[preset])
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise InputDomainError(f"unknown preset {preset!r}; choose from {tuple(PRESETS)}")
+    cfg = _merge(_BASE_CONFIG, PRESETS[preset].overrides)
     cfg["preset"] = preset
     return cfg
 
@@ -142,7 +111,6 @@ class ExperimentConfig:
     gamma_moment: float
     t_window: tuple[float, float, int]
     quadrature: QuadratureConfig
-    threads: int
     output_dir: Path
 
     @classmethod
@@ -163,14 +131,9 @@ class ExperimentConfig:
             theta=float(p["theta"]),
             dim=int(p["dim"]),
         )
-        if preset == "hardy-failure" and (params.theta != 1.0 or params.dim != 2):
-            raise InputDomainError("preset hardy-failure requires theta = 1 and dim = 2")
-        if preset == "theorem-1-1" and params.dim != 1:
-            raise InputDomainError("preset theorem-1-1 requires dim = 1")
-        if preset == "theorem-1-2" and params.dim != 2:
-            raise InputDomainError("preset theorem-1-2 requires dim = 2")
-        if preset == "prop-4-1" and params.dim < 3:
-            raise InputDomainError("preset prop-4-1 requires dim >= 3")
+        requires = PRESETS[preset].requires
+        if requires is not None and not requires[1](params):
+            raise InputDomainError(f"preset {preset} requires {requires[0]}")
         window = cfg["t_window"]
         t_min, t_max = float(window["t_min"]), float(window["t_max"])
         points_per_decade = window["points_per_decade"]
@@ -185,9 +148,6 @@ class ExperimentConfig:
             r_max=None if q["r_max"] in (None, "auto") else float(q["r_max"]),
             mode=str(q["mode"]),
         )
-        threads = int(cfg["threads"])
-        if threads < 1:
-            raise InputDomainError("threads must be >= 1")
         return cls(
             preset=preset,
             params=params,
@@ -196,7 +156,6 @@ class ExperimentConfig:
             gamma_moment=float(cfg["gamma_moment"]),
             t_window=(t_min, t_max, int(points_per_decade)),
             quadrature=quad,
-            threads=threads,
             output_dir=Path(cfg["output_dir"]),
         )
 
@@ -215,12 +174,27 @@ def _check(checks: dict, name: str, passed: bool, value, threshold) -> None:
     }
 
 
-def _trace_and_fits(config: ExperimentConfig, out: Path, checks: dict) -> NormTrace:
+@dataclass(frozen=True)
+class _TraceStep:
+    """What the trace presets share.  l1 and u1_l2 are the L1 and L2 norms of
+    the physical velocity profile, None for a datum without one (all but gaussian)."""
+
+    trace: NormTrace
+    power: growth_mod.GrowthFit
+    logfit: growth_mod.GrowthFit
+    report: growth_mod.ClassifyReport | None
+    sandwich: growth_mod.SandwichReport | None
+    l1: float | None
+    u1_l2: float | None
+
+
+def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep:
+    """Trace, fits, moments, sandwich and the checks shared by the trace presets."""
     params, quad = config.params, config.quadrature
     data = _build_data(config)
     t_min, t_max, ppd = config.t_window
     times = geometric_times(t_min, t_max, ppd)
-    trace = compute_norm_trace(params, data, times, quad, config.sinc, threads=config.threads)
+    trace = compute_norm_trace(params, data, times, quad, config.sinc)
     write_norm_trace_csv(trace, out / "norm_trace.csv")
 
     window = (t_min, t_max)
@@ -231,6 +205,7 @@ def _trace_and_fits(config: ExperimentConfig, out: Path, checks: dict) -> NormTr
         report = growth_mod.classify_growth(trace, params.dim, window)
         growth_mod.write_fit_json(report, out / "fits.json")
 
+    sandwich = l1 = u1_l2 = None
     if config.data_spec.get("name") == "gaussian":
         profile = gaussian_profile(
             params.dim,
@@ -239,18 +214,10 @@ def _trace_and_fits(config: ExperimentConfig, out: Path, checks: dict) -> NormTr
         )
         gamma = config.gamma_moment if params.dim == 2 else max(config.gamma_moment, 0.75)
         moments = MomentDecomposition.from_profile(profile, gamma)
+        l1, u1_l2 = moments.l1, math.sqrt(l2_norm_sq(profile))
         if params.dim in (1, 2):
             sandwich = growth_mod.sandwich_report(trace, moments, params.dim)
             growth_mod.write_sandwich_csv(sandwich, out / "ratio_vs_t.csv")
-            if config.preset == "theorem-1-1":
-                _check(
-                    checks,
-                    "sandwich_ratio_last_decade",
-                    sandwich.stable,
-                    sandwich.upper_const / sandwich.lower_const,
-                    1.25,
-                )
-        u1_l2 = math.sqrt(l2_norm_sq(profile))
         # the envelopes at the trace samples nearest nine log-spaced times in
         # [1e2, 1e6]; the 2-D tail term T2 is defined from t = 1e2
         late = np.flatnonzero(trace.times >= 1e2)
@@ -261,9 +228,7 @@ def _trace_and_fits(config: ExperimentConfig, out: Path, checks: dict) -> NormTr
         for i in picks:
             t = float(trace.times[i])
             spec_sq = float(trace.norms_sq[i]) * (2.0 * math.pi) ** params.dim
-            upper = bounds_mod.upper_envelope(
-                params, config.sinc, moments.l1, u1_l2, 0.0, t, params.dim
-            )
+            upper = bounds_mod.upper_envelope(params, config.sinc, l1, u1_l2, 0.0, t, params.dim)
             if params.dim in (1, 2):
                 lower = bounds_mod.lower_envelope(params, config.sinc, moments, 0.0, t, params.dim)
                 sandwich_ok &= lower <= 2.0 * spec_sq
@@ -280,36 +245,38 @@ def _trace_and_fits(config: ExperimentConfig, out: Path, checks: dict) -> NormTr
         for i in (0, -1)
     )
     _check(checks, "band_sum_matches_unsplit", gap <= quad.rel_tol, gap, quad.rel_tol)
+    return _TraceStep(trace, power, logfit, report, sandwich, l1, u1_l2)
 
-    if config.preset == "theorem-1-1":
+
+def _run_theorem_1_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    step = _trace_step(config, out, checks)
+    if step.sandwich is not None:
         _check(
             checks,
-            "power_exponent",
-            abs(power.exponent_or_offset - 0.5) <= 0.05,
-            power.exponent_or_offset,
-            "0.5 +/- 0.05",
+            "sandwich_ratio_last_decade",
+            step.sandwich.stable,
+            step.sandwich.upper_const / step.sandwich.lower_const,
+            1.25,
         )
-        _check(checks, "power_r_squared", power.r_squared >= 0.999, power.r_squared, 0.999)
-    elif config.preset == "theorem-1-2":
-        _check(checks, "log_fit_r_squared", logfit.r_squared >= 0.99, logfit.r_squared, 0.99)
-        _check(checks, "log_fit_slope_positive", logfit.coeff > 0, logfit.coeff, 0.0)
-        _check(
-            checks,
-            "competing_power_exponent",
-            power.exponent_or_offset <= 0.05,
-            power.exponent_or_offset,
-            0.05,
-        )
-    elif config.preset == "prop-4-1":
-        profile = gaussian_profile(
-            params.dim,
-            float(config.data_spec.get("a", 1.0)),
-            float(config.data_spec.get("amplitude", 1.0)),
-        )
-        u1_l2 = math.sqrt(l2_norm_sq(profile))
-        l1 = l1_norm(profile)  # the moment decomposition's L1 norm, which ignores gamma
+    exponent = step.power.exponent_or_offset
+    _check(checks, "power_exponent", abs(exponent - 0.5) <= 0.05, exponent, "0.5 +/- 0.05")
+    _check(checks, "power_r_squared", step.power.r_squared >= 0.999, step.power.r_squared, 0.999)
+
+
+def _run_theorem_1_2(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    step = _trace_step(config, out, checks)
+    logfit, exponent = step.logfit, step.power.exponent_or_offset
+    _check(checks, "log_fit_r_squared", logfit.r_squared >= 0.99, logfit.r_squared, 0.99)
+    _check(checks, "log_fit_slope_positive", logfit.coeff > 0, logfit.coeff, 0.0)
+    _check(checks, "competing_power_exponent", exponent <= 0.05, exponent, 0.05)
+
+
+def _run_prop_4_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    step = _trace_step(config, out, checks)
+    params, trace = config.params, step.trace
+    if step.l1 is not None:
         ceiling = bounds_mod.upper_envelope(
-            params, config.sinc, l1, u1_l2, 0.0, float(trace.times[-1]), params.dim
+            params, config.sinc, step.l1, step.u1_l2, 0.0, float(trace.times[-1]), params.dim
         ) / (2.0 * math.pi) ** params.dim
         _check(
             checks,
@@ -318,20 +285,14 @@ def _trace_and_fits(config: ExperimentConfig, out: Path, checks: dict) -> NormTr
             float(np.max(trace.norms_sq)),
             ceiling,
         )
-        late = trace.times >= 1e5
-        early = trace.times <= 1e5
-        if np.any(late) and np.any(early):
-            ratio = float(np.max(trace.norms_sq[late]) / np.max(trace.norms_sq[early]))
-            _check(checks, "late_to_early_max_ratio", ratio <= 1.05, ratio, 1.05)
-        if report is not None:
-            _check(
-                checks,
-                "verdict_bounded",
-                report.verdict == "bounded",
-                report.verdict,
-                "bounded",
-            )
-    return trace
+    late = trace.times >= 1e5
+    early = trace.times <= 1e5
+    if np.any(late) and np.any(early):
+        ratio = float(np.max(trace.norms_sq[late]) / np.max(trace.norms_sq[early]))
+        _check(checks, "late_to_early_max_ratio", ratio <= 1.05, ratio, 1.05)
+    if step.report is not None:
+        verdict = step.report.verdict
+        _check(checks, "verdict_bounded", verdict == "bounded", verdict, "bounded")
 
 
 def _run_energy_conservation(config: ExperimentConfig, out: Path, checks: dict) -> None:
@@ -358,11 +319,8 @@ def _run_energy_conservation(config: ExperimentConfig, out: Path, checks: dict) 
         grid_drift = max(grid_drift, abs(rep.total - base_report.total) / base_report.total)
     _check(checks, "grid_energy_drift", grid_drift <= 1e-8, grid_drift, 1e-8)
 
-    rows = [(t, reports[t].total) for t in sorted(reports)]
-    with open(out / "energy.csv", "w", newline="") as fh:
-        fh.write("t,total_energy\r\n")
-        for t, e in rows:
-            fh.write(f"{t:.17g},{e:.17g}\r\n")
+    times = sorted(reports)
+    write_columns(out / "energy.csv", ["t", "total_energy"], times, [reports[t].total for t in times])
 
 
 def _run_hardy(config: ExperimentConfig, out: Path, checks: dict) -> None:
@@ -425,6 +383,56 @@ def _run_wellposed(config: ExperimentConfig, out: Path, checks: dict) -> None:
 
 
 @dataclass(frozen=True)
+class Preset:
+    """A `rosenau run` preset: runner(config, out, checks) writes its artifacts
+    and records its checks; overrides merge over the base config; requires is
+    (error text, predicate) on the model parameters."""
+
+    runner: Callable[[ExperimentConfig, Path, dict], object]
+    overrides: dict = field(default_factory=dict)
+    requires: tuple[str, Callable[[ModelParams], bool]] | None = None
+
+
+PRESETS = {
+    "theorem-1-1": Preset(
+        _run_theorem_1_1,
+        {
+            "params": {"dim": 1},
+            "t_window": {"t_min": 1e2, "t_max": 1e6, "points_per_decade": 12},
+        },
+        ("dim = 1", lambda p: p.dim == 1),
+    ),
+    "theorem-1-2": Preset(
+        _run_theorem_1_2,
+        {
+            "params": {"dim": 2},
+            "t_window": {"t_min": 1e2, "t_max": 1e7, "points_per_decade": 12},
+        },
+        ("dim = 2", lambda p: p.dim == 2),
+    ),
+    "prop-4-1": Preset(
+        _run_prop_4_1,
+        {
+            "params": {"dim": 3},
+            "t_window": {"t_min": 1e2, "t_max": 1e7, "points_per_decade": 12},
+        },
+        ("dim >= 3", lambda p: p.dim >= 3),
+    ),
+    "hardy-failure": Preset(
+        _run_hardy,
+        {
+            "params": {"dim": 2, "theta": 1.0},
+            "t_window": {"t_min": 1e2, "t_max": 1e3, "points_per_decade": 4},
+        },
+        ("theta = 1 and dim = 2", lambda p: p.theta == 1.0 and p.dim == 2),
+    ),
+    "wellposed-check": Preset(_run_wellposed),
+    "energy-conservation": Preset(_run_energy_conservation),
+    "custom": Preset(_trace_step),
+}
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
     checks: dict
     exit_code: int
@@ -436,15 +444,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     checks: dict = {}
-
-    if config.preset in ("theorem-1-1", "theorem-1-2", "prop-4-1", "custom"):
-        _trace_and_fits(config, out, checks)
-    elif config.preset == "energy-conservation":
-        _run_energy_conservation(config, out, checks)
-    elif config.preset == "hardy-failure":
-        _run_hardy(config, out, checks)
-    elif config.preset == "wellposed-check":
-        _run_wellposed(config, out, checks)
+    PRESETS[config.preset].runner(config, out, checks)
 
     all_passed = all(entry["passed"] for entry in checks.values()) if checks else True
     verdict = {
@@ -452,9 +452,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "checks": checks,
         "all_passed": all_passed,
     }
-    with open(out / "verdict.json", "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "verdict.json", verdict)
     return ExperimentResult(checks=checks, exit_code=0 if all_passed else 1, output_dir=out)
 
 
@@ -476,20 +474,13 @@ def export_plotdata(obj, curve: str, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{curve}.csv"
-
-    def two_column(header, xs, ys):
-        with open(path, "w", newline="") as fh:
-            fh.write(f"{header[0]},{header[1]}\r\n")
-            for x, y in zip(xs, ys):
-                fh.write(f"{x:.17g},{y:.17g}\r\n")
-
     if isinstance(obj, NormTrace):
         if curve == "norm_vs_t":
             write_norm_trace_csv(obj, path)
         elif curve == "norm_over_sqrt_t":
-            two_column(("t", "norm_over_sqrt_t"), obj.times, np.sqrt(obj.norms_sq / obj.times))
+            write_columns(path, ["t", "norm_over_sqrt_t"], obj.times, np.sqrt(obj.norms_sq / obj.times))
         elif curve == "norm_sq_vs_log_t":
-            two_column(("log_t", "norm_sq"), np.log(obj.times), obj.norms_sq)
+            write_columns(path, ["log_t", "norm_sq"], np.log(obj.times), obj.norms_sq)
         else:
             raise InputDomainError(
                 f"unknown curve {curve!r} for NormTrace; available: {sorted(_CURVES)}"
@@ -555,7 +546,6 @@ def main(argv=None) -> int:
     p_norm.add_argument("--t-max", type=float, default=1e4)
     p_norm.add_argument("--points-per-decade", type=int, default=8)
     p_norm.add_argument("--out", type=Path, default=Path("out"))
-    p_norm.add_argument("--threads", type=int, default=1)
 
     p_bounds = sub.add_parser("bounds", help="envelope components at one time")
     _add_param_flags(p_bounds)
@@ -576,7 +566,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", nargs="?", type=Path, help="YAML config file")
     p_run.add_argument("--preset", choices=PRESETS)
     p_run.add_argument("--out", type=Path)
-    p_run.add_argument("--threads", type=int)
 
     args = parser.parse_args(argv)
 
@@ -632,7 +621,6 @@ def _dispatch(args) -> int:
                 "t_max": args.t_max,
                 "points_per_decade": args.points_per_decade,
             },
-            "threads": args.threads,
             "output_dir": str(args.out),
         }
         return run_experiment(ExperimentConfig.from_dict(raw)).exit_code
@@ -642,10 +630,8 @@ def _dispatch(args) -> int:
         sinc = SincConstants()
         profile = gaussian_profile(params.dim)
         moments = MomentDecomposition.from_profile(profile, args.gamma)
-        from .moments import l2_norm_sq as _l2
-
         report = bounds_mod.envelope_report(
-            params, sinc, moments, 0.0, math.sqrt(_l2(profile)), 0.0, args.t
+            params, sinc, moments, 0.0, math.sqrt(l2_norm_sq(profile)), 0.0, args.t
         )
         args.out.mkdir(parents=True, exist_ok=True)
         bounds_mod.write_envelope_json(report, args.out / "envelope.json")
@@ -705,8 +691,6 @@ def _dispatch(args) -> int:
             raw["preset"] = args.preset
         if args.out is not None:
             raw["output_dir"] = str(args.out)
-        if args.threads is not None:
-            raw["threads"] = args.threads
         result = run_experiment(ExperimentConfig.from_dict(raw))
         print(json.dumps({"exit_code": result.exit_code, "output_dir": str(result.output_dir)}, sort_keys=True))
         return result.exit_code

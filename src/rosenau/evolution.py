@@ -163,12 +163,10 @@ class EnergyReport:
     fractional_kinetic: float
     bending: float
     stretching: float
-    total: float
 
-    def __post_init__(self) -> None:
-        parts = self.kinetic + self.fractional_kinetic + self.bending + self.stretching
-        if not math.isclose(parts, self.total, rel_tol=1e-12, abs_tol=1e-300):
-            raise InvariantViolation("energy total must equal the sum of its parts")
+    @property
+    def total(self) -> float:
+        return self.kinetic + self.fractional_kinetic + self.bending + self.stretching
 
 
 def multipliers(params: ModelParams, t: float, r):
@@ -227,8 +225,8 @@ class GridField:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise InputDomainError("grid dimension must be 1, 2 or 3")
-        if self.box_length <= 0:
-            raise InputDomainError("box_length must be positive")
+        if not (math.isfinite(self.box_length) and self.box_length > 0):
+            raise InputDomainError(f"box_length must be finite and positive, got {self.box_length}")
         n = self.samples_per_axis
         if n < 16 or (n & (n - 1)) != 0:
             raise InputDomainError("samples_per_axis must be a power of two >= 16")
@@ -280,18 +278,24 @@ class GridField:
 
     @classmethod
     def load(cls, path) -> "GridField":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        head, _, body = blob.partition(b"\n\n")
-        lines = head.decode("ascii").splitlines()
-        if not lines or lines[0] != "rosenau-grid-field v1":
-            raise InputDomainError("not a grid-field file")
-        fields = dict(line.split("=", 1) for line in lines[1:])
-        dim = int(fields["dim"])
-        box_length = float(fields["box_length"])
-        n = int(fields["samples_per_axis"])
-        flat = np.frombuffer(body, dtype="<f8")
-        values = (flat[0::2] + 1j * flat[1::2]).reshape((n,) * dim)
+        """Read a file written by save(); a malformed file raises InputDomainError."""
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            raise InputDomainError(f"cannot read grid-field file {path}: {exc.strerror}") from None
+        head, blank, body = blob.partition(b"\n\n")
+        if not blank or not head.startswith(b"rosenau-grid-field v1\n"):
+            raise InputDomainError(f"{path} is not a grid-field file")
+        try:
+            fields = dict(line.split("=", 1) for line in head.decode("ascii").splitlines()[1:])
+            dim = int(fields["dim"])
+            box_length = float(fields["box_length"])
+            n = int(fields["samples_per_axis"])
+            flat = np.frombuffer(body, dtype="<f8")
+            values = (flat[0::2] + 1j * flat[1::2]).reshape((n,) * dim)
+        except (KeyError, ValueError) as exc:
+            raise InputDomainError(f"malformed grid-field file {path}: {exc!r}") from None
         return cls(dim, box_length, n, values.copy())
 
 
@@ -410,13 +414,7 @@ def total_energy(
 
     values, _ = panel_integrals(densities, edges[:-1], edges[1:])
     kin, frac, bend, stretch = (scale * float(np.sum(v)) for v in values)
-    return EnergyReport(
-        kinetic=kin,
-        fractional_kinetic=frac,
-        bending=bend,
-        stretching=stretch,
-        total=kin + frac + bend + stretch,
-    )
+    return EnergyReport(kinetic=kin, fractional_kinetic=frac, bending=bend, stretching=stretch)
 
 
 def total_energy_grid(
@@ -434,4 +432,4 @@ def total_energy_grid(
     frac = 0.5 * params.delta * float(np.sum(rho ** (2.0 * params.theta) * hat_t_sq)) * cell
     bend = 0.5 * params.mu * float(np.sum(rho**4 * hat_sq)) * cell
     stretch = 0.5 * params.kappa * float(np.sum(rho**2 * hat_sq)) * cell
-    return EnergyReport(kin, frac, bend, stretch, kin + frac + bend + stretch)
+    return EnergyReport(kin, frac, bend, stretch)

@@ -17,12 +17,12 @@ reported, never silently corrected.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_columns, write_json
 from .errors import InputDomainError
 from .moments import MomentDecomposition
 from .norms import NormTrace
@@ -238,16 +238,8 @@ def write_fit_json(report: ClassifyReport, path) -> None:
         "power": fit_dict(report.power),
         "logarithmic": fit_dict(report.logarithmic),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_sandwich_csv(report: SandwichReport, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["t", f"norm_over_{report.rate}"])
-        for t, ratio in zip(report.times, report.ratios):
-            writer.writerow([format(t, ".17g"), format(ratio, ".17g")])
+    write_columns(path, ["t", f"norm_over_{report.rate}"], report.times, report.ratios)

@@ -19,7 +19,6 @@ records the divergence rate.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
+from .artifacts import write_columns
 from .errors import (
     InputDomainError,
     IntegrabilityError,
@@ -195,11 +195,11 @@ def _geometric_refine(segments):
     return out
 
 
-def _radial_quad(fn, hi: float | None, kinks=()) -> float:
-    """integral_0^hi fn(r) dr with kink-aware splitting; hi = None means infinity."""
+def _radial_quad(fn, hi: float | None, kinks=(), lo: float = 0.0) -> float:
+    """integral_lo^hi fn(r) dr with kink-aware splitting; hi = None means infinity."""
     top = math.inf if hi is None else hi
-    cuts = sorted({k for k in kinks if 0.0 < k < top})
-    points = [0.0, *cuts]
+    cuts = sorted({k for k in kinks if lo < k < top})
+    points = [lo, *cuts]
     if math.isinf(top):
         points.append(max(points[-1] * 2.0, 10.0))
         segments = list(zip(points[:-1], points[1:])) + [(points[-1], math.inf)]
@@ -242,31 +242,7 @@ def weighted_norm_sq(
         w = float(weight.evaluate(np.array([r]))[0])
         return (float(u.value(np.array([r]))[0]) / w) ** 2 * r ** (dim - 1)
 
-    area = unit_sphere_area(dim)
-    if inner_cut > 0.0:
-        top = u.support
-        cuts = tuple(k for k in u.kinks if k > inner_cut)
-        total = _radial_quad_from(fn, inner_cut, top, cuts)
-        return area * total
-    return area * _radial_quad(fn, u.support, u.kinks)
-
-
-def _radial_quad_from(fn, lo: float, hi: float | None, kinks=()) -> float:
-    top = math.inf if hi is None else hi
-    cuts = sorted({k for k in kinks if lo < k < top})
-    points = [lo, *cuts]
-    if math.isinf(top):
-        points.append(max(points[-1] * 2.0, 10.0))
-        segments = list(zip(points[:-1], points[1:])) + [(points[-1], math.inf)]
-    else:
-        points.append(top)
-        segments = list(zip(points[:-1], points[1:]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return sum(
-            integrate.quad(fn, a, b, **_QUAD_OPTS)[0]
-            for a, b in _geometric_refine(segments)
-        )
+    return unit_sphere_area(dim) * _radial_quad(fn, u.support, u.kinks, lo=inner_cut)
 
 
 def rayleigh_quotient(u: RadialTestFunction, weight: WeightFunction, dim: int) -> float:
@@ -481,14 +457,10 @@ def rellich_quotient(u: RadialTestFunction, dim: int) -> float:
 
 
 def write_quotient_csv(trace: QuotientTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["R", "quotient", "grad_norm_sq"])
-        for i in range(trace.family_param.size):
-            writer.writerow(
-                [
-                    format(trace.family_param[i], ".17g"),
-                    format(trace.quotients[i], ".17g"),
-                    format(trace.gradient_norms_sq[i], ".17g"),
-                ]
-            )
+    write_columns(
+        path,
+        ["R", "quotient", "grad_norm_sq"],
+        trace.family_param,
+        trace.quotients,
+        trace.gradient_norms_sq,
+    )

@@ -34,13 +34,13 @@ bisected down like a K21 panel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
+from .artifacts import write_columns
 from .errors import InputDomainError, UncertifiedTailError
 from .evolution import (
     RadialInitialData,
@@ -506,35 +506,19 @@ def compute_norm_trace(
     times,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     sinc_constants: SincConstants = DEFAULT_SINC,
-    threads: int = 1,
 ) -> NormTrace:
     """Band-split norms and total energy over a sampled time window.
 
     Each sample is the sum of the three band integrals of band_split_norm,
-    all on the one evaluation path of norm_squared.  Thread-parallel over
-    samples with index-ordered collection, so results do not depend on
-    thread count.
+    all on the one evaluation path of norm_squared.
     """
     ts = np.asarray(times, dtype=float)
     energy_edges = energy_quadrature_nodes(data)
-
-    def one(t: float):
+    low, mid, high, energy = (np.empty(ts.size) for _ in range(4))
+    for i, t in enumerate(ts):
         split = band_split_norm(params, data, t, cfg, sinc_constants)
-        report = total_energy(params, data, t, edges=energy_edges)
-        return split.low, split.mid, split.high, report.total
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, ts))
-    else:
-        rows = [one(t) for t in ts]
-
-    low = np.array([r[0] for r in rows])
-    mid = np.array([r[1] for r in rows])
-    high = np.array([r[2] for r in rows])
-    energy = np.array([r[3] for r in rows])
+        low[i], mid[i], high[i] = split.low, split.mid, split.high
+        energy[i] = total_energy(params, data, t, edges=energy_edges).total
     return NormTrace(
         times=ts,
         norms_sq=low + mid + high,
@@ -547,20 +531,13 @@ def compute_norm_trace(
 
 def write_norm_trace_csv(trace: NormTrace, path) -> None:
     """Six-column CSV (t, norm_sq, band_low, band_mid, band_high, energy)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["t", "norm_sq", "band_low", "band_mid", "band_high", "energy"])
-        for i in range(trace.times.size):
-            writer.writerow(
-                [
-                    format(x, ".17g")
-                    for x in (
-                        trace.times[i],
-                        trace.norms_sq[i],
-                        trace.band_low[i],
-                        trace.band_mid[i],
-                        trace.band_high[i],
-                        trace.energy[i],
-                    )
-                ]
-            )
+    write_columns(
+        path,
+        ["t", "norm_sq", "band_low", "band_mid", "band_high", "energy"],
+        trace.times,
+        trace.norms_sq,
+        trace.band_low,
+        trace.band_mid,
+        trace.band_high,
+        trace.energy,
+    )

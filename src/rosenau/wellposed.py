@@ -16,12 +16,12 @@ identity on arbitrary complex radial profiles.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_columns
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .model import ModelParams, unit_sphere_area
 from .quadrature import integrate_adaptive
@@ -188,8 +188,4 @@ def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int, r_max: f
 
 
 def write_multiplier_csv(scan: MultiplierScan, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["r", "h_ratio"])
-        for r, ratio in zip(scan.r_grid, scan.h_ratio):
-            writer.writerow([format(r, ".17g"), format(ratio, ".17g")])
+    write_columns(path, ["r", "h_ratio"], scan.r_grid, scan.h_ratio)

@@ -21,6 +21,8 @@ from rosenau import (
 )
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
+HEADER = b"rosenau-grid-field v1\ndim=1\nbox_length=10.0\nsamples_per_axis=16\n\n"
+BODY = bytes(16 * 16)
 
 
 class TestMultipliers:
@@ -129,6 +131,33 @@ class TestGridField:
         path.write_bytes(b"not a field\n\n123")
         with pytest.raises(InputDomainError):
             GridField.load(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            None,  # missing file
+            HEADER + BODY[:-8],  # truncated body
+            HEADER.replace(b"dim=1\n", b"") + BODY,
+            HEADER.replace(b"samples_per_axis=16", b"samples_per_axis=x") + BODY,
+            HEADER.replace(b"dim=1", b"dim 1") + BODY,
+            HEADER[:-1] + BODY,  # no blank line after the header
+            HEADER.replace(b"dim=1\n", b"dim=1\nlabel=\xc3\xa9\n") + BODY,
+            HEADER.replace(b"box_length=10.0", b"box_length=nan") + BODY,
+        ],
+        ids=["missing", "truncated", "no-dim", "bad-count", "no-equals",
+             "no-blank-line", "non-ascii", "nan-box"],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, blob):
+        path = tmp_path / "field.rgf"
+        if blob is not None:
+            path.write_bytes(blob)
+        with pytest.raises(InputDomainError):
+            GridField.load(path)
+
+    def test_load_accepts_what_save_writes(self, tmp_path):
+        path = tmp_path / "field.rgf"
+        path.write_bytes(HEADER + BODY)
+        assert GridField.load(path).values.shape == (16,)
 
     def test_volume_integral_of_odd_function_vanishes(self):
         field = GridField.from_function(lambda x: x * np.exp(-(x**2)), 1, 40.0, 256)

@@ -120,6 +120,19 @@ class TestRayleighQuotient:
         with pytest.raises(InputDomainError):
             rayleigh_quotient(flat, WeightFunction("constant_one", 1), 1)
 
+    def test_truncated_numerator_checks_convergence(self):
+        from rosenau.hardy import RadialTestFunction, weighted_norm_sq
+
+        # 1e5 r oscillates far faster than the quadrature's subdivision limit resolves
+        fast = RadialTestFunction(
+            value=lambda r: np.sin(1e5 * np.asarray(r, dtype=float))
+            * np.exp(-np.asarray(r, dtype=float) ** 2),
+            deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            support=6.8,
+        )
+        with pytest.raises(IntegrabilityError):
+            weighted_norm_sq(fast, WeightFunction("constant_one", 1), 1, inner_cut=0.5)
+
 
 class TestBlowupScan:
     @pytest.mark.parametrize(
