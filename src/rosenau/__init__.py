@@ -108,6 +108,6 @@ from .wellposed import (
     p_multiplier,
     sobolev_equivalence_check,
 )
-from .cli import ExperimentConfig, export_plotdata, run_experiment
+from .cli import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Experiment orchestration: presets, configuration, persistence, plot-data export.
+"""Experiment orchestration: presets, configuration, persistence.
 
 Subcommands: ``dispersion``, ``evolve``, ``norm-growth``, ``bounds``,
 ``hardy``, ``wellposed``, ``run``.  ``run`` consumes a YAML config (or a
@@ -49,7 +49,7 @@ from .norms import (
     write_norm_trace_csv,
 )
 
-__all__ = ["ExperimentConfig", "run_experiment", "export_plotdata", "main"]
+__all__ = ["ExperimentConfig", "run_experiment", "main"]
 
 _BASE_CONFIG = {
     "preset": "custom",
@@ -180,8 +180,6 @@ class _TraceStep:
     the physical velocity profile, None for a datum without one (all but gaussian)."""
 
     trace: NormTrace
-    power: growth_mod.GrowthFit
-    logfit: growth_mod.GrowthFit
     report: growth_mod.ClassifyReport | None
     sandwich: growth_mod.SandwichReport | None
     l1: float | None
@@ -189,7 +187,7 @@ class _TraceStep:
 
 
 def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep:
-    """Trace, fits, moments, sandwich and the checks shared by the trace presets."""
+    """Trace, classification, moments, sandwich and the checks shared by the trace presets."""
     params, quad = config.params, config.quadrature
     data = _build_data(config)
     t_min, t_max, ppd = config.t_window
@@ -197,12 +195,9 @@ def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep
     trace = compute_norm_trace(params, data, times, quad, config.sinc)
     write_norm_trace_csv(trace, out / "norm_trace.csv")
 
-    window = (t_min, t_max)
-    power = growth_mod.fit_power(trace, window)
-    logfit = growth_mod.fit_log(trace, window)
     report = None
     if t_max >= 1e3 * t_min:
-        report = growth_mod.classify_growth(trace, params.dim, window)
+        report = growth_mod.classify_growth(trace, params.dim, (t_min, t_max))
         growth_mod.write_fit_json(report, out / "fits.json")
 
     sandwich = l1 = u1_l2 = None
@@ -245,7 +240,7 @@ def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep
         for i in (0, -1)
     )
     _check(checks, "band_sum_matches_unsplit", gap <= quad.rel_tol, gap, quad.rel_tol)
-    return _TraceStep(trace, power, logfit, report, sandwich, l1, u1_l2)
+    return _TraceStep(trace, report, sandwich, l1, u1_l2)
 
 
 def _run_theorem_1_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
@@ -258,14 +253,16 @@ def _run_theorem_1_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
             step.sandwich.upper_const / step.sandwich.lower_const,
             1.25,
         )
-    exponent = step.power.exponent_or_offset
+    power = growth_mod.fit_power(step.trace, config.t_window[:2])
+    exponent = power.exponent_or_offset
     _check(checks, "power_exponent", abs(exponent - 0.5) <= 0.05, exponent, "0.5 +/- 0.05")
-    _check(checks, "power_r_squared", step.power.r_squared >= 0.999, step.power.r_squared, 0.999)
+    _check(checks, "power_r_squared", power.r_squared >= 0.999, power.r_squared, 0.999)
 
 
 def _run_theorem_1_2(config: ExperimentConfig, out: Path, checks: dict) -> None:
     step = _trace_step(config, out, checks)
-    logfit, exponent = step.logfit, step.power.exponent_or_offset
+    logfit = growth_mod.fit_log(step.trace, config.t_window[:2])
+    exponent = growth_mod.fit_power(step.trace, config.t_window[:2]).exponent_or_offset
     _check(checks, "log_fit_r_squared", logfit.r_squared >= 0.99, logfit.r_squared, 0.99)
     _check(checks, "log_fit_slope_positive", logfit.coeff > 0, logfit.coeff, 0.0)
     _check(checks, "competing_power_exponent", exponent <= 0.05, exponent, 0.05)
@@ -454,50 +451,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     write_json(out / "verdict.json", verdict)
     return ExperimentResult(checks=checks, exit_code=0 if all_passed else 1, output_dir=out)
-
-
-# ---------------------------------------------------------------------------
-# plot-data export
-
-_CURVES = {
-    "norm_vs_t": "six-column norm trace CSV",
-    "norm_over_sqrt_t": "||u||/sqrt(t) against t",
-    "norm_sq_vs_log_t": "||u||^2 against log t",
-    "ratio_vs_t": "sandwich ratio against t",
-    "quotient_vs_logR": "Rayleigh quotient against log R",
-    "h_ratio": "multiplier equivalence ratio against r",
-}
-
-
-def export_plotdata(obj, curve: str, out_dir) -> Path:
-    """Write one named curve of a result object as a two-column (or trace) CSV."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{curve}.csv"
-    if isinstance(obj, NormTrace):
-        if curve == "norm_vs_t":
-            write_norm_trace_csv(obj, path)
-        elif curve == "norm_over_sqrt_t":
-            write_columns(path, ["t", "norm_over_sqrt_t"], obj.times, np.sqrt(obj.norms_sq / obj.times))
-        elif curve == "norm_sq_vs_log_t":
-            write_columns(path, ["log_t", "norm_sq"], np.log(obj.times), obj.norms_sq)
-        else:
-            raise InputDomainError(
-                f"unknown curve {curve!r} for NormTrace; available: {sorted(_CURVES)}"
-            )
-        return path
-    if isinstance(obj, growth_mod.SandwichReport) and curve == "ratio_vs_t":
-        growth_mod.write_sandwich_csv(obj, path)
-        return path
-    if isinstance(obj, hardy_mod.QuotientTrace) and curve == "quotient_vs_logR":
-        hardy_mod.write_quotient_csv(obj, path)
-        return path
-    if isinstance(obj, wellposed_mod.MultiplierScan) and curve == "h_ratio":
-        wellposed_mod.write_multiplier_csv(obj, path)
-        return path
-    raise InputDomainError(
-        f"no curve {curve!r} for {type(obj).__name__}; available: {sorted(_CURVES)}"
-    )
 
 
 # ---------------------------------------------------------------------------

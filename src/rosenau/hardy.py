@@ -2,9 +2,10 @@
 
 A weight w admits a Hardy-type inequality ||u/w|| <= C ||grad u|| exactly
 when the Rayleigh quotient ||u/w||^2 / ||grad u||^2 stays bounded over the
-admissible class.  This module evaluates such quotients by radial
-quadrature, drives them over witness families (the logarithmic capacity
-family in 2-D, dilations elsewhere), and renders bounded/unbounded verdicts.
+admissible class.  This module evaluates such quotients with
+quadrature.integrate_radial over the test function's finite support, cut
+at its kinks; drives them over witness families (the logarithmic capacity
+family in 2-D, dilations elsewhere); and renders bounded/unbounded verdicts.
 It also contains the corrected energy identity for the time-integrated
 solution (theta = 1, n = 2), whose left side a valid Hardy inequality would
 force to stay bounded, and the Rellich quotient that is genuinely bounded
@@ -14,18 +15,18 @@ Weights whose zero at the origin makes the quotient of any origin-positive
 test function an outright divergent integral (|x| in n <= 2, |x|^2 in
 n <= 4) are scanned through an exhaustion sequence: the numerator truncated
 to |x| >= 1/R for a fixed bump.  The quotient is +infinity there; the trace
-records the divergence rate.
+records the divergence rate.  For |x| (1 + |log |x||) in 2-D the numerator
+converges, but puts mass u(0)^2 / (1 + |log eps|) below every radius eps;
+that part is added in closed form below eps = 1e-12.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .artifacts import write_columns
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
 from .evolution import RadialInitialData, cosc, propagator
 from .model import ModelParams, eval_dispersion, unit_sphere_area
 from .norms import QuadratureConfig, DEFAULT_QUADRATURE, _resolve_r_max
-from .quadrature import integrate_adaptive, phase_resolved_edges
+from .quadrature import integrate_adaptive, integrate_radial, phase_resolved_edges
 
 __all__ = [
     "WeightFunction",
@@ -55,7 +56,11 @@ __all__ = [
 ]
 
 _WEIGHT_KINDS = ("a1_weight", "abs_log_weight", "plain_abs", "constant_one", "abs_squared")
-_QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
+_REL_TOL = 1e-11
+# The 2-D abs_log_weight numerator density u(0)^2 / (r (1 + |log r|)^2) puts
+# the mass u(0)^2 / (1 + |log eps|) below every eps, at radii no float
+# reaches; it is integrated from this eps and that mass added in closed form.
+_LOG_ORIGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,14 +109,24 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class RadialTestFunction:
-    """Radial profile with derivatives, for quotient evaluation."""
+    """Radial profile with derivatives, for quotient evaluation.
+
+    The profile vanishes beyond the finite radius support; kinks are radii
+    where a derivative jumps.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
+    support: float
     second_deriv: Callable[[np.ndarray], np.ndarray] | None = None
-    support: float | None = None
     kinks: tuple = ()
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.support is None or not (math.isfinite(self.support) and self.support > 0):
+            raise InputDomainError(
+                f"a test function needs a finite positive support, got {self.support}"
+            )
 
 
 def gaussian_bump(scale: float = 1.0) -> RadialTestFunction:
@@ -132,9 +147,7 @@ def gaussian_bump(scale: float = 1.0) -> RadialTestFunction:
         r = np.asarray(r, dtype=float)
         return (4.0 * r**2 / scale**4 - 2.0 / scale**2) * np.exp(-((r / scale) ** 2))
 
-    return RadialTestFunction(
-        val, der, der2, support=6.8 * scale, label=f"gaussian(scale={scale})"
-    )
+    return RadialTestFunction(val, der, 6.8 * scale, der2, label=f"gaussian(scale={scale})")
 
 
 def capacity_family(R: float, dim: int = 2) -> RadialTestFunction:
@@ -178,71 +191,33 @@ def dilation_family(R: float, base: RadialTestFunction | None = None) -> RadialT
         def der2(r):  # noqa: E306
             return phi.second_deriv(np.asarray(r, dtype=float) / R) / R**2
 
-    support = phi.support * R if phi.support is not None else None
-    return RadialTestFunction(val, der, der2, support=support, label=f"dilation(R={R})")
-
-
-def _geometric_refine(segments):
-    """Split wide finite segments geometrically so quad sees balanced pieces."""
-    out = []
-    for a, b in segments:
-        if math.isfinite(b) and a > 0 and b / a > 10.0:
-            n = 2 * int(math.ceil(math.log10(b / a))) + 1
-            cuts = np.geomspace(a, b, n + 1)
-            out.extend(zip(cuts[:-1], cuts[1:]))
-        else:
-            out.append((a, b))
-    return out
-
-
-def _radial_quad(fn, hi: float | None, kinks=(), lo: float = 0.0) -> float:
-    """integral_lo^hi fn(r) dr with kink-aware splitting; hi = None means infinity."""
-    top = math.inf if hi is None else hi
-    cuts = sorted({k for k in kinks if lo < k < top})
-    points = [lo, *cuts]
-    if math.isinf(top):
-        points.append(max(points[-1] * 2.0, 10.0))
-        segments = list(zip(points[:-1], points[1:])) + [(points[-1], math.inf)]
-    else:
-        points.append(top)
-        segments = list(zip(points[:-1], points[1:]))
-    total = 0.0
-    for a, b in _geometric_refine(segments):
-        # the scipy warning duplicates the explicit error check below
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(fn, a, b, **_QUAD_OPTS)[:2]
-        if not math.isfinite(val) or (abs(val) > 0 and err > 0.05 * abs(val) + 1e-8):
-            raise IntegrabilityError(
-                f"quadrature over [{a}, {b}] failed to converge (value {val}, err {err})"
-            )
-        total += val
-    return total
+    return RadialTestFunction(val, der, phi.support * R, der2, label=f"dilation(R={R})")
 
 
 def gradient_norm_sq(u: RadialTestFunction, dim: int) -> float:
     """||grad u||^2 = omega_n integral |u'(r)|^2 r^(n-1) dr."""
-    area = unit_sphere_area(dim)
-    val = _radial_quad(
-        lambda r: float(u.deriv(np.array([r]))[0]) ** 2 * r ** (dim - 1),
-        u.support,
-        u.kinks,
+    val = integrate_radial(
+        lambda r: u.deriv(r) ** 2 * r ** (dim - 1), 0.0, u.support, u.kinks, rel_tol=_REL_TOL
     )
-    return area * val
+    return unit_sphere_area(dim) * val
 
 
 def weighted_norm_sq(
     u: RadialTestFunction, weight: WeightFunction, dim: int, inner_cut: float = 0.0
 ) -> float:
     """||u/w||^2, optionally truncated to r >= inner_cut (exhaustion use)."""
-
-    def fn(r):
-        if r == 0.0 and weight.vanishes_at_origin:
-            return 0.0
-        w = float(weight.evaluate(np.array([r]))[0])
-        return (float(u.value(np.array([r]))[0]) / w) ** 2 * r ** (dim - 1)
-
-    return unit_sphere_area(dim) * _radial_quad(fn, u.support, u.kinks, lo=inner_cut)
+    lo, origin = inner_cut, 0.0
+    if weight.kind == "abs_log_weight" and dim == 2 and inner_cut == 0.0:
+        lo = _LOG_ORIGIN
+        origin = float(u.value(np.array([0.0]))[0]) ** 2 / (1.0 - math.log(_LOG_ORIGIN))
+    val = integrate_radial(
+        lambda r: (u.value(r) / weight.evaluate(r)) ** 2 * r ** (dim - 1),
+        lo,
+        u.support,
+        u.kinks,
+        rel_tol=_REL_TOL,
+    )
+    return unit_sphere_area(dim) * (origin + val)
 
 
 def rayleigh_quotient(u: RadialTestFunction, weight: WeightFunction, dim: int) -> float:
@@ -440,17 +415,13 @@ def rellich_quotient(u: RadialTestFunction, dim: int) -> float:
     if u.second_deriv is None:
         raise InputDomainError("the Rellich quotient needs a second derivative")
 
-    def num(r):
-        return float(u.value(np.array([r]))[0]) ** 2 * r ** (dim - 5)
+    def laplacian_sq(r):
+        return (u.second_deriv(r) + (dim - 1) * u.deriv(r) / r) ** 2 * r ** (dim - 1)
 
-    def den(r):
-        lap = float(u.second_deriv(np.array([r]))[0]) + (dim - 1) * float(
-            u.deriv(np.array([r]))[0]
-        ) / max(r, 1e-300)
-        return lap**2 * r ** (dim - 1)
-
-    numerator = _radial_quad(num, u.support, u.kinks)
-    denominator = _radial_quad(den, u.support, u.kinks)
+    numerator = integrate_radial(
+        lambda r: u.value(r) ** 2 * r ** (dim - 5), 0.0, u.support, u.kinks, rel_tol=_REL_TOL
+    )
+    denominator = integrate_radial(laplacian_sq, 0.0, u.support, u.kinks, rel_tol=_REL_TOL)
     if denominator <= 0:
         raise InputDomainError("degenerate test function: ||Delta u|| = 0")
     return numerator / denominator

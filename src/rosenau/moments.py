@@ -14,6 +14,13 @@ and |sin s| <= |s|^gamma) is asserted on top of it.
 
 B vanishes identically for radial data by odd symmetry and is returned as
 exact zero.
+
+Every integral runs over [0, R] for the profile's certified finite radius R
+(a compact or a Gaussian tail; other profiles raise IntegrabilityError).
+P and the norms go through quadrature.integrate_radial.  A(rho) is one
+row-valued G10/K21 refinement for the whole frequency grid: one row per
+rho, from about one panel per period of the fastest kernel, a panel being
+bisected until every row meets its share of 1e-12.
 """
 
 from __future__ import annotations
@@ -23,19 +30,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as sp_gamma, jv
 
 from .errors import InputDomainError, IntegrabilityError, InvariantViolation
 from .model import unit_sphere_area
-from .quadrature import panel_integrals
+from .quadrature import _kronrod_refine, integrate_radial
 from .tails import TailBound
 
 __all__ = [
     "RadialProfile",
     "MomentDecomposition",
     "radial_kernel",
-    "radial_fourier",
     "zeroth_moment",
     "l1_norm",
     "fluctuation",
@@ -43,7 +48,6 @@ __all__ = [
     "moment_bound_check",
 ]
 
-_QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
 _MOMENT_REL_TOL = 1e-12
 
 
@@ -64,23 +68,19 @@ class RadialProfile:
             raise InputDomainError("dim must be >= 1")
 
     def upper_limit(self) -> float:
-        """Certified finite truncation radius, or infinity without one.
+        """Certified finite truncation radius.
 
         For gaussian tails the cut sits where the envelope reaches 1e-40 of
-        its amplitude, far below every quadrature tolerance in use.
+        its amplitude, far below every quadrature tolerance in use.  Raises
+        IntegrabilityError for a profile without a compact or Gaussian tail.
         """
         if self.tail.kind == "compact":
             return self.tail.cutoff
         if self.tail.kind == "gaussian":
             return math.sqrt(92.0 / self.tail.rate)
-        return math.inf
-
-
-def _require_integrable(u: RadialProfile, weight_power: float = 0.0) -> None:
-    if not u.tail.weighted_l1_converges(u.dim, weight_power):
         raise IntegrabilityError(
-            f"profile {u.label or u!r} has no certified integrable tail "
-            f"for weight |x|^{weight_power}"
+            f"profile {self.label or self!r} has no compact or Gaussian tail, "
+            "so no finite radius certifies its integrals"
         )
 
 
@@ -123,68 +123,42 @@ def _kernel_minus_one(dim: int, s):
     return out
 
 
-def _quad(fn, lo, hi, pieces=None):
-    if pieces:
-        total = 0.0
-        cuts = [lo, *pieces, hi]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            total += integrate.quad(fn, a, b, **_QUAD_OPTS)[0]
-        return total
-    return integrate.quad(fn, lo, hi, **_QUAD_OPTS)[0]
+def _radial_integral(u1: RadialProfile, density) -> float:
+    """omega_n times the integral of density(u1(r), r) r^(n-1) over [0, R]."""
+    n = u1.dim
+    value = integrate_radial(
+        lambda r: density(u1.func(r), r) * r ** (n - 1),
+        0.0,
+        u1.upper_limit(),
+        rel_tol=_MOMENT_REL_TOL,
+    )
+    return unit_sphere_area(n) * value
 
 
 def zeroth_moment(u1: RadialProfile) -> float:
-    """Total mass P = integral u1(x) dx via adaptive radial quadrature."""
-    _require_integrable(u1)
-    n = u1.dim
-    area = unit_sphere_area(n)
-    return area * _quad(lambda r: float(np.real(u1.func(np.array([r]))[0])) * r ** (n - 1),
-                        0.0, u1.upper_limit())
+    """Total mass P = integral u1(x) dx."""
+    return _radial_integral(u1, lambda u, r: np.real(u))
 
 
 def l1_norm(u1: RadialProfile) -> float:
-    _require_integrable(u1)
-    n = u1.dim
-    area = unit_sphere_area(n)
-    return area * _quad(lambda r: abs(complex(u1.func(np.array([r]))[0])) * r ** (n - 1),
-                        0.0, u1.upper_limit())
+    return _radial_integral(u1, lambda u, r: np.abs(u))
 
 
 def l2_norm_sq(u1: RadialProfile) -> float:
     """Physical L2 norm squared of the radial profile."""
-    n = u1.dim
-    area = unit_sphere_area(n)
-    return area * _quad(lambda r: abs(complex(u1.func(np.array([r]))[0])) ** 2 * r ** (n - 1),
-                        0.0, u1.upper_limit())
+    return _radial_integral(u1, lambda u, r: np.abs(u) ** 2)
 
 
 def _fluctuation_values(u1: RadialProfile, rhos: np.ndarray) -> np.ndarray:
-    """A(rho) for every rho of the grid.
+    """A(rho) for every rho of the grid, in one row-valued K21 refinement.
 
-    A profile with a finite certified radius R goes through
-    _panel_fluctuation, one kernel-matrix product for the whole grid.  A
-    profile without one (a power tail), or one that the uniform partition
-    does not resolve (a jump inside the support), takes one adaptive scipy
-    quad integral per rho out to its upper limit.
+    Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R] for all rho at
+    once, starting from about one panel per period of the fastest kernel,
+    cos(rho_max r), and bisecting a panel until every rho meets its share
+    of 1e-12 of its own |A(rho)|.
     """
-    _require_integrable(u1)
     rhos = np.asarray(rhos, dtype=float)
     radius = u1.upper_limit()
-    if math.isfinite(radius):
-        values = _panel_fluctuation(u1, rhos, radius)
-        if values is not None:
-            return values
-    return np.array([_quad_fluctuation(u1, rho) for rho in rhos])
-
-
-def _panel_fluctuation(u1: RadialProfile, rhos: np.ndarray, radius: float):
-    """A(rho) on one uniform K21 partition of [0, R], or None if unresolved.
-
-    Integrates u1(r) (K(rho r) - 1) r^(n-1) for all rho at once, starting
-    from about one panel per period of the fastest kernel, cos(rho_max r).
-    Every rho's summed |K21 - G10| must stay below 1e-12 of its summed
-    |K21|; the panel count doubles at most three times until it does.
-    """
     n = u1.dim
 
     def integrand(r):
@@ -192,26 +166,8 @@ def _panel_fluctuation(u1: RadialProfile, rhos: np.ndarray, radius: float):
         return u * _kernel_minus_one(n, rhos[:, None] * r)
 
     panels = max(16, math.ceil(float(np.max(rhos)) * radius / (2.0 * math.pi)))
-    for _ in range(4):
-        edges = np.linspace(0.0, radius, panels + 1)
-        values, errors = panel_integrals(integrand, edges[:-1], edges[1:])
-        scale = np.sum(np.abs(values), axis=1)
-        if np.all(np.sum(errors, axis=1) <= _MOMENT_REL_TOL * scale):
-            return unit_sphere_area(n) * np.sum(values, axis=1)
-        panels *= 2
-    return None
-
-
-def _quad_fluctuation(u1: RadialProfile, rho: float) -> float:
-    """A(rho) by scipy quad, split at the first few kernel oscillations."""
-    n = u1.dim
-
-    def integrand(r):
-        val = float(np.real(u1.func(np.array([r]))[0]))
-        return val * float(_kernel_minus_one(n, np.array([rho * r]))[0]) * r ** (n - 1)
-
-    pieces = [k * math.pi / rho for k in (1, 2, 4, 8, 16) if k * math.pi / rho < u1.upper_limit()]
-    return unit_sphere_area(n) * _quad(integrand, 0.0, u1.upper_limit(), pieces=pieces)
+    values, _, _ = _kronrod_refine(integrand, np.linspace(0.0, radius, panels + 1), _MOMENT_REL_TOL)
+    return unit_sphere_area(n) * values
 
 
 def fluctuation(u1: RadialProfile, xi) -> tuple[float, float]:
@@ -220,7 +176,6 @@ def fluctuation(u1: RadialProfile, xi) -> tuple[float, float]:
     xi may be a vector or the scalar |xi|; only the norm enters for radial
     data, and B = 0 exactly by odd symmetry.
     """
-    _require_integrable(u1)
     rho = float(np.linalg.norm(xi)) if np.ndim(xi) else float(abs(xi))
     if rho == 0.0:
         return 0.0, 0.0
@@ -231,16 +186,7 @@ def weighted_l1_norm(u1: RadialProfile, gamma_exp: float) -> float:
     """||u1||_{1,gamma} = integral (1 + |x|^gamma) |u1(x)| dx."""
     if not (0.0 < gamma_exp <= 1.0):
         raise InputDomainError(f"gamma must lie in (0, 1], got {gamma_exp}")
-    _require_integrable(u1, weight_power=gamma_exp)
-    n = u1.dim
-    area = unit_sphere_area(n)
-    val = area * _quad(
-        lambda r: (1.0 + r**gamma_exp)
-        * abs(complex(u1.func(np.array([r]))[0]))
-        * r ** (n - 1),
-        0.0,
-        u1.upper_limit(),
-    )
+    val = _radial_integral(u1, lambda u, r: (1.0 + r**gamma_exp) * np.abs(u))
     plain = l1_norm(u1)
     if val < plain * (1.0 - 1e-9):
         raise InvariantViolation("weighted L1 norm fell below the plain L1 norm")
@@ -269,22 +215,6 @@ def moment_bound_check(u1: RadialProfile, gamma_exp: float, xi_grid) -> float:
             f"empirical moment constant {worst} exceeds the ceiling {ceiling}"
         )
     return worst
-
-
-def radial_fourier(u1: RadialProfile, rho: float) -> float:
-    """Fourier transform of the radial profile at |xi| = rho (real for radial data)."""
-    _require_integrable(u1)
-    n = u1.dim
-    area = unit_sphere_area(n)
-    if rho == 0.0:
-        return zeroth_moment(u1)
-
-    def integrand(r):
-        val = float(np.real(u1.func(np.array([r]))[0]))
-        return val * float(radial_kernel(n, np.array([rho * r]))[0]) * r ** (n - 1)
-
-    pieces = [k * math.pi / rho for k in (1, 2, 4, 8, 16) if k * math.pi / rho < u1.upper_limit()]
-    return area * _quad(integrand, 0.0, u1.upper_limit(), pieces=pieces)
 
 
 _DEFAULT_M_GRID = np.geomspace(1e-3, 50.0, 96)

@@ -24,7 +24,13 @@ On top of them:
   pending panel once per round, accept the panels whose error estimate
   meets a width-proportional share of the requested tolerance or has
   reached rounding level, and bisect only the others.  A non-finite value
-  raises IntegrabilityError in the round that produces it.
+  raises IntegrabilityError in the round that produces it.  The K21
+  refinement also takes row-valued integrands, m functions sharing the
+  nodes: a panel is accepted once every row meets its share;
+* ``integrate_radial`` integrates over a finite [lo, hi] cut at given kinks
+  and once per decade, with the K21 refinement capped at 17 rounds, and
+  raises IntegrabilityError instead of returning a value it did not
+  resolve.  Every radial integral of the moment and Hardy layers uses it.
 
 All of it is deterministic: the partition depends only on the inputs and
 accepted panel contributions are summed in left-to-right order.
@@ -44,6 +50,7 @@ __all__ = [
     "KRONROD_POINTS",
     "panel_integrals",
     "integrate_adaptive",
+    "integrate_radial",
     "LEVIN_POINTS",
     "integrate_levin",
     "phase_resolved_edges",
@@ -109,6 +116,14 @@ _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 # one product gives K21 and K21 - G10 per panel
 _RULE = np.stack([_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS], axis=1)
 
+# Bisection rounds of integrate_radial.  Each round may double the failing
+# panels, so an integrand the pair cannot resolve would exhaust memory well
+# before _MAX_ROUNDS.  17 rounds resolve sin(1e5 r)^2 e^(-2 r^2) on [0.5, 6.8]
+# to 1e-11 in about 0.15 s and give up on sin(1e7 r)^2 in about 0.3 s.
+_RADIAL_ROUNDS = 17
+# a piece [0, b] of integrate_radial is first cut at b 10^-16
+_ORIGIN_DECADES = 16
+
 # evaluate about 2^18 integrand nodes at a time
 _PANEL_CHUNK = (1 << 18) // KRONROD_POINTS
 
@@ -150,13 +165,17 @@ def uniform_edges(lo: float, hi: float, panels: int) -> np.ndarray:
 def _refine(rule, edges, rel_tol: float, abs_tol: float, max_rounds: int):
     """Bisect the panels of a partition until each meets its share of the budget.
 
-    rule(lo, hi) returns per-panel (values, errors, floors).  A panel is
-    accepted when its error is below the share of the global budget
-    max(rel_tol * |estimate|, abs_tol) proportional to its width, or below its
-    floor (the rounding level of the rule); the others are bisected for the
-    next round.  After max_rounds bisections the pending panels keep their
-    last value and error.  Returns (value, error), both summed over the
-    accepted panels in left-to-right order.
+    rule(lo, hi) returns per-panel (values, errors, floors), each of shape
+    (panels,) or, for m integrands sharing the nodes, (m, panels).  A row of
+    a panel meets its share when its error is below the share of that row's
+    budget max(rel_tol * |estimate|, abs_tol) proportional to the panel's
+    width, or below its floor (the rounding level of the rule); a panel is
+    accepted once every row meets its share, and bisected for the next round
+    otherwise.  After max_rounds bisections the pending panels keep their
+    last value and error.  Returns (value, error, unresolved), each summed in
+    left-to-right order with shape () or (m,): value and error over all
+    accepted panels, unresolved the error of the panels still failing after
+    the last round.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -170,24 +189,28 @@ def _refine(rule, edges, rel_tol: float, abs_tol: float, max_rounds: int):
     acc_val: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
     acc_sum = 0.0
+    unresolved = 0.0
 
     for depth in range(max_rounds + 1):
         val, err, floor = rule(pend_lo, pend_hi)
-        if not (np.all(np.isfinite(val)) and np.all(np.isfinite(err))):
-            bad = ~(np.isfinite(val) & np.isfinite(err))
+        if not (np.isfinite(val).all() and np.isfinite(err).all()):
+            bad = ~(np.isfinite(val) & np.isfinite(err)).reshape(-1, pend_lo.size).all(axis=0)
             raise IntegrabilityError(
                 f"non-finite integrand on [{pend_lo[bad][0]:.17g}, {pend_hi[bad][0]:.17g}]"
             )
-        total_est = acc_sum + np.sum(val)
-        budget = max(rel_tol * abs(total_est), abs_tol, 1e-300)
-        ok = (err <= budget * (pend_hi - pend_lo) / total_len) | (err <= floor)
+        total_est = acc_sum + np.sum(val, axis=-1)
+        budget = np.maximum(rel_tol * np.abs(total_est), max(abs_tol, 1e-300))
+        met = (err <= budget[..., None] * (pend_hi - pend_lo) / total_len) | (err <= floor)
+        ok = met.all(axis=0) if met.ndim > 1 else met
         if depth == max_rounds:
+            unresolved = np.sum(err[..., ~ok], axis=-1)
             ok[:] = True
 
+        accepted = val.compress(ok, axis=-1)
         acc_lo.append(pend_lo[ok])
-        acc_val.append(val[ok])
-        acc_err.append(err[ok])
-        acc_sum += np.sum(val[ok])
+        acc_val.append(accepted)
+        acc_err.append(err.compress(ok, axis=-1))
+        acc_sum += np.sum(accepted, axis=-1)
 
         bad = ~ok
         if not np.any(bad):
@@ -198,11 +221,24 @@ def _refine(rule, edges, rel_tol: float, abs_tol: float, max_rounds: int):
             np.concatenate([mid, pend_hi[bad]]),
         )
 
-    lo_all = np.concatenate(acc_lo)
-    val_all = np.concatenate(acc_val)
-    err_all = np.concatenate(acc_err)
-    order = np.argsort(lo_all, kind="stable")
-    return np.sum(val_all[order]), float(np.sum(err_all[order]))
+    order = np.argsort(np.concatenate(acc_lo), kind="stable")
+    value = np.sum(np.concatenate(acc_val, axis=-1)[..., order], axis=-1)
+    error = np.sum(np.concatenate(acc_err, axis=-1)[..., order], axis=-1)
+    return value, error, unresolved
+
+
+def _kronrod_refine(fn, edges, rel_tol: float, abs_tol: float = 0.0, max_rounds: int = _MAX_ROUNDS):
+    """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
+
+    fn may return (m, nodes) rows; the results are numpy values of shape ()
+    or (m,).
+    """
+
+    def rule(lo, hi):
+        val, err = panel_integrals(fn, lo, hi)
+        return val, err, _ROUNDING * np.abs(val)
+
+    return _refine(rule, edges, rel_tol, abs_tol, max_rounds)
 
 
 def integrate_adaptive(
@@ -223,13 +259,46 @@ def integrate_adaptive(
     accepted panels' errors.  Raises IntegrabilityError in the first round
     that produces a non-finite value or error.
     """
+    value, error, _ = _kronrod_refine(fn, edges, rel_tol, abs_tol, max_rounds)
+    return float(value), float(error)
 
-    def rule(lo, hi):
-        val, err = panel_integrals(fn, lo, hi)
-        return val, err, _ROUNDING * np.abs(val)
 
-    value, error = _refine(rule, edges, rel_tol, abs_tol, max_rounds)
-    return float(value), error
+def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
+    """[lo, hi] cut at the kinks inside it and at every power of ten inside it.
+
+    A first piece that starts at 0 is cut once more, _ORIGIN_DECADES
+    decades below its upper end, and from there on per decade.
+    """
+    if not (0.0 <= lo < hi < math.inf):
+        raise InputDomainError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
+    cuts = sorted({lo, hi, *(float(k) for k in kinks if lo < k < hi)})
+    if lo == 0.0:
+        cuts.insert(1, cuts[1] * 10.0**-_ORIGIN_DECADES)
+    bottom = cuts[1] if lo == 0.0 else lo
+    decades = 10.0 ** np.arange(math.floor(math.log10(bottom)), math.ceil(math.log10(hi)) + 1)
+    return np.unique(np.concatenate([cuts, decades[(decades > bottom) & (decades < hi)]]))
+
+
+def integrate_radial(fn, lo: float, hi: float, kinks=(), *, rel_tol: float):
+    """Integral of fn over the finite interval [lo, hi], to rel_tol.
+
+    fn maps a flat array of radii to values, or to an (m, nodes) array for m
+    integrands; the result is then a float, or an (m,) array.  The
+    partition is cut at the kinks and once per decade (see _radial_edges)
+    and refined as in integrate_adaptive for at most _RADIAL_ROUNDS rounds,
+    a panel being accepted once every row meets its share of rel_tol.
+    Raises IntegrabilityError when the panels still failing after the last
+    round carry more error than rel_tol times a row's |value|, or on a
+    non-finite value.
+    """
+    edges = _radial_edges(lo, hi, kinks)
+    value, _, unresolved = _kronrod_refine(fn, edges, rel_tol, max_rounds=_RADIAL_ROUNDS)
+    if np.any(unresolved > rel_tol * np.abs(value)):
+        raise IntegrabilityError(
+            f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {_RADIAL_ROUNDS} "
+            f"bisection rounds: error {np.max(unresolved):.3g} against rel_tol {rel_tol:.3g}"
+        )
+    return value if value.ndim else float(value)
 
 
 def _chebyshev_lobatto(n: int):
@@ -358,8 +427,8 @@ def integrate_levin(
     def rule(lo, hi):
         return _levin_panels(g, f, fprime, omega, lo, hi)
 
-    value, error = _refine(rule, edges, rel_tol, abs_tol, _MAX_ROUNDS)
-    return complex(value), error
+    value, error, _ = _refine(rule, edges, rel_tol, abs_tol, _MAX_ROUNDS)
+    return complex(value), float(error)
 
 
 def phase_resolved_edges(

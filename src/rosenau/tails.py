@@ -62,11 +62,3 @@ class TailBound:
             r_eff = max(r0, self.cutoff)
             return float(self.amplitude**2 * r_eff**expo / (-expo))
         return math.inf
-
-    def weighted_l1_converges(self, dim: int, weight_power: float = 0.0) -> bool:
-        """Whether integral |g(r)| r^(dim-1+weight_power) dr converges at infinity."""
-        if self.kind in ("compact", "gaussian"):
-            return True
-        if self.kind == "power":
-            return self.power > dim + weight_power
-        return False

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rosenau import GridField, InputDomainError, export_plotdata, geometric_times
+from rosenau import GridField, InputDomainError, geometric_times
 from rosenau.cli import ExperimentConfig, default_config, main, run_experiment
 
 
@@ -253,36 +253,14 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-class TestExportPlotdata:
-    def test_norm_trace_curves(self, trace_1d_exact, tmp_path):
-        path = export_plotdata(trace_1d_exact, "norm_vs_t", tmp_path)
-        header = path.read_bytes().split(b"\r\n")[0]
-        assert header == b"t,norm_sq,band_low,band_mid,band_high,energy"
-        path = export_plotdata(trace_1d_exact, "norm_over_sqrt_t", tmp_path)
-        lines = path.read_bytes().split(b"\r\n")
-        assert lines[0] == b"t,norm_over_sqrt_t"
-        ratio = float(lines[1].split(b",")[1])
-        expected = float(np.sqrt(trace_1d_exact.norms_sq[0] / trace_1d_exact.times[0]))
-        assert ratio == pytest.approx(expected, rel=1e-12)
-
-    def test_unknown_curve_lists_options(self, trace_1d_exact, tmp_path):
-        with pytest.raises(InputDomainError, match="norm_vs_t"):
-            export_plotdata(trace_1d_exact, "nonsense", tmp_path)
-
-    def test_quotient_trace_curve(self, tmp_path):
-        from rosenau import WeightFunction, blowup_scan
-
-        grid = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
-        scan = blowup_scan(WeightFunction("a1_weight", 2), grid, 2)
-        path = export_plotdata(scan.trace, "quotient_vs_logR", tmp_path)
-        assert path.read_bytes().split(b"\r\n")[0] == b"R,quotient,grad_norm_sq"
-
-
-
 class TestSubcommands:
-    def test_norm_growth(self, capsys, tmp_path):
+    # four points per decade leave fewer samples than a fit needs, and the
+    # custom preset reads no fit
+    @pytest.mark.parametrize("points_per_decade", ["10", "4"])
+    def test_norm_growth(self, capsys, tmp_path, points_per_decade):
         out = tmp_path / "n"
-        argv = ["norm-growth", "--t-min", "100", "--t-max", "1000", "--points-per-decade", "10"]
+        argv = ["norm-growth", "--t-min", "100", "--t-max", "1000"]
+        argv += ["--points-per-decade", points_per_decade]
         assert main(argv + ["--out", str(out)]) == 0
         assert (out / "norm_trace.csv").read_bytes().startswith(b"t,norm_sq,")
         assert json.loads((out / "verdict.json").read_text())["preset"] == "custom"
@@ -304,6 +282,16 @@ class TestSubcommands:
         assert main(["hardy", "--out", str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "unbounded"
         assert (tmp_path / "quotient_vs_logR.csv").exists()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "weight", ["a1_weight", "abs_log_weight", "plain_abs", "constant_one", "abs_squared"]
+    )
+    def test_hardy_every_weight_and_dimension(self, capsys, tmp_path, weight, dim):
+        argv = ["hardy", "--weight", weight, "--dim", str(dim), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert (printed["weight"], printed["dim"]) == (weight, dim)
 
     def test_hardy_rejects_unknown_weight(self, capsys, tmp_path):
         assert main(["hardy", "--weight", "bogus", "--out", str(tmp_path)]) == 2

@@ -123,15 +123,45 @@ class TestRayleighQuotient:
     def test_truncated_numerator_checks_convergence(self):
         from rosenau.hardy import RadialTestFunction, weighted_norm_sq
 
-        # 1e5 r oscillates far faster than the quadrature's subdivision limit resolves
+        # 1e7 r oscillates far faster than the bounded bisection resolves
         fast = RadialTestFunction(
-            value=lambda r: np.sin(1e5 * np.asarray(r, dtype=float))
+            value=lambda r: np.sin(1e7 * np.asarray(r, dtype=float))
             * np.exp(-np.asarray(r, dtype=float) ** 2),
             deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             support=6.8,
         )
         with pytest.raises(IntegrabilityError):
             weighted_norm_sq(fast, WeightFunction("constant_one", 1), 1, inner_cut=0.5)
+
+    def test_truncated_oscillatory_numerator_is_accurate(self):
+        from rosenau.hardy import RadialTestFunction, weighted_norm_sq
+
+        fast = RadialTestFunction(
+            value=lambda r: np.sin(1e5 * np.asarray(r, dtype=float))
+            * np.exp(-np.asarray(r, dtype=float) ** 2),
+            deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            support=6.8,
+        )
+        # 2 int_0.5^6.8 sin^2(1e5 r) e^(-2 r^2) dr, by mpmath at 40 digits: the
+        # erf closed form of the mean minus the integration-by-parts series of
+        # the cos(2e5 r) part
+        exact = 0.19884498115569296
+        val = weighted_norm_sq(fast, WeightFunction("constant_one", 1), 1, inner_cut=0.5)
+        assert val == pytest.approx(exact, rel=1e-11)
+
+    def test_log_weight_numerator_near_the_origin(self):
+        from rosenau.hardy import weighted_norm_sq
+
+        # 2 pi (1 + int_0^3 ((3 - s)/3)^2 / (1 + s)^2 ds) with s = log r, by mpmath
+        val = weighted_norm_sq(capacity_family(math.e**3, 2), WeightFunction("abs_log_weight", 2), 2)
+        assert val == pytest.approx(9.01263249806609, rel=1e-10)
+
+    @pytest.mark.parametrize("support", [None, math.inf, 0.0])
+    def test_support_must_be_finite(self, support):
+        from rosenau.hardy import RadialTestFunction
+
+        with pytest.raises(InputDomainError):
+            RadialTestFunction(value=np.exp, deriv=np.exp, support=support)
 
 
 class TestBlowupScan:

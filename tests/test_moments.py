@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from rosenau import (
     InputDomainError,
@@ -17,7 +18,38 @@ from rosenau import (
     weighted_l1_norm,
     zeroth_moment,
 )
-from rosenau.moments import _fluctuation_values, _kernel_minus_one, radial_fourier
+from rosenau.model import unit_sphere_area
+from rosenau.moments import _fluctuation_values, _kernel_minus_one, radial_kernel
+
+_QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
+
+
+def _quad(fn, lo, hi, pieces=None):
+    if pieces:
+        total = 0.0
+        cuts = [lo, *pieces, hi]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += integrate.quad(fn, a, b, **_QUAD_OPTS)[0]
+        return total
+    return integrate.quad(fn, lo, hi, **_QUAD_OPTS)[0]
+
+
+def radial_fourier(u1: RadialProfile, rho: float) -> float:
+    """Fourier transform of the radial profile at |xi| = rho (real for radial data).
+
+    An oracle by scipy quad, independent of the package's K21 refinement.
+    """
+    n = u1.dim
+    area = unit_sphere_area(n)
+    if rho == 0.0:
+        return zeroth_moment(u1)
+
+    def integrand(r):
+        val = float(np.real(u1.func(np.array([r]))[0]))
+        return val * float(radial_kernel(n, np.array([rho * r]))[0]) * r ** (n - 1)
+
+    pieces = [k * math.pi / rho for k in (1, 2, 4, 8, 16) if k * math.pi / rho < u1.upper_limit()]
+    return area * _quad(integrand, 0.0, u1.upper_limit(), pieces=pieces)
 
 
 def indicator_profile(dim=1):
@@ -37,6 +69,16 @@ class TestZerothMoment:
 
     def test_gaussian_2d(self):
         assert zeroth_moment(gaussian_profile(2)) == pytest.approx(math.pi, rel=1e-10)
+
+    def test_massless_profile(self):
+        # (1 - r^2) e^(-r^2) has zero mass in 2-D; its integrand cancels, so a
+        # relative error test on P alone could never pass
+        massless = RadialProfile(
+            func=lambda r: (1.0 - np.asarray(r) ** 2) * np.exp(-np.asarray(r) ** 2),
+            dim=2,
+            tail=TailBound(kind="gaussian", amplitude=1.0, rate=0.5),
+        )
+        assert zeroth_moment(massless) == pytest.approx(0.0, abs=1e-14)
 
     def test_divergent_tail_rejected(self):
         slow = RadialProfile(
@@ -100,18 +142,19 @@ class TestPanelFluctuation:
         pointwise = max(abs(fluctuation(profile, rho)[0]) / (rho**0.5 * wnorm) for rho in grid)
         assert moment_bound_check(profile, 0.5, grid) == pytest.approx(pointwise, rel=1e-12)
 
-    def test_power_tail_takes_the_quad_path(self):
-        # 1 / (1 + x^2) has the transform pi e^(-|xi|) and no finite radius
+    def test_power_tail_is_rejected(self):
+        # 1 / (1 + x^2) is integrable but has no finite certified radius
         lorentzian = RadialProfile(
             func=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2),
             dim=1,
             tail=TailBound(kind="power", amplitude=1.0, power=2.0, cutoff=1.0),
         )
-        for rho in (1e-3, 0.1, 1.0):
-            assert fluctuation(lorentzian, rho)[0] == pytest.approx(
-                math.pi * math.expm1(-rho), rel=1e-4
-            )
-        assert 0.0 < moment_bound_check(lorentzian, 0.5, [0.1, 1.0]) <= 2.0**0.5 + 1.0
+        with pytest.raises(IntegrabilityError):
+            zeroth_moment(lorentzian)
+        with pytest.raises(IntegrabilityError):
+            fluctuation(lorentzian, 1.0)
+        with pytest.raises(IntegrabilityError):
+            moment_bound_check(lorentzian, 0.5, [0.1, 1.0])
 
     def test_jump_inside_the_support_takes_the_quad_path(self):
         # 1 on [0, 0.7), 1/2 on [0.7, 2]: the jump falls inside a uniform panel

@@ -11,6 +11,7 @@ from rosenau.quadrature import (
     LEVIN_POINTS,
     integrate_adaptive,
     integrate_levin,
+    integrate_radial,
     panel_integrals,
     phase_resolved_edges,
     uniform_edges,
@@ -131,6 +132,34 @@ class TestSinglePassAdaptive:
         )
         assert err >= abs(val - exact)
         assert err > 0.0
+
+
+class TestRadial:
+    def test_cuts_at_kinks_and_decades(self):
+        edges = quadrature._radial_edges(0.5, 60.0, (2.0,))
+        np.testing.assert_array_equal(edges, [0.5, 1.0, 2.0, 10.0, 60.0])
+        # a piece from 0 is cut first 16 decades below its upper end
+        edges = quadrature._radial_edges(0.0, 20.0, (1.0, 20.0))
+        assert edges[:2].tolist() == [0.0, 1e-16]
+        assert edges[-3:].tolist() == [1.0, 10.0, 20.0]
+        assert np.all(np.diff(edges) > 0)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-1.0, 1.0), (2.0, 1.0)])
+    def test_only_finite_intervals(self, lo, hi):
+        with pytest.raises(InputDomainError):
+            integrate_radial(np.exp, lo, hi, rel_tol=1e-12)
+
+    def test_rows_share_one_refinement(self):
+        rows = lambda x: np.stack([x**2, np.exp(-x), np.cos(40.0 * x)])  # noqa: E731
+        values = integrate_radial(rows, 0.0, 3.0, rel_tol=1e-12)
+        exact = [9.0, 1.0 - math.exp(-3.0), math.sin(120.0) / 40.0]
+        np.testing.assert_allclose(values, exact, rtol=1e-12)
+
+    def test_returns_python_floats(self):
+        value = integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12)
+        assert type(value) is float
+        value, error = integrate_adaptive(np.exp, uniform_edges(0.0, 1.0, 2), 1e-12)
+        assert type(value) is float and type(error) is float
 
 
 def test_adaptive_gaussian_integral():
