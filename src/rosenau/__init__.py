@@ -32,12 +32,8 @@ from .tails import TailBound
 from .evolution import (
     EnergyReport,
     GridField,
-    ModePair,
     RadialInitialData,
     evolve_grid,
-    evolve_mode,
-    multipliers,
-    time_integral_mode,
     total_energy,
     total_energy_grid,
 )
@@ -55,7 +51,6 @@ from .moments import (
     RadialProfile,
     fluctuation,
     l1_norm,
-    moment_bound_check,
     weighted_l1_norm,
     zeroth_moment,
 )
@@ -97,7 +92,6 @@ from .hardy import (
     capacity_family,
     dilation_family,
     energy_identity_check,
-    rayleigh_quotient,
     rellich_quotient,
 )
 from .wellposed import (
@@ -105,7 +99,6 @@ from .wellposed import (
     dissipativity_residual,
     h_ratio_scan,
     high_frequency_limit,
-    p_multiplier,
     sobolev_equivalence_check,
 )
 from .cli import ExperimentConfig, run_experiment

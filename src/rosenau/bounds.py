@@ -8,8 +8,10 @@ Lower envelopes (spectral side):
   2 (1+delta) M^2 beta(t)^(2 gamma - 1) ||u1||_{1,gamma}^2 / (kappa (2 gamma - 1)).
 * n = 2: (P^2/4) * T_floor - M^2 ||u1||_{1,gamma}^2 omega_2 K0 - ||w0||^2,
   where T_floor = (omega_2/2) (T1 - |T2|) combines the logarithmically
-  growing main term T1 with the oscillatory correction T2.  T2 enters
-  through its quadrature value; the assembled integration-by-parts ceiling
+  growing main term T1 with the oscillatory correction T2, and K0 is a
+  closed form.  T2 enters through its quadrature value, from the norm's
+  oscillatory driver (norms.oscillatory_integrals, with its single
+  partition rule); the assembled integration-by-parts ceiling
   is reported alongside (it is O(1) in t but with a constant large enough to
   swamp T1 = O(log t) at any practical t, so subtracting the ceiling would
   make the envelope vacuously zero on desk scales).
@@ -34,30 +36,22 @@ from .artifacts import write_json
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .evolution import propagator
 from .model import (
-    DEFAULT_SINC,
     ModelParams,
     SincConstants,
     band_boundaries,
     derivative_floor,
-    dispersion_derivatives,
     epsilon0,
     eval_dispersion,
     second_derivative_bound,
     unit_sphere_area,
 )
-from .moments import MomentDecomposition, _fluctuation_values
-from .norms import fast_segment_edges, oscillation_segments
-from .quadrature import (
-    integrate_adaptive,
-    integrate_levin,
-    phase_resolved_edges,
-    uniform_edges,
-)
+from .moments import MomentDecomposition, fluctuation
+from .norms import oscillatory_integrals
+from .quadrature import integrate_adaptive, uniform_edges
 
 __all__ = [
     "LowBandMass",
     "FluctuationRemainder",
-    "GaussianWeightConstant",
     "TailTerm",
     "EnvelopeReport",
     "low_band_mass",
@@ -151,7 +145,7 @@ def fluctuation_remainder(
         r = 0.5 * beta * (nodes + 1.0)
         w = 0.5 * beta * weights
         prop = propagator(t, eval_dispersion(params, r))
-        amp = _fluctuation_values(moments.profile, r)
+        amp = fluctuation(moments.profile, r)
         value = 2.0 * float(np.sum(w * amp**2 * prop**2))
         if value > ceiling * (1.0 + 1e-9):
             raise InvariantViolation(
@@ -160,36 +154,20 @@ def fluctuation_remainder(
     return FluctuationRemainder(value=value, ceiling=ceiling)
 
 
-@dataclass(frozen=True)
-class GaussianWeightConstant:
-    quadrature: float
-    closed_form: float
-
-
-def weighted_gaussian_constant(params: ModelParams, gamma_exp: float) -> GaussianWeightConstant:
+def weighted_gaussian_constant(params: ModelParams, gamma_exp: float) -> float:
     """The finite constant K0 dominating the Gaussian-weighted moment integral.
 
     K0 = (1/(kappa gamma)) int e^(-r^2) r^(2 gamma + 1) dr
-       + (delta/(kappa (gamma + theta))) int e^(-r^2) r^(2 (gamma + theta) + 1) dr,
-    evaluated by quadrature and cross-checked against
-    int_0^inf e^(-r^2) r^(2m+1) dr = Gamma(m+1)/2.
+       + (delta/(kappa (gamma + theta))) int e^(-r^2) r^(2 (gamma + theta) + 1) dr
+    over (0, inf), in closed form from int_0^inf e^(-r^2) r^(2m+1) dr
+    = Gamma(m+1)/2.
     """
     if not (0.0 < gamma_exp <= 1.0):
         raise InputDomainError("gamma must lie in (0, 1]")
     g, th, ka, de = gamma_exp, params.theta, params.kappa, params.delta
-
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-(r**2)) * (
-            r ** (2.0 * g + 1.0) / (ka * g)
-            + de * r ** (2.0 * (g + th) + 1.0) / (ka * (g + th))
-        )
-
-    quad, _ = integrate_adaptive(integrand, uniform_edges(0.0, 12.0, 64), 1e-12)
-    closed = sp_gamma(g + 1.0) / (2.0 * ka * g) + de * sp_gamma(g + th + 1.0) / (
-        2.0 * ka * (g + th)
+    return float(
+        sp_gamma(g + 1.0) / (2.0 * ka * g) + de * sp_gamma(g + th + 1.0) / (2.0 * ka * (g + th))
     )
-    return GaussianWeightConstant(quadrature=float(quad), closed_form=float(closed))
 
 
 @dataclass(frozen=True)
@@ -207,9 +185,10 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
     """Oscillatory tail term T2(t) of the two-dimensional main-term split.
 
     T2(t) = integral_{1/t}^{eps0} e^(-r^2) cos(2 t f) (1 + delta r^(2 theta))
-    / (mu r^3 + kappa r) dr, evaluated on the segments of
-    norms.oscillation_segments: phase-resolved quadrature where t f <= 16 pi
-    and Levin collocation beyond, so the cost does not grow with t.
+    / (mu r^3 + kappa r) dr, evaluated by the norm's oscillatory driver,
+    norms.oscillatory_integrals, with no mean term: phase-resolved K21
+    quadrature where t f <= 16 pi and near stationary points of f, Levin
+    collocation on the fast segments, so the cost does not grow with t.
     The bound is (K1 + K2)/(2 t) with K1 the boundary envelope at both ends
     (|sin| <= 1, f' >= its explicit floor) and K2 the integral of the
     derivative envelope assembled from the same floor and the explicit
@@ -230,22 +209,18 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
         f = eval_dispersion(params, r)
         return _t2_weight(params, r) * np.cos(2.0 * t * f)
 
-    value = 0.0
-    for a, b, kind in oscillation_segments(params, t, lo, eps):
-        if kind == "fast":
-            osc, _ = integrate_levin(
-                lambda r: _t2_weight(params, r),
-                lambda r: eval_dispersion(params, r),
-                lambda r: dispersion_derivatives(params, r)[0],
-                2.0 * t,
-                fast_segment_edges(a, b),
-                1e-9,
-                abs_tol=1e-12,
-            )
-            value += osc.real
-        else:
-            edges = phase_resolved_edges(params, 2.0 * t, a, b, 8, max_width=(b - a) / 48.0)
-            value += integrate_adaptive(integrand, edges, 1e-9, abs_tol=1e-12)[0]
+    # cos(2 t f) has the frequency of sin^2(t f), so the norm's partition
+    # rule, 8 points per period, serves it too
+    (value,) = oscillatory_integrals(
+        params,
+        t,
+        [lo, eps],
+        integrand,
+        lambda r: _t2_weight(params, r),
+        rel_tol=1e-9,
+        abs_tol=1e-12,
+        points_per_period=8,
+    )
 
     c_lo = derivative_floor(params)
     c_pp = second_derivative_bound(params)
@@ -318,7 +293,7 @@ def lower_envelope(
     t1 = log_band_main_term(params, t)
     omega2 = unit_sphere_area(2)
     t_floor = 0.5 * omega2 * (t1 - abs(tail.value))
-    k0 = weighted_gaussian_constant(params, moments.gamma_exp).closed_form
+    k0 = weighted_gaussian_constant(params, moments.gamma_exp)
     correction = moments.m_constant**2 * moments.weighted_norm**2 * omega2 * k0
     return max(0.0, 0.25 * p_sq * t_floor - correction - u0_norm_sq)
 
@@ -423,8 +398,7 @@ def envelope_report(
         tail = averaged_tail_remainder(params, t)
         put("T2", tail.value, "quadrature")
         put("T2_bound", tail.bound, "closed-form")
-        k0 = weighted_gaussian_constant(params, moments.gamma_exp)
-        put("K0", k0.closed_form, "closed-form")
+        put("K0", weighted_gaussian_constant(params, moments.gamma_exp), "closed-form")
         lower_2d = lower_envelope(params, sinc_constants, moments, u0_norm_sq_spectral, t, 2)
         put("lower_envelope", lower_2d, "quadrature")
     if params.mu > 0:

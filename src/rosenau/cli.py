@@ -34,7 +34,6 @@ from .evolution import GridField, evolve_grid, total_energy, total_energy_grid
 from .model import (
     ModelParams,
     SincConstants,
-    band_boundaries,
     dispersion_derivatives,
     epsilon0,
     eval_dispersion,

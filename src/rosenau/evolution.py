@@ -5,9 +5,9 @@ Each Fourier mode of the model obeys the parameter ODE
     (1 + delta |xi|^(2 theta)) w_tt + (mu |xi|^4 + kappa |xi|^2) w = 0,
 
 whose solution is w(t) = cos(t f) w0 + sin(t f)/f * w1 with f the dispersion
-rate at |xi|.  This module supplies those multipliers (with the removable
-singularity of sin(t f)/f at f = 0 filled by its limit t), the per-mode
-evolution, the running time integral of the solution, a periodic-box DFT
+rate at |xi|.  This module supplies the propagator sin(t f)/f (with its
+removable singularity at f = 0 filled by the limit t), the kernel
+(1 - cos x)/x^2 of the running time integral, a periodic-box DFT
 realization for non-radial data, and the conserved quadratic energy.
 
 Conventions: u_hat(xi) = integral exp(-i x.xi) u(x) dx, so physical L2 norms
@@ -23,23 +23,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputDomainError, InvariantViolation, PreconditionError
+from .errors import InputDomainError, InvariantViolation
 from .model import ModelParams, eval_dispersion, dispersion_derivatives, unit_sphere_area
 from .quadrature import panel_integrals
 from .tails import TailBound
 
 __all__ = [
-    "ModePair",
     "SpectralTail",
     "RadialInitialData",
     "GridField",
     "EnergyReport",
-    "sinc",
     "cosc",
     "propagator",
-    "multipliers",
-    "evolve_mode",
-    "time_integral_mode",
     "evolve_grid",
     "total_energy",
     "energy_quadrature_nodes",
@@ -53,18 +48,6 @@ _FLAT_PHASE = 1e-8
 def _check_time(t) -> None:
     if not (math.isfinite(t) and t >= 0):
         raise InputDomainError(f"time must be finite and nonnegative, got {t}")
-
-
-def sinc(x):
-    """sin(x)/x with the x = 0 singularity removed (series below 1e-4)."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    out = np.empty_like(x)
-    xs = x[small]
-    out[small] = 1.0 - xs * xs / 6.0
-    xb = x[~small]
-    out[~small] = np.sin(xb) / xb
-    return out if out.ndim else float(out)
 
 
 def propagator(t: float, f):
@@ -89,21 +72,6 @@ def cosc(x):
     safe = np.where(small, 1.0, x)
     out = np.where(small, 0.5 - x * x / 24.0, (1.0 - np.cos(safe)) / safe**2)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class ModePair:
-    """Fourier data (w0, w1) of a single mode at radius |xi| = xi_norm."""
-
-    w0: complex
-    w1: complex
-    xi_norm: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.w0) and np.isfinite(self.w1)):
-            raise InputDomainError("mode data must be finite")
-        if not (np.isfinite(self.xi_norm) and self.xi_norm >= 0):
-            raise InputDomainError("xi_norm must be finite and nonnegative")
 
 
 # spectral profiles carry the same certificate type as physical ones
@@ -167,46 +135,6 @@ class EnergyReport:
     @property
     def total(self) -> float:
         return self.kinetic + self.fractional_kinetic + self.bending + self.stretching
-
-
-def multipliers(params: ModelParams, t: float, r):
-    """Solution multipliers (cos(t f(r)), sin(t f(r))/f(r)) at radius r.
-
-    The propagator part equals t at r = 0 and is bounded by t everywhere.
-    """
-    _check_time(t)
-    f = np.asarray(eval_dispersion(params, r), dtype=float)
-    cosine = np.cos(t * f)
-    prop = propagator(t, f)
-    if np.ndim(r) == 0:
-        return float(cosine), float(prop)
-    return cosine, prop
-
-
-def evolve_mode(params: ModelParams, mode: ModePair, t: float) -> tuple[complex, complex]:
-    """Evolve one mode: returns (w(t), w_t(t)); exact at t = 0."""
-    _check_time(t)
-    f = eval_dispersion(params, mode.xi_norm)
-    phase = t * f
-    c = math.cos(phase)
-    s = math.sin(phase)
-    prop = propagator(t, f)
-    w = c * mode.w0 + prop * mode.w1
-    w_t = -f * s * mode.w0 + c * mode.w1
-    return w, w_t
-
-
-def time_integral_mode(params: ModelParams, mode: ModePair, t: float) -> complex:
-    """Fourier transform of integral_0^t u(s) ds for data with w0 = 0.
-
-    Equals (1 - cos(t f))/f^2 * w1, i.e. t^2 cosc(t f) w1, with the limit
-    t^2/2 * w1 at f = 0.
-    """
-    if mode.w0 != 0:
-        raise PreconditionError("time integral route requires w0 = 0")
-    _check_time(t)
-    f = eval_dispersion(params, mode.xi_norm)
-    return t * t * float(cosc(t * f)) * mode.w1
 
 
 # ---------------------------------------------------------------------------

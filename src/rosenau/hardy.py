@@ -29,12 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_columns
-from .errors import (
-    InputDomainError,
-    IntegrabilityError,
-    InvariantViolation,
-    PreconditionError,
-)
+from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .evolution import RadialInitialData, cosc, propagator
 from .model import ModelParams, eval_dispersion, unit_sphere_area
 from .norms import QuadratureConfig, DEFAULT_QUADRATURE, _resolve_r_max
@@ -46,7 +41,6 @@ __all__ = [
     "QuotientTrace",
     "BlowupScan",
     "EnergyIdentity",
-    "rayleigh_quotient",
     "capacity_family",
     "dilation_family",
     "blowup_scan",
@@ -220,24 +214,6 @@ def weighted_norm_sq(
     return unit_sphere_area(dim) * (origin + val)
 
 
-def rayleigh_quotient(u: RadialTestFunction, weight: WeightFunction, dim: int) -> float:
-    """||u/w||^2 / ||grad u||^2 by radial quadrature.
-
-    Degenerate gradients and origin-divergent numerators raise instead of
-    returning a number.
-    """
-    u0 = abs(complex(u.value(np.array([0.0]))[0]))
-    if weight.quotient_diverges_for(u0 != 0.0):
-        raise IntegrabilityError(
-            f"||u/{weight.kind}||^2 diverges at the origin in dim {dim} "
-            "for data with u(0) != 0"
-        )
-    grad = gradient_norm_sq(u, dim)
-    if grad <= 0.0:
-        raise InputDomainError("degenerate test function: ||grad u|| = 0")
-    return weighted_norm_sq(u, weight, dim) / grad
-
-
 @dataclass(frozen=True)
 class QuotientTrace:
     """Quotient samples over a witness family."""
@@ -381,8 +357,7 @@ def energy_identity_check(
     r_max = _resolve_r_max(params, data, max(t, 1.0), cfg)
     if t == 0.0:
         return EnergyIdentity(0.0, 0.0, 0.0, 0.0)
-    edges = phase_resolved_edges(params, 2.0 * t, 0.0, r_max, cfg.points_per_period,
-                                 max_width=r_max / 48.0)
+    edges = phase_resolved_edges(params, 2.0 * t, 0.0, r_max, cfg.points_per_period)
     lhs, _ = integrate_adaptive(lhs_density, edges, 1e-10)
     rhs, _ = integrate_adaptive(rhs_density, edges, 1e-10)
     lhs *= scale

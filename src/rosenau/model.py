@@ -15,7 +15,7 @@ low-frequency quadrature needs it most.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,10 +117,13 @@ class BandBoundaries:
 
 
 def _check_radii(r: np.ndarray, allow_zero: bool) -> None:
-    if not np.all(np.isfinite(r)):
+    if not r.size:
+        return
+    # NaN and +-inf reach the extremes, so these two reductions see every entry
+    lo, hi = np.minimum.reduce(r, axis=None), np.maximum.reduce(r, axis=None)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputDomainError("radius must be finite")
-    low_ok = r >= 0 if allow_zero else r > 0
-    if not np.all(low_ok):
+    if lo < 0 or (lo == 0 and not allow_zero):
         bound = "r >= 0" if allow_zero else "r > 0"
         raise InputDomainError(f"radius must satisfy {bound}")
 

@@ -7,13 +7,13 @@ For integrable radial data u1 the transform splits as
     A(xi) = integral (cos(x.xi) - 1) u1 dx,   B(xi) = integral sin(x.xi) u1 dx,
 
 with |A - iB| <= M |xi|^gamma ||u1||_{1,gamma} for gamma in (0, 1].  The
-module evaluates P, the weighted norms, the fluctuation pair, and the
+module evaluates P, the weighted norms, the fluctuation A, and the
 smallest empirical M on a frequency grid.  M is reported per-datum; the
 analytic ceiling 2^(1-gamma) + 1 (from |cos s - 1| <= 2^(1-gamma)|s|^gamma
 and |sin s| <= |s|^gamma) is asserted on top of it.
 
-B vanishes identically for radial data by odd symmetry and is returned as
-exact zero.
+B vanishes identically for radial data by odd symmetry, so only A is
+computed.
 
 Every integral runs over [0, R] for the profile's certified finite radius R
 (a compact or a Gaussian tail; other profiles raise IntegrabilityError).
@@ -45,7 +45,6 @@ __all__ = [
     "l1_norm",
     "fluctuation",
     "weighted_l1_norm",
-    "moment_bound_check",
 ]
 
 _MOMENT_REL_TOL = 1e-12
@@ -149,13 +148,14 @@ def l2_norm_sq(u1: RadialProfile) -> float:
     return _radial_integral(u1, lambda u, r: np.abs(u) ** 2)
 
 
-def _fluctuation_values(u1: RadialProfile, rhos: np.ndarray) -> np.ndarray:
+def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
     """A(rho) for every rho of the grid, in one row-valued K21 refinement.
 
     Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R] for all rho at
     once, starting from about one panel per period of the fastest kernel,
     cos(rho_max r), and bisecting a panel until every rho meets its share
-    of 1e-12 of its own |A(rho)|.
+    of 1e-12 of its own |A(rho)|.  The odd part B vanishes for radial data,
+    so A is the whole fluctuation.
     """
     rhos = np.asarray(rhos, dtype=float)
     radius = u1.upper_limit()
@@ -170,45 +170,27 @@ def _fluctuation_values(u1: RadialProfile, rhos: np.ndarray) -> np.ndarray:
     return unit_sphere_area(n) * values
 
 
-def fluctuation(u1: RadialProfile, xi) -> tuple[float, float]:
-    """Fluctuation pair (A(xi), B(xi)) of the moment decomposition.
-
-    xi may be a vector or the scalar |xi|; only the norm enters for radial
-    data, and B = 0 exactly by odd symmetry.
-    """
-    rho = float(np.linalg.norm(xi)) if np.ndim(xi) else float(abs(xi))
-    if rho == 0.0:
-        return 0.0, 0.0
-    return float(_fluctuation_values(u1, np.array([rho]))[0]), 0.0
-
-
 def weighted_l1_norm(u1: RadialProfile, gamma_exp: float) -> float:
     """||u1||_{1,gamma} = integral (1 + |x|^gamma) |u1(x)| dx."""
     if not (0.0 < gamma_exp <= 1.0):
         raise InputDomainError(f"gamma must lie in (0, 1], got {gamma_exp}")
-    val = _radial_integral(u1, lambda u, r: (1.0 + r**gamma_exp) * np.abs(u))
-    plain = l1_norm(u1)
-    if val < plain * (1.0 - 1e-9):
-        raise InvariantViolation("weighted L1 norm fell below the plain L1 norm")
-    return val
+    return _radial_integral(u1, lambda u, r: (1.0 + r**gamma_exp) * np.abs(u))
 
 
-def moment_bound_check(u1: RadialProfile, gamma_exp: float, xi_grid) -> float:
-    """Smallest empirical M with |A - iB| <= M |xi|^gamma ||u1||_{1,gamma} on the grid.
+def _moment_constant(u1: RadialProfile, gamma_exp: float, xi_grid, wnorm: float) -> float:
+    """Smallest empirical M with |A - iB| <= M |xi|^gamma ||u1||_{1,gamma} on
+    the grid, given wnorm = ||u1||_{1,gamma}.
 
     The analytic ceiling 2^(1-gamma) + 1 is asserted; scaling u1 leaves the
     result unchanged.
     """
-    if not (0.0 < gamma_exp <= 1.0):
-        raise InputDomainError(f"gamma must lie in (0, 1], got {gamma_exp}")
     grid = np.asarray(xi_grid, dtype=float)
     if grid.size == 0:
         raise InputDomainError("xi grid must be nonempty")
     if np.any(grid <= 0):
         raise InputDomainError("xi grid must exclude 0")
-    wnorm = weighted_l1_norm(u1, gamma_exp)
     # B vanishes for radial data, so |A - iB| = |A|
-    worst = float(np.max(np.abs(_fluctuation_values(u1, grid)) / (grid**gamma_exp * wnorm)))
+    worst = float(np.max(np.abs(fluctuation(u1, grid)) / (grid**gamma_exp * wnorm)))
     ceiling = 2.0 ** (1.0 - gamma_exp) + 1.0
     if not (math.isfinite(worst) and worst <= ceiling * (1.0 + 1e-9)):
         raise InvariantViolation(
@@ -256,11 +238,12 @@ class MomentDecomposition:
         cls, u1: RadialProfile, gamma_exp: float, xi_grid=None
     ) -> "MomentDecomposition":
         grid = _DEFAULT_M_GRID if xi_grid is None else xi_grid
+        wnorm = weighted_l1_norm(u1, gamma_exp)
         return cls(
             p_moment=zeroth_moment(u1),
             gamma_exp=gamma_exp,
-            weighted_norm=weighted_l1_norm(u1, gamma_exp),
-            m_constant=moment_bound_check(u1, gamma_exp, grid),
+            weighted_norm=wnorm,
+            m_constant=_moment_constant(u1, gamma_exp, grid, wnorm),
             l1=l1_norm(u1),
             profile=u1,
         )

@@ -3,27 +3,36 @@
 The squared norm of the evolved state is
 
     ||u(t)||^2 = (2 pi)^(-n) omega_n integral_0^inf
-                 |cos(t f) w0(r) + t sinc(t f) w1(r)|^2 r^(n-1) dr,
+                 |cos(t f) w0(r) + sin(t f)/f w1(r)|^2 r^(n-1) dr,
 
-an integrand that oscillates in r with local period pi/(t f'(r)).
-``oscillation_segments`` splits [0, r_max] into the slow region t f <= 16 pi,
-windows of half-width min(1/4, 2 t^(-1/4)) around the stationary points of f,
-and the fast segments between them.  Every time t takes the same path:
+an integrand that oscillates in r with local period pi/(t f'(r)).  It equals
+the mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2 plus Re[g e^(2 i t f)] with
+g = [(|w0|^2 - |w1|^2/f^2)/2 - i Re(w0 conj(w1))/f] r^(n-1).
 
-* on the slow region and the windows, a phase-resolved panel partition (more
-  than points_per_period nodes per period) is integrated with the G10/K21
-  Gauss-Kronrod pair, each panel evaluated once and bisected only while its
-  |K21 - G10| estimate misses its share of the requested tolerance; the
+One driver, ``oscillatory_integrals``, integrates any such mean plus
+Re[g e^(2 i t f)] over the pieces [cuts[k], cuts[k+1]] of an interval.  It
+calls ``oscillation_segments`` once for the whole interval, which splits it
+into the slow region t f <= 16 pi, windows of half-width
+min(1/4, 2 t^(-1/4)) around the stationary points of f (found once per
+ModelParams), and the fast segments between them, and cuts each segment at
+the piece boundaries:
+
+* on slow pieces and windows, the integrand itself is integrated with the
+  G10/K21 Gauss-Kronrod pair from the partition ``phase_resolved_edges``
+  (more than points_per_period nodes per period, no panel wider than 1/48 of
+  the piece), each panel evaluated once and bisected only while its
+  |K21 - G10| estimate misses its share of the requested tolerance; the norm
   integrand is evaluated in real arithmetic and skips a component whose tail
   certifies it zero;
-* on the fast segments the integrand is written as the mean
-  (|w0|^2 + |w1|^2/f^2) r^(n-1)/2, which is integrated with the K21 rule,
-  plus Re[g e^(2 i t f)] with
-  g = [(|w0|^2 - |w1|^2/f^2)/2 - i Re(w0 conj(w1))/f] r^(n-1), which is
-  integrated by Levin collocation.  Both start from the partition
-  ``fast_segment_edges``, which does not depend on t, and bisect where
-  needed, so the fast segments cost the same at every t; only the windows
+* on fast pieces the mean is integrated with the K21 rule and
+  Re[g e^(2 i t f)] by Levin collocation, both from the partition
+  ``fast_segment_edges``, which does not depend on t, bisecting where
+  needed, so the fast pieces cost the same at every t; only the windows
   grow, like t^(1/2).
+
+``norm_squared`` runs the driver on [0, r_max], ``band_split_norm`` on the
+cuts [0, beta, split, r_max], so the three bands share one segmentation, and
+bounds.averaged_tail_remainder on [1/t, epsilon0] with no mean.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of the running total.  Levin
@@ -34,6 +43,7 @@ bisected down like a K21 panel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +82,7 @@ __all__ = [
     "BandSplit",
     "norm_squared",
     "band_split_norm",
+    "oscillatory_integrals",
     "oscillation_segments",
     "fast_segment_edges",
     "compute_norm_trace",
@@ -217,27 +228,6 @@ def _amplitude_sq(params: ModelParams, data: RadialInitialData, t: float):
     return fn
 
 
-def _resolved_interval(
-    params: ModelParams,
-    data: RadialInitialData,
-    t: float,
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig,
-) -> tuple[float, float]:
-    """The norm integrand over [lo, hi] on a phase-resolved K21 partition."""
-    fn = _amplitude_sq(params, data, t)
-    if hi <= lo:
-        return 0.0, 0.0
-    if t > 0:
-        edges = phase_resolved_edges(
-            params, t, lo, hi, cfg.points_per_period, max_width=(hi - lo) / 48.0
-        )
-    else:
-        edges = uniform_edges(lo, hi, 64)
-    return integrate_adaptive(fn, edges, 0.5 * cfg.rel_tol)
-
-
 def _mean_density(params: ModelParams, data: RadialInitialData, r):
     """The mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2 of the norm integrand over sin^2(t f)."""
     r = np.asarray(r, dtype=float)
@@ -264,52 +254,75 @@ def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
     return cos_coefficient - 1j * sin_coefficient
 
 
-def _fast_interval(
+def oscillatory_integrals(
     params: ModelParams,
-    data: RadialInitialData,
     t: float,
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig,
-) -> tuple[float, float]:
-    """The norm integrand over a fast segment: mean plus Re[g e^(2 i t f)].
+    cuts,
+    integrand,
+    coefficient,
+    mean=None,
+    *,
+    rel_tol: float,
+    abs_tol: float = 0.0,
+    points_per_period: int,
+) -> np.ndarray:
+    """Integrals of integrand = mean + Re[coefficient e^(2 i t f)] over each
+    [cuts[k], cuts[k+1]], for nondecreasing cuts (see the module docstring).
 
-    The mean is integrated with the K21 rule and the oscillatory part by
-    Levin collocation, both from fast_segment_edges, which does not depend on t.
+    A slow piece or a stationary-point window is integrated as integrand; a
+    fast piece as mean plus the real part of the Levin integral of
+    coefficient e^(2 i t f).  mean may be None for a purely oscillatory
+    integrand.  Every refinement is held to rel_tol of its own value and to
+    abs_tol, the Levin one also to rel_tol times |mean| of its piece.
     """
-    edges = fast_segment_edges(lo, hi)
-    mean, mean_err = integrate_adaptive(
-        lambda r: _mean_density(params, data, r), edges, 0.5 * cfg.rel_tol
-    )
-    osc, osc_err = integrate_levin(
-        lambda r: _oscillating_coefficient(params, data, r),
-        lambda r: eval_dispersion(params, r),
-        lambda r: dispersion_derivatives(params, r)[0],
-        2.0 * t,
-        edges,
-        0.5 * cfg.rel_tol,
-        abs_tol=0.5 * cfg.rel_tol * abs(mean),
-    )
-    return mean + osc.real, mean_err + osc_err
+    values = np.zeros(len(cuts) - 1)
+    for seg_lo, seg_hi, kind in oscillation_segments(params, t, cuts[0], cuts[-1]):
+        for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            lo, hi = max(seg_lo, a), min(seg_hi, b)
+            if hi <= lo:
+                continue
+            if kind != "fast":
+                if t > 0:
+                    edges = phase_resolved_edges(params, t, lo, hi, points_per_period)
+                else:
+                    edges = uniform_edges(lo, hi, 64)
+                values[k] += integrate_adaptive(integrand, edges, rel_tol, abs_tol)[0]
+                continue
+            edges = fast_segment_edges(lo, hi)
+            level = 0.0
+            if mean is not None:
+                level, _ = integrate_adaptive(mean, edges, rel_tol, abs_tol)
+            osc, _ = integrate_levin(
+                coefficient,
+                lambda r: eval_dispersion(params, r),
+                lambda r: dispersion_derivatives(params, r)[0],
+                2.0 * t,
+                edges,
+                rel_tol,
+                abs_tol=max(abs_tol, rel_tol * abs(level)),
+            )
+            values[k] += level + osc.real
+    return values
 
 
-def _exact_interval(
+def _norm_pieces(
     params: ModelParams,
     data: RadialInitialData,
     t: float,
-    lo: float,
-    hi: float,
+    cuts,
     cfg: QuadratureConfig,
-) -> tuple[float, float]:
-    """The norm integrand over [lo, hi]: phase-resolved K21 on the slow region
-    and the stationary-point windows, mean plus Levin on the fast segments."""
-    value, error = 0.0, 0.0
-    for seg_lo, seg_hi, kind in oscillation_segments(params, t, lo, hi):
-        piece = _fast_interval if kind == "fast" else _resolved_interval
-        v, e = piece(params, data, t, seg_lo, seg_hi, cfg)
-        value += v
-        error += e
-    return value, error
+) -> np.ndarray:
+    """The unscaled norm integral over each [cuts[k], cuts[k+1]]."""
+    return oscillatory_integrals(
+        params,
+        t,
+        cuts,
+        _amplitude_sq(params, data, t),
+        lambda r: _oscillating_coefficient(params, data, r),
+        lambda r: _mean_density(params, data, r),
+        rel_tol=0.5 * cfg.rel_tol,
+        points_per_period=cfg.points_per_period,
+    )
 
 
 def norm_squared(
@@ -324,8 +337,8 @@ def norm_squared(
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
     r_max = _resolve_r_max(params, data, t, cfg)
-    val, _ = _exact_interval(params, data, t, 0.0, r_max, cfg)
-    return _physical_scale(data.dim, spectral) * val
+    (val,) = _norm_pieces(params, data, t, [0.0, r_max], cfg)
+    return _physical_scale(data.dim, spectral) * float(val)
 
 
 @dataclass(frozen=True)
@@ -367,25 +380,35 @@ def band_split_norm(
     beta = min(bands.beta, r_max)
     split = min(max(split, beta), r_max)
 
-    low, _ = _exact_interval(params, data, t, 0.0, beta, cfg)
-    mid, _ = _exact_interval(params, data, t, beta, split, cfg)
-    high, _ = _exact_interval(params, data, t, split, r_max, cfg)
-    return BandSplit(scale * low, scale * mid, scale * high, beta, split)
+    low, mid, high = _norm_pieces(params, data, t, [0.0, beta, split, r_max], cfg)
+    return BandSplit(scale * float(low), scale * float(mid), scale * float(high), beta, split)
 
 
 # ---------------------------------------------------------------------------
 # segmentation
 
 
-def _stationary_points(params: ModelParams, lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return []
-    r = np.geomspace(max(lo, 1e-10), hi, 2048)
-    fp, _ = dispersion_derivatives(params, r)
-    sign = np.sign(fp)
+@functools.cache
+def _stationary_points(params: ModelParams) -> tuple[float, ...]:
+    """The radii in [1e-10, 1e10] where f' changes sign, in increasing order.
+
+    f' has the sign of d(f^2)/ds, s = r^2, and so of
+    (2 mu s + kappa) + delta s^theta ((2 - theta) mu s + (1 - theta) kappa),
+    whose coefficients change sign at most twice: by Descartes' rule f has
+    at most two stationary points.  They depend on params alone, so they are
+    found once per ModelParams, from the sign changes of that expression on
+    a geometric grid, each refined by brentq.
+    """
+    de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
+
+    def slope(r):
+        s = r * r
+        return 2.0 * mu * s + ka + de * s**th * ((2.0 - th) * mu * s + (1.0 - th) * ka)
+
+    r = np.geomspace(1e-10, 1e10, 4096)
+    sign = np.sign(slope(r))
     flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-    return [float(brentq(lambda x: dispersion_derivatives(params, x)[0], r[i], r[i + 1]))
-            for i in flips]
+    return tuple(float(brentq(slope, r[i], r[i + 1])) for i in flips)
 
 
 def oscillation_segments(
@@ -424,7 +447,9 @@ def oscillation_segments(
             segments.append((a, b, "slow"))
             continue
         cursor = a
-        for r_star in _stationary_points(params, a, b):
+        for r_star in _stationary_points(params):
+            if not a < r_star < b:
+                continue
             w_lo, w_hi = max(cursor, r_star - h_window), min(b, r_star + h_window)
             if w_lo > cursor:
                 segments.append((cursor, w_lo, "fast"))

@@ -19,7 +19,8 @@ On top of them:
 
 * ``phase_resolved_edges`` builds an initial partition whose panel widths
   track the local oscillation period pi/(t |f'(r)|), so that every period of
-  sin^2(t f) receives at least ``points_per_period`` nodes;
+  sin^2(t f) receives at least ``points_per_period`` nodes, and are at most
+  1/48 of the interval, its one width rule;
 * ``integrate_adaptive`` (K21) and ``integrate_levin`` evaluate every
   pending panel once per round, accept the panels whose error estimate
   meets a width-proportional share of the requested tolerance or has
@@ -58,10 +59,15 @@ __all__ = [
 ]
 
 # Panel-width unit of phase_resolved_edges: a panel spans at most
-# safety * GL_ORDER / points_per_period periods of sin^2(t f).  The value is
-# that of the 16-point Gauss-Legendre rule the partition was first sized for;
-# the 21 Kronrod nodes per panel only add resolution.
+# _PHASE_SAFETY * GL_ORDER / points_per_period periods of sin^2(t f).  The
+# value is that of the 16-point Gauss-Legendre rule the partition was first
+# sized for; the 21 Kronrod nodes per panel only add resolution.
 GL_ORDER = 16
+_PHASE_SAFETY = 0.8
+# points of the geometric grid on which phase_resolved_edges samples the phase
+_PHASE_GRID = 4096
+# phase_resolved_edges splits [lo, hi] into at least this many panels
+_MIN_PANELS = 48
 
 # Nonnegative G10/K21 abscissae on [-1, 1] in decreasing order, with the
 # Kronrod weights; every other abscissa, starting with the second, is a node
@@ -432,38 +438,30 @@ def integrate_levin(
 
 
 def phase_resolved_edges(
-    params: ModelParams,
-    t: float,
-    lo: float,
-    hi: float,
-    points_per_period: int,
-    max_width: float | None = None,
-    base_points: int = 4096,
-    safety: float = 0.8,
+    params: ModelParams, t: float, lo: float, hi: float, points_per_period: int
 ) -> np.ndarray:
     """Partition [lo, hi] so every oscillation of sin(t f) is node-resolved.
 
-    The cumulative phase t * integral |f'| is sampled on a dense base grid
-    and edges are placed at equal phase increments of safety * GL_ORDER * pi
-    / points_per_period, so a panel spans at most safety * GL_ORDER /
-    points_per_period periods of sin^2(t f) and every period receives more
-    than points_per_period of the 21 Kronrod nodes.  A width cap keeps panels small where the phase is
-    stationary (f' ~ 0) or t is small.
+    The cumulative phase t * integral |f'| is sampled on a geometric grid of
+    _PHASE_GRID points and edges are placed at equal phase increments of
+    _PHASE_SAFETY * GL_ORDER * pi / points_per_period, so a panel spans at
+    most _PHASE_SAFETY * GL_ORDER / points_per_period periods of sin^2(t f)
+    and every period receives more than points_per_period of the 21 Kronrod
+    nodes.  Panels wider than (hi - lo)/48 are split into equal parts, which
+    keeps them small where the phase is stationary (f' ~ 0) or t is small.
     """
     if hi <= lo:
         raise InputDomainError(f"need lo < hi, got [{lo}, {hi}]")
-    if max_width is None:
-        max_width = max((hi - lo) / 32.0, 1e-12)
 
     start = max(lo, 1e-14 * max(hi, 1.0))
-    r = np.geomspace(start, hi, base_points)
+    r = np.geomspace(start, hi, _PHASE_GRID)
     if lo < start:
         r = np.concatenate([[lo], r])
     fp, _ = dispersion_derivatives(params, np.maximum(r, start))
     speed = t * np.abs(fp)
     phase = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(r))])
 
-    dphi = safety * GL_ORDER * math.pi / points_per_period
+    dphi = _PHASE_SAFETY * GL_ORDER * math.pi / points_per_period
     n_phase = int(phase[-1] / dphi)
     if n_phase > 0:
         levels = np.arange(1, n_phase + 1) * dphi
@@ -478,13 +476,20 @@ def phase_resolved_edges(
     if edges[-1] != hi:
         edges = np.concatenate([edges, [hi]])
 
-    widths = np.diff(edges)
-    n_sub = np.maximum(1, np.ceil(widths / max_width).astype(int))
-    if np.any(n_sub > 1):
-        pieces = [np.array([edges[0]])]
-        for a, w, k in zip(edges[:-1], widths, n_sub):
-            pieces.append(a + w * np.arange(1, k + 1) / k)
-        edges = np.concatenate(pieces)
+    edges = _split_wide_panels(edges, (hi - lo) / _MIN_PANELS)
     # drop degenerate panels produced by interpolation ties
     keep = np.concatenate([[True], np.diff(edges) > 0])
     return edges[keep]
+
+
+def _split_wide_panels(edges: np.ndarray, max_width: float) -> np.ndarray:
+    """The partition with each panel wider than max_width split into
+    ceil(width / max_width) equal parts; unchanged when none is."""
+    widths = np.diff(edges)
+    n_sub = np.maximum(1, np.ceil(widths / max_width).astype(int))
+    if not np.any(n_sub > 1):
+        return edges
+    # panel i becomes edges[i] + widths[i] * j / n_sub[i], j = 1 .. n_sub[i]
+    j = np.arange(1, n_sub.sum() + 1) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    inner = np.repeat(edges[:-1], n_sub) + np.repeat(widths, n_sub) * j / np.repeat(n_sub, n_sub)
+    return np.concatenate([edges[:1], inner])

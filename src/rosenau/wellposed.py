@@ -28,7 +28,6 @@ from .quadrature import integrate_adaptive
 
 __all__ = [
     "MultiplierScan",
-    "p_multiplier",
     "h_weighted_symbol",
     "high_frequency_limit",
     "h_ratio_scan",
@@ -36,17 +35,6 @@ __all__ = [
     "dissipativity_residual",
     "write_multiplier_csv",
 ]
-
-
-def p_multiplier(params: ModelParams, xi_norm):
-    """Symbol (1 + kappa r^2 + mu r^4)/(1 + delta r^(2 theta)); equals 1 at r = 0."""
-    r = np.asarray(xi_norm, dtype=float)
-    if np.any(r < 0) or not np.all(np.isfinite(r)):
-        raise InputDomainError("|xi| must be finite and nonnegative")
-    out = (1.0 + params.kappa * r**2 + params.mu * r**4) / (
-        1.0 + params.delta * r ** (2.0 * params.theta)
-    )
-    return out if np.ndim(xi_norm) else float(out)
 
 
 def h_weighted_symbol(params: ModelParams, r):

@@ -75,24 +75,43 @@ class TestFluctuationRemainder:
             fluctuation_remainder(P1, SINC, bad, 1e3)
 
 
+def k0_by_quadrature(params, gamma):
+    """K0 from its defining integral by the K21 refinement on [0, 12]: an
+    oracle independent of the Gamma-function closed form."""
+    from rosenau.quadrature import integrate_adaptive, uniform_edges
+
+    de, ka, th = params.delta, params.kappa, params.theta
+
+    def integrand(r):
+        r = np.asarray(r, dtype=float)
+        return np.exp(-(r**2)) * (
+            r ** (2.0 * gamma + 1.0) / (ka * gamma)
+            + de * r ** (2.0 * (gamma + th) + 1.0) / (ka * (gamma + th))
+        )
+
+    return integrate_adaptive(integrand, uniform_edges(0.0, 12.0, 64), 1e-12)[0]
+
+
 class TestGaussianWeightConstant:
     def test_reference_value(self):
-        out = weighted_gaussian_constant(P1, 1.0)
-        assert out.closed_form == pytest.approx(1.5, rel=1e-12)
-        assert out.quadrature == pytest.approx(out.closed_form, rel=1e-8)
+        k0 = weighted_gaussian_constant(P1, 1.0)
+        assert k0 == pytest.approx(1.5, rel=1e-12)
+        assert k0_by_quadrature(P1, 1.0) == pytest.approx(k0, rel=1e-8)
+        for params, gamma in ((P2, 0.5), (ModelParams(0.5, 2.0, 3.0, 0.7, 2), 0.3)):
+            assert k0_by_quadrature(params, gamma) == pytest.approx(
+                weighted_gaussian_constant(params, gamma), rel=1e-8
+            )
 
     def test_kappa_scaling(self):
         doubled = ModelParams(1.0, 1.0, 2.0, 2.0, 1)
-        assert weighted_gaussian_constant(doubled, 1.0).closed_form == pytest.approx(
-            0.75, rel=1e-12
-        )
+        assert weighted_gaussian_constant(doubled, 1.0) == pytest.approx(0.75, rel=1e-12)
 
     def test_dominates_weighted_moment_integral(self):
         # U(t)/omega_2 never exceeds K0, and contains no t to begin with
         from rosenau.quadrature import integrate_adaptive
 
         gamma = 1.0
-        k0 = weighted_gaussian_constant(P2, gamma).closed_form
+        k0 = weighted_gaussian_constant(P2, gamma)
 
         def integrand(r):
             r = np.asarray(r, dtype=float)
@@ -154,7 +173,7 @@ class TestTailTermOscillatoryPath:
 
         t = 1e5
         eps = epsilon0(P2)
-        edges = phase_resolved_edges(P2, 2 * t, 1 / t, eps, 8, max_width=(eps - 1 / t) / 48)
+        edges = phase_resolved_edges(P2, 2 * t, 1 / t, eps, 8)
         reference, _ = integrate_adaptive(
             lambda r: (np.exp(-(r**2)) * np.cos(2 * t * eval_dispersion(P2, r))
                        * (1 + r**4) / (r**3 + r)),

@@ -6,6 +6,7 @@ import pytest
 from rosenau import (
     InputDomainError,
     IntegrabilityError,
+    InvariantViolation,
     ModelParams,
     PreconditionError,
     WeightFunction,
@@ -14,13 +15,23 @@ from rosenau import (
     dilation_family,
     energy_identity_check,
     gaussian_velocity_data,
-    rayleigh_quotient,
     rellich_quotient,
 )
-from rosenau.evolution import cosc, sinc
-from rosenau.hardy import gaussian_bump, gradient_norm_sq, write_quotient_csv
+from rosenau.evolution import cosc, propagator
+from rosenau.hardy import (
+    QuotientTrace,
+    gaussian_bump,
+    gradient_norm_sq,
+    weighted_norm_sq,
+    write_quotient_csv,
+)
 
 R_GRID = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
+
+
+def rayleigh_quotient(u, weight, dim):
+    """||u/w||^2 / ||grad u||^2, from the two radial integrals blowup_scan divides."""
+    return weighted_norm_sq(u, weight, dim) / gradient_norm_sq(u, dim)
 
 
 class TestWeights:
@@ -106,8 +117,12 @@ class TestRayleighQuotient:
         assert q >= 0.1 * floor * (10.0 / (2 * math.pi))
 
     def test_divergent_numerator_rejected(self):
+        # the numerator raises instead of returning a number, and blowup_scan
+        # knows to take the exhaustion sequence instead
+        weight = WeightFunction("plain_abs", 1)
+        assert weight.quotient_diverges_for(True)
         with pytest.raises(IntegrabilityError):
-            rayleigh_quotient(gaussian_bump(), WeightFunction("plain_abs", 1), 1)
+            rayleigh_quotient(gaussian_bump(), weight, 1)
 
     def test_degenerate_gradient_rejected(self):
         from rosenau.hardy import RadialTestFunction
@@ -117,8 +132,10 @@ class TestRayleighQuotient:
             deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             support=1.0,
         )
-        with pytest.raises(InputDomainError):
-            rayleigh_quotient(flat, WeightFunction("constant_one", 1), 1)
+        grad = gradient_norm_sq(flat, 1)
+        assert grad == 0.0
+        with pytest.raises(InvariantViolation):
+            QuotientTrace(np.array([1.0]), np.array([1.0]), np.array([grad]))
 
     def test_truncated_numerator_checks_convergence(self):
         from rosenau.hardy import RadialTestFunction, weighted_norm_sq
@@ -231,7 +248,7 @@ class TestEnergyIdentity:
             f = eval_dispersion(self.P, r)
             phase = t * f
             v = t * t * float(cosc(phase)) * w1
-            v_t = t * float(sinc(phase)) * w1
+            v_t = propagator(t, f) * w1
             lhs = 0.5 * (1 + r**2) * abs(v_t) ** 2 + 0.5 * (r**4 + r**2) * abs(v) ** 2
             rhs = (1 + r**2) * (t * t * float(cosc(phase))) * abs(w1) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-12)

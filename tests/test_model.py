@@ -75,6 +75,32 @@ class TestDispersion:
         r = np.geomspace(1e-8, 1e8, 200)
         assert np.all(eval_dispersion(P_DEFAULT, r) > 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_non_finite_radii_anywhere_rejected(self, bad, shape):
+        r = np.full(shape, 0.5)
+        r.flat[-1] = bad
+        for fn in (eval_dispersion, dispersion_derivatives):
+            with pytest.raises(InputDomainError, match="radius must be finite"):
+                fn(P_DEFAULT, r)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_negative_radii_anywhere_rejected(self, shape):
+        r = np.full(shape, 0.5)
+        r.flat[-1] = -1e-300
+        with pytest.raises(InputDomainError, match=r"radius must satisfy r >= 0"):
+            eval_dispersion(P_DEFAULT, r)
+        with pytest.raises(InputDomainError, match=r"radius must satisfy r > 0"):
+            dispersion_derivatives(P_DEFAULT, r)
+        r.flat[-1] = 0.0
+        eval_dispersion(P_DEFAULT, r)
+        with pytest.raises(InputDomainError, match=r"radius must satisfy r > 0"):
+            dispersion_derivatives(P_DEFAULT, r)
+
+    def test_empty_radii_accepted(self):
+        assert eval_dispersion(P_DEFAULT, np.empty(0)).shape == (0,)
+        assert dispersion_derivatives(P_DEFAULT, np.empty((0, 3)))[0].shape == (0, 3)
+
 
 class TestDerivatives:
     def test_first_derivative_matches_finite_difference(self):

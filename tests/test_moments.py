@@ -14,12 +14,11 @@ from rosenau import (
     fluctuation,
     gaussian_profile,
     l1_norm,
-    moment_bound_check,
     weighted_l1_norm,
     zeroth_moment,
 )
 from rosenau.model import unit_sphere_area
-from rosenau.moments import _fluctuation_values, _kernel_minus_one, radial_kernel
+from rosenau.moments import _kernel_minus_one, _moment_constant, radial_kernel
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
 
@@ -50,6 +49,11 @@ def radial_fourier(u1: RadialProfile, rho: float) -> float:
 
     pieces = [k * math.pi / rho for k in (1, 2, 4, 8, 16) if k * math.pi / rho < u1.upper_limit()]
     return area * _quad(integrand, 0.0, u1.upper_limit(), pieces=pieces)
+
+
+def moment_bound_check(u1, gamma_exp, xi_grid):
+    """The empirical moment constant M of u1 on the grid, as from_profile finds it."""
+    return _moment_constant(u1, gamma_exp, xi_grid, weighted_l1_norm(u1, gamma_exp))
 
 
 def indicator_profile(dim=1):
@@ -92,31 +96,40 @@ class TestZerothMoment:
 
 class TestFluctuation:
     def test_zero_frequency(self):
-        assert fluctuation(gaussian_profile(1), 0.0) == (0.0, 0.0)
+        assert fluctuation(gaussian_profile(1), [0.0]).tolist() == [0.0]
 
     def test_odd_part_vanishes_for_radial_data(self):
+        # the whole transform, sine part included, integrated over the line:
+        # P + A leaves nothing out
+        profile = gaussian_profile(1)
+        p = zeroth_moment(profile)
         for rho in (0.3, 1.0, 4.0):
-            _, b = fluctuation(gaussian_profile(2), rho)
-            assert b == 0.0
+            full = complex(
+                _quad(lambda x: math.cos(rho * x) * math.exp(-(x**2)), -10.0, 10.0),
+                -_quad(lambda x: math.sin(rho * x) * math.exp(-(x**2)), -10.0, 10.0),
+            )
+            assert abs(full.imag) <= 1e-15
+            assert p + fluctuation(profile, [rho])[0] == pytest.approx(full, abs=1e-12)
 
     def test_gaussian_closed_form(self):
         # u1 = e^{-x^2} in 1-D has transform sqrt(pi) e^{-xi^2/4}
-        a, _ = fluctuation(gaussian_profile(1), 1.0)
+        (a,) = fluctuation(gaussian_profile(1), [1.0])
         expected = math.sqrt(math.pi) * (math.exp(-0.25) - 1.0)
         assert a == pytest.approx(expected, rel=1e-10)
 
     def test_accepts_vector_argument(self):
-        a_scalar, _ = fluctuation(gaussian_profile(2), 1.0)
-        a_vec, _ = fluctuation(gaussian_profile(2), np.array([0.6, 0.8]))
-        assert a_vec == pytest.approx(a_scalar, rel=1e-10)
+        # a grid gives each rho the value it gets alone
+        grid = fluctuation(gaussian_profile(2), np.array([0.6, 0.8, 1.0]))
+        for rho, value in zip((0.6, 0.8, 1.0), grid):
+            assert value == pytest.approx(fluctuation(gaussian_profile(2), [rho])[0], rel=1e-10)
 
     def test_reconstruction_against_independent_transform(self):
         profile = gaussian_profile(2)
         p = zeroth_moment(profile)
         for rho in (0.2, 0.9, 2.5, 6.0):
-            a, b = fluctuation(profile, rho)
+            (a,) = fluctuation(profile, [rho])
             direct = radial_fourier(profile, rho)
-            assert p + a - 1j * b == pytest.approx(direct, abs=1e-8)
+            assert p + a == pytest.approx(direct, abs=1e-8)
 
 
 class TestPanelFluctuation:
@@ -124,7 +137,7 @@ class TestPanelFluctuation:
     def test_gaussian_closed_form_on_the_default_grid(self, dim):
         # u1 = e^(-|x|^2) has the transform pi^(n/2) e^(-rho^2/4)
         rhos = np.geomspace(1e-3, 50.0, 96)
-        values = _fluctuation_values(gaussian_profile(dim), rhos)
+        values = fluctuation(gaussian_profile(dim), rhos)
         expected = math.pi ** (dim / 2) * np.expm1(-0.25 * rhos**2)
         np.testing.assert_allclose(values, expected, rtol=1e-12)
 
@@ -139,7 +152,7 @@ class TestPanelFluctuation:
         profile = gaussian_profile(2, a=0.7)
         grid = np.geomspace(1e-2, 30.0, 12)
         wnorm = weighted_l1_norm(profile, 0.5)
-        pointwise = max(abs(fluctuation(profile, rho)[0]) / (rho**0.5 * wnorm) for rho in grid)
+        pointwise = max(abs(fluctuation(profile, [rho])[0]) / (rho**0.5 * wnorm) for rho in grid)
         assert moment_bound_check(profile, 0.5, grid) == pytest.approx(pointwise, rel=1e-12)
 
     def test_power_tail_is_rejected(self):
@@ -152,7 +165,7 @@ class TestPanelFluctuation:
         with pytest.raises(IntegrabilityError):
             zeroth_moment(lorentzian)
         with pytest.raises(IntegrabilityError):
-            fluctuation(lorentzian, 1.0)
+            fluctuation(lorentzian, [1.0])
         with pytest.raises(IntegrabilityError):
             moment_bound_check(lorentzian, 0.5, [0.1, 1.0])
 
@@ -165,7 +178,7 @@ class TestPanelFluctuation:
         )
         rhos = np.array([0.5, 3.0, 20.0])
         expected = 2.0 * ((np.sin(0.7 * rhos) + np.sin(2.0 * rhos)) / (2.0 * rhos) - 1.35)
-        np.testing.assert_allclose(_fluctuation_values(step, rhos), expected, rtol=1e-9)
+        np.testing.assert_allclose(fluctuation(step, rhos), expected, rtol=1e-9)
 
 
 class TestWeightedNorm:
@@ -222,6 +235,24 @@ class TestMomentBound:
 
 
 class TestDecomposition:
+    def test_integrates_each_norm_once(self, monkeypatch):
+        # P, ||u1||_{1,gamma} and ||u1||_1: three radial integrals
+        from rosenau import moments
+
+        calls = []
+        integrate_radial = moments.integrate_radial
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_radial(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "integrate_radial", counted)
+        dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)
+        assert len(calls) == 3
+        assert dec.weighted_norm == pytest.approx(math.sqrt(math.pi) + 1.0, rel=1e-10)
+        assert dec.m_constant == moment_bound_check(gaussian_profile(1), 1.0, moments._DEFAULT_M_GRID)
+        assert dec.l1 == l1_norm(gaussian_profile(1))
+
     def test_norm_chain(self):
         dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)
         assert dec.weighted_norm >= dec.l1 >= abs(dec.p_moment)

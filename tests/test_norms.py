@@ -20,22 +20,33 @@ from rosenau import (
     total_energy,
     write_norm_trace_csv,
 )
-from rosenau.evolution import sinc as vect_sinc, zero_profile
+from rosenau import norms
+from rosenau.evolution import zero_profile
 from rosenau.catalog import data_from_spec
 from rosenau.norms import (
     DEFAULT_QUADRATURE,
     _amplitude_sq,
-    _fast_interval,
+    _norm_pieces,
     _physical_scale,
     _resolve_r_max,
-    _resolved_interval,
+    _stationary_points,
     oscillation_segments,
 )
+from rosenau.quadrature import integrate_adaptive, phase_resolved_edges
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
 SINC = SincConstants()
+
+
+def vect_sinc(x):
+    """sin(x)/x with its x = 0 limit 1, for the oracle below."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    nonzero = x != 0
+    out[nonzero] = np.sin(x[nonzero]) / x[nonzero]
+    return out
 
 
 def brute_force_norm_sq(params, data, t, density=80, r_max=14.0):
@@ -327,9 +338,11 @@ class TestOscillatoryPath:
         if name == "annular-bump" and t == 1e6:
             reference = _ANNULAR_1D_PHASE_RESOLVED_1E6
         else:
-            r_max = _resolve_r_max(params, data, t, DEFAULT_QUADRATURE)
-            reference = _physical_scale(dim, False) * _resolved_interval(
-                params, data, t, 0.0, r_max, DEFAULT_QUADRATURE
+            cfg = DEFAULT_QUADRATURE
+            r_max = _resolve_r_max(params, data, t, cfg)
+            edges = phase_resolved_edges(params, t, 0.0, r_max, cfg.points_per_period)
+            reference = _physical_scale(dim, False) * integrate_adaptive(
+                _amplitude_sq(params, data, t), edges, 0.5 * cfg.rel_tol
             )[0]
         assert value == pytest.approx(reference, rel=1e-10)
 
@@ -352,7 +365,13 @@ class TestOscillatoryPath:
         # below t f = 16 pi everywhere, the whole interval is slow
         assert oscillation_segments(P1, 10.0, 0.0, 14.0) == [(0.0, 14.0, "slow")]
 
-    def test_fast_segment_cost_does_not_grow_with_t(self):
+    def test_fast_segment_cost_does_not_grow_with_t(self, monkeypatch):
+        # the driver integrates only the fast segments of [0, 6.4]
+        segments = norms.oscillation_segments
+        monkeypatch.setattr(
+            norms, "oscillation_segments",
+            lambda *args: [s for s in segments(*args) if s[2] == "fast"],
+        )
         counts = {}
         for t in (1e3, 1e9):
             calls = []
@@ -365,9 +384,7 @@ class TestOscillatoryPath:
             data = RadialInitialData(zero_profile, counted, 1, "gaussian-type",
                                      base.w0_tail, base.w1_tail)
             calls.clear()
-            for a, b, kind in oscillation_segments(P1, t, 0.0, 6.4):
-                if kind == "fast":
-                    _fast_interval(P1, data, t, a, b, DEFAULT_QUADRATURE)
+            _norm_pieces(P1, data, t, [0.0, 6.4], DEFAULT_QUADRATURE)
             counts[t] = sum(calls)
         assert counts[1e3] / 2 <= counts[1e9] <= 2 * counts[1e3]
 
@@ -376,3 +393,64 @@ class TestOscillatoryPath:
         t = 1e9
         ratio = norm_squared(P1, gaussian_velocity_data(1), t) / (t * math.pi / 2)
         assert abs(ratio - 1.0) <= 1e-6
+
+
+class TestOnePhasePlan:
+    def test_band_split_segments_each_sample_once(self, monkeypatch):
+        calls = []
+        segments = norms.oscillation_segments
+
+        def counted(*args):
+            calls.append(args)
+            return segments(*args)
+
+        monkeypatch.setattr(norms, "oscillation_segments", counted)
+        for t in (1e2, 1e4, 1e6):
+            calls.clear()
+            band_split_norm(P1, gaussian_velocity_data(1), t)
+            assert len(calls) == 1
+            assert calls[0][2] == 0.0  # over the whole of [0, r_max]
+
+    def test_stationary_points_found_once_per_params(self):
+        params = ModelParams(0.75, 1.25, 1.5, 2.0, 1)
+        _stationary_points.cache_clear()
+        for t in (1e2, 1e4, 1e6):
+            band_split_norm(params, gaussian_velocity_data(1), t)
+            norm_squared(ModelParams(0.75, 1.25, 1.5, 2.0, 1), gaussian_velocity_data(1), t)
+        info = _stationary_points.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 0
+
+    @pytest.mark.parametrize(
+        "params,expected",
+        [
+            # f'(r) = 0 at s = r^2 = 1 + sqrt(2) for delta = mu = kappa = 1, theta = 2
+            (P1, (math.sqrt(1.0 + math.sqrt(2.0)),)),
+            # theta <= 1 with mu > 0: f' > 0 everywhere
+            (ModelParams(1.0, 1.0, 1.0, 1.0, 1), ()),
+            # mu = 0, theta = 2: f = r / sqrt(1 + r^4) peaks at r = 1
+            (ModelParams(1.0, 0.0, 1.0, 2.0, 1), (1.0,)),
+        ],
+    )
+    def test_stationary_points(self, params, expected):
+        roots = _stationary_points(params)
+        assert len(roots) == len(expected)
+        for got, want in zip(roots, expected):
+            assert got == pytest.approx(want, rel=1e-11)
+            fp, _ = dispersion_derivatives(params, np.array([got * (1 - 1e-6), got * (1 + 1e-6)]))
+            assert fp[0] > 0 > fp[1]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e7])
+    def test_one_segmentation_matches_one_per_band(self, dim, t):
+        # the bands from one segmentation of [0, r_max] against a driver call
+        # per band, each segmenting its own interval
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = gaussian_velocity_data(dim)
+        split = band_split_norm(params, data, t)
+        r_max = _resolve_r_max(params, data, t, DEFAULT_QUADRATURE)
+        cuts = [0.0, split.beta, split.split, r_max]
+        scale = _physical_scale(dim, False)
+        for got, lo, hi in zip((split.low, split.mid, split.high), cuts[:-1], cuts[1:]):
+            (alone,) = _norm_pieces(params, data, t, [lo, hi], DEFAULT_QUADRATURE)
+            assert got == pytest.approx(scale * alone, rel=1e-12)

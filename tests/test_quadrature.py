@@ -197,6 +197,41 @@ def test_phase_edges_cover_interval():
     assert np.all(np.diff(edges) > 0)
 
 
+def test_phase_edges_split_wide_panels_evenly():
+    # below one phase increment the partition is the width rule alone:
+    # (hi - lo)/48, as edges lo + (hi - lo) j / 48
+    lo, hi = 0.5, 2.5
+    edges = phase_resolved_edges(P, 1e-3, lo, hi, 8)
+    expected = np.concatenate([[lo], lo + (hi - lo) * np.arange(1, 49) / 48])
+    assert np.array_equal(edges, expected)
+    # with phase edges, no panel is wider than (hi - lo)/48 either
+    for t in (1.0, 30.0, 1e3):
+        widths = np.diff(phase_resolved_edges(P, t, 0.0, 3.0, 8))
+        assert widths.size >= 48
+        assert np.all(widths <= 3.0 / 48 * (1 + 1e-12))
+
+
+def test_split_wide_panels_matches_the_loop():
+    # the vectorised split against the per-panel loop it replaced, bit for bit
+    from rosenau.quadrature import _split_wide_panels
+
+    def loop(edges, max_width):
+        widths = np.diff(edges)
+        n_sub = np.maximum(1, np.ceil(widths / max_width).astype(int))
+        if not np.any(n_sub > 1):
+            return edges
+        pieces = [np.array([edges[0]])]
+        for a, w, k in zip(edges[:-1], widths, n_sub):
+            pieces.append(a + w * np.arange(1, k + 1) / k)
+        return np.concatenate(pieces)
+
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        edges = np.cumsum(np.concatenate([[rng.uniform(-1.0, 1.0)], rng.exponential(0.3, 40)]))
+        for max_width in (0.01, 0.2, 5.0):
+            assert np.array_equal(_split_wide_panels(edges, max_width), loop(edges, max_width))
+
+
 def test_deterministic_repeatability():
     fn = lambda x: np.sin(37.0 * x) * np.exp(-x)  # noqa: E731
     edges = uniform_edges(0.0, 5.0, 16)

