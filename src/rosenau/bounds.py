@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as sp_gamma
+from numpy.polynomial.legendre import leggauss
 
 from .artifacts import write_json
 from .errors import InputDomainError, InvariantViolation, PreconditionError
@@ -141,7 +141,7 @@ def fluctuation_remainder(
 
     value = 0.0
     if moments.profile is not None:
-        nodes, weights = np.polynomial.legendre.leggauss(24)
+        nodes, weights = leggauss(24)
         r = 0.5 * beta * (nodes + 1.0)
         w = 0.5 * beta * weights
         prop = propagator(t, eval_dispersion(params, r))
@@ -166,7 +166,7 @@ def weighted_gaussian_constant(params: ModelParams, gamma_exp: float) -> float:
         raise InputDomainError("gamma must lie in (0, 1]")
     g, th, ka, de = gamma_exp, params.theta, params.kappa, params.delta
     return float(
-        sp_gamma(g + 1.0) / (2.0 * ka * g) + de * sp_gamma(g + th + 1.0) / (2.0 * ka * (g + th))
+        math.gamma(g + 1.0) / (2.0 * ka * g) + de * math.gamma(g + th + 1.0) / (2.0 * ka * (g + th))
     )
 
 

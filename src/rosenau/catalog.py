@@ -18,6 +18,7 @@ import inspect
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InputDomainError
 from .evolution import RadialInitialData, zero_profile
@@ -150,7 +151,7 @@ def annular_velocity_data(
     profile = annular_profile(dim, r0, width, amplitude)
     n = dim
     area = unit_sphere_area(n)
-    nodes, weights = np.polynomial.legendre.leggauss(96)
+    nodes, weights = leggauss(96)
     r_nodes = r0 + width * nodes
     w_scaled = weights * width
     base = np.real(profile.func(r_nodes)) * r_nodes ** (n - 1) * w_scaled

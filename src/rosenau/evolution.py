@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.fft import fftfreq, fftn, ifftn
 
 from .errors import InputDomainError, InvariantViolation
 from .model import ModelParams, eval_dispersion, dispersion_derivatives, unit_sphere_area
@@ -228,7 +229,7 @@ class GridField:
 
 
 def _grid_xi_norm(field: GridField) -> np.ndarray:
-    freqs = 2.0 * math.pi * np.fft.fftfreq(field.samples_per_axis, d=field.dx)
+    freqs = 2.0 * math.pi * fftfreq(field.samples_per_axis, d=field.dx)
     grids = np.meshgrid(*([freqs] * field.dim), indexing="ij")
     return np.sqrt(sum(g**2 for g in grids))
 
@@ -270,13 +271,13 @@ def evolve_grid(
     phase = t * f
     cosine = np.cos(phase)
     prop = propagator(t, f)
-    hat0 = np.fft.fftn(field0.values)
-    hat1 = np.fft.fftn(field1.values)
-    out = np.fft.ifftn(cosine * hat0 + prop * hat1)
+    hat0 = fftn(field0.values)
+    hat1 = fftn(field1.values)
+    out = ifftn(cosine * hat0 + prop * hat1)
     evolved = GridField(field0.dim, field0.box_length, field0.samples_per_axis, out)
     if not with_velocity:
         return evolved
-    vel = np.fft.ifftn(-f * np.sin(phase) * hat0 + cosine * hat1)
+    vel = ifftn(-f * np.sin(phase) * hat0 + cosine * hat1)
     return evolved, GridField(field0.dim, field0.box_length, field0.samples_per_axis, vel)
 
 
@@ -352,8 +353,8 @@ def total_energy_grid(
     rho = _grid_xi_norm(field)
     n_tot = field.samples_per_axis**field.dim
     cell = field.dx**field.dim / n_tot
-    hat = np.fft.fftn(field.values)
-    hat_t = np.fft.fftn(velocity.values)
+    hat = fftn(field.values)
+    hat_t = fftn(velocity.values)
     hat_sq = np.abs(hat) ** 2
     hat_t_sq = np.abs(hat_t) ** 2
     kin = 0.5 * float(np.sum(hat_t_sq)) * cell

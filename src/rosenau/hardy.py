@@ -30,7 +30,7 @@ import numpy as np
 
 from .artifacts import write_columns
 from .errors import InputDomainError, InvariantViolation, PreconditionError
-from .evolution import RadialInitialData, cosc, propagator
+from .evolution import RadialInitialData, _check_time, cosc, propagator
 from .model import ModelParams, eval_dispersion, unit_sphere_area
 from .norms import QuadratureConfig, DEFAULT_QUADRATURE, _resolve_r_max
 from .quadrature import integrate_adaptive, integrate_radial, phase_resolved_edges
@@ -329,8 +329,7 @@ def energy_identity_check(
     probe = np.linspace(0.0, 10.0, 11)
     if np.any(np.abs(np.asarray(data.w0_profile(probe))) > 0):
         raise PreconditionError("the time-integral route requires u0 = 0")
-    if t < 0:
-        raise InputDomainError("time must be nonnegative")
+    _check_time(t)
 
     scale = unit_sphere_area(2) / (2.0 * math.pi) ** 2
     de, mu, ka = params.delta, params.mu, params.kappa

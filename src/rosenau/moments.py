@@ -25,12 +25,12 @@ bisected until every row meets its share of 1e-12.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as sp_gamma, jv
 
 from .errors import InputDomainError, IntegrabilityError, InvariantViolation
 from .model import unit_sphere_area
@@ -88,38 +88,174 @@ def radial_kernel(dim: int, s):
 
     General n: Gamma(n/2) (2/s)^(n/2-1) J_{n/2-1}(s), normalized to 1 at 0.
     """
-    s = np.asarray(s, dtype=float)
     if dim == 1:
-        return np.cos(s)
-    small = np.abs(s) < 1e-8
-    safe = np.where(small, 1.0, s)
-    if dim == 3:
-        out = np.sin(safe) / safe
-    else:
-        nu = dim / 2.0 - 1.0
-        out = sp_gamma(dim / 2.0) * (2.0 / safe) ** nu * jv(nu, safe)
-    return np.where(small, 1.0 - s * s / (2.0 * dim), out)
+        return np.cos(np.asarray(s, dtype=float))
+    return _shifted_kernel(dim, s, 0.0)
 
 
 def _kernel_minus_one(dim: int, s):
-    """radial_kernel - 1, evaluated without cancellation near s = 0.
+    """radial_kernel - 1, evaluated without cancellation near s = 0."""
+    if dim == 1:
+        return -2.0 * np.sin(np.asarray(s, dtype=float) / 2.0) ** 2
+    return _shifted_kernel(dim, s, 1.0)
 
-    Below |s| = 1 it sums the power series sum_k (-s^2/4)^k Gamma(n/2) /
-    (k! Gamma(k + n/2)) from k = 1; fourteen terms reach double precision.
+
+def _shifted_kernel(dim: int, s, shift: float):
+    """radial_kernel - shift for dim >= 2, in four pieces of |s|.
+
+    * below _series_radius: the power series
+      sum_k (-s^2/4)^k Gamma(n/2) / (k! Gamma(k + n/2)), whose k >= 1 part
+      is free of cancellation;
+    * n = 3 above it: sin(s)/s;
+    * other odd n above it: Hankel's expansion (DLMF 10.17.3), which
+      terminates for half-integer order and so is the closed form;
+    * even n: a Chebyshev series in s^2 up to the crossover s0 of
+      _integer_order_tables, Hankel's expansion beyond it.
     """
     s = np.asarray(s, dtype=float)
-    if dim == 1:
-        return -2.0 * np.sin(s / 2.0) ** 2
-    out = radial_kernel(dim, s) - 1.0
-    small = np.abs(s) < 1.0
-    x = -0.25 * s[small] ** 2
+    a = np.abs(s).reshape(-1)
+    out = np.empty_like(a)
+    small = a < _series_radius(dim)
+    out[small] = _series_minus_one(dim, a[small]) + (1.0 - shift)
+    large = ~small
+    if dim == 3:
+        out[large] = np.sin(a[large]) / a[large] - shift
+    elif dim % 2:
+        out[large] = _hankel_kernel(dim, a[large], _hankel_coefficients(dim / 2.0 - 1.0)) - shift
+    else:
+        s0, coeffs, hankel = _integer_order_tables(dim)
+        mid = large & (a < s0)
+        out[mid] = _chebyshev_sum(coeffs, a[mid] ** 2 / (s0 * s0)) - shift
+        far = large & ~mid
+        out[far] = _hankel_kernel(dim, a[far], hankel) - shift
+    return out.reshape(s.shape)
+
+
+def _series_radius(dim: int) -> float:
+    """Where the power series hands over: |s| = 1, or nu for odd n >= 7,
+    where the terminating Hankel sum cancels too much closer to 0."""
+    return max(1.0, dim / 2.0 - 1.0) if dim % 2 else 1.0
+
+
+def _series_minus_one(dim: int, s):
+    """The k >= 1 terms of the power series, fourteen of them below |s| = 1
+    and as many as reach double precision below a wider _series_radius."""
+    radius, half = _series_radius(dim), dim / 2.0
+    terms, bound = 14, 1.0
+    for k in range(1, 200):
+        bound *= radius * radius / (4.0 * k * (k - 1 + half))
+        if bound < 2.0**-60:
+            terms = max(terms, k)
+            break
+    x = -0.25 * s**2
     term = np.ones_like(x)
     series = np.zeros_like(x)
-    for k in range(1, 15):
-        term *= x / (k * (k - 1 + dim / 2.0))
+    for k in range(1, terms + 1):
+        term *= x / (k * (k - 1 + half))
         series += term
-    out[small] = series
-    return out
+    return series
+
+
+def _hankel_coefficients(nu: float, s0: float = math.inf):
+    """a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k) of Hankel's expansion.
+
+    For half-integer nu (s0 = inf) all nonzero terms, a finite list.  For
+    integer nu the terms up to the first below 2^-60 at s = s0, or None if
+    they start growing before that, so that s0 is too small.
+    """
+    mu = 4.0 * nu * nu
+    coeffs = [1.0]
+    while True:
+        k = len(coeffs)
+        nxt = coeffs[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k)
+        if nxt == 0.0:
+            return tuple(coeffs)
+        if math.isfinite(s0):
+            if abs(nxt) > abs(coeffs[-1]) * s0:
+                return None
+            if abs(nxt) < 2.0**-60 * s0**k:
+                return tuple(coeffs) + (nxt,)
+        coeffs.append(nxt)
+
+
+# cos(j pi / 4) for j = 0 .. 7, exact at the multiples of pi/2
+_SQRT_HALF = math.sqrt(0.5)
+_QUARTER_TURN_COS = (1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT_HALF)
+
+
+def _hankel_kernel(dim: int, s, coeffs):
+    """Gamma(n/2) (2/s)^nu J_nu(s) from Hankel's expansion, nu = n/2 - 1:
+
+        J_nu(s) = sqrt(2 / (pi s)) (P cos chi - Q sin chi),  chi = s - (2 nu + 1) pi / 4,
+
+    P = sum (-1)^k a_2k s^(-2k), Q = sum (-1)^k a_(2k+1) s^(-2k-1).  The
+    phase shift is an exact multiple of pi/4, so cos chi and sin chi come
+    from cos s and sin s without rounding s - (2 nu + 1) pi / 4.
+    """
+    nu = dim / 2.0 - 1.0
+    z = -1.0 / (s * s)
+    p = np.zeros_like(s)
+    q = np.zeros_like(s)
+    for c in coeffs[0::2][::-1]:
+        p = p * z + c
+    for c in coeffs[1::2][::-1]:
+        q = q * z + c
+    q /= s
+    j = dim - 1
+    cos_phi, sin_phi = _QUARTER_TURN_COS[j % 8], _QUARTER_TURN_COS[(j - 2) % 8]
+    cos_s, sin_s = np.cos(s), np.sin(s)
+    cos_chi = cos_s * cos_phi + sin_s * sin_phi
+    sin_chi = sin_s * cos_phi - cos_s * sin_phi
+    scale = math.gamma(dim / 2.0) * 2.0**nu * math.sqrt(2.0 / math.pi)
+    return scale * s ** -(nu + 0.5) * (p * cos_chi - q * sin_chi)
+
+
+@functools.cache
+def _integer_order_tables(dim: int):
+    """(s0, Chebyshev coefficients, Hankel coefficients) for even dim.
+
+    s0 is the first of 25, 30, ... at which Hankel's expansion reaches
+    2^-60.  Below it the kernel is a Chebyshev series in y = (s/s0)^2 on
+    [0, 1], interpolated at 8 s0/5 + 1 Lobatto points.  The values there
+    come from Poisson's integral, the kernel as the mean of
+    cos(s cos tau) sin^(2 nu) tau over a period, which the trapezoid rule
+    sums to rounding for the integer nu of an even dim.
+    """
+    nu = dim // 2 - 1
+    s0 = 25.0
+    while (hankel := _hankel_coefficients(nu, s0)) is None:
+        s0 += 5.0
+    order = 8 * math.ceil(s0 / 5.0)
+    nodes = 2 * order + 4 * nu + 48
+    tau = 2.0 * math.pi * np.arange(nodes) / nodes
+    weight = np.sin(tau) ** (2 * nu)
+    x = np.cos(math.pi * np.arange(order + 1) / order)
+    radii = s0 * np.sqrt(0.5 * (1.0 + x))
+    values = np.cos(np.outer(radii, np.cos(tau))) @ (weight / weight.sum())
+    values[[0, -1]] *= 0.5
+    k = np.arange(order + 1)
+    coeffs = (2.0 / order) * (np.cos(math.pi * np.outer(k, k) / order) @ values)
+    coeffs[[0, -1]] *= 0.5
+    return s0, tuple(coeffs), hankel
+
+
+def _chebyshev_sum(coeffs, y):
+    """sum_k coeffs[k] T_k(2y - 1) for y in [0, 1].
+
+    Clenshaw's recurrence with Reinsch's modification: it carries
+    d = x + 1 = 2y below y = 1/2 and d = x - 1 = 2(y - 1) above, which
+    keeps the rounding error near the ends x = -1 and x = 1 at a few
+    units of the last place.
+    """
+    sign = np.where(y < 0.5, -1.0, 1.0)
+    d = np.where(y < 0.5, 2.0 * y, 2.0 * (y - 1.0))
+    d2 = 2.0 * d
+    e = np.zeros_like(y)
+    b = np.zeros_like(y)
+    for c in coeffs[:0:-1]:
+        e = c + d2 * b + sign * e
+        b = e + sign * b
+    return coeffs[0] + d * b + sign * e
 
 
 def _radial_integral(u1: RadialProfile, density) -> float:

@@ -48,10 +48,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .artifacts import write_columns
-from .errors import InputDomainError, UncertifiedTailError
+from .errors import InputDomainError, InvariantViolation, UncertifiedTailError
 from .evolution import (
     RadialInitialData,
     _check_time,
@@ -388,6 +387,72 @@ def band_split_norm(
 # segmentation
 
 
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brent_root(fn, a: float, b: float) -> float:
+    """A root of the scalar fn in the bracket [a, b], by Brent's method.
+
+    Inverse quadratic interpolation or secant steps where they shrink the
+    bracket fast enough, bisection otherwise, until the bracket is below
+    xtol + rtol |x|.  The step rules and the tolerances, 2e-12 and 4 eps,
+    are those of the classic brentq routine, so the roots match its roots
+    to the bit.  Raises InvariantViolation when fn does not change sign
+    over [a, b], returns NaN, or the bracket is not resolved in
+    _BRENT_MAXITER steps.
+    """
+
+    def value(x: float) -> float:
+        v = float(fn(x))
+        if math.isnan(v):
+            raise InvariantViolation(f"root finder: fn({x!r}) is NaN")
+        return v
+
+    x_pre, x_cur = float(a), float(b)
+    f_pre, f_cur = value(x_pre), value(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise InvariantViolation(
+            f"root finder: no sign change over [{x_pre!r}, {x_cur!r}] ({f_pre!r}, {f_cur!r})"
+        )
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = value(x_cur)
+    raise InvariantViolation(
+        f"root finder: no convergence in {_BRENT_MAXITER} steps over [{a!r}, {b!r}]"
+    )
+
+
 @functools.cache
 def _stationary_points(params: ModelParams) -> tuple[float, ...]:
     """The radii in [1e-10, 1e10] where f' changes sign, in increasing order.
@@ -397,7 +462,7 @@ def _stationary_points(params: ModelParams) -> tuple[float, ...]:
     whose coefficients change sign at most twice: by Descartes' rule f has
     at most two stationary points.  They depend on params alone, so they are
     found once per ModelParams, from the sign changes of that expression on
-    a geometric grid, each refined by brentq.
+    a geometric grid, each refined by _brent_root.
     """
     de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
 
@@ -408,7 +473,7 @@ def _stationary_points(params: ModelParams) -> tuple[float, ...]:
     r = np.geomspace(1e-10, 1e10, 4096)
     sign = np.sign(slope(r))
     flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-    return tuple(float(brentq(slope, r[i], r[i + 1])) for i in flips)
+    return tuple(_brent_root(slope, r[i], r[i + 1]) for i in flips)
 
 
 def oscillation_segments(
@@ -435,7 +500,7 @@ def oscillation_segments(
         # the outermost brackets reach to the interval ends
         a = max(lo, 1e-300) if k == 0 else r[i]
         b = hi if k == flips.size - 1 else r[i + 1]
-        cuts.append(float(brentq(lambda x: t * eval_dispersion(params, x) - _PHASE_SLOW, a, b)))
+        cuts.append(_brent_root(lambda x: t * eval_dispersion(params, x) - _PHASE_SLOW, a, b))
     cuts.append(hi)
 
     h_window = min(0.25, 2.0 * t**-0.25)

@@ -133,6 +133,14 @@ _ORIGIN_DECADES = 16
 # evaluate about 2^18 integrand nodes at a time
 _PANEL_CHUNK = (1 << 18) // KRONROD_POINTS
 
+# glibc serves a block of 128 KiB or more by a fresh mmap and unmaps it on
+# free, until the first such free raises that threshold to the block's size.
+# Freeing one chunk-sized block at import, never touched and so without page
+# faults, raises it before the first pass: the chunk temporaries then reuse
+# heap memory instead of fresh zero-filled pages (up to 4,000 page faults,
+# about 6 ms of a fresh process's theorem-1-1 pass, with nothing else loaded).
+np.empty(_PANEL_CHUNK * KRONROD_POINTS)
+
 
 def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K21 estimate of the integral of fn over each [lo_i, hi_i], and |K21 - G10|.
@@ -269,6 +277,13 @@ def integrate_adaptive(
     return float(value), float(error)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The values sorted, each once: np.unique without the numpy.ma import
+    that its first call costs."""
+    values = np.sort(values)
+    return values[np.concatenate([[True], np.diff(values) > 0])]
+
+
 def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
     """[lo, hi] cut at the kinks inside it and at every power of ten inside it.
 
@@ -282,7 +297,7 @@ def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
         cuts.insert(1, cuts[1] * 10.0**-_ORIGIN_DECADES)
     bottom = cuts[1] if lo == 0.0 else lo
     decades = 10.0 ** np.arange(math.floor(math.log10(bottom)), math.ceil(math.log10(hi)) + 1)
-    return np.unique(np.concatenate([cuts, decades[(decades > bottom) & (decades < hi)]]))
+    return _sorted_unique(np.concatenate([cuts, decades[(decades > bottom) & (decades < hi)]]))
 
 
 def integrate_radial(fn, lo: float, hi: float, kinks=(), *, rel_tol: float):
@@ -469,7 +484,7 @@ def phase_resolved_edges(
     else:
         phase_edges = np.empty(0)
 
-    edges = np.unique(np.concatenate([[lo], phase_edges, [hi]]))
+    edges = _sorted_unique(np.concatenate([[lo], phase_edges, [hi]]))
     edges = edges[(edges >= lo) & (edges <= hi)]
     if edges[0] != lo:
         edges = np.concatenate([[lo], edges])

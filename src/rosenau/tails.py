@@ -41,20 +41,13 @@ class TailBound:
 
     def mass_beyond(self, r0: float, dim: int) -> float:
         """Upper bound on integral_{r0}^inf |g(r)|^2 r^(dim-1) dr."""
-        from scipy.special import gammaincc, gamma as sp_gamma
-
         if self.kind == "compact":
             return 0.0
         if self.kind == "gaussian":
             s = 2.0 * self.rate
             half = dim / 2.0
             # integral_{r0}^inf e^{-s r^2} r^(n-1) dr = Gamma(n/2, s r0^2) / (2 s^(n/2))
-            return float(
-                self.amplitude**2
-                * sp_gamma(half)
-                * gammaincc(half, s * r0**2)
-                / (2.0 * s**half)
-            )
+            return self.amplitude**2 * _upper_incomplete_gamma(dim, s * r0**2) / (2.0 * s**half)
         if self.kind == "power":
             expo = dim - 2.0 * self.power
             if expo >= 0:
@@ -62,3 +55,25 @@ class TailBound:
             r_eff = max(r0, self.cutoff)
             return float(self.amplitude**2 * r_eff**expo / (-expo))
         return math.inf
+
+
+def _upper_incomplete_gamma(dim: int, x: float) -> float:
+    """Gamma(n/2, x) = integral_x^inf e^(-y) y^(n/2 - 1) dy for n = dim >= 1, x >= 0.
+
+    Closed forms: for integer a = n/2, Gamma(a) e^(-x) sum_{k<a} x^k / k!;
+    for half-integer a, sqrt(pi) erfc(sqrt(x)) at a = 1/2, stepped up by
+    Gamma(a + 1, x) = a Gamma(a, x) + x^a e^(-x).
+    """
+    if dim % 2 == 0:
+        term = total = math.exp(-x)
+        for k in range(1, dim // 2):
+            term *= x / k
+            total += term
+        return math.gamma(dim / 2.0) * total
+    value = math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    for k in range(dim // 2):
+        a = k + 0.5
+        # x^a e^(-x), in logs once x^a alone could overflow
+        power = x**a * math.exp(-x) if x < 700.0 else math.exp(a * math.log(x) - x)
+        value = a * value + power
+    return value

@@ -100,6 +100,13 @@ class TestConfig:
 
 
 class TestRunners:
+    def test_wellposed_probe_amplitudes_are_the_seeded_draws(self):
+        from rosenau.cli import _PROBE_COEFFS
+
+        rng = np.random.default_rng(12345)
+        draws = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        np.testing.assert_array_equal(_PROBE_COEFFS, draws)
+
     def test_energy_conservation_preset(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"preset": "energy-conservation", "output_dir": str(tmp_path / "e")}

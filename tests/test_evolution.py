@@ -278,7 +278,7 @@ class TestPropagator:
         assert np.all(propagator(0.0, f) == 0.0)
 
     def test_sinc_branches(self):
-        # the program's sin(s)/s is the 3-D radial kernel, series below |s| = 1e-8
+        # the program's sin(s)/s is the 3-D radial kernel, its power series below |s| = 1
         from rosenau.moments import radial_kernel
 
         x = np.array([0.0, 1e-9, -5e-9, 1e-8, 0.3, -2.0])

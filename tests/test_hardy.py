@@ -282,6 +282,11 @@ class TestEnergyIdentity:
         with pytest.raises(PreconditionError):
             energy_identity_check(self.P, gaussian_position_data(2), 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_rejects_a_time_that_is_not_finite_and_nonnegative(self, t):
+        with pytest.raises(InputDomainError):
+            energy_identity_check(self.P, gaussian_velocity_data(2), t)
+
 
 class TestRellich:
     def test_gaussian_under_classical_constant(self):

@@ -264,3 +264,58 @@ class TestDecomposition:
         nodes = 2.0 + s[0]
         mass = 2 * math.pi * float(np.sum(s[1] * (1 - (nodes - 2.0) ** 2) ** 3 * nodes))
         assert zeroth_moment(profile) == pytest.approx(mass, rel=1e-10)
+
+
+class TestRadialKernelOracle:
+    """The numpy-only kernel against scipy's J_nu, and mpmath below |s| = 1."""
+
+    # dense around s0 = 25, where the even dims hand over from the Chebyshev
+    # series to Hankel's expansion
+    S = np.unique(np.concatenate([
+        np.linspace(1.0, 60.0, 20001),
+        np.linspace(24.0, 26.0, 4001),
+        np.geomspace(1.0, 2e3, 20001),
+    ]))
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_scipy_bessel_from_one_to_2e3(self, dim):
+        from scipy.special import gamma, jv
+
+        nu = dim / 2.0 - 1.0
+        expected = gamma(dim / 2.0) * (2.0 / self.S) ** nu * jv(nu, self.S)
+        assert np.max(np.abs(radial_kernel(dim, self.S) - expected)) <= 5e-15
+        np.testing.assert_array_equal(radial_kernel(dim, -self.S), radial_kernel(dim, self.S))
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_matches_mpmath(self, dim):
+        # below |s| = 1 scipy's jv itself is off by up to 4.7e-15 (n = 5)
+        mpmath = pytest.importorskip("mpmath")
+        s = np.concatenate([[0.0], np.geomspace(1e-7, 1.0, 40), np.linspace(1.0, 80.0, 81)])
+        with mpmath.workdps(40):
+            half = mpmath.mpf(dim) / 2
+            expected = [1.0] + [
+                float(mpmath.gamma(half) * (2 / mpmath.mpf(x)) ** (half - 1)
+                      * mpmath.besselj(half - 1, mpmath.mpf(x)))
+                for x in s[1:]
+            ]
+        assert np.max(np.abs(radial_kernel(dim, s) - expected)) <= 4e-15
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_continuous_where_the_evaluation_changes(self, dim):
+        from rosenau.moments import _integer_order_tables, _series_radius
+
+        handovers = {1.0, _series_radius(dim)}
+        if dim % 2 == 0:
+            handovers.add(_integer_order_tables(dim)[0])
+        for h in handovers:
+            s = np.array([np.nextafter(h, 0.0), h])
+            # one ulp of s moves the kernel by under 1e-15 (|K'| <= 1/n), and
+            # either evaluation is within 1e-15 of J_nu there
+            assert abs(np.diff(radial_kernel(dim, s))[0]) <= 2e-15
+            assert abs(np.diff(_kernel_minus_one(dim, s))[0]) <= 2e-15
+
+    def test_keeps_the_shape_of_its_argument(self):
+        assert radial_kernel(2, 0.0).shape == ()
+        assert float(radial_kernel(2, 0.0)) == 1.0
+        assert radial_kernel(4, np.ones((3, 2))).shape == (3, 2)
+        assert np.isnan(radial_kernel(2, np.nan))

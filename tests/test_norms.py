@@ -9,6 +9,7 @@ from rosenau import (
     ModelParams,
     QuadratureConfig,
     RadialInitialData,
+    RosenauError,
     SincConstants,
     TailBound,
     UncertifiedTailError,
@@ -454,3 +455,64 @@ class TestOnePhasePlan:
         for got, lo, hi in zip((split.low, split.mid, split.high), cuts[:-1], cuts[1:]):
             (alone,) = _norm_pieces(params, data, t, [lo, hi], DEFAULT_QUADRATURE)
             assert got == pytest.approx(scale * alone, rel=1e-12)
+
+
+class TestRootFinder:
+    """norms._brent_root against scipy's brentq, root for root and call for call."""
+
+    PARAMS = [
+        (1.0, 1.0, 1.0),  # delta, mu, kappa
+        (4.0, 0.01, 1.0),
+        (1.0, 0.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
+    def test_matches_brentq_on_the_cuts_and_stationary_points(self, theta, monkeypatch):
+        from scipy.optimize import brentq
+
+        own = norms._brent_root
+        seen = []
+
+        def both(fn, a, b):
+            calls = {"own": 0, "ref": 0}
+
+            def counted(key):
+                def g(x):
+                    calls[key] += 1
+                    return fn(x)
+                return g
+
+            got = own(counted("own"), a, b)
+            want = brentq(counted("ref"), a, b)
+            seen.append((got, want, calls["own"], calls["ref"]))
+            return got
+
+        monkeypatch.setattr(norms, "_brent_root", both)
+        stationary = 0
+        for de, mu, ka in self.PARAMS:
+            params = ModelParams(de, mu, ka, theta, 1)
+            _stationary_points.cache_clear()
+            stationary += len(_stationary_points(params))
+            for t in (1e2, 1e4, 1e6):
+                oscillation_segments(params, t, 0.0, 14.0)
+                oscillation_segments(params, t, 0.3, 5.0)
+        _stationary_points.cache_clear()
+        assert len(seen) >= 12
+        assert stationary > 0 or theta <= 1.0  # f' > 0 everywhere for theta <= 1
+        for got, want, n_own, n_ref in seen:
+            assert got == want
+            assert n_own == n_ref
+
+    def test_bracket_without_sign_change_is_a_typed_error(self):
+        with pytest.raises(RosenauError) as info:
+            norms._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert not isinstance(info.value, ValueError)
+
+    def test_nan_is_a_typed_error(self):
+        with pytest.raises(RosenauError):
+            norms._brent_root(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+
+    def test_endpoint_root_and_tolerance(self):
+        assert norms._brent_root(lambda x: x - 2.0, 2.0, 3.0) == 2.0
+        root = norms._brent_root(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= 2e-12 + 4 * np.finfo(float).eps * math.sqrt(2.0)
