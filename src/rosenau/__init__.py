@@ -30,7 +30,6 @@ from .model import (
 )
 from .tails import TailBound
 from .evolution import (
-    EnergyReport,
     GridField,
     RadialInitialData,
     evolve_grid,

@@ -27,10 +27,9 @@ All comparisons happen on the spectral side; callers convert once with the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .artifacts import write_json
 from .errors import InputDomainError, InvariantViolation, PreconditionError
@@ -47,7 +46,7 @@ from .model import (
 )
 from .moments import MomentDecomposition, fluctuation
 from .norms import oscillatory_integrals
-from .quadrature import integrate_adaptive, uniform_edges
+from .quadrature import integrate_radial
 
 __all__ = [
     "LowBandMass",
@@ -85,11 +84,9 @@ def low_band_mass(
         raise PreconditionError("the low-band mass chain is one-dimensional")
     bands = band_boundaries(params, sinc_constants, t)
 
-    def integrand(r):
-        return propagator(t, eval_dispersion(params, np.asarray(r, dtype=float))) ** 2
-
-    value, _ = integrate_adaptive(integrand, uniform_edges(0.0, bands.beta, 32), 1e-10)
-    value *= 2.0  # omega_1: both half-lines
+    value = 2.0 * integrate_radial(  # omega_1 = 2: both half-lines
+        lambda r: propagator(t, eval_dispersion(params, r)) ** 2, 0.0, bands.beta, rel_tol=1e-10
+    )
     floor = t * sinc_constants.delta0 / (2.0 * math.sqrt(params.mu + params.kappa))
     if value < floor * (1.0 - 1e-9):
         raise InvariantViolation(f"low-band mass {value} fell below its floor {floor}")
@@ -141,12 +138,12 @@ def fluctuation_remainder(
 
     value = 0.0
     if moments.profile is not None:
-        nodes, weights = leggauss(24)
-        r = 0.5 * beta * (nodes + 1.0)
-        w = 0.5 * beta * weights
-        prop = propagator(t, eval_dispersion(params, r))
-        amp = fluctuation(moments.profile, r)
-        value = 2.0 * float(np.sum(w * amp**2 * prop**2))
+
+        def integrand(r):
+            prop = propagator(t, eval_dispersion(params, r))
+            return fluctuation(moments.profile, r) ** 2 * prop**2
+
+        value = 2.0 * integrate_radial(integrand, 0.0, beta, rel_tol=1e-10)
         if value > ceiling * (1.0 + 1e-9):
             raise InvariantViolation(
                 f"fluctuation remainder {value} exceeds its ceiling {ceiling}"
@@ -234,7 +231,6 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
     k1_bound = boundary(lo) + boundary(eps)
 
     def envelope(r):
-        r = np.asarray(r, dtype=float)
         damp = np.exp(-(r**2))
         poly = 1.0 + de * r ** (2.0 * th)
         den = mu * r**3 + ka * r
@@ -245,7 +241,7 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
             + poly * (3.0 * mu * r**2 + ka) / (c_lo * den**2)
         )
 
-    k2_bound, _ = integrate_adaptive(envelope, np.geomspace(lo, eps, 257), 1e-9)
+    k2_bound = integrate_radial(envelope, lo, eps, rel_tol=1e-9)
     bound = (k1_bound + k2_bound) / (2.0 * t)
     if abs(value) > bound * (1.0 + 1e-9):
         raise InvariantViolation(f"|T2| = {abs(value)} exceeds its bound {bound}")
@@ -259,12 +255,7 @@ def log_band_main_term(params: ModelParams, t: float) -> float:
     lo = 1.0 / t
     if lo >= eps:
         raise PreconditionError("need 1/t < epsilon0")
-    val, _ = integrate_adaptive(
-        lambda r: _t2_weight(params, np.asarray(r, dtype=float)),
-        np.geomspace(lo, eps, 257),
-        1e-11,
-    )
-    return float(val)
+    return integrate_radial(lambda r: _t2_weight(params, r), lo, eps, rel_tol=1e-11)
 
 
 def lower_envelope(
@@ -412,11 +403,4 @@ def envelope_report(
 
 
 def write_envelope_json(report: EnvelopeReport, path) -> None:
-    payload = {
-        "t": report.t,
-        "lower_1d": report.lower_1d,
-        "lower_2d": report.lower_2d,
-        "upper": report.upper,
-        "components": report.components,
-    }
-    write_json(path, payload)
+    write_json(path, asdict(report))

@@ -24,7 +24,7 @@ from .errors import InputDomainError
 from .evolution import RadialInitialData, zero_profile
 from .model import unit_sphere_area
 from .moments import RadialProfile, radial_kernel
-from .quadrature import panel_integrals
+from .quadrature import integrate_radial
 from .tails import TailBound
 
 __all__ = [
@@ -67,7 +67,6 @@ def gaussian_velocity_data(dim: int, a: float = 1.0, amplitude: float = 1.0) -> 
         w0_profile=zero_profile,
         w1_profile=hat,
         dim=dim,
-        decay_class="gaussian-type",
         w1_tail=tail,
         label=f"gaussian-velocity(a={a}, amp={amplitude})",
     )
@@ -80,7 +79,6 @@ def gaussian_position_data(dim: int, a: float = 1.0, amplitude: float = 1.0) -> 
         w0_profile=hat,
         w1_profile=zero_profile,
         dim=dim,
-        decay_class="gaussian-type",
         w0_tail=tail,
         label=f"gaussian-position(a={a}, amp={amplitude})",
     )
@@ -99,9 +97,9 @@ def compact_band_data(dim: int, r_lo: float, r_hi: float, amplitude: float = 1.0
         w0_profile=zero_profile,
         w1_profile=hat,
         dim=dim,
-        decay_class="compact-band",
         w1_tail=TailBound(kind="compact", cutoff=r_hi),
         label=f"compact-band[{r_lo}, {r_hi}]",
+        kinks=(r_lo, r_hi),
     )
 
 
@@ -139,9 +137,7 @@ def _annular_laplacian_l1(profile: RadialProfile, r0: float, width: float, ampli
         lap = d2 + (n - 1) * d1 / np.maximum(r, 1e-300)
         return np.abs(lap) * r ** (n - 1)
 
-    edges = np.linspace(r0 - width, r0 + width, 257)
-    values, _ = panel_integrals(second, edges[:-1], edges[1:])
-    return unit_sphere_area(n) * float(np.sum(values))
+    return unit_sphere_area(n) * integrate_radial(second, r0 - width, r0 + width, rel_tol=1e-10)
 
 
 def annular_velocity_data(
@@ -167,7 +163,6 @@ def annular_velocity_data(
         w0_profile=zero_profile,
         w1_profile=hat,
         dim=dim,
-        decay_class="generic",
         w1_tail=TailBound(kind="power", amplitude=lap_l1, power=2.0, cutoff=1.0),
         label=profile.label,
     )
@@ -190,4 +185,7 @@ def data_from_spec(name: str, dim: int, **kwargs) -> RadialInitialData:
         inspect.signature(builder).bind(dim, **kwargs)
     except TypeError as exc:
         raise InputDomainError(f"data spec {name!r}: {exc}") from None
+    for key, value in kwargs.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise InputDomainError(f"data spec {name!r}: {key} must be a number, got {value!r}")
     return builder(dim, **kwargs)

@@ -41,6 +41,7 @@ from .moments import MomentDecomposition, l2_norm_sq
 from .norms import (
     NormTrace,
     QuadratureConfig,
+    _is_count,
     compute_norm_trace,
     geometric_times,
     norm_squared,
@@ -79,15 +80,33 @@ def _merge(base: dict, extra: dict) -> dict:
 
 
 def _reject_unknown_keys(raw: dict, schema: dict, where: str = "") -> None:
-    """Raise on config keys the schema does not have; data keywords are checked
-    against the chosen data builder instead."""
+    """Raise on unknown config keys and on sections that are not mappings; data
+    keywords are checked against the chosen data builder instead."""
     for key, value in raw.items():
         if key not in schema:
             raise InputDomainError(
                 f"unknown config key {where + str(key)!r}; expected one of {sorted(schema)}"
             )
-        if key != "data" and isinstance(value, dict) and isinstance(schema[key], dict):
-            _reject_unknown_keys(value, schema[key], f"{where}{key}.")
+        if isinstance(schema[key], dict):
+            if not isinstance(value, dict):
+                raise InputDomainError(f"config key {where + key!r} must be a mapping, got {value!r}")
+            if key != "data":
+                _reject_unknown_keys(value, schema[key], f"{where}{key}.")
+
+
+def _number(section: dict, key: str, where: str = "", whole: bool = False):
+    """section[key] as a float, or as an int >= 1 when whole; any other value,
+    a bool included, raises InputDomainError naming the key."""
+    value = section[key]
+    if whole and _is_count(value):
+        return int(value)
+    if not (whole or isinstance(value, bool)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    kind = "a whole number >= 1" if whole else "a number"
+    raise InputDomainError(f"config key {where + key!r} must be {kind}, got {value!r}")
 
 
 def default_config(preset: str) -> dict:
@@ -123,36 +142,35 @@ class ExperimentConfig:
         preset = cfg["preset"]
         p = cfg["params"]
         params = ModelParams(
-            delta=float(p["delta"]),
-            mu=float(p["mu"]),
-            kappa=float(p["kappa"]),
-            theta=float(p["theta"]),
-            dim=int(p["dim"]),
+            *(_number(p, key, "params.") for key in ("delta", "mu", "kappa", "theta")),
+            dim=_number(p, "dim", "params.", whole=True),
         )
         requires = PRESETS[preset].requires
         if requires is not None and not requires[1](params):
             raise InputDomainError(f"preset {preset} requires {requires[0]}")
         window = cfg["t_window"]
-        t_min, t_max = float(window["t_min"]), float(window["t_max"])
-        points_per_decade = window["points_per_decade"]
+        t_min, t_max = (_number(window, key, "t_window.") for key in ("t_min", "t_max"))
+        points_per_decade = _number(window, "points_per_decade", "t_window.", whole=True)
         try:
             geometric_times(t_min, t_max, points_per_decade)
         except InputDomainError as exc:
             raise InputDomainError(f"t_window: {exc}") from None
         q = cfg["quadrature"]
         quad = QuadratureConfig(
-            rel_tol=float(q["rel_tol"]),
-            points_per_period=int(q["points_per_period"]),
-            r_max=None if q["r_max"] in (None, "auto") else float(q["r_max"]),
+            rel_tol=_number(q, "rel_tol", "quadrature."),
+            points_per_period=_number(q, "points_per_period", "quadrature.", whole=True),
+            r_max=None if q["r_max"] in (None, "auto") else _number(q, "r_max", "quadrature."),
             mode=str(q["mode"]),
         )
+        if not isinstance(cfg["output_dir"], (str, Path)):
+            raise InputDomainError(f"config key 'output_dir' must be a path, got {cfg['output_dir']!r}")
         return cls(
             preset=preset,
             params=params,
-            sinc=SincConstants(delta0=float(cfg["sinc_threshold"])),
+            sinc=SincConstants(delta0=_number(cfg, "sinc_threshold")),
             data_spec=dict(cfg["data"]),
-            gamma_moment=float(cfg["gamma_moment"]),
-            t_window=(t_min, t_max, int(points_per_decade)),
+            gamma_moment=_number(cfg, "gamma_moment"),
+            t_window=(t_min, t_max, points_per_decade),
             quadrature=quad,
             output_dir=Path(cfg["output_dir"]),
         )
@@ -291,11 +309,11 @@ def _run_prop_4_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
 
 
 def _run_energy_conservation(config: ExperimentConfig, out: Path, checks: dict) -> None:
-    params, quad = config.params, config.quadrature
+    params = config.params
     data = _build_data(config)
-    reports = {t: total_energy(params, data, t) for t in (0.0, 1.0, 1e3, 1e6)}
-    base = reports[0.0].total
-    drift = max(abs(r.total - base) / base for t, r in reports.items() if t > 0)
+    energies = {t: total_energy(params, data, t) for t in (0.0, 1.0, 1e3, 1e6)}
+    base = energies[0.0]
+    drift = max(abs(e - base) / base for t, e in energies.items() if t > 0)
     _check(checks, "radial_energy_drift", drift <= 1e-10, drift, 1e-10)
 
     n = min(params.dim, 2)
@@ -306,16 +324,16 @@ def _run_energy_conservation(config: ExperimentConfig, out: Path, checks: dict) 
     bump = GridField.from_function(
         lambda *xs: np.exp(-sum(x**2 for x in xs)), n, box, size
     )
-    base_report = total_energy_grid(grid_params, zero, bump)
+    grid_base = total_energy_grid(grid_params, zero, bump)
     grid_drift = 0.0
     for t in (1.0, 5.0, 10.0):
         u_t, v_t = evolve_grid(grid_params, zero, bump, t, with_velocity=True)
-        rep = total_energy_grid(grid_params, u_t, v_t)
-        grid_drift = max(grid_drift, abs(rep.total - base_report.total) / base_report.total)
+        now = total_energy_grid(grid_params, u_t, v_t)
+        grid_drift = max(grid_drift, abs(now - grid_base) / grid_base)
     _check(checks, "grid_energy_drift", grid_drift <= 1e-8, grid_drift, 1e-8)
 
-    times = sorted(reports)
-    write_columns(out / "energy.csv", ["t", "total_energy"], times, [reports[t].total for t in times])
+    times = sorted(energies)
+    write_columns(out / "energy.csv", ["t", "total_energy"], times, [energies[t] for t in times])
 
 
 def _run_hardy(config: ExperimentConfig, out: Path, checks: dict) -> None:
@@ -645,7 +663,12 @@ def _dispatch(args) -> int:
         if args.config is not None:
             import yaml
 
-            raw = yaml.safe_load(args.config.read_text()) or {}
+            try:
+                raw = yaml.safe_load(args.config.read_text()) or {}
+            except (OSError, yaml.YAMLError) as exc:
+                raise InputDomainError(f"cannot read config {args.config}: {exc}") from None
+            if not isinstance(raw, dict):
+                raise InputDomainError("a config must be a mapping")
         elif args.preset is not None:
             raw = {"preset": args.preset}
         else:

@@ -26,22 +26,21 @@ from numpy.fft import fftfreq, fftn, ifftn
 
 from .errors import InputDomainError, InvariantViolation
 from .model import ModelParams, eval_dispersion, dispersion_derivatives, unit_sphere_area
-from .quadrature import panel_integrals
+from .quadrature import integrate_radial
 from .tails import TailBound
 
 __all__ = [
-    "SpectralTail",
     "RadialInitialData",
     "GridField",
-    "EnergyReport",
     "cosc",
     "propagator",
     "evolve_grid",
     "total_energy",
-    "energy_quadrature_nodes",
 ]
 
 _SERIES_CUT = 1e-4
+# |K21 - G10| overstates a smooth panel's error: this resolves the density to round-off
+_ENERGY_REL_TOL = 1e-12
 # below this |t f|, sin(t f)/f equals t to double precision (relative gap (t f)^2/6)
 _FLAT_PHASE = 1e-8
 
@@ -75,10 +74,7 @@ def cosc(x):
     return out if out.ndim else float(out)
 
 
-# spectral profiles carry the same certificate type as physical ones
-SpectralTail = TailBound
-
-_ZERO_TAIL = SpectralTail(kind="compact", cutoff=0.0)
+_ZERO_TAIL = TailBound(kind="compact", cutoff=0.0)
 
 
 def zero_profile(r):
@@ -90,21 +86,19 @@ class RadialInitialData:
     """Radially symmetric spectral profiles of the initial data.
 
     w0_profile and w1_profile map |xi| (array) to the Fourier transforms of
-    u0 and u1; the tails certify truncation.  decay_class is one of
-    "gaussian-type", "compact-band", "generic".
+    u0 and u1; the tails certify truncation.  kinks are the radii where a
+    profile jumps; radial integrals of the profiles are cut there.
     """
 
     w0_profile: Callable[[np.ndarray], np.ndarray]
     w1_profile: Callable[[np.ndarray], np.ndarray]
     dim: int
-    decay_class: str
-    w0_tail: SpectralTail = _ZERO_TAIL
-    w1_tail: SpectralTail = _ZERO_TAIL
+    w0_tail: TailBound = _ZERO_TAIL
+    w1_tail: TailBound = _ZERO_TAIL
     label: str = ""
+    kinks: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.decay_class not in ("gaussian-type", "compact-band", "generic"):
-            raise InputDomainError(f"unknown decay class {self.decay_class!r}")
         if self.dim < 1:
             raise InputDomainError("dim must be >= 1")
         probe = np.linspace(0.0, 20.0, 41)
@@ -122,20 +116,6 @@ class RadialInitialData:
         if self.w0_tail.kind == "compact" and self.w1_tail.kind == "compact":
             return max(self.w0_tail.cutoff, self.w1_tail.cutoff)
         return None
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """The four quadratic energy components and their conserved total."""
-
-    kinetic: float
-    fractional_kinetic: float
-    bending: float
-    stretching: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.fractional_kinetic + self.bending + self.stretching
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +156,6 @@ class GridField:
         return float(
             math.sqrt(np.sum(np.abs(self.values) ** 2).real * self.dx**self.dim)
         )
-
-    def volume_integral(self) -> complex:
-        return complex(np.sum(self.values) * self.dx**self.dim)
 
     @classmethod
     def from_function(cls, fn, dim: int, box_length: float, samples_per_axis: int) -> "GridField":
@@ -285,80 +262,59 @@ def evolve_grid(
 # energy
 
 
-def energy_quadrature_nodes(data: RadialInitialData, panels: int = 256) -> np.ndarray:
-    """Fixed radial partition adequate for the (non-oscillatory) energy density."""
+def _energy_radius(data: RadialInitialData) -> float:
+    """Radius beyond which the energy density of the data is negligible."""
     support = data.support_radius()
     if support is not None:
-        hi = max(support, 1e-6)
-    else:
-        hi = 15.0
-        for tail in (data.w0_tail, data.w1_tail):
-            if tail.kind == "gaussian" and tail.rate > 0:
-                hi = max(hi, math.sqrt(80.0 / tail.rate))
-            elif tail.kind == "power":
-                hi = max(hi, tail.cutoff * 1e3)
-    return np.linspace(0.0, hi, panels + 1)
+        return max(support, 1e-6)
+    hi = 15.0
+    for tail in (data.w0_tail, data.w1_tail):
+        if tail.kind == "gaussian" and tail.rate > 0:
+            hi = max(hi, math.sqrt(80.0 / tail.rate))
+        elif tail.kind == "power":
+            hi = max(hi, tail.cutoff * 1e3)
+    return hi
 
 
-def total_energy(
-    params: ModelParams,
-    data: RadialInitialData,
-    t: float,
-    edges: np.ndarray | None = None,
-) -> EnergyReport:
+def total_energy(params: ModelParams, data: RadialInitialData, t: float) -> float:
     """Energy of the radial state at time t, computed spectrally.
 
-    Components carry the Plancherel factor (2 pi)^(-n).  The pointwise sum
-    (1 + delta r^(2 theta))|w_t|^2 + (mu r^4 + kappa r^2)|w|^2 equals its
-    t = 0 value exactly, so the total is conserved to round-off on any fixed
-    partition; the individual components do oscillate in time.
+    Integrates the conserved density
+    (1/2) [(1 + delta r^(2 theta)) |w_t|^2 + (mu r^4 + kappa r^2) |w|^2] r^(n-1)
+    with the Plancherel factor (2 pi)^(-n), cut at the kinks of the data.
+    The density equals its t = 0 value pointwise, so the total is conserved
+    to round-off.
     """
     _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
     n = params.dim
-    scale = unit_sphere_area(n) / (2.0 * math.pi) ** n
 
-    if edges is None:
-        edges = energy_quadrature_nodes(data)
-
-    def densities(r):
-        # (w, w_t) once per node, then the four component densities
+    def density(r):
         f = eval_dispersion(params, r)
         phase = t * f
         c = np.cos(phase)
-        s = np.sin(phase)
-        prop = propagator(t, f)
         w0 = np.asarray(data.w0_profile(r))
         w1 = np.asarray(data.w1_profile(r))
-        w_sq = np.abs(c * w0 + prop * w1) ** 2
-        wt_sq = np.abs(-f * s * w0 + c * w1) ** 2
-        rn = r ** (n - 1)
-        return np.stack([
-            0.5 * wt_sq * rn,
-            0.5 * params.delta * r ** (2.0 * params.theta) * wt_sq * rn,
-            0.5 * params.mu * r**4 * w_sq * rn,
-            0.5 * params.kappa * r**2 * w_sq * rn,
-        ])
+        w_sq = np.abs(c * w0 + propagator(t, f) * w1) ** 2
+        wt_sq = np.abs(-f * np.sin(phase) * w0 + c * w1) ** 2
+        kinetic = (1.0 + params.delta * r ** (2.0 * params.theta)) * wt_sq
+        potential = (params.mu * r**4 + params.kappa * r**2) * w_sq
+        return 0.5 * (kinetic + potential) * r ** (n - 1)
 
-    values, _ = panel_integrals(densities, edges[:-1], edges[1:])
-    kin, frac, bend, stretch = (scale * float(np.sum(v)) for v in values)
-    return EnergyReport(kinetic=kin, fractional_kinetic=frac, bending=bend, stretching=stretch)
+    value = integrate_radial(density, 0.0, _energy_radius(data), data.kinks, rel_tol=_ENERGY_REL_TOL)
+    return unit_sphere_area(n) / (2.0 * math.pi) ** n * value
 
 
-def total_energy_grid(
-    params: ModelParams, field: GridField, velocity: GridField
-) -> EnergyReport:
+def total_energy_grid(params: ModelParams, field: GridField, velocity: GridField) -> float:
     """Energy of a box state (u, u_t) via DFT Plancherel sums."""
     rho = _grid_xi_norm(field)
     n_tot = field.samples_per_axis**field.dim
     cell = field.dx**field.dim / n_tot
-    hat = fftn(field.values)
-    hat_t = fftn(velocity.values)
-    hat_sq = np.abs(hat) ** 2
-    hat_t_sq = np.abs(hat_t) ** 2
+    hat_sq = np.abs(fftn(field.values)) ** 2
+    hat_t_sq = np.abs(fftn(velocity.values)) ** 2
     kin = 0.5 * float(np.sum(hat_t_sq)) * cell
     frac = 0.5 * params.delta * float(np.sum(rho ** (2.0 * params.theta) * hat_t_sq)) * cell
     bend = 0.5 * params.mu * float(np.sum(rho**4 * hat_sq)) * cell
     stretch = 0.5 * params.kappa * float(np.sum(rho**2 * hat_sq)) * cell
-    return EnergyReport(kin, frac, bend, stretch)
+    return kin + frac + bend + stretch

@@ -68,9 +68,6 @@ class ModelParams:
             raise PreconditionError(f"{what} requires mu > 0 (got mu = {self.mu})")
 
 
-DEFAULT_PARAMS = ModelParams(delta=1.0, mu=1.0, kappa=1.0, theta=2.0, dim=1)
-
-
 @dataclass(frozen=True)
 class SincConstants:
     """Supremum L of |sin(eta)/eta| and a threshold delta0 with sinc >= 1/2 below it.

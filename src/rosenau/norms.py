@@ -51,13 +51,7 @@ import numpy as np
 
 from .artifacts import write_columns
 from .errors import InputDomainError, InvariantViolation, UncertifiedTailError
-from .evolution import (
-    RadialInitialData,
-    _check_time,
-    energy_quadrature_nodes,
-    propagator,
-    total_energy,
-)
+from .evolution import RadialInitialData, _check_time, propagator, total_energy
 from .model import (
     DEFAULT_SINC,
     ModelParams,
@@ -72,7 +66,6 @@ from .quadrature import (
     integrate_levin,
     panel_integrals,
     phase_resolved_edges,
-    uniform_edges,
 )
 
 __all__ = [
@@ -158,7 +151,7 @@ def _coarse_estimate(params: ModelParams, data: RadialInitialData, t: float, hi:
         w1 = np.abs(np.asarray(data.w1_profile(r))) ** 2
         return (w0 + prop_sq * w1) * r ** (n - 1)
 
-    edges = uniform_edges(0.0, hi, 256)
+    edges = np.linspace(0.0, hi, 257)
     return abs(float(np.sum(panel_integrals(envelope, edges[:-1], edges[1:])[0])))
 
 
@@ -284,7 +277,7 @@ def oscillatory_integrals(
                 if t > 0:
                     edges = phase_resolved_edges(params, t, lo, hi, points_per_period)
                 else:
-                    edges = uniform_edges(lo, hi, 64)
+                    edges = np.linspace(lo, hi, 65)
                 values[k] += integrate_adaptive(integrand, edges, rel_tol, abs_tol)[0]
                 continue
             edges = fast_segment_edges(lo, hi)
@@ -603,12 +596,11 @@ def compute_norm_trace(
     all on the one evaluation path of norm_squared.
     """
     ts = np.asarray(times, dtype=float)
-    energy_edges = energy_quadrature_nodes(data)
     low, mid, high, energy = (np.empty(ts.size) for _ in range(4))
     for i, t in enumerate(ts):
         split = band_split_norm(params, data, t, cfg, sinc_constants)
         low[i], mid[i], high[i] = split.low, split.mid, split.high
-        energy[i] = total_energy(params, data, t, edges=energy_edges).total
+        energy[i] = total_energy(params, data, t)
     return NormTrace(
         times=ts,
         norms_sq=low + mid + high,

@@ -31,7 +31,13 @@ On top of them:
 * ``integrate_radial`` integrates over a finite [lo, hi] cut at given kinks
   and once per decade, with the K21 refinement capped at 17 rounds, and
   raises IntegrabilityError instead of returning a value it did not
-  resolve.  Every radial integral of the moment and Hardy layers uses it.
+  resolve.
+
+The rule for callers: a smooth radial integrand goes through
+``integrate_radial``, with its jumps passed as kinks; an integrand that
+oscillates like sin(t f) goes through ``phase_resolved_edges`` and the K21
+refinement where the phase is slow or stationary, and through
+``integrate_levin`` where it is fast (norms.oscillatory_integrals).
 
 All of it is deterministic: the partition depends only on the inputs and
 accepted panel contributions are summed in left-to-right order.
@@ -55,7 +61,6 @@ __all__ = [
     "LEVIN_POINTS",
     "integrate_levin",
     "phase_resolved_edges",
-    "uniform_edges",
 ]
 
 # Panel-width unit of phase_resolved_edges: a panel spans at most
@@ -170,10 +175,6 @@ def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.
     if values is None:
         values = errors = np.empty(lo.shape)
     return values, errors
-
-
-def uniform_edges(lo: float, hi: float, panels: int) -> np.ndarray:
-    return np.linspace(lo, hi, panels + 1)
 
 
 def _refine(rule, edges, rel_tol: float, abs_tol: float, max_rounds: int):

@@ -1,9 +1,11 @@
-"""Every top-level function and class of the package has a caller inside it.
+"""Every top-level function, class and assigned name of the package has a
+caller inside it.
 
 A definition counts as used when some other statement of ``src/rosenau``
 names it: as a Name, as an Attribute, or in an import.  Its own body,
 ``__all__`` (string entries) and ``__init__.py`` (re-exports) do not count,
-so a public function that only the tests call fails here.  The check is by
+so a public function or constant that only the tests call fails here.
+Dunder assignments such as ``__all__`` are not definitions.  The check is by
 name, so a definition shadowed by a same-named parameter or attribute
 elsewhere in the package escapes it.
 """
@@ -27,8 +29,27 @@ def _names(node) -> set:
     return found
 
 
+def _defined(stmt) -> list:
+    """Names a top-level statement defines: a def, a class, or the plain
+    names an assignment binds (tuple targets unpacked)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        for node in ast.walk(target):
+            if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                names.append(node.id)
+    return names
+
+
 def unreferenced_definitions(package: Path = PACKAGE) -> list:
-    """(module, name) of every top-level def or class no other statement names."""
+    """(module, name) of every top-level definition no other statement names."""
     definitions = []
     used = set()
     for path in sorted(package.glob("*.py")):
@@ -36,9 +57,9 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list:
             continue
         for stmt in ast.parse(path.read_text()).body:
             names = _names(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, stmt.name))
-                names.discard(stmt.name)  # recursion is no caller
+            for name in _defined(stmt):
+                definitions.append((path.stem, name))
+                names.discard(name)  # recursion or its own target is no caller
             used |= names
     return [(module, name) for module, name in definitions if name not in used]
 

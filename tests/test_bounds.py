@@ -78,7 +78,7 @@ class TestFluctuationRemainder:
 def k0_by_quadrature(params, gamma):
     """K0 from its defining integral by the K21 refinement on [0, 12]: an
     oracle independent of the Gamma-function closed form."""
-    from rosenau.quadrature import integrate_adaptive, uniform_edges
+    from rosenau.quadrature import integrate_adaptive
 
     de, ka, th = params.delta, params.kappa, params.theta
 
@@ -89,7 +89,7 @@ def k0_by_quadrature(params, gamma):
             + de * r ** (2.0 * (gamma + th) + 1.0) / (ka * (gamma + th))
         )
 
-    return integrate_adaptive(integrand, uniform_edges(0.0, 12.0, 64), 1e-12)[0]
+    return integrate_adaptive(integrand, np.linspace(0.0, 12.0, 65), 1e-12)[0]
 
 
 class TestGaussianWeightConstant:

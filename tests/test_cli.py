@@ -182,6 +182,20 @@ class TestRunners:
             ("data: {bogus: 3}\n", "bogus"),
             ("threads: 2\n", "threads"),
             ("preset: [custom]\n", "unknown preset"),
+            ("params: {delta: abc}\n", "'params.delta'"),
+            ("t_window: {t_min: abc}\n", "'t_window.t_min'"),
+            ("sinc_threshold: abc\n", "'sinc_threshold'"),
+            ("params: [1, 2]\n", "'params'"),
+            ("params: {dim: 2.5}\n", "'params.dim'"),
+            ("params: {dim: true}\n", "'params.dim'"),
+            ("quadrature: {points_per_period: 8.7}\n", "'quadrature.points_per_period'"),
+            ("quadrature: {r_max: abc}\n", "'quadrature.r_max'"),
+            ("quadrature: fast\n", "'quadrature'"),
+            ("t_window: 5\n", "'t_window'"),
+            ("gamma_moment: null\n", "'gamma_moment'"),
+            ("params: {kappa: true}\n", "'params.kappa'"),
+            ("data: {name: gaussian, a: abc}\n", "a must be a number"),
+            ("params: {delta: [\n", "cannot read config"),
         ],
     )
     def test_cli_run_rejects_malformed_config(self, capsys, tmp_path, body, message):
@@ -190,6 +204,19 @@ class TestRunners:
         assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_cli_run_rejects_missing_config_file(self, capsys, tmp_path):
+        assert main(["run", str(tmp_path / "absent.yaml")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_output_dir_must_be_a_path(self):
+        with pytest.raises(InputDomainError, match="'output_dir'"):
+            ExperimentConfig.from_dict({"preset": "custom", "output_dir": 5})
+
+    @pytest.mark.parametrize("dim", [2, 2.0, np.int64(2)])
+    def test_whole_dim_accepted(self, dim):
+        cfg = ExperimentConfig.from_dict({"preset": "custom", "params": {"dim": dim}})
+        assert cfg.params.dim == 2 and type(cfg.params.dim) is int
 
     def test_prop_4_1_checks_only_the_datum_it_ran(self, tmp_path):
         cfg = ExperimentConfig.from_dict(

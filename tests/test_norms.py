@@ -114,7 +114,6 @@ class TestNormSquared:
             w0_profile=zero_profile,
             w1_profile=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) + 0j,
             dim=1,
-            decay_class="generic",
             w1_tail=TailBound(kind="none"),
         )
         with pytest.raises(UncertifiedTailError):
@@ -184,8 +183,8 @@ class TestTraceArtifacts:
         assert np.max(np.abs(e / e[0] - 1.0)) <= 1e-10
 
     def test_energy_ties_to_initial_report(self, trace_1d_exact):
-        report = total_energy(P1, gaussian_velocity_data(1), 0.0)
-        assert trace_1d_exact.energy[0] == pytest.approx(report.total, rel=1e-10)
+        energy = total_energy(P1, gaussian_velocity_data(1), 0.0)
+        assert trace_1d_exact.energy[0] == pytest.approx(energy, rel=1e-10)
 
     def test_csv_format(self, trace_1d_exact, tmp_path):
         path = tmp_path / "trace.csv"
@@ -231,7 +230,7 @@ class TestFusedIntegrand:
     def test_matches_complex_formula(self, case, t, dim):
         _, w0, tail0, w1, tail1 = case
         params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
-        data = RadialInitialData(w0, w1, dim, "gaussian-type", tail0, tail1)
+        data = RadialInitialData(w0, w1, dim, tail0, tail1)
         r = np.concatenate([[0.0, 1e-12], np.linspace(1e-3, 12.0, 997)])
         f = eval_dispersion(params, r)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,7 +254,7 @@ class TestFusedIntegrand:
 
         velocity = gaussian_velocity_data(1)
         data = RadialInitialData(
-            counted, velocity.w1_profile, 1, "gaussian-type",
+            counted, velocity.w1_profile, 1,
             TailBound(kind="compact", cutoff=0.0), velocity.w1_tail,
         )
         calls.clear()  # construction probes both profiles
@@ -297,7 +296,7 @@ def _complex_data(dim):
     g = lambda r: 1.5 * np.exp(-0.25 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
     h = lambda r: np.exp(-0.3 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
     return RadialInitialData(
-        lambda r: (0.6 - 0.8j) * g(r), lambda r: (0.3 + 2.0j) * h(r), dim, "gaussian-type",
+        lambda r: (0.6 - 0.8j) * g(r), lambda r: (0.3 + 2.0j) * h(r), dim,
         _gaussian_tail(1.5), _gaussian_tail(2.1, 0.3),
     )
 
@@ -382,7 +381,7 @@ class TestOscillatoryPath:
                 calls.append(np.size(r))
                 return base.w1_profile(r)
 
-            data = RadialInitialData(zero_profile, counted, 1, "gaussian-type",
+            data = RadialInitialData(zero_profile, counted, 1,
                                      base.w0_tail, base.w1_tail)
             calls.clear()
             _norm_pieces(P1, data, t, [0.0, 6.4], DEFAULT_QUADRATURE)

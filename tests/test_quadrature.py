@@ -14,7 +14,6 @@ from rosenau.quadrature import (
     integrate_radial,
     panel_integrals,
     phase_resolved_edges,
-    uniform_edges,
 )
 
 P = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
@@ -66,7 +65,7 @@ class TestKronrodRule:
     def test_chunking_does_not_change_panels(self):
         # more panels than one chunk holds, compared with one-panel calls
         fn = lambda x: np.sin(3.0 * x) * np.exp(-x)  # noqa: E731
-        edges = uniform_edges(0.0, 40.0, quadrature._PANEL_CHUNK + 7)
+        edges = np.linspace(0.0, 40.0, quadrature._PANEL_CHUNK + 8)
         vals, errs = panel_integrals(fn, edges[:-1], edges[1:])
         for i in (0, quadrature._PANEL_CHUNK - 1, quadrature._PANEL_CHUNK, edges.size - 2):
             v, e = panel_integrals(fn, edges[i : i + 1], edges[i + 1 : i + 2])
@@ -84,7 +83,7 @@ class TestSinglePassAdaptive:
             return np.exp(-x)
 
         panels = 37
-        val, err = integrate_adaptive(counted, uniform_edges(0.0, 3.0, panels), 1e-10)
+        val, err = integrate_adaptive(counted, np.linspace(0.0, 3.0, panels + 1), 1e-10)
         assert sum(calls) == KRONROD_POINTS * panels
         assert val == pytest.approx(1.0 - math.exp(-3.0), rel=1e-14)
         assert err <= 1e-10 * val
@@ -96,7 +95,7 @@ class TestSinglePassAdaptive:
             calls.append(x.size)
             return np.sqrt(x)
 
-        val, _ = integrate_adaptive(counted, uniform_edges(0.0, 1.0, 4), 1e-8)
+        val, _ = integrate_adaptive(counted, np.linspace(0.0, 1.0, 5), 1e-8)
         assert val == pytest.approx(2.0 / 3.0, rel=1e-8)
         # round one evaluates all 4 panels; afterwards only the two halves
         # of the panel touching the singularity are pending each round
@@ -112,7 +111,7 @@ class TestSinglePassAdaptive:
             calls.append(x.size)
             return np.exp(x)
 
-        val, _ = integrate_adaptive(counted, uniform_edges(0.0, 1.0, 4), 1e-20, max_rounds=8)
+        val, _ = integrate_adaptive(counted, np.linspace(0.0, 1.0, 5), 1e-20, max_rounds=8)
         assert val == pytest.approx(math.e - 1.0, rel=1e-14)
         assert calls == [4 * KRONROD_POINTS]
 
@@ -128,7 +127,7 @@ class TestSinglePassAdaptive:
     @pytest.mark.parametrize("max_rounds", [0, 1, 3])
     def test_exhausted_rounds_error_covers_true_error(self, fn, lo, hi, exact, max_rounds):
         val, err = integrate_adaptive(
-            fn, uniform_edges(lo, hi, 2), 1e-15, max_rounds=max_rounds
+            fn, np.linspace(lo, hi, 3), 1e-15, max_rounds=max_rounds
         )
         assert err >= abs(val - exact)
         assert err > 0.0
@@ -158,13 +157,13 @@ class TestRadial:
     def test_returns_python_floats(self):
         value = integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12)
         assert type(value) is float
-        value, error = integrate_adaptive(np.exp, uniform_edges(0.0, 1.0, 2), 1e-12)
+        value, error = integrate_adaptive(np.exp, np.linspace(0.0, 1.0, 3), 1e-12)
         assert type(value) is float and type(error) is float
 
 
 def test_adaptive_gaussian_integral():
     val, err = integrate_adaptive(
-        lambda x: np.exp(-(x**2)), uniform_edges(0.0, 12.0, 8), 1e-10
+        lambda x: np.exp(-(x**2)), np.linspace(0.0, 12.0, 9), 1e-10
     )
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
     assert err <= 1e-8
@@ -234,7 +233,7 @@ def test_split_wide_panels_matches_the_loop():
 
 def test_deterministic_repeatability():
     fn = lambda x: np.sin(37.0 * x) * np.exp(-x)  # noqa: E731
-    edges = uniform_edges(0.0, 5.0, 16)
+    edges = np.linspace(0.0, 5.0, 17)
     a = integrate_adaptive(fn, edges, 1e-9)
     b = integrate_adaptive(fn, edges, 1e-9)
     assert a == b
@@ -250,7 +249,7 @@ class TestNonFiniteIntegrand:
             return np.where(x > 0.5, bad, x)
 
         with pytest.raises(IntegrabilityError, match="non-finite"), np.errstate(invalid="ignore"):
-            integrate_adaptive(fn, uniform_edges(0.0, 1.0, 4), 1e-10, max_rounds=8)
+            integrate_adaptive(fn, np.linspace(0.0, 1.0, 5), 1e-10, max_rounds=8)
         assert sum(nodes) <= KRONROD_POINTS * 4
 
 
@@ -284,20 +283,20 @@ class TestLevin:
 
         exact = antiderivative(2.0) - antiderivative(-1.0)
         val, _ = integrate_levin(lambda x: x**3, lambda x: x, _ones, omega,
-                                 uniform_edges(-1.0, 2.0, 3), 1e-12)
+                                 np.linspace(-1.0, 2.0, 4), 1e-12)
         assert abs(val - exact) <= 1e-13 * max(abs(exact), 1.0 / omega)
 
     @pytest.mark.parametrize("omega", OMEGAS)
     def test_nonlinear_phase_closed_form(self, omega):
         # 2x e^(i w x^2) has the antiderivative e^(i w x^2)/(i w)
         val, _ = integrate_levin(lambda x: 2 * x, lambda x: x**2, lambda x: 2 * x, omega,
-                                 uniform_edges(0.5, 3.0, 4), 1e-12)
+                                 np.linspace(0.5, 3.0, 5), 1e-12)
         exact = (np.exp(1j * omega * 9.0) - np.exp(1j * omega * 0.25)) / (1j * omega)
         assert abs(val - exact) <= 1e-13 * abs(exact)
 
     def test_complex_amplitude_is_linear(self):
         g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
-        args = (lambda x: x**2, lambda x: 2 * x, 300.0, uniform_edges(0.5, 3.0, 8), 1e-12)
+        args = (lambda x: x**2, lambda x: 2 * x, 300.0, np.linspace(0.5, 3.0, 9), 1e-12)
         whole, _ = integrate_levin(g, *args)
         re, _ = integrate_levin(lambda x: g(x).real, *args)
         im, _ = integrate_levin(lambda x: g(x).imag, *args)
@@ -325,7 +324,7 @@ class TestLevin:
                 return np.exp(-x) / (1.0 + x)
 
             integrate_levin(g, np.log1p, lambda x: 1.0 / (1.0 + x), omega,
-                            uniform_edges(0.0, 5.0, 8), 1e-10)
+                            np.linspace(0.0, 5.0, 9), 1e-10)
             nodes[omega] = sum(calls)
         assert nodes[1e9] <= 2 * nodes[1e3]
         assert nodes[1e3] <= 2 * 8 * LEVIN_POINTS
@@ -339,7 +338,7 @@ class TestLevin:
             calls.append(x.size)
             return np.exp(-x)
 
-        val, _ = integrate_levin(g, lambda x: x, _ones, 2e7, uniform_edges(1.0, 2.0, 4), 1e-16)
+        val, _ = integrate_levin(g, lambda x: x, _ones, 2e7, np.linspace(1.0, 2.0, 5), 1e-16)
         exact = (np.exp((-1 + 2e7j) * 2.0) - np.exp((-1 + 2e7j) * 1.0)) / (-1 + 2e7j)
         assert abs(val - exact) <= 1e-12 * abs(exact)
         assert len(calls) <= 4
@@ -349,7 +348,7 @@ class TestLevin:
         # the panel holding the jump at 0.4 is bisected to the round limit,
         # through the ill-conditioned Levin panels near one radian of phase
         val, err = integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), lambda x: x, _ones,
-                                   omega, uniform_edges(0.0, 1.0, 2), 1e-10)
+                                   omega, np.linspace(0.0, 1.0, 3), 1e-10)
         exact = _linear_exact(0.0, 0.4, omega)
         assert abs(val - exact) <= 1e-10
         assert err >= abs(val - exact)
@@ -357,7 +356,7 @@ class TestLevin:
     def test_stationary_phase_panel_stays_finite(self):
         # f' = 0: no Levin system is solved, the rule integrates g e^(i w c) directly
         val, _ = integrate_levin(lambda x: x, lambda x: np.full_like(x, 2.0), np.zeros_like,
-                                 50.0, uniform_edges(0.0, 1.0, 2), 1e-12)
+                                 50.0, np.linspace(0.0, 1.0, 3), 1e-12)
         assert val == pytest.approx(0.5 * np.exp(100j), rel=1e-14)
 
     @pytest.mark.parametrize("part", ["g", "f", "fprime"])
@@ -365,7 +364,7 @@ class TestLevin:
         fns = {"g": _ones, "f": lambda x: x, "fprime": _ones}
         fns[part] = lambda x: np.where(x > 0.5, np.nan, x)
         with pytest.raises(IntegrabilityError):
-            integrate_levin(fns["g"], fns["f"], fns["fprime"], 1e3, uniform_edges(0.0, 1.0, 4), 1e-10)
+            integrate_levin(fns["g"], fns["f"], fns["fprime"], 1e3, np.linspace(0.0, 1.0, 5), 1e-10)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(InputDomainError):
