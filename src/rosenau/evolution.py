@@ -46,12 +46,17 @@ _FLAT_PHASE = 1e-8
 
 
 def _check_time(t) -> None:
-    if not (math.isfinite(t) and t >= 0):
+    """Raise InputDomainError unless the time, or every time of an array, is
+    finite and nonnegative."""
+    if not np.all(np.isfinite(t) & (np.asarray(t) >= 0)):
         raise InputDomainError(f"time must be finite and nonnegative, got {t}")
 
 
-def propagator(t: float, f):
-    """sin(t f)/f in real arithmetic, with its f = 0 limit t; |value| <= t for f >= 0."""
+def propagator(t, f):
+    """sin(t f)/f in real arithmetic, with its f = 0 limit t; |value| <= t for f >= 0.
+
+    t may be an array broadcasting against an array f.
+    """
     f = np.asarray(f, dtype=float)
     if f.ndim == 0:
         phase = t * float(f)
@@ -61,7 +66,7 @@ def propagator(t: float, f):
         out = np.sin(phase) / f
     flat = np.abs(phase) < _FLAT_PHASE
     if flat.any():
-        out[flat] = t
+        out[flat] = np.broadcast_to(t, out.shape)[flat]
     return out
 
 
@@ -276,27 +281,30 @@ def _energy_radius(data: RadialInitialData) -> float:
     return hi
 
 
-def total_energy(params: ModelParams, data: RadialInitialData, t: float) -> float:
+def total_energy(params: ModelParams, data: RadialInitialData, t):
     """Energy of the radial state at time t, computed spectrally.
 
     Integrates the conserved density
     (1/2) [(1 + delta r^(2 theta)) |w_t|^2 + (mu r^4 + kappa r^2) |w|^2] r^(n-1)
     with the Plancherel factor (2 pi)^(-n), cut at the kinks of the data.
     The density equals its t = 0 value pointwise, so the total is conserved
-    to round-off.
+    to round-off.  For an array of times it returns one value per time, all
+    from one row-valued integral.
     """
     _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
     n = params.dim
+    # one row per time; a single time gives one flat row
+    ts = np.asarray(t, dtype=float)[..., None]
 
     def density(r):
         f = eval_dispersion(params, r)
-        phase = t * f
+        phase = ts * f
         c = np.cos(phase)
         w0 = np.asarray(data.w0_profile(r))
         w1 = np.asarray(data.w1_profile(r))
-        w_sq = np.abs(c * w0 + propagator(t, f) * w1) ** 2
+        w_sq = np.abs(c * w0 + propagator(ts, f) * w1) ** 2
         wt_sq = np.abs(-f * np.sin(phase) * w0 + c * w1) ** 2
         kinetic = (1.0 + params.delta * r ** (2.0 * params.theta)) * wt_sq
         potential = (params.mu * r**4 + params.kappa * r**2) * w_sq

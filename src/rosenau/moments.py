@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 _MOMENT_REL_TOL = 1e-12
+# fluctuation raises when the panels still failing after the last round carry
+# more error than this share of a row's |A(rho)|
+_UNRESOLVED_SHARE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -290,8 +293,10 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
     Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R] for all rho at
     once, starting from about one panel per period of the fastest kernel,
     cos(rho_max r), and bisecting a panel until every rho meets its share
-    of 1e-12 of its own |A(rho)|.  The odd part B vanishes for radial data,
-    so A is the whole fluctuation.
+    of 1e-12 of its own |A(rho)|.  Raises IntegrabilityError when the
+    panels still failing after the last round carry more error than 1e-9 of
+    some row's |A(rho)|.  The odd part B vanishes for radial data, so A is
+    the whole fluctuation.
     """
     rhos = np.asarray(rhos, dtype=float)
     radius = u1.upper_limit()
@@ -302,7 +307,17 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
         return u * _kernel_minus_one(n, rhos[:, None] * r)
 
     panels = max(16, math.ceil(float(np.max(rhos)) * radius / (2.0 * math.pi)))
-    values, _, _ = _kronrod_refine(integrand, np.linspace(0.0, radius, panels + 1), _MOMENT_REL_TOL)
+    edges = np.linspace(0.0, radius, panels + 1)
+    values, _, unresolved = _kronrod_refine(integrand, [edges], _MOMENT_REL_TOL)
+    values, unresolved = values[:, 0], unresolved[:, 0]
+    bad = np.flatnonzero(unresolved > _UNRESOLVED_SHARE * np.abs(values))
+    if bad.size:
+        i = bad[0]
+        raise IntegrabilityError(
+            f"A({rhos[i]:.6g}) of profile {u1.label or u1!r} unresolved: the panels still "
+            f"failing after the last bisection round carry {unresolved[i]:.3g} against "
+            f"|A| = {abs(values[i]):.3g}"
+        )
     return unit_sphere_area(n) * values
 
 

@@ -15,20 +15,23 @@ calls ``oscillation_segments`` once for the whole interval, which splits it
 into the slow region t f <= 16 pi, windows of half-width
 min(1/4, 2 t^(-1/4)) around the stationary points of f (found once per
 ModelParams), and the fast segments between them, and cuts each segment at
-the piece boundaries:
+the piece boundaries.  It collects every piece first and then makes three
+refinements, each over all its pieces at once with a budget per piece
+(quadrature._refine), so each piece is held to rel_tol of its own value as
+if it were integrated alone:
 
-* on slow pieces and windows, the integrand itself is integrated with the
-  G10/K21 Gauss-Kronrod pair from the partition ``phase_resolved_edges``
-  (more than points_per_period nodes per period, no panel wider than 1/48 of
-  the piece), each panel evaluated once and bisected only while its
-  |K21 - G10| estimate misses its share of the requested tolerance; the norm
-  integrand is evaluated in real arithmetic and skips a component whose tail
-  certifies it zero;
-* on fast pieces the mean is integrated with the K21 rule and
-  Re[g e^(2 i t f)] by Levin collocation, both from the partition
-  ``fast_segment_edges``, which does not depend on t, bisecting where
-  needed, so the fast pieces cost the same at every t; only the windows
-  grow, like t^(1/2).
+* the slow pieces and windows: the integrand itself with the G10/K21
+  Gauss-Kronrod pair, from the partition ``phase_resolved_edges`` (more
+  than points_per_period nodes per period, judged from f' at the 49
+  width-rule edges, no panel wider than 1/48 of the piece), each panel
+  evaluated once and bisected only while its |K21 - G10| estimate misses
+  its share of the piece's tolerance; the norm integrand is evaluated in
+  real arithmetic and skips a component whose tail certifies it zero;
+* the fast pieces: the mean with the K21 rule, then Re[g e^(2 i t f)] by
+  Levin collocation, each piece also held to rel_tol times |mean| of that
+  piece, both from the partition ``fast_segment_edges``, which does not
+  depend on t, bisecting where needed, so the fast pieces cost the same at
+  every t; only the windows grow, like t^(1/2).
 
 ``norm_squared`` runs the driver on [0, r_max], ``band_split_norm`` on the
 cuts [0, beta, split, r_max], so the three bands share one segmentation, and
@@ -61,12 +64,7 @@ from .model import (
     eval_dispersion,
     unit_sphere_area,
 )
-from .quadrature import (
-    integrate_adaptive,
-    integrate_levin,
-    panel_integrals,
-    phase_resolved_edges,
-)
+from .quadrature import _kronrod_refine, integrate_levin, panel_integrals, phase_resolved_edges
 
 __all__ = [
     "QuadratureConfig",
@@ -264,36 +262,44 @@ def oscillatory_integrals(
     A slow piece or a stationary-point window is integrated as integrand; a
     fast piece as mean plus the real part of the Levin integral of
     coefficient e^(2 i t f).  mean may be None for a purely oscillatory
-    integrand.  Every refinement is held to rel_tol of its own value and to
-    abs_tol, the Levin one also to rel_tol times |mean| of its piece.
+    integrand.  The pieces are collected first and integrated in three
+    refinements: K21 of integrand over the slow pieces and windows, K21 of
+    mean over the fast pieces, and Levin over the fast pieces.  Each piece is
+    held to rel_tol of its own value and to abs_tol, a Levin piece also to
+    rel_tol times |mean| of that piece.
     """
-    values = np.zeros(len(cuts) - 1)
+    slow, fast = [], []  # (k, partition) of each piece
     for seg_lo, seg_hi, kind in oscillation_segments(params, t, cuts[0], cuts[-1]):
         for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
             lo, hi = max(seg_lo, a), min(seg_hi, b)
             if hi <= lo:
                 continue
-            if kind != "fast":
-                if t > 0:
-                    edges = phase_resolved_edges(params, t, lo, hi, points_per_period)
-                else:
-                    edges = np.linspace(lo, hi, 65)
-                values[k] += integrate_adaptive(integrand, edges, rel_tol, abs_tol)[0]
-                continue
-            edges = fast_segment_edges(lo, hi)
-            level = 0.0
-            if mean is not None:
-                level, _ = integrate_adaptive(mean, edges, rel_tol, abs_tol)
-            osc, _ = integrate_levin(
-                coefficient,
-                lambda r: eval_dispersion(params, r),
-                lambda r: dispersion_derivatives(params, r)[0],
-                2.0 * t,
-                edges,
-                rel_tol,
-                abs_tol=max(abs_tol, rel_tol * abs(level)),
-            )
-            values[k] += level + osc.real
+            if kind == "fast":
+                fast.append((k, fast_segment_edges(lo, hi)))
+            elif t > 0:
+                slow.append((k, phase_resolved_edges(params, t, lo, hi, points_per_period)))
+            else:
+                slow.append((k, np.linspace(lo, hi, 65)))
+
+    values = np.zeros(len(cuts) - 1)
+    if slow:
+        ks, edges = map(list, zip(*slow))
+        np.add.at(values, ks, _kronrod_refine(integrand, edges, rel_tol, abs_tol)[0])
+    if fast:
+        ks, edges = map(list, zip(*fast))
+        level = np.zeros(len(ks))
+        if mean is not None:
+            level = _kronrod_refine(mean, edges, rel_tol, abs_tol)[0]
+        osc, _ = integrate_levin(
+            coefficient,
+            lambda r: eval_dispersion(params, r),
+            lambda r: dispersion_derivatives(params, r)[0],
+            2.0 * t,
+            edges,
+            rel_tol,
+            np.maximum(abs_tol, rel_tol * np.abs(level)),
+        )
+        np.add.at(values, ks, level + osc.real)
     return values
 
 
@@ -593,21 +599,21 @@ def compute_norm_trace(
     """Band-split norms and total energy over a sampled time window.
 
     Each sample is the sum of the three band integrals of band_split_norm,
-    all on the one evaluation path of norm_squared.
+    all on the one evaluation path of norm_squared; the energy of every
+    sample comes from one total_energy call.
     """
     ts = np.asarray(times, dtype=float)
-    low, mid, high, energy = (np.empty(ts.size) for _ in range(4))
+    low, mid, high = (np.empty(ts.size) for _ in range(3))
     for i, t in enumerate(ts):
         split = band_split_norm(params, data, t, cfg, sinc_constants)
         low[i], mid[i], high[i] = split.low, split.mid, split.high
-        energy[i] = total_energy(params, data, t)
     return NormTrace(
         times=ts,
         norms_sq=low + mid + high,
         band_low=low,
         band_mid=mid,
         band_high=high,
-        energy=energy,
+        energy=total_energy(params, data, ts),
     )
 
 

@@ -17,16 +17,20 @@ Two panel rules share one refinement engine:
 
 On top of them:
 
-* ``phase_resolved_edges`` builds an initial partition whose panel widths
-  track the local oscillation period pi/(t |f'(r)|), so that every period of
-  sin^2(t f) receives at least ``points_per_period`` nodes, and are at most
-  1/48 of the interval, its one width rule;
+* ``phase_resolved_edges`` builds an initial partition from the width rule,
+  the 49 edges lo + (hi - lo) j / 48, and f' evaluated at those edges only:
+  each of the 48 panels is split into equal parts narrow enough that every
+  period of sin^2(t f), judged by the larger |f'| of the panel's two ends,
+  receives at least ``points_per_period`` nodes;
 * ``integrate_adaptive`` (K21) and ``integrate_levin`` evaluate every
   pending panel once per round, accept the panels whose error estimate
   meets a width-proportional share of the requested tolerance or has
   reached rounding level, and bisect only the others.  A non-finite value
-  raises IntegrabilityError in the round that produces it.  The K21
-  refinement also takes row-valued integrands, m functions sharing the
+  raises IntegrabilityError in the round that produces it.  The one
+  refinement loop also takes several partitions, the pieces of one call,
+  each with its own budget max(rel_tol * |piece estimate|, its abs_tol)
+  shared out by width, so each piece gets what it would get alone.  The
+  K21 refinement also takes row-valued integrands, m functions sharing the
   nodes: a panel is accepted once every row meets its share;
 * ``integrate_radial`` integrates over a finite [lo, hi] cut at given kinks
   and once per decade, with the K21 refinement capped at 17 rounds, and
@@ -69,9 +73,8 @@ __all__ = [
 # sized for; the 21 Kronrod nodes per panel only add resolution.
 GL_ORDER = 16
 _PHASE_SAFETY = 0.8
-# points of the geometric grid on which phase_resolved_edges samples the phase
-_PHASE_GRID = 4096
-# phase_resolved_edges splits [lo, hi] into at least this many panels
+# phase_resolved_edges splits [lo, hi] into this many panels before it
+# resolves the phase
 _MIN_PANELS = 48
 
 # Nonnegative G10/K21 abscissae on [-1, 1] in decreasing order, with the
@@ -177,34 +180,54 @@ def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.
     return values, errors
 
 
-def _refine(rule, edges, rel_tol: float, abs_tol: float, max_rounds: int):
-    """Bisect the panels of a partition until each meets its share of the budget.
+def _piece_sums(x: np.ndarray, piece: np.ndarray, n_pieces: int) -> np.ndarray:
+    """Sums of x over each of n_pieces pieces, stacked on a last axis, for x
+    whose last axis is grouped by the nondecreasing piece labels piece.  Each
+    is the sum of one slice, so a single piece is summed as the whole array."""
+    if n_pieces == 1:
+        return x.sum(axis=-1)[..., None]
+    bounds = piece.searchsorted(np.arange(n_pieces + 1))
+    return np.stack([x[..., a:b].sum(axis=-1) for a, b in zip(bounds[:-1], bounds[1:])], axis=-1)
 
-    rule(lo, hi) returns per-panel (values, errors, floors), each of shape
-    (panels,) or, for m integrands sharing the nodes, (m, panels).  A row of
-    a panel meets its share when its error is below the share of that row's
-    budget max(rel_tol * |estimate|, abs_tol) proportional to the panel's
-    width, or below its floor (the rounding level of the rule); a panel is
-    accepted once every row meets its share, and bisected for the next round
-    otherwise.  After max_rounds bisections the pending panels keep their
-    last value and error.  Returns (value, error, unresolved), each summed in
-    left-to-right order with shape () or (m,): value and error over all
-    accepted panels, unresolved the error of the panels still failing after
-    the last round.
+
+def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
+    """Bisect the panels of one or more partitions until each meets its share
+    of its piece's budget.
+
+    pieces is a list of partitions, each a strictly increasing edge array,
+    and abs_tol a number or one per piece.  rule(lo, hi) returns per-panel
+    (values, errors, floors), each of shape (panels,) or, for m integrands
+    sharing the nodes, (m, panels).  Every pending panel carries the label
+    of its piece, and each piece keeps its own budget
+    max(rel_tol * |piece estimate|, its abs_tol) per row.  A row of a panel
+    meets its share when its error is below the share of its piece's budget
+    proportional to the panel's width within the piece, or below its floor
+    (the rounding level of the rule); a panel is accepted once every row
+    meets its share, and bisected for the next round otherwise.  After
+    max_rounds bisections the pending panels keep their last value and
+    error.  Returns (value, error, unresolved), each of shape (pieces,) or
+    (m, pieces) and summed per piece in left-to-right order: value and error
+    over the accepted panels, unresolved the error of the panels still
+    failing after the last round.  A single piece is refined and summed
+    exactly as if it were alone.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise InputDomainError("edges must be strictly increasing with >= 2 entries")
-    total_len = edges[-1] - edges[0]
+    pieces = [np.asarray(edges, dtype=float) for edges in pieces]
+    for edges in pieces:
+        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+            raise InputDomainError("edges must be strictly increasing with >= 2 entries")
+    n_pieces = len(pieces)
+    piece_len = np.array([edges[-1] - edges[0] for edges in pieces])
+    abs_floor = np.maximum(np.broadcast_to(abs_tol, (n_pieces,)), 1e-300)
 
-    pend_lo = edges[:-1]
-    pend_hi = edges[1:]
+    pend_lo = np.concatenate([edges[:-1] for edges in pieces])
+    pend_hi = np.concatenate([edges[1:] for edges in pieces])
+    pend_piece = np.repeat(np.arange(n_pieces), [edges.size - 1 for edges in pieces])
 
     acc_lo: list[np.ndarray] = []
+    acc_piece: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
-    acc_sum = 0.0
-    unresolved = 0.0
+    acc_sum = unresolved = None
 
     for depth in range(max_rounds + 1):
         val, err, floor = rule(pend_lo, pend_hi)
@@ -213,47 +236,56 @@ def _refine(rule, edges, rel_tol: float, abs_tol: float, max_rounds: int):
             raise IntegrabilityError(
                 f"non-finite integrand on [{pend_lo[bad][0]:.17g}, {pend_hi[bad][0]:.17g}]"
             )
-        total_est = acc_sum + np.sum(val, axis=-1)
-        budget = np.maximum(rel_tol * np.abs(total_est), max(abs_tol, 1e-300))
-        met = (err <= budget[..., None] * (pend_hi - pend_lo) / total_len) | (err <= floor)
+        if acc_sum is None:
+            acc_sum = np.zeros(val.shape[:-1] + (n_pieces,), dtype=val.dtype)
+            unresolved = np.zeros(val.shape[:-1] + (n_pieces,))
+        # pending panels stay grouped by piece, so each piece is one slice
+        budget = np.maximum(rel_tol * np.abs(acc_sum + _piece_sums(val, pend_piece, n_pieces)), abs_floor)
+        share = budget[..., pend_piece] * (pend_hi - pend_lo) / piece_len[pend_piece]
+        met = (err <= share) | (err <= floor)
         ok = met.all(axis=0) if met.ndim > 1 else met
         if depth == max_rounds:
-            unresolved = np.sum(err[..., ~ok], axis=-1)
+            unresolved = _piece_sums(err[..., ~ok], pend_piece[~ok], n_pieces)
             ok[:] = True
 
         accepted = val.compress(ok, axis=-1)
         acc_lo.append(pend_lo[ok])
+        acc_piece.append(pend_piece[ok])
         acc_val.append(accepted)
         acc_err.append(err.compress(ok, axis=-1))
-        acc_sum += np.sum(accepted, axis=-1)
+        acc_sum += _piece_sums(accepted, acc_piece[-1], n_pieces)
 
         bad = ~ok
         if not np.any(bad):
             break
         mid = 0.5 * (pend_lo[bad] + pend_hi[bad])
-        pend_lo, pend_hi = (
-            np.concatenate([pend_lo[bad], mid]),
-            np.concatenate([mid, pend_hi[bad]]),
-        )
+        pend_lo = np.concatenate([pend_lo[bad], mid])
+        pend_hi = np.concatenate([mid, pend_hi[bad]])
+        pend_piece = np.concatenate([pend_piece[bad], pend_piece[bad]])
+        if n_pieces > 1:
+            # per piece its left halves, then its right halves
+            order = np.argsort(pend_piece, kind="stable")
+            pend_lo, pend_hi, pend_piece = pend_lo[order], pend_hi[order], pend_piece[order]
 
-    order = np.argsort(np.concatenate(acc_lo), kind="stable")
-    value = np.sum(np.concatenate(acc_val, axis=-1)[..., order], axis=-1)
-    error = np.sum(np.concatenate(acc_err, axis=-1)[..., order], axis=-1)
+    piece = np.concatenate(acc_piece)
+    order = np.lexsort((np.concatenate(acc_lo), piece))
+    value = _piece_sums(np.concatenate(acc_val, axis=-1)[..., order], piece[order], n_pieces)
+    error = _piece_sums(np.concatenate(acc_err, axis=-1)[..., order], piece[order], n_pieces)
     return value, error, unresolved
 
 
-def _kronrod_refine(fn, edges, rel_tol: float, abs_tol: float = 0.0, max_rounds: int = _MAX_ROUNDS):
+def _kronrod_refine(fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS):
     """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
 
-    fn may return (m, nodes) rows; the results are numpy values of shape ()
-    or (m,).
+    fn may return (m, nodes) rows; the results are numpy arrays of shape
+    (pieces,) or (m, pieces).
     """
 
     def rule(lo, hi):
         val, err = panel_integrals(fn, lo, hi)
         return val, err, _ROUNDING * np.abs(val)
 
-    return _refine(rule, edges, rel_tol, abs_tol, max_rounds)
+    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds)
 
 
 def integrate_adaptive(
@@ -274,8 +306,8 @@ def integrate_adaptive(
     accepted panels' errors.  Raises IntegrabilityError in the first round
     that produces a non-finite value or error.
     """
-    value, error, _ = _kronrod_refine(fn, edges, rel_tol, abs_tol, max_rounds)
-    return float(value), float(error)
+    value, error, _ = _kronrod_refine(fn, [edges], rel_tol, abs_tol, max_rounds)
+    return float(value[0]), float(error[0])
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -314,7 +346,8 @@ def integrate_radial(fn, lo: float, hi: float, kinks=(), *, rel_tol: float):
     non-finite value.
     """
     edges = _radial_edges(lo, hi, kinks)
-    value, _, unresolved = _kronrod_refine(fn, edges, rel_tol, max_rounds=_RADIAL_ROUNDS)
+    value, _, unresolved = _kronrod_refine(fn, [edges], rel_tol, max_rounds=_RADIAL_ROUNDS)
+    value, unresolved = value[..., 0], unresolved[..., 0]
     if np.any(unresolved > rel_tol * np.abs(value)):
         raise IntegrabilityError(
             f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {_RADIAL_ROUNDS} "
@@ -432,25 +465,31 @@ def integrate_levin(
     f,
     fprime,
     omega: float,
-    edges: np.ndarray,
+    edges,
     rel_tol: float,
-    abs_tol: float = 0.0,
-) -> tuple[complex, float]:
+    abs_tol=0.0,
+):
     """Integral of g(r) e^(i omega f(r)) over the partition by Levin collocation.
 
     g may be complex; f and fprime are the real phase and its derivative,
     which must not vanish on the partition.  Panels are refined as in
     integrate_adaptive with its default round limit, with |I17 - I9| as the
     error estimate and 64 eps h max|g| as the rounding level of a panel of
-    half-width h.  Returns (complex value, error estimate).
+    half-width h.  Returns (complex value, error estimate).  edges may also
+    be a list of partitions, the pieces of one refinement, each held to its
+    own budget: abs_tol is then a number or one per piece, and the result a
+    pair of arrays, the complex values and the error estimates per piece.
     Raises IntegrabilityError on non-finite values and singular panels.
     """
 
     def rule(lo, hi):
         return _levin_panels(g, f, fprime, omega, lo, hi)
 
-    value, error, _ = _refine(rule, edges, rel_tol, abs_tol, _MAX_ROUNDS)
-    return complex(value), float(error)
+    pieces = edges if isinstance(edges, list) else [edges]
+    value, error, _ = _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS)
+    if isinstance(edges, list):
+        return value, error
+    return complex(value[0]), float(error[0])
 
 
 def phase_resolved_edges(
@@ -458,49 +497,33 @@ def phase_resolved_edges(
 ) -> np.ndarray:
     """Partition [lo, hi] so every oscillation of sin(t f) is node-resolved.
 
-    The cumulative phase t * integral |f'| is sampled on a geometric grid of
-    _PHASE_GRID points and edges are placed at equal phase increments of
-    _PHASE_SAFETY * GL_ORDER * pi / points_per_period, so a panel spans at
-    most _PHASE_SAFETY * GL_ORDER / points_per_period periods of sin^2(t f)
-    and every period receives more than points_per_period of the 21 Kronrod
-    nodes.  Panels wider than (hi - lo)/48 are split into equal parts, which
-    keeps them small where the phase is stationary (f' ~ 0) or t is small.
+    The width rule gives the 49 edges lo + (hi - lo) j / 48, and f' is
+    evaluated at those edges only.  Each panel is split into equal parts no
+    wider than dphi / (t max|f'|), with the larger |f'| of its two ends and
+    dphi = _PHASE_SAFETY * GL_ORDER * pi / points_per_period.  Where f' is
+    monotone across the panel, a part spans at most
+    _PHASE_SAFETY * GL_ORDER / points_per_period periods of sin^2(t f), so
+    every period receives more than points_per_period of the 21 Kronrod
+    nodes; where the ends understate |f'|, the refinement bisects.
     """
     if hi <= lo:
         raise InputDomainError(f"need lo < hi, got [{lo}, {hi}]")
 
+    edges = lo + (hi - lo) * np.arange(_MIN_PANELS + 1) / _MIN_PANELS
     start = max(lo, 1e-14 * max(hi, 1.0))
-    r = np.geomspace(start, hi, _PHASE_GRID)
-    if lo < start:
-        r = np.concatenate([[lo], r])
-    fp, _ = dispersion_derivatives(params, np.maximum(r, start))
-    speed = t * np.abs(fp)
-    phase = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(r))])
-
+    fp, _ = dispersion_derivatives(params, np.maximum(edges, start))
+    speed = t * np.maximum(np.abs(fp[:-1]), np.abs(fp[1:]))
     dphi = _PHASE_SAFETY * GL_ORDER * math.pi / points_per_period
-    n_phase = int(phase[-1] / dphi)
-    if n_phase > 0:
-        levels = np.arange(1, n_phase + 1) * dphi
-        phase_edges = np.interp(levels, phase, r)
-    else:
-        phase_edges = np.empty(0)
-
-    edges = _sorted_unique(np.concatenate([[lo], phase_edges, [hi]]))
-    edges = edges[(edges >= lo) & (edges <= hi)]
-    if edges[0] != lo:
-        edges = np.concatenate([[lo], edges])
-    if edges[-1] != hi:
-        edges = np.concatenate([edges, [hi]])
-
-    edges = _split_wide_panels(edges, (hi - lo) / _MIN_PANELS)
-    # drop degenerate panels produced by interpolation ties
-    keep = np.concatenate([[True], np.diff(edges) > 0])
-    return edges[keep]
+    with np.errstate(divide="ignore"):
+        edges = _split_wide_panels(edges, dphi / speed)
+    edges[-1] = hi
+    return edges
 
 
-def _split_wide_panels(edges: np.ndarray, max_width: float) -> np.ndarray:
-    """The partition with each panel wider than max_width split into
-    ceil(width / max_width) equal parts; unchanged when none is."""
+def _split_wide_panels(edges: np.ndarray, max_width) -> np.ndarray:
+    """The partition with each panel wider than max_width, a number or one
+    per panel, split into ceil(width / max_width) equal parts; unchanged
+    when none is."""
     widths = np.diff(edges)
     n_sub = np.maximum(1, np.ceil(widths / max_width).astype(int))
     if not np.any(n_sub > 1):

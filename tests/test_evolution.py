@@ -276,6 +276,27 @@ class TestEnergy:
         data = compact_band_data(1, 0.0, 1.0, amplitude=0.0)
         assert total_energy(P1, data, 3.0) == 0.0
 
+    def test_times_array_matches_scalar_calls(self):
+        # one row-valued integral for the whole array, against one call per time
+        from rosenau import compact_band_data
+
+        ts = np.concatenate([[0.0], np.geomspace(1e-2, 1e8, 21)])
+        cases = [
+            (P1, gaussian_velocity_data(1)),
+            (ModelParams(1.0, 1.0, 1.0, 1.0, 2), compact_band_data(2, 0.3, 1.7)),
+            (ModelParams(0.5, 2.0, 4.0, 1.5, 3), gaussian_velocity_data(3)),
+        ]
+        for params, data in cases:
+            energies = total_energy(params, data, ts)
+            assert energies.shape == ts.shape
+            for t, energy in zip(ts, energies):
+                assert energy == pytest.approx(total_energy(params, data, t), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_times_array_rejects_any_bad_time(self, bad):
+        with pytest.raises(InputDomainError, match="finite and nonnegative"):
+            total_energy(P1, gaussian_velocity_data(1), np.array([1.0, bad, 2.0]))
+
     def test_grid_energy_conservation(self):
         zero = GridField.from_function(lambda x: np.zeros_like(x), 1, 200.0, 1024)
         bump = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 200.0, 1024)

@@ -181,6 +181,19 @@ class TestPanelFluctuation:
         np.testing.assert_allclose(fluctuation(step, rhos), expected, rtol=1e-9)
 
 
+    def test_jumps_the_round_cap_cannot_resolve_raise(self):
+        # a square wave with 1000 jumps: after the last bisection round the
+        # panels still failing carry far more than 1e-9 of |A(rho)|, so the
+        # values are not returned as if they met their tolerance
+        square = RadialProfile(
+            func=lambda r: np.sign(np.sin(1000.0 * math.pi * np.asarray(r))),
+            dim=1,
+            tail=TailBound(kind="compact", cutoff=1.0),
+        )
+        with pytest.raises(IntegrabilityError, match="unresolved"):
+            fluctuation(square, np.array([0.5, 3.0, 20.0]))
+
+
 class TestWeightedNorm:
     def test_gaussian_1d_gamma_one(self):
         assert weighted_l1_norm(gaussian_profile(1), 1.0) == pytest.approx(

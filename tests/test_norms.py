@@ -33,7 +33,7 @@ from rosenau.norms import (
     _stationary_points,
     oscillation_segments,
 )
-from rosenau.quadrature import integrate_adaptive, phase_resolved_edges
+from rosenau.quadrature import integrate_adaptive, integrate_levin, phase_resolved_edges
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
@@ -454,6 +454,67 @@ class TestOnePhasePlan:
         for got, lo, hi in zip((split.low, split.mid, split.high), cuts[:-1], cuts[1:]):
             (alone,) = _norm_pieces(params, data, t, [lo, hi], DEFAULT_QUADRATURE)
             assert got == pytest.approx(scale * alone, rel=1e-12)
+
+
+def _bands_piece_by_piece(params, data, t, cuts):
+    """The unscaled norm over each [cuts[k], cuts[k+1]], one refinement per
+    piece: integrate_adaptive on every slow piece and window, and on every
+    fast piece integrate_adaptive of the mean plus integrate_levin."""
+    cfg = DEFAULT_QUADRATURE
+    rel_tol = 0.5 * cfg.rel_tol
+    integrand = _amplitude_sq(params, data, t)
+    bands = np.zeros(len(cuts) - 1)
+    for seg_lo, seg_hi, kind in oscillation_segments(params, t, cuts[0], cuts[-1]):
+        for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            lo, hi = max(seg_lo, a), min(seg_hi, b)
+            if hi <= lo:
+                continue
+            if kind != "fast":
+                edges = phase_resolved_edges(params, t, lo, hi, cfg.points_per_period)
+                bands[k] += integrate_adaptive(integrand, edges, rel_tol)[0]
+                continue
+            edges = norms.fast_segment_edges(lo, hi)
+            level, _ = integrate_adaptive(lambda r: norms._mean_density(params, data, r), edges, rel_tol)
+            osc, _ = integrate_levin(
+                lambda r: norms._oscillating_coefficient(params, data, r),
+                lambda r: eval_dispersion(params, r),
+                lambda r: dispersion_derivatives(params, r)[0],
+                2.0 * t,
+                edges,
+                rel_tol,
+                rel_tol * abs(level),
+            )
+            bands[k] += level + osc.real
+    return bands
+
+
+class TestPerPieceBudgets:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    @pytest.mark.parametrize("t", [1e2, 1e5, 1e7])
+    def test_each_band_matches_its_pieces_alone(self, dim, theta, t):
+        # three refinements for all pieces give what one refinement per piece gives
+        params = ModelParams(1.0, 1.0, 1.0, theta, dim)
+        data = gaussian_velocity_data(dim)
+        split = band_split_norm(params, data, t)
+        r_max = _resolve_r_max(params, data, t, DEFAULT_QUADRATURE)
+        alone = _bands_piece_by_piece(params, data, t, [0.0, split.beta, split.split, r_max])
+        scale = _physical_scale(dim, False)
+        for got, want in zip((split.low, split.mid, split.high), scale * alone):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [1e4, 1e6])
+    def test_small_low_band_meets_its_own_tolerance(self, t):
+        # in 3-D the low band is orders of magnitude below the high band; it
+        # is still held to rel_tol of its own value, not of the norm's
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, 3)
+        data = gaussian_velocity_data(3)
+        split = band_split_norm(params, data, t)
+        assert split.low < 1e-4 * split.high
+        tight = QuadratureConfig(rel_tol=1e-12)
+        (exact,) = _norm_pieces(params, data, t, [0.0, split.beta], tight)
+        exact *= _physical_scale(3, False)
+        assert split.low == pytest.approx(exact, rel=DEFAULT_QUADRATURE.rel_tol, abs=0.0)
 
 
 class TestRootFinder:

@@ -231,6 +231,64 @@ def test_split_wide_panels_matches_the_loop():
             assert np.array_equal(_split_wide_panels(edges, max_width), loop(edges, max_width))
 
 
+def test_phase_plan_evaluates_f_prime_at_the_width_rule_edges_only(monkeypatch):
+    points = []
+    original = quadrature.dispersion_derivatives
+
+    def counted(params, r):
+        points.append(np.size(r))
+        return original(params, r)
+
+    monkeypatch.setattr(quadrature, "dispersion_derivatives", counted)
+    for t in (1e-3, 1.0, 1e2, 1e5):
+        for lo, hi in ((0.0, 3.0), (0.5, 2.5), (1.4, 1.7), (1e-3, 40.0)):
+            points.clear()
+            edges = phase_resolved_edges(P, t, lo, hi, 8)
+            assert edges[0] == lo and edges[-1] == hi
+            assert np.all(np.diff(edges) > 0)
+            assert len(points) == 1 and points[0] <= 49
+
+
+class TestPieces:
+    """Several partitions refined together, each piece on its own budget."""
+
+    def test_each_piece_as_if_alone(self):
+        # what integrate_adaptive gives each piece by itself, to rounding: a
+        # panel's K21 - G10 may differ in its last bits with the panels
+        # evaluated beside it
+        fn = lambda x: np.sqrt(x) * np.cos(30.0 * x)  # noqa: E731
+        pieces = [np.linspace(0.0, 0.4, 3), np.linspace(0.4, 2.0, 5), np.array([2.5, 3.0])]
+        abs_tols = np.array([0.0, 1e-9, 1e-14])
+        values, errors, _ = quadrature._kronrod_refine(fn, pieces, 1e-11, abs_tols)
+        for edges, abs_tol, value, error in zip(pieces, abs_tols, values, errors):
+            alone, alone_error = integrate_adaptive(fn, edges, 1e-11, abs_tol)
+            assert value == pytest.approx(alone, rel=1e-14)
+            assert abs(error - alone_error) <= 1e-14 * abs(alone)
+
+    def test_levin_pieces_as_if_alone(self):
+        g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
+        args = (lambda x: x * x, lambda x: 2.0 * x, 300.0)
+        pieces = [np.linspace(0.5, 1.0, 3), np.linspace(1.0, 4.0, 5)]
+        values, errors = integrate_levin(g, *args, pieces, 1e-10, np.array([1e-13, 0.0]))
+        assert values.shape == errors.shape == (2,)
+        for edges, abs_tol, value, error in zip(pieces, (1e-13, 0.0), values, errors):
+            alone, alone_error = integrate_levin(g, *args, edges, 1e-10, abs_tol)
+            assert value == pytest.approx(alone, rel=1e-14)
+            assert abs(error - alone_error) <= 1e-14 * abs(alone)
+
+    def test_a_small_piece_keeps_its_own_rel_tol(self):
+        # the small piece would meet a budget shared with the large one on
+        # far coarser panels; held to rel_tol of its own value, it is resolved
+        fn = lambda x: np.where(x < 1.0, 1e-9 * np.sqrt(np.abs(x)), np.exp(x))  # noqa: E731
+        pieces = [np.linspace(0.0, 1.0, 3), np.linspace(1.0, 2.0, 3)]
+        values, _, _ = quadrature._kronrod_refine(fn, pieces, 1e-10)
+        assert values[0] == pytest.approx(2e-9 / 3.0, rel=1e-10, abs=0.0)
+        assert values[1] == pytest.approx(math.e**2 - math.e, rel=1e-10, abs=0.0)
+        shared, _ = integrate_adaptive(fn, np.linspace(0.0, 2.0, 5), 1e-10)
+        coarse, _ = integrate_adaptive(fn, np.linspace(0.0, 1.0, 3), 0.0, 1e-10 * abs(shared))
+        assert abs(coarse - 2e-9 / 3.0) > 1e-10 * 2e-9 / 3.0
+
+
 def test_deterministic_repeatability():
     fn = lambda x: np.sin(37.0 * x) * np.exp(-x)  # noqa: E731
     edges = np.linspace(0.0, 5.0, 17)
