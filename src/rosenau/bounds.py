@@ -201,8 +201,7 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
     if lo >= eps:
         raise PreconditionError("need 1/t < epsilon0")
 
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
+    def integrand(r, t):
         f = eval_dispersion(params, r)
         return _t2_weight(params, r) * np.cos(2.0 * t * f)
 

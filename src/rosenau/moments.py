@@ -51,6 +51,13 @@ _MOMENT_REL_TOL = 1e-12
 # fluctuation raises when the panels still failing after the last round carry
 # more error than this share of a row's |A(rho)|
 _UNRESOLVED_SHARE = 1e-9
+# fluctuation stops refining once it has evaluated this many panels.  A
+# round cap would not do: a jump inside the support keeps one or two panels
+# failing a round and needs 22 rounds, while sin(200 ln|r - 1/2|), which
+# oscillates without bound, multiplies its failing panels about 1.5-fold a
+# round and exhausts memory long before the default 30.  The panel cap
+# bounds the memory and time of both (0.06 s for the latter).
+_FLUCTUATION_PANELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -293,9 +300,10 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
     Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R] for all rho at
     once, starting from about one panel per period of the fastest kernel,
     cos(rho_max r), and bisecting a panel until every rho meets its share
-    of 1e-12 of its own |A(rho)|.  Raises IntegrabilityError when the
-    panels still failing after the last round carry more error than 1e-9 of
-    some row's |A(rho)|.  The odd part B vanishes for radial data, so A is
+    of 1e-12 of its own |A(rho)|, until _FLUCTUATION_PANELS panels have
+    been evaluated.  Raises IntegrabilityError when the panels still
+    failing after the last round carry more error than 1e-9 of some row's
+    |A(rho)|.  The odd part B vanishes for radial data, so A is
     the whole fluctuation.
     """
     rhos = np.asarray(rhos, dtype=float)
@@ -308,7 +316,7 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
 
     panels = max(16, math.ceil(float(np.max(rhos)) * radius / (2.0 * math.pi)))
     edges = np.linspace(0.0, radius, panels + 1)
-    values, _, unresolved = _kronrod_refine(integrand, [edges], _MOMENT_REL_TOL)
+    values, _, unresolved = _kronrod_refine(integrand, [edges], _MOMENT_REL_TOL, max_panels=_FLUCTUATION_PANELS)
     values, unresolved = values[:, 0], unresolved[:, 0]
     bad = np.flatnonzero(unresolved > _UNRESOLVED_SHARE * np.abs(values))
     if bad.size:

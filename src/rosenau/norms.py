@@ -10,15 +10,19 @@ the mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2 plus Re[g e^(2 i t f)] with
 g = [(|w0|^2 - |w1|^2/f^2)/2 - i Re(w0 conj(w1))/f] r^(n-1).
 
 One driver, ``oscillatory_integrals``, integrates any such mean plus
-Re[g e^(2 i t f)] over the pieces [cuts[k], cuts[k+1]] of an interval.  It
-calls ``oscillation_segments`` once for the whole interval, which splits it
-into the slow region t f <= 16 pi, windows of half-width
+Re[g e^(2 i t f)] over the pieces [cuts[k], cuts[k+1]] of an interval, at
+one time or at every time of a trace, each time with its own cuts.  Per
+time it calls ``oscillation_segments`` once for the whole interval, which
+splits it into the slow region t f <= 16 pi, windows of half-width
 min(1/4, 2 t^(-1/4)) around the stationary points of f (found once per
 ModelParams), and the fast segments between them, and cuts each segment at
-the piece boundaries.  It collects every piece first and then makes three
-refinements, each over all its pieces at once with a budget per piece
-(quadrature._refine), so each piece is held to rel_tol of its own value as
-if it were integrated alone:
+the piece boundaries.  It collects the pieces of every time first and then
+makes three refinements per call, so three per norm trace, each over all
+its pieces at once with a budget per piece (quadrature._refine): each piece
+is held to rel_tol of its own value, and refined, as if it were integrated
+alone.  The integrand of a slow piece gets the time of its piece at every
+node; the initial partitions of all slow pieces come from one evaluation
+of f' (quadrature._phase_partitions):
 
 * the slow pieces and windows: the integrand itself with the G10/K21
   Gauss-Kronrod pair, from the partition ``phase_resolved_edges`` (more
@@ -33,12 +37,15 @@ if it were integrated alone:
   depend on t, bisecting where needed, so the fast pieces cost the same at
   every t; only the windows grow, like t^(1/2).
 
-``norm_squared`` runs the driver on [0, r_max], ``band_split_norm`` on the
-cuts [0, beta, split, r_max], so the three bands share one segmentation, and
-bounds.averaged_tail_remainder on [1/t, epsilon0] with no mean.
+``norm_squared`` runs the driver on [0, r_max] at one time,
+``band_split_norm`` on the cuts [0, beta, split, r_max] at one time or at
+all the times of a trace (``compute_norm_trace`` is one call of it), so the
+three bands share one segmentation, and bounds.averaged_tail_remainder on
+[1/t, epsilon0] at one time with no mean.
 
 Truncation at r_max is certified against the declared tail of the data; the
-tail bound is kept below rel_tol/10 of the running total.  Levin
+tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
+for all the times of a trace from one panel_integrals call.  Levin
 collocation needs g smooth on each panel; a jump inside a fast segment, like
 the edge of a compact band, is found from the Chebyshev tail of g and
 bisected down like a K21 panel.
@@ -64,7 +71,7 @@ from .model import (
     eval_dispersion,
     unit_sphere_area,
 )
-from .quadrature import _kronrod_refine, integrate_levin, panel_integrals, phase_resolved_edges
+from .quadrature import _kronrod_refine, _phase_partitions, integrate_levin, panel_integrals
 
 __all__ = [
     "QuadratureConfig",
@@ -136,54 +143,67 @@ def _tail_bound(params: ModelParams, data: RadialInitialData, r0: float, t: floa
     return 2.0 * m0 + 2.0 * _propagator_sq_ceiling(params, r0, t) * m1
 
 
-def _coarse_estimate(params: ModelParams, data: RadialInitialData, t: float, hi: float) -> float:
-    """Scale of the norm integral from the non-oscillatory envelope
-    (|w0|^2 + min(t, 1/f)^2 |w1|^2) r^(n-1); used only to size the tail target."""
+def _coarse_estimate(params: ModelParams, data: RadialInitialData, ts: np.ndarray, hi: float) -> np.ndarray:
+    """Scale of the norm integral at each time from the non-oscillatory
+    envelope (|w0|^2 + min(t, 1/f)^2 |w1|^2) r^(n-1), from 256 K21 panels
+    per time in one panel_integrals call; used only to size the tail target."""
     n = data.dim
 
-    def envelope(r):
-        r = np.asarray(r, dtype=float)
+    def envelope(r, t):
         f = eval_dispersion(params, r)
-        prop_sq = np.minimum(t, 1.0 / np.maximum(f, 1e-300)) ** 2 if t > 0 else 0.0
+        prop_sq = np.minimum(t, 1.0 / np.maximum(f, 1e-300)) ** 2
         w0 = np.abs(np.asarray(data.w0_profile(r))) ** 2
         w1 = np.abs(np.asarray(data.w1_profile(r))) ** 2
         return (w0 + prop_sq * w1) * r ** (n - 1)
 
-    edges = np.linspace(0.0, hi, 257)
-    return abs(float(np.sum(panel_integrals(envelope, edges[:-1], edges[1:])[0])))
+    panels = 256
+    edges = np.linspace(0.0, hi, panels + 1)
+    values, _ = panel_integrals(
+        envelope, np.tile(edges[:-1], ts.size), np.tile(edges[1:], ts.size), np.repeat(ts, panels)
+    )
+    return np.abs(values.reshape(ts.size, panels).sum(axis=1))
 
 
-def _resolve_r_max(
-    params: ModelParams, data: RadialInitialData, t: float, cfg: QuadratureConfig
-) -> float:
+def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: QuadratureConfig):
+    """The truncation radius at time t, a number or an array of times (one
+    radius each): cfg.r_max, the support of the data, or the first radius
+    r0 1.2^k, r0 = max(4, the tails' own scales), whose certified tail mass
+    is below rel_tol/10 of the coarse estimate at that time."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    r_max = np.empty(ts.size)
     if cfg.r_max is not None:
-        return cfg.r_max
-    support = data.support_radius()
-    if support is not None:
-        return max(support, 1e-6)
-    if data.w0_tail.kind == "none" or data.w1_tail.kind == "none":
+        r_max[:] = cfg.r_max
+    elif (support := data.support_radius()) is not None:
+        r_max[:] = max(support, 1e-6)
+    elif data.w0_tail.kind == "none" or data.w1_tail.kind == "none":
         raise UncertifiedTailError(
             "decay class gives no tail certificate; set an explicit r_max"
         )
-    r0 = 4.0
-    for tail in (data.w0_tail, data.w1_tail):
-        if tail.kind == "gaussian":
-            r0 = max(r0, math.sqrt(10.0 / tail.rate))
-        elif tail.kind == "power":
-            r0 = max(r0, tail.cutoff * 2.0)
-    rough = max(_coarse_estimate(params, data, t, r0), 1e-280)
-    target = cfg.rel_tol / 10.0 * rough
-    for _ in range(400):
-        if _tail_bound(params, data, r0, t) <= target:
-            return r0
-        r0 *= 1.2
-    raise UncertifiedTailError(
-        f"could not certify the tail below {target} within r <= {r0}"
-    )
+    else:
+        start = 4.0
+        for tail in (data.w0_tail, data.w1_tail):
+            if tail.kind == "gaussian":
+                start = max(start, math.sqrt(10.0 / tail.rate))
+            elif tail.kind == "power":
+                start = max(start, tail.cutoff * 2.0)
+        rough = _coarse_estimate(params, data, ts, start)
+        for i, (t_i, rough_i) in enumerate(zip(ts.tolist(), rough.tolist())):
+            r0, target = start, cfg.rel_tol / 10.0 * max(rough_i, 1e-280)
+            for _ in range(400):
+                if _tail_bound(params, data, r0, t_i) <= target:
+                    break
+                r0 *= 1.2
+            else:
+                raise UncertifiedTailError(
+                    f"could not certify the tail below {target} within r <= {r0}"
+                )
+            r_max[i] = r0
+    return r_max if np.ndim(t) else float(r_max[0])
 
 
-def _amplitude_sq(params: ModelParams, data: RadialInitialData, t: float):
-    """The norm integrand |cos(t f) w0 + sin(t f)/f w1|^2 r^(n-1), in real arithmetic.
+def _amplitude_sq(params: ModelParams, data: RadialInitialData):
+    """The norm integrand |cos(t f) w0 + sin(t f)/f w1|^2 r^(n-1), in real
+    arithmetic, as a function of (r, t), t a number or one time per radius.
 
     A component whose tail certifies it zero is skipped, and imaginary parts
     enter only where a profile returns nonzero ones.
@@ -191,17 +211,17 @@ def _amplitude_sq(params: ModelParams, data: RadialInitialData, t: float):
     n = data.dim
     parts = []
     if not data.w0_tail.vanishes:
-        parts.append((data.w0_profile, lambda f: np.cos(t * f)))
+        parts.append((data.w0_profile, lambda t, f: np.cos(t * f)))
     if not data.w1_tail.vanishes:
-        parts.append((data.w1_profile, lambda f: propagator(t, f)))
+        parts.append((data.w1_profile, propagator))
 
-    def fn(r):
+    def fn(r, t):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
         re = np.zeros_like(r)
         im = None
         for profile, multiplier in parts:
-            m = multiplier(f)
+            m = multiplier(t, f)
             w = np.asarray(profile(r))
             if np.iscomplexobj(w):
                 if w.imag.any():
@@ -246,7 +266,7 @@ def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
 
 def oscillatory_integrals(
     params: ModelParams,
-    t: float,
+    t,
     cuts,
     integrand,
     coefficient,
@@ -259,63 +279,71 @@ def oscillatory_integrals(
     """Integrals of integrand = mean + Re[coefficient e^(2 i t f)] over each
     [cuts[k], cuts[k+1]], for nondecreasing cuts (see the module docstring).
 
-    A slow piece or a stationary-point window is integrated as integrand; a
-    fast piece as mean plus the real part of the Levin integral of
-    coefficient e^(2 i t f).  mean may be None for a purely oscillatory
-    integrand.  The pieces are collected first and integrated in three
-    refinements: K21 of integrand over the slow pieces and windows, K21 of
-    mean over the fast pieces, and Levin over the fast pieces.  Each piece is
-    held to rel_tol of its own value and to abs_tol, a Levin piece also to
-    rel_tol times |mean| of that piece.
+    t is a number, or an array of times with one row of cuts per time; the
+    result is then one row of integrals per time.  integrand is a function
+    of (r, t), t one time per radius; mean and coefficient do not depend on
+    t.  A slow piece or a stationary-point window is integrated as
+    integrand; a fast piece as mean plus the real part of the Levin integral
+    of coefficient e^(2 i t f).  mean may be None for a purely oscillatory
+    integrand.  The pieces of every time are collected first and integrated
+    in three refinements: K21 of integrand over the slow pieces and windows,
+    K21 of mean over the fast pieces, and Levin over the fast pieces.  Each
+    piece is held to rel_tol of its own value and to abs_tol, a Levin piece
+    also to rel_tol times |mean| of that piece.
     """
-    slow, fast = [], []  # (k, partition) of each piece
-    for seg_lo, seg_hi, kind in oscillation_segments(params, t, cuts[0], cuts[-1]):
-        for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            lo, hi = max(seg_lo, a), min(seg_hi, b)
-            if hi <= lo:
-                continue
-            if kind == "fast":
-                fast.append((k, fast_segment_edges(lo, hi)))
-            elif t > 0:
-                slow.append((k, phase_resolved_edges(params, t, lo, hi, points_per_period)))
-            else:
-                slow.append((k, np.linspace(lo, hi, 65)))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    rows = np.atleast_2d(np.asarray(cuts, dtype=float))
+    if rows.shape[0] != ts.size:
+        raise InputDomainError("need one row of cuts per time")
+    slow, fast = [], []  # (time index, band k, lo, hi) of each piece
+    for i, (t_i, row) in enumerate(zip(ts.tolist(), rows.tolist())):
+        for seg_lo, seg_hi, kind in oscillation_segments(params, t_i, row[0], row[-1]):
+            for k, (a, b) in enumerate(zip(row[:-1], row[1:])):
+                lo, hi = max(seg_lo, a), min(seg_hi, b)
+                if hi > lo:
+                    (fast if kind == "fast" else slow).append((i, k, lo, hi))
 
-    values = np.zeros(len(cuts) - 1)
+    values = np.zeros((ts.size, rows.shape[1] - 1))
     if slow:
-        ks, edges = map(list, zip(*slow))
-        np.add.at(values, ks, _kronrod_refine(integrand, edges, rel_tol, abs_tol)[0])
+        index, k, lo, hi = (np.array(v) for v in zip(*slow))
+        t_piece = ts[index]
+        moving = t_piece > 0
+        phased = iter(_phase_partitions(params, t_piece[moving], lo[moving], hi[moving], points_per_period))
+        edges = [next(phased) if m else np.linspace(a, b, 65) for m, a, b in zip(moving, lo, hi)]
+        np.add.at(values, (index, k), _kronrod_refine(integrand, edges, rel_tol, abs_tol, t=t_piece)[0])
     if fast:
-        ks, edges = map(list, zip(*fast))
-        level = np.zeros(len(ks))
+        index, k, lo, hi = (np.array(v) for v in zip(*fast))
+        edges = list(fast_segment_edges(lo, hi))
+        level = np.zeros(len(edges))
         if mean is not None:
             level = _kronrod_refine(mean, edges, rel_tol, abs_tol)[0]
         osc, _ = integrate_levin(
             coefficient,
             lambda r: eval_dispersion(params, r),
             lambda r: dispersion_derivatives(params, r)[0],
-            2.0 * t,
+            2.0 * ts[index],
             edges,
             rel_tol,
             np.maximum(abs_tol, rel_tol * np.abs(level)),
         )
-        np.add.at(values, ks, level + osc.real)
-    return values
+        np.add.at(values, (index, k), level + osc.real)
+    return values if np.ndim(t) else values[0]
 
 
 def _norm_pieces(
     params: ModelParams,
     data: RadialInitialData,
-    t: float,
+    t,
     cuts,
     cfg: QuadratureConfig,
 ) -> np.ndarray:
-    """The unscaled norm integral over each [cuts[k], cuts[k+1]]."""
+    """The unscaled norm integral over each [cuts[k], cuts[k+1]], for a time
+    t or, with one row of cuts each, an array of times."""
     return oscillatory_integrals(
         params,
         t,
         cuts,
-        _amplitude_sq(params, data, t),
+        _amplitude_sq(params, data),
         lambda r: _oscillating_coefficient(params, data, r),
         lambda r: _mean_density(params, data, r),
         rel_tol=0.5 * cfg.rel_tol,
@@ -341,45 +369,53 @@ def norm_squared(
 
 @dataclass(frozen=True)
 class BandSplit:
-    """Contributions of the low / mid / high frequency bands to ||u(t)||^2."""
+    """Contributions of the low / mid / high frequency bands to ||u(t)||^2,
+    with the band radii: numbers for one time, arrays for an array of times."""
 
-    low: float
-    mid: float
-    high: float
-    beta: float
-    split: float
+    low: float | np.ndarray
+    mid: float | np.ndarray
+    high: float | np.ndarray
+    beta: float | np.ndarray
+    split: float | np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> float | np.ndarray:
         return self.low + self.mid + self.high
 
 
 def band_split_norm(
     params: ModelParams,
     data: RadialInitialData,
-    t: float,
+    t,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     sinc_constants: SincConstants = DEFAULT_SINC,
     spectral: bool = False,
 ) -> BandSplit:
     """Norm split at beta(t) and at gamma(t) (n = 1) or 1 (n >= 2).
 
-    Requires t > e so the band radii are defined; the three parts sum to
-    norm_squared within the configured tolerance.
+    t is a number or an array of times; for an array every field of the
+    result is an array, one entry per time, and all times are integrated in
+    one driver call.  Requires t > e so the band radii are defined; the
+    three parts sum to norm_squared within the configured tolerance.
     """
     _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
-    bands = band_boundaries(params, sinc_constants, t)
-    split = bands.gamma_band if params.dim == 1 else 1.0
-    r_max = _resolve_r_max(params, data, t, cfg)
-    scale = _physical_scale(data.dim, spectral)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    bands = [band_boundaries(params, sinc_constants, t_i) for t_i in ts.tolist()]
+    r_max = np.atleast_1d(_resolve_r_max(params, data, ts, cfg))
 
-    beta = min(bands.beta, r_max)
-    split = min(max(split, beta), r_max)
+    cuts = np.empty((ts.size, 4))
+    for row, band, r in zip(cuts, bands, r_max.tolist()):
+        beta = min(band.beta, r)
+        split = band.gamma_band if params.dim == 1 else 1.0
+        row[:] = 0.0, beta, min(max(split, beta), r), r
 
-    low, mid, high = _norm_pieces(params, data, t, [0.0, beta, split, r_max], cfg)
-    return BandSplit(scale * float(low), scale * float(mid), scale * float(high), beta, split)
+    low, mid, high = _physical_scale(data.dim, spectral) * _norm_pieces(params, data, ts, cuts, cfg).T
+    fields = (low, mid, high, cuts[:, 1], cuts[:, 2])
+    if np.ndim(t):
+        return BandSplit(*fields)
+    return BandSplit(*(float(v[0]) for v in fields))
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +561,15 @@ def oscillation_segments(
     return segments
 
 
-def fast_segment_edges(lo: float, hi: float) -> np.ndarray:
+def fast_segment_edges(lo, hi) -> np.ndarray:
     """Initial partition of a fast segment: 17 geometric edges.
 
-    It does not depend on t; the panel rules bisect where g or the mean
-    need it.
+    lo and hi may be arrays of segment ends; the result then has one
+    partition per row.  It does not depend on t; the panel rules bisect
+    where g or the mean need it.
     """
-    edges = np.geomspace(max(lo, 1e-12), hi, 17)
-    edges[0] = lo
+    edges = np.geomspace(np.maximum(lo, 1e-12), hi, 17, axis=-1)
+    edges[..., 0] = lo
     return edges
 
 
@@ -598,21 +635,18 @@ def compute_norm_trace(
 ) -> NormTrace:
     """Band-split norms and total energy over a sampled time window.
 
-    Each sample is the sum of the three band integrals of band_split_norm,
-    all on the one evaluation path of norm_squared; the energy of every
-    sample comes from one total_energy call.
+    The three band integrals of every sample come from one band_split_norm
+    call, on the one evaluation path of norm_squared, and the energy of
+    every sample from one total_energy call.
     """
     ts = np.asarray(times, dtype=float)
-    low, mid, high = (np.empty(ts.size) for _ in range(3))
-    for i, t in enumerate(ts):
-        split = band_split_norm(params, data, t, cfg, sinc_constants)
-        low[i], mid[i], high[i] = split.low, split.mid, split.high
+    split = band_split_norm(params, data, ts, cfg, sinc_constants)
     return NormTrace(
         times=ts,
-        norms_sq=low + mid + high,
-        band_low=low,
-        band_mid=mid,
-        band_high=high,
+        norms_sq=split.total,
+        band_low=split.low,
+        band_mid=split.mid,
+        band_high=split.high,
         energy=total_energy(params, data, ts),
     )
 

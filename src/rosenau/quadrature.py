@@ -30,7 +30,11 @@ On top of them:
   refinement loop also takes several partitions, the pieces of one call,
   each with its own budget max(rel_tol * |piece estimate|, its abs_tol)
   shared out by width, so each piece gets what it would get alone.  The
-  K21 refinement also takes row-valued integrands, m functions sharing the
+  panel rule receives the piece label of every pending panel, so the
+  pieces may differ in a parameter: the K21 rule hands the integrand one
+  time per node, the Levin rule takes one frequency per panel, and a whole
+  norm trace, every sample's pieces, is one refinement.  The K21
+  refinement also takes row-valued integrands, m functions sharing the
   nodes: a panel is accepted once every row meets its share;
 * ``integrate_radial`` integrates over a finite [lo, hi] cut at given kinks
   and once per decade, with the K21 refinement capped at 17 rounds, and
@@ -42,6 +46,23 @@ The rule for callers: a smooth radial integrand goes through
 oscillates like sin(t f) goes through ``phase_resolved_edges`` and the K21
 refinement where the phase is slow or stationary, and through
 ``integrate_levin`` where it is fast (norms.oscillatory_integrals).
+
+A batch of many pieces can hold tens of thousands of panels, so both rules
+work in chunks that keep every temporary small:
+
+* the K21 rule hands the integrand at most 2^15 nodes at a time
+  (_PANEL_CHUNK), so an integrand temporary is at most 256 KiB however
+  large the batch;
+* Levin runs 256 panels at a time (_LEVIN_CHUNK): its collocation systems
+  are 17 x 17 complex matrices, 4.6 KB a panel, and a whole trace's Levin
+  panels at once raised the peak RSS of an averaged-2d3d pass from 43 to
+  55 MB and slowed it; chunks also keep its complex matrix products small
+  enough for one OpenBLAS thread;
+* a 2 MiB block freed at import raises glibc's mmap threshold above every
+  chunk temporary, so they reuse heap pages instead of faulting in fresh
+  ones.  Sized to a 2^15-node chunk instead, the block left the larger
+  temporaries on fresh pages: an averaged-2d3d pass took 9.1k minor
+  faults instead of about 3.1k.
 
 All of it is deterministic: the partition depends only on the inputs and
 accepted panel contributions are summed in left-to-right order.
@@ -138,27 +159,28 @@ _RADIAL_ROUNDS = 17
 # a piece [0, b] of integrate_radial is first cut at b 10^-16
 _ORIGIN_DECADES = 16
 
-# evaluate about 2^18 integrand nodes at a time
-_PANEL_CHUNK = (1 << 18) // KRONROD_POINTS
+# K21 panels per chunk: at most 2^15 integrand nodes at a time (see the
+# module docstring)
+_PANEL_CHUNK = (1 << 15) // KRONROD_POINTS
 
 # glibc serves a block of 128 KiB or more by a fresh mmap and unmaps it on
 # free, until the first such free raises that threshold to the block's size.
-# Freeing one chunk-sized block at import, never touched and so without page
-# faults, raises it before the first pass: the chunk temporaries then reuse
-# heap memory instead of fresh zero-filled pages (up to 4,000 page faults,
-# about 6 ms of a fresh process's theorem-1-1 pass, with nothing else loaded).
-np.empty(_PANEL_CHUNK * KRONROD_POINTS)
+# Freeing one 2 MiB block at import, never touched and so without page
+# faults, raises it before the first pass (see the module docstring).
+np.empty(1 << 18)
 
 
-def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray, t=None) -> tuple[np.ndarray, np.ndarray]:
     """K21 estimate of the integral of fn over each [lo_i, hi_i], and |K21 - G10|.
 
     fn maps a flat array of nodes to values, or to an (m, nodes) array for m
     integrands sharing the nodes; the results then have shape (m, panels).
-    Evaluates in chunks of about 2^18 nodes so huge phase-resolved partitions
-    stay within memory.  The chunks depend only on the panel count, so the
-    results are reproducible; a panel's result may differ in the last bit
-    with the chunk it falls in, since BLAS blocking depends on the chunk size.
+    t, when given, holds one parameter per panel, a time in the norm trace:
+    fn is then called as fn(nodes, t at each node).  Evaluates in chunks of
+    at most 2^15 nodes (_PANEL_CHUNK panels) so huge batches stay within
+    memory.  The chunks depend only on the panel count, so the results are
+    reproducible; a panel's result may differ in the last bit with the chunk
+    it falls in, since BLAS blocking depends on the chunk size.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -168,7 +190,11 @@ def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.
         mid = 0.5 * (lo[sl] + hi[sl])
         half = 0.5 * (hi[sl] - lo[sl])
         x = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = np.asarray(fn(x.ravel()), dtype=float)
+        if t is None:
+            vals = fn(x.ravel())
+        else:
+            vals = fn(x.ravel(), np.repeat(t[sl], KRONROD_POINTS))
+        vals = np.asarray(vals, dtype=float)
         sums = vals.reshape(vals.shape[:-1] + x.shape) @ _RULE
         if values is None:
             values = np.empty(sums.shape[:-2] + lo.shape)
@@ -186,16 +212,21 @@ def _piece_sums(x: np.ndarray, piece: np.ndarray, n_pieces: int) -> np.ndarray:
     is the sum of one slice, so a single piece is summed as the whole array."""
     if n_pieces == 1:
         return x.sum(axis=-1)[..., None]
-    bounds = piece.searchsorted(np.arange(n_pieces + 1))
-    return np.stack([x[..., a:b].sum(axis=-1) for a, b in zip(bounds[:-1], bounds[1:])], axis=-1)
+    bounds = piece.searchsorted(np.arange(n_pieces + 1)).tolist()
+    sums = np.empty(x.shape[:-1] + (n_pieces,), dtype=x.dtype)
+    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        sums[..., k] = np.add.reduce(x[..., a:b], axis=-1)
+    return sums
 
 
-def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
+def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, max_panels=math.inf):
     """Bisect the panels of one or more partitions until each meets its share
     of its piece's budget.
 
     pieces is a list of partitions, each a strictly increasing edge array,
-    and abs_tol a number or one per piece.  rule(lo, hi) returns per-panel
+    and abs_tol a number or one per piece.  rule(lo, hi, piece) gets the
+    pending panels and the piece label of each, so that a rule can give each
+    piece its own parameter (a time, a frequency), and returns per-panel
     (values, errors, floors), each of shape (panels,) or, for m integrands
     sharing the nodes, (m, panels).  Every pending panel carries the label
     of its piece, and each piece keeps its own budget
@@ -204,23 +235,26 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     proportional to the panel's width within the piece, or below its floor
     (the rounding level of the rule); a panel is accepted once every row
     meets its share, and bisected for the next round otherwise.  After
-    max_rounds bisections the pending panels keep their last value and
-    error.  Returns (value, error, unresolved), each of shape (pieces,) or
-    (m, pieces) and summed per piece in left-to-right order: value and error
-    over the accepted panels, unresolved the error of the panels still
-    failing after the last round.  A single piece is refined and summed
+    max_rounds bisections, or once more than max_panels panels have been
+    evaluated, the pending panels keep their last value and error.  Returns
+    (value, error, unresolved), each of shape (pieces,) or (m, pieces) and
+    summed per piece in left-to-right order: value and error over the
+    accepted panels, unresolved the error of the panels still failing after
+    the last round.  A single piece is refined and summed
     exactly as if it were alone.
     """
     pieces = [np.asarray(edges, dtype=float) for edges in pieces]
-    for edges in pieces:
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise InputDomainError("edges must be strictly increasing with >= 2 entries")
+    malformed = InputDomainError("edges must be strictly increasing with >= 2 entries")
+    if any(edges.ndim != 1 or edges.size < 2 for edges in pieces):
+        raise malformed
+    pend_lo = np.concatenate([edges[:-1] for edges in pieces])
+    pend_hi = np.concatenate([edges[1:] for edges in pieces])
+    if np.any(pend_hi <= pend_lo):
+        raise malformed
     n_pieces = len(pieces)
     piece_len = np.array([edges[-1] - edges[0] for edges in pieces])
     abs_floor = np.maximum(np.broadcast_to(abs_tol, (n_pieces,)), 1e-300)
 
-    pend_lo = np.concatenate([edges[:-1] for edges in pieces])
-    pend_hi = np.concatenate([edges[1:] for edges in pieces])
     pend_piece = np.repeat(np.arange(n_pieces), [edges.size - 1 for edges in pieces])
 
     acc_lo: list[np.ndarray] = []
@@ -228,9 +262,11 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     acc_val: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
     acc_sum = unresolved = None
+    evaluated = 0
 
     for depth in range(max_rounds + 1):
-        val, err, floor = rule(pend_lo, pend_hi)
+        val, err, floor = rule(pend_lo, pend_hi, pend_piece)
+        evaluated += pend_lo.size
         if not (np.isfinite(val).all() and np.isfinite(err).all()):
             bad = ~(np.isfinite(val) & np.isfinite(err)).reshape(-1, pend_lo.size).all(axis=0)
             raise IntegrabilityError(
@@ -244,7 +280,7 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
         share = budget[..., pend_piece] * (pend_hi - pend_lo) / piece_len[pend_piece]
         met = (err <= share) | (err <= floor)
         ok = met.all(axis=0) if met.ndim > 1 else met
-        if depth == max_rounds:
+        if depth == max_rounds or evaluated > max_panels:
             unresolved = _piece_sums(err[..., ~ok], pend_piece[~ok], n_pieces)
             ok[:] = True
 
@@ -253,11 +289,11 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
         acc_piece.append(pend_piece[ok])
         acc_val.append(accepted)
         acc_err.append(err.compress(ok, axis=-1))
-        acc_sum += _piece_sums(accepted, acc_piece[-1], n_pieces)
 
         bad = ~ok
         if not np.any(bad):
             break
+        acc_sum += _piece_sums(accepted, acc_piece[-1], n_pieces)
         mid = 0.5 * (pend_lo[bad] + pend_hi[bad])
         pend_lo = np.concatenate([pend_lo[bad], mid])
         pend_hi = np.concatenate([mid, pend_hi[bad]])
@@ -274,18 +310,24 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     return value, error, unresolved
 
 
-def _kronrod_refine(fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS):
+def _kronrod_refine(
+    fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, max_panels=math.inf
+):
     """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
 
     fn may return (m, nodes) rows; the results are numpy arrays of shape
-    (pieces,) or (m, pieces).
+    (pieces,) or (m, pieces).  t, when given, holds one time per piece, and
+    fn is called as fn(nodes, t at each node) (see panel_integrals).
+    max_panels ends the refinement as _refine describes.
     """
+    if t is not None:
+        t = np.asarray(t, dtype=float)
 
-    def rule(lo, hi):
-        val, err = panel_integrals(fn, lo, hi)
+    def rule(lo, hi, piece):
+        val, err = panel_integrals(fn, lo, hi, None if t is None else t[piece])
         return val, err, _ROUNDING * np.abs(val)
 
-    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds)
+    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds, max_panels)
 
 
 def integrate_adaptive(
@@ -392,12 +434,13 @@ _LEVIN_MIN_PHASE = 1.0
 
 
 def _levin_solve(diff, half, fp, g, omega):
-    """Collocation values of p with p' + i omega f' p = g on each panel."""
+    """Collocation values of p with p' + i omega f' p = g on each panel,
+    omega one frequency per panel."""
     n = diff.shape[0]
     system = np.empty((half.size, n, n), dtype=complex)
     system[:] = diff
     diag = np.arange(n)
-    system[:, diag, diag] += 1j * omega * half[:, None] * fp
+    system[:, diag, diag] += 1j * omega[:, None] * half[:, None] * fp
     try:
         return np.linalg.solve(system, (half[:, None] * g)[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -406,8 +449,13 @@ def _levin_solve(diff, half, fp, g, omega):
         ) from None
 
 
-def _levin_panels(g, f, fprime, omega: float, lo: np.ndarray, hi: np.ndarray):
-    """Estimates of integral g(r) e^(i omega f(r)) dr over each [lo_i, hi_i].
+# Levin panels per chunk (see the module docstring)
+_LEVIN_CHUNK = 256
+
+
+def _levin_panels(g, f, fprime, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Estimates of integral g(r) e^(i omega f(r)) dr over each [lo_i, hi_i],
+    with omega one frequency per panel, in chunks of _LEVIN_CHUNK panels.
 
     Collocates p' + i omega f' p = g at the 17 Chebyshev-Lobatto nodes of each
     panel (and at the 9 of them that form the lower-order rule), so that the
@@ -424,8 +472,17 @@ def _levin_panels(g, f, fprime, omega: float, lo: np.ndarray, hi: np.ndarray):
     of the interpolation error of g, from its two highest Chebyshev
     coefficients.  Returns (values, errors, rounding floors).
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    value = np.empty(lo.shape, dtype=complex)
+    error = np.empty(lo.shape)
+    floor = np.empty(lo.shape)
+    for start in range(0, lo.size, _LEVIN_CHUNK):
+        sl = slice(start, start + _LEVIN_CHUNK)
+        value[sl], error[sl], floor[sl] = _levin_chunk(g, f, fprime, omega[sl], lo[sl], hi[sl])
+    return value, error, floor
+
+
+def _levin_chunk(g, f, fprime, omega, lo, hi):
+    """_levin_panels on one chunk of panels."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi)[:, None] + half[:, None] * _LEVIN_NODES
     x[:, 0] = hi
@@ -442,10 +499,10 @@ def _levin_panels(g, f, fprime, omega: float, lo: np.ndarray, hi: np.ndarray):
     floor = _ROUNDING * half * np.max(np.abs(gv), axis=1)
     levin = omega * half * np.min(np.abs(fp), axis=1) >= _LEVIN_MIN_PHASE
     if np.any(levin):
-        h, fl, gl = half[levin], fp[levin], gv[levin]
-        ends = np.exp(1j * omega * fv[levin][:, [0, -1]])
-        p_high = _levin_solve(_LEVIN_DIFF, h, fl, gl, omega)
-        p_low = _levin_solve(_LEVIN_DIFF_LOW, h, fl[:, ::2], gl[:, ::2], omega)
+        h, fl, gl, w = half[levin], fp[levin], gv[levin], omega[levin]
+        ends = np.exp(1j * w[:, None] * fv[levin][:, [0, -1]])
+        p_high = _levin_solve(_LEVIN_DIFF, h, fl, gl, w)
+        p_low = _levin_solve(_LEVIN_DIFF_LOW, h, fl[:, ::2], gl[:, ::2], w)
         high = p_high[:, 0] * ends[:, 0] - p_high[:, -1] * ends[:, 1]
         low = p_low[:, 0] * ends[:, 0] - p_low[:, -1] * ends[:, 1]
         unresolved = 2.0 * h * np.sum(np.abs(gl @ _CHEBYSHEV_TAIL), axis=1)
@@ -454,7 +511,7 @@ def _levin_panels(g, f, fprime, omega: float, lo: np.ndarray, hi: np.ndarray):
     direct = ~levin
     if np.any(direct):
         h = half[direct]
-        vals = gv[direct] * np.exp(1j * omega * fv[direct])
+        vals = gv[direct] * np.exp(1j * omega[direct][:, None] * fv[direct])
         value[direct] = h * (vals @ _CC_WEIGHTS)
         error[direct] = np.abs(value[direct] - h * (vals[:, ::2] @ _CC_WEIGHTS_LOW))
     return value, error, floor
@@ -464,7 +521,7 @@ def integrate_levin(
     g,
     f,
     fprime,
-    omega: float,
+    omega,
     edges,
     rel_tol: float,
     abs_tol=0.0,
@@ -477,15 +534,17 @@ def integrate_levin(
     error estimate and 64 eps h max|g| as the rounding level of a panel of
     half-width h.  Returns (complex value, error estimate).  edges may also
     be a list of partitions, the pieces of one refinement, each held to its
-    own budget: abs_tol is then a number or one per piece, and the result a
-    pair of arrays, the complex values and the error estimates per piece.
-    Raises IntegrabilityError on non-finite values and singular panels.
+    own budget: omega and abs_tol are then a number or one per piece, and
+    the result a pair of arrays, the complex values and the error estimates
+    per piece.  Raises IntegrabilityError on non-finite values and singular
+    panels.
     """
-
-    def rule(lo, hi):
-        return _levin_panels(g, f, fprime, omega, lo, hi)
-
     pieces = edges if isinstance(edges, list) else [edges]
+    omegas = np.broadcast_to(np.asarray(omega, dtype=float), (len(pieces),))
+
+    def rule(lo, hi, piece):
+        return _levin_panels(g, f, fprime, omegas[piece], lo, hi)
+
     value, error, _ = _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS)
     if isinstance(edges, list):
         return value, error
@@ -506,29 +565,42 @@ def phase_resolved_edges(
     every period receives more than points_per_period of the 21 Kronrod
     nodes; where the ends understate |f'|, the refinement bisects.
     """
-    if hi <= lo:
-        raise InputDomainError(f"need lo < hi, got [{lo}, {hi}]")
+    return _phase_partitions(params, [t], [lo], [hi], points_per_period)[0]
 
-    edges = lo + (hi - lo) * np.arange(_MIN_PANELS + 1) / _MIN_PANELS
-    start = max(lo, 1e-14 * max(hi, 1.0))
-    fp, _ = dispersion_derivatives(params, np.maximum(edges, start))
-    speed = t * np.maximum(np.abs(fp[:-1]), np.abs(fp[1:]))
+
+def _phase_partitions(params: ModelParams, ts, los, his, points_per_period: int) -> list[np.ndarray]:
+    """phase_resolved_edges of every (ts[i], los[i], his[i]), from one
+    dispersion_derivatives call on a (pieces, 49) array and one split."""
+    ts, los, his = (np.asarray(v, dtype=float) for v in (ts, los, his))
+    if np.any(his <= los):
+        i = np.flatnonzero(his <= los)[0]
+        raise InputDomainError(f"need lo < hi, got [{los[i]}, {his[i]}]")
+
+    edges = los[:, None] + (his - los)[:, None] * np.arange(_MIN_PANELS + 1) / _MIN_PANELS
+    start = np.maximum(los, 1e-14 * np.maximum(his, 1.0))
+    fp, _ = dispersion_derivatives(params, np.maximum(edges, start[:, None]))
+    speed = ts[:, None] * np.maximum(np.abs(fp[:, :-1]), np.abs(fp[:, 1:]))
     dphi = _PHASE_SAFETY * GL_ORDER * math.pi / points_per_period
     with np.errstate(divide="ignore"):
-        edges = _split_wide_panels(edges, dphi / speed)
-    edges[-1] = hi
-    return edges
+        partitions = _split_wide_panels(edges, dphi / speed)
+    for part, hi in zip(partitions, his):
+        part[-1] = hi
+    return partitions
 
 
-def _split_wide_panels(edges: np.ndarray, max_width) -> np.ndarray:
-    """The partition with each panel wider than max_width, a number or one
-    per panel, split into ceil(width / max_width) equal parts; unchanged
-    when none is."""
+def _split_wide_panels(edges: np.ndarray, max_width) -> list[np.ndarray]:
+    """Each row of edges, a partition, with each panel wider than max_width,
+    a number or one per panel, split into ceil(width / max_width) equal
+    parts.  Returns the partitions as a list; a row none of whose panels is
+    split comes back unchanged."""
     widths = np.diff(edges)
     n_sub = np.maximum(1, np.ceil(widths / max_width).astype(int))
-    if not np.any(n_sub > 1):
-        return edges
+    counts = n_sub.ravel()
     # panel i becomes edges[i] + widths[i] * j / n_sub[i], j = 1 .. n_sub[i]
-    j = np.arange(1, n_sub.sum() + 1) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    inner = np.repeat(edges[:-1], n_sub) + np.repeat(widths, n_sub) * j / np.repeat(n_sub, n_sub)
-    return np.concatenate([edges[:1], inner])
+    j = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    inner = np.repeat(edges[:, :-1], counts) + np.repeat(widths, counts) * j / np.repeat(counts, counts)
+    rows = np.split(inner, np.cumsum(n_sub.sum(axis=1))[:-1])
+    return [
+        np.concatenate([row_edges[:1], row]) if np.any(row_n > 1) else row_edges.copy()
+        for row_edges, row, row_n in zip(edges, rows, n_sub)
+    ]

@@ -196,9 +196,9 @@ class TestTailTermOscillatoryPath:
         panels = []
         panel_integrals = quadrature.panel_integrals
 
-        def counted(fn, lo, hi):
+        def counted(fn, lo, hi, t=None):
             panels.append(np.size(lo))
-            return panel_integrals(fn, lo, hi)
+            return panel_integrals(fn, lo, hi, t)
 
         monkeypatch.setattr(quadrature, "panel_integrals", counted)
         counts, values = {}, {}

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rosenau import (
     weighted_l1_norm,
     zeroth_moment,
 )
+from rosenau import quadrature
 from rosenau.model import unit_sphere_area
 from rosenau.moments import _kernel_minus_one, _moment_constant, radial_kernel
 
@@ -192,6 +194,31 @@ class TestPanelFluctuation:
         )
         with pytest.raises(IntegrabilityError, match="unresolved"):
             fluctuation(square, np.array([0.5, 3.0, 20.0]))
+
+    def test_unbounded_oscillation_stops_at_the_panel_cap(self, monkeypatch):
+        # sin(200 ln|r - 1/2|) oscillates without bound at r = 1/2, so the
+        # failing panels grow about 1.5-fold a round: 40 k panels in all up
+        # to the 2^15-panel cap, millions and gigabytes by round 30.  The
+        # refinement must give up at the cap and raise, in well under 2 s;
+        # the panel count stops a regression before it exhausts memory.
+        panels = []
+        panel_integrals = quadrature.panel_integrals
+
+        def counted(fn, lo, hi, t=None):
+            panels.append(np.size(lo))
+            assert sum(panels) <= 250_000, "refinement ran past its panel cap"
+            return panel_integrals(fn, lo, hi, t)
+
+        monkeypatch.setattr(quadrature, "panel_integrals", counted)
+        spiral = RadialProfile(
+            func=lambda r: np.sin(200.0 * np.log(np.abs(np.asarray(r) - 0.5))),
+            dim=1,
+            tail=TailBound(kind="compact", cutoff=1.0),
+        )
+        start = time.perf_counter()
+        with pytest.raises(IntegrabilityError, match="unresolved"):
+            fluctuation(spiral, np.array([0.5, 3.0, 20.0]))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestWeightedNorm:

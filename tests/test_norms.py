@@ -239,7 +239,7 @@ class TestFusedIntegrand:
         b = prop * np.asarray(w1(r), dtype=complex)
         expected = np.abs(a + b) ** 2 * r ** (dim - 1)
         scale = (np.abs(a) + np.abs(b)) ** 2 * r ** (dim - 1)
-        got = _amplitude_sq(params, data, t)(r)
+        got = _amplitude_sq(params, data)(r, t)
         assert got.dtype == np.float64
         assert np.all(np.abs(got - expected) <= 1e-14 * scale + 1e-300)
         if dim == 1:
@@ -258,7 +258,7 @@ class TestFusedIntegrand:
             TailBound(kind="compact", cutoff=0.0), velocity.w1_tail,
         )
         calls.clear()  # construction probes both profiles
-        _amplitude_sq(P1, data, 5.0)(np.linspace(0.0, 3.0, 50))
+        _amplitude_sq(P1, data)(np.linspace(0.0, 3.0, 50), 5.0)
         assert calls == []
 
 
@@ -342,7 +342,7 @@ class TestOscillatoryPath:
             r_max = _resolve_r_max(params, data, t, cfg)
             edges = phase_resolved_edges(params, t, 0.0, r_max, cfg.points_per_period)
             reference = _physical_scale(dim, False) * integrate_adaptive(
-                _amplitude_sq(params, data, t), edges, 0.5 * cfg.rel_tol
+                lambda r: _amplitude_sq(params, data)(r, t), edges, 0.5 * cfg.rel_tol
             )[0]
         assert value == pytest.approx(reference, rel=1e-10)
 
@@ -462,7 +462,7 @@ def _bands_piece_by_piece(params, data, t, cuts):
     fast piece integrate_adaptive of the mean plus integrate_levin."""
     cfg = DEFAULT_QUADRATURE
     rel_tol = 0.5 * cfg.rel_tol
-    integrand = _amplitude_sq(params, data, t)
+    integrand = lambda r: _amplitude_sq(params, data)(r, t)  # noqa: E731
     bands = np.zeros(len(cuts) - 1)
     for seg_lo, seg_hi, kind in oscillation_segments(params, t, cuts[0], cuts[-1]):
         for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
@@ -515,6 +515,30 @@ class TestPerPieceBudgets:
         (exact,) = _norm_pieces(params, data, t, [0.0, split.beta], tight)
         exact *= _physical_scale(3, False)
         assert split.low == pytest.approx(exact, rel=DEFAULT_QUADRATURE.rel_tol, abs=0.0)
+
+
+class TestBatchedTrace:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    @pytest.mark.parametrize("name", ["gaussian", "compact-band"])
+    def test_trace_matches_one_time_at_a_time(self, name, theta, dim):
+        # one driver call for the whole trace gives every sample what
+        # band_split_norm gives it alone
+        params = ModelParams(1.0, 1.0, 1.0, theta, dim)
+        data = _CATALOG[name](dim)
+        times = norms.geometric_times(1e2, 1e6, 3)
+        trace = norms.compute_norm_trace(params, data, times)
+        batch = band_split_norm(params, data, times)
+        for i, t in enumerate(times):
+            alone = band_split_norm(params, data, t)
+            for column, value in (
+                (trace.band_low, alone.low),
+                (trace.band_mid, alone.mid),
+                (trace.band_high, alone.high),
+                (batch.beta, alone.beta),
+                (batch.split, alone.split),
+            ):
+                assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
 class TestRootFinder:

@@ -228,7 +228,7 @@ def test_split_wide_panels_matches_the_loop():
     for _ in range(50):
         edges = np.cumsum(np.concatenate([[rng.uniform(-1.0, 1.0)], rng.exponential(0.3, 40)]))
         for max_width in (0.01, 0.2, 5.0):
-            assert np.array_equal(_split_wide_panels(edges, max_width), loop(edges, max_width))
+            assert np.array_equal(_split_wide_panels(edges[None], max_width)[0], loop(edges, max_width))
 
 
 def test_phase_plan_evaluates_f_prime_at_the_width_rule_edges_only(monkeypatch):
@@ -287,6 +287,64 @@ class TestPieces:
         shared, _ = integrate_adaptive(fn, np.linspace(0.0, 2.0, 5), 1e-10)
         coarse, _ = integrate_adaptive(fn, np.linspace(0.0, 1.0, 3), 0.0, 1e-10 * abs(shared))
         assert abs(coarse - 2e-9 / 3.0) > 1e-10 * 2e-9 / 3.0
+
+
+    def test_k21_pieces_with_their_own_time(self):
+        # fn(x, t) with one time per piece: each piece as integrate_adaptive
+        # gives it with its time fixed
+        fn = lambda x, t: np.cos(t * x) * np.exp(-x)  # noqa: E731
+        pieces = [np.linspace(0.0, 1.0, 3), np.linspace(1.0, 3.0, 5), np.linspace(0.5, 2.0, 4)]
+        times = np.array([3.0, 40.0, 0.0])
+        values, errors, _ = quadrature._kronrod_refine(fn, pieces, 1e-11, t=times)
+        for edges, t, value, error in zip(pieces, times, values, errors):
+            alone, alone_error = integrate_adaptive(lambda x: fn(x, t), edges, 1e-11)  # noqa: B023
+            assert value == pytest.approx(alone, rel=1e-14)
+            assert abs(error - alone_error) <= 1e-14 * abs(alone)
+
+    def test_levin_pieces_with_their_own_omega(self):
+        g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
+        f, fprime = (lambda x: x * x), (lambda x: 2.0 * x)
+        pieces = [np.linspace(0.5, 1.0, 3), np.linspace(1.0, 4.0, 5), np.linspace(0.5, 2.0, 4)]
+        omegas = np.array([300.0, 7.0, 2e4])
+        values, errors = integrate_levin(g, f, fprime, omegas, pieces, 1e-10)
+        for edges, omega, value, error in zip(pieces, omegas, values, errors):
+            alone, alone_error = integrate_levin(g, f, fprime, omega, edges, 1e-10)
+            assert value == pytest.approx(alone, rel=1e-14)
+            assert abs(error - alone_error) <= 1e-14 * abs(alone)
+
+
+def test_theorem_1_2_keeps_every_chunk_small(monkeypatch, tmp_path):
+    # a trace refines all its samples at once; the integrand still gets at
+    # most 2^15 nodes per call and a Levin chunk at most 256 panels
+    from rosenau import norms
+    from rosenau.cli import ExperimentConfig, run_experiment
+
+    nodes, k21_panels, levin_panels = [], [], []
+    panel_integrals, levin_chunk = quadrature.panel_integrals, quadrature._levin_chunk
+
+    def counted_k21(fn, lo, hi, t=None):
+        k21_panels.append(np.size(lo))
+
+        def counted_fn(x, *rest):
+            nodes.append(np.size(x))
+            return fn(x, *rest)
+
+        return panel_integrals(counted_fn, lo, hi, t)
+
+    def counted_levin(g, f, fprime, omega, lo, hi):
+        levin_panels.append(np.size(lo))
+        return levin_chunk(g, f, fprime, omega, lo, hi)
+
+    monkeypatch.setattr(quadrature, "panel_integrals", counted_k21)
+    monkeypatch.setattr(norms, "panel_integrals", counted_k21)
+    monkeypatch.setattr(quadrature, "_levin_chunk", counted_levin)
+    cfg = ExperimentConfig.from_dict({"preset": "theorem-1-2", "output_dir": str(tmp_path)})
+    assert run_experiment(cfg).exit_code == 0
+    # the batches are large enough to be chunked
+    assert max(k21_panels) > quadrature._PANEL_CHUNK
+    assert len(levin_panels) > 1 and levin_panels.count(256) >= 1
+    assert max(nodes) <= 1 << 15
+    assert max(levin_panels) <= 256
 
 
 def test_deterministic_repeatability():
