@@ -20,6 +20,11 @@ Upper envelopes (spectral side) assemble the dimension-appropriate component
 ceilings with all constants explicit; they bound ||w(t)||^2 from above, i.e.
 they already include the factor 2 from |a+b|^2 <= 2|a|^2 + 2|b|^2.
 
+The T1 and T2 terms and the lower envelopes also take an array of times,
+such as the envelope picks of a trace: the T2 of all of them then come from
+one driver call, and T1 and the K2 integrals of the T2 bounds from one K21
+refinement each, every time held to the tolerance it would get alone.
+
 All comparisons happen on the spectral side; callers convert once with the
 (2 pi)^(-n) Plancherel factor.
 """
@@ -169,8 +174,10 @@ def weighted_gaussian_constant(params: ModelParams, gamma_exp: float) -> float:
 
 @dataclass(frozen=True)
 class TailTerm:
-    value: float
-    bound: float
+    """T2 and its bound: numbers for one time, arrays for an array of times."""
+
+    value: float | np.ndarray
+    bound: float | np.ndarray
 
 
 def _t2_weight(params: ModelParams, r: np.ndarray) -> np.ndarray:
@@ -178,7 +185,16 @@ def _t2_weight(params: ModelParams, r: np.ndarray) -> np.ndarray:
     return np.exp(-(r**2)) * (1.0 + de * r ** (2.0 * th)) / (mu * r**3 + ka * r)
 
 
-def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
+def _log_band_start(params: ModelParams, t) -> np.ndarray:
+    """1/t, the lower end of the 2-D main-term integrals, for a time or an
+    array of times; raises unless every 1/t lies below epsilon0."""
+    lo = 1.0 / np.asarray(t, dtype=float)
+    if np.any(lo >= epsilon0(params)):
+        raise PreconditionError("need 1/t < epsilon0")
+    return lo
+
+
+def averaged_tail_remainder(params: ModelParams, t) -> TailTerm:
     """Oscillatory tail term T2(t) of the two-dimensional main-term split.
 
     T2(t) = integral_{1/t}^{eps0} e^(-r^2) cos(2 t f) (1 + delta r^(2 theta))
@@ -191,15 +207,19 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
     derivative envelope assembled from the same floor and the explicit
     second-derivative constant.  |T2| stays bounded in t while the main term
     grows like log t.
+
+    t is a number or an array of times; for an array both fields of the
+    result are arrays, the T2 of every time come from one driver call and
+    their K2 integrals from one refinement, each time held to the tolerance
+    it would get alone.
     """
     if params.dim != 2:
         raise PreconditionError("the tail term belongs to the two-dimensional chain")
-    if t < 1e2:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 1e2):
         raise PreconditionError("the tail term is defined for t >= 1e2")
+    lo = _log_band_start(params, ts)
     eps = epsilon0(params)
-    lo = 1.0 / t
-    if lo >= eps:
-        raise PreconditionError("need 1/t < epsilon0")
 
     def integrand(r, t):
         f = eval_dispersion(params, r)
@@ -209,14 +229,14 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
     # rule, 8 points per period, serves it too
     (value,) = oscillatory_integrals(
         params,
-        t,
-        [lo, eps],
+        ts,
+        np.stack([lo, np.full_like(lo, eps)], axis=1),
         integrand,
         lambda r: _t2_weight(params, r),
         rel_tol=1e-9,
         abs_tol=1e-12,
         points_per_period=8,
-    )
+    ).T
 
     c_lo = derivative_floor(params)
     c_pp = second_derivative_bound(params)
@@ -227,7 +247,7 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
             c_lo * (mu * r**3 + ka * r)
         )
 
-    k1_bound = boundary(lo) + boundary(eps)
+    k1_bound = np.array([boundary(r) for r in lo.tolist()]) + boundary(eps)
 
     def envelope(r):
         damp = np.exp(-(r**2))
@@ -241,20 +261,21 @@ def averaged_tail_remainder(params: ModelParams, t: float) -> TailTerm:
         )
 
     k2_bound = integrate_radial(envelope, lo, eps, rel_tol=1e-9)
-    bound = (k1_bound + k2_bound) / (2.0 * t)
-    if abs(value) > bound * (1.0 + 1e-9):
-        raise InvariantViolation(f"|T2| = {abs(value)} exceeds its bound {bound}")
-    return TailTerm(value=float(value), bound=float(bound))
+    bound = (k1_bound + k2_bound) / (2.0 * ts)
+    for v, b in zip(value.tolist(), bound.tolist()):
+        if abs(v) > b * (1.0 + 1e-9):
+            raise InvariantViolation(f"|T2| = {abs(v)} exceeds its bound {b}")
+    if np.ndim(t):
+        return TailTerm(value=value, bound=bound)
+    return TailTerm(value=float(value[0]), bound=float(bound[0]))
 
 
-def log_band_main_term(params: ModelParams, t: float) -> float:
+def log_band_main_term(params: ModelParams, t):
     """Main term T1(t) = integral_{1/t}^{eps0} e^(-r^2) (1+delta r^(2 theta))
-    / (mu r^3 + kappa r) dr; grows like log t."""
-    eps = epsilon0(params)
-    lo = 1.0 / t
-    if lo >= eps:
-        raise PreconditionError("need 1/t < epsilon0")
-    return integrate_radial(lambda r: _t2_weight(params, r), lo, eps, rel_tol=1e-11)
+    / (mu r^3 + kappa r) dr; grows like log t.  For an array of times, one
+    value per time from one refinement."""
+    lo = _log_band_start(params, t)
+    return integrate_radial(lambda r: _t2_weight(params, r), lo, epsilon0(params), rel_tol=1e-11)
 
 
 def lower_envelope(
@@ -262,30 +283,36 @@ def lower_envelope(
     sinc_constants: SincConstants,
     moments: MomentDecomposition,
     u0_norm_sq: float,
-    t: float,
+    t,
     dim: int,
-) -> float:
+) -> float | np.ndarray:
     """Spectral-side lower envelope of ||w(t)||^2; clamped at zero.
 
     n = 1 grows like t, n = 2 like log t; proportional to P^2, hence vacuous
-    when the velocity datum has no mass.
+    when the velocity datum has no mass.  t is a number or an array of
+    times, one envelope each; in 2-D the tail and main terms of all the
+    times then come from one call each.
     """
     if dim not in (1, 2):
         raise InputDomainError("lower envelopes exist for dim 1 and 2 only")
     if params.dim != dim:
         raise InputDomainError("params.dim and dim disagree")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     p_sq = moments.p_moment**2
     if dim == 1:
-        floor = t * sinc_constants.delta0 / (2.0 * math.sqrt(params.mu + params.kappa))
-        ceiling = fluctuation_remainder_ceiling(params, sinc_constants, moments, t)
-        return max(0.0, 0.25 * p_sq * floor - ceiling - u0_norm_sq)
-    tail = averaged_tail_remainder(params, t)
-    t1 = log_band_main_term(params, t)
-    omega2 = unit_sphere_area(2)
-    t_floor = 0.5 * omega2 * (t1 - abs(tail.value))
-    k0 = weighted_gaussian_constant(params, moments.gamma_exp)
-    correction = moments.m_constant**2 * moments.weighted_norm**2 * omega2 * k0
-    return max(0.0, 0.25 * p_sq * t_floor - correction - u0_norm_sq)
+        floor = ts * sinc_constants.delta0 / (2.0 * math.sqrt(params.mu + params.kappa))
+        ceiling = np.array([fluctuation_remainder_ceiling(params, sinc_constants, moments, t_i) for t_i in ts.tolist()])
+        envelope = 0.25 * p_sq * floor - ceiling - u0_norm_sq
+    else:
+        tail = averaged_tail_remainder(params, ts)
+        t1 = log_band_main_term(params, ts)
+        omega2 = unit_sphere_area(2)
+        t_floor = 0.5 * omega2 * (t1 - np.abs(tail.value))
+        k0 = weighted_gaussian_constant(params, moments.gamma_exp)
+        correction = moments.m_constant**2 * moments.weighted_norm**2 * omega2 * k0
+        envelope = 0.25 * p_sq * t_floor - correction - u0_norm_sq
+    envelope = np.maximum(0.0, envelope)
+    return envelope if np.ndim(t) else float(envelope[0])
 
 
 def upper_envelope(

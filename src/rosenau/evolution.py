@@ -26,7 +26,7 @@ from numpy.fft import fftfreq, fftn, ifftn
 
 from .errors import InputDomainError, InvariantViolation
 from .model import ModelParams, eval_dispersion, dispersion_derivatives, unit_sphere_area
-from .quadrature import integrate_radial
+from .quadrature import _row_blocks, integrate_radial
 from .tails import TailBound
 
 __all__ = [
@@ -296,19 +296,24 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
         raise InputDomainError("params.dim and data.dim disagree")
     n = params.dim
     # one row per time; a single time gives one flat row
-    ts = np.asarray(t, dtype=float)[..., None]
+    ts = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
 
     def density(r):
         f = eval_dispersion(params, r)
-        phase = ts * f
-        c = np.cos(phase)
         w0 = np.asarray(data.w0_profile(r))
         w1 = np.asarray(data.w1_profile(r))
-        w_sq = np.abs(c * w0 + propagator(ts, f) * w1) ** 2
-        wt_sq = np.abs(-f * np.sin(phase) * w0 + c * w1) ** 2
-        kinetic = (1.0 + params.delta * r ** (2.0 * params.theta)) * wt_sq
-        potential = (params.mu * r**4 + params.kappa * r**2) * w_sq
-        return 0.5 * (kinetic + potential) * r ** (n - 1)
+        inertia = 1.0 + params.delta * r ** (2.0 * params.theta)
+        stiffness = params.mu * r**4 + params.kappa * r**2
+        radial = r ** (n - 1)
+        out = np.empty((ts.shape[0], r.size))
+        # the rows in blocks, so that no temporary exceeds the row bound
+        for rows in _row_blocks(ts.shape[0], r.size):
+            phase = ts[rows] * f
+            c = np.cos(phase)
+            w_sq = np.abs(c * w0 + propagator(ts[rows], f) * w1) ** 2
+            wt_sq = np.abs(-f * np.sin(phase) * w0 + c * w1) ** 2
+            out[rows] = 0.5 * (inertia * wt_sq + stiffness * w_sq) * radial
+        return out if np.ndim(t) else out[0]
 
     value = integrate_radial(density, 0.0, _energy_radius(data), data.kinks, rel_tol=_ENERGY_REL_TOL)
     return unit_sphere_area(n) / (2.0 * math.pi) ** n * value

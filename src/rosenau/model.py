@@ -27,6 +27,7 @@ __all__ = [
     "BandBoundaries",
     "eval_dispersion",
     "dispersion_derivatives",
+    "dispersion_slope",
     "epsilon0",
     "derivative_floor",
     "second_derivative_bound",
@@ -118,6 +119,10 @@ def _check_radii(r: np.ndarray, allow_zero: bool) -> None:
         return
     # NaN and +-inf reach the extremes, so these two reductions see every entry
     lo, hi = np.minimum.reduce(r, axis=None), np.maximum.reduce(r, axis=None)
+    _check_radius_range(float(lo), float(hi), allow_zero)
+
+
+def _check_radius_range(lo: float, hi: float, allow_zero: bool) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputDomainError("radius must be finite")
     if lo < 0 or (lo == 0 and not allow_zero):
@@ -125,11 +130,38 @@ def _check_radii(r: np.ndarray, allow_zero: bool) -> None:
         raise InputDomainError(f"radius must satisfy {bound}")
 
 
+def _power(x: float, p: float) -> float:
+    """x ** p for a float x, rounded as numpy rounds ndarray ** p.
+
+    numpy computes an array to the power 0.5, 1 or 2 by sqrt, a copy or a
+    square, and other powers by its own pow loop, which may use SIMD code
+    that differs from the C library's pow in the last bit.  The scalar
+    branch of eval_dispersion goes through the same operations, so that it
+    matches the array path bit for bit.
+    """
+    if p == 2.0:
+        return x * x
+    if p == 1.0:
+        return x
+    if p == 0.5:
+        return math.sqrt(x)
+    return float(np.power(x, p))
+
+
 def eval_dispersion(params: ModelParams, r):
     """Dispersion rate f(r) = r * sqrt((mu r^2 + kappa)/(1 + delta r^(2 theta))).
 
-    Vectorized over r; f(0) = 0 exactly.
+    Vectorized over r; f(0) = 0 exactly.  A float r takes a scalar branch
+    in plain float arithmetic, equal to the array path bit for bit, for the
+    root finder's one-radius calls.
     """
+    if isinstance(r, float):
+        r = float(r)
+        _check_radius_range(r, r, allow_zero=True)
+        ratio = (params.mu * (r * r) + params.kappa) / (
+            1.0 + params.delta * _power(r, 2.0 * params.theta)
+        )
+        return r * math.sqrt(ratio)
     arr = np.asarray(r, dtype=float)
     _check_radii(arr, allow_zero=True)
     ratio = (params.mu * arr**2 + params.kappa) / (
@@ -137,6 +169,36 @@ def eval_dispersion(params: ModelParams, r):
     )
     out = arr * np.sqrt(ratio)
     return out if isinstance(r, np.ndarray) else float(out)
+
+
+def _slope_terms(params: ModelParams, arr: np.ndarray):
+    """The factored form f = r sqrt(h), h = num/den, and its first
+    derivative: (num, den, den', num' den - num den', sqrt(h), (sqrt h)').
+    Validates r > 0."""
+    _check_radii(arr, allow_zero=False)
+    de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
+    num = mu * arr**2 + ka
+    den = 1.0 + de * arr ** (2.0 * th)
+    num_p = 2.0 * mu * arr
+    den_p = 2.0 * de * th * arr ** (2.0 * th - 1.0)
+    cross = num_p * den - num * den_p
+    s = np.sqrt(num / den)
+    s_p = cross / den**2 / (2.0 * s)
+    return num, den, den_p, cross, s, s_p
+
+
+def dispersion_slope(params: ModelParams, r):
+    """(f(r), f'(r)) from one evaluation of the factored form, without f''.
+
+    Equal bit for bit to eval_dispersion and to the first entry of
+    dispersion_derivatives.  Requires r > 0.
+    """
+    arr = np.asarray(r, dtype=float)
+    *_, s, s_p = _slope_terms(params, arr)
+    f, f_p = arr * s, s + arr * s_p
+    if isinstance(r, np.ndarray):
+        return f, f_p
+    return float(f), float(f_p)
 
 
 def dispersion_derivatives(params: ModelParams, r):
@@ -148,24 +210,11 @@ def dispersion_derivatives(params: ModelParams, r):
     r > 0.
     """
     arr = np.asarray(r, dtype=float)
-    _check_radii(arr, allow_zero=False)
-    de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
-
-    num = mu * arr**2 + ka
-    den = 1.0 + de * arr ** (2.0 * th)
-    num_p = 2.0 * mu * arr
-    den_p = 2.0 * de * th * arr ** (2.0 * th - 1.0)
-    num_pp = 2.0 * mu
+    num, den, den_p, cross, s, s_p = _slope_terms(params, arr)
+    de, mu, th = params.delta, params.mu, params.theta
     den_pp = 2.0 * de * th * (2.0 * th - 1.0) * arr ** (2.0 * th - 2.0)
-
-    h = num / den
-    h_p = (num_p * den - num * den_p) / den**2
-    h_pp = (num_pp * den - num * den_pp) / den**2 - 2.0 * den_p * (
-        num_p * den - num * den_p
-    ) / den**3
-
-    s = np.sqrt(h)
-    s_p = h_p / (2.0 * s)
+    h_p = cross / den**2
+    h_pp = (2.0 * mu * den - num * den_pp) / den**2 - 2.0 * den_p * cross / den**3
     s_pp = h_pp / (2.0 * s) - h_p**2 / (4.0 * s**3)
 
     f_p = s + arr * s_p

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InputDomainError, IntegrabilityError, InvariantViolation
 from .model import unit_sphere_area
-from .quadrature import _kronrod_refine, integrate_radial
+from .quadrature import _kronrod_refine, _row_blocks, integrate_radial
 from .tails import TailBound
 
 __all__ = [
@@ -312,7 +312,10 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
 
     def integrand(r):
         u = np.real(u1.func(r)) * r ** (n - 1)
-        return u * _kernel_minus_one(n, rhos[:, None] * r)
+        out = np.empty((rhos.size, r.size))
+        for rows in _row_blocks(rhos.size, r.size):
+            out[rows] = u * _kernel_minus_one(n, rhos[rows, None] * r)
+        return out
 
     panels = max(16, math.ceil(float(np.max(rhos)) * radius / (2.0 * math.pi)))
     edges = np.linspace(0.0, radius, panels + 1)

@@ -37,18 +37,22 @@ of f' (quadrature._phase_partitions):
   depend on t, bisecting where needed, so the fast pieces cost the same at
   every t; only the windows grow, like t^(1/2).
 
-``norm_squared`` runs the driver on [0, r_max] at one time,
+``norm_squared`` runs the driver on [0, r_max] at one time or at several,
 ``band_split_norm`` on the cuts [0, beta, split, r_max] at one time or at
 all the times of a trace (``compute_norm_trace`` is one call of it), so the
 three bands share one segmentation, and bounds.averaged_tail_remainder on
-[1/t, epsilon0] at one time with no mean.
+[1/t, epsilon0] with no mean, at one time or at all the envelope picks of a
+trace.  Along the segmentation's root finder f is evaluated one float at a
+time, in the scalar branch of model.eval_dispersion; the Levin rule takes f
+and f' from one model.dispersion_slope call per node.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
-for all the times of a trace from one panel_integrals call.  Levin
-collocation needs g smooth on each panel; a jump inside a fast segment, like
-the edge of a compact band, is found from the Chebyshev tail of g and
-bisected down like a K21 panel.
+for all the times of a trace from one evaluation of f and of the profiles
+on the K21 nodes of 256 panels, each time adding only its weighted sum of
+min(t, 1/f)^2.  Levin collocation needs g smooth on each panel; a jump
+inside a fast segment, like the edge of a compact band, is found from the
+Chebyshev tail of g and bisected down like a K21 panel.
 """
 
 from __future__ import annotations
@@ -67,11 +71,17 @@ from .model import (
     ModelParams,
     SincConstants,
     band_boundaries,
-    dispersion_derivatives,
+    dispersion_slope,
     eval_dispersion,
     unit_sphere_area,
 )
-from .quadrature import _kronrod_refine, _phase_partitions, integrate_levin, panel_integrals
+from .quadrature import (
+    _KRONROD_WEIGHTS,
+    _kronrod_refine,
+    _panel_nodes,
+    _phase_partitions,
+    integrate_levin,
+)
 
 __all__ = [
     "QuadratureConfig",
@@ -145,23 +155,21 @@ def _tail_bound(params: ModelParams, data: RadialInitialData, r0: float, t: floa
 
 def _coarse_estimate(params: ModelParams, data: RadialInitialData, ts: np.ndarray, hi: float) -> np.ndarray:
     """Scale of the norm integral at each time from the non-oscillatory
-    envelope (|w0|^2 + min(t, 1/f)^2 |w1|^2) r^(n-1), from 256 K21 panels
-    per time in one panel_integrals call; used only to size the tail target."""
-    n = data.dim
+    envelope (|w0|^2 + min(t, 1/f)^2 |w1|^2) r^(n-1), by the K21 rule on 256
+    panels of [0, hi]; used only to size the tail target.
 
-    def envelope(r, t):
-        f = eval_dispersion(params, r)
-        prop_sq = np.minimum(t, 1.0 / np.maximum(f, 1e-300)) ** 2
-        w0 = np.abs(np.asarray(data.w0_profile(r))) ** 2
-        w1 = np.abs(np.asarray(data.w1_profile(r))) ** 2
-        return (w0 + prop_sq * w1) * r ** (n - 1)
-
-    panels = 256
-    edges = np.linspace(0.0, hi, panels + 1)
-    values, _ = panel_integrals(
-        envelope, np.tile(edges[:-1], ts.size), np.tile(edges[1:], ts.size), np.repeat(ts, panels)
-    )
-    return np.abs(values.reshape(ts.size, panels).sum(axis=1))
+    f and both profiles are evaluated once on the nodes, whatever the number
+    of times; per time only the weighted sum of min(t, 1/f)^2 |w1|^2 is
+    formed, one node vector at a time, so no (times x nodes) array is built.
+    """
+    edges = np.linspace(0.0, hi, 257)
+    r, half = _panel_nodes(edges[:-1], edges[1:])
+    radial = (half[:, None] * _KRONROD_WEIGHTS * r ** (data.dim - 1)).ravel()
+    r = r.ravel()
+    inv_f = 1.0 / np.maximum(eval_dispersion(params, r), 1e-300)
+    level = np.abs(np.asarray(data.w0_profile(r))) ** 2 @ radial
+    weight = np.abs(np.asarray(data.w1_profile(r))) ** 2 * radial
+    return np.array([abs(level + np.minimum(t, inv_f) ** 2 @ weight) for t in ts.tolist()])
 
 
 def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: QuadratureConfig):
@@ -319,8 +327,8 @@ def oscillatory_integrals(
             level = _kronrod_refine(mean, edges, rel_tol, abs_tol)[0]
         osc, _ = integrate_levin(
             coefficient,
-            lambda r: eval_dispersion(params, r),
-            lambda r: dispersion_derivatives(params, r)[0],
+            lambda r: dispersion_slope(params, r),
+            None,
             2.0 * ts[index],
             edges,
             rel_tol,
@@ -354,17 +362,23 @@ def _norm_pieces(
 def norm_squared(
     params: ModelParams,
     data: RadialInitialData,
-    t: float,
+    t,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     spectral: bool = False,
-) -> float:
-    """||u(t)||^2, physical side by default (spectral=True skips (2 pi)^(-n))."""
+):
+    """||u(t)||^2, physical side by default (spectral=True skips (2 pi)^(-n)).
+
+    t is a number or an array of times; for an array the result has one
+    value per time, all integrated in one driver call, one row of cuts
+    [0, r_max] per time.
+    """
     _check_time(t)
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
-    r_max = _resolve_r_max(params, data, t, cfg)
-    (val,) = _norm_pieces(params, data, t, [0.0, r_max], cfg)
-    return _physical_scale(data.dim, spectral) * float(val)
+    r_max = np.asarray(_resolve_r_max(params, data, t, cfg))
+    cuts = np.stack([np.zeros_like(r_max), r_max], axis=-1)
+    val = _physical_scale(data.dim, spectral) * _norm_pieces(params, data, t, cuts, cfg)[..., 0]
+    return val if np.ndim(t) else float(val)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ On top of them:
 * ``integrate_radial`` integrates over a finite [lo, hi] cut at given kinks
   and once per decade, with the K21 refinement capped at 17 rounds, and
   raises IntegrabilityError instead of returning a value it did not
-  resolve.
+  resolve; arrays of interval ends make the intervals the pieces of one
+  refinement.
 
 The rule for callers: a smooth radial integrand goes through
 ``integrate_radial``, with its jumps passed as kinks; an integrand that
@@ -53,6 +54,13 @@ work in chunks that keep every temporary small:
 * the K21 rule hands the integrand at most 2^15 nodes at a time
   (_PANEL_CHUNK), so an integrand temporary is at most 256 KiB however
   large the batch;
+* a row-valued integrand with many rows evaluates them in blocks of at
+  most 2^13 values (_row_blocks, _ROW_BLOCK_VALUES): the 96 rows of
+  moments.fluctuation at 1617 nodes would otherwise make each of the
+  Bessel kernel's dozen temporaries 1.2 MB.  Blocks there and in the 61
+  energy rows of evolution.total_energy took the peak RSS of an
+  averaged-2d3d pass from 43.2 to 38.9 MB; blocks of 2^15 values in
+  fluctuation alone left it at 40.3 MB;
 * Levin runs 256 panels at a time (_LEVIN_CHUNK): its collocation systems
   are 17 x 17 complex matrices, 4.6 KB a panel, and a whole trace's Levin
   panels at once raised the peak RSS of an averaged-2d3d pass from 43 to
@@ -62,7 +70,7 @@ work in chunks that keep every temporary small:
   chunk temporary, so they reuse heap pages instead of faulting in fresh
   ones.  Sized to a 2^15-node chunk instead, the block left the larger
   temporaries on fresh pages: an averaged-2d3d pass took 9.1k minor
-  faults instead of about 3.1k.
+  faults instead of about 3.1k (0.74k since the row blocks).
 
 All of it is deterministic: the partition depends only on the inputs and
 accepted panel contributions are summed in left-to-right order.
@@ -162,12 +170,31 @@ _ORIGIN_DECADES = 16
 # K21 panels per chunk: at most 2^15 integrand nodes at a time (see the
 # module docstring)
 _PANEL_CHUNK = (1 << 15) // KRONROD_POINTS
+# values per row block of a row-valued integrand (_row_blocks)
+_ROW_BLOCK_VALUES = 1 << 13
 
 # glibc serves a block of 128 KiB or more by a fresh mmap and unmaps it on
 # free, until the first such free raises that threshold to the block's size.
 # Freeing one 2 MiB block at import, never touched and so without page
 # faults, raises it before the first pass (see the module docstring).
 np.empty(1 << 18)
+
+
+def _row_blocks(rows: int, nodes: int) -> list[slice]:
+    """Consecutive slices of range(rows), each of at most
+    max(1, 2^13 // nodes) rows, so that a row-valued integrand evaluated one
+    block at a time keeps each temporary within 2^13 values (see the module
+    docstring)."""
+    step = max(1, _ROW_BLOCK_VALUES // max(nodes, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 21 Kronrod nodes of each panel [lo_i, hi_i], one row per panel,
+    and the half-widths; the K21 weights of row i are half_i times
+    _KRONROD_WEIGHTS."""
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES[None, :], half
 
 
 def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray, t=None) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +214,7 @@ def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray, t=None) -> tuple[np.ndar
     values = errors = None
     for start in range(0, lo.size, _PANEL_CHUNK):
         sl = slice(start, min(start + _PANEL_CHUNK, lo.size))
-        mid = 0.5 * (lo[sl] + hi[sl])
-        half = 0.5 * (hi[sl] - lo[sl])
-        x = mid[:, None] + half[:, None] * _NODES[None, :]
+        x, half = _panel_nodes(lo[sl], hi[sl])
         if t is None:
             vals = fn(x.ravel())
         else:
@@ -375,7 +400,7 @@ def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
     return _sorted_unique(np.concatenate([cuts, decades[(decades > bottom) & (decades < hi)]]))
 
 
-def integrate_radial(fn, lo: float, hi: float, kinks=(), *, rel_tol: float):
+def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float):
     """Integral of fn over the finite interval [lo, hi], to rel_tol.
 
     fn maps a flat array of radii to values, or to an (m, nodes) array for m
@@ -383,18 +408,27 @@ def integrate_radial(fn, lo: float, hi: float, kinks=(), *, rel_tol: float):
     partition is cut at the kinks and once per decade (see _radial_edges)
     and refined as in integrate_adaptive for at most _RADIAL_ROUNDS rounds,
     a panel being accepted once every row meets its share of rel_tol.
-    Raises IntegrabilityError when the panels still failing after the last
-    round carry more error than rel_tol times a row's |value|, or on a
-    non-finite value.
+    lo and hi may also be arrays, broadcast against each other: the
+    intervals are then the pieces of one refinement, each with its own
+    budget and so refined as if alone, and the result has one entry per
+    interval on its last axis.  Raises IntegrabilityError when the panels
+    still failing after the last round carry more error than rel_tol times
+    a row's |value|, or on a non-finite value.
     """
-    edges = _radial_edges(lo, hi, kinks)
-    value, _, unresolved = _kronrod_refine(fn, [edges], rel_tol, max_rounds=_RADIAL_ROUNDS)
-    value, unresolved = value[..., 0], unresolved[..., 0]
-    if np.any(unresolved > rel_tol * np.abs(value)):
+    ends = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    los, his = (v.ravel().tolist() for v in ends)
+    pieces = [_radial_edges(a, b, kinks) for a, b in zip(los, his)]
+    value, _, unresolved = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS)
+    failed = np.flatnonzero((unresolved > rel_tol * np.abs(value)).reshape(-1, len(pieces)).any(axis=0))
+    if failed.size:
+        k = failed[0]
         raise IntegrabilityError(
-            f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {_RADIAL_ROUNDS} "
-            f"bisection rounds: error {np.max(unresolved):.3g} against rel_tol {rel_tol:.3g}"
+            f"integral over [{los[k]:.17g}, {his[k]:.17g}] unresolved after {_RADIAL_ROUNDS} "
+            f"bisection rounds: error {np.max(unresolved[..., k]):.3g} against rel_tol {rel_tol:.3g}"
         )
+    if np.ndim(lo) or np.ndim(hi):
+        return value
+    value = value[..., 0]
     return value if value.ndim else float(value)
 
 
@@ -489,8 +523,8 @@ def _levin_chunk(g, f, fprime, omega, lo, hi):
     x[:, -1] = lo
     flat = x.ravel()
     gv = np.asarray(g(flat)).reshape(x.shape)
-    fv = np.asarray(f(flat), dtype=float).reshape(x.shape)
-    fp = np.asarray(fprime(flat), dtype=float).reshape(x.shape)
+    phase = f(flat) if fprime is None else (f(flat), fprime(flat))
+    fv, fp = (np.asarray(v, dtype=float).reshape(x.shape) for v in phase)
     if not (np.all(np.isfinite(gv)) and np.all(np.isfinite(fv)) and np.all(np.isfinite(fp))):
         raise IntegrabilityError("non-finite integrand or phase in a Levin panel")
 
@@ -529,10 +563,11 @@ def integrate_levin(
     """Integral of g(r) e^(i omega f(r)) over the partition by Levin collocation.
 
     g may be complex; f and fprime are the real phase and its derivative,
-    which must not vanish on the partition.  Panels are refined as in
-    integrate_adaptive with its default round limit, with |I17 - I9| as the
-    error estimate and 64 eps h max|g| as the rounding level of a panel of
-    half-width h.  Returns (complex value, error estimate).  edges may also
+    which must not vanish on the partition; fprime may be None when f
+    returns the pair (phase, derivative) from one evaluation.  Panels are
+    refined as in integrate_adaptive with its default round limit, with
+    |I17 - I9| as the error estimate and 64 eps h max|g| as the rounding
+    level of a panel of half-width h.  Returns (complex value, error estimate).  edges may also
     be a list of partitions, the pieces of one refinement, each held to its
     own budget: omega and abs_tol are then a number or one per piece, and
     the result a pair of arrays, the complex values and the error estimates

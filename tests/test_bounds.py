@@ -211,6 +211,49 @@ class TestTailTermOscillatoryPath:
         assert abs(values[1e9] - values[1e5]) <= 1e-5
 
 
+class TestBatchedPicks:
+    # the nine envelope picks of a trace preset, as log-spaced times
+    TIMES = np.geomspace(1e2, 1e6, 9)
+
+    @pytest.mark.parametrize("params", [P2, ModelParams(1.0, 1.0, 1.0, 1.0, 2)])
+    def test_tail_main_term_and_bound_match_one_time_at_a_time(self, params):
+        batch = averaged_tail_remainder(params, self.TIMES)
+        main = log_band_main_term(params, self.TIMES)
+        assert batch.value.shape == batch.bound.shape == main.shape == self.TIMES.shape
+        for k, t in enumerate(self.TIMES.tolist()):
+            alone = averaged_tail_remainder(params, t)
+            assert batch.value[k] == pytest.approx(alone.value, rel=1e-14, abs=0.0)
+            # the bound carries K2, one piece of the batch's envelope refinement
+            assert batch.bound[k] == pytest.approx(alone.bound, rel=1e-14, abs=0.0)
+            assert main[k] == pytest.approx(log_band_main_term(params, t), rel=1e-14, abs=0.0)
+
+    def test_lower_envelope_of_an_array(self, moments_1d, moments_2d):
+        for params, moments in ((P1, moments_1d), (P2, moments_2d)):
+            batch = lower_envelope(params, SINC, moments, 0.0, self.TIMES, params.dim)
+            alone = [lower_envelope(params, SINC, moments, 0.0, t, params.dim) for t in self.TIMES.tolist()]
+            np.testing.assert_allclose(batch, alone, rtol=1e-14, atol=0.0)
+
+    def test_any_bad_time_is_rejected(self):
+        with pytest.raises(PreconditionError):
+            averaged_tail_remainder(P2, np.array([1e3, 50.0]))
+
+    def test_theorem_1_2_makes_one_tail_driver_call(self, monkeypatch, tmp_path):
+        from rosenau import bounds
+        from rosenau.cli import ExperimentConfig, run_experiment
+
+        calls = []
+        driver = bounds.oscillatory_integrals
+
+        def counted(params, t, *args, **kwargs):
+            calls.append(np.size(t))
+            return driver(params, t, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "oscillatory_integrals", counted)
+        cfg = ExperimentConfig.from_dict({"preset": "theorem-1-2", "output_dir": str(tmp_path)})
+        assert run_experiment(cfg).exit_code == 0
+        assert calls == [9]
+
+
 class TestEnvelopes:
     def test_lower_linear_rate_1d(self, moments_1d):
         ratios = [lower_envelope(P1, SINC, moments_1d, 0.0, t, 1) / t for t in (1e4, 1e5, 1e6)]

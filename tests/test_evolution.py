@@ -292,6 +292,21 @@ class TestEnergy:
             for t, energy in zip(ts, energies):
                 assert energy == pytest.approx(total_energy(params, data, t), rel=1e-15, abs=0.0)
 
+    def test_times_array_rows_stay_within_the_row_bound(self, monkeypatch):
+        # a trace's 61 energy rows are evaluated in blocks of the row bound
+        from rosenau import evolution, quadrature
+
+        sizes = []
+
+        def counted(t, f):
+            sizes.append(np.broadcast_shapes(np.shape(t), np.shape(f)))
+            return propagator(t, f)
+
+        monkeypatch.setattr(evolution, "propagator", counted)
+        total_energy(P1, gaussian_velocity_data(1), np.geomspace(1e-2, 1e6, 61))
+        assert sum(rows for rows, _ in sizes) > 61
+        assert max(rows * nodes for rows, nodes in sizes) <= quadrature._ROW_BLOCK_VALUES
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_times_array_rejects_any_bad_time(self, bad):
         with pytest.raises(InputDomainError, match="finite and nonnegative"):

@@ -17,6 +17,7 @@ from rosenau import (
     second_derivative_bound,
     unit_sphere_area,
 )
+from rosenau.model import dispersion_slope
 
 P_DEFAULT = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 SINC = SincConstants()
@@ -138,6 +139,34 @@ class TestDerivatives:
         _, fpp = dispersion_derivatives(params, r)
         c = second_derivative_bound(params)
         assert np.all(r * np.abs(fpp) <= c * (1.0 + r))
+
+
+class TestSlope:
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    def test_equals_the_rate_and_its_derivative_bit_for_bit(self, params):
+        r = np.geomspace(1e-8, 1e8, 2001)
+        f, fp = dispersion_slope(params, r)
+        assert np.array_equal(f, eval_dispersion(params, r))
+        assert np.array_equal(fp, dispersion_derivatives(params, r)[0])
+        assert dispersion_slope(params, 0.3) == (eval_dispersion(params, 0.3), dispersion_derivatives(params, 0.3)[0])
+
+    def test_rejects_nonpositive_radius(self):
+        with pytest.raises(InputDomainError, match=r"radius must satisfy r > 0"):
+            dispersion_slope(P_DEFAULT, np.array([0.5, 0.0]))
+
+
+class TestScalarBranch:
+    @pytest.mark.parametrize("bad,message", [(math.nan, "finite"), (math.inf, "finite"), (-1e-300, "r >= 0")])
+    def test_validates_like_the_array_path(self, bad, message):
+        for r in (bad, np.float64(bad)):
+            with pytest.raises(InputDomainError, match=message):
+                eval_dispersion(P_DEFAULT, r)
+
+    def test_numpy_floats_take_it_and_give_python_floats(self):
+        value = eval_dispersion(P_DEFAULT, np.float64(0.7))
+        assert type(value) is float
+        assert value == eval_dispersion(P_DEFAULT, np.array([0.7]))[0]
+        assert eval_dispersion(P_DEFAULT, 0.0) == 0.0
 
 
 class TestEpsilon0:

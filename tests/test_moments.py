@@ -143,6 +143,24 @@ class TestPanelFluctuation:
         expected = math.pi ** (dim / 2) * np.expm1(-0.25 * rhos**2)
         np.testing.assert_allclose(values, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_kernel_rows_stay_within_the_row_bound(self, dim, monkeypatch):
+        # the 96 rows of the default grid reach the kernel in blocks, so
+        # that none of its temporaries exceeds the row bound
+        from rosenau import moments
+
+        sizes = []
+        kernel = moments._kernel_minus_one
+
+        def counted(n, s):
+            sizes.append(np.shape(s))
+            return kernel(n, s)
+
+        monkeypatch.setattr(moments, "_kernel_minus_one", counted)
+        MomentDecomposition.from_profile(gaussian_profile(dim), 1.0)
+        assert len(sizes) > 1
+        assert max(rows * nodes for rows, nodes in sizes) <= quadrature._ROW_BLOCK_VALUES
+
     def test_kernel_minus_one_has_no_cancellation(self):
         s = np.array([1e-6, 1e-3, 0.1])
         two = -(s**2) / 4 + s**4 / 64 - s**6 / 2304 + s**8 / 147456

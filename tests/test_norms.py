@@ -33,7 +33,7 @@ from rosenau.norms import (
     _stationary_points,
     oscillation_segments,
 )
-from rosenau.quadrature import integrate_adaptive, integrate_levin, phase_resolved_edges
+from rosenau.quadrature import integrate_adaptive, integrate_levin, panel_integrals, phase_resolved_edges
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
@@ -600,3 +600,89 @@ class TestRootFinder:
         assert norms._brent_root(lambda x: x - 2.0, 2.0, 3.0) == 2.0
         root = norms._brent_root(lambda x: x * x - 2.0, 0.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= 2e-12 + 4 * np.finfo(float).eps * math.sqrt(2.0)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
+    def test_scalar_dispersion_is_the_array_path_bit_for_bit(self, theta, monkeypatch):
+        # the Brent iterates evaluate f on one float at a time, in plain
+        # float arithmetic; every value, and so every cut root, is the
+        # array path's
+        r = np.concatenate([[0.0], np.geomspace(1e-10, 1e10, 4001)])
+        for de, mu, ka in self.PARAMS:
+            params = ModelParams(de, mu, ka, theta, 1)
+            scalar = [eval_dispersion(params, x) for x in r.tolist()]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(scalar, eval_dispersion(params, r))
+
+        def cuts():
+            out = []
+            for de, mu, ka in self.PARAMS:
+                params = ModelParams(de, mu, ka, theta, 1)
+                for t in (1e2, 1e4, 1e6):
+                    out += oscillation_segments(params, t, 0.0, 14.0)
+                    out += oscillation_segments(params, t, 0.3, 5.0)
+            return out
+
+        roots = cuts()
+        monkeypatch.setattr(norms, "eval_dispersion", lambda p, x: eval_dispersion(p, np.asarray(x)))
+        assert cuts() == roots
+
+
+def _old_coarse_estimate(params, data, t, hi):
+    """The tail-target scale as one K21 panel_integrals call per time."""
+    def envelope(r):
+        prop_sq = np.minimum(t, 1.0 / np.maximum(eval_dispersion(params, r), 1e-300)) ** 2
+        w0 = np.abs(np.asarray(data.w0_profile(r))) ** 2
+        w1 = np.abs(np.asarray(data.w1_profile(r))) ** 2
+        return (w0 + prop_sq * w1) * r ** (params.dim - 1)
+
+    edges = np.linspace(0.0, hi, 257)
+    return abs(panel_integrals(envelope, edges[:-1], edges[1:])[0].sum())
+
+
+class TestCoarseEstimate:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["gaussian", "complex"])
+    def test_matches_the_per_time_envelope_integral(self, name, dim):
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = gaussian_velocity_data(dim) if name == "gaussian" else _complex_data(dim)
+        times = np.concatenate([[0.0, 0.5], norms.geometric_times(1.0, 1e9, 3)])
+        got = norms._coarse_estimate(params, data, times, 6.0)
+        for t, value in zip(times.tolist(), got):
+            assert value == pytest.approx(_old_coarse_estimate(params, data, t, 6.0), rel=1e-13, abs=0.0)
+
+    def test_profiles_are_evaluated_once_whatever_the_number_of_times(self):
+        calls = []
+        base = gaussian_velocity_data(2)
+
+        def counted(profile):
+            def fn(r):
+                calls.append(np.size(r))
+                return profile(r)
+            return fn
+
+        data = RadialInitialData(
+            w0_profile=counted(base.w0_profile),
+            w1_profile=counted(base.w1_profile),
+            dim=2,
+            w0_tail=base.w0_tail,
+            w1_tail=base.w1_tail,
+        )
+        counts = []
+        for size in (1, 61):
+            calls.clear()
+            norms._coarse_estimate(P2, data, np.geomspace(1e2, 1e6, size), 6.0)
+            counts.append(list(calls))
+        assert counts[0] == counts[1] == [256 * 21, 256 * 21]
+
+
+class TestBatchedUnsplitNorm:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_array_of_times_matches_one_time_at_a_time(self, dim):
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = gaussian_velocity_data(dim)
+        times = np.array([1e2, 3e4, 1e6])
+        batch = norm_squared(params, data, times)
+        assert batch.shape == times.shape
+        for t, value in zip(times.tolist(), batch):
+            assert value == pytest.approx(norm_squared(params, data, t), rel=1e-14, abs=0.0)
+        assert type(norm_squared(params, data, 1e2)) is float

@@ -154,6 +154,24 @@ class TestRadial:
         exact = [9.0, 1.0 - math.exp(-3.0), math.sin(120.0) / 40.0]
         np.testing.assert_allclose(values, exact, rtol=1e-12)
 
+    def test_intervals_are_pieces_each_refined_as_if_alone(self):
+        # one refinement for many intervals, each held to rel_tol of its own
+        # value: the same values as one call per interval
+        fn = lambda x: np.stack([np.exp(-x) / (x + x**3), np.cos(40.0 * x) / x])  # noqa: E731
+        lo = np.geomspace(1e-6, 1e-2, 5)
+        values = integrate_radial(fn, lo, 0.9, rel_tol=1e-11)
+        assert values.shape == (2, 5)
+        for k, a in enumerate(lo.tolist()):
+            alone = integrate_radial(fn, a, 0.9, rel_tol=1e-11)
+            np.testing.assert_allclose(values[:, k], alone, rtol=1e-14, atol=0.0)
+        flat = integrate_radial(lambda x: np.exp(-x), lo, 0.9, rel_tol=1e-11)
+        assert flat.shape == (5,)
+
+    def test_unresolved_piece_is_named(self):
+        fn = lambda x: np.where(x < 1.0, np.exp(-x), np.sin(1e9 * x) ** 2)  # noqa: E731
+        with pytest.raises(IntegrabilityError, match=r"\[2, 6\.5\]"):
+            integrate_radial(fn, np.array([0.5, 2.0]), np.array([0.6, 6.5]), rel_tol=1e-12)
+
     def test_returns_python_floats(self):
         value = integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12)
         assert type(value) is float
@@ -313,10 +331,17 @@ class TestPieces:
             assert abs(error - alone_error) <= 1e-14 * abs(alone)
 
 
+def test_levin_takes_the_phase_and_its_derivative_from_one_function():
+    g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
+    f, fprime = (lambda x: x * x), (lambda x: 2.0 * x)
+    edges = np.linspace(0.5, 4.0, 6)
+    pair = integrate_levin(g, lambda x: (f(x), fprime(x)), None, 300.0, edges, 1e-10)
+    assert pair == integrate_levin(g, f, fprime, 300.0, edges, 1e-10)
+
+
 def test_theorem_1_2_keeps_every_chunk_small(monkeypatch, tmp_path):
     # a trace refines all its samples at once; the integrand still gets at
     # most 2^15 nodes per call and a Levin chunk at most 256 panels
-    from rosenau import norms
     from rosenau.cli import ExperimentConfig, run_experiment
 
     nodes, k21_panels, levin_panels = [], [], []
@@ -336,7 +361,6 @@ def test_theorem_1_2_keeps_every_chunk_small(monkeypatch, tmp_path):
         return levin_chunk(g, f, fprime, omega, lo, hi)
 
     monkeypatch.setattr(quadrature, "panel_integrals", counted_k21)
-    monkeypatch.setattr(norms, "panel_integrals", counted_k21)
     monkeypatch.setattr(quadrature, "_levin_chunk", counted_levin)
     cfg = ExperimentConfig.from_dict({"preset": "theorem-1-2", "output_dir": str(tmp_path)})
     assert run_experiment(cfg).exit_code == 0
