@@ -118,6 +118,7 @@ def annular_profile(dim: int, r0: float, width: float, amplitude: float = 1.0) -
         dim=dim,
         tail=TailBound(kind="compact", cutoff=r0 + width),
         label=f"annular-bump(r0={r0}, width={width})",
+        kinks=(r0 - width, r0 + width),
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.fft import fftfreq, fftn, ifftn
 
 from .errors import InputDomainError, InvariantViolation
-from .model import ModelParams, eval_dispersion, dispersion_derivatives, unit_sphere_area
+from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
 from .quadrature import _row_blocks, integrate_radial
 from .tails import TailBound
 
@@ -240,7 +240,7 @@ def evolve_grid(
     rho = _grid_xi_norm(field0)
     positive = rho[rho > 0]
     if positive.size and t > 0:
-        fp, _ = dispersion_derivatives(params, positive.ravel())
+        _, fp = dispersion_slope(params, positive.ravel())
         v_max = float(np.max(np.abs(fp)))
         if v_max > 0 and t >= field0.box_length / (2.0 * v_max):
             warnings.warn(

@@ -119,10 +119,6 @@ def _check_radii(r: np.ndarray, allow_zero: bool) -> None:
         return
     # NaN and +-inf reach the extremes, so these two reductions see every entry
     lo, hi = np.minimum.reduce(r, axis=None), np.maximum.reduce(r, axis=None)
-    _check_radius_range(float(lo), float(hi), allow_zero)
-
-
-def _check_radius_range(lo: float, hi: float, allow_zero: bool) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputDomainError("radius must be finite")
     if lo < 0 or (lo == 0 and not allow_zero):
@@ -130,38 +126,11 @@ def _check_radius_range(lo: float, hi: float, allow_zero: bool) -> None:
         raise InputDomainError(f"radius must satisfy {bound}")
 
 
-def _power(x: float, p: float) -> float:
-    """x ** p for a float x, rounded as numpy rounds ndarray ** p.
-
-    numpy computes an array to the power 0.5, 1 or 2 by sqrt, a copy or a
-    square, and other powers by its own pow loop, which may use SIMD code
-    that differs from the C library's pow in the last bit.  The scalar
-    branch of eval_dispersion goes through the same operations, so that it
-    matches the array path bit for bit.
-    """
-    if p == 2.0:
-        return x * x
-    if p == 1.0:
-        return x
-    if p == 0.5:
-        return math.sqrt(x)
-    return float(np.power(x, p))
-
-
 def eval_dispersion(params: ModelParams, r):
     """Dispersion rate f(r) = r * sqrt((mu r^2 + kappa)/(1 + delta r^(2 theta))).
 
-    Vectorized over r; f(0) = 0 exactly.  A float r takes a scalar branch
-    in plain float arithmetic, equal to the array path bit for bit, for the
-    root finder's one-radius calls.
+    Vectorized over r; f(0) = 0 exactly.  A number r gives a float.
     """
-    if isinstance(r, float):
-        r = float(r)
-        _check_radius_range(r, r, allow_zero=True)
-        ratio = (params.mu * (r * r) + params.kappa) / (
-            1.0 + params.delta * _power(r, 2.0 * params.theta)
-        )
-        return r * math.sqrt(ratio)
     arr = np.asarray(r, dtype=float)
     _check_radii(arr, allow_zero=True)
     ratio = (params.mu * arr**2 + params.kappa) / (

@@ -16,11 +16,10 @@ B vanishes identically for radial data by odd symmetry, so only A is
 computed.
 
 Every integral runs over [0, R] for the profile's certified finite radius R
-(a compact or a Gaussian tail; other profiles raise IntegrabilityError).
-P and the norms go through quadrature.integrate_radial.  A(rho) is one
-row-valued G10/K21 refinement for the whole frequency grid: one row per
-rho, from about one panel per period of the fastest kernel, a panel being
-bisected until every row meets its share of 1e-12.
+(a compact or a Gaussian tail; other profiles raise IntegrabilityError),
+through quadrature.integrate_radial, cut at the profile's kinks.  A(rho)
+for the whole frequency grid is one row-valued call of it, one row per
+rho, each row held to 1e-12 of its own |A(rho)|.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import InputDomainError, IntegrabilityError, InvariantViolation
 from .model import unit_sphere_area
-from .quadrature import _kronrod_refine, _row_blocks, integrate_radial
+from .quadrature import _row_blocks, integrate_radial
 from .tails import TailBound
 
 __all__ = [
@@ -48,29 +47,23 @@ __all__ = [
 ]
 
 _MOMENT_REL_TOL = 1e-12
-# fluctuation raises when the panels still failing after the last round carry
-# more error than this share of a row's |A(rho)|
-_UNRESOLVED_SHARE = 1e-9
-# fluctuation stops refining once it has evaluated this many panels.  A
-# round cap would not do: a jump inside the support keeps one or two panels
-# failing a round and needs 22 rounds, while sin(200 ln|r - 1/2|), which
-# oscillates without bound, multiplies its failing panels about 1.5-fold a
-# round and exhausts memory long before the default 30.  The panel cap
-# bounds the memory and time of both (0.06 s for the latter).
-_FLUCTUATION_PANELS = 1 << 15
 
 
 @dataclass(frozen=True)
 class RadialProfile:
     """Physical-space radial profile u(|x|) with decay metadata.
 
-    func maps radii (array) to values; tail certifies integrability.
+    func maps radii (array) to values; tail certifies integrability.  kinks
+    are the radii where the profile or a low derivative jumps; every radial
+    integral of the profile is cut there, since the quadrature cannot
+    resolve a jump inside a panel to its tolerance.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     dim: int
     tail: TailBound
     label: str = ""
+    kinks: tuple = ()
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -275,6 +268,7 @@ def _radial_integral(u1: RadialProfile, density) -> float:
         lambda r: density(u1.func(r), r) * r ** (n - 1),
         0.0,
         u1.upper_limit(),
+        u1.kinks,
         rel_tol=_MOMENT_REL_TOL,
     )
     return unit_sphere_area(n) * value
@@ -295,19 +289,18 @@ def l2_norm_sq(u1: RadialProfile) -> float:
 
 
 def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
-    """A(rho) for every rho of the grid, in one row-valued K21 refinement.
+    """A(rho) for every rho of the grid, from one row-valued integrate_radial call.
 
-    Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R] for all rho at
-    once, starting from about one panel per period of the fastest kernel,
-    cos(rho_max r), and bisecting a panel until every rho meets its share
-    of 1e-12 of its own |A(rho)|, until _FLUCTUATION_PANELS panels have
-    been evaluated.  Raises IntegrabilityError when the panels still
-    failing after the last round carry more error than 1e-9 of some row's
-    |A(rho)|.  The odd part B vanishes for radial data, so A is
-    the whole fluctuation.
+    Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R], cut at the
+    profile's kinks, one row per rho, each row held to 1e-12 of its own
+    |A(rho)|.  Raises InputDomainError for a non-finite rho, and
+    IntegrabilityError when some row is not resolved (a jump the kinks do
+    not declare, an oscillation without bound).  The odd part B vanishes for
+    radial data, so A is the whole fluctuation.
     """
     rhos = np.asarray(rhos, dtype=float)
-    radius = u1.upper_limit()
+    if not np.all(np.isfinite(rhos)):
+        raise InputDomainError(f"frequencies must be finite, got {rhos[~np.isfinite(rhos)][0]}")
     n = u1.dim
 
     def integrand(r):
@@ -317,18 +310,7 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
             out[rows] = u * _kernel_minus_one(n, rhos[rows, None] * r)
         return out
 
-    panels = max(16, math.ceil(float(np.max(rhos)) * radius / (2.0 * math.pi)))
-    edges = np.linspace(0.0, radius, panels + 1)
-    values, _, unresolved = _kronrod_refine(integrand, [edges], _MOMENT_REL_TOL, max_panels=_FLUCTUATION_PANELS)
-    values, unresolved = values[:, 0], unresolved[:, 0]
-    bad = np.flatnonzero(unresolved > _UNRESOLVED_SHARE * np.abs(values))
-    if bad.size:
-        i = bad[0]
-        raise IntegrabilityError(
-            f"A({rhos[i]:.6g}) of profile {u1.label or u1!r} unresolved: the panels still "
-            f"failing after the last bisection round carry {unresolved[i]:.3g} against "
-            f"|A| = {abs(values[i]):.3g}"
-        )
+    values = integrate_radial(integrand, 0.0, u1.upper_limit(), u1.kinks, rel_tol=_MOMENT_REL_TOL)
     return unit_sphere_area(n) * values
 
 

@@ -42,9 +42,9 @@ of f' (quadrature._phase_partitions):
 all the times of a trace (``compute_norm_trace`` is one call of it), so the
 three bands share one segmentation, and bounds.averaged_tail_remainder on
 [1/t, epsilon0] with no mean, at one time or at all the envelope picks of a
-trace.  Along the segmentation's root finder f is evaluated one float at a
-time, in the scalar branch of model.eval_dispersion; the Levin rule takes f
-and f' from one model.dispersion_slope call per node.
+trace.  The segmentation evaluates f once, on a 256-point geometric grid,
+and the Levin rule takes f and f' from one model.dispersion_slope call per
+node.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
@@ -532,7 +532,10 @@ def oscillation_segments(
 
     Returns (lo, hi, kind) pieces covering [lo, hi]: "slow" where
     t f <= 16 pi, "window" within min(1/4, 2 t^(-1/4)) of a stationary point
-    of f, and "fast" elsewhere, where f' does not vanish.
+    of f, and "fast" elsewhere, where f' does not vanish.  The slow region is
+    judged on a 256-point geometric grid and cut at the first grid point past
+    each change, so a piece may reach one grid step past t f = 16 pi; both
+    rules integrate any phase there, the K21 partition being resolved to it.
     """
     if hi <= lo:
         return []
@@ -544,13 +547,7 @@ def oscillation_segments(
         r = np.concatenate([[lo], r])
     slow = t * eval_dispersion(params, r) <= _PHASE_SLOW
     flips = np.nonzero(slow[1:] != slow[:-1])[0]
-    cuts = [lo]
-    for k, i in enumerate(flips):
-        # the outermost brackets reach to the interval ends
-        a = max(lo, 1e-300) if k == 0 else r[i]
-        b = hi if k == flips.size - 1 else r[i + 1]
-        cuts.append(_brent_root(lambda x: t * eval_dispersion(params, x) - _PHASE_SLOW, a, b))
-    cuts.append(hi)
+    cuts = [lo, *r[flips + 1].tolist(), hi]
 
     h_window = min(0.25, 2.0 * t**-0.25)
     segments = []

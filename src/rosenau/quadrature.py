@@ -55,12 +55,12 @@ work in chunks that keep every temporary small:
   (_PANEL_CHUNK), so an integrand temporary is at most 256 KiB however
   large the batch;
 * a row-valued integrand with many rows evaluates them in blocks of at
-  most 2^13 values (_row_blocks, _ROW_BLOCK_VALUES): the 96 rows of
-  moments.fluctuation at 1617 nodes would otherwise make each of the
-  Bessel kernel's dozen temporaries 1.2 MB.  Blocks there and in the 61
-  energy rows of evolution.total_energy took the peak RSS of an
-  averaged-2d3d pass from 43.2 to 38.9 MB; blocks of 2^15 values in
-  fluctuation alone left it at 40.3 MB;
+  most 2^13 values (_row_blocks, _ROW_BLOCK_VALUES), so that each of the
+  Bessel kernel's dozen temporaries stays within 64 KiB for the 96 rows of
+  moments.fluctuation.  Blocks there and in the 61 energy rows of
+  evolution.total_energy took the peak RSS of an averaged-2d3d pass from
+  43.2 to 38.9 MB; blocks of 2^15 values in fluctuation alone left it at
+  40.3 MB;
 * Levin runs 256 panels at a time (_LEVIN_CHUNK): its collocation systems
   are 17 x 17 complex matrices, 4.6 KB a panel, and a whole trace's Levin
   panels at once raised the peak RSS of an averaged-2d3d pass from 43 to
@@ -83,7 +83,7 @@ import math
 import numpy as np
 
 from .errors import InputDomainError, IntegrabilityError
-from .model import ModelParams, dispersion_derivatives
+from .model import ModelParams, dispersion_slope
 
 __all__ = [
     "GL_ORDER",
@@ -244,7 +244,7 @@ def _piece_sums(x: np.ndarray, piece: np.ndarray, n_pieces: int) -> np.ndarray:
     return sums
 
 
-def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, max_panels=math.inf):
+def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     """Bisect the panels of one or more partitions until each meets its share
     of its piece's budget.
 
@@ -260,13 +260,12 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, max_panels=m
     proportional to the panel's width within the piece, or below its floor
     (the rounding level of the rule); a panel is accepted once every row
     meets its share, and bisected for the next round otherwise.  After
-    max_rounds bisections, or once more than max_panels panels have been
-    evaluated, the pending panels keep their last value and error.  Returns
-    (value, error, unresolved), each of shape (pieces,) or (m, pieces) and
-    summed per piece in left-to-right order: value and error over the
-    accepted panels, unresolved the error of the panels still failing after
-    the last round.  A single piece is refined and summed
-    exactly as if it were alone.
+    max_rounds bisections the pending panels keep their last value and
+    error.  Returns (value, error, unresolved), each of shape (pieces,) or
+    (m, pieces) and summed per piece in left-to-right order: value and
+    error over the accepted panels, unresolved the error of the panels
+    still failing after the last round.  A single piece is refined and
+    summed exactly as if it were alone.
     """
     pieces = [np.asarray(edges, dtype=float) for edges in pieces]
     malformed = InputDomainError("edges must be strictly increasing with >= 2 entries")
@@ -287,11 +286,9 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, max_panels=m
     acc_val: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
     acc_sum = unresolved = None
-    evaluated = 0
 
     for depth in range(max_rounds + 1):
         val, err, floor = rule(pend_lo, pend_hi, pend_piece)
-        evaluated += pend_lo.size
         if not (np.isfinite(val).all() and np.isfinite(err).all()):
             bad = ~(np.isfinite(val) & np.isfinite(err)).reshape(-1, pend_lo.size).all(axis=0)
             raise IntegrabilityError(
@@ -305,7 +302,7 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, max_panels=m
         share = budget[..., pend_piece] * (pend_hi - pend_lo) / piece_len[pend_piece]
         met = (err <= share) | (err <= floor)
         ok = met.all(axis=0) if met.ndim > 1 else met
-        if depth == max_rounds or evaluated > max_panels:
+        if depth == max_rounds:
             unresolved = _piece_sums(err[..., ~ok], pend_piece[~ok], n_pieces)
             ok[:] = True
 
@@ -335,15 +332,12 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, max_panels=m
     return value, error, unresolved
 
 
-def _kronrod_refine(
-    fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, max_panels=math.inf
-):
+def _kronrod_refine(fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None):
     """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
 
     fn may return (m, nodes) rows; the results are numpy arrays of shape
     (pieces,) or (m, pieces).  t, when given, holds one time per piece, and
     fn is called as fn(nodes, t at each node) (see panel_integrals).
-    max_panels ends the refinement as _refine describes.
     """
     if t is not None:
         t = np.asarray(t, dtype=float)
@@ -352,7 +346,7 @@ def _kronrod_refine(
         val, err = panel_integrals(fn, lo, hi, None if t is None else t[piece])
         return val, err, _ROUNDING * np.abs(val)
 
-    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds, max_panels)
+    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds)
 
 
 def integrate_adaptive(
@@ -605,7 +599,7 @@ def phase_resolved_edges(
 
 def _phase_partitions(params: ModelParams, ts, los, his, points_per_period: int) -> list[np.ndarray]:
     """phase_resolved_edges of every (ts[i], los[i], his[i]), from one
-    dispersion_derivatives call on a (pieces, 49) array and one split."""
+    dispersion_slope call on a (pieces, 49) array and one split."""
     ts, los, his = (np.asarray(v, dtype=float) for v in (ts, los, his))
     if np.any(his <= los):
         i = np.flatnonzero(his <= los)[0]
@@ -613,7 +607,7 @@ def _phase_partitions(params: ModelParams, ts, los, his, points_per_period: int)
 
     edges = los[:, None] + (his - los)[:, None] * np.arange(_MIN_PANELS + 1) / _MIN_PANELS
     start = np.maximum(los, 1e-14 * np.maximum(his, 1.0))
-    fp, _ = dispersion_derivatives(params, np.maximum(edges, start[:, None]))
+    _, fp = dispersion_slope(params, np.maximum(edges, start[:, None]))
     speed = ts[:, None] * np.maximum(np.abs(fp[:, :-1]), np.abs(fp[:, 1:]))
     dphi = _PHASE_SAFETY * GL_ORDER * math.pi / points_per_period
     with np.errstate(divide="ignore"):

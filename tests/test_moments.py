@@ -49,7 +49,10 @@ def radial_fourier(u1: RadialProfile, rho: float) -> float:
         val = float(np.real(u1.func(np.array([r]))[0]))
         return val * float(radial_kernel(n, np.array([rho * r]))[0]) * r ** (n - 1)
 
-    pieces = [k * math.pi / rho for k in (1, 2, 4, 8, 16) if k * math.pi / rho < u1.upper_limit()]
+    # the profile's kinks are breakpoints too, so a narrow shell is a piece
+    # of its own
+    breaks = [k * math.pi / rho for k in (1, 2, 4, 8, 16)] + list(u1.kinks)
+    pieces = sorted(b for b in set(breaks) if 0.0 < b < u1.upper_limit())
     return area * _quad(integrand, 0.0, u1.upper_limit(), pieces=pieces)
 
 
@@ -125,6 +128,25 @@ class TestFluctuation:
         for rho, value in zip((0.6, 0.8, 1.0), grid):
             assert value == pytest.approx(fluctuation(gaussian_profile(2), [rho])[0], rel=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_is_a_typed_error(self, bad):
+        profile = gaussian_profile(1)
+        with pytest.raises(InputDomainError, match="finite"):
+            fluctuation(profile, [1.0, bad])
+        with pytest.raises(InputDomainError):
+            MomentDecomposition.from_profile(profile, 1.0, [1.0, bad])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("r0,width", [(2.0, 1.0), (2.7, 0.01)])
+    def test_annular_profile_against_independent_transform(self, dim, r0, width):
+        # the C^2 bump, cut at the edges of its support, against the quad
+        # oracle minus the mass, for a wide annulus and a width-0.01 shell
+        profile = annular_profile(dim, r0=r0, width=width)
+        p = zeroth_moment(profile)
+        rhos = np.array([0.3, 2.0, 9.0, 40.0])
+        expected = [radial_fourier(profile, rho) - p for rho in rhos]
+        np.testing.assert_allclose(fluctuation(profile, rhos), expected, rtol=1e-10)
+
     def test_reconstruction_against_independent_transform(self):
         profile = gaussian_profile(2)
         p = zeroth_moment(profile)
@@ -190,20 +212,28 @@ class TestPanelFluctuation:
             moment_bound_check(lorentzian, 0.5, [0.1, 1.0])
 
     def test_jump_inside_the_support_takes_the_quad_path(self):
-        # 1 on [0, 0.7), 1/2 on [0.7, 2]: the jump falls inside a uniform panel
-        step = RadialProfile(
-            func=lambda r: np.where(np.asarray(r) < 0.7, 1.0, 0.5),
-            dim=1,
-            tail=TailBound(kind="compact", cutoff=2.0),
-        )
+        # 1 on [0, 0.7), 1/2 on [0.7, 2]: declared as a kink, the jump is a
+        # panel edge and A is exact to rounding; undeclared, it falls inside
+        # a panel that no number of bisection rounds resolves to 1e-12, and
+        # the fluctuation raises instead of returning a 1e-9 answer
+        def step(kinks):
+            return RadialProfile(
+                func=lambda r: np.where(np.asarray(r) < 0.7, 1.0, 0.5),
+                dim=1,
+                tail=TailBound(kind="compact", cutoff=2.0),
+                kinks=kinks,
+            )
+
         rhos = np.array([0.5, 3.0, 20.0])
         expected = 2.0 * ((np.sin(0.7 * rhos) + np.sin(2.0 * rhos)) / (2.0 * rhos) - 1.35)
-        np.testing.assert_allclose(fluctuation(step, rhos), expected, rtol=1e-9)
+        np.testing.assert_allclose(fluctuation(step((0.7,)), rhos), expected, rtol=1e-12)
+        with pytest.raises(IntegrabilityError, match="unresolved"):
+            fluctuation(step(()), rhos)
 
 
     def test_jumps_the_round_cap_cannot_resolve_raise(self):
         # a square wave with 1000 jumps: after the last bisection round the
-        # panels still failing carry far more than 1e-9 of |A(rho)|, so the
+        # panels still failing carry far more than 1e-12 of |A(rho)|, so the
         # values are not returned as if they met their tolerance
         square = RadialProfile(
             func=lambda r: np.sign(np.sin(1000.0 * math.pi * np.asarray(r))),
@@ -213,12 +243,28 @@ class TestPanelFluctuation:
         with pytest.raises(IntegrabilityError, match="unresolved"):
             fluctuation(square, np.array([0.5, 3.0, 20.0]))
 
+    def test_jumps_declared_as_kinks_match_the_closed_form(self):
+        # the same square wave with its 999 jumps declared: each jump is a
+        # panel edge, and A is the sum over the half-periods [a, b] of
+        # +-((sin(rho b) - sin(rho a)) / rho - (b - a)), times omega_1 = 2
+        cuts = np.arange(1001) / 1000.0
+        square = RadialProfile(
+            func=lambda r: np.sign(np.sin(1000.0 * math.pi * np.asarray(r))),
+            dim=1,
+            tail=TailBound(kind="compact", cutoff=1.0),
+            kinks=tuple(cuts[1:-1].tolist()),
+        )
+        rhos = np.array([0.5, 3.0, 20.0])
+        a, b, sign = cuts[:-1], cuts[1:], (-1.0) ** np.arange(1000)
+        expected = [2.0 * np.sum(sign * ((np.sin(rho * b) - np.sin(rho * a)) / rho - (b - a))) for rho in rhos]
+        np.testing.assert_allclose(fluctuation(square, rhos), expected, rtol=1e-9)
+
     def test_unbounded_oscillation_stops_at_the_panel_cap(self, monkeypatch):
         # sin(200 ln|r - 1/2|) oscillates without bound at r = 1/2, so the
-        # failing panels grow about 1.5-fold a round: 40 k panels in all up
-        # to the 2^15-panel cap, millions and gigabytes by round 30.  The
-        # refinement must give up at the cap and raise, in well under 2 s;
-        # the panel count stops a regression before it exhausts memory.
+        # failing panels grow about 1.5-fold a round: millions and gigabytes
+        # by round 30.  integrate_radial's cap of 17 rounds stops it after
+        # about 9 k panels; it must raise in well under 2 s, and the panel
+        # count stops a regression before it exhausts memory.
         panels = []
         panel_integrals = quadrature.panel_integrals
 
@@ -294,7 +340,8 @@ class TestMomentBound:
 
 class TestDecomposition:
     def test_integrates_each_norm_once(self, monkeypatch):
-        # P, ||u1||_{1,gamma} and ||u1||_1: three radial integrals
+        # P, ||u1||_{1,gamma}, ||u1||_1 and A on the frequency grid: four
+        # radial integrals, the last row-valued
         from rosenau import moments
 
         calls = []
@@ -306,7 +353,7 @@ class TestDecomposition:
 
         monkeypatch.setattr(moments, "integrate_radial", counted)
         dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)
-        assert len(calls) == 3
+        assert len(calls) == 4
         assert dec.weighted_norm == pytest.approx(math.sqrt(math.pi) + 1.0, rel=1e-10)
         assert dec.m_constant == moment_bound_check(gaussian_profile(1), 1.0, moments._DEFAULT_M_GRID)
         assert dec.l1 == l1_norm(gaussian_profile(1))

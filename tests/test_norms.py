@@ -541,6 +541,24 @@ class TestBatchedTrace:
                 assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
+def _slow_cut_brackets(params, t, lo, hi):
+    """Brackets of the root of t f - 16 pi around each change of the slow
+    region on oscillation_segments' 256-point grid, the outermost reaching
+    to the interval ends: the brackets an earlier segmentation refined each
+    cut in."""
+    if t * hi * math.sqrt(params.mu * hi * hi + params.kappa) <= norms._PHASE_SLOW:
+        return []
+    r = np.geomspace(max(lo, 1e-10), hi, 256)
+    if lo < r[0]:
+        r = np.concatenate([[lo], r])
+    slow = t * eval_dispersion(params, r) <= norms._PHASE_SLOW
+    flips = np.nonzero(slow[1:] != slow[:-1])[0]
+    return [
+        (max(lo, 1e-300) if k == 0 else r[i], hi if k == flips.size - 1 else r[i + 1])
+        for k, i in enumerate(flips)
+    ]
+
+
 class TestRootFinder:
     """norms._brent_root against scipy's brentq, root for root and call for call."""
 
@@ -578,8 +596,9 @@ class TestRootFinder:
             _stationary_points.cache_clear()
             stationary += len(_stationary_points(params))
             for t in (1e2, 1e4, 1e6):
-                oscillation_segments(params, t, 0.0, 14.0)
-                oscillation_segments(params, t, 0.3, 5.0)
+                for lo, hi in ((0.0, 14.0), (0.3, 5.0)):
+                    for a, b in _slow_cut_brackets(params, t, lo, hi):
+                        both(lambda x: t * eval_dispersion(params, x) - norms._PHASE_SLOW, a, b)
         _stationary_points.cache_clear()
         assert len(seen) >= 12
         assert stationary > 0 or theta <= 1.0  # f' > 0 everywhere for theta <= 1
@@ -602,10 +621,34 @@ class TestRootFinder:
         assert abs(root - math.sqrt(2.0)) <= 2e-12 + 4 * np.finfo(float).eps * math.sqrt(2.0)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
+    def test_segmentation_makes_no_root_finder_call(self, theta, monkeypatch):
+        # once the stationary points are cached, the slow region is cut at
+        # grid points: no Brent iterate is spent on a cut
+        calls = []
+        own = norms._brent_root
+
+        def counted(fn, a, b):
+            calls.append((a, b))
+            return own(fn, a, b)
+
+        monkeypatch.setattr(norms, "_brent_root", counted)
+        kinds = set()
+        for de, mu, ka in self.PARAMS:
+            params = ModelParams(de, mu, ka, theta, 1)
+            _stationary_points(params)
+            calls.clear()
+            for t in (1e2, 1e4, 1e6):
+                for lo, hi in ((0.0, 14.0), (0.3, 5.0)):
+                    segments = oscillation_segments(params, t, lo, hi)
+                    assert segments[0][0] == lo and segments[-1][1] == hi
+                    kinds.update(kind for *_, kind in segments)
+            assert calls == []
+        assert {"slow", "fast"} <= kinds
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
     def test_scalar_dispersion_is_the_array_path_bit_for_bit(self, theta, monkeypatch):
-        # the Brent iterates evaluate f on one float at a time, in plain
-        # float arithmetic; every value, and so every cut root, is the
-        # array path's
+        # f of a float is the array path's value bit for bit, and the cuts
+        # do not depend on which of the two forms the segmentation uses
         r = np.concatenate([[0.0], np.geomspace(1e-10, 1e10, 4001)])
         for de, mu, ka in self.PARAMS:
             params = ModelParams(de, mu, ka, theta, 1)

@@ -251,13 +251,13 @@ def test_split_wide_panels_matches_the_loop():
 
 def test_phase_plan_evaluates_f_prime_at_the_width_rule_edges_only(monkeypatch):
     points = []
-    original = quadrature.dispersion_derivatives
+    original = quadrature.dispersion_slope
 
     def counted(params, r):
         points.append(np.size(r))
         return original(params, r)
 
-    monkeypatch.setattr(quadrature, "dispersion_derivatives", counted)
+    monkeypatch.setattr(quadrature, "dispersion_slope", counted)
     for t in (1e-3, 1.0, 1e2, 1e5):
         for lo, hi in ((0.0, 3.0), (0.5, 2.5), (1.4, 1.7), (1e-3, 40.0)):
             points.clear()
