@@ -16,7 +16,8 @@ time it calls ``oscillation_segments`` once for the whole interval, which
 splits it into the slow region t f <= 16 pi, windows of half-width
 min(1/4, 2 t^(-1/4)) around the stationary points of f (found once per
 ModelParams), and the fast segments between them, and cuts each segment at
-the piece boundaries.  It collects the pieces of every time first and then
+the piece boundaries and at the kinks of the data, each fast segment also
+at r_log = 1/4 (_R_LOG).  It collects the pieces of every time first and then
 makes three refinements per call, so three per norm trace, each over all
 its pieces at once with a budget per piece (quadrature._refine): each piece
 is held to rel_tol of its own value, and refined, as if it were integrated
@@ -34,8 +35,14 @@ of f' (quadrature._phase_partitions):
 * the fast pieces: the mean with the K21 rule, then Re[g e^(2 i t f)] by
   Levin collocation, each piece also held to rel_tol times |mean| of that
   piece, both from the partition ``fast_segment_edges``, which does not
-  depend on t, bisecting where needed, so the fast pieces cost the same at
-  every t; only the windows grow, like t^(1/2).
+  depend on t, bisecting where needed.  Below r_log both run in a
+  coordinate x that is ln r up to scale and shift (_fast_radius), from 2
+  panels of equal width in ln r: there f ~ sqrt(kappa) r, so the fast
+  integrands behave like r^(n-3) down to a lower end near
+  16 pi / (sqrt(kappa) t), which fixed panels in r resolve only by more
+  bisection as t grows and fixed panels in ln r resolve at every t.  Above
+  r_log they run in r from 5 geometric edges.  So the fast pieces cost
+  about the same at every t; only the windows grow, like t^(1/2).
 
 ``norm_squared`` runs the driver on [0, r_max] at one time or at several,
 ``band_split_norm`` on the cuts [0, beta, split, r_max] at one time or at
@@ -50,9 +57,10 @@ Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
 for all the times of a trace from one evaluation of f and of the profiles
 on the K21 nodes of 256 panels, each time adding only its weighted sum of
-min(t, 1/f)^2.  Levin collocation needs g smooth on each panel; a jump
-inside a fast segment, like the edge of a compact band, is found from the
-Chebyshev tail of g and bisected down like a K21 panel.
+min(t, 1/f)^2.  Levin collocation needs g smooth on each panel: a jump the
+data declare as a kink, like the edge of a compact band, is a piece end,
+and an undeclared one is found from the Chebyshev tail of g and bisected
+down like a K21 panel.
 """
 
 from __future__ import annotations
@@ -280,6 +288,7 @@ def oscillatory_integrals(
     coefficient,
     mean=None,
     *,
+    kinks=(),
     rel_tol: float,
     abs_tol: float = 0.0,
     points_per_period: int,
@@ -290,14 +299,17 @@ def oscillatory_integrals(
     t is a number, or an array of times with one row of cuts per time; the
     result is then one row of integrals per time.  integrand is a function
     of (r, t), t one time per radius; mean and coefficient do not depend on
-    t.  A slow piece or a stationary-point window is integrated as
-    integrand; a fast piece as mean plus the real part of the Levin integral
-    of coefficient e^(2 i t f).  mean may be None for a purely oscillatory
-    integrand.  The pieces of every time are collected first and integrated
-    in three refinements: K21 of integrand over the slow pieces and windows,
-    K21 of mean over the fast pieces, and Levin over the fast pieces.  Each
-    piece is held to rel_tol of its own value and to abs_tol, a Levin piece
-    also to rel_tol times |mean| of that piece.
+    t.  Every piece is cut at the kinks, the radii where the data jump, and
+    every fast piece at _R_LOG.  A slow piece or a stationary-point window
+    is integrated as integrand; a fast piece as mean plus the real part of
+    the Levin integral of coefficient e^(2 i t f), both in the fast
+    coordinate x of _fast_radius from the partition fast_segment_edges.
+    mean may be None for a purely oscillatory integrand.  The pieces of
+    every time are collected first and integrated in three refinements: K21
+    of integrand over the slow pieces and windows, K21 of mean over the
+    fast pieces, and Levin over the fast pieces.  Each piece is held to
+    rel_tol of its own value and to abs_tol, a Levin piece also to rel_tol
+    times |mean| of that piece.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rows = np.atleast_2d(np.asarray(cuts, dtype=float))
@@ -306,10 +318,11 @@ def oscillatory_integrals(
     slow, fast = [], []  # (time index, band k, lo, hi) of each piece
     for i, (t_i, row) in enumerate(zip(ts.tolist(), rows.tolist())):
         for seg_lo, seg_hi, kind in oscillation_segments(params, t_i, row[0], row[-1]):
+            pieces, stops = (fast, [*kinks, _R_LOG]) if kind == "fast" else (slow, kinks)
             for k, (a, b) in enumerate(zip(row[:-1], row[1:])):
                 lo, hi = max(seg_lo, a), min(seg_hi, b)
-                if hi > lo:
-                    (fast if kind == "fast" else slow).append((i, k, lo, hi))
+                inner = sorted({c for c in stops if lo < c < hi})
+                pieces += [(i, k, p, q) for p, q in zip([lo, *inner], [*inner, hi]) if q > p]
 
     values = np.zeros((ts.size, rows.shape[1] - 1))
     if slow:
@@ -321,13 +334,19 @@ def oscillatory_integrals(
         np.add.at(values, (index, k), _kronrod_refine(integrand, edges, rel_tol, abs_tol, t=t_piece)[0])
     if fast:
         index, k, lo, hi = (np.array(v) for v in zip(*fast))
-        edges = list(fast_segment_edges(lo, hi))
+        edges = fast_segment_edges(lo, hi)
         level = np.zeros(len(edges))
         if mean is not None:
-            level = _kronrod_refine(mean, edges, rel_tol, abs_tol)[0]
+            level = _kronrod_refine(_in_fast_coordinate(mean), edges, rel_tol, abs_tol)[0]
+
+        def phase(x):
+            r, dr = _fast_radius(x)
+            f, fp = dispersion_slope(params, r)
+            return f, fp * dr
+
         osc, _ = integrate_levin(
-            coefficient,
-            lambda r: dispersion_slope(params, r),
+            _in_fast_coordinate(coefficient),
+            phase,
             None,
             2.0 * ts[index],
             edges,
@@ -354,6 +373,7 @@ def _norm_pieces(
         _amplitude_sq(params, data),
         lambda r: _oscillating_coefficient(params, data, r),
         lambda r: _mean_density(params, data, r),
+        kinks=data.kinks,
         rel_tol=0.5 * cfg.rel_tol,
         points_per_period=cfg.points_per_period,
     )
@@ -542,7 +562,10 @@ def oscillation_segments(
     # f(r) <= r sqrt(mu r^2 + kappa), a bound that needs no sampling
     if t * hi * math.sqrt(params.mu * hi * hi + params.kappa) <= _PHASE_SLOW:
         return [(lo, hi, "slow")]
-    r = np.geomspace(max(lo, 1e-10), hi, 256)
+    # the grid starts at 1e-10, or lower where t is so large that t f = 16 pi
+    # lies below it (f ~ sqrt(kappa) r there), and never above hi
+    bottom = min(1e-10, _PHASE_SLOW / (t * math.sqrt(params.kappa)), hi)
+    r = np.geomspace(max(lo, bottom), hi, 256)
     if lo < r[0]:
         r = np.concatenate([[lo], r])
     slow = t * eval_dispersion(params, r) <= _PHASE_SLOW
@@ -572,15 +595,67 @@ def oscillation_segments(
     return segments
 
 
-def fast_segment_edges(lo, hi) -> np.ndarray:
-    """Initial partition of a fast segment: 17 geometric edges.
+# Fast pieces below this radius are integrated in the coordinate
+# x = _R_LOG (1 + ln(r / _R_LOG)), which is ln r scaled to meet r with slope 1
+# at _R_LOG.  There f ~ sqrt(kappa) r, so the fast integrands behave like
+# r^(n-3) down to the piece's lower end, about 16 pi / (sqrt(kappa) t): in r
+# the panels near that end must shrink with it, in ln r the same panels
+# serve at every t.  0.25 stays clear of the band split at 1 in 2-D and 3-D:
+# cut there, the unsplit norm would be integrated over the very pieces of the
+# bands, and the check that the bands sum to it would read 0 by construction
+# (theorem-1-2 reads exactly 0.0 at both window ends with a cut at 1).
+_R_LOG = 0.25
 
-    lo and hi may be arrays of segment ends; the result then has one
-    partition per row.  It does not depend on t; the panel rules bisect
-    where g or the mean need it.
+
+def _fast_radius(x):
+    """r(x) and dr/dx at the fast coordinate x: r = x from _R_LOG up,
+    r = _R_LOG e^(x / _R_LOG - 1) below."""
+    x = np.asarray(x, dtype=float)
+    below = x < _R_LOG
+    r = np.where(below, _R_LOG * np.exp(np.minimum(x / _R_LOG - 1.0, 0.0)), x)
+    return r, np.where(below, r / _R_LOG, 1.0)
+
+
+def _in_fast_coordinate(fn):
+    """fn(r) dr/dx as a function of the fast coordinate x, for integrating fn
+    over the fast pieces in x."""
+
+    def mapped(x):
+        r, dr = _fast_radius(x)
+        return np.asarray(fn(r)) * dr
+
+    return mapped
+
+
+def fast_segment_edges(lo, hi) -> list[np.ndarray]:
+    """Initial partitions of the fast pieces [lo_i, hi_i], 0 < lo_i, none of
+    which crosses _R_LOG, in the fast coordinate x of _fast_radius.
+
+    Below _R_LOG a piece starts as 2 panels of equal width in x, that is in
+    ln r; above, as 5 geometric edges in r, which is x there.  The partitions
+    do not depend on t; the panel rules bisect where g or the mean need it.
+    Each partition starts and ends the fewest ulps inside its piece that put
+    the radii of its ends strictly inside: the Levin rule evaluates g at the
+    ends, and an end on a jump of the data would take g's value from the
+    other side, which no bisection removes (on the step of a compact band
+    the refinement then ran all its 30 rounds).
     """
-    edges = np.geomspace(np.maximum(lo, 1e-12), hi, 17, axis=-1)
-    edges[..., 0] = lo
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if np.any(lo <= 0.0):
+        raise InputDomainError("a fast piece starts above r = 0")
+    x_lo, x_hi = (np.where(r < _R_LOG, _R_LOG * (1.0 + np.log(r / _R_LOG)), r) for r in (lo, hi))
+    while (out := _fast_radius(x_lo)[0] <= lo).any():
+        x_lo[out] = np.nextafter(x_lo[out], math.inf)
+    while (out := _fast_radius(x_hi)[0] >= hi).any():
+        x_hi[out] = np.nextafter(x_hi[out], -math.inf)
+    edges = [None] * lo.size
+    log = x_hi <= _R_LOG
+    for mask, rows in (
+        (log, np.linspace(x_lo[log], x_hi[log], 3, axis=-1)),
+        (~log, np.geomspace(x_lo[~log], x_hi[~log], 5, axis=-1)),
+    ):
+        for i, row in zip(np.flatnonzero(mask).tolist(), rows):
+            edges[i] = row
     return edges
 
 

@@ -347,9 +347,12 @@ class TestOscillatoryPath:
         assert value == pytest.approx(reference, rel=1e-10)
 
     def test_segments_cover_the_interval(self):
-        for t in (10.0, 1e2, 1e4, 1e9):
-            segments = oscillation_segments(P1, t, 0.0, 14.0)
-            assert segments[0][0] == 0.0 and segments[-1][1] == 14.0
+        # the last three end below 1e-10, where the segmentation's grid starts
+        # for smaller t
+        for t, hi in [(10.0, 14.0), (1e2, 14.0), (1e4, 14.0), (1e9, 14.0),
+                      (1e12, 8e-11), (1e13, 5e-11), (1e30, 1e-11)]:
+            segments = oscillation_segments(P1, t, 0.0, hi)
+            assert segments[0][0] == 0.0 and segments[-1][1] == hi
             for (_, b, _), (a, _, _) in zip(segments[:-1], segments[1:]):
                 assert a == b
             for a, b, kind in segments:
@@ -387,6 +390,78 @@ class TestOscillatoryPath:
             _norm_pieces(P1, data, t, [0.0, 6.4], DEFAULT_QUADRATURE)
             counts[t] = sum(calls)
         assert counts[1e3] / 2 <= counts[1e9] <= 2 * counts[1e3]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_fast_segment_cost_is_flat_in_every_dimension(self, theta, dim, monkeypatch):
+        # profile evaluations of the fast segments of [0, 6.4] stay within 2x
+        # of their count at t = 1e3 up to t = 1e12, where the fast segments
+        # start near 16 pi / t
+        segments = norms.oscillation_segments
+        monkeypatch.setattr(
+            norms, "oscillation_segments",
+            lambda *args: [s for s in segments(*args) if s[2] == "fast"],
+        )
+        params = ModelParams(1.0, 1.0, 1.0, theta, dim)
+        base = gaussian_velocity_data(dim)
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return base.w1_profile(r)
+
+        data = RadialInitialData(zero_profile, counted, dim, base.w0_tail, base.w1_tail)
+        counts = {}
+        for t in (1e3, 1e6, 1e9, 1e12):
+            calls.clear()
+            _norm_pieces(params, data, t, [0.0, 6.4], DEFAULT_QUADRATURE)
+            counts[t] = sum(calls)
+        assert all(counts[1e3] / 2 <= c <= 2 * counts[1e3] for c in counts.values()), counts
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("r_lo", [0.1, 0.5])
+    def test_pieces_are_cut_at_the_kinks(self, r_lo, dim, monkeypatch):
+        # the step of a compact band at r_lo lies inside a fast segment at
+        # t = 1e4, below and above norms._R_LOG: no integrated piece crosses
+        # it, the Levin refinement needs no bisection towards it, and the
+        # value matches the phase-resolved path cut at the same kinks
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = compact_band_data(dim, r_lo, 3.0)
+        t = 1e4
+        assert any(a < r_lo < b and kind == "fast" for a, b, kind in oscillation_segments(params, t, 0.0, 3.0))
+        radii, levin_rounds = [], []
+        kronrod_refine, levin = norms._kronrod_refine, norms.integrate_levin
+
+        def recorded_kronrod(fn, pieces, *args, t=None, **kwargs):
+            # the slow pieces come with their times and in r, the fast ones in x
+            radii.extend(p if t is not None else norms._fast_radius(p)[0] for p in pieces)
+            return kronrod_refine(fn, pieces, *args, t=t, **kwargs)
+
+        def recorded_levin(g, *args):
+            def counted(x):
+                levin_rounds.append(np.size(x))
+                return g(x)
+
+            return levin(counted, *args)
+
+        monkeypatch.setattr(norms, "_kronrod_refine", recorded_kronrod)
+        monkeypatch.setattr(norms, "integrate_levin", recorded_levin)
+        value = norm_squared(params, data, t)
+        assert len(radii) > 0
+        for edges in radii:
+            for kink in data.kinks:
+                assert not edges[0] < kink < edges[-1]
+        assert len(levin_rounds) <= 2
+
+        cfg = DEFAULT_QUADRATURE
+        integrand = lambda r: _amplitude_sq(params, data)(r, t)  # noqa: E731
+        reference = _physical_scale(dim, False) * sum(
+            integrate_adaptive(
+                integrand, phase_resolved_edges(params, t, lo, hi, cfg.points_per_period), 0.5 * cfg.rel_tol
+            )[0]
+            for lo, hi in [(0.0, r_lo), (r_lo, 3.0)]
+        )
+        assert value == pytest.approx(reference, rel=1e-10)
 
     def test_one_dimensional_asymptote(self):
         # ||u(t)||^2 / t -> P^2 / (2 sqrt(kappa)) / (2 pi) = pi / 2 for u1 = e^(-x^2)
@@ -458,33 +533,44 @@ class TestOnePhasePlan:
 
 def _bands_piece_by_piece(params, data, t, cuts):
     """The unscaled norm over each [cuts[k], cuts[k+1]], one refinement per
-    piece: integrate_adaptive on every slow piece and window, and on every
-    fast piece integrate_adaptive of the mean plus integrate_levin."""
+    piece, every piece cut at the data's kinks and every fast piece at
+    norms._R_LOG: integrate_adaptive on every slow piece and window, and on
+    every fast piece integrate_adaptive of the mean plus integrate_levin,
+    both in the fast coordinate."""
     cfg = DEFAULT_QUADRATURE
     rel_tol = 0.5 * cfg.rel_tol
     integrand = lambda r: _amplitude_sq(params, data)(r, t)  # noqa: E731
+
+    def phase(x):
+        r, dr = norms._fast_radius(x)
+        return eval_dispersion(params, r), dispersion_derivatives(params, r)[0] * dr
+
     bands = np.zeros(len(cuts) - 1)
     for seg_lo, seg_hi, kind in oscillation_segments(params, t, cuts[0], cuts[-1]):
+        stops = [*data.kinks, norms._R_LOG] if kind == "fast" else list(data.kinks)
         for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
             lo, hi = max(seg_lo, a), min(seg_hi, b)
-            if hi <= lo:
-                continue
-            if kind != "fast":
-                edges = phase_resolved_edges(params, t, lo, hi, cfg.points_per_period)
-                bands[k] += integrate_adaptive(integrand, edges, rel_tol)[0]
-                continue
-            edges = norms.fast_segment_edges(lo, hi)
-            level, _ = integrate_adaptive(lambda r: norms._mean_density(params, data, r), edges, rel_tol)
-            osc, _ = integrate_levin(
-                lambda r: norms._oscillating_coefficient(params, data, r),
-                lambda r: eval_dispersion(params, r),
-                lambda r: dispersion_derivatives(params, r)[0],
-                2.0 * t,
-                edges,
-                rel_tol,
-                rel_tol * abs(level),
-            )
-            bands[k] += level + osc.real
+            inner = sorted(c for c in set(stops) if lo < c < hi)
+            for p, q in zip([lo, *inner], [*inner, hi]):
+                if q <= p:
+                    continue
+                if kind != "fast":
+                    edges = phase_resolved_edges(params, t, p, q, cfg.points_per_period)
+                    bands[k] += integrate_adaptive(integrand, edges, rel_tol)[0]
+                    continue
+                (edges,) = norms.fast_segment_edges([p], [q])
+                mean = norms._in_fast_coordinate(lambda r: norms._mean_density(params, data, r))
+                level, _ = integrate_adaptive(mean, edges, rel_tol)
+                osc, _ = integrate_levin(
+                    norms._in_fast_coordinate(lambda r: norms._oscillating_coefficient(params, data, r)),
+                    phase,
+                    None,
+                    2.0 * t,
+                    edges,
+                    rel_tol,
+                    rel_tol * abs(level),
+                )
+                bands[k] += level + osc.real
     return bands
 
 
