@@ -226,7 +226,7 @@ def averaged_tail_remainder(params: ModelParams, t) -> TailTerm:
         return _t2_weight(params, r) * np.cos(2.0 * t * f)
 
     # cos(2 t f) has the frequency of sin^2(t f), so the norm's partition
-    # rule, 8 points per period, serves it too
+    # rule serves it too
     (value,) = oscillatory_integrals(
         params,
         ts,
@@ -235,7 +235,6 @@ def averaged_tail_remainder(params: ModelParams, t) -> TailTerm:
         lambda r: _t2_weight(params, r),
         rel_tol=1e-9,
         abs_tol=1e-12,
-        points_per_period=8,
     ).T
 
     c_lo = derivative_floor(params)
@@ -335,7 +334,6 @@ def upper_envelope(
         raise InputDomainError("params.dim and dim disagree")
     de, mu, ka = params.delta, params.mu, params.kappa
     d0 = sinc_constants.delta0
-    L = sinc_constants.L
     root = math.sqrt(mu + ka)
     two_pi_n = (2.0 * math.pi) ** dim
     w1_sq = two_pi_n * u1_l2**2
@@ -345,7 +343,7 @@ def upper_envelope(
         if t <= math.e:
             raise PreconditionError("the 1-D ceiling needs t > e")
         log_t = math.log(t)
-        l1c = 2.0 * L**2 * d0 * t * u1_l1**2 / root
+        l1c = 2.0 * d0 * t * u1_l1**2 / root
         l21c = 2.0 * (1.0 + de) * root * (t - log_t) * u1_l1**2 / (ka * d0)
         l22c = w1_sq * (
             (mu + ka) ** 2 * log_t**4 / (mu * d0**4)
@@ -356,7 +354,7 @@ def upper_envelope(
         if t <= math.e:
             raise PreconditionError("the 2-D ceiling needs t > e")
         log_t = math.log(t)
-        g1c = math.pi * L**2 * d0**2 * u1_l1**2 / (mu + ka)
+        g1c = math.pi * d0**2 * u1_l1**2 / (mu + ka)
         g2c = 2.0 * math.pi * (1.0 + de) * u1_l1**2 * (log_t + math.log(root / d0)) / ka
         g3c = (1.0 + de) / mu * w1_sq
         return 2.0 * (g1c + g2c + g3c + w0_sq)

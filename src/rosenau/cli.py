@@ -59,7 +59,6 @@ _BASE_CONFIG = {
     "t_window": {"t_min": 1e2, "t_max": 1e6, "points_per_decade": 12},
     "quadrature": {
         "rel_tol": 1e-6,
-        "points_per_period": 8,
         "r_max": None,
         # one evaluation path; "oscillation-averaged", the name of a retired
         # second path, is accepted and evaluated the same way
@@ -158,7 +157,6 @@ class ExperimentConfig:
         q = cfg["quadrature"]
         quad = QuadratureConfig(
             rel_tol=_number(q, "rel_tol", "quadrature."),
-            points_per_period=_number(q, "points_per_period", "quadrature.", whole=True),
             r_max=None if q["r_max"] in (None, "auto") else _number(q, "r_max", "quadrature."),
             mode=str(q["mode"]),
         )

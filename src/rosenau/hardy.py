@@ -8,8 +8,9 @@ at its kinks; drives them over witness families (the logarithmic capacity
 family in 2-D, dilations elsewhere); and renders bounded/unbounded verdicts.
 It also contains the corrected energy identity for the time-integrated
 solution (theta = 1, n = 2), whose left side a valid Hardy inequality would
-force to stay bounded, and the Rellich quotient that is genuinely bounded
-for n >= 5.
+force to stay bounded, integrated like the norm by
+norms.oscillatory_integrals, and the Rellich quotient that is genuinely
+bounded for n >= 5.
 
 Weights whose zero at the origin makes the quotient of any origin-positive
 test function an outright divergent integral (|x| in n <= 2, |x|^2 in
@@ -23,7 +24,7 @@ that part is added in closed form below eps = 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -32,8 +33,14 @@ from .artifacts import write_columns
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .evolution import RadialInitialData, _check_time, cosc, propagator
 from .model import ModelParams, eval_dispersion, unit_sphere_area
-from .norms import QuadratureConfig, DEFAULT_QUADRATURE, _resolve_r_max
-from .quadrature import integrate_adaptive, integrate_radial, phase_resolved_edges
+from .norms import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    _resolve_r_max,
+    norm_squared,
+    oscillatory_integrals,
+)
+from .quadrature import integrate_radial
 
 __all__ = [
     "WeightFunction",
@@ -320,7 +327,13 @@ def energy_identity_check(
 
     where the right side carries the per-mode factor (1 + delta |xi|^2); the
     uncorrected pairing (u1, v) misses the fractional-inertia contribution.
-    Both sides are evaluated by oscillation-resolved spectral quadrature.
+    Mode by mode v = (1 - cos(t f))/f^2 w1 and v_t = sin(t f)/f w1, so with
+    the kinetic weight K = (1 + delta r^2)|w1|^2 r/2 and the potential weight
+    P = (mu r^4 + kappa r^2)|w1|^2 r/2 both sides are a mean plus terms in
+    cos(t f) and cos(2 t f).  Both run through norms.oscillatory_integrals at
+    tau = t/2, whose e^(2 i tau f) is e^(i t f), cut at the data's kinks, so
+    the cost does not grow with t.  solution_norm_sq_half is ||u(t)||^2 / 2
+    from norm_squared, held to 1e-9 per piece.
     """
     if params.theta != 1.0:
         raise PreconditionError("the identity is stated for theta = 1")
@@ -334,7 +347,7 @@ def energy_identity_check(
     scale = unit_sphere_area(2) / (2.0 * math.pi) ** 2
     de, mu, ka = params.delta, params.mu, params.kappa
 
-    def lhs_density(r):
+    def lhs_density(r, _tau):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
         phase = t * f
@@ -345,7 +358,7 @@ def energy_identity_check(
             0.5 * (1.0 + de * r**2) * w_sq + 0.5 * (mu * r**4 + ka * r**2) * v_sq
         ) * r
 
-    def rhs_density(r):
+    def rhs_density(r, _tau):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
         phase = t * f
@@ -353,22 +366,40 @@ def energy_identity_check(
         v_re = t * t * cosc(phase) * np.real(np.conj(w1) * w1)
         return (1.0 + de * r**2) * v_re * r
 
+    def weights(r):
+        """f, K and P at the nodes r, from one evaluation of f and of w1."""
+        f = eval_dispersion(params, r)
+        w1_sq = 0.5 * np.abs(np.asarray(data.w1_profile(r))) ** 2 * r
+        return f, (1.0 + de * r**2) * w1_sq, (mu * r**4 + ka * r**2) * w1_sq
+
+    def lhs_mean(r):
+        f, kinetic, potential = weights(r)
+        return kinetic / (2.0 * f**2) + 1.5 * potential / f**4
+
+    # lhs has a cos(2 t f) term too, with coefficient (P/f^2 - K)/(2 f^2);
+    # it vanishes because theta = 1 makes mu r^4 + kappa r^2 = f^2 (1 + delta r^2)
+    def lhs_coefficient(r):
+        f, _, potential = weights(r)
+        return -2.0 * potential / f**4
+
+    def rhs_mean(r):
+        f, kinetic, _ = weights(r)
+        return 2.0 * kinetic / f**2
+
+    def rhs_coefficient(r):
+        return -rhs_mean(r)
+
     r_max = _resolve_r_max(params, data, max(t, 1.0), cfg)
     if t == 0.0:
         return EnergyIdentity(0.0, 0.0, 0.0, 0.0)
-    edges = phase_resolved_edges(params, 2.0 * t, 0.0, r_max, cfg.points_per_period)
-    lhs, _ = integrate_adaptive(lhs_density, edges, 1e-10)
-    rhs, _ = integrate_adaptive(rhs_density, edges, 1e-10)
-    lhs *= scale
-    rhs *= scale
 
-    def half_norm_density(r):
-        r = np.asarray(r, dtype=float)
-        f = eval_dispersion(params, r)
-        w1 = np.asarray(data.w1_profile(r))
-        return 0.5 * propagator(t, f) ** 2 * np.abs(w1) ** 2 * r
+    def side(density, coefficient, mean) -> float:
+        return scale * oscillatory_integrals(
+            params, 0.5 * t, [0.0, r_max], density, coefficient, mean, kinks=data.kinks, rel_tol=1e-10
+        )[0]
 
-    half_norm, _ = integrate_adaptive(half_norm_density, edges, 1e-9)
+    lhs = side(lhs_density, lhs_coefficient, lhs_mean)
+    rhs = side(rhs_density, rhs_coefficient, rhs_mean)
     residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     if residual > 1e-8:
         raise InvariantViolation(
@@ -378,7 +409,7 @@ def energy_identity_check(
         lhs=float(lhs),
         rhs=float(rhs),
         residual=float(residual),
-        solution_norm_sq_half=float(scale * half_norm),
+        solution_norm_sq_half=0.5 * norm_squared(params, data, t, replace(cfg, rel_tol=2e-9)),
     )
 
 

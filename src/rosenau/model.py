@@ -5,7 +5,7 @@ Every other module works through the dispersion rate
     f(r) = sqrt((mu r^4 + kappa r^2) / (1 + delta r^(2 theta))),
 
 its first two derivatives, and a handful of universal constants: the sinc
-supremum L, the half-level threshold delta0, the time-dependent band radii
+half-level threshold delta0, the time-dependent band radii
 beta(t) and gamma(t), and the unit-sphere areas omega_n.  Near r = 0 the rate
 is evaluated in the factored form r * sqrt((mu r^2 + kappa)/(1 + delta r^(2
 theta))) so that relative accuracy survives at the origin, where the
@@ -71,19 +71,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SincConstants:
-    """Supremum L of |sin(eta)/eta| and a threshold delta0 with sinc >= 1/2 below it.
+    """Threshold delta0 with |sin(eta)/eta| >= 1/2 below it.
 
-    L is exactly 1; delta0 may be any value in (0, 1) (default 0.9), checked
-    by dense sampling at construction.  A larger delta0 widens the
-    low-frequency band and improves the lower-envelope constants.
+    delta0 may be any value in (0, 1) (default 0.9), checked by dense
+    sampling at construction.  A larger delta0 widens the low-frequency band
+    and improves the lower-envelope constants.  The supremum of
+    |sin(eta)/eta| is 1, which the envelopes use as such.
     """
 
-    L: float = 1.0
     delta0: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.L != 1.0:
-            raise InvariantViolation("the sinc supremum L is exactly 1")
         if not (0.0 < self.delta0 < 1.0):
             raise InputDomainError(f"delta0 must lie in (0, 1), got {self.delta0}")
         eta = np.linspace(self.delta0 / 2048.0, self.delta0, 2048)

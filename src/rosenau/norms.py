@@ -26,9 +26,9 @@ node; the initial partitions of all slow pieces come from one evaluation
 of f' (quadrature._phase_partitions):
 
 * the slow pieces and windows: the integrand itself with the G10/K21
-  Gauss-Kronrod pair, from the partition ``phase_resolved_edges`` (more
-  than points_per_period nodes per period, judged from f' at the 49
-  width-rule edges, no panel wider than 1/48 of the piece), each panel
+  Gauss-Kronrod pair, from the partitions of quadrature._phase_partitions
+  (more than 8 nodes per period, judged from f' at the 49 width-rule
+  edges, no panel wider than 1/48 of the piece), each panel
   evaluated once and bisected only while its |K21 - G10| estimate misses
   its share of the piece's tolerance; the norm integrand is evaluated in
   real arithmetic and skips a component whose tail certifies it zero;
@@ -44,14 +44,16 @@ of f' (quadrature._phase_partitions):
   r_log they run in r from 5 geometric edges.  So the fast pieces cost
   about the same at every t; only the windows grow, like t^(1/2).
 
-``norm_squared`` runs the driver on [0, r_max] at one time or at several,
+It is the one path for every integral in the package that oscillates like
+sin(t f).  ``norm_squared`` runs it on [0, r_max] at one time or at several,
 ``band_split_norm`` on the cuts [0, beta, split, r_max] at one time or at
 all the times of a trace (``compute_norm_trace`` is one call of it), so the
-three bands share one segmentation, and bounds.averaged_tail_remainder on
+three bands share one segmentation, bounds.averaged_tail_remainder on
 [1/t, epsilon0] with no mean, at one time or at all the envelope picks of a
-trace.  The segmentation evaluates f once, on a 256-point geometric grid,
-and the Levin rule takes f and f' from one model.dispersion_slope call per
-node.
+trace, and hardy.energy_identity_check on [0, r_max] at t/2, whose
+densities oscillate like e^(i t f).  The segmentation evaluates f once, on
+a 256-point geometric grid, and the Levin rule takes f and f' from one
+model.dispersion_slope call per node.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_columns
-from .errors import InputDomainError, InvariantViolation, UncertifiedTailError
+from .errors import InputDomainError, UncertifiedTailError
 from .evolution import RadialInitialData, _check_time, propagator, total_energy
 from .model import (
     DEFAULT_SINC,
@@ -109,23 +111,22 @@ _PHASE_SLOW = 16.0 * math.pi
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and resolution knobs for the radial quadrature.
+    """Tolerance and truncation radius of the radial quadrature.
 
-    There is one evaluation path.  ``mode`` is kept so that configs naming
-    either "exact-adaptive" or the retired "oscillation-averaged" still load;
-    both map to the one path, and the field always reads "exact-adaptive".
+    There is one evaluation path, whose phase resolution is fixed
+    (quadrature._POINTS_PER_PERIOD).  ``mode`` is kept so that configs
+    naming either "exact-adaptive" or the retired "oscillation-averaged"
+    still load; both map to the one path, and the field always reads
+    "exact-adaptive".
     """
 
     rel_tol: float = 1e-6
-    points_per_period: int = 8
     r_max: float | None = None
     mode: str = "exact-adaptive"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-2):
             raise InputDomainError("rel_tol must lie in (0, 1e-2]")
-        if self.points_per_period < 4:
-            raise InputDomainError("points_per_period must be >= 4")
         if self.mode not in ("exact-adaptive", "oscillation-averaged"):
             raise InputDomainError(f"unknown quadrature mode {self.mode!r}")
         object.__setattr__(self, "mode", "exact-adaptive")
@@ -136,9 +137,8 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def _physical_scale(dim: int, spectral: bool) -> float:
-    area = unit_sphere_area(dim)
-    return area if spectral else area / (2.0 * math.pi) ** dim
+def _physical_scale(dim: int) -> float:
+    return unit_sphere_area(dim) / (2.0 * math.pi) ** dim
 
 
 def _propagator_sq_ceiling(params: ModelParams, r0: float, t: float) -> float:
@@ -291,7 +291,6 @@ def oscillatory_integrals(
     kinks=(),
     rel_tol: float,
     abs_tol: float = 0.0,
-    points_per_period: int,
 ) -> np.ndarray:
     """Integrals of integrand = mean + Re[coefficient e^(2 i t f)] over each
     [cuts[k], cuts[k+1]], for nondecreasing cuts (see the module docstring).
@@ -329,7 +328,7 @@ def oscillatory_integrals(
         index, k, lo, hi = (np.array(v) for v in zip(*slow))
         t_piece = ts[index]
         moving = t_piece > 0
-        phased = iter(_phase_partitions(params, t_piece[moving], lo[moving], hi[moving], points_per_period))
+        phased = iter(_phase_partitions(params, t_piece[moving], lo[moving], hi[moving]))
         edges = [next(phased) if m else np.linspace(a, b, 65) for m, a, b in zip(moving, lo, hi)]
         np.add.at(values, (index, k), _kronrod_refine(integrand, edges, rel_tol, abs_tol, t=t_piece)[0])
     if fast:
@@ -375,7 +374,6 @@ def _norm_pieces(
         lambda r: _mean_density(params, data, r),
         kinks=data.kinks,
         rel_tol=0.5 * cfg.rel_tol,
-        points_per_period=cfg.points_per_period,
     )
 
 
@@ -384,9 +382,8 @@ def norm_squared(
     data: RadialInitialData,
     t,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    spectral: bool = False,
 ):
-    """||u(t)||^2, physical side by default (spectral=True skips (2 pi)^(-n)).
+    """||u(t)||^2 on the physical side.
 
     t is a number or an array of times; for an array the result has one
     value per time, all integrated in one driver call, one row of cuts
@@ -397,7 +394,7 @@ def norm_squared(
         raise InputDomainError("params.dim and data.dim disagree")
     r_max = np.asarray(_resolve_r_max(params, data, t, cfg))
     cuts = np.stack([np.zeros_like(r_max), r_max], axis=-1)
-    val = _physical_scale(data.dim, spectral) * _norm_pieces(params, data, t, cuts, cfg)[..., 0]
+    val = _physical_scale(data.dim) * _norm_pieces(params, data, t, cuts, cfg)[..., 0]
     return val if np.ndim(t) else float(val)
 
 
@@ -423,7 +420,6 @@ def band_split_norm(
     t,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     sinc_constants: SincConstants = DEFAULT_SINC,
-    spectral: bool = False,
 ) -> BandSplit:
     """Norm split at beta(t) and at gamma(t) (n = 1) or 1 (n >= 2).
 
@@ -445,7 +441,7 @@ def band_split_norm(
         split = band.gamma_band if params.dim == 1 else 1.0
         row[:] = 0.0, beta, min(max(split, beta), r), r
 
-    low, mid, high = _physical_scale(data.dim, spectral) * _norm_pieces(params, data, ts, cuts, cfg).T
+    low, mid, high = _physical_scale(data.dim) * _norm_pieces(params, data, ts, cuts, cfg).T
     fields = (low, mid, high, cuts[:, 1], cuts[:, 2])
     if np.ndim(t):
         return BandSplit(*fields)
@@ -454,72 +450,6 @@ def band_split_norm(
 
 # ---------------------------------------------------------------------------
 # segmentation
-
-
-_BRENT_XTOL = 2e-12
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAXITER = 100
-
-
-def _brent_root(fn, a: float, b: float) -> float:
-    """A root of the scalar fn in the bracket [a, b], by Brent's method.
-
-    Inverse quadratic interpolation or secant steps where they shrink the
-    bracket fast enough, bisection otherwise, until the bracket is below
-    xtol + rtol |x|.  The step rules and the tolerances, 2e-12 and 4 eps,
-    are those of the classic brentq routine, so the roots match its roots
-    to the bit.  Raises InvariantViolation when fn does not change sign
-    over [a, b], returns NaN, or the bracket is not resolved in
-    _BRENT_MAXITER steps.
-    """
-
-    def value(x: float) -> float:
-        v = float(fn(x))
-        if math.isnan(v):
-            raise InvariantViolation(f"root finder: fn({x!r}) is NaN")
-        return v
-
-    x_pre, x_cur = float(a), float(b)
-    f_pre, f_cur = value(x_pre), value(x_cur)
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    if (f_pre < 0.0) == (f_cur < 0.0):
-        raise InvariantViolation(
-            f"root finder: no sign change over [{x_pre!r}, {x_cur!r}] ({f_pre!r}, {f_cur!r})"
-        )
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic interpolation
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
-        f_cur = value(x_cur)
-    raise InvariantViolation(
-        f"root finder: no convergence in {_BRENT_MAXITER} steps over [{a!r}, {b!r}]"
-    )
 
 
 @functools.cache
@@ -531,7 +461,8 @@ def _stationary_points(params: ModelParams) -> tuple[float, ...]:
     whose coefficients change sign at most twice: by Descartes' rule f has
     at most two stationary points.  They depend on params alone, so they are
     found once per ModelParams, from the sign changes of that expression on
-    a geometric grid, each refined by _brent_root.
+    a geometric grid, each bracket bisected until its ends are adjacent
+    floats; the root is the end on the side of the smaller radius.
     """
     de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
 
@@ -542,7 +473,14 @@ def _stationary_points(params: ModelParams) -> tuple[float, ...]:
     r = np.geomspace(1e-10, 1e10, 4096)
     sign = np.sign(slope(r))
     flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-    return tuple(_brent_root(slope, r[i], r[i + 1]) for i in flips)
+    lo, hi = r[flips], r[flips + 1]
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return tuple(lo.tolist())
+        stays = inside & (np.sign(slope(mid)) == sign[flips])
+        lo, hi = np.where(stays, mid, lo), np.where(inside & ~stays, mid, hi)
 
 
 def oscillation_segments(

@@ -17,11 +17,12 @@ Two panel rules share one refinement engine:
 
 On top of them:
 
-* ``phase_resolved_edges`` builds an initial partition from the width rule,
-  the 49 edges lo + (hi - lo) j / 48, and f' evaluated at those edges only:
-  each of the 48 panels is split into equal parts narrow enough that every
-  period of sin^2(t f), judged by the larger |f'| of the panel's two ends,
-  receives at least ``points_per_period`` nodes;
+* ``_phase_partitions`` builds the initial partitions of the pieces that
+  oscillate like sin(t f) where the phase is slow or stationary, from the
+  width rule, the 49 edges lo + (hi - lo) j / 48, and f' evaluated at those
+  edges only: each of the 48 panels is split into equal parts narrow enough
+  that every period of sin^2(t f), judged by the larger |f'| of the panel's
+  two ends, receives more than _POINTS_PER_PERIOD (8) nodes;
 * ``integrate_adaptive`` (K21) and ``integrate_levin`` evaluate every
   pending panel once per round, accept the panels whose error estimate
   meets a width-proportional share of the requested tolerance or has
@@ -44,9 +45,10 @@ On top of them:
 
 The rule for callers: a smooth radial integrand goes through
 ``integrate_radial``, with its jumps passed as kinks; an integrand that
-oscillates like sin(t f) goes through ``phase_resolved_edges`` and the K21
-refinement where the phase is slow or stationary, and through
-``integrate_levin`` where it is fast (norms.oscillatory_integrals).
+oscillates like sin(t f) goes through ``norms.oscillatory_integrals``, which
+splits it into a mean and Re[g e^(2 i t f)] and runs the K21 refinement from
+``_phase_partitions`` where the phase is slow or stationary and
+``integrate_levin`` where it is fast.
 
 A batch of many pieces can hold tens of thousands of panels, so both rules
 work in chunks that keep every temporary small:
@@ -93,16 +95,16 @@ __all__ = [
     "integrate_radial",
     "LEVIN_POINTS",
     "integrate_levin",
-    "phase_resolved_edges",
 ]
 
-# Panel-width unit of phase_resolved_edges: a panel spans at most
-# _PHASE_SAFETY * GL_ORDER / points_per_period periods of sin^2(t f).  The
+# Panel-width unit of _phase_partitions: a panel spans at most
+# _PHASE_SAFETY * GL_ORDER / _POINTS_PER_PERIOD periods of sin^2(t f).  The
 # value is that of the 16-point Gauss-Legendre rule the partition was first
 # sized for; the 21 Kronrod nodes per panel only add resolution.
 GL_ORDER = 16
 _PHASE_SAFETY = 0.8
-# phase_resolved_edges splits [lo, hi] into this many panels before it
+_POINTS_PER_PERIOD = 8
+# _phase_partitions splits [lo, hi] into this many panels before it
 # resolves the phase
 _MIN_PANELS = 48
 
@@ -580,26 +582,20 @@ def integrate_levin(
     return complex(value[0]), float(error[0])
 
 
-def phase_resolved_edges(
-    params: ModelParams, t: float, lo: float, hi: float, points_per_period: int
-) -> np.ndarray:
-    """Partition [lo, hi] so every oscillation of sin(t f) is node-resolved.
+def _phase_partitions(params: ModelParams, ts, los, his) -> list[np.ndarray]:
+    """Partitions of every [los[i], his[i]] so that every oscillation of
+    sin(ts[i] f) is node-resolved, from one dispersion_slope call on a
+    (pieces, 49) array and one split.
 
     The width rule gives the 49 edges lo + (hi - lo) j / 48, and f' is
     evaluated at those edges only.  Each panel is split into equal parts no
     wider than dphi / (t max|f'|), with the larger |f'| of its two ends and
-    dphi = _PHASE_SAFETY * GL_ORDER * pi / points_per_period.  Where f' is
+    dphi = _PHASE_SAFETY * GL_ORDER * pi / _POINTS_PER_PERIOD.  Where f' is
     monotone across the panel, a part spans at most
-    _PHASE_SAFETY * GL_ORDER / points_per_period periods of sin^2(t f), so
-    every period receives more than points_per_period of the 21 Kronrod
+    _PHASE_SAFETY * GL_ORDER / _POINTS_PER_PERIOD periods of sin^2(t f), so
+    every period receives more than _POINTS_PER_PERIOD of the 21 Kronrod
     nodes; where the ends understate |f'|, the refinement bisects.
     """
-    return _phase_partitions(params, [t], [lo], [hi], points_per_period)[0]
-
-
-def _phase_partitions(params: ModelParams, ts, los, his, points_per_period: int) -> list[np.ndarray]:
-    """phase_resolved_edges of every (ts[i], los[i], his[i]), from one
-    dispersion_slope call on a (pieces, 49) array and one split."""
     ts, los, his = (np.asarray(v, dtype=float) for v in (ts, los, his))
     if np.any(his <= los):
         i = np.flatnonzero(his <= los)[0]
@@ -609,7 +605,7 @@ def _phase_partitions(params: ModelParams, ts, los, his, points_per_period: int)
     start = np.maximum(los, 1e-14 * np.maximum(his, 1.0))
     _, fp = dispersion_slope(params, np.maximum(edges, start[:, None]))
     speed = ts[:, None] * np.maximum(np.abs(fp[:, :-1]), np.abs(fp[:, 1:]))
-    dphi = _PHASE_SAFETY * GL_ORDER * math.pi / points_per_period
+    dphi = _PHASE_SAFETY * GL_ORDER * math.pi / _POINTS_PER_PERIOD
     with np.errstate(divide="ignore"):
         partitions = _split_wide_panels(edges, dphi / speed)
     for part, hi in zip(partitions, his):

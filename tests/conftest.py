@@ -5,6 +5,8 @@ import time
 import numpy as np
 import pytest
 
+from rosenau.quadrature import _phase_partitions
+
 from rosenau import (
     ModelParams,
     MomentDecomposition,
@@ -16,6 +18,12 @@ from rosenau import (
 )
 
 EXACT = QuadratureConfig()
+
+
+def phase_edges(params, t, lo, hi):
+    """The phase-resolved partition of [lo, hi] at time t that
+    norms.oscillatory_integrals builds for a slow piece or a window."""
+    return _phase_partitions(params, [t], [lo], [hi])[0]
 
 # wall-clock seconds for the session traces, keyed by fixture name; the
 # acceptance report quotes these against the expected runtimes

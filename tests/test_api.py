@@ -1,5 +1,5 @@
 """Every top-level function, class and assigned name of the package has a
-caller inside it.
+caller inside it, and every name a module imports is named in that module.
 
 A definition counts as used when some other statement of ``src/rosenau``
 names it: as a Name, as an Attribute, or in an import.  Its own body,
@@ -7,7 +7,9 @@ names it: as a Name, as an Attribute, or in an import.  Its own body,
 so a public function or constant that only the tests call fails here.
 Dunder assignments such as ``__all__`` are not definitions.  The check is by
 name, so a definition shadowed by a same-named parameter or attribute
-elsewhere in the package escapes it.
+elsewhere in the package escapes it.  An import counts as used when its
+module names it as a Name (an attribute access starts with one); the
+re-exports of ``__init__.py`` and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -66,3 +68,25 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list:
 
 def test_every_definition_has_a_caller_in_the_package():
     assert unreferenced_definitions() == []
+
+
+def unused_imports(package: Path = PACKAGE) -> list:
+    """(module, name) of every name a module imports and never names."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        imported, named = set(), set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        unused += [(path.stem, name) for name in sorted(imported - named)]
+    return unused
+
+
+def test_every_import_is_named_in_its_module():
+    assert unused_imports() == []

@@ -22,6 +22,8 @@ from rosenau import (
 from rosenau.bounds import log_band_main_term, write_envelope_json
 from rosenau.moments import l2_norm_sq
 
+from conftest import phase_edges
+
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
 SINC = SincConstants()
@@ -169,11 +171,11 @@ class TestTailTermOscillatoryPath:
         # the whole interval on one phase-resolved partition, as before the
         # fast segment moved to Levin collocation
         from rosenau.model import epsilon0, eval_dispersion
-        from rosenau.quadrature import integrate_adaptive, phase_resolved_edges
+        from rosenau.quadrature import integrate_adaptive
 
         t = 1e5
         eps = epsilon0(P2)
-        edges = phase_resolved_edges(P2, 2 * t, 1 / t, eps, 8)
+        edges = phase_edges(P2, 2 * t, 1 / t, eps)
         reference, _ = integrate_adaptive(
             lambda r: (np.exp(-(r**2)) * np.cos(2 * t * eval_dispersion(P2, r))
                        * (1 + r**4) / (r**3 + r)),
@@ -280,7 +282,7 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("t", [1e3, 1e5])
     def test_sandwich_1d(self, moments_1d, gauss_data_1d, t):
-        spec_sq = norm_squared(P1, gauss_data_1d, t, spectral=True)
+        spec_sq = 2.0 * math.pi * norm_squared(P1, gauss_data_1d, t)
         low = lower_envelope(P1, SINC, moments_1d, 0.0, t, 1)
         u1_l2 = math.sqrt(l2_norm_sq(gaussian_profile(1)))
         up = upper_envelope(P1, SINC, moments_1d.l1, u1_l2, 0.0, t, 1)

@@ -189,6 +189,7 @@ class TestRunners:
             ("params: {dim: 2.5}\n", "'params.dim'"),
             ("params: {dim: true}\n", "'params.dim'"),
             ("quadrature: {points_per_period: 8.7}\n", "'quadrature.points_per_period'"),
+            ("quadrature: {points_per_period: 8}\n", "points_per_period"),
             ("quadrature: {r_max: abc}\n", "'quadrature.r_max'"),
             ("quadrature: fast\n", "'quadrature'"),
             ("t_window: 5\n", "'t_window'"),

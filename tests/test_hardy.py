@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,34 @@ class TestEnergyIdentity:
     def test_residual_tiny(self, t):
         out = energy_identity_check(self.P, gaussian_velocity_data(2), t)
         assert out.residual <= 1e-8
+
+    @pytest.mark.parametrize(
+        "t,lhs",
+        [(1e2, 9.802399956916585), (1e3, 13.41921437318918), (1e4, 17.036105801840463)],
+    )
+    def test_lhs_matches_one_phase_resolved_partition(self, t, lhs):
+        # the left side integrated on a single phase-resolved K21 partition
+        # of [0, r_max] at rel_tol 1e-10, whose cost grew like t
+        out = energy_identity_check(self.P, gaussian_velocity_data(2), t)
+        assert out.lhs == pytest.approx(lhs, rel=1e-12)
+
+    def test_cost_is_flat_in_t(self):
+        # the phase-resolved partition took 165,648 w1 evaluations at
+        # t = 1e3 and 15,860,208 at 1e5
+        def w1_evaluations(t):
+            data = gaussian_velocity_data(2)
+            count = [0]
+
+            def counted(r):
+                count[0] += np.size(r)
+                return data.w1_profile(r)
+
+            counting = replace(data, w1_profile=counted)
+            count[0] = 0
+            energy_identity_check(self.P, counting, t)
+            return count[0]
+
+        assert w1_evaluations(1e8) <= 2 * w1_evaluations(1e3)
 
     def test_accumulated_energy_outgrows_solution_norm(self):
         early = energy_identity_check(self.P, gaussian_velocity_data(2), 1e2)

@@ -5,7 +5,6 @@ import pytest
 
 from rosenau import (
     InputDomainError,
-    InvariantViolation,
     ModelParams,
     PreconditionError,
     SincConstants,
@@ -185,21 +184,17 @@ class TestEpsilon0:
 class TestSincConstants:
     def test_defaults_valid(self):
         s = SincConstants()
-        assert s.L == 1.0 and s.delta0 == 0.9
+        assert s.delta0 == 0.9
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(InputDomainError):
             SincConstants(delta0=1.5)
 
-    def test_rejects_wrong_supremum(self):
-        with pytest.raises(InvariantViolation):
-            SincConstants(L=2.0)
-
     def test_half_level_and_supremum_sampled(self):
         eta = np.linspace(1e-9, 1e3, 200001)
         vals = np.abs(np.sin(eta) / eta)
         assert np.all(vals[eta <= SINC.delta0] >= 0.5)
-        assert np.max(vals) <= SINC.L
+        assert np.max(vals) <= 1.0
 
 
 class TestBands:

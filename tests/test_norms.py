@@ -9,7 +9,6 @@ from rosenau import (
     ModelParams,
     QuadratureConfig,
     RadialInitialData,
-    RosenauError,
     SincConstants,
     TailBound,
     UncertifiedTailError,
@@ -33,8 +32,10 @@ from rosenau.norms import (
     _stationary_points,
     oscillation_segments,
 )
-from rosenau.quadrature import integrate_adaptive, integrate_levin, panel_integrals, phase_resolved_edges
+from rosenau.quadrature import integrate_adaptive, integrate_levin, panel_integrals
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
+
+from conftest import phase_edges
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -106,7 +107,8 @@ class TestNormSquared:
     def test_spectral_physical_factor(self):
         data = gaussian_velocity_data(2)
         phys = norm_squared(P2, data, 50.0)
-        spec = norm_squared(P2, data, 50.0, spectral=True)
+        r_max = _resolve_r_max(P2, data, 50.0, DEFAULT_QUADRATURE)
+        (spec,) = unit_sphere_area(2) * _norm_pieces(P2, data, 50.0, [0.0, r_max], DEFAULT_QUADRATURE)
         assert spec == pytest.approx(phys * (2 * math.pi) ** 2, rel=1e-12)
 
     def test_uncertified_tail_rejected(self):
@@ -340,8 +342,8 @@ class TestOscillatoryPath:
         else:
             cfg = DEFAULT_QUADRATURE
             r_max = _resolve_r_max(params, data, t, cfg)
-            edges = phase_resolved_edges(params, t, 0.0, r_max, cfg.points_per_period)
-            reference = _physical_scale(dim, False) * integrate_adaptive(
+            edges = phase_edges(params, t, 0.0, r_max)
+            reference = _physical_scale(dim) * integrate_adaptive(
                 lambda r: _amplitude_sq(params, data)(r, t), edges, 0.5 * cfg.rel_tol
             )[0]
         assert value == pytest.approx(reference, rel=1e-10)
@@ -455,10 +457,8 @@ class TestOscillatoryPath:
 
         cfg = DEFAULT_QUADRATURE
         integrand = lambda r: _amplitude_sq(params, data)(r, t)  # noqa: E731
-        reference = _physical_scale(dim, False) * sum(
-            integrate_adaptive(
-                integrand, phase_resolved_edges(params, t, lo, hi, cfg.points_per_period), 0.5 * cfg.rel_tol
-            )[0]
+        reference = _physical_scale(dim) * sum(
+            integrate_adaptive(integrand, phase_edges(params, t, lo, hi), 0.5 * cfg.rel_tol)[0]
             for lo, hi in [(0.0, r_lo), (r_lo, 3.0)]
         )
         assert value == pytest.approx(reference, rel=1e-10)
@@ -525,7 +525,7 @@ class TestOnePhasePlan:
         split = band_split_norm(params, data, t)
         r_max = _resolve_r_max(params, data, t, DEFAULT_QUADRATURE)
         cuts = [0.0, split.beta, split.split, r_max]
-        scale = _physical_scale(dim, False)
+        scale = _physical_scale(dim)
         for got, lo, hi in zip((split.low, split.mid, split.high), cuts[:-1], cuts[1:]):
             (alone,) = _norm_pieces(params, data, t, [lo, hi], DEFAULT_QUADRATURE)
             assert got == pytest.approx(scale * alone, rel=1e-12)
@@ -555,7 +555,7 @@ def _bands_piece_by_piece(params, data, t, cuts):
                 if q <= p:
                     continue
                 if kind != "fast":
-                    edges = phase_resolved_edges(params, t, p, q, cfg.points_per_period)
+                    edges = phase_edges(params, t, p, q)
                     bands[k] += integrate_adaptive(integrand, edges, rel_tol)[0]
                     continue
                 (edges,) = norms.fast_segment_edges([p], [q])
@@ -585,7 +585,7 @@ class TestPerPieceBudgets:
         split = band_split_norm(params, data, t)
         r_max = _resolve_r_max(params, data, t, DEFAULT_QUADRATURE)
         alone = _bands_piece_by_piece(params, data, t, [0.0, split.beta, split.split, r_max])
-        scale = _physical_scale(dim, False)
+        scale = _physical_scale(dim)
         for got, want in zip((split.low, split.mid, split.high), scale * alone):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -599,7 +599,7 @@ class TestPerPieceBudgets:
         assert split.low < 1e-4 * split.high
         tight = QuadratureConfig(rel_tol=1e-12)
         (exact,) = _norm_pieces(params, data, t, [0.0, split.beta], tight)
-        exact *= _physical_scale(3, False)
+        exact *= _physical_scale(3)
         assert split.low == pytest.approx(exact, rel=DEFAULT_QUADRATURE.rel_tol, abs=0.0)
 
 
@@ -627,26 +627,9 @@ class TestBatchedTrace:
                 assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
-def _slow_cut_brackets(params, t, lo, hi):
-    """Brackets of the root of t f - 16 pi around each change of the slow
-    region on oscillation_segments' 256-point grid, the outermost reaching
-    to the interval ends: the brackets an earlier segmentation refined each
-    cut in."""
-    if t * hi * math.sqrt(params.mu * hi * hi + params.kappa) <= norms._PHASE_SLOW:
-        return []
-    r = np.geomspace(max(lo, 1e-10), hi, 256)
-    if lo < r[0]:
-        r = np.concatenate([[lo], r])
-    slow = t * eval_dispersion(params, r) <= norms._PHASE_SLOW
-    flips = np.nonzero(slow[1:] != slow[:-1])[0]
-    return [
-        (max(lo, 1e-300) if k == 0 else r[i], hi if k == flips.size - 1 else r[i + 1])
-        for k, i in enumerate(flips)
-    ]
-
-
 class TestRootFinder:
-    """norms._brent_root against scipy's brentq, root for root and call for call."""
+    """norms._stationary_points: the sign changes of f' on a geometric grid,
+    each bisected until its ends are adjacent floats."""
 
     PARAMS = [
         (1.0, 1.0, 1.0),  # delta, mu, kappa
@@ -655,80 +638,41 @@ class TestRootFinder:
     ]
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
-    def test_matches_brentq_on_the_cuts_and_stationary_points(self, theta, monkeypatch):
-        from scipy.optimize import brentq
+    def test_bisection_brackets_a_sign_change(self, theta):
+        def slope(params, r):
+            # the sign of f' (see norms._stationary_points)
+            de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
+            s = r * r
+            return 2.0 * mu * s + ka + de * s**th * ((2.0 - th) * mu * s + (1.0 - th) * ka)
 
-        own = norms._brent_root
-        seen = []
-
-        def both(fn, a, b):
-            calls = {"own": 0, "ref": 0}
-
-            def counted(key):
-                def g(x):
-                    calls[key] += 1
-                    return fn(x)
-                return g
-
-            got = own(counted("own"), a, b)
-            want = brentq(counted("ref"), a, b)
-            seen.append((got, want, calls["own"], calls["ref"]))
-            return got
-
-        monkeypatch.setattr(norms, "_brent_root", both)
-        stationary = 0
+        found = 0
         for de, mu, ka in self.PARAMS:
             params = ModelParams(de, mu, ka, theta, 1)
-            _stationary_points.cache_clear()
-            stationary += len(_stationary_points(params))
-            for t in (1e2, 1e4, 1e6):
-                for lo, hi in ((0.0, 14.0), (0.3, 5.0)):
-                    for a, b in _slow_cut_brackets(params, t, lo, hi):
-                        both(lambda x: t * eval_dispersion(params, x) - norms._PHASE_SLOW, a, b)
-        _stationary_points.cache_clear()
-        assert len(seen) >= 12
-        assert stationary > 0 or theta <= 1.0  # f' > 0 everywhere for theta <= 1
-        for got, want, n_own, n_ref in seen:
-            assert got == want
-            assert n_own == n_ref
-
-    def test_bracket_without_sign_change_is_a_typed_error(self):
-        with pytest.raises(RosenauError) as info:
-            norms._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
-        assert not isinstance(info.value, ValueError)
-
-    def test_nan_is_a_typed_error(self):
-        with pytest.raises(RosenauError):
-            norms._brent_root(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
-
-    def test_endpoint_root_and_tolerance(self):
-        assert norms._brent_root(lambda x: x - 2.0, 2.0, 3.0) == 2.0
-        root = norms._brent_root(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert abs(root - math.sqrt(2.0)) <= 2e-12 + 4 * np.finfo(float).eps * math.sqrt(2.0)
+            for root in _stationary_points(params):
+                at, after = slope(params, np.array([root, math.nextafter(root, math.inf)]))
+                assert at != 0.0 and at * after <= 0.0
+                found += 1
+        assert found > 0 or theta <= 1.0  # f' > 0 everywhere for theta <= 1
+        if theta == 2.0:
+            # mu = 0: f = r / sqrt(1 + r^4) peaks at exactly r = 1
+            (root,) = _stationary_points(ModelParams(1.0, 0.0, 1.0, 2.0, 1))
+            assert abs(root - 1.0) <= 2.0 * np.spacing(1.0)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
-    def test_segmentation_makes_no_root_finder_call(self, theta, monkeypatch):
+    def test_segmentation_makes_no_root_finder_call(self, theta):
         # once the stationary points are cached, the slow region is cut at
-        # grid points: no Brent iterate is spent on a cut
-        calls = []
-        own = norms._brent_root
-
-        def counted(fn, a, b):
-            calls.append((a, b))
-            return own(fn, a, b)
-
-        monkeypatch.setattr(norms, "_brent_root", counted)
+        # grid points: the segmentation finds no root
         kinds = set()
         for de, mu, ka in self.PARAMS:
             params = ModelParams(de, mu, ka, theta, 1)
             _stationary_points(params)
-            calls.clear()
+            misses = _stationary_points.cache_info().misses
             for t in (1e2, 1e4, 1e6):
                 for lo, hi in ((0.0, 14.0), (0.3, 5.0)):
                     segments = oscillation_segments(params, t, lo, hi)
                     assert segments[0][0] == lo and segments[-1][1] == hi
                     kinds.update(kind for *_, kind in segments)
-            assert calls == []
+            assert _stationary_points.cache_info().misses == misses
         assert {"slow", "fast"} <= kinds
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])

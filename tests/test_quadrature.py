@@ -13,8 +13,9 @@ from rosenau.quadrature import (
     integrate_levin,
     integrate_radial,
     panel_integrals,
-    phase_resolved_edges,
 )
+
+from conftest import phase_edges
 
 P = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 
@@ -197,8 +198,8 @@ def test_adaptive_oscillatory_against_closed_form():
 
 def test_phase_edges_resolve_periods():
     t = 1e4
-    edges = phase_resolved_edges(P, t, 0.0, 3.0, points_per_period=8)
-    # every panel must contain at most GL_ORDER/points_per_period periods
+    edges = phase_edges(P, t, 0.0, 3.0)
+    # every panel must contain at most GL_ORDER/_POINTS_PER_PERIOD periods
     from rosenau.model import dispersion_derivatives
 
     mids = 0.5 * (edges[1:] + edges[:-1])
@@ -209,7 +210,7 @@ def test_phase_edges_resolve_periods():
 
 
 def test_phase_edges_cover_interval():
-    edges = phase_resolved_edges(P, 100.0, 0.5, 2.5, 8)
+    edges = phase_edges(P, 100.0, 0.5, 2.5)
     assert edges[0] == 0.5 and edges[-1] == 2.5
     assert np.all(np.diff(edges) > 0)
 
@@ -218,12 +219,12 @@ def test_phase_edges_split_wide_panels_evenly():
     # below one phase increment the partition is the width rule alone:
     # (hi - lo)/48, as edges lo + (hi - lo) j / 48
     lo, hi = 0.5, 2.5
-    edges = phase_resolved_edges(P, 1e-3, lo, hi, 8)
+    edges = phase_edges(P, 1e-3, lo, hi)
     expected = np.concatenate([[lo], lo + (hi - lo) * np.arange(1, 49) / 48])
     assert np.array_equal(edges, expected)
     # with phase edges, no panel is wider than (hi - lo)/48 either
     for t in (1.0, 30.0, 1e3):
-        widths = np.diff(phase_resolved_edges(P, t, 0.0, 3.0, 8))
+        widths = np.diff(phase_edges(P, t, 0.0, 3.0))
         assert widths.size >= 48
         assert np.all(widths <= 3.0 / 48 * (1 + 1e-12))
 
@@ -261,7 +262,7 @@ def test_phase_plan_evaluates_f_prime_at_the_width_rule_edges_only(monkeypatch):
     for t in (1e-3, 1.0, 1e2, 1e5):
         for lo, hi in ((0.0, 3.0), (0.5, 2.5), (1.4, 1.7), (1e-3, 40.0)):
             points.clear()
-            edges = phase_resolved_edges(P, t, lo, hi, 8)
+            edges = phase_edges(P, t, lo, hi)
             assert edges[0] == lo and edges[-1] == hi
             assert np.all(np.diff(edges) > 0)
             assert len(points) == 1 and points[0] <= 49
