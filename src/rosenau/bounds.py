@@ -199,9 +199,9 @@ def averaged_tail_remainder(params: ModelParams, t) -> TailTerm:
 
     T2(t) = integral_{1/t}^{eps0} e^(-r^2) cos(2 t f) (1 + delta r^(2 theta))
     / (mu r^3 + kappa r) dr, evaluated by the norm's oscillatory driver,
-    norms.oscillatory_integrals, with no mean term: phase-resolved K21
-    quadrature where t f <= 16 pi and near stationary points of f, Levin
-    collocation on the fast segments, so the cost does not grow with t.
+    norms.oscillatory_integrals, with no mean term: K21 quadrature where
+    t f <= 16 pi and near stationary points of f, Levin collocation on the
+    fast segments, so the cost does not grow with t.
     The bound is (K1 + K2)/(2 t) with K1 the boundary envelope at both ends
     (|sin| <= 1, f' >= its explicit floor) and K2 the integral of the
     derivative envelope assembled from the same floor and the explicit
@@ -225,8 +225,8 @@ def averaged_tail_remainder(params: ModelParams, t) -> TailTerm:
         f = eval_dispersion(params, r)
         return _t2_weight(params, r) * np.cos(2.0 * t * f)
 
-    # cos(2 t f) has the frequency of sin^2(t f), so the norm's partition
-    # rule serves it too
+    # cos(2 t f) has the frequency of sin^2(t f), so the norm's starting
+    # panels serve it too
     (value,) = oscillatory_integrals(
         params,
         ts,

@@ -17,38 +17,35 @@ Two panel rules share one refinement engine:
 
 On top of them:
 
-* ``_phase_partitions`` builds the initial partitions of the pieces that
-  oscillate like sin(t f) where the phase is slow or stationary, from the
-  width rule, the 49 edges lo + (hi - lo) j / 48, and f' evaluated at those
-  edges only: each of the 48 panels is split into equal parts narrow enough
-  that every period of sin^2(t f), judged by the larger |f'| of the panel's
-  two ends, receives more than _POINTS_PER_PERIOD (8) nodes;
 * ``integrate_adaptive`` (K21) and ``integrate_levin`` evaluate every
   pending panel once per round, accept the panels whose error estimate
   meets a width-proportional share of the requested tolerance or has
-  reached rounding level, and bisect only the others.  A non-finite value
-  raises IntegrabilityError in the round that produces it.  The one
+  reached rounding level, and bisect only the others; for Levin and for
+  a K21 integrand that rounds a phase t f, rounding level includes the
+  rounding of that phase.  A non-finite value raises IntegrabilityError in
+  the round that produces it.  The one
   refinement loop also takes several partitions, the pieces of one call,
   each with its own budget max(rel_tol * |piece estimate|, its abs_tol)
   shared out by width, so each piece gets what it would get alone.  The
   panel rule receives the piece label of every pending panel, so the
   pieces may differ in a parameter: the K21 rule hands the integrand one
   time per node, the Levin rule takes one frequency per panel, and a whole
-  norm trace, every sample's pieces, is one refinement.  The K21
-  refinement also takes row-valued integrands, m functions sharing the
-  nodes: a panel is accepted once every row meets its share;
+  norm trace, every sample's pieces, is one refinement whose bookkeeping
+  takes the same few numpy calls per round whatever the number of pieces.
+  The K21 refinement also takes row-valued integrands, m functions sharing
+  the nodes: a panel is accepted once every row meets its share;
 * ``integrate_radial`` integrates over a finite [lo, hi] cut at given kinks
   and once per decade, with the K21 refinement capped at 17 rounds, and
   raises IntegrabilityError instead of returning a value it did not
-  resolve; arrays of interval ends make the intervals the pieces of one
-  refinement.
+  resolve, as the capped refinements of norms.oscillatory_integrals do;
+  arrays of interval ends make the intervals the pieces of one refinement.
 
 The rule for callers: a smooth radial integrand goes through
 ``integrate_radial``, with its jumps passed as kinks; an integrand that
 oscillates like sin(t f) goes through ``norms.oscillatory_integrals``, which
-splits it into a mean and Re[g e^(2 i t f)] and runs the K21 refinement from
-``_phase_partitions`` where the phase is slow or stationary and
-``integrate_levin`` where it is fast.
+splits it into a mean and Re[g e^(2 i t f)] and runs the K21 refinement
+where the phase is slow or stationary and ``integrate_levin`` where it is
+fast.
 
 A batch of many pieces can hold tens of thousands of panels, so both rules
 work in chunks that keep every temporary small:
@@ -85,7 +82,6 @@ import math
 import numpy as np
 
 from .errors import InputDomainError, IntegrabilityError
-from .model import ModelParams, dispersion_slope
 
 __all__ = [
     "GL_ORDER",
@@ -97,16 +93,10 @@ __all__ = [
     "integrate_levin",
 ]
 
-# Panel-width unit of _phase_partitions: a panel spans at most
-# _PHASE_SAFETY * GL_ORDER / _POINTS_PER_PERIOD periods of sin^2(t f).  The
-# value is that of the 16-point Gauss-Legendre rule the partition was first
-# sized for; the 21 Kronrod nodes per panel only add resolution.
+# Order of the Gauss-Legendre rule the package first used.  Nothing in the
+# package reads it; perfbench/tracer.py does when it installs, and it stays
+# until the tracer counts Kronrod nodes (ROADMAP item 3).
 GL_ORDER = 16
-_PHASE_SAFETY = 0.8
-_POINTS_PER_PERIOD = 8
-# _phase_partitions splits [lo, hi] into this many panels before it
-# resolves the phase
-_MIN_PANELS = 48
 
 # Nonnegative G10/K21 abscissae on [-1, 1] in decreasing order, with the
 # Kronrod weights; every other abscissa, starting with the second, is a node
@@ -235,18 +225,21 @@ def panel_integrals(fn, lo: np.ndarray, hi: np.ndarray, t=None) -> tuple[np.ndar
 
 def _piece_sums(x: np.ndarray, piece: np.ndarray, n_pieces: int) -> np.ndarray:
     """Sums of x over each of n_pieces pieces, stacked on a last axis, for x
-    whose last axis is grouped by the nondecreasing piece labels piece.  Each
-    is the sum of one slice, so a single piece is summed as the whole array."""
+    whose last axis is grouped by the nondecreasing piece labels piece.
+
+    A single piece is summed by np.sum, several by one np.add.reduceat over
+    the pieces that own entries; an empty piece sums to 0."""
     if n_pieces == 1:
         return x.sum(axis=-1)[..., None]
-    bounds = piece.searchsorted(np.arange(n_pieces + 1)).tolist()
-    sums = np.empty(x.shape[:-1] + (n_pieces,), dtype=x.dtype)
-    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        sums[..., k] = np.add.reduce(x[..., a:b], axis=-1)
+    starts = piece.searchsorted(np.arange(n_pieces))
+    owned = np.append(starts[1:], piece.size) > starts
+    sums = np.zeros(x.shape[:-1] + (n_pieces,), dtype=x.dtype)
+    if owned.any():
+        sums[..., owned] = np.add.reduceat(x, starts[owned], axis=-1)
     return sums
 
 
-def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
+def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, strict: bool = False):
     """Bisect the panels of one or more partitions until each meets its share
     of its piece's budget.
 
@@ -263,11 +256,12 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     (the rounding level of the rule); a panel is accepted once every row
     meets its share, and bisected for the next round otherwise.  After
     max_rounds bisections the pending panels keep their last value and
-    error.  Returns (value, error, unresolved), each of shape (pieces,) or
-    (m, pieces) and summed per piece in left-to-right order: value and
-    error over the accepted panels, unresolved the error of the panels
-    still failing after the last round.  A single piece is refined and
-    summed exactly as if it were alone.
+    error, unless strict: then a piece whose failing panels carry more error
+    than its budget raises IntegrabilityError.  Returns (value, error), each
+    of shape (pieces,) or (m, pieces) and summed per piece in left-to-right
+    order over the accepted panels.  Each round takes the same few numpy
+    calls whatever the number of pieces, and a single piece is refined as
+    if it were alone.
     """
     pieces = [np.asarray(edges, dtype=float) for edges in pieces]
     malformed = InputDomainError("edges must be strictly increasing with >= 2 entries")
@@ -287,7 +281,7 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     acc_piece: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
-    acc_sum = unresolved = None
+    acc_sum = None
 
     for depth in range(max_rounds + 1):
         val, err, floor = rule(pend_lo, pend_hi, pend_piece)
@@ -298,14 +292,17 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
             )
         if acc_sum is None:
             acc_sum = np.zeros(val.shape[:-1] + (n_pieces,), dtype=val.dtype)
-            unresolved = np.zeros(val.shape[:-1] + (n_pieces,))
         # pending panels stay grouped by piece, so each piece is one slice
         budget = np.maximum(rel_tol * np.abs(acc_sum + _piece_sums(val, pend_piece, n_pieces)), abs_floor)
         share = budget[..., pend_piece] * (pend_hi - pend_lo) / piece_len[pend_piece]
         met = (err <= share) | (err <= floor)
         ok = met.all(axis=0) if met.ndim > 1 else met
         if depth == max_rounds:
-            unresolved = _piece_sums(err[..., ~ok], pend_piece[~ok], n_pieces)
+            unresolved = _piece_sums(err[..., ~ok], pend_piece[~ok], n_pieces) > budget
+            failed = np.flatnonzero(unresolved.reshape(-1, n_pieces).any(axis=0))
+            if strict and failed.size:
+                lo, hi = pieces[failed[0]][[0, -1]]
+                raise IntegrabilityError(f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {depth} rounds")
             ok[:] = True
 
         accepted = val.compress(ok, axis=-1)
@@ -331,24 +328,32 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     order = np.lexsort((np.concatenate(acc_lo), piece))
     value = _piece_sums(np.concatenate(acc_val, axis=-1)[..., order], piece[order], n_pieces)
     error = _piece_sums(np.concatenate(acc_err, axis=-1)[..., order], piece[order], n_pieces)
-    return value, error, unresolved
+    return value, error
 
 
-def _kronrod_refine(fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None):
+def _kronrod_refine(
+    fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, phase=None, strict=False
+):
     """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
 
     fn may return (m, nodes) rows; the results are numpy arrays of shape
     (pieces,) or (m, pieces).  t, when given, holds one time per piece, and
     fn is called as fn(nodes, t at each node) (see panel_integrals).
+    phase, when given, bounds per piece the phase |t f| that fn rounds,
+    with an error of about eps |t f| that no bisection removes: the floor
+    is then max(64, phase) eps |K21|, for an fn that does not cancel on a
+    panel.
     """
     if t is not None:
         t = np.asarray(t, dtype=float)
+    phase = np.broadcast_to(0.0 if phase is None else np.asarray(phase, dtype=float), (len(pieces),))
+    rounding = np.maximum(_ROUNDING, np.finfo(float).eps * phase)
 
     def rule(lo, hi, piece):
         val, err = panel_integrals(fn, lo, hi, None if t is None else t[piece])
-        return val, err, _ROUNDING * np.abs(val)
+        return val, err, rounding[piece] * np.abs(val)
 
-    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds)
+    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds, strict)
 
 
 def integrate_adaptive(
@@ -369,7 +374,7 @@ def integrate_adaptive(
     accepted panels' errors.  Raises IntegrabilityError in the first round
     that produces a non-finite value or error.
     """
-    value, error, _ = _kronrod_refine(fn, [edges], rel_tol, abs_tol, max_rounds)
+    value, error = _kronrod_refine(fn, [edges], rel_tol, abs_tol, max_rounds)
     return float(value[0]), float(error[0])
 
 
@@ -414,14 +419,7 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float):
     ends = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     los, his = (v.ravel().tolist() for v in ends)
     pieces = [_radial_edges(a, b, kinks) for a, b in zip(los, his)]
-    value, _, unresolved = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS)
-    failed = np.flatnonzero((unresolved > rel_tol * np.abs(value)).reshape(-1, len(pieces)).any(axis=0))
-    if failed.size:
-        k = failed[0]
-        raise IntegrabilityError(
-            f"integral over [{los[k]:.17g}, {his[k]:.17g}] unresolved after {_RADIAL_ROUNDS} "
-            f"bisection rounds: error {np.max(unresolved[..., k]):.3g} against rel_tol {rel_tol:.3g}"
-        )
+    value, _ = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS, strict=True)
     if np.ndim(lo) or np.ndim(hi):
         return value
     value = value[..., 0]
@@ -496,11 +494,13 @@ def _levin_panels(g, f, fprime, omega: np.ndarray, lo: np.ndarray, hi: np.ndarra
     the same nodes instead.
 
     Once the phase is fast, both Levin values tend to the endpoint terms
-    g/(i omega f') and agree even where g is not resolved: a jump or an
-    oscillation of g inside the panel would go unseen.  So the error of a
-    Levin panel is |I17 - I9| plus the integral bound 2 h (|c_15| + |c_16|)
-    of the interpolation error of g, from its two highest Chebyshev
-    coefficients.  Returns (values, errors, rounding floors).
+    g/(i omega f') and agree even where g or p is not resolved: a jump or an
+    oscillation of g inside the panel, or the growth p ~ g/(i omega f') of
+    p towards a stationary point of f beside the panel, would go unseen.
+    So the error of a Levin panel is |I17 - I9| plus the integral bound
+    2 h (|c_15| + |c_16|) of the interpolation error of g and the bound
+    2 (|c_15| + |c_16|) of that of p at the ends, each from its two highest
+    Chebyshev coefficients.  Returns (values, errors, rounding floors).
     """
     value = np.empty(lo.shape, dtype=complex)
     error = np.empty(lo.shape)
@@ -526,8 +526,15 @@ def _levin_chunk(g, f, fprime, omega, lo, hi):
 
     value = np.empty(lo.shape, dtype=complex)
     error = np.empty(lo.shape)
-    floor = _ROUNDING * half * np.max(np.abs(gv), axis=1)
-    levin = omega * half * np.min(np.abs(fp), axis=1) >= _LEVIN_MIN_PHASE
+    # e^(i omega f) rounds its phase by about eps omega |f| at every node,
+    # which no bisection removes: that share of h max|g| on a direct panel,
+    # of max|g| / (omega min|f'|) <= h max|g| through a Levin panel's ends.
+    # f is monotone on a panel, so max|f| is taken at its ends.
+    turn = omega * half * np.min(np.abs(fp), axis=1)
+    f_max = np.maximum(np.abs(fv[:, 0]), np.abs(fv[:, -1]))
+    phase_noise = np.finfo(float).eps * omega * f_max / np.maximum(turn, 1.0)
+    floor = np.maximum(_ROUNDING, phase_noise) * half * np.max(np.abs(gv), axis=1)
+    levin = turn >= _LEVIN_MIN_PHASE
     if np.any(levin):
         h, fl, gl, w = half[levin], fp[levin], gv[levin], omega[levin]
         ends = np.exp(1j * w[:, None] * fv[levin][:, [0, -1]])
@@ -536,6 +543,7 @@ def _levin_chunk(g, f, fprime, omega, lo, hi):
         high = p_high[:, 0] * ends[:, 0] - p_high[:, -1] * ends[:, 1]
         low = p_low[:, 0] * ends[:, 0] - p_low[:, -1] * ends[:, 1]
         unresolved = 2.0 * h * np.sum(np.abs(gl @ _CHEBYSHEV_TAIL), axis=1)
+        unresolved += 2.0 * np.sum(np.abs(p_high @ _CHEBYSHEV_TAIL), axis=1)
         value[levin] = high
         error[levin] = np.abs(high - low) + unresolved
     direct = ~levin
@@ -555,6 +563,8 @@ def integrate_levin(
     edges,
     rel_tol: float,
     abs_tol=0.0,
+    *,
+    strict: bool = False,
 ):
     """Integral of g(r) e^(i omega f(r)) over the partition by Levin collocation.
 
@@ -563,12 +573,14 @@ def integrate_levin(
     returns the pair (phase, derivative) from one evaluation.  Panels are
     refined as in integrate_adaptive with its default round limit, with
     |I17 - I9| as the error estimate and 64 eps h max|g| as the rounding
-    level of a panel of half-width h.  Returns (complex value, error estimate).  edges may also
-    be a list of partitions, the pieces of one refinement, each held to its
-    own budget: omega and abs_tol are then a number or one per piece, and
-    the result a pair of arrays, the complex values and the error estimates
-    per piece.  Raises IntegrabilityError on non-finite values and singular
-    panels.
+    level of a panel of half-width h, raised to the rounding of the phase
+    omega f where that is larger.  Returns (complex value, error estimate).
+    edges may also be a list of partitions, the pieces of one refinement,
+    each held to its own budget: omega and abs_tol are then a number or one
+    per piece, and the result a pair of arrays, the complex values and the
+    error estimates per piece.  Raises IntegrabilityError on non-finite
+    values and singular panels, and, when strict, on a piece still
+    unresolved after the last round.
     """
     pieces = edges if isinstance(edges, list) else [edges]
     omegas = np.broadcast_to(np.asarray(omega, dtype=float), (len(pieces),))
@@ -576,56 +588,7 @@ def integrate_levin(
     def rule(lo, hi, piece):
         return _levin_panels(g, f, fprime, omegas[piece], lo, hi)
 
-    value, error, _ = _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS)
+    value, error = _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS, strict)
     if isinstance(edges, list):
         return value, error
     return complex(value[0]), float(error[0])
-
-
-def _phase_partitions(params: ModelParams, ts, los, his) -> list[np.ndarray]:
-    """Partitions of every [los[i], his[i]] so that every oscillation of
-    sin(ts[i] f) is node-resolved, from one dispersion_slope call on a
-    (pieces, 49) array and one split.
-
-    The width rule gives the 49 edges lo + (hi - lo) j / 48, and f' is
-    evaluated at those edges only.  Each panel is split into equal parts no
-    wider than dphi / (t max|f'|), with the larger |f'| of its two ends and
-    dphi = _PHASE_SAFETY * GL_ORDER * pi / _POINTS_PER_PERIOD.  Where f' is
-    monotone across the panel, a part spans at most
-    _PHASE_SAFETY * GL_ORDER / _POINTS_PER_PERIOD periods of sin^2(t f), so
-    every period receives more than _POINTS_PER_PERIOD of the 21 Kronrod
-    nodes; where the ends understate |f'|, the refinement bisects.
-    """
-    ts, los, his = (np.asarray(v, dtype=float) for v in (ts, los, his))
-    if np.any(his <= los):
-        i = np.flatnonzero(his <= los)[0]
-        raise InputDomainError(f"need lo < hi, got [{los[i]}, {his[i]}]")
-
-    edges = los[:, None] + (his - los)[:, None] * np.arange(_MIN_PANELS + 1) / _MIN_PANELS
-    start = np.maximum(los, 1e-14 * np.maximum(his, 1.0))
-    _, fp = dispersion_slope(params, np.maximum(edges, start[:, None]))
-    speed = ts[:, None] * np.maximum(np.abs(fp[:, :-1]), np.abs(fp[:, 1:]))
-    dphi = _PHASE_SAFETY * GL_ORDER * math.pi / _POINTS_PER_PERIOD
-    with np.errstate(divide="ignore"):
-        partitions = _split_wide_panels(edges, dphi / speed)
-    for part, hi in zip(partitions, his):
-        part[-1] = hi
-    return partitions
-
-
-def _split_wide_panels(edges: np.ndarray, max_width) -> list[np.ndarray]:
-    """Each row of edges, a partition, with each panel wider than max_width,
-    a number or one per panel, split into ceil(width / max_width) equal
-    parts.  Returns the partitions as a list; a row none of whose panels is
-    split comes back unchanged."""
-    widths = np.diff(edges)
-    n_sub = np.maximum(1, np.ceil(widths / max_width).astype(int))
-    counts = n_sub.ravel()
-    # panel i becomes edges[i] + widths[i] * j / n_sub[i], j = 1 .. n_sub[i]
-    j = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    inner = np.repeat(edges[:, :-1], counts) + np.repeat(widths, counts) * j / np.repeat(counts, counts)
-    rows = np.split(inner, np.cumsum(n_sub.sum(axis=1))[:-1])
-    return [
-        np.concatenate([row_edges[:1], row]) if np.any(row_n > 1) else row_edges.copy()
-        for row_edges, row, row_n in zip(edges, rows, n_sub)
-    ]

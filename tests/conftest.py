@@ -1,11 +1,12 @@
 """Shared fixtures; the long traces are computed once per session."""
 
+import math
 import time
 
 import numpy as np
 import pytest
 
-from rosenau.quadrature import _phase_partitions
+from rosenau.model import dispersion_derivatives
 
 from rosenau import (
     ModelParams,
@@ -21,9 +22,28 @@ EXACT = QuadratureConfig()
 
 
 def phase_edges(params, t, lo, hi):
-    """The phase-resolved partition of [lo, hi] at time t that
-    norms.oscillatory_integrals builds for a slow piece or a window."""
-    return _phase_partitions(params, [t], [lo], [hi])[0]
+    """A phase-resolved partition of [lo, hi] at time t, the reference the
+    oscillatory driver is checked against; the driver itself never uses it.
+
+    The width rule cuts [lo, hi] into 48 equal panels, and each is split
+    into equal parts no wider than 1.6 pi / (t max|f'|), with the larger |f'|
+    of its two ends: a part then spans at most 1.6 periods of sin^2(t f)
+    where f' is monotone, so every period receives more than 13 of the 21
+    Kronrod nodes.  f' is taken a hair above r = 0, where it is defined.
+    """
+    edges = lo + (hi - lo) * np.arange(49) / 48
+    fp, _ = dispersion_derivatives(params, np.maximum(edges, max(lo, 1e-14 * max(hi, 1.0))))
+    parts = []
+    for a, b, fa, fb in zip(edges[:-1], edges[1:], fp[:-1], fp[1:]):
+        speed = t * max(abs(fa), abs(fb))
+        parts.append(max(1, math.ceil((b - a) / (0.8 * 16 * math.pi / 8 / speed))) if speed > 0 else 1)
+    if max(parts) == 1:
+        return edges
+    out = [edges[0]]
+    for a, b, k in zip(edges[:-1], edges[1:], parts):
+        out.extend(a + (b - a) * np.arange(1, k + 1) / k)
+    out[-1] = hi
+    return np.array(out)
 
 # wall-clock seconds for the session traces, keyed by fixture name; the
 # acceptance report quotes these against the expected runtimes

@@ -66,8 +66,16 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list:
     return [(module, name) for module, name in definitions if name not in used]
 
 
+# Definitions that only the benchmark reads: perfbench/tracer.py takes
+# quadrature.GL_ORDER when it installs, until it counts Kronrod nodes itself
+# (ROADMAP item 3).  Each must still be named there.
+READ_BY_PERFBENCH = {("quadrature", "GL_ORDER")}
+
+
 def test_every_definition_has_a_caller_in_the_package():
-    assert unreferenced_definitions() == []
+    tracer = (PACKAGE.parent.parent / "perfbench" / "tracer.py").read_text()
+    assert all(f".{name}" in tracer for _, name in READ_BY_PERFBENCH)
+    assert [d for d in unreferenced_definitions() if d not in READ_BY_PERFBENCH] == []
 
 
 def unused_imports(package: Path = PACKAGE) -> list:

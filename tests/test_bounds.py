@@ -198,9 +198,9 @@ class TestTailTermOscillatoryPath:
         panels = []
         panel_integrals = quadrature.panel_integrals
 
-        def counted(fn, lo, hi, t=None):
+        def counted(fn, lo, hi, t=None, **kwargs):
             panels.append(np.size(lo))
-            return panel_integrals(fn, lo, hi, t)
+            return panel_integrals(fn, lo, hi, t, **kwargs)
 
         monkeypatch.setattr(quadrature, "panel_integrals", counted)
         counts, values = {}, {}
