@@ -33,6 +33,7 @@ from .evolution import (
     GridField,
     RadialInitialData,
     evolve_grid,
+    evolve_grid_times,
     total_energy,
     total_energy_grid,
 )

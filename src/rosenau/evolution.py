@@ -10,6 +10,10 @@ removable singularity at f = 0 filled by the limit t), the kernel
 (1 - cos x)/x^2 of the running time integral, a periodic-box DFT
 realization for non-radial data, and the conserved quadratic energy.
 
+Both energies and the box path take many times or states per call, and
+compute what does not depend on t once: one transform per datum for all
+the times of evolve_grid_times, whose one-time case is evolve_grid.
+
 Conventions: u_hat(xi) = integral exp(-i x.xi) u(x) dx, so physical L2 norms
 carry the factor (2 pi)^(-n/2) relative to spectral ones.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -35,7 +39,9 @@ __all__ = [
     "cosc",
     "propagator",
     "evolve_grid",
+    "evolve_grid_times",
     "total_energy",
+    "total_energy_grid",
 ]
 
 _SERIES_CUT = 1e-4
@@ -216,6 +222,59 @@ def _grid_xi_norm(field: GridField) -> np.ndarray:
     return np.sqrt(sum(g**2 for g in grids))
 
 
+def _grid_of(field: GridField) -> tuple:
+    return field.dim, field.box_length, field.samples_per_axis
+
+
+def evolve_grid_times(
+    params: ModelParams,
+    field0: GridField,
+    field1: GridField,
+    times,
+    with_velocity: bool = False,
+):
+    """Evolve box data by the per-mode multipliers at each DFT frequency:
+    an iterator over the states u, or (u, u_t) when with_velocity, one per
+    time.
+
+    |xi|, f, the wrap-around window and the forward transforms of the data
+    are computed once; each state then costs its inverse transforms, made
+    only when the iterator reaches it, so that a caller taking the states
+    one at a time holds one at a time.  The box approximates free space
+    only while wave fronts cannot wrap: each time from
+    t = box_length / (2 sup f') on warns.  Real input data produce output
+    whose imaginary part is at round-off level.
+    """
+    if _grid_of(field0) != _grid_of(field1):
+        raise InputDomainError("field0 and field1 must share one grid")
+    times = np.asarray(times, dtype=float).ravel()
+    _check_time(times)
+
+    rho = _grid_xi_norm(field0)
+    if times.max(initial=0.0) > 0:
+        v_max = float(np.max(np.abs(dispersion_slope(params, rho[rho > 0])[1])))
+        window = field0.box_length / (2.0 * v_max) if v_max > 0 else math.inf
+        for t in times[times >= window].tolist():
+            warnings.warn(
+                f"t = {t} exceeds the wrap-around window {window:.6g} of this box",
+                stacklevel=2,
+            )
+    f = eval_dispersion(params, rho)
+    del rho  # the transforms need only f
+    hat0 = fftn(field0.values)
+    hat1 = fftn(field1.values)
+
+    def state(t: float):
+        phase = t * f
+        cosine = np.cos(phase)
+        u = replace(field0, values=ifftn(cosine * hat0 + propagator(t, f) * hat1))
+        if not with_velocity:
+            return u
+        return u, replace(field0, values=ifftn(-f * np.sin(phase) * hat0 + cosine * hat1))
+
+    return map(state, times.tolist())
+
+
 def evolve_grid(
     params: ModelParams,
     field0: GridField,
@@ -223,44 +282,9 @@ def evolve_grid(
     t: float,
     with_velocity: bool = False,
 ):
-    """Evolve box data by the per-mode multipliers at each DFT frequency.
-
-    The box approximates free space only while wave fronts cannot wrap:
-    beyond t = box_length / (2 sup f') a warning is issued.  Real input data
-    produce output whose imaginary part is at round-off level.
-    """
-    if (field0.dim, field0.box_length, field0.samples_per_axis) != (
-        field1.dim,
-        field1.box_length,
-        field1.samples_per_axis,
-    ):
-        raise InputDomainError("field0 and field1 must share one grid")
-    _check_time(t)
-
-    rho = _grid_xi_norm(field0)
-    positive = rho[rho > 0]
-    if positive.size and t > 0:
-        _, fp = dispersion_slope(params, positive.ravel())
-        v_max = float(np.max(np.abs(fp)))
-        if v_max > 0 and t >= field0.box_length / (2.0 * v_max):
-            warnings.warn(
-                f"t = {t} exceeds the wrap-around window "
-                f"{field0.box_length / (2.0 * v_max):.6g} of this box",
-                stacklevel=2,
-            )
-
-    f = eval_dispersion(params, rho)
-    phase = t * f
-    cosine = np.cos(phase)
-    prop = propagator(t, f)
-    hat0 = fftn(field0.values)
-    hat1 = fftn(field1.values)
-    out = ifftn(cosine * hat0 + prop * hat1)
-    evolved = GridField(field0.dim, field0.box_length, field0.samples_per_axis, out)
-    if not with_velocity:
-        return evolved
-    vel = ifftn(-f * np.sin(phase) * hat0 + cosine * hat1)
-    return evolved, GridField(field0.dim, field0.box_length, field0.samples_per_axis, vel)
+    """The state at the one time t: evolve_grid_times for [t]."""
+    (state,) = evolve_grid_times(params, field0, field1, [t], with_velocity)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +343,38 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
     return unit_sphere_area(n) / (2.0 * math.pi) ** n * value
 
 
-def total_energy_grid(params: ModelParams, field: GridField, velocity: GridField) -> float:
-    """Energy of a box state (u, u_t) via DFT Plancherel sums."""
+def total_energy_grid(params: ModelParams, states) -> np.ndarray:
+    """Energy of each box state (u, u_t) of an iterable on one grid, such as
+    evolve_grid_times, via DFT Plancherel sums: |xi| and its powers once,
+    two forward transforms per state, each state dropped before the next
+    is drawn."""
+    states = iter(states)
+    first = next(states, None)
+    if first is None:
+        return np.empty(0)
+    energy = _grid_energy(params, first[0])
+    first = energy(first)  # drops the first state
+    return np.array([first, *map(energy, states)])
+
+
+def _grid_energy(params: ModelParams, field: GridField):
+    """The energy of a state (u, u_t) on the grid of field, as a function
+    of the state, with |xi| and its powers computed here once."""
+    grid = _grid_of(field)
+    cell = field.dx**field.dim / field.samples_per_axis**field.dim
     rho = _grid_xi_norm(field)
-    n_tot = field.samples_per_axis**field.dim
-    cell = field.dx**field.dim / n_tot
-    hat_sq = np.abs(fftn(field.values)) ** 2
-    hat_t_sq = np.abs(fftn(velocity.values)) ** 2
-    kin = 0.5 * float(np.sum(hat_t_sq)) * cell
-    frac = 0.5 * params.delta * float(np.sum(rho ** (2.0 * params.theta) * hat_t_sq)) * cell
-    bend = 0.5 * params.mu * float(np.sum(rho**4 * hat_sq)) * cell
-    stretch = 0.5 * params.kappa * float(np.sum(rho**2 * hat_sq)) * cell
-    return kin + frac + bend + stretch
+    frac_w, bend_w, stretch_w = rho ** (2.0 * params.theta), rho**4, rho**2
+
+    def energy(state) -> float:
+        u, u_t = state
+        if not _grid_of(u) == _grid_of(u_t) == grid:
+            raise InputDomainError("the states must share one grid")
+        hat_sq = np.abs(fftn(u.values)) ** 2
+        hat_t_sq = np.abs(fftn(u_t.values)) ** 2
+        kin = 0.5 * float(np.sum(hat_t_sq)) * cell
+        frac = 0.5 * params.delta * float(np.sum(frac_w * hat_t_sq)) * cell
+        bend = 0.5 * params.mu * float(np.sum(bend_w * hat_sq)) * cell
+        stretch = 0.5 * params.kappa * float(np.sum(stretch_w * hat_sq)) * cell
+        return kin + frac + bend + stretch
+
+    return energy

@@ -5,7 +5,8 @@ when the Rayleigh quotient ||u/w||^2 / ||grad u||^2 stays bounded over the
 admissible class.  This module evaluates such quotients with
 quadrature.integrate_radial over the test function's finite support, cut
 at its kinks; drives them over witness families (the logarithmic capacity
-family in 2-D, dilations elsewhere); and renders bounded/unbounded verdicts.
+family in 2-D, dilations elsewhere), all members of a family in one call
+per integral; and renders bounded/unbounded verdicts.
 It also contains the corrected energy identity for the time-integrated
 solution (theta = 1, n = 2), whose left side a valid Hardy inequality would
 force to stay bounded, integrated like the norm by
@@ -195,29 +196,57 @@ def dilation_family(R: float, base: RadialTestFunction | None = None) -> RadialT
     return RadialTestFunction(val, der, phi.support * R, der2, label=f"dilation(R={R})")
 
 
-def gradient_norm_sq(u: RadialTestFunction, dim: int) -> float:
-    """||grad u||^2 = omega_n integral |u'(r)|^2 r^(n-1) dr."""
-    val = integrate_radial(
-        lambda r: u.deriv(r) ** 2 * r ** (dim - 1), 0.0, u.support, u.kinks, rel_tol=_REL_TOL
-    )
-    return unit_sphere_area(dim) * val
+def _members(u) -> list:
+    """The test functions of u: u itself, or the functions of a list."""
+    return [u] if isinstance(u, RadialTestFunction) else list(u)
 
 
-def weighted_norm_sq(
-    u: RadialTestFunction, weight: WeightFunction, dim: int, inner_cut: float = 0.0
-) -> float:
-    """||u/w||^2, optionally truncated to r >= inner_cut (exhaustion use)."""
-    lo, origin = inner_cut, 0.0
-    if weight.kind == "abs_log_weight" and dim == 2 and inner_cut == 0.0:
-        lo = _LOG_ORIGIN
-        origin = float(u.value(np.array([0.0]))[0]) ** 2 / (1.0 - math.log(_LOG_ORIGIN))
-    val = integrate_radial(
-        lambda r: (u.value(r) / weight.evaluate(r)) ** 2 * r ** (dim - 1),
+def _radial_integrals(u, profile, lo, dim: int):
+    """Integral of profile(v, r) r^(n-1) over [lo, v.support] for the test
+    function v = u, or for each v of a list u: the pieces of one
+    integrate_radial call with the function's index as parameter, cut at
+    the kinks of them all.  lo is a number or one per piece."""
+    members = _members(u)
+
+    def integrand(r, member):
+        out = np.empty_like(r)
+        for index, v in enumerate(members):
+            at = member == index
+            out[at] = profile(v, r[at]) * r[at] ** (dim - 1)
+        return out
+
+    single = isinstance(u, RadialTestFunction)
+    return integrate_radial(
+        integrand,
         lo,
-        u.support,
-        u.kinks,
+        u.support if single else [v.support for v in members],
+        sorted({k for v in members for k in v.kinks}),
         rel_tol=_REL_TOL,
+        param=0.0 if single else np.arange(len(members)),
     )
+
+
+def gradient_norm_sq(u, dim: int):
+    """||grad u||^2 = omega_n integral |u'(r)|^2 r^(n-1) dr, for the test
+    function u or, from one refinement, for each of a list of them."""
+    return unit_sphere_area(dim) * _radial_integrals(u, lambda v, r: v.deriv(r) ** 2, 0.0, dim)
+
+
+def weighted_norm_sq(u, weight: WeightFunction, dim: int, inner_cut=0.0):
+    """||u/w||^2, optionally truncated to r >= inner_cut (exhaustion use).
+
+    u may be a list of test functions and inner_cut one cut per piece: the
+    integrals are then the pieces of one refinement (see _radial_integrals).
+    The closed-form mass below _LOG_ORIGIN applies to an inner_cut of 0.
+    """
+    lo, origin = inner_cut, 0.0
+    if weight.kind == "abs_log_weight" and dim == 2 and np.ndim(inner_cut) == 0 and inner_cut == 0.0:
+        lo = _LOG_ORIGIN
+        at_zero = np.array([float(v.value(np.array([0.0]))[0]) for v in _members(u)])
+        origin = at_zero**2 / (1.0 - math.log(_LOG_ORIGIN))
+        if isinstance(u, RadialTestFunction):
+            origin = float(origin[0])
+    val = _radial_integrals(u, lambda v, r: (v.value(r) / weight.evaluate(r)) ** 2, lo, dim)
     return unit_sphere_area(dim) * (origin + val)
 
 
@@ -260,6 +289,10 @@ def blowup_scan(weight: WeightFunction, R_grid, dim: int) -> BlowupScan:
     +infinity for any origin-positive test function; the scan then reports
     the exhaustion sequence of a fixed bump with the numerator truncated to
     |x| >= 1/R, whose growth certifies the divergence.
+
+    Each of the two integrals takes one refinement over the whole family
+    (see _radial_integrals); the exhaustion numerators are the intervals
+    [1/R, support] of one call.
     """
     grid = np.asarray(R_grid, dtype=float)
     if grid.size < 5:
@@ -269,21 +302,16 @@ def blowup_scan(weight: WeightFunction, R_grid, dim: int) -> BlowupScan:
     if math.log(grid[-1] / grid[0]) < 3.0:
         raise InputDomainError("family parameters must span >= 3 e-foldings")
 
-    quotients = np.empty(grid.size)
-    grads = np.empty(grid.size)
     if weight.quotient_diverges_for(True):
         mechanism = "exhaustion"
         bump = gaussian_bump()
-        grad = gradient_norm_sq(bump, dim)
-        for i, R in enumerate(grid):
-            quotients[i] = weighted_norm_sq(bump, weight, dim, inner_cut=1.0 / R) / grad
-            grads[i] = grad
+        grads = np.full(grid.size, gradient_norm_sq(bump, dim))
+        quotients = weighted_norm_sq(bump, weight, dim, inner_cut=1.0 / grid) / grads
     else:
         mechanism = "capacity" if dim == 2 else "dilation"
-        for i, R in enumerate(grid):
-            u = capacity_family(R, dim) if dim == 2 else dilation_family(R)
-            grads[i] = gradient_norm_sq(u, dim)
-            quotients[i] = weighted_norm_sq(u, weight, dim) / grads[i]
+        members = [capacity_family(R, dim) if dim == 2 else dilation_family(R) for R in grid]
+        grads = gradient_norm_sq(members, dim)
+        quotients = weighted_norm_sq(members, weight, dim) / grads
 
     trace = QuotientTrace(grid, quotients, grads)
     x = np.log(grid)

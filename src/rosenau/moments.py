@@ -18,8 +18,9 @@ computed.
 Every integral runs over [0, R] for the profile's certified finite radius R
 (a compact or a Gaussian tail; other profiles raise IntegrabilityError),
 through quadrature.integrate_radial, cut at the profile's kinks.  A(rho)
-for the whole frequency grid is one row-valued call of it, one row per
-rho, each row held to 1e-12 of its own |A(rho)|.
+for the whole frequency grid is one call of it with one piece per
+frequency, rho the piece's parameter, each piece refined alone and held to
+1e-12 of its own |A(rho)|.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InputDomainError, IntegrabilityError, InvariantViolation
 from .model import unit_sphere_area
-from .quadrature import _row_blocks, integrate_radial
+from .quadrature import _ROW_BLOCK_VALUES, integrate_radial
 from .tails import TailBound
 
 __all__ = [
@@ -289,28 +290,32 @@ def l2_norm_sq(u1: RadialProfile) -> float:
 
 
 def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
-    """A(rho) for every rho of the grid, from one row-valued integrate_radial call.
+    """A(rho) for every rho of the grid, one piece of one integrate_radial call per rho.
 
     Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R], cut at the
-    profile's kinks, one row per rho, each row held to 1e-12 of its own
-    |A(rho)|.  Raises InputDomainError for a non-finite rho, and
-    IntegrabilityError when some row is not resolved (a jump the kinks do
-    not declare, an oscillation without bound).  The odd part B vanishes for
-    radial data, so A is the whole fluctuation.
+    profile's kinks, one interval per rho with rho as its parameter, so
+    that each A(rho) is refined alone, on the panels its own frequency
+    needs, to 1e-12 of its own |A(rho)|.  The kernel sees at most
+    _ROW_BLOCK_VALUES values at a time.  Raises InputDomainError for a
+    non-finite rho, and IntegrabilityError when some A(rho) is not resolved
+    (a jump the kinks do not declare, an oscillation without bound).  The
+    odd part B vanishes for radial data, so A is the whole fluctuation.
     """
     rhos = np.asarray(rhos, dtype=float)
     if not np.all(np.isfinite(rhos)):
         raise InputDomainError(f"frequencies must be finite, got {rhos[~np.isfinite(rhos)][0]}")
     n = u1.dim
 
-    def integrand(r):
+    def integrand(r, rho):
         u = np.real(u1.func(r)) * r ** (n - 1)
-        out = np.empty((rhos.size, r.size))
-        for rows in _row_blocks(rhos.size, r.size):
-            out[rows] = u * _kernel_minus_one(n, rhos[rows, None] * r)
-        return out
+        for start in range(0, r.size, _ROW_BLOCK_VALUES):
+            block = slice(start, start + _ROW_BLOCK_VALUES)
+            u[block] *= _kernel_minus_one(n, rho[block] * r[block])
+        return u
 
-    values = integrate_radial(integrand, 0.0, u1.upper_limit(), u1.kinks, rel_tol=_MOMENT_REL_TOL)
+    values = integrate_radial(
+        integrand, 0.0, u1.upper_limit(), u1.kinks, rel_tol=_MOMENT_REL_TOL, param=rhos
+    )
     return unit_sphere_area(n) * values
 
 

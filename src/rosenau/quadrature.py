@@ -38,14 +38,19 @@ On top of them:
   and once per decade, with the K21 refinement capped at 17 rounds, and
   raises IntegrabilityError instead of returning a value it did not
   resolve, as the capped refinements of norms.oscillatory_integrals do;
-  arrays of interval ends make the intervals the pieces of one refinement.
+  arrays of interval ends, or of a parameter per interval, make the
+  intervals the pieces of one refinement.
 
 The rule for callers: a smooth radial integrand goes through
 ``integrate_radial``, with its jumps passed as kinks; an integrand that
 oscillates like sin(t f) goes through ``norms.oscillatory_integrals``, which
 splits it into a mean and Re[g e^(2 i t f)] and runs the K21 refinement
 where the phase is slow or stationary and ``integrate_levin`` where it is
-fast.
+fast.  Many integrals of one kind are one call: integrals that differ in
+their interval are one call with arrays of interval ends, and integrals
+whose integrands differ in a number (a frequency, a family member) are one
+call with that number as the per-interval parameter, handed to the
+integrand at each node; each is then a piece, refined as if alone.
 
 A batch of many pieces can hold tens of thousands of panels, so both rules
 work in chunks that keep every temporary small:
@@ -54,9 +59,10 @@ work in chunks that keep every temporary small:
   (_PANEL_CHUNK), so an integrand temporary is at most 256 KiB however
   large the batch;
 * a row-valued integrand with many rows evaluates them in blocks of at
-  most 2^13 values (_row_blocks, _ROW_BLOCK_VALUES), so that each of the
-  Bessel kernel's dozen temporaries stays within 64 KiB for the 96 rows of
-  moments.fluctuation.  Blocks there and in the 61 energy rows of
+  most 2^13 values (_row_blocks, _ROW_BLOCK_VALUES), and so does
+  moments.fluctuation's Bessel kernel with its nodes, so that each of the
+  kernel's dozen temporaries stays within 64 KiB.  Blocks there, when its
+  96 frequencies were rows, and in the 61 energy rows of
   evolution.total_energy took the peak RSS of an averaged-2d3d pass from
   43.2 to 38.9 MB; blocks of 2^15 values in fluctuation alone left it at
   40.3 MB;
@@ -401,7 +407,7 @@ def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
     return _sorted_unique(np.concatenate([cuts, decades[(decades > bottom) & (decades < hi)]]))
 
 
-def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float):
+def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     """Integral of fn over the finite interval [lo, hi], to rel_tol.
 
     fn maps a flat array of radii to values, or to an (m, nodes) array for m
@@ -412,15 +418,23 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float):
     lo and hi may also be arrays, broadcast against each other: the
     intervals are then the pieces of one refinement, each with its own
     budget and so refined as if alone, and the result has one entry per
-    interval on its last axis.  Raises IntegrabilityError when the panels
-    still failing after the last round carry more error than rel_tol times
-    a row's |value|, or on a non-finite value.
+    interval on its last axis.  param, when given, holds one parameter per
+    interval, broadcast against lo and hi: fn is then called as
+    fn(radii, param at each radius), as the K21 rule hands a norm trace its
+    times (see panel_integrals), so that intervals whose integrands differ
+    in a number (a frequency, a family member) are one refinement too.
+    Raises IntegrabilityError when the panels still failing after the last
+    round carry more error than rel_tol times a row's |value|, or on a
+    non-finite value.
     """
-    ends = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    los, his = (v.ravel().tolist() for v in ends)
-    pieces = [_radial_edges(a, b, kinks) for a, b in zip(los, his)]
-    value, _ = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS, strict=True)
-    if np.ndim(lo) or np.ndim(hi):
+    ends = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, param) if v is not None))
+    intervals = list(zip(*(v.ravel().tolist() for v in ends[:2])))
+    # intervals that differ only in their parameter share one partition
+    edges = {ab: _radial_edges(*ab, kinks) for ab in dict.fromkeys(intervals)}
+    pieces = [edges[ab] for ab in intervals]
+    t = None if param is None else ends[2].ravel()
+    value, _ = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS, t=t, strict=True)
+    if np.ndim(lo) or np.ndim(hi) or np.ndim(param):
         return value
     value = value[..., 0]
     return value if value.ndim else float(value)

@@ -8,16 +8,19 @@ from rosenau import (
     GridField,
     InputDomainError,
     ModelParams,
-    evolve_grid,
     eval_dispersion,
+    evolve_grid,
+    evolve_grid_times,
     gaussian_velocity_data,
     norm_squared,
     total_energy,
     total_energy_grid,
 )
 from rosenau.evolution import cosc, propagator
+from rosenau.model import dispersion_slope
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
+P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
 HEADER = b"rosenau-grid-field v1\ndim=1\nbox_length=10.0\nsamples_per_axis=16\n\n"
 BODY = bytes(16 * 16)
 
@@ -228,6 +231,78 @@ class TestEvolveGrid:
             evolve_grid(P1, zero, bump, 1e4)
 
 
+class TestEvolveGridTimes:
+    @pytest.mark.parametrize("with_velocity", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_state_equals_evolve_grid_at_its_time(self, dim, with_velocity):
+        size = 256 if dim == 1 else 32
+        u0 = GridField.from_function(lambda *xs: np.exp(-sum(x**2 for x in xs)), dim, 20.0, size)
+        u1 = GridField.from_function(lambda *xs: xs[0] * np.exp(-sum(x**2 for x in xs)), dim, 20.0, size)
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        times = [0.0, 0.5, 2.0, 3.0]
+        states = list(evolve_grid_times(params, u0, u1, times, with_velocity=with_velocity))
+        assert len(states) == len(times)
+        for t, state in zip(times, states):
+            alone = evolve_grid(params, u0, u1, t, with_velocity=with_velocity)
+            if with_velocity:
+                assert np.array_equal(state[0].values, alone[0].values)
+                assert np.array_equal(state[1].values, alone[1].values)
+            else:
+                assert np.array_equal(state.values, alone.values)
+
+    def test_wraparound_warns_for_exactly_the_times_past_the_window(self):
+        zero = GridField.from_function(lambda x: np.zeros_like(x), 1, 20.0, 64)
+        bump = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 20.0, 64)
+        rho = np.abs(2.0 * math.pi * np.fft.fftfreq(64, d=20.0 / 64))
+        window = 20.0 / (2.0 * np.max(np.abs(dispersion_slope(P1, rho[rho > 0])[1])))
+        times = [0.0, 0.5 * window, window, 2.0 * window, 0.9 * window, 1e4]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            states = evolve_grid_times(P1, zero, bump, times)
+        warned = [str(w.message) for w in caught]
+        assert warned == [
+            f"t = {t} exceeds the wrap-around window {window:.6g} of this box"
+            for t in (window, 2.0 * window, 1e4)
+        ]
+        assert all(w.filename == __file__ for w in caught)
+        assert len(list(states)) == len(times)
+
+    def test_rejects_any_bad_time_before_any_work(self):
+        bump = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 20.0, 64)
+        with pytest.raises(InputDomainError, match="finite and nonnegative"):
+            evolve_grid_times(P1, bump, bump, [1.0, math.nan])
+        with pytest.raises(InputDomainError, match="finite and nonnegative"):
+            evolve_grid_times(P1, bump, bump, [-1.0, 2.0])
+
+    def test_energy_preset_transforms_each_datum_once(self, monkeypatch, tmp_path):
+        # a 2-D energy-conservation run: 2 forward transforms of the datum for
+        # its energy and 2 for the evolution, then per time 2 inverse and 2
+        # forward transforms for the state's energy; |xi|, f and the
+        # wrap-around speed once
+        from rosenau import evolution
+        from rosenau.cli import ExperimentConfig, run_experiment
+
+        counts = {"fftn": 0, "ifftn": 0, "dispersion_slope": 0}
+
+        def counted(name):
+            original = getattr(evolution, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(evolution, name, counted(name))
+        cfg = ExperimentConfig.from_dict(
+            {"preset": "energy-conservation", "params": {"dim": 2}, "output_dir": str(tmp_path)}
+        )
+        assert run_experiment(cfg).exit_code == 0
+        assert counts["fftn"] + counts["ifftn"] <= 16
+        assert counts["dispersion_slope"] == 1
+
+
 class TestEnergy:
     def test_gaussian_velocity_total_at_zero(self):
         # (1/2pi) int (1 + delta r^4) pi e^(-r^2/2) dr over the line = sqrt(pi/2) (1 + 3 delta)/2
@@ -315,11 +390,31 @@ class TestEnergy:
     def test_grid_energy_conservation(self):
         zero = GridField.from_function(lambda x: np.zeros_like(x), 1, 200.0, 1024)
         bump = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 200.0, 1024)
-        base = total_energy_grid(P1, zero, bump)
-        for t in (1.0, 5.0, 10.0):
-            u, v = evolve_grid(P1, zero, bump, t, with_velocity=True)
-            now = total_energy_grid(P1, u, v)
+        states = [(zero, bump)] + [
+            evolve_grid(P1, zero, bump, t, with_velocity=True) for t in (1.0, 5.0, 10.0)
+        ]
+        base, *evolved = total_energy_grid(P1, states)
+        for now in evolved:
             assert abs(now - base) / base <= 1e-8
+
+    def test_grid_energies_match_one_state_at_a_time(self):
+        # one |xi| and its powers for all the states, against one call per state
+        field = GridField.from_function(lambda x, y: np.exp(-(x**2) - 2.0 * y**2), 2, 30.0, 64)
+        zero = GridField(2, 30.0, 64, np.zeros((64, 64)))
+        states = [(field, zero), (zero, field), (field, field)]
+        energies = total_energy_grid(P2, states)
+        assert energies.shape == (3,)
+        for state, energy in zip(states, energies):
+            assert total_energy_grid(P2, [state]).tolist() == [energy]
+        assert total_energy_grid(P2, []).shape == (0,)
+
+    def test_grid_energies_reject_a_state_on_another_grid(self):
+        a = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 100.0, 64)
+        b = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 100.0, 128)
+        with pytest.raises(InputDomainError):
+            total_energy_grid(P1, [(a, a), (b, b)])
+        with pytest.raises(InputDomainError):
+            total_energy_grid(P1, [(a, b)])
 
 
 class TestPropagator:

@@ -216,6 +216,49 @@ class TestBlowupScan:
         q = scan.trace.quotients
         assert np.max(q) / np.min(q) - 1.0 <= 1e-9
 
+    @pytest.mark.parametrize(
+        "kind,dim,mechanism",
+        [
+            ("a1_weight", 2, "capacity"),
+            ("abs_log_weight", 2, "capacity"),
+            ("plain_abs", 3, "dilation"),
+            ("plain_abs", 2, "exhaustion"),
+        ],
+    )
+    def test_matches_the_integrals_of_each_member(self, kind, dim, mechanism):
+        # the five members' integrals as the pieces of one refinement give
+        # what each member's own integrals give
+        weight = WeightFunction(kind, dim)
+        scan = blowup_scan(weight, R_GRID, dim)
+        assert scan.mechanism == mechanism
+        for R, q, grad in zip(R_GRID, scan.trace.quotients, scan.trace.gradient_norms_sq):
+            if mechanism == "exhaustion":
+                alone = gradient_norm_sq(gaussian_bump(), dim)
+                numerator = weighted_norm_sq(gaussian_bump(), weight, dim, inner_cut=1.0 / R)
+            else:
+                u = capacity_family(R, dim) if dim == 2 else dilation_family(R)
+                alone = gradient_norm_sq(u, dim)
+                numerator = weighted_norm_sq(u, weight, dim)
+            assert grad == pytest.approx(alone, rel=1e-12)
+            assert q == pytest.approx(numerator / alone, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,dim", [("a1_weight", 2), ("plain_abs", 3), ("plain_abs", 2)])
+    def test_two_refinements_per_scan(self, kind, dim, monkeypatch):
+        # the gradient norms and the numerators, each one refinement over
+        # the whole family (the exhaustion bump's gradient is one piece)
+        from rosenau import quadrature
+
+        calls = []
+        refine = quadrature._refine
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_refine", counted)
+        blowup_scan(WeightFunction(kind, dim), R_GRID, dim)
+        assert len(calls) == 2
+
     def test_grid_validation(self):
         with pytest.raises(InputDomainError):
             blowup_scan(WeightFunction("a1_weight", 2), np.array([1.0, 2.0, 3.0]), 2)

@@ -167,21 +167,45 @@ class TestPanelFluctuation:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_kernel_rows_stay_within_the_row_bound(self, dim, monkeypatch):
-        # the 96 rows of the default grid reach the kernel in blocks, so
-        # that none of its temporaries exceeds the row bound
+        # the nodes of the 96 frequencies of the default grid reach the
+        # kernel in blocks, so that none of its temporaries exceeds the row
+        # bound
         from rosenau import moments
 
         sizes = []
         kernel = moments._kernel_minus_one
 
         def counted(n, s):
-            sizes.append(np.shape(s))
+            sizes.append(np.size(s))
             return kernel(n, s)
 
         monkeypatch.setattr(moments, "_kernel_minus_one", counted)
         MomentDecomposition.from_profile(gaussian_profile(dim), 1.0)
         assert len(sizes) > 1
-        assert max(rows * nodes for rows, nodes in sizes) <= quadrature._ROW_BLOCK_VALUES
+        assert max(sizes) <= quadrature._ROW_BLOCK_VALUES < sum(sizes)
+
+    def test_each_frequency_is_refined_alone(self, monkeypatch):
+        # one piece per rho, each on the panels its own frequency needs: the
+        # 96 frequencies of the n = 2 Gaussian take under 3,000 panels (one
+        # value per panel and frequency), where rows sharing the partition
+        # of the highest frequency took 96 x 78
+        panels = []
+        panel_integrals = quadrature.panel_integrals
+
+        def counted(fn, lo, hi, t=None):
+            def values(*args):
+                out = fn(*args)
+                panels.append(np.size(out) // quadrature.KRONROD_POINTS)
+                return out
+
+            return panel_integrals(values, lo, hi, t)
+
+        monkeypatch.setattr(quadrature, "panel_integrals", counted)
+        rhos = np.geomspace(1e-3, 50.0, 96)
+        values = fluctuation(gaussian_profile(2), rhos)
+        assert sum(panels) <= 3000
+        for rho, value in zip(rhos[::19], values[::19]):
+            assert fluctuation(gaussian_profile(2), [rho])[0] == pytest.approx(value, rel=1e-15, abs=0.0)
 
     def test_kernel_minus_one_has_no_cancellation(self):
         s = np.array([1e-6, 1e-3, 0.1])

@@ -168,6 +168,31 @@ class TestRadial:
         flat = integrate_radial(lambda x: np.exp(-x), lo, 0.9, rel_tol=1e-11)
         assert flat.shape == (5,)
 
+    def test_a_parameter_per_interval_matches_one_call_per_interval(self):
+        # fn(r, param at each node): intervals whose integrands differ in a
+        # number are the pieces of one refinement, each as if alone, to
+        # 1e-15 of the integral of |fn|, which is below 1: the accepted
+        # panels of a piece are summed in another order than alone, which
+        # shows where the value cancels (w = 40)
+        def fn(x, w):
+            return np.exp(-x) * np.cos(w * x) / (1.0 + x)
+
+        freqs = np.array([0.0, 0.5, 3.0, 40.0, 3.0])
+        his = np.array([0.9, 2.0, 2.0, 7.0, 5.0])
+        values = integrate_radial(fn, 0.0, his, (1.5,), rel_tol=1e-12, param=freqs)
+        assert values.shape == (5,)
+        for k in range(5):
+            alone = integrate_radial(lambda x: fn(x, freqs[k]), 0.0, his[k], (1.5,), rel_tol=1e-12)
+            assert values[k] == pytest.approx(alone, rel=1e-15, abs=1e-15)
+        # an array of parameters alone makes the pieces: one interval each
+        shared = integrate_radial(fn, 0.0, 2.0, rel_tol=1e-12, param=freqs)
+        assert shared.shape == (5,)
+        for w, value in zip(freqs, shared):
+            alone = integrate_radial(lambda x: fn(x, w), 0.0, 2.0, rel_tol=1e-12)
+            assert value == pytest.approx(alone, rel=1e-15, abs=1e-15)
+        # a scalar parameter keeps the scalar result
+        assert type(integrate_radial(fn, 0.0, 2.0, rel_tol=1e-12, param=3.0)) is float
+
     def test_unresolved_piece_is_named(self):
         fn = lambda x: np.where(x < 1.0, np.exp(-x), np.sin(1e9 * x) ** 2)  # noqa: E731
         with pytest.raises(IntegrabilityError, match=r"\[2, 6\.5\]"):
