@@ -86,7 +86,6 @@ from .growth import (
 from .hardy import (
     BlowupScan,
     QuotientTrace,
-    RadialTestFunction,
     WeightFunction,
     blowup_scan,
     capacity_family,

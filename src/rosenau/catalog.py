@@ -1,10 +1,11 @@
 """Named initial-data families used by the experiments and tests.
 
 Each entry provides the spectral profiles needed by the evolution operators
-and, where meaningful, the matching physical-space radial profile for the
-moment machinery:
+and, where meaningful, the matching physical-space radial profile
+(moments.RadialProfile) for the moment machinery and the Hardy quotients:
 
-* ``gaussian``      u1(x) = amplitude * exp(-a |x|^2), u0 = 0  (mass P != 0)
+* ``gaussian``      u1(x) = amplitude * exp(-a |x|^2), u0 = 0  (mass P != 0),
+                    whose gaussian_profile carries u' and u'' in closed form
 * ``gaussian-u0``   same Gaussian placed in u0 with u1 = 0
 * ``compact-band``  spectral indicator on r in [r_lo, r_hi] as w1
 * ``annular-bump``  physical C^2 bump supported on an annulus (vanishes
@@ -39,14 +40,28 @@ __all__ = [
 
 
 def gaussian_profile(dim: int, a: float = 1.0, amplitude: float = 1.0) -> RadialProfile:
-    """Physical radial profile amplitude * exp(-a r^2)."""
+    """Physical radial profile amplitude * exp(-a r^2), with u' and u''."""
     if a <= 0:
         raise InputDomainError("gaussian rate a must be positive")
+
+    def func(r):
+        return amplitude * np.exp(-a * np.asarray(r, dtype=float) ** 2)
+
+    def deriv(r):
+        r = np.asarray(r, dtype=float)
+        return -2.0 * a * amplitude * r * np.exp(-a * r**2)
+
+    def second_deriv(r):
+        r = np.asarray(r, dtype=float)
+        return (4.0 * a * a * r**2 - 2.0 * a) * amplitude * np.exp(-a * r**2)
+
     return RadialProfile(
-        func=lambda r: amplitude * np.exp(-a * np.asarray(r, dtype=float) ** 2),
+        func=func,
         dim=dim,
         tail=TailBound(kind="gaussian", amplitude=abs(amplitude), rate=a),
         label=f"gaussian(a={a})",
+        deriv=deriv,
+        second_deriv=second_deriv,
     )
 
 
@@ -170,7 +185,8 @@ def annular_velocity_data(
 
 
 def data_from_spec(name: str, dim: int, **kwargs) -> RadialInitialData:
-    """Catalog lookup used by the experiment runner."""
+    """Catalog lookup used by the experiment runner; every keyword must be
+    a finite number."""
     builders = {
         "gaussian": gaussian_velocity_data,
         "gaussian-u0": gaussian_position_data,
@@ -189,4 +205,6 @@ def data_from_spec(name: str, dim: int, **kwargs) -> RadialInitialData:
     for key, value in kwargs.items():
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise InputDomainError(f"data spec {name!r}: {key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise InputDomainError(f"data spec {name!r}: {key} must be finite, got {value!r}")
     return builder(dim, **kwargs)

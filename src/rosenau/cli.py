@@ -338,16 +338,15 @@ def _run_energy_conservation(config: ExperimentConfig, out: Path, checks: dict) 
 
 def _run_hardy(config: ExperimentConfig, out: Path, checks: dict) -> None:
     params = config.params
-    grid = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
-    scan = hardy_mod.blowup_scan(hardy_mod.WeightFunction("a1_weight", 2), grid, 2)
+    scan = hardy_mod.blowup_scan(hardy_mod.WeightFunction("a1_weight", 2))
     hardy_mod.write_quotient_csv(scan.trace, out / "quotient_vs_logR.csv")
     _check(checks, "a1_weight_unbounded", scan.verdict == "unbounded", scan.verdict, "unbounded")
 
-    flat = hardy_mod.blowup_scan(hardy_mod.WeightFunction("plain_abs", 3), grid, 3)
+    flat = hardy_mod.blowup_scan(hardy_mod.WeightFunction("plain_abs", 3))
     spread = float(np.max(flat.trace.quotients) / np.min(flat.trace.quotients) - 1.0)
     _check(checks, "plain_abs_3d_constant", spread <= 1e-6, spread, 1e-6)
 
-    rellich = hardy_mod.rellich_quotient(hardy_mod.gaussian_bump(), 5)
+    rellich = hardy_mod.rellich_quotient(gaussian_profile(5))
     _check(checks, "rellich_gaussian_5d", rellich <= (4.0 / 5.0) ** 2 * 1.01, rellich, 0.6464)
 
     data = _build_data(config)
@@ -618,10 +617,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "hardy":
-        grid = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
-        scan = hardy_mod.blowup_scan(
-            hardy_mod.WeightFunction(args.weight, args.dim), grid, args.dim
-        )
+        scan = hardy_mod.blowup_scan(hardy_mod.WeightFunction(args.weight, args.dim))
         args.out.mkdir(parents=True, exist_ok=True)
         hardy_mod.write_quotient_csv(scan.trace, args.out / "quotient_vs_logR.csv")
         print(

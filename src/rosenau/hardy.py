@@ -2,11 +2,13 @@
 
 A weight w admits a Hardy-type inequality ||u/w|| <= C ||grad u|| exactly
 when the Rayleigh quotient ||u/w||^2 / ||grad u||^2 stays bounded over the
-admissible class.  This module evaluates such quotients with
-quadrature.integrate_radial over the test function's finite support, cut
-at its kinks; drives them over witness families (the logarithmic capacity
-family in 2-D, dilations elsewhere), all members of a family in one call
-per integral; and renders bounded/unbounded verdicts.
+admissible class.  This module evaluates such quotients for
+moments.RadialProfile test functions, reading their derivatives, dimension
+and finite radius upper_limit() from them, with quadrature.integrate_radial
+cut at their kinks; drives them over witness families (the logarithmic
+capacity family in 2-D, dilations of catalog.gaussian_profile elsewhere),
+all members of a family in one call per integral; and renders
+bounded/unbounded verdicts.
 It also contains the corrected energy identity for the time-integrated
 solution (theta = 1, n = 2), whose left side a valid Hardy inequality would
 force to stay bounded, integrated like the norm by
@@ -16,8 +18,8 @@ bounded for n >= 5.
 Weights whose zero at the origin makes the quotient of any origin-positive
 test function an outright divergent integral (|x| in n <= 2, |x|^2 in
 n <= 4) are scanned through an exhaustion sequence: the numerator truncated
-to |x| >= 1/R for a fixed bump.  The quotient is +infinity there; the trace
-records the divergence rate.  For |x| (1 + |log |x||) in 2-D the numerator
+to |x| >= 1/R for a fixed Gaussian bump.  The quotient is +infinity there;
+the trace records the divergence rate.  For |x| (1 + |log |x||) in 2-D the numerator
 converges, but puts mass u(0)^2 / (1 + |log eps|) below every radius eps;
 that part is added in closed form below eps = 1e-12.
 """
@@ -26,14 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .artifacts import write_columns
+from .catalog import gaussian_profile
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .evolution import RadialInitialData, _check_time, cosc, propagator
 from .model import ModelParams, eval_dispersion, unit_sphere_area
+from .moments import RadialProfile
 from .norms import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -42,10 +45,11 @@ from .norms import (
     oscillatory_integrals,
 )
 from .quadrature import integrate_radial
+from .tails import TailBound
 
 __all__ = [
+    "FAMILY_GRID",
     "WeightFunction",
-    "RadialTestFunction",
     "QuotientTrace",
     "BlowupScan",
     "EnergyIdentity",
@@ -63,6 +67,9 @@ _REL_TOL = 1e-11
 # the mass u(0)^2 / (1 + |log eps|) below every eps, at radii no float
 # reaches; it is integrated from this eps and that mass added in closed form.
 _LOG_ORIGIN = 1e-12
+# The witness family parameters R of the hardy-failure preset and of
+# `rosenau hardy`: five values from e^3 to e^16
+FAMILY_GRID = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
 
 
 @dataclass(frozen=True)
@@ -109,56 +116,11 @@ class WeightFunction:
         return False
 
 
-@dataclass(frozen=True)
-class RadialTestFunction:
-    """Radial profile with derivatives, for quotient evaluation.
-
-    The profile vanishes beyond the finite radius support; kinks are radii
-    where a derivative jumps.
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    support: float
-    second_deriv: Callable[[np.ndarray], np.ndarray] | None = None
-    kinks: tuple = ()
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.support is None or not (math.isfinite(self.support) and self.support > 0):
-            raise InputDomainError(
-                f"a test function needs a finite positive support, got {self.support}"
-            )
-
-
-def gaussian_bump(scale: float = 1.0) -> RadialTestFunction:
-    """exp(-(r/scale)^2) with closed-form derivatives.
-
-    support is the effective truncation 6.8 * scale, where the squared
-    envelope has decayed to ~1e-40 of its peak.
-    """
-
-    def val(r):
-        return np.exp(-((np.asarray(r, dtype=float) / scale) ** 2))
-
-    def der(r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 * r / scale**2 * np.exp(-((r / scale) ** 2))
-
-    def der2(r):
-        r = np.asarray(r, dtype=float)
-        return (4.0 * r**2 / scale**4 - 2.0 / scale**2) * np.exp(-((r / scale) ** 2))
-
-    return RadialTestFunction(val, der, 6.8 * scale, der2, label=f"gaussian(scale={scale})")
-
-
-def capacity_family(R: float, dim: int = 2) -> RadialTestFunction:
-    """Logarithmic cutoff: 1 on [0,1], log(R/r)/log R on [1,R], 0 beyond.
+def capacity_family(R: float) -> RadialProfile:
+    """Logarithmic cutoff in the plane: 1 on [0,1], log(R/r)/log R on [1,R], 0 beyond.
 
     ||grad u_R||^2 over the plane equals 2 pi / log R exactly.
     """
-    if dim != 2:
-        raise PreconditionError("the capacity family is the 2-D witness")
     if R <= math.e:
         raise InputDomainError("need R > e")
     log_r = math.log(R)
@@ -173,40 +135,59 @@ def capacity_family(R: float, dim: int = 2) -> RadialTestFunction:
         inside = (r > 1.0) & (r < R)
         return np.where(inside, -1.0 / (np.maximum(r, 1e-300) * log_r), 0.0)
 
-    return RadialTestFunction(val, der, support=R, kinks=(1.0, R), label=f"capacity(R={R})")
+    tail = TailBound(kind="compact", cutoff=R)
+    return RadialProfile(val, 2, tail, label=f"capacity(R={R})", kinks=(1.0, R), deriv=der)
 
 
-def dilation_family(R: float, base: RadialTestFunction | None = None) -> RadialTestFunction:
-    """u_R(x) = phi(x/R) for a fixed bump phi (Gaussian by default)."""
-    if R <= 0:
-        raise InputDomainError("dilation scale must be positive")
-    phi = base if base is not None else gaussian_bump()
+def dilation_family(R: float, base: RadialProfile) -> RadialProfile:
+    """u_R(x) = phi(x/R) for the profile phi = base, in its dimension.
 
-    def val(r):
-        return phi.value(np.asarray(r, dtype=float) / R)
+    The tail bound and the kinks of phi are scaled by R: a Gaussian rate by
+    1/R^2, a compact or power cutoff by R, a power amplitude by R^power.
+    """
+    if not 0.0 < R < math.inf:
+        raise InputDomainError("dilation scale must be positive and finite")
+    tail = base.tail
 
-    def der(r):
-        return phi.deriv(np.asarray(r, dtype=float) / R) / R
+    def scaled(g, order):
+        """r -> g(r/R) / R^order: the order-th derivative of phi(r/R) when
+        g is that of phi."""
+        return None if g is None else lambda r: g(np.asarray(r, dtype=float) / R) / R**order
 
-    der2 = None
-    if phi.second_deriv is not None:
-        def der2(r):  # noqa: E306
-            return phi.second_deriv(np.asarray(r, dtype=float) / R) / R**2
-
-    return RadialTestFunction(val, der, phi.support * R, der2, label=f"dilation(R={R})")
-
-
-def _members(u) -> list:
-    """The test functions of u: u itself, or the functions of a list."""
-    return [u] if isinstance(u, RadialTestFunction) else list(u)
+    return RadialProfile(
+        scaled(base.func, 0),
+        base.dim,
+        replace(tail, rate=tail.rate / R**2, cutoff=tail.cutoff * R, amplitude=tail.amplitude * R**tail.power),
+        label=f"dilation(R={R})",
+        kinks=tuple(k * R for k in base.kinks),
+        deriv=scaled(base.deriv, 1),
+        second_deriv=scaled(base.second_deriv, 2),
+    )
 
 
-def _radial_integrals(u, profile, lo, dim: int):
-    """Integral of profile(v, r) r^(n-1) over [lo, v.support] for the test
-    function v = u, or for each v of a list u: the pieces of one
-    integrate_radial call with the function's index as parameter, cut at
-    the kinks of them all.  lo is a number or one per piece."""
-    members = _members(u)
+def _members(u, weight: WeightFunction | None = None, needs=()) -> tuple[list, int]:
+    """The profiles of u, u itself or the profiles of a list, and their one
+    dimension, which must be the weight's when one is given; each profile
+    must carry the derivatives named in needs."""
+    members = [u] if isinstance(u, RadialProfile) else list(u)
+    dims = {v.dim for v in members}
+    if len(dims) != 1:
+        raise InputDomainError(f"profiles of dimensions {sorted(dims)} in one call")
+    (dim,) = dims
+    if weight is not None and weight.dim != dim:
+        raise InputDomainError(f"a profile of dimension {dim} against a weight of dimension {weight.dim}")
+    for need in needs:
+        if any(getattr(v, need) is None for v in members):
+            raise InputDomainError(f"the quotient needs the {need} of each profile")
+    return members, dim
+
+
+def _radial_integrals(u, members, dim: int, profile, lo):
+    """Integral of profile(v, r) r^(n-1) over [lo, v.upper_limit()] for the
+    profile v = u, or for each v of the list u (whose profiles are members):
+    the pieces of one integrate_radial call with the profile's index as
+    parameter, cut at the kinks of them all.  lo is a number or one per
+    piece."""
 
     def integrand(r, member):
         out = np.empty_like(r)
@@ -215,38 +196,42 @@ def _radial_integrals(u, profile, lo, dim: int):
             out[at] = profile(v, r[at]) * r[at] ** (dim - 1)
         return out
 
-    single = isinstance(u, RadialTestFunction)
+    single = isinstance(u, RadialProfile)
     return integrate_radial(
         integrand,
         lo,
-        u.support if single else [v.support for v in members],
+        u.upper_limit() if single else [v.upper_limit() for v in members],
         sorted({k for v in members for k in v.kinks}),
         rel_tol=_REL_TOL,
         param=0.0 if single else np.arange(len(members)),
     )
 
 
-def gradient_norm_sq(u, dim: int):
-    """||grad u||^2 = omega_n integral |u'(r)|^2 r^(n-1) dr, for the test
-    function u or, from one refinement, for each of a list of them."""
-    return unit_sphere_area(dim) * _radial_integrals(u, lambda v, r: v.deriv(r) ** 2, 0.0, dim)
+def gradient_norm_sq(u):
+    """||grad u||^2 = omega_n integral |u'(r)|^2 r^(n-1) dr, for the profile
+    u or, from one refinement, for each of a list of profiles of one
+    dimension n."""
+    members, dim = _members(u, needs=("deriv",))
+    return unit_sphere_area(dim) * _radial_integrals(u, members, dim, lambda v, r: v.deriv(r) ** 2, 0.0)
 
 
-def weighted_norm_sq(u, weight: WeightFunction, dim: int, inner_cut=0.0):
+def weighted_norm_sq(u, weight: WeightFunction, inner_cut=0.0):
     """||u/w||^2, optionally truncated to r >= inner_cut (exhaustion use).
 
-    u may be a list of test functions and inner_cut one cut per piece: the
+    u may be a list of profiles and inner_cut one cut per piece: the
     integrals are then the pieces of one refinement (see _radial_integrals).
-    The closed-form mass below _LOG_ORIGIN applies to an inner_cut of 0.
+    Every profile must have the weight's dimension.  The closed-form mass
+    below _LOG_ORIGIN applies to an inner_cut of 0.
     """
+    members, dim = _members(u, weight)
     lo, origin = inner_cut, 0.0
     if weight.kind == "abs_log_weight" and dim == 2 and np.ndim(inner_cut) == 0 and inner_cut == 0.0:
         lo = _LOG_ORIGIN
-        at_zero = np.array([float(v.value(np.array([0.0]))[0]) for v in _members(u)])
+        at_zero = np.array([float(v.func(np.array([0.0]))[0]) for v in members])
         origin = at_zero**2 / (1.0 - math.log(_LOG_ORIGIN))
-        if isinstance(u, RadialTestFunction):
+        if isinstance(u, RadialProfile):
             origin = float(origin[0])
-    val = _radial_integrals(u, lambda v, r: (v.value(r) / weight.evaluate(r)) ** 2, lo, dim)
+    val = _radial_integrals(u, members, dim, lambda v, r: (v.func(r) / weight.evaluate(r)) ** 2, lo)
     return unit_sphere_area(dim) * (origin + val)
 
 
@@ -279,7 +264,7 @@ class BlowupScan:
     mechanism: str
 
 
-def blowup_scan(weight: WeightFunction, R_grid, dim: int) -> BlowupScan:
+def blowup_scan(weight: WeightFunction, R_grid=FAMILY_GRID) -> BlowupScan:
     """Drive the quotient over a witness family and classify its growth.
 
     Verdict "unbounded" when a linear fit of quotient vs log R has positive
@@ -288,7 +273,9 @@ def blowup_scan(weight: WeightFunction, R_grid, dim: int) -> BlowupScan:
     linearly in log R).  For origin-divergent combinations the quotient is
     +infinity for any origin-positive test function; the scan then reports
     the exhaustion sequence of a fixed bump with the numerator truncated to
-    |x| >= 1/R, whose growth certifies the divergence.
+    |x| >= 1/R, whose growth certifies the divergence.  The dimension is the
+    weight's; the bump, and the base of the dilations, is
+    catalog.gaussian_profile(n).
 
     Each of the two integrals takes one refinement over the whole family
     (see _radial_integrals); the exhaustion numerators are the intervals
@@ -302,16 +289,17 @@ def blowup_scan(weight: WeightFunction, R_grid, dim: int) -> BlowupScan:
     if math.log(grid[-1] / grid[0]) < 3.0:
         raise InputDomainError("family parameters must span >= 3 e-foldings")
 
+    dim = weight.dim
+    bump = gaussian_profile(dim)
     if weight.quotient_diverges_for(True):
         mechanism = "exhaustion"
-        bump = gaussian_bump()
-        grads = np.full(grid.size, gradient_norm_sq(bump, dim))
-        quotients = weighted_norm_sq(bump, weight, dim, inner_cut=1.0 / grid) / grads
+        grads = np.full(grid.size, gradient_norm_sq(bump))
+        quotients = weighted_norm_sq(bump, weight, inner_cut=1.0 / grid) / grads
     else:
         mechanism = "capacity" if dim == 2 else "dilation"
-        members = [capacity_family(R, dim) if dim == 2 else dilation_family(R) for R in grid]
-        grads = gradient_norm_sq(members, dim)
-        quotients = weighted_norm_sq(members, weight, dim) / grads
+        members = [capacity_family(R) if dim == 2 else dilation_family(R, bump) for R in grid]
+        grads = gradient_norm_sq(members)
+        quotients = weighted_norm_sq(members, weight) / grads
 
     trace = QuotientTrace(grid, quotients, grads)
     x = np.log(grid)
@@ -441,20 +429,23 @@ def energy_identity_check(
     )
 
 
-def rellich_quotient(u: RadialTestFunction, dim: int) -> float:
-    """||u/|x|^2||^2 / ||Delta u||^2 for dim >= 5 (the inequality fails below)."""
+def rellich_quotient(u: RadialProfile) -> float:
+    """||u/|x|^2||^2 / ||Delta u||^2 for a profile in dim >= 5 (the
+    inequality fails below)."""
+    dim = u.dim
     if dim < 5:
         raise PreconditionError("the Rellich quotient is evaluated for dim >= 5")
-    if u.second_deriv is None:
-        raise InputDomainError("the Rellich quotient needs a second derivative")
+    if u.deriv is None or u.second_deriv is None:
+        raise InputDomainError("the Rellich quotient needs the deriv and second_deriv of its profile")
 
     def laplacian_sq(r):
         return (u.second_deriv(r) + (dim - 1) * u.deriv(r) / r) ** 2 * r ** (dim - 1)
 
+    support = u.upper_limit()
     numerator = integrate_radial(
-        lambda r: u.value(r) ** 2 * r ** (dim - 5), 0.0, u.support, u.kinks, rel_tol=_REL_TOL
+        lambda r: u.func(r) ** 2 * r ** (dim - 5), 0.0, support, u.kinks, rel_tol=_REL_TOL
     )
-    denominator = integrate_radial(laplacian_sq, 0.0, u.support, u.kinks, rel_tol=_REL_TOL)
+    denominator = integrate_radial(laplacian_sq, 0.0, support, u.kinks, rel_tol=_REL_TOL)
     if denominator <= 0:
         raise InputDomainError("degenerate test function: ||Delta u|| = 0")
     return numerator / denominator

@@ -52,12 +52,14 @@ _MOMENT_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Physical-space radial profile u(|x|) with decay metadata.
+    """Physical-space radial profile u(|x|) on R^dim with decay metadata.
 
-    func maps radii (array) to values; tail certifies integrability.  kinks
-    are the radii where the profile or a low derivative jumps; every radial
+    func maps radii (array) to values; tail certifies integrability and sets
+    the radius upper_limit() of every integral of the profile.  kinks are
+    the radii where the profile or a low derivative jumps; every radial
     integral of the profile is cut there, since the quadrature cannot
-    resolve a jump inside a panel to its tolerance.
+    resolve a jump inside a panel to its tolerance.  deriv and second_deriv,
+    when given, are u' and u'', which the Hardy and Rellich quotients read.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -65,10 +67,14 @@ class RadialProfile:
     tail: TailBound
     label: str = ""
     kinks: tuple = ()
+    deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    second_deriv: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputDomainError("dim must be >= 1")
+        if self.tail.kind == "compact" and self.tail.cutoff == 0.0:
+            raise InputDomainError("a compact profile needs a positive radius")
 
     def upper_limit(self) -> float:
         """Certified finite truncation radius.

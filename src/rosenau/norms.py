@@ -342,7 +342,7 @@ def oscillatory_integrals(
         edges = list(np.linspace(lo, hi, _SLOW_PANELS + 1, axis=-1))
         top = 2.0 * ts[index] * np.max(eval_dispersion(params, np.stack([lo, hi])), axis=0)
         refined = _kronrod_refine(
-            integrand, edges, rel_tol, abs_tol, _RADIAL_ROUNDS, t=ts[index], phase=top, strict=True
+            integrand, edges, rel_tol, abs_tol, _RADIAL_ROUNDS, t=ts[index], phase=top
         )
         np.add.at(values, (index, k), refined[0])
     if fast:
@@ -351,7 +351,7 @@ def oscillatory_integrals(
         level = np.zeros(len(edges))
         if mean is not None:
             mean_x = _in_fast_coordinate(mean)
-            level = _kronrod_refine(mean_x, edges, rel_tol, abs_tol, _RADIAL_ROUNDS, strict=True)[0]
+            level = _kronrod_refine(mean_x, edges, rel_tol, abs_tol, _RADIAL_ROUNDS)[0]
 
         def phase(x):
             r, dr = _fast_radius(x)
@@ -366,7 +366,6 @@ def oscillatory_integrals(
             edges,
             rel_tol,
             np.maximum(abs_tol, rel_tol * np.abs(level)),
-            strict=True,
         )
         np.add.at(values, (index, k), level + osc.real)
     return values if np.ndim(t) else values[0]

@@ -1,6 +1,6 @@
 """Panel-based quadrature for integrands oscillating like sin(t f(r)).
 
-Two panel rules share one refinement engine:
+Two panel rules:
 
 * the embedded 10/21-point Gauss-Kronrod pair of QUADPACK (Piessens et al.
   1983): on each panel the 21-point Kronrod sum K21 is the result, and
@@ -15,31 +15,32 @@ Two panel rules share one refinement engine:
   and f, not to the period, so the cost does not grow with omega.  Panels
   with under a radian of phase use Clenshaw-Curtis on the same nodes.
 
-On top of them:
+One refinement engine, _refine, serves both rules.  Each round it evaluates
+every pending panel once, accepts the panels whose error estimate meets a
+width-proportional share of the tolerance or has reached rounding level
+(which, for Levin and for a K21 integrand that rounds a phase t f, includes
+the rounding of that phase), and bisects only the others.  Its one failure
+policy is IntegrabilityError: in the round that produces a non-finite
+value, and at the round cap for a piece still unresolved, with that piece's
+estimate and error estimate; it never returns a value it did not resolve.
+It takes several partitions, the pieces of one call, each with its own
+budget max(rel_tol * |piece estimate|, its abs_tol) shared out by width, so
+each piece gets what it would get alone.  The panel rule receives the piece
+label of every pending panel, so the pieces may differ in a parameter: the
+K21 rule hands the integrand one time per node, the Levin rule takes one
+frequency per panel, and a whole norm trace, every sample's pieces, is one
+refinement whose bookkeeping takes the same few numpy calls per round
+whatever the number of pieces.  The K21 refinement also takes row-valued
+integrands, m functions sharing the nodes: a panel is accepted once every
+row meets its share.  Its callers and their round caps:
 
-* ``integrate_adaptive`` (K21) and ``integrate_levin`` evaluate every
-  pending panel once per round, accept the panels whose error estimate
-  meets a width-proportional share of the requested tolerance or has
-  reached rounding level, and bisect only the others; for Levin and for
-  a K21 integrand that rounds a phase t f, rounding level includes the
-  rounding of that phase.  A non-finite value raises IntegrabilityError in
-  the round that produces it.  The one
-  refinement loop also takes several partitions, the pieces of one call,
-  each with its own budget max(rel_tol * |piece estimate|, its abs_tol)
-  shared out by width, so each piece gets what it would get alone.  The
-  panel rule receives the piece label of every pending panel, so the
-  pieces may differ in a parameter: the K21 rule hands the integrand one
-  time per node, the Levin rule takes one frequency per panel, and a whole
-  norm trace, every sample's pieces, is one refinement whose bookkeeping
-  takes the same few numpy calls per round whatever the number of pieces.
-  The K21 refinement also takes row-valued integrands, m functions sharing
-  the nodes: a panel is accepted once every row meets its share;
-* ``integrate_radial`` integrates over a finite [lo, hi] cut at given kinks
-  and once per decade, with the K21 refinement capped at 17 rounds, and
-  raises IntegrabilityError instead of returning a value it did not
-  resolve, as the capped refinements of norms.oscillatory_integrals do;
-  arrays of interval ends, or of a parameter per interval, make the
-  intervals the pieces of one refinement.
+* ``integrate_radial``, over a finite [lo, hi] cut at given kinks and once
+  per decade, 17 rounds; arrays of interval ends, or of a parameter per
+  interval, make the intervals the pieces of one refinement;
+* ``integrate_levin``, 30 rounds;
+* norms.oscillatory_integrals, through _kronrod_refine (17 rounds) and
+  integrate_levin, and wellposed, through _kronrod_refine (30 rounds) on
+  its fixed geometric partition.
 
 The rule for callers: a smooth radial integrand goes through
 ``integrate_radial``, with its jumps passed as kinks; an integrand that
@@ -93,7 +94,6 @@ __all__ = [
     "GL_ORDER",
     "KRONROD_POINTS",
     "panel_integrals",
-    "integrate_adaptive",
     "integrate_radial",
     "LEVIN_POINTS",
     "integrate_levin",
@@ -142,7 +142,8 @@ _WG_HALF = np.array([
 ])
 
 KRONROD_POINTS = 21
-# bisection rounds before pending panels keep their last value and error
+# bisection rounds of integrate_levin and wellposed before an unresolved
+# piece raises
 _MAX_ROUNDS = 30
 # An error below this share of a panel's scale is rounding level: bisection
 # cannot lower it.  The scale is |K21| for the Gauss-Kronrod pair and h max|g|
@@ -245,7 +246,7 @@ def _piece_sums(x: np.ndarray, piece: np.ndarray, n_pieces: int) -> np.ndarray:
     return sums
 
 
-def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, strict: bool = False):
+def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     """Bisect the panels of one or more partitions until each meets its share
     of its piece's budget.
 
@@ -261,13 +262,14 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, strict: bool
     proportional to the panel's width within the piece, or below its floor
     (the rounding level of the rule); a panel is accepted once every row
     meets its share, and bisected for the next round otherwise.  After
-    max_rounds bisections the pending panels keep their last value and
-    error, unless strict: then a piece whose failing panels carry more error
-    than its budget raises IntegrabilityError.  Returns (value, error), each
-    of shape (pieces,) or (m, pieces) and summed per piece in left-to-right
-    order over the accepted panels.  Each round takes the same few numpy
-    calls whatever the number of pieces, and a single piece is refined as
-    if it were alone.
+    max_rounds bisections a piece whose failing panels carry more error than
+    its budget raises IntegrabilityError, which names the piece, its
+    estimate and its error estimate (the accepted and failing panels'
+    errors summed).  Returns (value, error), each of shape (pieces,) or
+    (m, pieces) and summed per piece in left-to-right order over the
+    accepted panels.  Each round takes the same few numpy calls whatever
+    the number of pieces, and a single piece is refined as if it were
+    alone.
     """
     pieces = [np.asarray(edges, dtype=float) for edges in pieces]
     malformed = InputDomainError("edges must be strictly increasing with >= 2 entries")
@@ -288,6 +290,7 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, strict: bool
     acc_val: list[np.ndarray] = []
     acc_err: list[np.ndarray] = []
     acc_sum = None
+    failed = np.empty(0, dtype=int)
 
     for depth in range(max_rounds + 1):
         val, err, floor = rule(pend_lo, pend_hi, pend_piece)
@@ -305,10 +308,7 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, strict: bool
         ok = met.all(axis=0) if met.ndim > 1 else met
         if depth == max_rounds:
             unresolved = _piece_sums(err[..., ~ok], pend_piece[~ok], n_pieces) > budget
-            failed = np.flatnonzero(unresolved.reshape(-1, n_pieces).any(axis=0))
-            if strict and failed.size:
-                lo, hi = pieces[failed[0]][[0, -1]]
-                raise IntegrabilityError(f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {depth} rounds")
+            failed = np.argwhere(unresolved.reshape(-1, n_pieces).T)
             ok[:] = True
 
         accepted = val.compress(ok, axis=-1)
@@ -334,11 +334,20 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int, strict: bool
     order = np.lexsort((np.concatenate(acc_lo), piece))
     value = _piece_sums(np.concatenate(acc_val, axis=-1)[..., order], piece[order], n_pieces)
     error = _piece_sums(np.concatenate(acc_err, axis=-1)[..., order], piece[order], n_pieces)
+    if failed.size:
+        # the first unresolved piece, and its first unresolved row
+        index, row = failed[0]
+        lo, hi = pieces[index][[0, -1]]
+        raise IntegrabilityError(
+            f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {max_rounds} rounds: "
+            f"estimate {value.reshape(-1, n_pieces)[row, index]:.17g} "
+            f"with error {error.reshape(-1, n_pieces)[row, index]:.17g}"
+        )
     return value, error
 
 
 def _kronrod_refine(
-    fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, phase=None, strict=False
+    fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, phase=None
 ):
     """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
 
@@ -359,29 +368,7 @@ def _kronrod_refine(
         val, err = panel_integrals(fn, lo, hi, None if t is None else t[piece])
         return val, err, rounding[piece] * np.abs(val)
 
-    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds, strict)
-
-
-def integrate_adaptive(
-    fn,
-    edges: np.ndarray,
-    rel_tol: float,
-    abs_tol: float = 0.0,
-    max_rounds: int = _MAX_ROUNDS,
-) -> tuple[float, float]:
-    """Integrate fn over the partition, bisecting only the panels that fail.
-
-    Each round evaluates every pending panel once with the G10/K21 pair and
-    bisects the panels whose |K21 - G10| misses its width share of the
-    budget max(rel_tol * |estimate|, abs_tol) and exceeds the rounding level
-    64 eps |K21| of the panel.  After max_rounds bisections
-    the panels still pending keep their last K21 value and |K21 - G10| error.
-    Returns (value, error_estimate), the estimate being the sum of the
-    accepted panels' errors.  Raises IntegrabilityError in the first round
-    that produces a non-finite value or error.
-    """
-    value, error = _kronrod_refine(fn, [edges], rel_tol, abs_tol, max_rounds)
-    return float(value[0]), float(error[0])
+    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -413,8 +400,8 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     fn maps a flat array of radii to values, or to an (m, nodes) array for m
     integrands; the result is then a float, or an (m,) array.  The
     partition is cut at the kinks and once per decade (see _radial_edges)
-    and refined as in integrate_adaptive for at most _RADIAL_ROUNDS rounds,
-    a panel being accepted once every row meets its share of rel_tol.
+    and refined by _kronrod_refine for at most _RADIAL_ROUNDS rounds, a
+    panel being accepted once every row meets its share of rel_tol.
     lo and hi may also be arrays, broadcast against each other: the
     intervals are then the pieces of one refinement, each with its own
     budget and so refined as if alone, and the result has one entry per
@@ -425,7 +412,7 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     in a number (a frequency, a family member) are one refinement too.
     Raises IntegrabilityError when the panels still failing after the last
     round carry more error than rel_tol times a row's |value|, or on a
-    non-finite value.
+    non-finite value (see _refine).
     """
     ends = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, param) if v is not None))
     intervals = list(zip(*(v.ravel().tolist() for v in ends[:2])))
@@ -433,7 +420,7 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     edges = {ab: _radial_edges(*ab, kinks) for ab in dict.fromkeys(intervals)}
     pieces = [edges[ab] for ab in intervals]
     t = None if param is None else ends[2].ravel()
-    value, _ = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS, t=t, strict=True)
+    value, _ = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS, t=t)
     if np.ndim(lo) or np.ndim(hi) or np.ndim(param):
         return value
     value = value[..., 0]
@@ -577,24 +564,22 @@ def integrate_levin(
     edges,
     rel_tol: float,
     abs_tol=0.0,
-    *,
-    strict: bool = False,
 ):
     """Integral of g(r) e^(i omega f(r)) over the partition by Levin collocation.
 
     g may be complex; f and fprime are the real phase and its derivative,
     which must not vanish on the partition; fprime may be None when f
     returns the pair (phase, derivative) from one evaluation.  Panels are
-    refined as in integrate_adaptive with its default round limit, with
-    |I17 - I9| as the error estimate and 64 eps h max|g| as the rounding
+    refined by _refine for at most _MAX_ROUNDS rounds, with |I17 - I9|
+    (plus the Chebyshev tail bounds of _levin_panels) as the error estimate and 64 eps h max|g| as the rounding
     level of a panel of half-width h, raised to the rounding of the phase
     omega f where that is larger.  Returns (complex value, error estimate).
     edges may also be a list of partitions, the pieces of one refinement,
     each held to its own budget: omega and abs_tol are then a number or one
     per piece, and the result a pair of arrays, the complex values and the
     error estimates per piece.  Raises IntegrabilityError on non-finite
-    values and singular panels, and, when strict, on a piece still
-    unresolved after the last round.
+    values and singular panels, and on a piece still unresolved after the
+    last round.
     """
     pieces = edges if isinstance(edges, list) else [edges]
     omegas = np.broadcast_to(np.asarray(omega, dtype=float), (len(pieces),))
@@ -602,7 +587,7 @@ def integrate_levin(
     def rule(lo, hi, piece):
         return _levin_panels(g, f, fprime, omegas[piece], lo, hi)
 
-    value, error = _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS, strict)
+    value, error = _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS)
     if isinstance(edges, list):
         return value, error
     return complex(value[0]), float(error[0])

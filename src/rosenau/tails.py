@@ -33,6 +33,8 @@ class TailBound:
             raise InputDomainError("gaussian tail needs a positive rate")
         if self.kind == "power" and (self.power <= 0 or self.cutoff <= 0):
             raise InputDomainError("power tail needs positive power and cutoff")
+        if self.kind == "compact" and not (self.cutoff is not None and 0.0 <= self.cutoff < math.inf):
+            raise InputDomainError(f"compact tail needs a finite cutoff >= 0, got {self.cutoff}")
 
     @property
     def vanishes(self) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import write_columns
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .model import ModelParams, unit_sphere_area
-from .quadrature import integrate_adaptive
+from .quadrature import _kronrod_refine
 
 __all__ = [
     "MultiplierScan",
@@ -35,6 +35,11 @@ __all__ = [
     "dissipativity_residual",
     "write_multiplier_csv",
 ]
+
+# The spectral integrals' partition: [0, 1e-6], then 256 geometric panels up
+# to 40.  Unlike integrate_radial's per-decade start, it catches an
+# undeclared narrow shell such as exp(-2e4 (r - 2.7)^2).
+_EDGES = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 257)])
 
 
 def h_weighted_symbol(params: ModelParams, r):
@@ -114,9 +119,7 @@ def h_ratio_scan(params: ModelParams, r_grid=None) -> MultiplierScan:
     )
 
 
-def sobolev_equivalence_check(
-    params: ModelParams, u_hat, dim: int, r_max: float = 40.0
-) -> tuple[float, float, float]:
+def sobolev_equivalence_check(params: ModelParams, u_hat, dim: int) -> tuple[float, float, float]:
     """Two-sided norm equivalence through the multiplier, on one profile.
 
     Returns (lhs, rhs_low, rhs_high) where lhs is the h-weighted spectral
@@ -138,11 +141,8 @@ def sobolev_equivalence_check(
         vals = np.abs(np.asarray(u_hat(r))) ** 2
         return (1.0 + r ** (2.0 * (4.0 - params.theta))) * vals * r ** (dim - 1)
 
-    edges = np.concatenate([[0.0], np.geomspace(1e-6, r_max, 257)])
-    lhs, _ = integrate_adaptive(lhs_density, edges, 1e-10)
-    base, _ = integrate_adaptive(base_density, edges, 1e-10)
-    lhs *= area
-    base *= area
+    lhs = area * float(_kronrod_refine(lhs_density, [_EDGES], 1e-10)[0][0])
+    base = area * float(_kronrod_refine(base_density, [_EDGES], 1e-10)[0][0])
     rhs_low = scan.m_lower * base
     rhs_high = scan.m_upper * base
     tol = 1e-9 * max(abs(lhs), abs(base))
@@ -153,7 +153,7 @@ def sobolev_equivalence_check(
     return float(lhs), float(rhs_low), float(rhs_high)
 
 
-def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int, r_max: float = 40.0) -> float:
+def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int) -> float:
     """Re[(v, u)_{H2} - (p u, v)_{H theta}] evaluated spectrally; vanishes identically.
 
     The integrand reduces to (1 + kappa r^2 + mu r^4)(v u* - u v*), which is
@@ -170,9 +170,7 @@ def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int, r_max: f
         skew = v * np.conj(u) - u * np.conj(v)
         return weight * skew.real * r ** (dim - 1)
 
-    edges = np.concatenate([[0.0], np.geomspace(1e-6, r_max, 257)])
-    val, _ = integrate_adaptive(residual_density, edges, 1e-9, abs_tol=1e-14)
-    return float(area * val)
+    return area * float(_kronrod_refine(residual_density, [_EDGES], 1e-9, abs_tol=1e-14)[0][0])
 
 
 def write_multiplier_csv(scan: MultiplierScan, path) -> None:

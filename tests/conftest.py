@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rosenau.model import dispersion_derivatives
+from rosenau.quadrature import _kronrod_refine
 
 from rosenau import (
     ModelParams,
@@ -19,6 +20,14 @@ from rosenau import (
 )
 
 EXACT = QuadratureConfig()
+
+
+def k21_refine(fn, edges, rel_tol, abs_tol=0.0, max_rounds=30):
+    """(value, error) of the K21 refinement of fn on one partition, as
+    floats: the reference refinement of the oracles below, raising
+    IntegrabilityError when it does not resolve fn within max_rounds."""
+    value, error = _kronrod_refine(fn, [edges], rel_tol, abs_tol, max_rounds)
+    return float(value[0]), float(error[0])
 
 
 def phase_edges(params, t, lo, hi):

@@ -22,7 +22,7 @@ from rosenau import (
 from rosenau.bounds import log_band_main_term, write_envelope_json
 from rosenau.moments import l2_norm_sq
 
-from conftest import phase_edges
+from conftest import k21_refine, phase_edges
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -80,8 +80,6 @@ class TestFluctuationRemainder:
 def k0_by_quadrature(params, gamma):
     """K0 from its defining integral by the K21 refinement on [0, 12]: an
     oracle independent of the Gamma-function closed form."""
-    from rosenau.quadrature import integrate_adaptive
-
     de, ka, th = params.delta, params.kappa, params.theta
 
     def integrand(r):
@@ -91,7 +89,7 @@ def k0_by_quadrature(params, gamma):
             + de * r ** (2.0 * (gamma + th) + 1.0) / (ka * (gamma + th))
         )
 
-    return integrate_adaptive(integrand, np.linspace(0.0, 12.0, 65), 1e-12)[0]
+    return k21_refine(integrand, np.linspace(0.0, 12.0, 65), 1e-12)[0]
 
 
 class TestGaussianWeightConstant:
@@ -110,8 +108,6 @@ class TestGaussianWeightConstant:
 
     def test_dominates_weighted_moment_integral(self):
         # U(t)/omega_2 never exceeds K0, and contains no t to begin with
-        from rosenau.quadrature import integrate_adaptive
-
         gamma = 1.0
         k0 = weighted_gaussian_constant(P2, gamma)
 
@@ -124,7 +120,7 @@ class TestGaussianWeightConstant:
                 / (P2.mu * r**4 + P2.kappa * r**2)
             )
 
-        val, _ = integrate_adaptive(integrand, np.geomspace(1e-8, 12.0, 129), 1e-10)
+        val, _ = k21_refine(integrand, np.geomspace(1e-8, 12.0, 129), 1e-10)
         assert val <= k0
 
 
@@ -171,12 +167,11 @@ class TestTailTermOscillatoryPath:
         # the whole interval on one phase-resolved partition, as before the
         # fast segment moved to Levin collocation
         from rosenau.model import epsilon0, eval_dispersion
-        from rosenau.quadrature import integrate_adaptive
 
         t = 1e5
         eps = epsilon0(P2)
         edges = phase_edges(P2, 2 * t, 1 / t, eps)
-        reference, _ = integrate_adaptive(
+        reference, _ = k21_refine(
             lambda r: (np.exp(-(r**2)) * np.cos(2 * t * eval_dispersion(P2, r))
                        * (1 + r**4) / (r**3 + r)),
             edges, 1e-9, abs_tol=1e-12,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,28 @@ class TestRunners:
         assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ("{name: compact-band, r_lo: 0.5, r_hi: .inf}", "r_hi"),
+            ("{name: compact-band, r_lo: -.inf, r_hi: 1.0}", "r_lo"),
+            ("{name: annular-bump, r0: .inf}", "r0"),
+            ("{name: annular-bump, width: .nan}", "width"),
+            ("{name: gaussian, amplitude: .inf}", "amplitude"),
+        ],
+    )
+    def test_cli_run_rejects_non_finite_data_keywords(self, capsys, tmp_path, data, key):
+        # a RuntimeWarning from the non-finite value would fail the run
+        # under -W error::RuntimeWarning before any check could reject it
+        cfg_path = tmp_path / "inf.yaml"
+        cfg_path.write_text(f"preset: prop-4-1\ndata: {data}\noutput_dir: {tmp_path / 'out'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"{key} must be finite" in err
 
     def test_cli_run_rejects_missing_config_file(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2

@@ -10,18 +10,21 @@ from rosenau import (
     InvariantViolation,
     ModelParams,
     PreconditionError,
+    RadialProfile,
+    TailBound,
     WeightFunction,
     blowup_scan,
     capacity_family,
     dilation_family,
     energy_identity_check,
+    gaussian_profile,
     gaussian_velocity_data,
     rellich_quotient,
 )
 from rosenau.evolution import cosc, propagator
 from rosenau.hardy import (
+    FAMILY_GRID,
     QuotientTrace,
-    gaussian_bump,
     gradient_norm_sq,
     weighted_norm_sq,
     write_quotient_csv,
@@ -30,9 +33,14 @@ from rosenau.hardy import (
 R_GRID = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
 
 
-def rayleigh_quotient(u, weight, dim):
+def rayleigh_quotient(u, weight):
     """||u/w||^2 / ||grad u||^2, from the two radial integrals blowup_scan divides."""
-    return weighted_norm_sq(u, weight, dim) / gradient_norm_sq(u, dim)
+    return weighted_norm_sq(u, weight) / gradient_norm_sq(u)
+
+
+def compact(func, support, deriv=None, dim=1):
+    """A profile on [0, support] with the given derivative."""
+    return RadialProfile(func, dim, TailBound(kind="compact", cutoff=support), deriv=deriv)
 
 
 class TestWeights:
@@ -55,66 +63,120 @@ class TestWeights:
 class TestCapacityFamily:
     def test_gradient_norm_closed_form(self):
         for log_r in (5.0, 10.0):
-            u = capacity_family(math.exp(log_r), 2)
-            assert gradient_norm_sq(u, 2) == pytest.approx(
+            u = capacity_family(math.exp(log_r))
+            assert gradient_norm_sq(u) == pytest.approx(
                 2 * math.pi / log_r, rel=1e-8
             )
 
     def test_plateau_and_support(self):
         R = math.exp(5.0)
-        u = capacity_family(R, 2)
-        assert float(u.value(np.array([1.0]))[0]) == 1.0
-        assert float(u.value(np.array([R]))[0]) == 0.0
-        assert float(u.value(np.array([0.5]))[0]) == 1.0
+        u = capacity_family(R)
+        assert float(u.func(np.array([1.0]))[0]) == 1.0
+        assert float(u.func(np.array([R]))[0]) == 0.0
+        assert float(u.func(np.array([0.5]))[0]) == 1.0
+        assert u.dim == 2 and u.upper_limit() == R
 
     def test_needs_large_parameter(self):
         with pytest.raises(InputDomainError):
-            capacity_family(2.0, 2)
+            capacity_family(2.0)
 
     def test_numerator_floor_from_unit_disk(self):
         # u = 1 on the unit disk bounds the weighted norm from below, R-free
-        from rosenau.hardy import weighted_norm_sq
-
         w = WeightFunction("a1_weight", 2)
         floor = None
         for R in (math.e**4, math.e**8):
-            u = capacity_family(R, 2)
-            val = weighted_norm_sq(u, w, 2)
-            disk = weighted_norm_sq(capacity_family(math.e**4, 2), w, 2)
+            u = capacity_family(R)
+            val = weighted_norm_sq(u, w)
+            disk = weighted_norm_sq(capacity_family(math.e**4), w)
             if floor is None:
                 floor = disk
             assert val >= 0.5  # unit-disk mass alone is about 0.8
         assert floor > 0
 
 
+class TestProfiles:
+    """The quotients read the dimension, the radius and the derivatives
+    from moments.RadialProfile."""
+
+    @pytest.mark.parametrize("R", [0.7, 3.0, 10.0])
+    def test_dilated_capacity_keeps_its_gradient_norm(self, R):
+        # ||grad u||^2 is dilation-invariant in the plane; the dilation
+        # carries the kinks 1 and e^3 to R and R e^3, and with them the cuts
+        u = dilation_family(R, capacity_family(math.e**3))
+        assert u.kinks == (R, R * math.e**3)
+        assert u.upper_limit() == R * math.e**3
+        assert gradient_norm_sq(u) == pytest.approx(2.0 * math.pi / 3.0, rel=1e-10)
+
+    def test_dilation_scales_a_gaussian_radius(self):
+        base = gaussian_profile(3)
+        u = dilation_family(4.0, base)
+        assert u.dim == 3
+        assert u.upper_limit() == pytest.approx(4.0 * base.upper_limit(), rel=1e-15)
+        r = np.linspace(0.0, 30.0, 7)
+        np.testing.assert_array_equal(u.func(r), base.func(r / 4.0))
+        np.testing.assert_array_equal(u.second_deriv(r), base.second_deriv(r / 4.0) / 16.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])
+    def test_gaussian_derivatives_match_the_bump_closed_forms(self, scale):
+        # exp(-(r/s)^2), -2 r/s^2 exp(-(r/s)^2) and (4 r^2/s^4 - 2/s^2) exp(-(r/s)^2)
+        u = gaussian_profile(2, a=scale**-2)
+        r = np.linspace(0.0, 7.0 * scale, 57)
+        envelope = np.exp(-((r / scale) ** 2))
+        tol = {"rtol": 0.0 if scale == 1.0 else 1e-14, "atol": 0.0}
+        np.testing.assert_allclose(u.func(r), envelope, **tol)
+        np.testing.assert_allclose(u.deriv(r), -2.0 * r / scale**2 * envelope, **tol)
+        np.testing.assert_allclose(
+            u.second_deriv(r), (4.0 * r**2 / scale**4 - 2.0 / scale**2) * envelope, **tol
+        )
+
+    def test_a_profile_and_a_weight_of_different_dimensions_raise(self):
+        with pytest.raises(InputDomainError, match="dimension 3 against a weight of dimension 2"):
+            weighted_norm_sq(gaussian_profile(3), WeightFunction("plain_abs", 2))
+        with pytest.raises(InputDomainError, match="dimension"):
+            weighted_norm_sq([capacity_family(math.e**4), gaussian_profile(3)], WeightFunction("a1_weight", 2))
+        with pytest.raises(InputDomainError, match="dimensions"):
+            gradient_norm_sq([capacity_family(math.e**4), gaussian_profile(3)])
+
+    def test_quotients_need_the_derivatives(self):
+        bare = compact(np.exp, 1.0)
+        with pytest.raises(InputDomainError, match="deriv"):
+            gradient_norm_sq(bare)
+        no_second = RadialProfile(np.exp, 5, TailBound(kind="compact", cutoff=1.0), deriv=np.exp)
+        with pytest.raises(InputDomainError, match="second_deriv"):
+            rellich_quotient(no_second)
+
+    def test_a_profile_without_a_finite_radius_raises(self):
+        slow = RadialProfile(
+            np.exp, 2, TailBound(kind="power", amplitude=1.0, power=3.0, cutoff=1.0), deriv=np.exp
+        )
+        with pytest.raises(IntegrabilityError, match="finite radius"):
+            gradient_norm_sq(slow)
+
+    def test_the_scan_defaults_to_the_family_grid(self):
+        np.testing.assert_array_equal(FAMILY_GRID, R_GRID)
+        weight = WeightFunction("a1_weight", 2)
+        assert blowup_scan(weight).trace.quotients.tolist() == blowup_scan(weight, R_GRID).trace.quotients.tolist()
+
+
 class TestRayleighQuotient:
     def test_hardy_constant_3d(self):
         # classical constant (2/(n-2))^2 = 4 in three dimensions
-        q = rayleigh_quotient(gaussian_bump(), WeightFunction("plain_abs", 3), 3)
+        q = rayleigh_quotient(gaussian_profile(3), WeightFunction("plain_abs", 3))
         assert q <= 4.0
 
     def test_scale_invariance_of_quotient(self):
         w = WeightFunction("a1_weight", 2)
-        u = capacity_family(math.e**6, 2)
-        base = rayleigh_quotient(u, w, 2)
+        u = capacity_family(math.e**6)
+        base = rayleigh_quotient(u, w)
         # scaling u by a constant changes nothing
-        from rosenau.hardy import RadialTestFunction
-
-        scaled = RadialTestFunction(
-            value=lambda r: 5.0 * u.value(r),
-            deriv=lambda r: 5.0 * u.deriv(r),
-            support=u.support,
-            kinks=u.kinks,
-        )
-        assert rayleigh_quotient(scaled, w, 2) == pytest.approx(base, rel=1e-9)
+        scaled = replace(u, func=lambda r: 5.0 * u.func(r), deriv=lambda r: 5.0 * u.deriv(r))
+        assert rayleigh_quotient(scaled, w) == pytest.approx(base, rel=1e-9)
 
     def test_capacity_quotient_grows(self):
         w = WeightFunction("a1_weight", 2)
-        q = rayleigh_quotient(capacity_family(math.e**10, 2), w, 2)
+        q = rayleigh_quotient(capacity_family(math.e**10), w)
         # numerator retains at least the unit-disk floor; denominator is 2 pi / 10
-        from rosenau.hardy import weighted_norm_sq
-
-        floor = weighted_norm_sq(capacity_family(math.e**10, 2), w, 2)
+        floor = weighted_norm_sq(capacity_family(math.e**10), w)
         assert q >= 0.1 * floor * (10.0 / (2 * math.pi))
 
     def test_divergent_numerator_rejected(self):
@@ -123,63 +185,49 @@ class TestRayleighQuotient:
         weight = WeightFunction("plain_abs", 1)
         assert weight.quotient_diverges_for(True)
         with pytest.raises(IntegrabilityError):
-            rayleigh_quotient(gaussian_bump(), weight, 1)
+            rayleigh_quotient(gaussian_profile(1), weight)
 
     def test_degenerate_gradient_rejected(self):
-        from rosenau.hardy import RadialTestFunction
-
-        flat = RadialTestFunction(
-            value=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            support=1.0,
+        flat = compact(
+            lambda r: np.ones_like(np.asarray(r, dtype=float)),
+            1.0,
+            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         )
-        grad = gradient_norm_sq(flat, 1)
+        grad = gradient_norm_sq(flat)
         assert grad == 0.0
         with pytest.raises(InvariantViolation):
             QuotientTrace(np.array([1.0]), np.array([1.0]), np.array([grad]))
 
     def test_truncated_numerator_checks_convergence(self):
-        from rosenau.hardy import RadialTestFunction, weighted_norm_sq
-
         # 1e7 r oscillates far faster than the bounded bisection resolves
-        fast = RadialTestFunction(
-            value=lambda r: np.sin(1e7 * np.asarray(r, dtype=float))
-            * np.exp(-np.asarray(r, dtype=float) ** 2),
-            deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            support=6.8,
+        fast = compact(
+            lambda r: np.sin(1e7 * np.asarray(r, dtype=float)) * np.exp(-np.asarray(r, dtype=float) ** 2),
+            6.8,
         )
         with pytest.raises(IntegrabilityError):
-            weighted_norm_sq(fast, WeightFunction("constant_one", 1), 1, inner_cut=0.5)
+            weighted_norm_sq(fast, WeightFunction("constant_one", 1), inner_cut=0.5)
 
     def test_truncated_oscillatory_numerator_is_accurate(self):
-        from rosenau.hardy import RadialTestFunction, weighted_norm_sq
-
-        fast = RadialTestFunction(
-            value=lambda r: np.sin(1e5 * np.asarray(r, dtype=float))
-            * np.exp(-np.asarray(r, dtype=float) ** 2),
-            deriv=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            support=6.8,
+        fast = compact(
+            lambda r: np.sin(1e5 * np.asarray(r, dtype=float)) * np.exp(-np.asarray(r, dtype=float) ** 2),
+            6.8,
         )
         # 2 int_0.5^6.8 sin^2(1e5 r) e^(-2 r^2) dr, by mpmath at 40 digits: the
         # erf closed form of the mean minus the integration-by-parts series of
         # the cos(2e5 r) part
         exact = 0.19884498115569296
-        val = weighted_norm_sq(fast, WeightFunction("constant_one", 1), 1, inner_cut=0.5)
+        val = weighted_norm_sq(fast, WeightFunction("constant_one", 1), inner_cut=0.5)
         assert val == pytest.approx(exact, rel=1e-11)
 
     def test_log_weight_numerator_near_the_origin(self):
-        from rosenau.hardy import weighted_norm_sq
-
         # 2 pi (1 + int_0^3 ((3 - s)/3)^2 / (1 + s)^2 ds) with s = log r, by mpmath
-        val = weighted_norm_sq(capacity_family(math.e**3, 2), WeightFunction("abs_log_weight", 2), 2)
+        val = weighted_norm_sq(capacity_family(math.e**3), WeightFunction("abs_log_weight", 2))
         assert val == pytest.approx(9.01263249806609, rel=1e-10)
 
     @pytest.mark.parametrize("support", [None, math.inf, 0.0])
     def test_support_must_be_finite(self, support):
-        from rosenau.hardy import RadialTestFunction
-
         with pytest.raises(InputDomainError):
-            RadialTestFunction(value=np.exp, deriv=np.exp, support=support)
+            compact(np.exp, support, np.exp)
 
 
 class TestBlowupScan:
@@ -194,24 +242,24 @@ class TestBlowupScan:
         ],
     )
     def test_unbounded_verdicts(self, kind, dim):
-        scan = blowup_scan(WeightFunction(kind, dim), R_GRID, dim)
+        scan = blowup_scan(WeightFunction(kind, dim), R_GRID)
         assert scan.verdict == "unbounded"
 
     def test_a1_linear_in_log_parameter(self):
-        scan = blowup_scan(WeightFunction("a1_weight", 2), R_GRID, 2)
+        scan = blowup_scan(WeightFunction("a1_weight", 2), R_GRID)
         assert scan.slope > 0
         assert scan.r_squared >= 0.95
 
     def test_poincare_failure_rate_1d(self):
         # dilation quotient for the constant weight scales like R^2
-        scan = blowup_scan(WeightFunction("constant_one", 1), R_GRID, 1)
+        scan = blowup_scan(WeightFunction("constant_one", 1), R_GRID)
         q = scan.trace.quotients
         growth = q[-1] / q[0]
         expected = (R_GRID[-1] / R_GRID[0]) ** 2
         assert growth == pytest.approx(expected, rel=1e-6)
 
     def test_plain_abs_bounded_3d_exactly_constant(self):
-        scan = blowup_scan(WeightFunction("plain_abs", 3), R_GRID, 3)
+        scan = blowup_scan(WeightFunction("plain_abs", 3), R_GRID)
         assert scan.verdict == "bounded"
         q = scan.trace.quotients
         assert np.max(q) / np.min(q) - 1.0 <= 1e-9
@@ -229,16 +277,17 @@ class TestBlowupScan:
         # the five members' integrals as the pieces of one refinement give
         # what each member's own integrals give
         weight = WeightFunction(kind, dim)
-        scan = blowup_scan(weight, R_GRID, dim)
+        scan = blowup_scan(weight, R_GRID)
         assert scan.mechanism == mechanism
+        bump = gaussian_profile(dim)
         for R, q, grad in zip(R_GRID, scan.trace.quotients, scan.trace.gradient_norms_sq):
             if mechanism == "exhaustion":
-                alone = gradient_norm_sq(gaussian_bump(), dim)
-                numerator = weighted_norm_sq(gaussian_bump(), weight, dim, inner_cut=1.0 / R)
+                alone = gradient_norm_sq(bump)
+                numerator = weighted_norm_sq(bump, weight, inner_cut=1.0 / R)
             else:
-                u = capacity_family(R, dim) if dim == 2 else dilation_family(R)
-                alone = gradient_norm_sq(u, dim)
-                numerator = weighted_norm_sq(u, weight, dim)
+                u = capacity_family(R) if dim == 2 else dilation_family(R, bump)
+                alone = gradient_norm_sq(u)
+                numerator = weighted_norm_sq(u, weight)
             assert grad == pytest.approx(alone, rel=1e-12)
             assert q == pytest.approx(numerator / alone, rel=1e-12)
 
@@ -256,19 +305,17 @@ class TestBlowupScan:
             return refine(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "_refine", counted)
-        blowup_scan(WeightFunction(kind, dim), R_GRID, dim)
+        blowup_scan(WeightFunction(kind, dim), R_GRID)
         assert len(calls) == 2
 
     def test_grid_validation(self):
         with pytest.raises(InputDomainError):
-            blowup_scan(WeightFunction("a1_weight", 2), np.array([1.0, 2.0, 3.0]), 2)
+            blowup_scan(WeightFunction("a1_weight", 2), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(InputDomainError):
-            blowup_scan(
-                WeightFunction("a1_weight", 2), np.array([5.0, 4.0, 6.0, 7.0, 8.0]), 2
-            )
+            blowup_scan(WeightFunction("a1_weight", 2), np.array([5.0, 4.0, 6.0, 7.0, 8.0]))
 
     def test_quotient_csv(self, tmp_path):
-        scan = blowup_scan(WeightFunction("a1_weight", 2), R_GRID, 2)
+        scan = blowup_scan(WeightFunction("a1_weight", 2), R_GRID)
         path = tmp_path / "quotients.csv"
         write_quotient_csv(scan.trace, path)
         lines = path.read_bytes().split(b"\r\n")
@@ -362,13 +409,13 @@ class TestEnergyIdentity:
 
 class TestRellich:
     def test_gaussian_under_classical_constant(self):
-        q = rellich_quotient(gaussian_bump(), 5)
+        q = rellich_quotient(gaussian_profile(5))
         assert q <= (4.0 / 5.0) ** 2 * 1.01
 
     def test_scale_invariance(self):
-        vals = [rellich_quotient(dilation_family(R), 5) for R in (1.0, 4.0, 16.0)]
+        vals = [rellich_quotient(dilation_family(R, gaussian_profile(5))) for R in (1.0, 4.0, 16.0)]
         assert max(vals) / min(vals) - 1.0 <= 1e-12
 
     def test_low_dimension_rejected(self):
         with pytest.raises(PreconditionError):
-            rellich_quotient(gaussian_bump(), 4)
+            rellich_quotient(gaussian_profile(4))

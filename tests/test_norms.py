@@ -34,10 +34,10 @@ from rosenau.norms import (
     _stationary_points,
     oscillation_segments,
 )
-from rosenau.quadrature import integrate_adaptive, integrate_levin, panel_integrals
+from rosenau.quadrature import integrate_levin, panel_integrals
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
 
-from conftest import phase_edges
+from conftest import k21_refine, phase_edges
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -345,7 +345,7 @@ class TestOscillatoryPath:
             cfg = DEFAULT_QUADRATURE
             r_max = _resolve_r_max(params, data, t, cfg)
             edges = phase_edges(params, t, 0.0, r_max)
-            reference = _physical_scale(dim) * integrate_adaptive(
+            reference = _physical_scale(dim) * k21_refine(
                 lambda r: _amplitude_sq(params, data)(r, t), edges, 0.5 * cfg.rel_tol
             )[0]
         assert value == pytest.approx(reference, rel=1e-10)
@@ -460,7 +460,7 @@ class TestOscillatoryPath:
         cfg = DEFAULT_QUADRATURE
         integrand = lambda r: _amplitude_sq(params, data)(r, t)  # noqa: E731
         reference = _physical_scale(dim) * sum(
-            integrate_adaptive(integrand, phase_edges(params, t, lo, hi), 0.5 * cfg.rel_tol)[0]
+            k21_refine(integrand, phase_edges(params, t, lo, hi), 0.5 * cfg.rel_tol)[0]
             for lo, hi in [(0.0, r_lo), (r_lo, 3.0)]
         )
         assert value == pytest.approx(reference, rel=1e-10)
@@ -538,7 +538,7 @@ class TestOnePhasePlan:
 def _bands_piece_by_piece(params, data, t, cuts):
     """The unscaled norm over each [cuts[k], cuts[k+1]], one refinement per
     piece, every piece cut at the data's kinks and every fast piece at
-    norms._R_LOG: on every fast piece integrate_adaptive of the mean plus
+    norms._R_LOG: on every fast piece the K21 refinement of the mean plus
     integrate_levin, both in the fast coordinate from partitions graded
     towards the nearest stationary point, and on every slow piece and
     window the K21 refinement from 16 equal panels, accepting a panel at the
@@ -570,7 +570,7 @@ def _bands_piece_by_piece(params, data, t, cuts):
                     continue
                 (edges,) = norms.fast_segment_edges([p], [q], _stationary_points(params))
                 mean = norms._in_fast_coordinate(lambda r: norms._mean_density(params, data, r))
-                level, _ = integrate_adaptive(mean, edges, rel_tol)
+                level, _ = k21_refine(mean, edges, rel_tol)
                 osc, _ = integrate_levin(
                     norms._in_fast_coordinate(lambda r: norms._oscillating_coefficient(params, data, r)),
                     phase,

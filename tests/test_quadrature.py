@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,15 +10,21 @@ from rosenau import quadrature
 from rosenau.quadrature import (
     KRONROD_POINTS,
     LEVIN_POINTS,
-    integrate_adaptive,
     integrate_levin,
     integrate_radial,
     panel_integrals,
 )
 
-from conftest import phase_edges
+from conftest import k21_refine, phase_edges
 
 P = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
+
+
+def reported(exc):
+    """The estimate and the error estimate that an unresolved refinement
+    reports in its IntegrabilityError."""
+    match = re.search(r"estimate (\S+) with error (\S+)$", str(exc))
+    return complex(match[1]), float(match[2])
 
 
 def test_panel_integrals_polynomial_exact():
@@ -84,7 +91,7 @@ class TestSinglePassAdaptive:
             return np.exp(-x)
 
         panels = 37
-        val, err = integrate_adaptive(counted, np.linspace(0.0, 3.0, panels + 1), 1e-10)
+        val, err = k21_refine(counted, np.linspace(0.0, 3.0, panels + 1), 1e-10)
         assert sum(calls) == KRONROD_POINTS * panels
         assert val == pytest.approx(1.0 - math.exp(-3.0), rel=1e-14)
         assert err <= 1e-10 * val
@@ -96,7 +103,7 @@ class TestSinglePassAdaptive:
             calls.append(x.size)
             return np.sqrt(x)
 
-        val, _ = integrate_adaptive(counted, np.linspace(0.0, 1.0, 5), 1e-8)
+        val, _ = k21_refine(counted, np.linspace(0.0, 1.0, 5), 1e-8)
         assert val == pytest.approx(2.0 / 3.0, rel=1e-8)
         # round one evaluates all 4 panels; afterwards only the two halves
         # of the panel touching the singularity are pending each round
@@ -112,7 +119,7 @@ class TestSinglePassAdaptive:
             calls.append(x.size)
             return np.exp(x)
 
-        val, _ = integrate_adaptive(counted, np.linspace(0.0, 1.0, 5), 1e-20, max_rounds=8)
+        val, _ = k21_refine(counted, np.linspace(0.0, 1.0, 5), 1e-20, max_rounds=8)
         assert val == pytest.approx(math.e - 1.0, rel=1e-14)
         assert calls == [4 * KRONROD_POINTS]
 
@@ -127,9 +134,11 @@ class TestSinglePassAdaptive:
     )
     @pytest.mark.parametrize("max_rounds", [0, 1, 3])
     def test_exhausted_rounds_error_covers_true_error(self, fn, lo, hi, exact, max_rounds):
-        val, err = integrate_adaptive(
-            fn, np.linspace(lo, hi, 3), 1e-15, max_rounds=max_rounds
-        )
+        # the refinement raises at its round cap, and the error estimate it
+        # reports covers the error of the estimate it reports
+        with pytest.raises(IntegrabilityError, match=f"unresolved after {max_rounds} rounds") as info:
+            k21_refine(fn, np.linspace(lo, hi, 3), 1e-15, max_rounds=max_rounds)
+        val, err = reported(info.value)
         assert err >= abs(val - exact)
         assert err > 0.0
 
@@ -201,12 +210,10 @@ class TestRadial:
     def test_returns_python_floats(self):
         value = integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12)
         assert type(value) is float
-        value, error = integrate_adaptive(np.exp, np.linspace(0.0, 1.0, 3), 1e-12)
-        assert type(value) is float and type(error) is float
 
 
 def test_adaptive_gaussian_integral():
-    val, err = integrate_adaptive(
+    val, err = k21_refine(
         lambda x: np.exp(-(x**2)), np.linspace(0.0, 12.0, 9), 1e-10
     )
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
@@ -217,7 +224,7 @@ def test_adaptive_oscillatory_against_closed_form():
     # integral_0^1 sin(omega x) dx = (1 - cos(omega))/omega
     omega = 2000.0
     edges = np.linspace(0.0, 1.0, 600)
-    val, _ = integrate_adaptive(lambda x: np.sin(omega * x), edges, 1e-10)
+    val, _ = k21_refine(lambda x: np.sin(omega * x), edges, 1e-10)
     assert val == pytest.approx((1 - math.cos(omega)) / omega, abs=1e-12)
 
 
@@ -277,7 +284,7 @@ class TestPieces:
                 assert np.array_equal(quadrature._piece_sums(x, piece, 1)[:, 0], x.sum(axis=-1))
 
     def test_each_piece_as_if_alone(self):
-        # what integrate_adaptive gives each piece by itself, to rounding: a
+        # what the refinement gives each piece by itself, to rounding: a
         # panel's K21 - G10 may differ in its last bits with the panels
         # evaluated beside it
         fn = lambda x: np.sqrt(x) * np.cos(30.0 * x)  # noqa: E731
@@ -285,7 +292,7 @@ class TestPieces:
         abs_tols = np.array([0.0, 1e-9, 1e-14])
         values, errors = quadrature._kronrod_refine(fn, pieces, 1e-11, abs_tols)
         for edges, abs_tol, value, error in zip(pieces, abs_tols, values, errors):
-            alone, alone_error = integrate_adaptive(fn, edges, 1e-11, abs_tol)
+            alone, alone_error = k21_refine(fn, edges, 1e-11, abs_tol)
             assert value == pytest.approx(alone, rel=1e-14)
             assert abs(error - alone_error) <= 1e-14 * abs(alone)
 
@@ -308,20 +315,20 @@ class TestPieces:
         values, _ = quadrature._kronrod_refine(fn, pieces, 1e-10)
         assert values[0] == pytest.approx(2e-9 / 3.0, rel=1e-10, abs=0.0)
         assert values[1] == pytest.approx(math.e**2 - math.e, rel=1e-10, abs=0.0)
-        shared, _ = integrate_adaptive(fn, np.linspace(0.0, 2.0, 5), 1e-10)
-        coarse, _ = integrate_adaptive(fn, np.linspace(0.0, 1.0, 3), 0.0, 1e-10 * abs(shared))
+        shared, _ = k21_refine(fn, np.linspace(0.0, 2.0, 5), 1e-10)
+        coarse, _ = k21_refine(fn, np.linspace(0.0, 1.0, 3), 0.0, 1e-10 * abs(shared))
         assert abs(coarse - 2e-9 / 3.0) > 1e-10 * 2e-9 / 3.0
 
 
     def test_k21_pieces_with_their_own_time(self):
-        # fn(x, t) with one time per piece: each piece as integrate_adaptive
-        # gives it with its time fixed
+        # fn(x, t) with one time per piece: each piece as the refinement
+        # gives it alone with its time fixed
         fn = lambda x, t: np.cos(t * x) * np.exp(-x)  # noqa: E731
         pieces = [np.linspace(0.0, 1.0, 3), np.linspace(1.0, 3.0, 5), np.linspace(0.5, 2.0, 4)]
         times = np.array([3.0, 40.0, 0.0])
         values, errors = quadrature._kronrod_refine(fn, pieces, 1e-11, t=times)
         for edges, t, value, error in zip(pieces, times, values, errors):
-            alone, alone_error = integrate_adaptive(lambda x: fn(x, t), edges, 1e-11)  # noqa: B023
+            alone, alone_error = k21_refine(lambda x: fn(x, t), edges, 1e-11)  # noqa: B023
             assert value == pytest.approx(alone, rel=1e-14)
             assert abs(error - alone_error) <= 1e-14 * abs(alone)
 
@@ -380,8 +387,8 @@ def test_theorem_1_2_keeps_every_chunk_small(monkeypatch, tmp_path):
 def test_deterministic_repeatability():
     fn = lambda x: np.sin(37.0 * x) * np.exp(-x)  # noqa: E731
     edges = np.linspace(0.0, 5.0, 17)
-    a = integrate_adaptive(fn, edges, 1e-9)
-    b = integrate_adaptive(fn, edges, 1e-9)
+    a = k21_refine(fn, edges, 1e-9)
+    b = k21_refine(fn, edges, 1e-9)
     assert a == b
 
 
@@ -395,7 +402,7 @@ class TestNonFiniteIntegrand:
             return np.where(x > 0.5, bad, x)
 
         with pytest.raises(IntegrabilityError, match="non-finite"), np.errstate(invalid="ignore"):
-            integrate_adaptive(fn, np.linspace(0.0, 1.0, 5), 1e-10, max_rounds=8)
+            k21_refine(fn, np.linspace(0.0, 1.0, 5), 1e-10, max_rounds=8)
         assert sum(nodes) <= KRONROD_POINTS * 4
 
 
@@ -490,11 +497,15 @@ class TestLevin:
         assert len(calls) <= 4
 
     @pytest.mark.parametrize("omega", [1e4, 1e5, 1e6])
-    def test_jump_inside_a_panel_is_resolved(self, omega):
+    def test_jump_inside_a_panel_raises_at_the_cap(self, omega):
         # the panel holding the jump at 0.4 is bisected to the round limit,
-        # through the ill-conditioned Levin panels near one radian of phase
-        val, err = integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), lambda x: x, _ones,
-                                   omega, np.linspace(0.0, 1.0, 3), 1e-10)
+        # through the ill-conditioned Levin panels near one radian of phase,
+        # and still misses rel_tol: the refinement raises, and reports an
+        # estimate within 1e-10 and an error estimate that covers its error
+        with pytest.raises(IntegrabilityError, match="unresolved after 30 rounds") as info:
+            integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), lambda x: x, _ones,
+                            omega, np.linspace(0.0, 1.0, 3), 1e-10)
+        val, err = reported(info.value)
         exact = _linear_exact(0.0, 0.4, omega)
         assert abs(val - exact) <= 1e-10
         assert err >= abs(val - exact)
@@ -516,3 +527,68 @@ class TestLevin:
         with pytest.raises(InputDomainError):
             integrate_levin(_ones, lambda x: x, _ones, 1e3, np.array([1.0, 0.5]), 1e-10)
 
+
+
+def _norm_of_a_gaussian():
+    from rosenau import gaussian_velocity_data, norm_squared
+
+    return norm_squared(P, gaussian_velocity_data(1), 1e3)
+
+
+def _wellposed_checks():
+    from rosenau.wellposed import dissipativity_residual, sobolev_equivalence_check
+
+    gauss = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
+    sobolev_equivalence_check(P, gauss, 1)
+    dissipativity_residual(P, gauss, lambda r: 1j * gauss(r), 1)
+
+
+class TestRoundCap:
+    """Every K21 and Levin refinement raises IntegrabilityError at its round
+    cap: 17 rounds for integrate_radial and the norm driver's two K21
+    refinements, 30 for Levin, a direct _kronrod_refine and wellposed."""
+
+    CALLERS = {
+        "integrate_radial": (lambda: integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12), [17]),
+        "kronrod_refine": (lambda: quadrature._kronrod_refine(np.exp, [np.linspace(0.0, 1.0, 3)], 1e-12), [30]),
+        "integrate_levin": (
+            lambda: integrate_levin(np.exp, lambda x: x, _ones, 300.0, np.linspace(0.0, 1.0, 3), 1e-10),
+            [30],
+        ),
+        "norm_squared": (_norm_of_a_gaussian, [17, 17, 30]),
+        "wellposed": (_wellposed_checks, [30, 30, 30]),
+    }
+
+    @staticmethod
+    def failing_at(monkeypatch, which):
+        """Make the which-th refinement never resolve its leftmost pending
+        panel, one panel bisected per round, and record every cap."""
+        caps = []
+        refine = quadrature._refine
+
+        def refine_counted(rule, pieces, rel_tol, abs_tol, max_rounds):
+            caps.append(max_rounds)
+            if len(caps) - 1 != which:
+                return refine(rule, pieces, rel_tol, abs_tol, max_rounds)
+
+            def failing(lo, hi, piece):
+                val, err, floor = rule(lo, hi, piece)
+                first = lo == lo.min()
+                return val, np.where(first, 1.0 + np.abs(val), err), np.where(first, 0.0, floor)
+
+            return refine(failing, pieces, rel_tol, abs_tol, max_rounds)
+
+        monkeypatch.setattr(quadrature, "_refine", refine_counted)
+        return caps
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_raises_at_its_cap(self, caller, monkeypatch):
+        run, expected = self.CALLERS[caller]
+        for which, cap in enumerate(expected):
+            caps = self.failing_at(monkeypatch, which)
+            with pytest.raises(IntegrabilityError, match=f"unresolved after {cap} rounds: estimate"):
+                run()
+            assert caps == expected[: which + 1]
+        # unpatched, every refinement resolves
+        monkeypatch.undo()
+        run()

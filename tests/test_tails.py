@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rosenau import TailBound
+from rosenau import InputDomainError, TailBound
 from rosenau.tails import _upper_incomplete_gamma
 
 
@@ -43,3 +43,10 @@ def test_gaussian_mass_beyond_zero_is_the_whole_mass():
     # integral_0^inf e^(-2 r^2) r^2 dr = sqrt(pi/2) / 8
     tail = TailBound(kind="gaussian", amplitude=1.0, rate=1.0)
     assert tail.mass_beyond(0.0, 3) == pytest.approx(math.sqrt(math.pi / 2.0) / 8.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("cutoff", [None, math.inf, math.nan, -1.0])
+def test_compact_cutoff_must_be_finite_and_nonnegative(cutoff):
+    with pytest.raises(InputDomainError, match="finite cutoff"):
+        TailBound(kind="compact", cutoff=cutoff)
+    assert TailBound(kind="compact", cutoff=0.0).vanishes

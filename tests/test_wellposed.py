@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rosenau import (
+    IntegrabilityError,
     InvariantViolation,
     ModelParams,
     PreconditionError,
@@ -13,6 +14,8 @@ from rosenau import (
     sobolev_equivalence_check,
 )
 from rosenau.wellposed import h_weighted_symbol, write_multiplier_csv
+
+from conftest import k21_refine
 
 P = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 
@@ -101,6 +104,15 @@ class TestSobolevEquivalence:
         pointwise = h_weighted_symbol(P, r_star) / (1 + r_star ** (2 * (4 - P.theta)))
         assert lhs / base == pytest.approx(pointwise, rel=1e-4)
 
+    def test_undeclared_step_raises_instead_of_missing_rel_tol(self):
+        # the partition does not resolve the indicator of [2.7, 2.71) to
+        # 1e-10 within its 30 rounds; it returned 0.70154951571 against
+        # 0.70154951618 with no failure when unresolved panels kept their
+        # values
+        step = lambda r: ((np.asarray(r) >= 2.7) & (np.asarray(r) < 2.71)).astype(float)  # noqa: E731
+        with pytest.raises(IntegrabilityError, match="unresolved after 30 rounds"):
+            sobolev_equivalence_check(P, step, 1)
+
     def test_theta_two_relates_like_weights(self):
         # 4 - theta = 2: both sides carry the same polynomial order
         params = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
@@ -135,9 +147,7 @@ class TestDissipativity:
 
             res = dissipativity_residual(P, u_hat, v_hat, 1)
             # normalize by one of the pairing magnitudes
-            from rosenau.quadrature import integrate_adaptive
-
-            mag, _ = integrate_adaptive(
+            mag, _ = k21_refine(
                 lambda r: np.abs(
                     (1 + P.kappa * np.asarray(r, dtype=float) ** 2 + P.mu * np.asarray(r, dtype=float) ** 4)
                     * u_hat(r)
