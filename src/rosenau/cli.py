@@ -16,6 +16,7 @@ import copy
 import itertools
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -460,11 +461,19 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one preset, write its artifacts, and return the verdicts."""
+    """Run one preset, write its artifacts, and return the verdicts.  A run
+    that raises RosenauError, such as one rejecting its data spec, removes
+    the directories it created."""
     out = config.output_dir
+    created = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     checks: dict = {}
-    PRESETS[config.preset].runner(config, out, checks)
+    try:
+        PRESETS[config.preset].runner(config, out, checks)
+    except RosenauError:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
     all_passed = all(entry["passed"] for entry in checks.values()) if checks else True
     verdict = {

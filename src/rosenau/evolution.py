@@ -14,6 +14,12 @@ Both energies and the box path take many times or states per call, and
 compute what does not depend on t once: one transform per datum for all
 the times of evolve_grid_times, whose one-time case is evolve_grid.
 
+The box path runs in real arithmetic on the half spectrum (rfftn/irfftn).
+The multipliers cos(t f), sin(t f)/f and f sin(t f) are real and even in
+xi, so a complex field evolves as its real and imaginary parts evolve apart,
+and its energy is the sum of theirs: a complex field goes through the same
+real transforms as the stack of its two real parts.
+
 Conventions: u_hat(xi) = integral exp(-i x.xi) u(x) dx, so physical L2 norms
 carry the factor (2 pi)^(-n/2) relative to spectral ones.
 """
@@ -26,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy.fft import fftfreq, fftn, ifftn
+from numpy.fft import fftfreq, irfftn, rfftfreq, rfftn
 
 from .errors import InputDomainError, InvariantViolation
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
@@ -135,7 +141,9 @@ class RadialInitialData:
 
 @dataclass(frozen=True)
 class GridField:
-    """Complex samples of a field on a periodic box [0, box_length)^dim."""
+    """Real (float64) or complex (complex128) samples of a field on a
+    periodic box [0, box_length)^dim; the file format stores re/im pairs
+    either way."""
 
     dim: int
     box_length: float
@@ -155,8 +163,9 @@ class GridField:
             raise InputDomainError(
                 f"values shape {self.values.shape} does not match {expected}"
             )
-        if self.values.dtype != np.complex128:
-            object.__setattr__(self, "values", self.values.astype(np.complex128))
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        if self.values.dtype != dtype:
+            object.__setattr__(self, "values", self.values.astype(dtype))
 
     @property
     def dx(self) -> float:
@@ -170,12 +179,12 @@ class GridField:
 
     @classmethod
     def from_function(cls, fn, dim: int, box_length: float, samples_per_axis: int) -> "GridField":
-        """Sample fn(x1, ..., xn) on the box with coordinates centred at box/2."""
+        """Sample fn(x1, ..., xn) on the box with coordinates centred at
+        box/2; real values of fn give a real field, complex ones a complex field."""
         axis = (np.arange(samples_per_axis) * (box_length / samples_per_axis)
                 - box_length / 2.0)
         grids = np.meshgrid(*([axis] * dim), indexing="ij")
-        return cls(dim, box_length, samples_per_axis,
-                   np.asarray(fn(*grids), dtype=np.complex128))
+        return cls(dim, box_length, samples_per_axis, np.asarray(fn(*grids)))
 
     def save(self, path) -> None:
         """Header lines (dim, box_length, samples_per_axis) + little-endian re/im pairs."""
@@ -195,7 +204,9 @@ class GridField:
 
     @classmethod
     def load(cls, path) -> "GridField":
-        """Read a file written by save(); a malformed file raises InputDomainError."""
+        """Read a file written by save(): a real field when every stored
+        imaginary part is 0, else a complex one; a malformed file raises
+        InputDomainError."""
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -210,16 +221,36 @@ class GridField:
             box_length = float(fields["box_length"])
             n = int(fields["samples_per_axis"])
             flat = np.frombuffer(body, dtype="<f8")
-            values = (flat[0::2] + 1j * flat[1::2]).reshape((n,) * dim)
+            if flat.size != 2 * n**dim:
+                raise ValueError(f"{flat.size} values for {n}^{dim} re/im pairs")
+            re, im = flat[0::2], flat[1::2]
+            values = (re + 1j * im if im.any() else re).reshape((n,) * dim)
         except (KeyError, ValueError) as exc:
             raise InputDomainError(f"malformed grid-field file {path}: {exc!r}") from None
         return cls(dim, box_length, n, values.copy())
 
 
 def _grid_xi_norm(field: GridField) -> np.ndarray:
-    freqs = 2.0 * math.pi * fftfreq(field.samples_per_axis, d=field.dx)
-    grids = np.meshgrid(*([freqs] * field.dim), indexing="ij")
+    """|xi| on the rfftn half spectrum of the grid: full axes, then the
+    nonnegative frequencies of the last axis."""
+    n, d = field.samples_per_axis, field.dx
+    freqs = [fftfreq(n, d=d)] * (field.dim - 1) + [rfftfreq(n, d=d)]
+    grids = np.meshgrid(*(2.0 * math.pi * a for a in freqs), indexing="ij")
     return np.sqrt(sum(g**2 for g in grids))
+
+
+def _half_spectrum(values: np.ndarray, split: bool) -> np.ndarray:
+    """rfftn over the grid axes of the stack of real parts of values: the
+    real and imaginary parts when split, else values alone."""
+    parts = np.stack((values.real, values.imag)) if split else values[np.newaxis]
+    return rfftn(parts, s=values.shape, axes=tuple(range(1, parts.ndim)))
+
+
+def _from_half_spectrum(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+    """The samples whose stack of real parts has this half spectrum: real
+    for one part, complex for two."""
+    parts = irfftn(spectrum, s=shape, axes=tuple(range(1, spectrum.ndim)))
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
 
 def _grid_of(field: GridField) -> tuple:
@@ -242,8 +273,9 @@ def evolve_grid_times(
     only when the iterator reaches it, so that a caller taking the states
     one at a time holds one at a time.  The box approximates free space
     only while wave fronts cannot wrap: each time from
-    t = box_length / (2 sup f') on warns.  Real input data produce output
-    whose imaginary part is at round-off level.
+    t = box_length / (2 sup f') on warns.  Real data evolve to real fields;
+    when either datum is complex, both go through the real transforms as
+    their stacked real and imaginary parts, and the states are complex.
     """
     if _grid_of(field0) != _grid_of(field1):
         raise InputDomainError("field0 and field1 must share one grid")
@@ -261,16 +293,19 @@ def evolve_grid_times(
             )
     f = eval_dispersion(params, rho)
     del rho  # the transforms need only f
-    hat0 = fftn(field0.values)
-    hat1 = fftn(field1.values)
+    split = np.iscomplexobj(field0.values) or np.iscomplexobj(field1.values)
+    shape = field0.values.shape
+    hat0 = _half_spectrum(field0.values, split)
+    hat1 = _half_spectrum(field1.values, split)
 
     def state(t: float):
         phase = t * f
         cosine = np.cos(phase)
-        u = replace(field0, values=ifftn(cosine * hat0 + propagator(t, f) * hat1))
+        u = _from_half_spectrum(cosine * hat0 + propagator(t, f) * hat1, shape)
         if not with_velocity:
-            return u
-        return u, replace(field0, values=ifftn(-f * np.sin(phase) * hat0 + cosine * hat1))
+            return replace(field0, values=u)
+        u_t = _from_half_spectrum(-f * np.sin(phase) * hat0 + cosine * hat1, shape)
+        return replace(field0, values=u), replace(field0, values=u_t)
 
     return map(state, times.tolist())
 
@@ -347,7 +382,12 @@ def total_energy_grid(params: ModelParams, states) -> np.ndarray:
     """Energy of each box state (u, u_t) of an iterable on one grid, such as
     evolve_grid_times, via DFT Plancherel sums: |xi| and its powers once,
     two forward transforms per state, each state dropped before the next
-    is drawn."""
+    is drawn.
+
+    The sums run over the rfftn half spectrum of the real parts of each
+    field (its real and imaginary parts when complex), each column weighted
+    by its multiplicity in the full spectrum: 2, except 1 on the xi_last = 0
+    column and on the Nyquist column, which are their own mirror images."""
     states = iter(states)
     first = next(states, None)
     if first is None:
@@ -359,22 +399,28 @@ def total_energy_grid(params: ModelParams, states) -> np.ndarray:
 
 def _grid_energy(params: ModelParams, field: GridField):
     """The energy of a state (u, u_t) on the grid of field, as a function
-    of the state, with |xi| and its powers computed here once."""
+    of the state, with |xi|, its powers and the column multiplicities
+    computed here once."""
     grid = _grid_of(field)
-    cell = field.dx**field.dim / field.samples_per_axis**field.dim
+    n = field.samples_per_axis
+    cell = field.dx**field.dim / n**field.dim
     rho = _grid_xi_norm(field)
-    frac_w, bend_w, stretch_w = rho ** (2.0 * params.theta), rho**4, rho**2
+    multiplicity = np.full(n // 2 + 1, 2.0)
+    multiplicity[[0, n // 2]] = 1.0
+    inertia = multiplicity * (1.0 + params.delta * rho ** (2.0 * params.theta))
+    stiffness = multiplicity * (params.mu * rho**4 + params.kappa * rho**2)
+    del rho
+
+    def power(values: np.ndarray) -> np.ndarray:
+        hat = _half_spectrum(values, np.iscomplexobj(values))
+        return hat.real**2 + hat.imag**2
 
     def energy(state) -> float:
         u, u_t = state
         if not _grid_of(u) == _grid_of(u_t) == grid:
             raise InputDomainError("the states must share one grid")
-        hat_sq = np.abs(fftn(u.values)) ** 2
-        hat_t_sq = np.abs(fftn(u_t.values)) ** 2
-        kin = 0.5 * float(np.sum(hat_t_sq)) * cell
-        frac = 0.5 * params.delta * float(np.sum(frac_w * hat_t_sq)) * cell
-        bend = 0.5 * params.mu * float(np.sum(bend_w * hat_sq)) * cell
-        stretch = 0.5 * params.kappa * float(np.sum(stretch_w * hat_sq)) * cell
-        return kin + frac + bend + stretch
+        kinetic = float(np.sum(inertia * power(u_t.values)))
+        potential = float(np.sum(stiffness * power(u.values)))
+        return 0.5 * (kinetic + potential) * cell
 
     return energy

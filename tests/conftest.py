@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from rosenau.model import dispersion_derivatives
+from rosenau.evolution import propagator
+from rosenau.model import dispersion_derivatives, eval_dispersion
 from rosenau.quadrature import _kronrod_refine
 
 from rosenau import (
@@ -53,6 +54,36 @@ def phase_edges(params, t, lo, hi):
         out.extend(a + (b - a) * np.arange(1, k + 1) / k)
     out[-1] = hi
     return np.array(out)
+
+def _full_xi_norm(field):
+    freqs = 2.0 * math.pi * np.fft.fftfreq(field.samples_per_axis, d=field.dx)
+    grids = np.meshgrid(*([freqs] * field.dim), indexing="ij")
+    return np.sqrt(sum(g**2 for g in grids))
+
+
+def full_spectrum_state(params, field0, field1, t):
+    """(u, u_t) at time t as complex arrays, by complex fftn/ifftn over the
+    full spectrum: the reference the half-spectrum box path is checked
+    against; the package itself never uses it."""
+    f = eval_dispersion(params, _full_xi_norm(field0))
+    hat0 = np.fft.fftn(field0.values.astype(complex))
+    hat1 = np.fft.fftn(field1.values.astype(complex))
+    c, s = np.cos(t * f), np.sin(t * f)
+    return (np.fft.ifftn(c * hat0 + propagator(t, f) * hat1),
+            np.fft.ifftn(-f * s * hat0 + c * hat1))
+
+
+def full_spectrum_energy(params, field, u, u_t):
+    """The energy of the state (u, u_t) on the grid of field, as a
+    Plancherel sum of |fftn|^2 over every frequency of the full spectrum."""
+    rho = _full_xi_norm(field)
+    cell = field.dx**field.dim / field.samples_per_axis**field.dim
+    hat_sq = np.abs(np.fft.fftn(u)) ** 2
+    hat_t_sq = np.abs(np.fft.fftn(u_t)) ** 2
+    inertia = 1.0 + params.delta * rho ** (2.0 * params.theta)
+    stiffness = params.mu * rho**4 + params.kappa * rho**2
+    return 0.5 * float(np.sum(inertia * hat_t_sq) + np.sum(stiffness * hat_sq)) * cell
+
 
 # wall-clock seconds for the session traces, keyed by fixture name; the
 # acceptance report quotes these against the expected runtimes

@@ -228,6 +228,7 @@ class TestRunners:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"{key} must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_run_rejects_missing_config_file(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2

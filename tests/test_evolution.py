@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from rosenau import (
 )
 from rosenau.evolution import cosc, propagator
 from rosenau.model import dispersion_slope
+
+from conftest import full_spectrum_energy, full_spectrum_state
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -157,6 +160,24 @@ class TestGridField:
         assert back.dim == 1 and back.box_length == 50.0 and back.samples_per_axis == 64
         assert np.array_equal(back.values, field.values)
 
+    def test_real_samples_stay_real(self, tmp_path):
+        real = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 50.0, 64)
+        assert real.values.dtype == np.float64
+        assert GridField(1, 50.0, 16, np.arange(16)).values.dtype == np.float64
+        path = tmp_path / "real.rgf"
+        real.save(path)
+        # the file stores re/im pairs either way, and reads back real
+        assert len(path.read_bytes().partition(b"\n\n")[2]) == 16 * 64
+        back = GridField.load(path)
+        assert back.values.dtype == np.float64 and np.array_equal(back.values, real.values)
+
+    def test_complex_samples_stay_complex(self, tmp_path):
+        field = GridField.from_function(lambda x: np.exp(-(x**2)) * (1.0 + 0.0j), 1, 50.0, 64)
+        assert field.values.dtype == np.complex128
+        path = tmp_path / "complex.rgf"
+        GridField(1, 50.0, 16, np.full(16, 1e-300j)).save(path)
+        assert GridField.load(path).values.dtype == np.complex128
+
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a field\n\n123")
@@ -282,7 +303,7 @@ class TestEvolveGridTimes:
         from rosenau import evolution
         from rosenau.cli import ExperimentConfig, run_experiment
 
-        counts = {"fftn": 0, "ifftn": 0, "dispersion_slope": 0}
+        counts = {"rfftn": 0, "irfftn": 0, "dispersion_slope": 0}
 
         def counted(name):
             original = getattr(evolution, name)
@@ -299,8 +320,81 @@ class TestEvolveGridTimes:
             {"preset": "energy-conservation", "params": {"dim": 2}, "output_dir": str(tmp_path)}
         )
         assert run_experiment(cfg).exit_code == 0
-        assert counts["fftn"] + counts["ifftn"] <= 16
+        assert counts["rfftn"] + counts["irfftn"] <= 16
         assert counts["dispersion_slope"] == 1
+
+
+def gaussian_pair(dim, size, box=20.0):
+    """Real data on a box: an anisotropic Gaussian and x1 times a Gaussian."""
+    u0 = GridField.from_function(
+        lambda *xs: np.exp(-sum((i + 1) * x**2 for i, x in enumerate(xs))), dim, box, size
+    )
+    u1 = GridField.from_function(lambda *xs: xs[0] * np.exp(-sum(x**2 for x in xs)), dim, box, size)
+    return u0, u1
+
+
+class TestHalfSpectrumOracle:
+    """The real half-spectrum box path against complex fftn/ifftn over the
+    full spectrum (conftest.full_spectrum_state and full_spectrum_energy)."""
+
+    @pytest.mark.parametrize("dim, size", [(1, 256), (2, 64), (3, 16)])
+    def test_real_states_and_energies_match_the_full_spectrum(self, dim, size):
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        u0, u1 = gaussian_pair(dim, size)
+        times = [0.0, 0.7, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the 3-D box is short
+            states = list(evolve_grid_times(params, u0, u1, times, with_velocity=True))
+        energies = total_energy_grid(params, [(u0, u1)] + states)
+        expected = full_spectrum_energy(params, u0, u0.values, u1.values)
+        assert energies[0] == pytest.approx(expected, rel=1e-13)
+        for t, (u, u_t), energy in zip(times, states, energies[1:]):
+            ref, ref_t = full_spectrum_state(params, u0, u1, t)
+            for got, want in ((u, ref), (u_t, ref_t)):
+                assert got.values.dtype == np.float64
+                assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+            assert energy == pytest.approx(full_spectrum_energy(params, u0, ref, ref_t), rel=1e-13)
+
+    @pytest.mark.parametrize("dim, size", [(1, 256), (2, 64), (3, 16)])
+    def test_complex_datum_evolves_as_its_parts_apart(self, dim, size):
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        a, b = gaussian_pair(dim, size)
+        c = replace(a, values=a.values[::-1].copy())
+        z0 = replace(a, values=a.values + 1j * b.values)
+        z1 = replace(a, values=c.values - 0.5j * a.values)
+        im1 = replace(a, values=-0.5 * a.values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u, u_t = evolve_grid(params, z0, z1, 1.3, with_velocity=True)
+            re, re_t = evolve_grid(params, a, c, 1.3, with_velocity=True)
+            im, im_t = evolve_grid(params, b, im1, 1.3, with_velocity=True)
+            # a real datum beside a complex one: its imaginary part is 0
+            mixed = evolve_grid(params, a, replace(a, values=c.values + 0j), 1.3)
+        assert u.values.dtype == u_t.values.dtype == np.complex128
+        assert np.array_equal(u.values.real, re.values) and np.array_equal(u.values.imag, im.values)
+        assert np.array_equal(u_t.values.real, re_t.values) and np.array_equal(u_t.values.imag, im_t.values)
+        assert np.array_equal(mixed.values, re.values + 0j)
+        energy, energy_re, energy_im = (
+            total_energy_grid(params, [state])[0] for state in ((u, u_t), (re, re_t), (im, im_t))
+        )
+        assert energy == pytest.approx(energy_re + energy_im, rel=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("column", ["zero", "nyquist"])
+    def test_energy_on_one_self_mirrored_column(self, dim, column):
+        # the xi_last = 0 and Nyquist columns count once; the others twice
+        size = 16
+        params = ModelParams(1.0, 0.5, 2.0, 1.5, dim)
+        rng = np.random.default_rng(dim)
+        last = np.ones(size) if column == "zero" else (-1.0) ** np.arange(size)
+        u, u_t = (
+            GridField(dim, 10.0, size, rng.standard_normal((size,) * (dim - 1) + (1,)) * last)
+            for _ in range(2)
+        )
+        hat = np.fft.fftn(u.values)
+        assert np.all(hat[..., 1 : size // 2] == 0) and np.all(hat[..., size // 2 + 1 :] == 0)
+        energy = total_energy_grid(params, [(u, u_t)])[0]
+        assert energy == pytest.approx(full_spectrum_energy(params, u, u.values, u_t.values), rel=1e-13)
 
 
 class TestEnergy:
