@@ -19,7 +19,6 @@ import inspect
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import InputDomainError
 from .evolution import RadialInitialData, zero_profile
@@ -160,6 +159,8 @@ def annular_velocity_data(
     dim: int, r0: float = 2.0, width: float = 1.0, amplitude: float = 1.0
 ) -> RadialInitialData:
     """u0 = 0, u1 the annular bump; transform by fixed Gauss panels over the support."""
+    from numpy.polynomial.legendre import leggauss
+
     profile = annular_profile(dim, r0, width, amplitude)
     n = dim
     area = unit_sphere_area(n)

@@ -6,29 +6,40 @@ preset name) and writes trace CSVs plus a verdict JSON whose checks mirror
 the acceptance suite for that preset.  All outputs are byte-deterministic:
 fixed float formatting, sorted JSON keys and no timestamps (see artifacts).
 The ``PRESETS`` table declares each preset once: its config overrides, its
-parameter requirement and the runner that holds its checks.
+parameter requirement, the runner that holds its checks and the package
+modules that runner calls beyond the ones config parsing needs.  Those
+modules are imported while the config is parsed, so a ``rosenau run``
+process loads only what its preset calls and no preset pass pays an import;
+the runners and the subcommands bind them with function-local imports.
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is set,
+so a process that loads numpy through it runs BLAS on one thread.  An
+output path that cannot be created or written exits 2, as a malformed config
+does.
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
+import importlib
 import itertools
 import json
 import math
+import os
 import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+# A `rosenau` process computes on one thread.  The OpenBLAS bundled with
+# numpy otherwise starts a worker thread when numpy loads, which busy-waits
+# for about 100 ms and so costs every run that much CPU for nothing.  This
+# takes effect only if numpy is not loaded yet; an explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import growth as growth_mod
-from . import hardy as hardy_mod
-from . import wellposed as wellposed_mod
-from .artifacts import write_columns, write_json
+from .artifacts import make_output_dir, write_columns, write_json
 from .catalog import data_from_spec, gaussian_profile
 from .errors import InputDomainError, RosenauError
 from .evolution import GridField, evolve_grid, evolve_grid_times, total_energy, total_energy_grid
@@ -49,6 +60,11 @@ from .norms import (
     norm_squared,
     write_norm_trace_csv,
 )
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .growth import ClassifyReport, SandwichReport
 
 __all__ = ["ExperimentConfig", "run_experiment", "main"]
 
@@ -164,6 +180,8 @@ class ExperimentConfig:
         )
         if not isinstance(cfg["output_dir"], (str, Path)):
             raise InputDomainError(f"config key 'output_dir' must be a path, got {cfg['output_dir']!r}")
+        for module in PRESETS[preset].modules:
+            importlib.import_module(f".{module}", __package__)
         return cls(
             preset=preset,
             params=params,
@@ -196,14 +214,17 @@ class _TraceStep:
     the physical velocity profile, None for a datum without one (all but gaussian)."""
 
     trace: NormTrace
-    report: growth_mod.ClassifyReport | None
-    sandwich: growth_mod.SandwichReport | None
+    report: ClassifyReport | None
+    sandwich: SandwichReport | None
     l1: float | None
     u1_l2: float | None
 
 
 def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep:
     """Trace, classification, moments, sandwich and the checks shared by the trace presets."""
+    from . import bounds as bounds_mod
+    from . import growth as growth_mod
+
     params, quad = config.params, config.quadrature
     data = _build_data(config)
     t_min, t_max, ppd = config.t_window
@@ -264,6 +285,8 @@ def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep
 
 
 def _run_theorem_1_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    from . import growth as growth_mod
+
     step = _trace_step(config, out, checks)
     if step.sandwich is not None:
         _check(
@@ -280,6 +303,8 @@ def _run_theorem_1_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
 
 
 def _run_theorem_1_2(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    from . import growth as growth_mod
+
     step = _trace_step(config, out, checks)
     logfit = growth_mod.fit_log(step.trace, config.t_window[:2])
     exponent = growth_mod.fit_power(step.trace, config.t_window[:2]).exponent_or_offset
@@ -289,6 +314,8 @@ def _run_theorem_1_2(config: ExperimentConfig, out: Path, checks: dict) -> None:
 
 
 def _run_prop_4_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    from . import bounds as bounds_mod
+
     step = _trace_step(config, out, checks)
     params, trace = config.params, step.trace
     if step.l1 is not None:
@@ -338,6 +365,8 @@ def _run_energy_conservation(config: ExperimentConfig, out: Path, checks: dict) 
 
 
 def _run_hardy(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    from . import hardy as hardy_mod
+
     params = config.params
     scan = hardy_mod.blowup_scan(hardy_mod.WeightFunction("a1_weight", 2))
     hardy_mod.write_quotient_csv(scan.trace, out / "quotient_vs_logR.csv")
@@ -366,6 +395,8 @@ _PROBE_COEFFS = np.array(
 
 
 def _run_wellposed(config: ExperimentConfig, out: Path, checks: dict) -> None:
+    from . import wellposed as wellposed_mod
+
     params = config.params
     scan = wellposed_mod.h_ratio_scan(params)
     wellposed_mod.write_multiplier_csv(scan, out / "h_ratio.csv")
@@ -407,11 +438,13 @@ def _run_wellposed(config: ExperimentConfig, out: Path, checks: dict) -> None:
 class Preset:
     """A `rosenau run` preset: runner(config, out, checks) writes its artifacts
     and records its checks; overrides merge over the base config; requires is
-    (error text, predicate) on the model parameters."""
+    (error text, predicate) on the model parameters; modules are the package
+    modules the runner imports, which ExperimentConfig.from_dict loads."""
 
     runner: Callable[[ExperimentConfig, Path, dict], object]
     overrides: dict = field(default_factory=dict)
     requires: tuple[str, Callable[[ModelParams], bool]] | None = None
+    modules: tuple[str, ...] = ()
 
 
 PRESETS = {
@@ -422,6 +455,7 @@ PRESETS = {
             "t_window": {"t_min": 1e2, "t_max": 1e6, "points_per_decade": 12},
         },
         ("dim = 1", lambda p: p.dim == 1),
+        modules=("bounds", "growth"),
     ),
     "theorem-1-2": Preset(
         _run_theorem_1_2,
@@ -430,6 +464,7 @@ PRESETS = {
             "t_window": {"t_min": 1e2, "t_max": 1e7, "points_per_decade": 12},
         },
         ("dim = 2", lambda p: p.dim == 2),
+        modules=("bounds", "growth"),
     ),
     "prop-4-1": Preset(
         _run_prop_4_1,
@@ -438,6 +473,7 @@ PRESETS = {
             "t_window": {"t_min": 1e2, "t_max": 1e7, "points_per_decade": 12},
         },
         ("dim >= 3", lambda p: p.dim >= 3),
+        modules=("bounds", "growth"),
     ),
     "hardy-failure": Preset(
         _run_hardy,
@@ -446,10 +482,11 @@ PRESETS = {
             "t_window": {"t_min": 1e2, "t_max": 1e3, "points_per_decade": 4},
         },
         ("theta = 1 and dim = 2", lambda p: p.theta == 1.0 and p.dim == 2),
+        modules=("hardy",),
     ),
-    "wellposed-check": Preset(_run_wellposed),
+    "wellposed-check": Preset(_run_wellposed, modules=("wellposed",)),
     "energy-conservation": Preset(_run_energy_conservation),
-    "custom": Preset(_trace_step),
+    "custom": Preset(_trace_step, modules=("bounds", "growth")),
 }
 
 
@@ -462,26 +499,25 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one preset, write its artifacts, and return the verdicts.  A run
-    that raises RosenauError, such as one rejecting its data spec, removes
-    the directories it created."""
+    that raises RosenauError, such as one rejecting its data spec or its
+    output path, removes the directories it created."""
     out = config.output_dir
     created = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
-    out.mkdir(parents=True, exist_ok=True)
     checks: dict = {}
     try:
+        make_output_dir(out)
         PRESETS[config.preset].runner(config, out, checks)
+        all_passed = all(entry["passed"] for entry in checks.values()) if checks else True
+        verdict = {
+            "preset": config.preset,
+            "checks": checks,
+            "all_passed": all_passed,
+        }
+        write_json(out / "verdict.json", verdict)
     except RosenauError:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         raise
-
-    all_passed = all(entry["passed"] for entry in checks.values()) if checks else True
-    verdict = {
-        "preset": config.preset,
-        "checks": checks,
-        "all_passed": all_passed,
-    }
-    write_json(out / "verdict.json", verdict)
     return ExperimentResult(checks=checks, exit_code=0 if all_passed else 1, output_dir=out)
 
 
@@ -502,6 +538,8 @@ def _params_from(args) -> ModelParams:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rosenau",
         description="Spectral growth analysis for the generalized Rosenau equation.",
@@ -613,6 +651,8 @@ def _dispatch(args) -> int:
         return run_experiment(ExperimentConfig.from_dict(raw)).exit_code
 
     if args.command == "bounds":
+        from . import bounds as bounds_mod
+
         params = _params_from(args)
         sinc = SincConstants()
         profile = gaussian_profile(params.dim)
@@ -620,14 +660,16 @@ def _dispatch(args) -> int:
         report = bounds_mod.envelope_report(
             params, sinc, moments, 0.0, math.sqrt(l2_norm_sq(profile)), 0.0, args.t
         )
-        args.out.mkdir(parents=True, exist_ok=True)
+        make_output_dir(args.out)
         bounds_mod.write_envelope_json(report, args.out / "envelope.json")
         print((args.out / "envelope.json").read_text(), end="")
         return 0
 
     if args.command == "hardy":
+        from . import hardy as hardy_mod
+
         scan = hardy_mod.blowup_scan(hardy_mod.WeightFunction(args.weight, args.dim))
-        args.out.mkdir(parents=True, exist_ok=True)
+        make_output_dir(args.out)
         hardy_mod.write_quotient_csv(scan.trace, args.out / "quotient_vs_logR.csv")
         print(
             json.dumps(
@@ -646,9 +688,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "wellposed":
+        from . import wellposed as wellposed_mod
+
         params = _params_from(args)
         scan = wellposed_mod.h_ratio_scan(params)
-        args.out.mkdir(parents=True, exist_ok=True)
+        make_output_dir(args.out)
         wellposed_mod.write_multiplier_csv(scan, args.out / "h_ratio.csv")
         print(
             json.dumps(

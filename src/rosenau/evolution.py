@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.fft import fftfreq, irfftn, rfftfreq, rfftn
 
+from .artifacts import open_output
 from .errors import InputDomainError, InvariantViolation
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
 from .quadrature import _row_blocks, integrate_radial
@@ -62,6 +63,11 @@ def _check_time(t) -> None:
     finite and nonnegative."""
     if not np.all(np.isfinite(t) & (np.asarray(t) >= 0)):
         raise InputDomainError(f"time must be finite and nonnegative, got {t}")
+
+
+def _check_dim(params: ModelParams, dim: int) -> None:
+    if params.dim != dim:
+        raise InputDomainError("params.dim and data.dim disagree")
 
 
 def propagator(t, f):
@@ -198,7 +204,7 @@ class GridField:
         flat = np.empty(2 * self.values.size, dtype="<f8")
         flat[0::2] = self.values.real.ravel()
         flat[1::2] = self.values.imag.ravel()
-        with open(path, "wb") as fh:
+        with open_output(path, "wb") as fh:
             fh.write(header.encode("ascii"))
             fh.write(flat.tobytes())
 
@@ -279,6 +285,7 @@ def evolve_grid_times(
     """
     if _grid_of(field0) != _grid_of(field1):
         raise InputDomainError("field0 and field1 must share one grid")
+    _check_dim(params, field0.dim)
     times = np.asarray(times, dtype=float).ravel()
     _check_time(times)
 
@@ -351,8 +358,7 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
     from one row-valued integral.
     """
     _check_time(t)
-    if params.dim != data.dim:
-        raise InputDomainError("params.dim and data.dim disagree")
+    _check_dim(params, data.dim)
     n = params.dim
     # one row per time; a single time gives one flat row
     ts = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
@@ -401,6 +407,7 @@ def _grid_energy(params: ModelParams, field: GridField):
     """The energy of a state (u, u_t) on the grid of field, as a function
     of the state, with |xi|, its powers and the column multiplicities
     computed here once."""
+    _check_dim(params, field.dim)
     grid = _grid_of(field)
     n = field.samples_per_axis
     cell = field.dx**field.dim / n**field.dim

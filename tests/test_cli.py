@@ -384,3 +384,70 @@ class TestSubcommands:
                 "--initial-velocity", str(tmp_path / "bad.rgf"), "--t", "1"]
         assert main(argv + ["--out", str(tmp_path / "u.rgf")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag,dim", [([], 2), (["--dim", "2"], 1)])
+    def test_evolve_rejects_a_file_of_another_dimension(self, capsys, tmp_path, flag, dim):
+        field = GridField.from_function(lambda *xs: np.exp(-sum(x**2 for x in xs)), dim, 20.0, 32)
+        field.save(tmp_path / "u.rgf")
+        argv = ["evolve", *flag, "--initial-position", str(tmp_path / "u.rgf"),
+                "--initial-velocity", str(tmp_path / "u.rgf"), "--t", "1"]
+        assert main(argv + ["--out", str(tmp_path / "v.rgf")]) == 2
+        assert "params.dim and data.dim disagree" in capsys.readouterr().err
+        assert not (tmp_path / "v.rgf").exists()
+
+
+def error_line(capsys) -> str:
+    """The one line a command that exits 2 writes to stderr."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+class TestOutputPaths:
+    """An output path that cannot be created or written exits 2 with one
+    error line naming it, and a run removes the directories it created."""
+
+    def test_run_into_an_existing_file(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["run", "--preset", "wellposed-check", "--out", str(taken)]) == 2
+        assert str(taken) in error_line(capsys)
+        assert taken.read_text() == "kept\n"
+
+    def test_run_removes_the_directories_it_created(self, capsys, tmp_path):
+        out = tmp_path / "new" / ("x" * 300)
+        assert main(["run", "--preset", "wellposed-check", "--out", str(out)]) == 2
+        assert str(out) in error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_into_an_unwritable_artifact(self, tmp_path):
+        (tmp_path / "h_ratio.csv").mkdir()
+        cfg = ExperimentConfig.from_dict({"preset": "wellposed-check", "output_dir": str(tmp_path)})
+        with pytest.raises(InputDomainError, match="h_ratio.csv"):
+            run_experiment(cfg)
+        assert (tmp_path / "h_ratio.csv").is_dir()
+
+    def test_hardy_below_a_file(self, capsys, tmp_path):
+        (tmp_path / "F").write_text("")
+        out = tmp_path / "F" / "x"
+        assert main(["hardy", "--out", str(out)]) == 2
+        assert str(out) in error_line(capsys)
+
+    def test_bounds_into_an_existing_file(self, capsys, tmp_path):
+        (tmp_path / "F").write_text("")
+        assert main(["bounds", "--t", "100", "--out", str(tmp_path / "F")]) == 2
+        assert str(tmp_path / "F") in error_line(capsys)
+
+    def test_wellposed_into_an_existing_file(self, capsys, tmp_path):
+        (tmp_path / "F").write_text("")
+        assert main(["wellposed", "--out", str(tmp_path / "F")]) == 2
+        assert str(tmp_path / "F") in error_line(capsys)
+
+    def test_evolve_into_a_missing_directory(self, capsys, tmp_path):
+        GridField.from_function(lambda x: np.exp(-(x**2)), 1, 20.0, 32).save(tmp_path / "u.rgf")
+        out = tmp_path / "missing" / "dir" / "x.rgf"
+        argv = ["evolve", "--initial-position", str(tmp_path / "u.rgf"),
+                "--initial-velocity", str(tmp_path / "u.rgf"), "--t", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert str(out) in error_line(capsys)
+        assert not (tmp_path / "missing").exists()

@@ -245,6 +245,12 @@ class TestEvolveGrid:
         with pytest.raises(InputDomainError):
             evolve_grid(P1, a, b, 1.0)
 
+    @pytest.mark.parametrize("params,dim", [(P2, 1), (P1, 2)])
+    def test_dimension_mismatch_rejected(self, params, dim):
+        field = GridField.from_function(lambda *xs: np.exp(-sum(x**2 for x in xs)), dim, 20.0, 32)
+        with pytest.raises(InputDomainError, match="params.dim and data.dim disagree"):
+            evolve_grid_times(params, field, field, [1.0])
+
     def test_wraparound_warning(self):
         zero = GridField.from_function(lambda x: np.zeros_like(x), 1, 20.0, 64)
         bump = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 20.0, 64)
@@ -509,6 +515,12 @@ class TestEnergy:
             total_energy_grid(P1, [(a, a), (b, b)])
         with pytest.raises(InputDomainError):
             total_energy_grid(P1, [(a, b)])
+
+    @pytest.mark.parametrize("params,dim", [(P2, 1), (P1, 2)])
+    def test_grid_energies_reject_a_state_of_another_dimension(self, params, dim):
+        field = GridField.from_function(lambda *xs: np.exp(-sum(x**2 for x in xs)), dim, 20.0, 32)
+        with pytest.raises(InputDomainError, match="params.dim and data.dim disagree"):
+            total_energy_grid(params, [(field, field)])
 
 
 class TestPropagator:
