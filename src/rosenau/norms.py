@@ -52,15 +52,16 @@ a fixed phase around r* for the direct rule, Levin collocation beside it.
 It is the one path for every integral in the package that oscillates like
 sin(t f).  ``norm_squared`` runs it on [0, r_max] at one time or at several,
 ``band_split_norm`` on the cuts [0, beta, split, r_max] at one time or at
-all the times of a trace (``compute_norm_trace`` is one call of it), so the
-three bands share one segmentation, bounds.averaged_tail_remainder on
-[1/t, epsilon0] with no mean, at one time or at all the envelope picks of a
-trace, and hardy.energy_identity_check on [0, r_max] at t/2, whose
-densities oscillate like e^(i t f).  The segmentation evaluates f once, on
-a (times, 257) geometric grid, and the Levin rule takes f and f' from one
-model.dispersion_slope call per node.  Each refinement is capped and
-raises IntegrabilityError on a piece it leaves unresolved, so no rel_tol
-runs without bound.
+all the times of a trace, so the three bands share one segmentation, and
+in the same call on [0, r_max] at the first and last time, the unsplit rows
+of the band-sum check (``compute_norm_trace`` is one call of it),
+bounds.averaged_tail_remainder on [1/t, epsilon0] with no mean, at one time
+or at all the envelope picks of a trace, and hardy.energy_identity_check on
+[0, r_max] at t/2, whose densities oscillate like e^(i t f).  The
+segmentation evaluates f once, on a (times, 257) geometric grid, and the
+Levin rule takes f and f' from one model.dispersion_slope call per node.
+Each refinement is capped and raises IntegrabilityError on a piece it
+leaves unresolved, so no rel_tol runs without bound.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
@@ -416,13 +417,16 @@ def norm_squared(
 @dataclass(frozen=True)
 class BandSplit:
     """Contributions of the low / mid / high frequency bands to ||u(t)||^2,
-    with the band radii: numbers for one time, arrays for an array of times."""
+    with the band radii: numbers for one time, arrays for an array of times.
+    unsplit is ||u(t)||^2 at the first and last time (once when they
+    coincide, a number for one time), integrated over [0, r_max] uncut."""
 
     low: float | np.ndarray
     mid: float | np.ndarray
     high: float | np.ndarray
     beta: float | np.ndarray
     split: float | np.ndarray
+    unsplit: float | np.ndarray
 
     @property
     def total(self) -> float | np.ndarray:
@@ -441,7 +445,12 @@ def band_split_norm(
     t is a number or an array of times; for an array every field of the
     result is an array, one entry per time, and all times are integrated in
     one driver call.  Requires t > e so the band radii are defined; the
-    three parts sum to norm_squared within the configured tolerance.
+    three parts sum to norm_squared within the configured tolerance, which
+    unsplit checks: the same call integrates [0, r_max] at the first and
+    last time as rows of their own, each padded to four cuts with r_max so
+    that the driver drops its empty pieces.  Each of their pieces keeps its
+    own budget, and none is cut at beta or at the split, so the pieces the
+    bands cut there are integrated uncut for the check (see _R_LOG).
     """
     _check_time(t)
     if params.dim != data.dim:
@@ -455,12 +464,18 @@ def band_split_norm(
         beta = min(band.beta, r)
         split = band.gamma_band if params.dim == 1 else 1.0
         row[:] = 0.0, beta, min(max(split, beta), r), r
+    ends = [0, ts.size - 1] if ts.size > 1 else [0]
+    uncut = np.zeros((len(ends), 4))
+    uncut[:, 1:] = cuts[ends, 3:]
 
-    low, mid, high = _physical_scale(data.dim) * _norm_pieces(params, data, ts, cuts, cfg).T
+    values = _norm_pieces(params, data, np.concatenate([ts, ts[ends]]), np.vstack([cuts, uncut]), cfg)
+    values = _physical_scale(data.dim) * values
+    low, mid, high = values[: ts.size].T
+    unsplit = values[ts.size :, 0]
     fields = (low, mid, high, cuts[:, 1], cuts[:, 2])
     if np.ndim(t):
-        return BandSplit(*fields)
-    return BandSplit(*(float(v[0]) for v in fields))
+        return BandSplit(*fields, unsplit)
+    return BandSplit(*(float(v[0]) for v in (*fields, unsplit)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +663,11 @@ def fast_segment_edges(lo, hi, centres=()) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class NormTrace:
-    """Sampled (t, ||u(t)||^2) records with per-band contributions and energy."""
+    """Sampled (t, ||u(t)||^2) records with per-band contributions and energy.
+
+    unsplit is the norm at the first and last sample integrated without the
+    band cuts, for checking that the bands sum to it (BandSplit.unsplit);
+    None for a trace assembled from other sources."""
 
     times: np.ndarray
     norms_sq: np.ndarray
@@ -656,6 +675,7 @@ class NormTrace:
     band_mid: np.ndarray
     band_high: np.ndarray
     energy: np.ndarray
+    unsplit: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arrays = (
@@ -680,18 +700,32 @@ def _is_count(value) -> bool:
     return float(value).is_integer() and value >= 1
 
 
+# The most samples geometric_times returns.  The presets take at most 61, at
+# about half a millisecond of quadrature each; the count is checked before
+# any array is made, so a points_per_decade of 10^9 is rejected at once
+# instead of asking for 4e9 samples.
+_MAX_SAMPLES = 10_000
+
+
 def geometric_times(t_min: float, t_max: float, points_per_decade: int) -> np.ndarray:
     """Log-uniform sampling, points_per_decade per factor of 10.
 
-    Raises InputDomainError unless 0 < t_min < t_max < inf and
-    points_per_decade is a whole number >= 1.
+    Raises InputDomainError unless 0 < t_min < t_max < inf,
+    points_per_decade is a whole number >= 1 and the window holds at most
+    _MAX_SAMPLES samples.
     """
     if not (0 < t_min < t_max < math.inf):
         raise InputDomainError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if not _is_count(points_per_decade):
         raise InputDomainError(f"points_per_decade must be an integer >= 1, got {points_per_decade!r}")
     decades = math.log10(t_max / t_min)
-    count = max(2, int(round(decades * points_per_decade)) + 1)
+    # bounded before rounding: int() of an infinite product raises OverflowError
+    count = max(2, int(round(min(decades * points_per_decade, _MAX_SAMPLES))) + 1)
+    if count > _MAX_SAMPLES:
+        raise InputDomainError(
+            f"{points_per_decade} points per decade over [{t_min}, {t_max}] "
+            f"make more than {_MAX_SAMPLES} samples"
+        )
     return np.geomspace(t_min, t_max, count)
 
 
@@ -704,9 +738,10 @@ def compute_norm_trace(
 ) -> NormTrace:
     """Band-split norms and total energy over a sampled time window.
 
-    The three band integrals of every sample come from one band_split_norm
-    call, on the one evaluation path of norm_squared, and the energy of
-    every sample from one total_energy call.
+    The three band integrals of every sample and the unsplit norm at the
+    first and last sample come from one band_split_norm call, on the one
+    evaluation path of norm_squared, and the energy of every sample from
+    one total_energy call.
     """
     ts = np.asarray(times, dtype=float)
     split = band_split_norm(params, data, ts, cfg, sinc_constants)
@@ -717,6 +752,7 @@ def compute_norm_trace(
         band_mid=split.mid,
         band_high=split.high,
         energy=total_energy(params, data, ts),
+        unsplit=split.unsplit,
     )
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,20 @@ class TestConfig:
         with pytest.raises(InputDomainError):
             geometric_times(*args)
 
+    @pytest.mark.parametrize("points_per_decade", [10**9, 1e300])
+    def test_window_sample_count_bounded_before_allocation(self, monkeypatch, capsys, points_per_decade):
+        # 10^9 points per decade over 1e2..1e6 would be 4e9 samples (32 GB)
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("np.geomspace was asked for the samples")
+
+        monkeypatch.setattr(np, "geomspace", no_allocation)
+        window = {"t_min": 1e2, "t_max": 1e6, "points_per_decade": points_per_decade}
+        with pytest.raises(InputDomainError, match="t_window: .* more than 10000 samples"):
+            ExperimentConfig.from_dict({"preset": "custom", "t_window": window})
+        argv = ["norm-growth", "--t-max", "1e6", "--points-per-decade", "1000000000"]
+        assert main(argv) == 2
+        assert "more than 10000 samples" in capsys.readouterr().err
+
     def test_other_datum_takes_its_own_keywords(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"data": {"name": "compact-band", "r_lo": 0.0, "r_hi": 0.5}}
@@ -118,6 +133,29 @@ class TestRunners:
         assert verdict["all_passed"]
         assert verdict["checks"]["radial_energy_drift"]["value"] <= 1e-10
         assert verdict["checks"]["grid_energy_drift"]["value"] <= 1e-8
+
+    def test_grid_energy_check_sees_the_position_datum(self, monkeypatch, tmp_path):
+        # a sign error in the -f sin(tf) u0_hat term of the velocity, built
+        # from two correct evolutions by linearity: u from (u0, u1), u_t
+        # from (-u0, u1); the check must fail on it
+        from rosenau import cli
+
+        evolve = cli.evolve_grid_times
+
+        def flipped(params, field0, field1, times, with_velocity=False):
+            mirror = replace(field0, values=-field0.values)
+            states = evolve(params, field0, field1, times, with_velocity=True)
+            mirrored = evolve(params, mirror, field1, times, with_velocity=True)
+            return ((u, u_t) for (u, _), (_, u_t) in zip(states, mirrored))
+
+        monkeypatch.setattr(cli, "evolve_grid_times", flipped)
+        cfg = ExperimentConfig.from_dict(
+            {"preset": "energy-conservation", "output_dir": str(tmp_path / "e")}
+        )
+        result = run_experiment(cfg)
+        assert result.exit_code == 1
+        assert not result.checks["grid_energy_drift"]["passed"]
+        assert result.checks["radial_energy_drift"]["passed"]
 
     def test_wellposed_preset(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -195,6 +233,7 @@ class TestRunners:
             ("quadrature: fast\n", "'quadrature'"),
             ("t_window: 5\n", "'t_window'"),
             ("gamma_moment: null\n", "'gamma_moment'"),
+            ("preset: prop-4-1\ngamma_moment: 1.5\n", "'gamma_moment' must lie in (0, 1]"),
             ("params: {kappa: true}\n", "'params.kappa'"),
             ("data: {name: gaussian, a: abc}\n", "a must be a number"),
             ("params: {delta: [\n", "cannot read config"),
@@ -268,6 +307,85 @@ class TestRunners:
         assert main(["run", str(cfg_path)]) == 2
         assert "t_window" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+TRACE_PRESETS = ("theorem-1-1", "theorem-1-2", "prop-4-1")
+
+
+def _counted(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that records each call in calls."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestTracePresetCalls:
+    """A trace preset computes each quantity in one call and nothing that
+    no check reads."""
+
+    def _run(self, preset, tmp_path):
+        cfg = ExperimentConfig.from_dict({"preset": preset, "output_dir": str(tmp_path)})
+        result = run_experiment(cfg)
+        assert result.exit_code == 0
+        return cfg, result
+
+    @pytest.mark.parametrize("preset,expected", zip(TRACE_PRESETS, (1, 2, 1)))
+    def test_driver_calls(self, monkeypatch, tmp_path, preset, expected):
+        # the trace and its band-sum check in one call; theorem-1-2 adds the
+        # lower envelopes' tail terms
+        from rosenau import bounds, norms
+
+        calls = []
+        for module in (norms, bounds):
+            _counted(monkeypatch, module, "oscillatory_integrals", calls)
+        self._run(preset, tmp_path)
+        assert len(calls) == expected
+
+    def test_prop_4_1_scans_no_moments(self, monkeypatch, tmp_path):
+        from rosenau import moments
+
+        def unread(*args, **kwargs):
+            raise AssertionError("prop-4-1 reads no moment decomposition")
+
+        monkeypatch.setattr(moments, "fluctuation", unread)
+        monkeypatch.setattr(moments.MomentDecomposition, "from_profile", classmethod(unread))
+        _, result = self._run("prop-4-1", tmp_path)
+        assert result.checks["trace_below_envelope"]["passed"]
+        assert result.checks["envelope_sandwich"]["passed"]
+
+    @pytest.mark.parametrize("preset", TRACE_PRESETS[:2])
+    def test_each_fit_once(self, monkeypatch, tmp_path, preset):
+        from rosenau import growth
+
+        calls = []
+        for name in ("fit_power", "fit_log"):
+            _counted(monkeypatch, growth, name, calls)
+        self._run(preset, tmp_path)
+        assert sorted(calls) == ["fit_log", "fit_power"]
+
+    @pytest.mark.parametrize("preset", TRACE_PRESETS)
+    def test_band_sum_check_reads_the_unsplit_rows_of_the_trace(self, tmp_path, preset):
+        # the trace carries the unsplit norm at its ends, equal to what a
+        # norm_squared call of its own gives, and the check's value is the
+        # gap between it and the band sums
+        from rosenau.cli import _build_data
+        from rosenau.norms import compute_norm_trace, norm_squared
+
+        cfg, result = self._run(preset, tmp_path)
+        params, quad, data = cfg.params, cfg.quadrature, _build_data(cfg)
+        times = geometric_times(*cfg.t_window)
+        trace = compute_norm_trace(params, data, times, quad, cfg.sinc)
+        unsplit = norm_squared(params, data, times[[0, -1]], quad)
+        np.testing.assert_array_equal(trace.unsplit, unsplit)
+        ends = trace.norms_sq[[0, -1]]
+        gap = float(np.max(np.abs(unsplit - ends) / np.abs(ends)))
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["checks"]["band_sum_matches_unsplit"]["value"] == gap
+        assert 0.0 < gap <= quad.rel_tol
 
 
 class TestDeterminism:

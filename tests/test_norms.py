@@ -134,12 +134,15 @@ class TestBandSplit:
         split = band_split_norm(P1, data, t)
         total = norm_squared(P1, data, t)
         assert split.total == pytest.approx(total, rel=1e-6)
+        # the check row of the same call is the norm_squared integral itself
+        assert split.unsplit == total
 
     def test_bands_sum_to_total_2d(self):
         data = gaussian_velocity_data(2)
         split = band_split_norm(P2, data, 40.0)
         total = norm_squared(P2, data, 40.0)
         assert split.total == pytest.approx(total, rel=1e-6)
+        assert split.unsplit == total
 
     def test_split_points_follow_dimension(self):
         split1 = band_split_norm(P1, gaussian_velocity_data(1), 100.0)
@@ -485,9 +488,11 @@ class TestOnePhasePlan:
         for t in (1e2, 1e4, 1e6, np.array([1e2, 1e4, 1e6])):
             calls.clear()
             band_split_norm(P1, gaussian_velocity_data(1), t)
-            # one call for all the samples, each over the whole of [0, r_max]
+            # one call for all the samples and the unsplit rows at the first
+            # and last of them, each over the whole of [0, r_max]
             assert len(calls) == 1
-            assert np.shape(calls[0][1]) == np.shape(np.atleast_1d(t))
+            samples = np.size(t)
+            assert np.shape(calls[0][1]) == (samples + min(samples, 2),)
             assert np.all(calls[0][2] == 0.0)
 
     def test_stationary_points_found_once_per_params(self):
