@@ -47,8 +47,6 @@ _EXPORTS = {
         "total_energy_grid",
     ),
     "catalog": (
-        "annular_profile",
-        "annular_velocity_data",
         "compact_band_data",
         "data_from_spec",
         "gaussian_position_data",

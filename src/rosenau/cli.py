@@ -178,8 +178,12 @@ class ExperimentConfig:
             mode=str(q["mode"]),
         )
         gamma_moment = _number(cfg, "gamma_moment")
-        if not 0.0 < gamma_moment <= 1.0:
-            raise InputDomainError(f"config key 'gamma_moment' must lie in (0, 1], got {gamma_moment!r}")
+        # the 1-D remainder integral of the lower envelope needs gamma > 1/2
+        lowest = 0.5 if params.dim == 1 else 0.0
+        if not lowest < gamma_moment <= 1.0:
+            raise InputDomainError(
+                f"config key 'gamma_moment' must lie in ({lowest:g}, 1] at dim {params.dim}, got {gamma_moment!r}"
+            )
         if not isinstance(cfg["output_dir"], (str, Path)):
             raise InputDomainError(f"config key 'output_dir' must be a path, got {cfg['output_dir']!r}")
         for module in PRESETS[preset].modules:
@@ -213,7 +217,7 @@ def _check(checks: dict, name: str, passed: bool, value, threshold) -> None:
 @dataclass(frozen=True)
 class _TraceStep:
     """What the trace presets share.  l1 and u1_l2 are the L1 and L2 norms of
-    the physical velocity profile, None for a datum without one (all but gaussian)."""
+    the physical velocity profile, None for a datum without a velocity_profile."""
 
     trace: NormTrace
     report: ClassifyReport | None
@@ -240,17 +244,12 @@ def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep
         growth_mod.write_fit_json(report, out / "fits.json")
 
     sandwich = l1 = u1_l2 = None
-    if config.data_spec.get("name") == "gaussian":
-        profile = gaussian_profile(
-            params.dim,
-            float(config.data_spec.get("a", 1.0)),
-            float(config.data_spec.get("amplitude", 1.0)),
-        )
+    profile = data.velocity_profile
+    if profile is not None:
         # the moment decomposition only where the sandwich and the lower
         # envelopes read it; the upper envelope needs L1 alone
         if params.dim in (1, 2):
-            gamma = config.gamma_moment if params.dim == 2 else max(config.gamma_moment, 0.75)
-            moments = MomentDecomposition.from_profile(profile, gamma)
+            moments = MomentDecomposition.from_profile(profile, config.gamma_moment)
             l1 = moments.l1
             sandwich = growth_mod.sandwich_report(trace, moments, params.dim)
             growth_mod.write_sandwich_csv(sandwich, out / "ratio_vs_t.csv")

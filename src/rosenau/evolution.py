@@ -29,16 +29,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from numpy.fft import fftfreq, irfftn, rfftfreq, rfftn
 
 from .artifacts import open_output
-from .errors import InputDomainError, InvariantViolation
+from .errors import InputDomainError, InvariantViolation, UncertifiedTailError
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
 from .quadrature import _row_blocks, integrate_radial
 from .tails import TailBound
+
+if TYPE_CHECKING:
+    from .moments import RadialProfile
 
 __all__ = [
     "RadialInitialData",
@@ -111,6 +114,8 @@ class RadialInitialData:
     w0_profile and w1_profile map |xi| (array) to the Fourier transforms of
     u0 and u1; the tails certify truncation.  kinks are the radii where a
     profile jumps; radial integrals of the profiles are cut there.
+    velocity_profile is u1 itself, the physical radial profile, for a datum
+    that has one in closed form; the moments and envelopes read it.
     """
 
     w0_profile: Callable[[np.ndarray], np.ndarray]
@@ -120,10 +125,13 @@ class RadialInitialData:
     w1_tail: TailBound = _ZERO_TAIL
     label: str = ""
     kinks: tuple = ()
+    velocity_profile: RadialProfile | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputDomainError("dim must be >= 1")
+        if self.velocity_profile is not None and self.velocity_profile.dim != self.dim:
+            raise InputDomainError("the velocity profile and the data disagree in dim")
         probe = np.linspace(0.0, 20.0, 41)
         for profile, tail in ((self.w0_profile, self.w0_tail), (self.w1_profile, self.w1_tail)):
             vals = np.asarray(profile(probe))
@@ -334,16 +342,19 @@ def evolve_grid(
 
 
 def _energy_radius(data: RadialInitialData) -> float:
-    """Radius beyond which the energy density of the data is negligible."""
+    """Radius beyond which the energy density of the data is negligible: the
+    support when both tails are compact, else at least 15 and far enough
+    that every Gaussian tail has fallen below e^-80 of its amplitude.  A tail
+    of kind "none" certifies no radius and raises UncertifiedTailError."""
     support = data.support_radius()
     if support is not None:
         return max(support, 1e-6)
+    if "none" in (data.w0_tail.kind, data.w1_tail.kind):
+        raise UncertifiedTailError("decay class gives no tail certificate for the energy")
     hi = 15.0
     for tail in (data.w0_tail, data.w1_tail):
-        if tail.kind == "gaussian" and tail.rate > 0:
+        if tail.kind == "gaussian":
             hi = max(hi, math.sqrt(80.0 / tail.rate))
-        elif tail.kind == "power":
-            hi = max(hi, tail.cutoff * 1e3)
     return hi
 
 

@@ -143,7 +143,7 @@ def dilation_family(R: float, base: RadialProfile) -> RadialProfile:
     """u_R(x) = phi(x/R) for the profile phi = base, in its dimension.
 
     The tail bound and the kinks of phi are scaled by R: a Gaussian rate by
-    1/R^2, a compact or power cutoff by R, a power amplitude by R^power.
+    1/R^2, a compact cutoff by R.
     """
     if not 0.0 < R < math.inf:
         raise InputDomainError("dilation scale must be positive and finite")
@@ -157,7 +157,7 @@ def dilation_family(R: float, base: RadialProfile) -> RadialProfile:
     return RadialProfile(
         scaled(base.func, 0),
         base.dim,
-        replace(tail, rate=tail.rate / R**2, cutoff=tail.cutoff * R, amplitude=tail.amplitude * R**tail.power),
+        replace(tail, rate=tail.rate / R**2, cutoff=tail.cutoff * R),
         label=f"dilation(R={R})",
         kinks=tuple(k * R for k in base.kinks),
         deriv=scaled(base.deriv, 1),
@@ -348,15 +348,16 @@ def energy_identity_check(
     P = (mu r^4 + kappa r^2)|w1|^2 r/2 both sides are a mean plus terms in
     cos(t f) and cos(2 t f).  Both run through norms.oscillatory_integrals at
     tau = t/2, whose e^(2 i tau f) is e^(i t f), cut at the data's kinks, so
-    the cost does not grow with t.  solution_norm_sq_half is ||u(t)||^2 / 2
-    from norm_squared, held to 1e-9 per piece.
+    the cost does not grow with t.  u0 = 0 is read from the certificate
+    data.w0_tail.vanishes, as the norm integrand reads it.
+    solution_norm_sq_half is ||u(t)||^2 / 2 from norm_squared, held to 1e-9
+    per piece.
     """
     if params.theta != 1.0:
         raise PreconditionError("the identity is stated for theta = 1")
     if params.dim != 2 or data.dim != 2:
         raise PreconditionError("the identity is stated for dim = 2")
-    probe = np.linspace(0.0, 10.0, 11)
-    if np.any(np.abs(np.asarray(data.w0_profile(probe))) > 0):
+    if not data.w0_tail.vanishes:
         raise PreconditionError("the time-integral route requires u0 = 0")
     _check_time(t)
 

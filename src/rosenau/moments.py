@@ -13,10 +13,13 @@ analytic ceiling 2^(1-gamma) + 1 (from |cos s - 1| <= 2^(1-gamma)|s|^gamma
 and |sin s| <= |s|^gamma) is asserted on top of it.
 
 B vanishes identically for radial data by odd symmetry, so only A is
-computed.
+computed, as the integral of u1(r) (K_n(rho r) - 1) r^(n-1) with K_n the
+normalized radial Fourier kernel, whose K_n - 1 _kernel_minus_one
+evaluates without cancellation.
 
 Every integral runs over [0, R] for the profile's certified finite radius R
-(a compact or a Gaussian tail; other profiles raise IntegrabilityError),
+(a compact or a Gaussian tail; a tail of kind "none" raises
+IntegrabilityError),
 through quadrature.integrate_radial, cut at the profile's kinks.  A(rho)
 for the whole frequency grid is one call of it with one piece per
 frequency, rho the piece's parameter, each piece refined alone and held to
@@ -40,7 +43,6 @@ from .tails import TailBound
 __all__ = [
     "RadialProfile",
     "MomentDecomposition",
-    "radial_kernel",
     "zeroth_moment",
     "l1_norm",
     "fluctuation",
@@ -93,51 +95,38 @@ class RadialProfile:
         )
 
 
-def radial_kernel(dim: int, s):
-    """Normalized radial Fourier kernel: cos for n=1, J0 for n=2, sinc for n=3.
-
-    General n: Gamma(n/2) (2/s)^(n/2-1) J_{n/2-1}(s), normalized to 1 at 0.
-    """
-    if dim == 1:
-        return np.cos(np.asarray(s, dtype=float))
-    return _shifted_kernel(dim, s, 0.0)
-
-
 def _kernel_minus_one(dim: int, s):
-    """radial_kernel - 1, evaluated without cancellation near s = 0."""
-    if dim == 1:
-        return -2.0 * np.sin(np.asarray(s, dtype=float) / 2.0) ** 2
-    return _shifted_kernel(dim, s, 1.0)
+    """K_n(s) - 1 for the normalized radial Fourier kernel
+    K_n(s) = Gamma(n/2) (2/s)^(n/2-1) J_{n/2-1}(s), K_n(0) = 1: cos s for
+    n = 1, J0 for n = 2, sin(s)/s for n = 3.  Free of cancellation near
+    s = 0; for dim >= 2 in four pieces of |s|:
 
-
-def _shifted_kernel(dim: int, s, shift: float):
-    """radial_kernel - shift for dim >= 2, in four pieces of |s|.
-
-    * below _series_radius: the power series
-      sum_k (-s^2/4)^k Gamma(n/2) / (k! Gamma(k + n/2)), whose k >= 1 part
-      is free of cancellation;
-    * n = 3 above it: sin(s)/s;
+    * below _series_radius: the k >= 1 part of the power series
+      sum_k (-s^2/4)^k Gamma(n/2) / (k! Gamma(k + n/2));
+    * n = 3 above it: sin(s)/s - 1;
     * other odd n above it: Hankel's expansion (DLMF 10.17.3), which
       terminates for half-integer order and so is the closed form;
     * even n: a Chebyshev series in s^2 up to the crossover s0 of
       _integer_order_tables, Hankel's expansion beyond it.
     """
+    if dim == 1:
+        return -2.0 * np.sin(np.asarray(s, dtype=float) / 2.0) ** 2
     s = np.asarray(s, dtype=float)
     a = np.abs(s).reshape(-1)
     out = np.empty_like(a)
     small = a < _series_radius(dim)
-    out[small] = _series_minus_one(dim, a[small]) + (1.0 - shift)
+    out[small] = _series_minus_one(dim, a[small])
     large = ~small
     if dim == 3:
-        out[large] = np.sin(a[large]) / a[large] - shift
+        out[large] = np.sin(a[large]) / a[large] - 1.0
     elif dim % 2:
-        out[large] = _hankel_kernel(dim, a[large], _hankel_coefficients(dim / 2.0 - 1.0)) - shift
+        out[large] = _hankel_kernel(dim, a[large], _hankel_coefficients(dim / 2.0 - 1.0)) - 1.0
     else:
         s0, coeffs, hankel = _integer_order_tables(dim)
         mid = large & (a < s0)
-        out[mid] = _chebyshev_sum(coeffs, a[mid] ** 2 / (s0 * s0)) - shift
+        out[mid] = _chebyshev_sum(coeffs, a[mid] ** 2 / (s0 * s0)) - 1.0
         far = large & ~mid
-        out[far] = _hankel_kernel(dim, a[far], hankel) - shift
+        out[far] = _hankel_kernel(dim, a[far], hankel) - 1.0
     return out.reshape(s.shape)
 
 

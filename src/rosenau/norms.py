@@ -216,8 +216,6 @@ def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: Quadrat
         for tail in (data.w0_tail, data.w1_tail):
             if tail.kind == "gaussian":
                 start = max(start, math.sqrt(10.0 / tail.rate))
-            elif tail.kind == "power":
-                start = max(start, tail.cutoff * 2.0)
         rough = _coarse_estimate(params, data, ts, start)
         for i, (t_i, rough_i) in enumerate(zip(ts.tolist(), rough.tolist())):
             r0, target = start, cfg.rel_tol / 10.0 * max(rough_i, 1e-280)
@@ -362,7 +360,6 @@ def oscillatory_integrals(
         osc, _ = integrate_levin(
             _in_fast_coordinate(coefficient),
             phase,
-            None,
             2.0 * ts[index],
             edges,
             rel_tol,

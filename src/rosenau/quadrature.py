@@ -482,7 +482,7 @@ def _levin_solve(diff, half, fp, g, omega):
 _LEVIN_CHUNK = 256
 
 
-def _levin_panels(g, f, fprime, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _levin_panels(g, phase, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Estimates of integral g(r) e^(i omega f(r)) dr over each [lo_i, hi_i],
     with omega one frequency per panel, in chunks of _LEVIN_CHUNK panels.
 
@@ -508,11 +508,11 @@ def _levin_panels(g, f, fprime, omega: np.ndarray, lo: np.ndarray, hi: np.ndarra
     floor = np.empty(lo.shape)
     for start in range(0, lo.size, _LEVIN_CHUNK):
         sl = slice(start, start + _LEVIN_CHUNK)
-        value[sl], error[sl], floor[sl] = _levin_chunk(g, f, fprime, omega[sl], lo[sl], hi[sl])
+        value[sl], error[sl], floor[sl] = _levin_chunk(g, phase, omega[sl], lo[sl], hi[sl])
     return value, error, floor
 
 
-def _levin_chunk(g, f, fprime, omega, lo, hi):
+def _levin_chunk(g, phase, omega, lo, hi):
     """_levin_panels on one chunk of panels."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi)[:, None] + half[:, None] * _LEVIN_NODES
@@ -520,8 +520,7 @@ def _levin_chunk(g, f, fprime, omega, lo, hi):
     x[:, -1] = lo
     flat = x.ravel()
     gv = np.asarray(g(flat)).reshape(x.shape)
-    phase = f(flat) if fprime is None else (f(flat), fprime(flat))
-    fv, fp = (np.asarray(v, dtype=float).reshape(x.shape) for v in phase)
+    fv, fp = (np.asarray(v, dtype=float).reshape(x.shape) for v in phase(flat))
     if not (np.all(np.isfinite(gv)) and np.all(np.isfinite(fv)) and np.all(np.isfinite(fp))):
         raise IntegrabilityError("non-finite integrand or phase in a Levin panel")
 
@@ -556,38 +555,26 @@ def _levin_chunk(g, f, fprime, omega, lo, hi):
     return value, error, floor
 
 
-def integrate_levin(
-    g,
-    f,
-    fprime,
-    omega,
-    edges,
-    rel_tol: float,
-    abs_tol=0.0,
-):
-    """Integral of g(r) e^(i omega f(r)) over the partition by Levin collocation.
+def integrate_levin(g, phase, omega, pieces: list, rel_tol: float, abs_tol=0.0):
+    """Integrals of g(r) e^(i omega f(r)) over each partition of the list
+    pieces by Levin collocation, the pieces of one refinement, each held to
+    its own budget.
 
-    g may be complex; f and fprime are the real phase and its derivative,
-    which must not vanish on the partition; fprime may be None when f
-    returns the pair (phase, derivative) from one evaluation.  Panels are
-    refined by _refine for at most _MAX_ROUNDS rounds, with |I17 - I9|
-    (plus the Chebyshev tail bounds of _levin_panels) as the error estimate and 64 eps h max|g| as the rounding
-    level of a panel of half-width h, raised to the rounding of the phase
-    omega f where that is larger.  Returns (complex value, error estimate).
-    edges may also be a list of partitions, the pieces of one refinement,
-    each held to its own budget: omega and abs_tol are then a number or one
-    per piece, and the result a pair of arrays, the complex values and the
-    error estimates per piece.  Raises IntegrabilityError on non-finite
-    values and singular panels, and on a piece still unresolved after the
-    last round.
+    g may be complex; phase maps the nodes to the pair (f, f') of the real
+    phase and its derivative from one evaluation, and f' must not vanish on
+    the partitions.  omega and abs_tol are a number or one per piece.
+    Panels are refined by _refine for at most _MAX_ROUNDS rounds, with
+    |I17 - I9| (plus the Chebyshev tail bounds of _levin_panels) as the
+    error estimate and 64 eps h max|g| as the rounding level of a panel of
+    half-width h, raised to the rounding of the phase omega f where that is
+    larger.  Returns a pair of arrays, the complex values and the error
+    estimates per piece.  Raises IntegrabilityError on non-finite values
+    and singular panels, and on a piece still unresolved after the last
+    round.
     """
-    pieces = edges if isinstance(edges, list) else [edges]
     omegas = np.broadcast_to(np.asarray(omega, dtype=float), (len(pieces),))
 
     def rule(lo, hi, piece):
-        return _levin_panels(g, f, fprime, omegas[piece], lo, hi)
+        return _levin_panels(g, phase, omegas[piece], lo, hi)
 
-    value, error = _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS)
-    if isinstance(edges, list):
-        return value, error
-    return complex(value[0]), float(error[0])
+    return _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS)

@@ -16,23 +16,20 @@ class TailBound:
 
     kind "gaussian": |g(r)| <= amplitude * exp(-rate r^2) for all r;
     kind "compact":  g(r) = 0 for r > cutoff;
-    kind "power":    |g(r)| <= amplitude / r^power for r >= cutoff;
-    kind "none":     no certificate available.
+    kind "none":     no certificate available, so no finite radius bounds
+                     the integrals of g.
     """
 
     kind: str
     amplitude: float = 0.0
     rate: float = 0.0
     cutoff: float = 0.0
-    power: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "compact", "power", "none"):
+        if self.kind not in ("gaussian", "compact", "none"):
             raise InputDomainError(f"unknown tail kind {self.kind!r}")
         if self.kind == "gaussian" and self.rate <= 0:
             raise InputDomainError("gaussian tail needs a positive rate")
-        if self.kind == "power" and (self.power <= 0 or self.cutoff <= 0):
-            raise InputDomainError("power tail needs positive power and cutoff")
         if self.kind == "compact" and not (self.cutoff is not None and 0.0 <= self.cutoff < math.inf):
             raise InputDomainError(f"compact tail needs a finite cutoff >= 0, got {self.cutoff}")
 
@@ -42,20 +39,15 @@ class TailBound:
         return self.kind == "compact" and self.cutoff == 0.0
 
     def mass_beyond(self, r0: float, dim: int) -> float:
-        """Upper bound on integral_{r0}^inf |g(r)|^2 r^(dim-1) dr."""
+        """Upper bound on integral_{r0}^inf |g(r)|^2 r^(dim-1) dr; a compact
+        tail bounds nothing below its cutoff."""
         if self.kind == "compact":
-            return 0.0
+            return 0.0 if r0 >= self.cutoff else math.inf
         if self.kind == "gaussian":
             s = 2.0 * self.rate
             half = dim / 2.0
             # integral_{r0}^inf e^{-s r^2} r^(n-1) dr = Gamma(n/2, s r0^2) / (2 s^(n/2))
             return self.amplitude**2 * _upper_incomplete_gamma(dim, s * r0**2) / (2.0 * s**half)
-        if self.kind == "power":
-            expo = dim - 2.0 * self.power
-            if expo >= 0:
-                return math.inf
-            r_eff = max(r0, self.cutoff)
-            return float(self.amplitude**2 * r_eff**expo / (-expo))
         return math.inf
 
 

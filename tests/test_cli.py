@@ -107,6 +107,52 @@ class TestConfig:
         )
         assert cfg.data_spec == {"name": "compact-band", "r_lo": 0.0, "r_hi": 0.5}
 
+    def test_a_gaussian_velocity_datum_carries_its_physical_profile(self):
+        from rosenau import data_from_spec, gaussian_profile
+
+        r = np.linspace(0.0, 4.0, 33)
+        for dim in (1, 2, 3):
+            profile = data_from_spec("gaussian", dim, a=2.0, amplitude=3.0).velocity_profile
+            expected = gaussian_profile(dim, 2.0, 3.0)
+            assert (profile.dim, profile.tail, profile.kinks) == (dim, expected.tail, expected.kinks)
+            for name in ("func", "deriv", "second_deriv"):
+                np.testing.assert_array_equal(getattr(profile, name)(r), getattr(expected, name)(r))
+        assert data_from_spec("gaussian-u0", 2).velocity_profile is None
+        assert data_from_spec("compact-band", 2, r_lo=0.5, r_hi=2.0).velocity_profile is None
+
+    def test_retired_datum_is_an_unknown_spec(self, capsys, tmp_path):
+        cfg_path = tmp_path / "annular.yaml"
+        cfg_path.write_text(f"data: {{name: annular-bump}}\noutput_dir: {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: unknown data spec 'annular-bump'")
+        assert "['compact-band', 'gaussian', 'gaussian-u0']" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gamma", [0.6, 1.0])
+    def test_the_configured_moment_exponent_is_the_one_used(self, monkeypatch, tmp_path, gamma):
+        # a 1-D run decomposes its datum with the configured gamma, not a floor of it
+        from rosenau import moments
+
+        used = []
+        from_profile = moments.MomentDecomposition.from_profile.__func__
+
+        def recorded(cls, u1, gamma_exp, xi_grid=None):
+            used.append(gamma_exp)
+            return from_profile(cls, u1, gamma_exp, xi_grid)
+
+        monkeypatch.setattr(moments.MomentDecomposition, "from_profile", classmethod(recorded))
+        cfg = ExperimentConfig.from_dict(
+            {
+                "preset": "theorem-1-1",
+                "gamma_moment": gamma,
+                "t_window": {"t_min": 1e2, "t_max": 1e3, "points_per_decade": 10},
+                "output_dir": str(tmp_path / "out"),
+            }
+        )
+        run_experiment(cfg)
+        assert used == [gamma]
+
     def test_print_default_config_flag(self, capsys):
         assert main(["--print-default-config", "prop-4-1"]) == 0
         out = capsys.readouterr().out
@@ -234,6 +280,10 @@ class TestRunners:
             ("t_window: 5\n", "'t_window'"),
             ("gamma_moment: null\n", "'gamma_moment'"),
             ("preset: prop-4-1\ngamma_moment: 1.5\n", "'gamma_moment' must lie in (0, 1]"),
+            ("gamma_moment: 0.3\n", "'gamma_moment' must lie in (0.5, 1] at dim 1"),
+            ("gamma_moment: 0.5\n", "'gamma_moment' must lie in (0.5, 1] at dim 1"),
+            ("data: {name: gaussian, a: 0}\n", "gaussian rate a must be positive"),
+            ("data: {name: gaussian-u0, a: -1}\n", "gaussian rate a must be positive"),
             ("params: {kappa: true}\n", "'params.kappa'"),
             ("data: {name: gaussian, a: abc}\n", "a must be a number"),
             ("params: {delta: [\n", "cannot read config"),
@@ -251,8 +301,8 @@ class TestRunners:
         [
             ("{name: compact-band, r_lo: 0.5, r_hi: .inf}", "r_hi"),
             ("{name: compact-band, r_lo: -.inf, r_hi: 1.0}", "r_lo"),
-            ("{name: annular-bump, r0: .inf}", "r0"),
-            ("{name: annular-bump, width: .nan}", "width"),
+            ("{name: gaussian-u0, a: .inf}", "a"),
+            ("{name: gaussian-u0, amplitude: .nan}", "amplitude"),
             ("{name: gaussian, amplitude: .inf}", "amplitude"),
         ],
     )

@@ -445,6 +445,14 @@ class TestEnergy:
         now = total_energy(P1, data, t)
         assert abs(now - base) / base <= 1e-10
 
+    def test_an_uncertified_tail_raises(self):
+        # a tail of kind "none" certifies no radius to cut the energy at
+        from rosenau import TailBound, UncertifiedTailError
+
+        data = replace(gaussian_velocity_data(1), w1_tail=TailBound(kind="none"))
+        with pytest.raises(UncertifiedTailError):
+            total_energy(P1, data, 0.0)
+
     def test_zero_data_zero_energy(self):
         from rosenau import compact_band_data
 
@@ -538,16 +546,19 @@ class TestPropagator:
         assert np.all(propagator(0.0, f) == 0.0)
 
     def test_sinc_branches(self):
-        # the program's sin(s)/s is the 3-D radial kernel, its power series below |s| = 1
-        from rosenau.moments import radial_kernel
+        # the program's sin(s)/s is 1 plus the 3-D radial kernel minus one,
+        # its power series below |s| = 1
+        from rosenau.moments import _kernel_minus_one
 
         x = np.array([0.0, 1e-9, -5e-9, 1e-8, 0.3, -2.0])
         expected = [1.0, 1.0 - 1e-18 / 6.0, 1.0 - 25e-18 / 6.0] + [
             math.sin(v) / v for v in x[3:]
         ]
-        np.testing.assert_allclose(radial_kernel(3, x), expected, rtol=1e-15)
-        assert radial_kernel(3, 0.0) == 1.0
-        assert radial_kernel(3, 2.0) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-15)
+        np.testing.assert_allclose(1.0 + _kernel_minus_one(3, x), expected, rtol=1e-15)
+        assert 1.0 + _kernel_minus_one(3, 0.0) == 1.0
+        assert 1.0 + _kernel_minus_one(3, 2.0) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-15)
+        # below |s| = 1 the series keeps the relative accuracy of s^2 / 6
+        np.testing.assert_allclose(_kernel_minus_one(3, x[1:3]), -x[1:3] ** 2 / 6.0, rtol=1e-15)
 
 
 class TestNonFiniteTime:

@@ -146,9 +146,7 @@ class TestProfiles:
             rellich_quotient(no_second)
 
     def test_a_profile_without_a_finite_radius_raises(self):
-        slow = RadialProfile(
-            np.exp, 2, TailBound(kind="power", amplitude=1.0, power=3.0, cutoff=1.0), deriv=np.exp
-        )
+        slow = RadialProfile(np.exp, 2, TailBound(kind="none"), deriv=np.exp)
         with pytest.raises(IntegrabilityError, match="finite radius"):
             gradient_norm_sq(slow)
 
@@ -400,6 +398,19 @@ class TestEnergyIdentity:
 
         with pytest.raises(PreconditionError):
             energy_identity_check(self.P, gaussian_position_data(2), 1.0)
+
+    def test_a_position_datum_between_the_integers_is_seen(self):
+        # w0 = 1 on [0.2, 0.8], with a compact tail and its edges declared:
+        # zero at every integer radius, but its certificate says it is there
+        velocity = gaussian_velocity_data(2)
+        data = replace(
+            velocity,
+            w0_profile=lambda r: np.where((np.asarray(r) >= 0.2) & (np.asarray(r) <= 0.8), 1.0, 0.0),
+            w0_tail=TailBound(kind="compact", cutoff=0.8),
+            kinks=(0.2, 0.8),
+        )
+        with pytest.raises(PreconditionError, match="u0 = 0"):
+            energy_identity_check(self.P, data, 1e3)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     def test_rejects_a_time_that_is_not_finite_and_nonnegative(self, t):

@@ -11,7 +11,6 @@ from rosenau import (
     MomentDecomposition,
     RadialProfile,
     TailBound,
-    annular_profile,
     fluctuation,
     gaussian_profile,
     l1_norm,
@@ -20,7 +19,7 @@ from rosenau import (
 )
 from rosenau import quadrature
 from rosenau.model import unit_sphere_area
-from rosenau.moments import _kernel_minus_one, _moment_constant, radial_kernel
+from rosenau.moments import _kernel_minus_one, _moment_constant
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
 
@@ -47,7 +46,7 @@ def radial_fourier(u1: RadialProfile, rho: float) -> float:
 
     def integrand(r):
         val = float(np.real(u1.func(np.array([r]))[0]))
-        return val * float(radial_kernel(n, np.array([rho * r]))[0]) * r ** (n - 1)
+        return val * (1.0 + float(_kernel_minus_one(n, np.array([rho * r]))[0])) * r ** (n - 1)
 
     # the profile's kinks are breakpoints too, so a narrow shell is a piece
     # of its own
@@ -59,6 +58,19 @@ def radial_fourier(u1: RadialProfile, rho: float) -> float:
 def moment_bound_check(u1, gamma_exp, xi_grid):
     """The empirical moment constant M of u1 on the grid, as from_profile finds it."""
     return _moment_constant(u1, gamma_exp, xi_grid, weighted_l1_norm(u1, gamma_exp))
+
+
+def annular_profile(dim, r0, width):
+    """The C^2 bump (1 - s^2)^3, s = (r - r0)/width, on the annulus |s| <= 1,
+    its edges declared as kinks."""
+
+    def func(r):
+        s = (np.asarray(r, dtype=float) - r0) / width
+        return np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 3, 0.0)
+
+    return RadialProfile(
+        func, dim, TailBound(kind="compact", cutoff=r0 + width), kinks=(r0 - width, r0 + width)
+    )
 
 
 def indicator_profile(dim=1):
@@ -93,7 +105,7 @@ class TestZerothMoment:
         slow = RadialProfile(
             func=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)),
             dim=1,
-            tail=TailBound(kind="power", amplitude=1.0, power=1.0, cutoff=1.0),
+            tail=TailBound(kind="none"),
         )
         with pytest.raises(IntegrabilityError):
             zeroth_moment(slow)
@@ -226,7 +238,7 @@ class TestPanelFluctuation:
         lorentzian = RadialProfile(
             func=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2),
             dim=1,
-            tail=TailBound(kind="power", amplitude=1.0, power=2.0, cutoff=1.0),
+            tail=TailBound(kind="none"),
         )
         with pytest.raises(IntegrabilityError):
             zeroth_moment(lorentzian)
@@ -396,7 +408,8 @@ class TestDecomposition:
 
 
 class TestRadialKernelOracle:
-    """The numpy-only kernel against scipy's J_nu, and mpmath below |s| = 1."""
+    """The numpy-only kernel, 1 + _kernel_minus_one, against scipy's J_nu,
+    and mpmath below |s| = 1."""
 
     # dense around s0 = 25, where the even dims hand over from the Chebyshev
     # series to Hankel's expansion
@@ -412,8 +425,8 @@ class TestRadialKernelOracle:
 
         nu = dim / 2.0 - 1.0
         expected = gamma(dim / 2.0) * (2.0 / self.S) ** nu * jv(nu, self.S)
-        assert np.max(np.abs(radial_kernel(dim, self.S) - expected)) <= 5e-15
-        np.testing.assert_array_equal(radial_kernel(dim, -self.S), radial_kernel(dim, self.S))
+        assert np.max(np.abs(1.0 + _kernel_minus_one(dim, self.S) - expected)) <= 5e-15
+        np.testing.assert_array_equal(_kernel_minus_one(dim, -self.S), _kernel_minus_one(dim, self.S))
 
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_matches_mpmath(self, dim):
@@ -427,7 +440,7 @@ class TestRadialKernelOracle:
                       * mpmath.besselj(half - 1, mpmath.mpf(x)))
                 for x in s[1:]
             ]
-        assert np.max(np.abs(radial_kernel(dim, s) - expected)) <= 4e-15
+        assert np.max(np.abs(1.0 + _kernel_minus_one(dim, s) - expected)) <= 4e-15
 
     @pytest.mark.parametrize("dim", range(2, 13))
     def test_continuous_where_the_evaluation_changes(self, dim):
@@ -440,11 +453,10 @@ class TestRadialKernelOracle:
             s = np.array([np.nextafter(h, 0.0), h])
             # one ulp of s moves the kernel by under 1e-15 (|K'| <= 1/n), and
             # either evaluation is within 1e-15 of J_nu there
-            assert abs(np.diff(radial_kernel(dim, s))[0]) <= 2e-15
             assert abs(np.diff(_kernel_minus_one(dim, s))[0]) <= 2e-15
 
     def test_keeps_the_shape_of_its_argument(self):
-        assert radial_kernel(2, 0.0).shape == ()
-        assert float(radial_kernel(2, 0.0)) == 1.0
-        assert radial_kernel(4, np.ones((3, 2))).shape == (3, 2)
-        assert np.isnan(radial_kernel(2, np.nan))
+        assert _kernel_minus_one(2, 0.0).shape == ()
+        assert float(_kernel_minus_one(2, 0.0)) == 0.0
+        assert _kernel_minus_one(4, np.ones((3, 2))).shape == (3, 2)
+        assert np.isnan(_kernel_minus_one(2, np.nan))

@@ -38,8 +38,8 @@ EXPORTED = {
         "total_energy", "total_energy_grid",
     ],
     "catalog": [
-        "annular_profile", "annular_velocity_data", "compact_band_data", "data_from_spec",
-        "gaussian_position_data", "gaussian_profile", "gaussian_velocity_data",
+        "compact_band_data", "data_from_spec", "gaussian_position_data", "gaussian_profile",
+        "gaussian_velocity_data",
     ],
     "moments": [
         "MomentDecomposition", "RadialProfile", "fluctuation", "l1_norm",
@@ -90,7 +90,7 @@ def fresh(code: str, *args: str, blas_threads: str | None = None) -> dict:
 
 class TestPackageTable:
     def test_all_is_the_exported_names(self):
-        assert len(NAMES) == 74
+        assert len(NAMES) == 72
         assert rosenau.__all__ == NAMES
 
     def test_each_name_is_its_module_attribute(self):

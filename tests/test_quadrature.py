@@ -298,12 +298,11 @@ class TestPieces:
 
     def test_levin_pieces_as_if_alone(self):
         g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
-        args = (lambda x: x * x, lambda x: 2.0 * x, 300.0)
         pieces = [np.linspace(0.5, 1.0, 3), np.linspace(1.0, 4.0, 5)]
-        values, errors = integrate_levin(g, *args, pieces, 1e-10, np.array([1e-13, 0.0]))
+        values, errors = integrate_levin(g, _square, 300.0, pieces, 1e-10, np.array([1e-13, 0.0]))
         assert values.shape == errors.shape == (2,)
         for edges, abs_tol, value, error in zip(pieces, (1e-13, 0.0), values, errors):
-            alone, alone_error = integrate_levin(g, *args, edges, 1e-10, abs_tol)
+            (alone,), (alone_error,) = integrate_levin(g, _square, 300.0, [edges], 1e-10, abs_tol)
             assert value == pytest.approx(alone, rel=1e-14)
             assert abs(error - alone_error) <= 1e-14 * abs(alone)
 
@@ -334,22 +333,34 @@ class TestPieces:
 
     def test_levin_pieces_with_their_own_omega(self):
         g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
-        f, fprime = (lambda x: x * x), (lambda x: 2.0 * x)
         pieces = [np.linspace(0.5, 1.0, 3), np.linspace(1.0, 4.0, 5), np.linspace(0.5, 2.0, 4)]
         omegas = np.array([300.0, 7.0, 2e4])
-        values, errors = integrate_levin(g, f, fprime, omegas, pieces, 1e-10)
+        values, errors = integrate_levin(g, _square, omegas, pieces, 1e-10)
         for edges, omega, value, error in zip(pieces, omegas, values, errors):
-            alone, alone_error = integrate_levin(g, f, fprime, omega, edges, 1e-10)
+            (alone,), (alone_error,) = integrate_levin(g, _square, omega, [edges], 1e-10)
             assert value == pytest.approx(alone, rel=1e-14)
             assert abs(error - alone_error) <= 1e-14 * abs(alone)
 
 
 def test_levin_takes_the_phase_and_its_derivative_from_one_function():
-    g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
-    f, fprime = (lambda x: x * x), (lambda x: 2.0 * x)
-    edges = np.linspace(0.5, 4.0, 6)
-    pair = integrate_levin(g, lambda x: (f(x), fprime(x)), None, 300.0, edges, 1e-10)
-    assert pair == integrate_levin(g, f, fprime, 300.0, edges, 1e-10)
+    # one phase evaluation per amplitude evaluation, on the same nodes, and
+    # the closed form of 2x e^(i w x^2) from it
+    nodes = {"g": [], "phase": []}
+
+    def g(x):
+        nodes["g"].append(x.copy())
+        return 2.0 * x
+
+    def phase(x):
+        nodes["phase"].append(x.copy())
+        return _square(x)
+
+    (val,), _ = integrate_levin(g, phase, 300.0, [np.linspace(0.5, 4.0, 6)], 1e-12)
+    assert len(nodes["g"]) == len(nodes["phase"]) > 0
+    for x_g, x_phase in zip(nodes["g"], nodes["phase"]):
+        np.testing.assert_array_equal(x_g, x_phase)
+    exact = (np.exp(300j * 16.0) - np.exp(300j * 0.25)) / 300j
+    assert abs(val - exact) <= 1e-13 * abs(exact)
 
 
 def test_theorem_1_2_keeps_every_chunk_small(monkeypatch, tmp_path):
@@ -369,9 +380,9 @@ def test_theorem_1_2_keeps_every_chunk_small(monkeypatch, tmp_path):
 
         return panel_integrals(counted_fn, lo, hi, t, **kwargs)
 
-    def counted_levin(g, f, fprime, omega, lo, hi):
+    def counted_levin(g, phase, omega, lo, hi):
         levin_panels.append(np.size(lo))
-        return levin_chunk(g, f, fprime, omega, lo, hi)
+        return levin_chunk(g, phase, omega, lo, hi)
 
     monkeypatch.setattr(quadrature, "panel_integrals", counted_k21)
     monkeypatch.setattr(quadrature, "_levin_chunk", counted_levin)
@@ -410,6 +421,16 @@ def _ones(x):
     return np.ones_like(x)
 
 
+def _linear(x):
+    """The phase f(x) = x and its derivative."""
+    return x, np.ones_like(x)
+
+
+def _square(x):
+    """The phase f(x) = x^2 and its derivative."""
+    return x * x, 2.0 * x
+
+
 def _linear_exact(a, b, omega):
     return (np.exp(1j * omega * b) - np.exp(1j * omega * a)) / (1j * omega)
 
@@ -421,7 +442,7 @@ class TestLevin:
 
     @pytest.mark.parametrize("omega", OMEGAS)
     def test_constant_amplitude_linear_phase_exact(self, omega):
-        val, err = integrate_levin(_ones, lambda x: x, _ones, omega, np.array([0.3, 2.0]), 1e-12)
+        (val,), (err,) = integrate_levin(_ones, _linear, omega, [np.array([0.3, 2.0])], 1e-12)
         exact = _linear_exact(0.3, 2.0, omega)
         assert abs(val - exact) <= 1e-14 * abs(exact)
         assert err <= 1e-13
@@ -435,24 +456,22 @@ class TestLevin:
             return np.exp(iw * x) * (x**3 / iw - 3 * x**2 / iw**2 + 6 * x / iw**3 - 6 / iw**4)
 
         exact = antiderivative(2.0) - antiderivative(-1.0)
-        val, _ = integrate_levin(lambda x: x**3, lambda x: x, _ones, omega,
-                                 np.linspace(-1.0, 2.0, 4), 1e-12)
+        (val,), _ = integrate_levin(lambda x: x**3, _linear, omega, [np.linspace(-1.0, 2.0, 4)], 1e-12)
         assert abs(val - exact) <= 1e-13 * max(abs(exact), 1.0 / omega)
 
     @pytest.mark.parametrize("omega", OMEGAS)
     def test_nonlinear_phase_closed_form(self, omega):
         # 2x e^(i w x^2) has the antiderivative e^(i w x^2)/(i w)
-        val, _ = integrate_levin(lambda x: 2 * x, lambda x: x**2, lambda x: 2 * x, omega,
-                                 np.linspace(0.5, 3.0, 5), 1e-12)
+        (val,), _ = integrate_levin(lambda x: 2 * x, _square, omega, [np.linspace(0.5, 3.0, 5)], 1e-12)
         exact = (np.exp(1j * omega * 9.0) - np.exp(1j * omega * 0.25)) / (1j * omega)
         assert abs(val - exact) <= 1e-13 * abs(exact)
 
     def test_complex_amplitude_is_linear(self):
         g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
-        args = (lambda x: x**2, lambda x: 2 * x, 300.0, np.linspace(0.5, 3.0, 9), 1e-12)
-        whole, _ = integrate_levin(g, *args)
-        re, _ = integrate_levin(lambda x: g(x).real, *args)
-        im, _ = integrate_levin(lambda x: g(x).imag, *args)
+        args = (_square, 300.0, [np.linspace(0.5, 3.0, 9)], 1e-12)
+        (whole,), _ = integrate_levin(g, *args)
+        (re,), _ = integrate_levin(lambda x: g(x).real, *args)
+        (im,), _ = integrate_levin(lambda x: g(x).imag, *args)
         assert abs(whole - (re + 1j * im)) <= 1e-14 * abs(whole)
 
     def test_against_dense_simpson(self):
@@ -460,9 +479,10 @@ class TestLevin:
 
         t = 1e3
         g = lambda r: np.exp(-0.25 * r**2) / r  # noqa: E731
-        val, _ = integrate_levin(g, lambda r: eval_dispersion(P, r),
-                                 lambda r: dispersion_derivatives(P, r)[0], 2 * t,
-                                 np.geomspace(2.0, 9.0, 9), 1e-12)
+        (val,), _ = integrate_levin(
+            g, lambda r: (eval_dispersion(P, r), dispersion_derivatives(P, r)[0]), 2 * t,
+            [np.geomspace(2.0, 9.0, 9)], 1e-12,
+        )
         r = np.linspace(2.0, 9.0, 2_000_001)
         oracle = simpson(g(r) * np.exp(2j * t * eval_dispersion(P, r)), x=r)
         assert abs(val - oracle) <= 1e-10 * abs(oracle)
@@ -476,8 +496,8 @@ class TestLevin:
                 calls.append(x.size)
                 return np.exp(-x) / (1.0 + x)
 
-            integrate_levin(g, np.log1p, lambda x: 1.0 / (1.0 + x), omega,
-                            np.linspace(0.0, 5.0, 9), 1e-10)
+            integrate_levin(g, lambda x: (np.log1p(x), 1.0 / (1.0 + x)), omega,
+                            [np.linspace(0.0, 5.0, 9)], 1e-10)
             nodes[omega] = sum(calls)
         assert nodes[1e9] <= 2 * nodes[1e3]
         assert nodes[1e3] <= 2 * 8 * LEVIN_POINTS
@@ -491,7 +511,7 @@ class TestLevin:
             calls.append(x.size)
             return np.exp(-x)
 
-        val, _ = integrate_levin(g, lambda x: x, _ones, 2e7, np.linspace(1.0, 2.0, 5), 1e-16)
+        (val,), _ = integrate_levin(g, _linear, 2e7, [np.linspace(1.0, 2.0, 5)], 1e-16)
         exact = (np.exp((-1 + 2e7j) * 2.0) - np.exp((-1 + 2e7j) * 1.0)) / (-1 + 2e7j)
         assert abs(val - exact) <= 1e-12 * abs(exact)
         assert len(calls) <= 4
@@ -503,8 +523,8 @@ class TestLevin:
         # and still misses rel_tol: the refinement raises, and reports an
         # estimate within 1e-10 and an error estimate that covers its error
         with pytest.raises(IntegrabilityError, match="unresolved after 30 rounds") as info:
-            integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), lambda x: x, _ones,
-                            omega, np.linspace(0.0, 1.0, 3), 1e-10)
+            integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), _linear,
+                            omega, [np.linspace(0.0, 1.0, 3)], 1e-10)
         val, err = reported(info.value)
         exact = _linear_exact(0.0, 0.4, omega)
         assert abs(val - exact) <= 1e-10
@@ -512,20 +532,21 @@ class TestLevin:
 
     def test_stationary_phase_panel_stays_finite(self):
         # f' = 0: no Levin system is solved, the rule integrates g e^(i w c) directly
-        val, _ = integrate_levin(lambda x: x, lambda x: np.full_like(x, 2.0), np.zeros_like,
-                                 50.0, np.linspace(0.0, 1.0, 3), 1e-12)
+        (val,), _ = integrate_levin(lambda x: x, lambda x: (np.full_like(x, 2.0), np.zeros_like(x)),
+                                    50.0, [np.linspace(0.0, 1.0, 3)], 1e-12)
         assert val == pytest.approx(0.5 * np.exp(100j), rel=1e-14)
 
     @pytest.mark.parametrize("part", ["g", "f", "fprime"])
     def test_non_finite_values_raise(self, part):
         fns = {"g": _ones, "f": lambda x: x, "fprime": _ones}
         fns[part] = lambda x: np.where(x > 0.5, np.nan, x)
+        phase = lambda x: (fns["f"](x), fns["fprime"](x))  # noqa: E731
         with pytest.raises(IntegrabilityError):
-            integrate_levin(fns["g"], fns["f"], fns["fprime"], 1e3, np.linspace(0.0, 1.0, 5), 1e-10)
+            integrate_levin(fns["g"], phase, 1e3, [np.linspace(0.0, 1.0, 5)], 1e-10)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(InputDomainError):
-            integrate_levin(_ones, lambda x: x, _ones, 1e3, np.array([1.0, 0.5]), 1e-10)
+            integrate_levin(_ones, _linear, 1e3, [np.array([1.0, 0.5])], 1e-10)
 
 
 
@@ -552,7 +573,7 @@ class TestRoundCap:
         "integrate_radial": (lambda: integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12), [17]),
         "kronrod_refine": (lambda: quadrature._kronrod_refine(np.exp, [np.linspace(0.0, 1.0, 3)], 1e-12), [30]),
         "integrate_levin": (
-            lambda: integrate_levin(np.exp, lambda x: x, _ones, 300.0, np.linspace(0.0, 1.0, 3), 1e-10),
+            lambda: integrate_levin(np.exp, _linear, 300.0, [np.linspace(0.0, 1.0, 3)], 1e-10),
             [30],
         ),
         "norm_squared": (_norm_of_a_gaussian, [17, 17, 30]),

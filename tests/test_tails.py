@@ -50,3 +50,10 @@ def test_compact_cutoff_must_be_finite_and_nonnegative(cutoff):
     with pytest.raises(InputDomainError, match="finite cutoff"):
         TailBound(kind="compact", cutoff=cutoff)
     assert TailBound(kind="compact", cutoff=0.0).vanishes
+
+
+@pytest.mark.parametrize("kind", ["power", "exponential", ""])
+def test_only_the_three_certified_kinds_exist(kind):
+    with pytest.raises(InputDomainError, match="unknown tail kind"):
+        TailBound(kind=kind)
+    assert TailBound(kind="none").mass_beyond(1e6, 3) == math.inf
