@@ -32,7 +32,6 @@ All comparisons happen on the spectral side; callers convert once with the
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .model import (
 from .moments import MomentDecomposition, fluctuation
 from .norms import oscillatory_integrals
 from .quadrature import integrate_radial
+from .records import Record
 
 __all__ = [
     "LowBandMass",
@@ -71,8 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LowBandMass:
+class LowBandMass(Record):
     value: float
     floor: float
 
@@ -98,8 +97,7 @@ def low_band_mass(
     return LowBandMass(value=value, floor=floor)
 
 
-@dataclass(frozen=True)
-class FluctuationRemainder:
+class FluctuationRemainder(Record):
     value: float
     ceiling: float
 
@@ -172,8 +170,7 @@ def weighted_gaussian_constant(params: ModelParams, gamma_exp: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class TailTerm:
+class TailTerm(Record):
     """T2 and its bound: numbers for one time, arrays for an array of times."""
 
     value: float | np.ndarray
@@ -368,15 +365,14 @@ def upper_envelope(
 # component report
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(Record):
     """Named bound components at one time, with provenance and verdicts."""
 
     t: float
     lower_1d: float | None
     lower_2d: float | None
     upper: float | None
-    components: dict = field(default_factory=dict)
+    components: dict
 
 
 def envelope_report(
@@ -427,4 +423,4 @@ def envelope_report(
 
 
 def write_envelope_json(report: EnvelopeReport, path) -> None:
-    write_json(path, asdict(report))
+    write_json(path, vars(report))

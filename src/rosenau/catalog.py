@@ -126,7 +126,7 @@ def data_from_spec(name: str, dim: int, **kwargs) -> RadialInitialData:
         "gaussian-u0": gaussian_position_data,
         "compact-band": compact_band_data,
     }
-    if name not in builders:
+    if not isinstance(name, str) or name not in builders:
         raise InputDomainError(
             f"unknown data spec {name!r}; choose from {sorted(builders)}"
         )

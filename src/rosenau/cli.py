@@ -11,6 +11,8 @@ modules that runner calls beyond the ones config parsing needs.  Those
 modules are imported while the config is parsed, so a ``rosenau run``
 process loads only what its preset calls and no preset pass pays an import;
 the runners and the subcommands bind them with function-local imports.
+The config's datum is built while it is parsed as well, so every preset,
+including one whose runner never reads it, rejects a malformed data spec.
 Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is set,
 so a process that loads numpy through it runs BLAS on one thread.  An
 output path that cannot be created or written exits 2, as a malformed config
@@ -27,7 +29,6 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -59,6 +60,7 @@ from .norms import (
     geometric_times,
     write_norm_trace_csv,
 )
+from .records import Record
 
 if TYPE_CHECKING:
     import argparse
@@ -133,8 +135,7 @@ def default_config(preset: str) -> dict:
     return cfg
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Validated experiment description; see default_config() for the schema."""
 
     preset: str
@@ -188,7 +189,7 @@ class ExperimentConfig:
             raise InputDomainError(f"config key 'output_dir' must be a path, got {cfg['output_dir']!r}")
         for module in PRESETS[preset].modules:
             importlib.import_module(f".{module}", __package__)
-        return cls(
+        config = cls(
             preset=preset,
             params=params,
             sinc=SincConstants(delta0=_number(cfg, "sinc_threshold")),
@@ -198,6 +199,8 @@ class ExperimentConfig:
             quadrature=quad,
             output_dir=Path(cfg["output_dir"]),
         )
+        _build_data(config)  # rejects a bad data spec for every preset
+        return config
 
 
 def _build_data(config: ExperimentConfig):
@@ -214,8 +217,7 @@ def _check(checks: dict, name: str, passed: bool, value, threshold) -> None:
     }
 
 
-@dataclass(frozen=True)
-class _TraceStep:
+class _TraceStep(Record):
     """What the trace presets share.  l1 and u1_l2 are the L1 and L2 norms of
     the physical velocity profile, None for a datum without a velocity_profile."""
 
@@ -449,15 +451,14 @@ def _run_wellposed(config: ExperimentConfig, out: Path, checks: dict) -> None:
     )
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(Record):
     """A `rosenau run` preset: runner(config, out, checks) writes its artifacts
     and records its checks; overrides merge over the base config; requires is
     (error text, predicate) on the model parameters; modules are the package
     modules the runner imports, which ExperimentConfig.from_dict loads."""
 
     runner: Callable[[ExperimentConfig, Path, dict], object]
-    overrides: dict = field(default_factory=dict)
+    overrides: dict
     requires: tuple[str, Callable[[ModelParams], bool]] | None = None
     modules: tuple[str, ...] = ()
 
@@ -492,21 +493,17 @@ PRESETS = {
     ),
     "hardy-failure": Preset(
         _run_hardy,
-        {
-            "params": {"dim": 2, "theta": 1.0},
-            "t_window": {"t_min": 1e2, "t_max": 1e3, "points_per_decade": 4},
-        },
+        {"params": {"dim": 2, "theta": 1.0}},
         ("theta = 1 and dim = 2", lambda p: p.theta == 1.0 and p.dim == 2),
         modules=("hardy",),
     ),
-    "wellposed-check": Preset(_run_wellposed, modules=("wellposed",)),
-    "energy-conservation": Preset(_run_energy_conservation),
-    "custom": Preset(_trace_step, modules=("bounds", "growth")),
+    "wellposed-check": Preset(_run_wellposed, {}, modules=("wellposed",)),
+    "energy-conservation": Preset(_run_energy_conservation, {}),
+    "custom": Preset(_trace_step, {}, modules=("bounds", "growth")),
 }
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(Record):
     checks: dict
     exit_code: int
     output_dir: Path

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -38,6 +37,7 @@ from .artifacts import open_output
 from .errors import InputDomainError, InvariantViolation, UncertifiedTailError
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
 from .quadrature import _row_blocks, integrate_radial
+from .records import Record, replace
 from .tails import TailBound
 
 if TYPE_CHECKING:
@@ -107,8 +107,7 @@ def zero_profile(r):
     return np.zeros_like(np.asarray(r, dtype=float), dtype=complex)
 
 
-@dataclass(frozen=True)
-class RadialInitialData:
+class RadialInitialData(Record):
     """Radially symmetric spectral profiles of the initial data.
 
     w0_profile and w1_profile map |xi| (array) to the Fourier transforms of
@@ -153,8 +152,7 @@ class RadialInitialData:
 # periodic-box DFT path
 
 
-@dataclass(frozen=True)
-class GridField:
+class GridField(Record):
     """Real (float64) or complex (complex128) samples of a field on a
     periodic box [0, box_length)^dim; the file format stores re/im pairs
     either way."""

@@ -18,7 +18,6 @@ reported, never silently corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .artifacts import write_columns, write_json
 from .errors import InputDomainError
 from .moments import MomentDecomposition
 from .norms import NormTrace
+from .records import Record
 
 __all__ = [
     "GrowthFit",
@@ -44,8 +44,7 @@ VERDICT_MARGIN = 0.02
 FLATNESS_RATIO = 1.25
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(Record):
     """Fitted growth model with its coefficient, exponent/offset and r^2."""
 
     model: str
@@ -112,8 +111,7 @@ def _decade_mean(trace: NormTrace, t_lo: float, t_hi: float) -> float:
     return float(np.mean(trace.norms_sq[mask]))
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
+class ClassifyReport(Record):
     verdict: str
     expected: str
     matches_expected: bool
@@ -171,8 +169,7 @@ def classify_growth(trace: NormTrace, dim: int, window=None) -> ClassifyReport:
     )
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Record):
     """Ratio ||u(t)||/rate(t) with its last-decade extremes and stability flag."""
 
     times: np.ndarray

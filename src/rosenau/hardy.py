@@ -27,7 +27,6 @@ that part is added in closed form below eps = 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .norms import (
     oscillatory_integrals,
 )
 from .quadrature import integrate_radial
+from .records import Record, replace
 from .tails import TailBound
 
 __all__ = [
@@ -72,8 +72,7 @@ _LOG_ORIGIN = 1e-12
 FAMILY_GRID = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Record):
     """Radial Hardy weight w(|x|) of one of the named kinds."""
 
     kind: str
@@ -235,8 +234,7 @@ def weighted_norm_sq(u, weight: WeightFunction, inner_cut=0.0):
     return unit_sphere_area(dim) * (origin + val)
 
 
-@dataclass(frozen=True)
-class QuotientTrace:
+class QuotientTrace(Record):
     """Quotient samples over a witness family."""
 
     family_param: np.ndarray
@@ -255,8 +253,7 @@ class QuotientTrace:
             raise InvariantViolation("quotient traces must be finite and positive")
 
 
-@dataclass(frozen=True)
-class BlowupScan:
+class BlowupScan(Record):
     trace: QuotientTrace
     verdict: str
     slope: float
@@ -320,8 +317,7 @@ def blowup_scan(weight: WeightFunction, R_grid=FAMILY_GRID) -> BlowupScan:
     )
 
 
-@dataclass(frozen=True)
-class EnergyIdentity:
+class EnergyIdentity(Record):
     lhs: float
     rhs: float
     residual: float

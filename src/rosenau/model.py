@@ -15,11 +15,11 @@ low-frequency quadrature needs it most.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputDomainError, InvariantViolation, PreconditionError
+from .records import Record
 
 __all__ = [
     "ModelParams",
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Coefficient tuple (delta, mu, kappa, theta, dim) of the evolution model.
 
     delta multiplies the fractional inertia term, mu the bi-Laplacian, kappa
@@ -69,8 +68,7 @@ class ModelParams:
             raise PreconditionError(f"{what} requires mu > 0 (got mu = {self.mu})")
 
 
-@dataclass(frozen=True)
-class SincConstants:
+class SincConstants(Record):
     """Threshold delta0 with |sin(eta)/eta| >= 1/2 below it.
 
     delta0 may be any value in (0, 1) (default 0.9), checked by dense
@@ -95,8 +93,7 @@ class SincConstants:
 DEFAULT_SINC = SincConstants()
 
 
-@dataclass(frozen=True)
-class BandBoundaries:
+class BandBoundaries(Record):
     """Band radii at time t: low band ends at beta, the mid/high split is gamma_band."""
 
     beta: float

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from .errors import InputDomainError, IntegrabilityError, InvariantViolation
 from .model import unit_sphere_area
 from .quadrature import _ROW_BLOCK_VALUES, integrate_radial
+from .records import Record
 from .tails import TailBound
 
 __all__ = [
@@ -52,8 +52,7 @@ __all__ = [
 _MOMENT_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(Record):
     """Physical-space radial profile u(|x|) on R^dim with decay metadata.
 
     func maps radii (array) to values; tail certifies integrability and sets
@@ -346,8 +345,7 @@ def _moment_constant(u1: RadialProfile, gamma_exp: float, xi_grid, wnorm: float)
 _DEFAULT_M_GRID = np.geomspace(1e-3, 50.0, 96)
 
 
-@dataclass(frozen=True)
-class MomentDecomposition:
+class MomentDecomposition(Record):
     """Scalars of the moment decomposition for one velocity datum.
 
     p_moment is the mass P, gamma_exp the moment exponent, weighted_norm the

@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,6 +100,7 @@ from .quadrature import (
     _panel_nodes,
     integrate_levin,
 )
+from .records import Record
 
 __all__ = [
     "QuadratureConfig",
@@ -124,8 +124,7 @@ _SLOW_PANELS = 16
 _WINDOW_PHASE = 128.0 * math.pi / 15.0
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(Record):
     """Tolerance and truncation radius of the radial quadrature.
 
     There is one evaluation path, norms.oscillatory_integrals, whose
@@ -411,8 +410,7 @@ def norm_squared(
     return val if np.ndim(t) else float(val)
 
 
-@dataclass(frozen=True)
-class BandSplit:
+class BandSplit(Record):
     """Contributions of the low / mid / high frequency bands to ||u(t)||^2,
     with the band radii: numbers for one time, arrays for an array of times.
     unsplit is ||u(t)||^2 at the first and last time (once when they
@@ -658,8 +656,7 @@ def fast_segment_edges(lo, hi, centres=()) -> list[np.ndarray]:
 # traces
 
 
-@dataclass(frozen=True)
-class NormTrace:
+class NormTrace(Record):
     """Sampled (t, ||u(t)||^2) records with per-band contributions and energy.
 
     unsplit is the norm at the first and last sample integrated without the

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputDomainError
+from .records import Record
 
 __all__ = ["TailBound"]
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(Record):
     """Certified pointwise bound on a radial profile away from the origin.
 
     kind "gaussian": |g(r)| <= amplitude * exp(-rate r^2) for all r;

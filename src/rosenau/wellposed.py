@@ -17,7 +17,6 @@ identity on arbitrary complex radial profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .artifacts import write_columns
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .model import ModelParams, unit_sphere_area
 from .quadrature import _kronrod_refine
+from .records import Record
 
 __all__ = [
     "MultiplierScan",
@@ -61,8 +61,7 @@ def high_frequency_limit(params: ModelParams) -> float:
     return params.mu**2 / params.delta
 
 
-@dataclass(frozen=True)
-class MultiplierScan:
+class MultiplierScan(Record):
     """Sampled ratio h(r)/(1 + r^(2 (4 - theta))) with its grid infimum."""
 
     r_grid: np.ndarray

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import yaml
 
 from rosenau import GridField, InputDomainError, geometric_times
 from rosenau.cli import ExperimentConfig, default_config, main, run_experiment
+from rosenau.records import replace
 
 
 def digests(folder: Path) -> dict:
@@ -287,6 +287,12 @@ class TestRunners:
             ("params: {kappa: true}\n", "'params.kappa'"),
             ("data: {name: gaussian, a: abc}\n", "a must be a number"),
             ("params: {delta: [\n", "cannot read config"),
+            # a preset whose runner never builds the datum still checks it
+            ("preset: wellposed-check\ndata: {name: annular-bump}\n", "unknown data spec 'annular-bump'"),
+            ("preset: wellposed-check\ndata: {name: [gaussian]}\n", "unknown data spec ['gaussian']"),
+            ("preset: wellposed-check\ndata: {name: gaussian, b: 1}\n", "unexpected keyword argument 'b'"),
+            ("preset: wellposed-check\ndata: {name: gaussian-u0, a: -1}\n", "gaussian rate a must be positive"),
+            ("preset: wellposed-check\ndata: {name: compact-band, r_lo: 2, r_hi: 1}\n", "need 0 <= r_lo < r_hi"),
         ],
     )
     def test_cli_run_rejects_malformed_config(self, capsys, tmp_path, body, message):
@@ -295,6 +301,7 @@ class TestRunners:
         assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "data,key",

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from rosenau import (
 )
 from rosenau.evolution import cosc, propagator
 from rosenau.model import dispersion_slope
+from rosenau.records import replace
 
 from conftest import full_spectrum_energy, full_spectrum_state
 
@@ -430,11 +430,9 @@ class TestEnergy:
 
     def test_band_edge_needs_its_kink(self):
         # without the kink at r_lo the jump is not resolved, and the integral raises
-        import dataclasses
-
         from rosenau import IntegrabilityError, compact_band_data
 
-        band = dataclasses.replace(compact_band_data(1, 0.3, 1.0), kinks=())
+        band = replace(compact_band_data(1, 0.3, 1.0), kinks=())
         with pytest.raises(IntegrabilityError):
             total_energy(P1, band, 0.0)
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from rosenau.hardy import (
     weighted_norm_sq,
     write_quotient_csv,
 )
+from rosenau.records import replace
 
 R_GRID = np.exp(np.array([3.0, 5.0, 8.0, 12.0, 16.0]))
 

@@ -1,6 +1,5 @@
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ from rosenau.norms import (
 )
 from rosenau.quadrature import integrate_levin, panel_integrals
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
+from rosenau.records import replace
 
 from conftest import k21_refine, phase_edges
 

@@ -139,6 +139,8 @@ def test_every_preset_is_a_trace_or_a_check_preset():
 def test_a_preset_alone_loads_only_what_it_calls(preset, tmp_path):
     exit_code, added, loaded = fresh(_PROBE, preset, str(tmp_path / preset))
     assert (exit_code, added) == (0, [])
+    # the records generate no code, so nothing loads the standard library's
+    assert "dataclasses" not in loaded
     if preset in TRACE_PRESETS:
         unused = {"rosenau.hardy", "rosenau.wellposed", "argparse"}
         assert [m for m in loaded if m in unused or m.split(".")[:2] == ["numpy", "polynomial"]] == []
