@@ -170,14 +170,13 @@ def classify_growth(trace: NormTrace, dim: int, window=None) -> ClassifyReport:
 
 
 class SandwichReport(Record):
-    """Ratio ||u(t)||/rate(t) with its last-decade extremes and stability flag."""
+    """Ratio ||u(t)||/rate(t) with its last-decade extremes."""
 
     times: np.ndarray
     ratios: np.ndarray
     rate: str
     lower_const: float
     upper_const: float
-    stable: bool
     vacuous_lower: bool
 
 
@@ -187,7 +186,7 @@ def sandwich_report(
     """Track ||u(t)|| against the dimensional rate sqrt(t) (n=1) or sqrt(log t) (n=2).
 
     lower_const / upper_const are the min/max ratio over the last sampled
-    decade; stable means their quotient stays below 1.25.  A massless datum
+    decade; the theorem-1-1 preset judges their quotient.  A massless datum
     (P = 0) makes the lower side vacuous, which is reported, not an error.
     """
     if dim not in (1, 2):
@@ -204,14 +203,12 @@ def sandwich_report(
     last = t >= t[-1] / 10.0
     lower_const = float(np.min(ratios[last]))
     upper_const = float(np.max(ratios[last]))
-    stable = upper_const <= 1.25 * lower_const
     return SandwichReport(
         times=t,
         ratios=ratios,
         rate=rate_label,
         lower_const=lower_const,
         upper_const=upper_const,
-        stable=stable,
         vacuous_lower=moments.p_moment == 0.0,
     )
 

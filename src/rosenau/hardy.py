@@ -40,7 +40,6 @@ from .norms import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     _resolve_r_max,
-    norm_squared,
     oscillatory_integrals,
 )
 from .quadrature import integrate_radial
@@ -321,7 +320,6 @@ class EnergyIdentity(Record):
     lhs: float
     rhs: float
     residual: float
-    solution_norm_sq_half: float
 
 
 def energy_identity_check(
@@ -345,9 +343,9 @@ def energy_identity_check(
     cos(t f) and cos(2 t f).  Both run through norms.oscillatory_integrals at
     tau = t/2, whose e^(2 i tau f) is e^(i t f), cut at the data's kinks, so
     the cost does not grow with t.  u0 = 0 is read from the certificate
-    data.w0_tail.vanishes, as the norm integrand reads it.
-    solution_norm_sq_half is ||u(t)||^2 / 2 from norm_squared, held to 1e-9
-    per piece.
+    data.w0_tail.vanishes, as the norm integrand reads it.  residual is
+    |lhs - rhs| / lhs; it is returned, and the hardy-failure preset judges
+    it.  The function raises only on its preconditions.
     """
     if params.theta != 1.0:
         raise PreconditionError("the identity is stated for theta = 1")
@@ -404,7 +402,7 @@ def energy_identity_check(
 
     r_max = _resolve_r_max(params, data, max(t, 1.0), cfg)
     if t == 0.0:
-        return EnergyIdentity(0.0, 0.0, 0.0, 0.0)
+        return EnergyIdentity(0.0, 0.0, 0.0)
 
     def side(density, coefficient, mean) -> float:
         return scale * oscillatory_integrals(
@@ -414,16 +412,7 @@ def energy_identity_check(
     lhs = side(lhs_density, lhs_coefficient, lhs_mean)
     rhs = side(rhs_density, rhs_coefficient, rhs_mean)
     residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    if residual > 1e-8:
-        raise InvariantViolation(
-            f"energy identity residual {residual} exceeds 1e-8"
-        )
-    return EnergyIdentity(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(residual),
-        solution_norm_sq_half=0.5 * norm_squared(params, data, t, replace(cfg, rel_tol=2e-9)),
-    )
+    return EnergyIdentity(lhs=float(lhs), rhs=float(rhs), residual=float(residual))
 
 
 def rellich_quotient(u: RadialProfile) -> float:

@@ -10,8 +10,14 @@ theta)) is two-sided comparable to 1 + r^(2 (4 - theta)): the ratio tends to
 1 at r -> 0 and to mu^2/delta at r -> infinity (both limits positive exactly
 when mu > 0), so the grid infimum over a wide log grid is a positive
 equivalence constant.  The skew part of the generator satisfies
-Re[(v, u)_{H2} - (p u, v)_{H theta}] = 0, checked here as a spectral
-identity on arbitrary complex radial profiles.
+Re[(v, u)_{H2} - (p u, v)_{H theta}] = 0, evaluated here as a spectral
+integral on arbitrary complex radial profiles.
+
+The functions return their numbers and judge none of them: whether the
+endpoints reach their limits, the infimum is positive, the equivalence is
+ordered and the residual vanishes is decided by the wellposed-check preset
+(cli), which records each as a check that can fail.  They raise only on
+input they cannot evaluate.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import numpy as np
 
 from .artifacts import write_columns
-from .errors import InputDomainError, InvariantViolation, PreconditionError
+from .errors import InputDomainError, PreconditionError
 from .model import ModelParams, unit_sphere_area
 from .quadrature import _kronrod_refine
 from .records import Record
@@ -69,12 +75,6 @@ class MultiplierScan(Record):
     m_lower: float
     limits: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        if not (np.all(self.h_ratio > 0) and self.m_lower > 0):
-            raise InvariantViolation("equivalence ratios must be positive")
-        if np.any(self.h_ratio < self.m_lower * (1.0 - 1e-12)):
-            raise InvariantViolation("m_lower must bound every ratio from below")
-
     @property
     def m_upper(self) -> float:
         return float(np.max(self.h_ratio))
@@ -87,8 +87,10 @@ def _ratio(params: ModelParams, r: np.ndarray) -> np.ndarray:
 def h_ratio_scan(params: ModelParams, r_grid=None) -> MultiplierScan:
     """Scan the equivalence ratio over a log grid spanning >= 8 decades.
 
-    The endpoint values must sit within 1% of the analytic limits 1 and
-    mu^2/delta; mu = 0 breaks the high-frequency limit and is rejected.
+    limits holds the ratio at the grid's two ends, to be compared with the
+    analytic limits 1 and mu^2/delta (a small theta reaches 1 only far below
+    the default grid's 1e-6); mu = 0 breaks the high-frequency limit and is
+    rejected.
     """
     params.require_mu_positive("the multiplier equivalence")
     if r_grid is None:
@@ -100,21 +102,11 @@ def h_ratio_scan(params: ModelParams, r_grid=None) -> MultiplierScan:
         raise PreconditionError("the grid must span >= 8 decades around 1")
 
     ratios = _ratio(params, grid)
-    limits = (float(ratios[0]), float(ratios[-1]))
-    c_inf = high_frequency_limit(params)
-    if abs(limits[0] - 1.0) > 0.01:
-        raise InvariantViolation(
-            f"low-frequency ratio endpoint {limits[0]} deviates from 1 by > 1%"
-        )
-    if abs(limits[1] - c_inf) > 0.01 * c_inf:
-        raise InvariantViolation(
-            f"high-frequency ratio endpoint {limits[1]} deviates from {c_inf} by > 1%"
-        )
     return MultiplierScan(
         r_grid=grid,
         h_ratio=ratios,
         m_lower=float(np.min(ratios)),
-        limits=limits,
+        limits=(float(ratios[0]), float(ratios[-1])),
     )
 
 
@@ -124,7 +116,8 @@ def sobolev_equivalence_check(params: ModelParams, u_hat, dim: int) -> tuple[flo
     Returns (lhs, rhs_low, rhs_high) where lhs is the h-weighted spectral
     integral of |u_hat|^2 and rhs_low/rhs_high multiply the (1 + r^(2 (4 -
     theta)))-weighted integral by the grid infimum / supremum of the ratio.
-    The ordering rhs_low <= lhs <= rhs_high is asserted.
+    The ordering rhs_low <= lhs <= rhs_high holds when the grid brackets the
+    ratio over the profile's support; it is returned, not asserted.
     """
     params.require_mu_positive("the multiplier equivalence")
     scan = h_ratio_scan(params)
@@ -142,14 +135,7 @@ def sobolev_equivalence_check(params: ModelParams, u_hat, dim: int) -> tuple[flo
 
     lhs = area * float(_kronrod_refine(lhs_density, [_EDGES], 1e-10)[0][0])
     base = area * float(_kronrod_refine(base_density, [_EDGES], 1e-10)[0][0])
-    rhs_low = scan.m_lower * base
-    rhs_high = scan.m_upper * base
-    tol = 1e-9 * max(abs(lhs), abs(base))
-    if not (rhs_low <= lhs + tol and lhs <= rhs_high + tol):
-        raise InvariantViolation(
-            f"equivalence ordering failed: {rhs_low} <= {lhs} <= {rhs_high}"
-        )
-    return float(lhs), float(rhs_low), float(rhs_high)
+    return float(lhs), float(scan.m_lower * base), float(scan.m_upper * base)
 
 
 def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int) -> float:

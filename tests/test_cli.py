@@ -211,6 +211,24 @@ class TestRunners:
         assert result.exit_code == 0
         assert (tmp_path / "w" / "h_ratio.csv").exists()
 
+    def test_wellposed_preset_records_an_endpoint_short_of_its_limit(self, capsys, tmp_path):
+        # at theta = 0.1 the ratio at r = 1e-6 is 1/(1 + 1e-6^0.2) = 0.9406,
+        # 6% short of its limit 1: the library returns it, and the runner
+        # records all four checks, failing the endpoint one
+        config = tmp_path / "c.yaml"
+        config.write_text(f"preset: wellposed-check\nparams: {{theta: 0.1}}\noutput_dir: {tmp_path / 'w'}\n")
+        assert main(["run", str(config)]) == 1
+        checks = json.loads((tmp_path / "w" / "verdict.json").read_text())["checks"]
+        assert sorted(checks) == [
+            "dissipativity_residual",
+            "h_ratio_endpoints",
+            "h_ratio_infimum_positive",
+            "sobolev_equivalence_order",
+        ]
+        assert not checks["h_ratio_endpoints"]["passed"]
+        assert checks["h_ratio_endpoints"]["value"][0] == pytest.approx(0.94064905689911, rel=1e-12)
+        assert checks["h_ratio_infimum_positive"]["passed"]
+
     def test_hardy_preset(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"preset": "hardy-failure", "output_dir": str(tmp_path / "h")}
@@ -220,6 +238,39 @@ class TestRunners:
         checks = result.checks
         assert checks["a1_weight_unbounded"]["passed"]
         assert checks["energy_identity_residual"]["value"] <= 1e-8
+        # 1/2 ||u(1e3)||^2 = 3.2343 against the accumulated energy 13.4192
+        assert checks["half_norm_below_identity_lhs"]["value"] == pytest.approx(0.24102, rel=1e-4)
+        assert checks["half_norm_below_identity_lhs"]["threshold"] == 1.0
+
+    def test_hardy_preset_on_a_zero_datum(self, tmp_path):
+        # both sides of the identity vanish; the norm-to-energy ratio reads 0
+        cfg = ExperimentConfig.from_dict(
+            {"preset": "hardy-failure", "data": {"name": "gaussian", "amplitude": 0.0}, "output_dir": str(tmp_path)}
+        )
+        result = run_experiment(cfg)
+        assert result.exit_code == 0
+        assert result.checks["half_norm_below_identity_lhs"]["value"] == 0.0
+
+    def test_the_rellich_limit_is_the_recorded_threshold(self, monkeypatch, tmp_path):
+        # a Rellich quotient just above the recorded 0.6464 fails its check
+        from rosenau import hardy
+
+        monkeypatch.setattr(hardy, "rellich_quotient", lambda u: 0.6464000000000001)
+        cfg = ExperimentConfig.from_dict({"preset": "hardy-failure", "output_dir": str(tmp_path)})
+        result = run_experiment(cfg)
+        assert result.exit_code == 1
+        assert result.checks["rellich_gaussian_5d"]["threshold"] == 0.6464
+        assert not result.checks["rellich_gaussian_5d"]["passed"]
+
+    @pytest.mark.parametrize("preset", ["theorem-1-1", "hardy-failure", "energy-conservation", "wellposed-check"])
+    def test_the_datum_is_built_once_per_run(self, monkeypatch, tmp_path, preset):
+        from rosenau import cli
+
+        calls = []
+        _counted(monkeypatch, cli, "data_from_spec", calls)
+        cfg = ExperimentConfig.from_dict({"preset": preset, "output_dir": str(tmp_path)})
+        run_experiment(cfg)
+        assert calls == ["data_from_spec"]
 
     def test_growth_preset_reduced_window(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -429,11 +480,10 @@ class TestTracePresetCalls:
         # the trace carries the unsplit norm at its ends, equal to what a
         # norm_squared call of its own gives, and the check's value is the
         # gap between it and the band sums
-        from rosenau.cli import _build_data
         from rosenau.norms import compute_norm_trace, norm_squared
 
         cfg, result = self._run(preset, tmp_path)
-        params, quad, data = cfg.params, cfg.quadrature, _build_data(cfg)
+        params, quad, data = cfg.params, cfg.quadrature, cfg.data
         times = geometric_times(*cfg.t_window)
         trace = compute_norm_trace(params, data, times, quad, cfg.sinc)
         unsplit = norm_squared(params, data, times[[0, -1]], quad)
@@ -535,6 +585,12 @@ class TestSubcommands:
         assert main(["wellposed", "--out", str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["m_lower"] > 0
         assert (tmp_path / "h_ratio.csv").exists()
+
+    def test_wellposed_prints_endpoints_short_of_their_limits(self, capsys, tmp_path):
+        # the subcommand reports the scan; it judges nothing
+        assert main(["wellposed", "--theta", "0.1", "--out", str(tmp_path)]) == 0
+        limits = json.loads(capsys.readouterr().out)["limits"]
+        assert limits[0] == pytest.approx(0.94064905689911, rel=1e-12)
 
     def test_wellposed_rejects_zero_mu(self, capsys, tmp_path):
         assert main(["wellposed", "--mu", "0", "--out", str(tmp_path)]) == 2

@@ -5,7 +5,6 @@ import pytest
 
 from rosenau import (
     IntegrabilityError,
-    InvariantViolation,
     ModelParams,
     PreconditionError,
     dissipativity_residual,
@@ -71,6 +70,13 @@ class TestRatioScan:
         scan = h_ratio_scan(P)
         idx = np.argmin(np.abs(scan.r_grid - 1e-6))
         assert 0.99 <= scan.h_ratio[idx] <= 1.01
+
+    def test_small_theta_returns_an_endpoint_short_of_its_limit(self):
+        # 1/(1 + delta r^(2 theta)) at r = 1e-6 and theta = 0.1 is
+        # 1/(1 + 10^-1.2); the scan returns it for the preset to judge
+        scan = h_ratio_scan(ModelParams(1.0, 1.0, 1.0, 0.1, 1))
+        assert scan.limits[0] == pytest.approx(0.94064905689911, rel=1e-12)
+        assert scan.limits[0] == pytest.approx(1.0 / (1.0 + 10.0**-1.2), rel=1e-10)
 
     def test_mu_zero_rejected(self):
         with pytest.raises(PreconditionError):
