@@ -1,17 +1,18 @@
 """Named initial-data families used by the experiments and tests.
 
-Each entry provides the spectral profiles needed by the evolution operators;
-the velocity datum also carries its physical-space radial profile
-(moments.RadialProfile) as velocity_profile, for the moment machinery and
-the envelopes.  Three data:
+Each entry provides the densities of evolution.RadialInitialData, |w0|^2 or
+|w1|^2 (the other datum and the cross density are zero); the velocity datum
+also carries its physical-space radial profile (moments.RadialProfile) as
+velocity_profile, for the moment machinery and the envelopes.  Three data:
 
-* ``gaussian``      u1(x) = amplitude * exp(-a |x|^2), u0 = 0  (mass P != 0),
-                    whose gaussian_profile carries u' and u'' in closed form
+* ``gaussian``      u1(x) = A exp(-a |x|^2), u0 = 0 (mass P != 0), with
+                    |w1|^2 = A^2 (pi/a)^n exp(-r^2/(2a)); its
+                    gaussian_profile carries u' and u'' in closed form
 * ``gaussian-u0``   same Gaussian placed in u0 with u1 = 0
-* ``compact-band``  spectral indicator on r in [r_lo, r_hi] as w1
+* ``compact-band``  |w1|^2 = A^2 on r in [r_lo, r_hi], zero elsewhere
 
-Every datum's transform is in closed form, and its declared tail (Gaussian
-or compact) is a certificate the transform keeps at every radius.
+Every density is in closed form, and its declared tail (Gaussian or
+compact) is a certificate the transform keeps at every radius.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import InputDomainError
-from .evolution import RadialInitialData, zero_profile
+from .evolution import RadialInitialData
 from .moments import RadialProfile
 from .tails import TailBound
 
@@ -61,26 +62,26 @@ def gaussian_profile(dim: int, a: float = 1.0, amplitude: float = 1.0) -> Radial
     )
 
 
-def _gaussian_hat(dim: int, a: float, amplitude: float):
+def _gaussian_density(dim: int, a: float, amplitude: float):
+    """|w|^2 of amplitude * exp(-a |x|^2), and the tail of its transform."""
     if a <= 0:
         raise InputDomainError("gaussian rate a must be positive")
     factor = amplitude * (math.pi / a) ** (dim / 2.0)
 
-    def hat(r):
-        return factor * np.exp(-np.asarray(r, dtype=float) ** 2 / (4.0 * a))
+    def density(r):
+        return factor**2 * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * a))
 
     tail = TailBound(kind="gaussian", amplitude=abs(factor), rate=1.0 / (4.0 * a))
-    return hat, tail
+    return density, tail
 
 
 def gaussian_velocity_data(dim: int, a: float = 1.0, amplitude: float = 1.0) -> RadialInitialData:
-    """u0 = 0, u1 = amplitude * exp(-a |x|^2); spectral profile (pi/a)^(n/2) e^(-r^2/(4a)),
+    """u0 = 0, u1 = amplitude * exp(-a |x|^2); |w1|^2 = amplitude^2 (pi/a)^n e^(-r^2/(2a)),
     physical velocity profile gaussian_profile(dim, a, amplitude)."""
-    hat, tail = _gaussian_hat(dim, a, amplitude)
+    density, tail = _gaussian_density(dim, a, amplitude)
     return RadialInitialData(
-        w0_profile=zero_profile,
-        w1_profile=hat,
-        dim=dim,
+        dim,
+        w1_sq=density,
         w1_tail=tail,
         label=f"gaussian-velocity(a={a}, amp={amplitude})",
         velocity_profile=gaussian_profile(dim, a, amplitude),
@@ -89,29 +90,27 @@ def gaussian_velocity_data(dim: int, a: float = 1.0, amplitude: float = 1.0) -> 
 
 def gaussian_position_data(dim: int, a: float = 1.0, amplitude: float = 1.0) -> RadialInitialData:
     """u0 = amplitude * exp(-a |x|^2), u1 = 0."""
-    hat, tail = _gaussian_hat(dim, a, amplitude)
+    density, tail = _gaussian_density(dim, a, amplitude)
     return RadialInitialData(
-        w0_profile=hat,
-        w1_profile=zero_profile,
-        dim=dim,
+        dim,
+        w0_sq=density,
         w0_tail=tail,
         label=f"gaussian-position(a={a}, amp={amplitude})",
     )
 
 
 def compact_band_data(dim: int, r_lo: float, r_hi: float, amplitude: float = 1.0) -> RadialInitialData:
-    """w1 = amplitude on r in [r_lo, r_hi], zero elsewhere (u0 = 0)."""
+    """|w1|^2 = amplitude^2 on r in [r_lo, r_hi], zero elsewhere (u0 = 0)."""
     if not (0.0 <= r_lo < r_hi):
         raise InputDomainError("need 0 <= r_lo < r_hi")
 
-    def hat(r):
+    def density(r):
         r = np.asarray(r, dtype=float)
-        return np.where((r >= r_lo) & (r <= r_hi), amplitude, 0.0)
+        return np.where((r >= r_lo) & (r <= r_hi), amplitude**2, 0.0)
 
     return RadialInitialData(
-        w0_profile=zero_profile,
-        w1_profile=hat,
-        dim=dim,
+        dim,
+        w1_sq=density,
         w1_tail=TailBound(kind="compact", cutoff=r_hi),
         label=f"compact-band[{r_lo}, {r_hi}]",
         kinks=(r_lo, r_hi),

@@ -103,23 +103,36 @@ def cosc(x):
 _ZERO_TAIL = TailBound(kind="compact", cutoff=0.0)
 
 
-def zero_profile(r):
-    return np.zeros_like(np.asarray(r, dtype=float), dtype=complex)
+def _zero_density(r):
+    return np.zeros_like(np.asarray(r, dtype=float))
+
+
+# the radii at which construction checks the densities
+_PROBE = np.linspace(0.0, 20.0, 41)
 
 
 class RadialInitialData(Record):
-    """Radially symmetric spectral profiles of the initial data.
+    """The initial data through the three real spectral densities that the
+    radial integrals read.
 
-    w0_profile and w1_profile map |xi| (array) to the Fourier transforms of
-    u0 and u1; the tails certify truncation.  kinks are the radii where a
-    profile jumps; radial integrals of the profiles are cut there.
+    w0_sq, w1_sq and cross map |xi| (array) to the spherical means of |w0|^2,
+    |w1|^2 and Re(w0 conj(w1)), w0 and w1 the transforms of u0 and u1.  A
+    missing component is the zero density with the zero tail.  The tails
+    bound |w0| and |w1| pointwise and certify truncation.  kinks are the
+    radii where a density jumps; radial integrals are cut there.
     velocity_profile is u1 itself, the physical radial profile, for a datum
     that has one in closed form; the moments and envelopes read it.
+
+    Construction probes 41 radii in [0, 20] and rejects densities no datum
+    has: complex or not finite; w0_sq or w1_sq negative, above the square of
+    its Gaussian tail or nonzero past its compact cutoff; cross^2 above
+    w0_sq w1_sq beyond 1e-9 relative.
     """
 
-    w0_profile: Callable[[np.ndarray], np.ndarray]
-    w1_profile: Callable[[np.ndarray], np.ndarray]
     dim: int
+    w0_sq: Callable[[np.ndarray], np.ndarray] = _zero_density
+    w1_sq: Callable[[np.ndarray], np.ndarray] = _zero_density
+    cross: Callable[[np.ndarray], np.ndarray] = _zero_density
     w0_tail: TailBound = _ZERO_TAIL
     w1_tail: TailBound = _ZERO_TAIL
     label: str = ""
@@ -131,15 +144,23 @@ class RadialInitialData(Record):
             raise InputDomainError("dim must be >= 1")
         if self.velocity_profile is not None and self.velocity_profile.dim != self.dim:
             raise InputDomainError("the velocity profile and the data disagree in dim")
-        probe = np.linspace(0.0, 20.0, 41)
-        for profile, tail in ((self.w0_profile, self.w0_tail), (self.w1_profile, self.w1_tail)):
-            vals = np.asarray(profile(probe))
-            if not np.all(np.isfinite(vals)):
-                raise InputDomainError("spectral profiles must be finite")
+        probed = {}
+        for name in ("w0_sq", "w1_sq", "cross"):
+            probed[name] = vals = np.asarray(getattr(self, name)(_PROBE))
+            if np.iscomplexobj(vals) or not np.all(np.isfinite(vals)):
+                raise InputDomainError(f"{name} must be real and finite")
+        for name, tail in (("w0_sq", self.w0_tail), ("w1_sq", self.w1_tail)):
+            vals = probed[name]
+            if np.any(vals < 0):
+                raise InputDomainError(f"{name} must be nonnegative")
             if tail.kind == "gaussian":
-                bound = tail.amplitude * np.exp(-tail.rate * probe**2)
-                if np.any(np.abs(vals) > bound * (1.0 + 1e-9) + 1e-300):
-                    raise InvariantViolation("profile exceeds its declared gaussian tail")
+                bound = tail.amplitude * np.exp(-tail.rate * _PROBE**2)
+                if np.any(np.sqrt(vals) > bound * (1.0 + 1e-9) + 1e-300):
+                    raise InvariantViolation(f"{name} exceeds the square of its declared gaussian tail")
+            if tail.kind == "compact" and np.any(vals[_PROBE > tail.cutoff] != 0):
+                raise InputDomainError(f"{name} is nonzero past its compact cutoff {tail.cutoff}")
+        if np.any(probed["cross"] ** 2 > probed["w0_sq"] * probed["w1_sq"] * (1.0 + 1e-9)):
+            raise InputDomainError("cross^2 exceeds w0_sq * w1_sq")
 
     def support_radius(self) -> float | None:
         """Common support bound when both tails are compact, else None."""
@@ -361,7 +382,8 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
 
     Integrates the conserved density
     (1/2) [(1 + delta r^(2 theta)) |w_t|^2 + (mu r^4 + kappa r^2) |w|^2] r^(n-1)
-    with the Plancherel factor (2 pi)^(-n), cut at the kinks of the data.
+    with the Plancherel factor (2 pi)^(-n), cut at the kinks of the data,
+    |w|^2 and |w_t|^2 formed at each t from the three densities of the data.
     The density equals its t = 0 value pointwise, so the total is conserved
     to round-off.  For an array of times it returns one value per time, all
     from one row-valued integral.
@@ -374,8 +396,7 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
 
     def density(r):
         f = eval_dispersion(params, r)
-        w0 = np.asarray(data.w0_profile(r))
-        w1 = np.asarray(data.w1_profile(r))
+        w0_sq, w1_sq, cross = data.w0_sq(r), data.w1_sq(r), data.cross(r)
         inertia = 1.0 + params.delta * r ** (2.0 * params.theta)
         stiffness = params.mu * r**4 + params.kappa * r**2
         radial = r ** (n - 1)
@@ -383,9 +404,9 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
         # the rows in blocks, so that no temporary exceeds the row bound
         for rows in _row_blocks(ts.shape[0], r.size):
             phase = ts[rows] * f
-            c = np.cos(phase)
-            w_sq = np.abs(c * w0 + propagator(ts[rows], f) * w1) ** 2
-            wt_sq = np.abs(-f * np.sin(phase) * w0 + c * w1) ** 2
+            c, p, q = np.cos(phase), propagator(ts[rows], f), -f * np.sin(phase)
+            w_sq = c * c * w0_sq + p * p * w1_sq + 2.0 * c * p * cross
+            wt_sq = q * q * w0_sq + c * c * w1_sq + 2.0 * q * c * cross
             out[rows] = 0.5 * (inertia * wt_sq + stiffness * w_sq) * radial
         return out if np.ndim(t) else out[0]
 

@@ -337,9 +337,10 @@ def energy_identity_check(
 
     where the right side carries the per-mode factor (1 + delta |xi|^2); the
     uncorrected pairing (u1, v) misses the fractional-inertia contribution.
-    Mode by mode v = (1 - cos(t f))/f^2 w1 and v_t = sin(t f)/f w1, so with
-    the kinetic weight K = (1 + delta r^2)|w1|^2 r/2 and the potential weight
-    P = (mu r^4 + kappa r^2)|w1|^2 r/2 both sides are a mean plus terms in
+    Mode by mode v = (1 - cos(t f))/f^2 w1 and v_t = sin(t f)/f w1, so both
+    sides read the data only through w1_sq, the density of |w1|^2: with the
+    kinetic weight K = (1 + delta r^2) w1_sq r/2 and the potential weight
+    P = (mu r^4 + kappa r^2) w1_sq r/2 both sides are a mean plus terms in
     cos(t f) and cos(2 t f).  Both run through norms.oscillatory_integrals at
     tau = t/2, whose e^(2 i tau f) is e^(i t f), cut at the data's kinks, so
     the cost does not grow with t.  u0 = 0 is read from the certificate
@@ -361,10 +362,9 @@ def energy_identity_check(
     def lhs_density(r, _tau):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
-        phase = t * f
-        w1 = np.asarray(data.w1_profile(r))
-        w_sq = propagator(t, f) ** 2 * np.abs(w1) ** 2
-        v_sq = (t * t * cosc(phase)) ** 2 * np.abs(w1) ** 2
+        w1_sq = data.w1_sq(r)
+        w_sq = propagator(t, f) ** 2 * w1_sq
+        v_sq = (t * t * cosc(t * f)) ** 2 * w1_sq
         return (
             0.5 * (1.0 + de * r**2) * w_sq + 0.5 * (mu * r**4 + ka * r**2) * v_sq
         ) * r
@@ -372,15 +372,13 @@ def energy_identity_check(
     def rhs_density(r, _tau):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
-        phase = t * f
-        w1 = np.asarray(data.w1_profile(r))
-        v_re = t * t * cosc(phase) * np.real(np.conj(w1) * w1)
+        v_re = t * t * cosc(t * f) * data.w1_sq(r)
         return (1.0 + de * r**2) * v_re * r
 
     def weights(r):
-        """f, K and P at the nodes r, from one evaluation of f and of w1."""
+        """f, K and P at the nodes r, from one evaluation of f and of w1_sq."""
         f = eval_dispersion(params, r)
-        w1_sq = 0.5 * np.abs(np.asarray(data.w1_profile(r))) ** 2 * r
+        w1_sq = 0.5 * data.w1_sq(r) * r
         return f, (1.0 + de * r**2) * w1_sq, (mu * r**4 + ka * r**2) * w1_sq
 
     def lhs_mean(r):

@@ -5,9 +5,11 @@ The squared norm of the evolved state is
     ||u(t)||^2 = (2 pi)^(-n) omega_n integral_0^inf
                  |cos(t f) w0(r) + sin(t f)/f w1(r)|^2 r^(n-1) dr,
 
-an integrand that oscillates in r with local period pi/(t f'(r)).  It equals
-the mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2 plus Re[g e^(2 i t f)] with
-g = [(|w0|^2 - |w1|^2/f^2)/2 - i Re(w0 conj(w1))/f] r^(n-1).
+an integrand that oscillates in r with local period pi/(t f'(r)).  It reads
+the data through the three densities of RadialInitialData, the spherical
+means w0_sq, w1_sq and cross of |w0|^2, |w1|^2 and Re(w0 conj(w1)), and
+equals the mean (w0_sq + w1_sq/f^2) r^(n-1)/2 plus Re[g e^(2 i t f)] with
+g = [(w0_sq - w1_sq/f^2)/2 - i cross/f] r^(n-1).
 
 One driver, ``oscillatory_integrals``, integrates any such mean plus
 Re[g e^(2 i t f)] over the pieces [cuts[k], cuts[k+1]] of an interval, at
@@ -27,8 +29,8 @@ rel_tol of its own value, and refined, as if it were integrated alone.
   piece, with the G10/K21 Gauss-Kronrod pair from 16 equal panels.  A slow
   piece spans at most 32 pi of the phase 2 t f, a window 2 _WINDOW_PHASE,
   so each starting panel holds about one period of e^(2 i t f) at every t.
-  The norm integrand is evaluated in real arithmetic and skips a component
-  whose tail certifies it zero.  A panel is accepted once |K21 - G10| is
+  The norm integrand, a real quadratic form in the densities, skips a
+  component whose tail certifies it zero.  A panel is accepted once |K21 - G10| is
   below its share of the piece's tolerance or below the rounding of the
   phase, eps 2 t max f |K21|: t f carries an error of about eps t f, which
   from t ~ rel_tol / eps on no bisection removes;
@@ -65,7 +67,7 @@ leaves unresolved, so no rel_tol runs without bound.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
-for all the times of a trace from one evaluation of f and of the profiles
+for all the times of a trace from one evaluation of f and of the densities
 on the K21 nodes of 256 panels, each time adding only its weighted sum of
 min(t, 1/f)^2.  Levin collocation needs g smooth on each panel: a jump the
 data declare as a kink, like the edge of a compact band, is a piece end,
@@ -181,7 +183,7 @@ def _coarse_estimate(params: ModelParams, data: RadialInitialData, ts: np.ndarra
     envelope (|w0|^2 + min(t, 1/f)^2 |w1|^2) r^(n-1), by the K21 rule on 256
     panels of [0, hi]; used only to size the tail target.
 
-    f and both profiles are evaluated once on the nodes, whatever the number
+    f and both densities are evaluated once on the nodes, whatever the number
     of times; per time only the weighted sum of min(t, 1/f)^2 |w1|^2 is
     formed, one node vector at a time, so no (times x nodes) array is built.
     """
@@ -190,8 +192,8 @@ def _coarse_estimate(params: ModelParams, data: RadialInitialData, ts: np.ndarra
     radial = (half[:, None] * _KRONROD_WEIGHTS * r ** (data.dim - 1)).ravel()
     r = r.ravel()
     inv_f = 1.0 / np.maximum(eval_dispersion(params, r), 1e-300)
-    level = np.abs(np.asarray(data.w0_profile(r))) ** 2 @ radial
-    weight = np.abs(np.asarray(data.w1_profile(r))) ** 2 * radial
+    level = data.w0_sq(r) @ radial
+    weight = data.w1_sq(r) * radial
     return np.array([abs(level + np.minimum(t, inv_f) ** 2 @ weight) for t in ts.tolist()])
 
 
@@ -231,35 +233,26 @@ def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: Quadrat
 
 
 def _amplitude_sq(params: ModelParams, data: RadialInitialData):
-    """The norm integrand |cos(t f) w0 + sin(t f)/f w1|^2 r^(n-1), in real
-    arithmetic, as a function of (r, t), t a number or one time per radius.
+    """The norm integrand (c^2 w0_sq + p^2 w1_sq + 2 c p cross) r^(n-1), c = cos(t f) and
+    p = sin(t f)/f, as a function of (r, t), t a number or one time per radius.
 
-    A component whose tail certifies it zero is skipped, and imaginary parts
-    enter only where a profile returns nonzero ones.
+    A component whose tail certifies it zero is skipped, with the cross density.
     """
     n = data.dim
-    parts = []
-    if not data.w0_tail.vanishes:
-        parts.append((data.w0_profile, lambda t, f: np.cos(t * f)))
-    if not data.w1_tail.vanishes:
-        parts.append((data.w1_profile, propagator))
+    has_w0, has_w1 = not data.w0_tail.vanishes, not data.w1_tail.vanishes
 
     def fn(r, t):
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
-        re = np.zeros_like(r)
-        im = None
-        for profile, multiplier in parts:
-            m = multiplier(t, f)
-            w = np.asarray(profile(r))
-            if np.iscomplexobj(w):
-                if w.imag.any():
-                    im = m * w.imag if im is None else im + m * w.imag
-                w = w.real
-            re += m * w
-        out = re * re
-        if im is not None:
-            out += im * im
+        out = np.zeros_like(r)
+        if has_w0:
+            c = np.cos(t * f)
+            out += c * c * data.w0_sq(r)
+        if has_w1:
+            p = propagator(t, f)
+            out += p * p * data.w1_sq(r)
+        if has_w0 and has_w1:
+            out += 2.0 * c * p * data.cross(r)
         if n > 1:
             out *= r ** (n - 1)
         return out
@@ -268,28 +261,24 @@ def _amplitude_sq(params: ModelParams, data: RadialInitialData):
 
 
 def _mean_density(params: ModelParams, data: RadialInitialData, r):
-    """The mean (|w0|^2 + |w1|^2/f^2) r^(n-1)/2 of the norm integrand over sin^2(t f)."""
+    """The mean (w0_sq + w1_sq/f^2) r^(n-1)/2 of the norm integrand over sin^2(t f)."""
     r = np.asarray(r, dtype=float)
     f = eval_dispersion(params, r)
-    w0 = np.asarray(data.w0_profile(r))
-    w1 = np.asarray(data.w1_profile(r))
-    return 0.5 * (np.abs(w0) ** 2 + np.abs(w1) ** 2 / f**2) * r ** (data.dim - 1)
+    return 0.5 * (data.w0_sq(r) + data.w1_sq(r) / f**2) * r ** (data.dim - 1)
 
 
 def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
     """g with norm integrand = mean density + Re[g e^(2 i t f)].
 
     g = cos_coefficient - i sin_coefficient, the coefficients of cos(2 t f)
-    and sin(2 t f): (|w0|^2 - |w1|^2/f^2) r^(n-1)/2 and Re(w0 conj(w1))/f
-    r^(n-1).  Neither depends on t; both need f > 0.
+    and sin(2 t f): (w0_sq - w1_sq/f^2) r^(n-1)/2 and cross/f r^(n-1).
+    Neither depends on t; both need f > 0.
     """
     r = np.asarray(r, dtype=float)
     f = eval_dispersion(params, r)
-    w0 = np.asarray(data.w0_profile(r))
-    w1 = np.asarray(data.w1_profile(r))
     weight = r ** (data.dim - 1)
-    cos_coefficient = 0.5 * (np.abs(w0) ** 2 - np.abs(w1) ** 2 / f**2) * weight
-    sin_coefficient = np.real(w0 * np.conj(w1)) / f * weight
+    cos_coefficient = 0.5 * (data.w0_sq(r) - data.w1_sq(r) / f**2) * weight
+    sin_coefficient = data.cross(r) / f * weight
     return cos_coefficient - 1j * sin_coefficient
 
 

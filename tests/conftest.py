@@ -14,6 +14,7 @@ from rosenau import (
     ModelParams,
     MomentDecomposition,
     QuadratureConfig,
+    RadialInitialData,
     compute_norm_trace,
     gaussian_profile,
     gaussian_velocity_data,
@@ -29,6 +30,23 @@ def k21_refine(fn, edges, rel_tol, abs_tol=0.0, max_rounds=30):
     IntegrabilityError when it does not resolve fn within max_rounds."""
     value, error = _kronrod_refine(fn, [edges], rel_tol, abs_tol, max_rounds)
     return float(value[0]), float(error[0])
+
+
+def profile_data(w0, w1, dim, w0_tail=None, w1_tail=None):
+    """RadialInitialData of radial spectral profiles w0 and w1, complex
+    functions of |xi| or None for a missing component, through the densities
+    |w0|^2, |w1|^2 and Re(w0 conj(w1)) they give."""
+    def values(w, r):
+        return np.asarray(w(r), dtype=complex)
+
+    fields = {}
+    if w0 is not None:
+        fields.update(w0_sq=lambda r: np.abs(values(w0, r)) ** 2, w0_tail=w0_tail)
+    if w1 is not None:
+        fields.update(w1_sq=lambda r: np.abs(values(w1, r)) ** 2, w1_tail=w1_tail)
+    if w0 is not None and w1 is not None:
+        fields["cross"] = lambda r: np.real(values(w0, r) * np.conj(values(w1, r)))
+    return RadialInitialData(dim, **fields)
 
 
 def phase_edges(params, t, lo, hi):

@@ -7,10 +7,15 @@ import pytest
 from rosenau import (
     GridField,
     InputDomainError,
+    InvariantViolation,
     ModelParams,
+    RadialInitialData,
+    TailBound,
+    compact_band_data,
     eval_dispersion,
     evolve_grid,
     evolve_grid_times,
+    gaussian_position_data,
     gaussian_velocity_data,
     norm_squared,
     total_energy,
@@ -20,7 +25,7 @@ from rosenau.evolution import cosc, propagator
 from rosenau.model import dispersion_slope
 from rosenau.records import replace
 
-from conftest import full_spectrum_energy, full_spectrum_state
+from conftest import full_spectrum_energy, full_spectrum_state, profile_data
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -403,6 +408,54 @@ class TestHalfSpectrumOracle:
         assert energy == pytest.approx(full_spectrum_energy(params, u, u.values, u_t.values), rel=1e-13)
 
 
+class TestRadialInitialData:
+    """Construction rejects densities that no datum has, at the probe radii."""
+
+    def test_a_density_past_its_compact_cutoff(self):
+        # accepted before, norm_squared then read 14.687 against 14.990 at t = 10
+        with pytest.raises(InputDomainError, match="past its compact cutoff"):
+            replace(gaussian_velocity_data(1), w1_tail=TailBound(kind="compact", cutoff=1.0))
+
+    def test_a_negative_density(self):
+        base = gaussian_velocity_data(1)
+        with pytest.raises(InputDomainError, match="nonnegative"):
+            replace(base, w1_sq=lambda r: -base.w1_sq(r))
+
+    def test_a_complex_density(self):
+        base = gaussian_velocity_data(1)
+        with pytest.raises(InputDomainError, match="real"):
+            replace(base, w1_sq=lambda r: base.w1_sq(r) + 0j)
+
+    def test_a_cross_density_above_cauchy_schwarz(self):
+        base = gaussian_velocity_data(1)
+        both = replace(base, w0_sq=base.w1_sq, w0_tail=base.w1_tail)
+        assert replace(both, cross=lambda r: (1.0 + 1e-12) * base.w1_sq(r)).dim == 1
+        with pytest.raises(InputDomainError, match="cross"):
+            replace(both, cross=lambda r: -1.01 * base.w1_sq(r))
+
+    def test_a_density_above_its_gaussian_tail(self):
+        base = gaussian_velocity_data(1)
+        with pytest.raises(InvariantViolation, match="gaussian tail"):
+            replace(base, w1_sq=lambda r: 1.01 * base.w1_sq(r))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    @pytest.mark.parametrize("amplitude", [0.5, 3.0])
+    def test_gaussian_densities_away_from_a_one(self, amplitude, a, dim):
+        # the transform of A e^(-a |x|^2) is A (pi/a)^(n/2) e^(-r^2/(4a))
+        r = np.linspace(0.0, 10.0, 101)
+        hat = amplitude * (math.pi / a) ** (dim / 2.0) * np.exp(-(r**2) / (4.0 * a))
+        for density in (gaussian_velocity_data(dim, a, amplitude).w1_sq,
+                        gaussian_position_data(dim, a, amplitude).w0_sq):
+            assert np.allclose(density(r), hat**2, rtol=1e-15, atol=0.0)
+
+    def test_compact_band_density(self):
+        r = np.linspace(0.0, 4.0, 401)
+        inside = (r >= 0.5) & (r <= 2.0)
+        density = compact_band_data(2, 0.5, 2.0, amplitude=3.0).w1_sq(r)
+        assert np.array_equal(density, np.where(inside, 9.0, 0.0))
+
+
 class TestEnergy:
     def test_gaussian_velocity_total_at_zero(self):
         # (1/2pi) int (1 + delta r^4) pi e^(-r^2/2) dr over the line = sqrt(pi/2) (1 + 3 delta)/2
@@ -442,6 +495,19 @@ class TestEnergy:
         base = total_energy(P1, data, 0.0)
         now = total_energy(P1, data, t)
         assert abs(now - base) / base <= 1e-10
+
+    @pytest.mark.parametrize("t", [1.0, 1e3])
+    def test_radial_conservation_with_both_components(self, t):
+        # complex w0 and w1 give a nonzero cross density, whose terms in
+        # |w|^2 and |w_t|^2 must cancel against the others at every t
+        g = lambda r: np.exp(-0.25 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
+        data = profile_data(
+            lambda r: (0.6 - 0.8j) * g(r), lambda r: (0.3 + 2.0j) * g(r), 1,
+            TailBound(kind="gaussian", amplitude=1.0, rate=0.25),
+            TailBound(kind="gaussian", amplitude=2.1, rate=0.25),
+        )
+        base = total_energy(P1, data, 0.0)
+        assert abs(total_energy(P1, data, t) - base) / base <= 1e-10
 
     def test_an_uncertified_tail_raises(self):
         # a tail of kind "none" certifies no radius to cut the energy at

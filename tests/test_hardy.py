@@ -364,16 +364,16 @@ class TestEnergyIdentity:
 
     def test_cost_is_flat_in_t(self):
         # the phase-resolved partition took 165,648 w1 evaluations at
-        # t = 1e3 and 15,860,208 at 1e5
+        # t = 1e3 and 15,860,208 at 1e5; w1_sq evaluations are counted here
         def w1_evaluations(t):
             data = gaussian_velocity_data(2)
             count = [0]
 
             def counted(r):
                 count[0] += np.size(r)
-                return data.w1_profile(r)
+                return data.w1_sq(r)
 
-            counting = replace(data, w1_profile=counted)
+            counting = replace(data, w1_sq=counted)
             count[0] = 0
             energy_identity_check(self.P, counting, t)
             return count[0]
@@ -402,12 +402,12 @@ class TestEnergyIdentity:
             energy_identity_check(self.P, gaussian_position_data(2), 1.0)
 
     def test_a_position_datum_between_the_integers_is_seen(self):
-        # w0 = 1 on [0.2, 0.8], with a compact tail and its edges declared:
+        # |w0|^2 = 1 on [0.2, 0.8], with a compact tail and its edges declared:
         # zero at every integer radius, but its certificate says it is there
         velocity = gaussian_velocity_data(2)
         data = replace(
             velocity,
-            w0_profile=lambda r: np.where((np.asarray(r) >= 0.2) & (np.asarray(r) <= 0.8), 1.0, 0.0),
+            w0_sq=lambda r: np.where((np.asarray(r) >= 0.2) & (np.asarray(r) <= 0.8), 1.0, 0.0),
             w0_tail=TailBound(kind="compact", cutoff=0.8),
             kinks=(0.2, 0.8),
         )

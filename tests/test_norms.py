@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import simpson
 
 from rosenau import (
+    GridField,
     InputDomainError,
     IntegrabilityError,
     ModelParams,
@@ -16,14 +17,15 @@ from rosenau import (
     UncertifiedTailError,
     band_split_norm,
     compact_band_data,
+    evolve_grid,
     gaussian_position_data,
     gaussian_velocity_data,
     norm_squared,
     total_energy,
+    total_energy_grid,
     write_norm_trace_csv,
 )
 from rosenau import norms
-from rosenau.evolution import zero_profile
 from rosenau.catalog import data_from_spec
 from rosenau.norms import (
     DEFAULT_QUADRATURE,
@@ -38,7 +40,7 @@ from rosenau.quadrature import integrate_levin, panel_integrals
 from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
 from rosenau.records import replace
 
-from conftest import k21_refine, phase_edges
+from conftest import k21_refine, phase_edges, profile_data
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -64,10 +66,9 @@ def brute_force_norm_sq(params, data, t, density=80, r_max=14.0):
         count += 1
     x = np.linspace(0.0, r_max, count + 1)
     f = eval_dispersion(params, x)
-    w = np.cos(t * f) * np.asarray(data.w0_profile(x)) + (
-        t * vect_sinc(t * f)
-    ) * np.asarray(data.w1_profile(x))
-    y = np.abs(w) ** 2 * x ** (data.dim - 1)
+    c, p = np.cos(t * f), t * vect_sinc(t * f)
+    w_sq = c * c * data.w0_sq(x) + p * p * data.w1_sq(x) + 2.0 * c * p * data.cross(x)
+    y = w_sq * x ** (data.dim - 1)
     scale = unit_sphere_area(data.dim) / (2 * math.pi) ** data.dim
     return scale * simpson(y, x=x)
 
@@ -116,9 +117,8 @@ class TestNormSquared:
 
     def test_uncertified_tail_rejected(self):
         data = RadialInitialData(
-            w0_profile=zero_profile,
-            w1_profile=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) + 0j,
             dim=1,
+            w1_sq=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2,
             w1_tail=TailBound(kind="none"),
         )
         with pytest.raises(UncertifiedTailError):
@@ -128,18 +128,59 @@ class TestNormSquared:
         assert val > 0
 
     def test_a_compact_tail_certifies_nothing_below_its_cutoff(self):
-        # w0 = 1 on [0, 10] beside a Gaussian w1: the Gaussian alone would
-        # certify r_max = 6.3, and the band beyond it holds a tenth of the norm
+        # w0 = i on [0, 10] beside a Gaussian w1, so the cross density is 0:
+        # the Gaussian alone would certify r_max = 6.3, and the band beyond it
+        # holds a tenth of the norm
         velocity = gaussian_velocity_data(1)
         data = replace(
             velocity,
-            w0_profile=lambda r: np.where(np.asarray(r) <= 10.0, 1.0, 0.0),
+            w0_sq=lambda r: np.where(np.asarray(r) <= 10.0, 1.0, 0.0),
             w0_tail=TailBound(kind="compact", cutoff=10.0),
             kinks=(10.0,),
         )
         assert _resolve_r_max(P1, data, 1.0, DEFAULT_QUADRATURE) >= 10.0
         past = norm_squared(P1, data, 1.0, QuadratureConfig(r_max=12.0))
         assert norm_squared(P1, data, 1.0) == pytest.approx(past, rel=1e-12)
+
+
+class TestAveragedDensities:
+    """u0 = e^(-x^2 - y^2/4) and u1 = e^(-x^2/4 - y^2) in 2-D, which are not
+    radial: w0 = 2 pi e^(-xi^2/4 - eta^2) and w1 its mirror image, so the
+    spherical means are |w0|^2 = |w1|^2 = 4 pi^2 e^(-5 r^2/4) I0(3 r^2/4) and
+    Re(w0 conj(w1)) = 4 pi^2 e^(-5 r^2/4), and |w| <= 2 pi e^(-r^2/4)."""
+
+    P = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
+    TAIL = TailBound(kind="gaussian", amplitude=2.0 * math.pi, rate=0.25)
+    # the norm at t = 10 from mpmath
+    NORM_SQ = 11.971881883249301
+
+    @staticmethod
+    def w_sq(r):
+        r2 = np.asarray(r, dtype=float) ** 2
+        return 4.0 * math.pi**2 * np.exp(-1.25 * r2) * np.i0(0.75 * r2)
+
+    def data(self, cross):
+        return RadialInitialData(
+            2, w0_sq=self.w_sq, w1_sq=self.w_sq, cross=cross, w0_tail=self.TAIL, w1_tail=self.TAIL
+        )
+
+    def test_norm_and_energy_match_the_grid(self):
+        # a box of length 60 leaves an 8.3e-9 wrap-around gap at t = 10
+        data = self.data(lambda r: 4.0 * math.pi**2 * np.exp(-1.25 * np.asarray(r, dtype=float) ** 2))
+        u0 = GridField.from_function(lambda x, y: np.exp(-(x**2) - y**2 / 4.0), 2, 100.0, 512)
+        u1 = GridField.from_function(lambda x, y: np.exp(-(x**2) / 4.0 - y**2), 2, 100.0, 512)
+        u, u_t = evolve_grid(self.P, u0, u1, 10.0, with_velocity=True)
+        value = norm_squared(self.P, data, 10.0, QuadratureConfig(rel_tol=1e-8))
+        assert value == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+        assert value == pytest.approx(self.NORM_SQ, rel=1e-12)
+        (grid_energy,) = total_energy_grid(self.P, [(u, u_t)])
+        assert total_energy(self.P, data, 10.0) == pytest.approx(grid_energy, rel=1e-12)
+
+    def test_no_pair_of_radial_profiles_gives_it(self):
+        # radial profiles w0 and w1 have cross^2 = w0_sq w1_sq at every r
+        pair = self.data(lambda r: np.sqrt(self.w_sq(r) * self.w_sq(r)))
+        value = norm_squared(self.P, pair, 10.0, QuadratureConfig(rel_tol=1e-8))
+        assert abs(value / self.NORM_SQ - 1.0) > 0.01
 
 
 class TestBandSplit:
@@ -225,13 +266,13 @@ def _gaussian_tail(amplitude, rate=0.25):
 
 
 def _profile_cases():
-    """(label, w0, w0 tail, w1, w1 tail) covering each component and complex values."""
+    """(label, w0, w0 tail, w1, w1 tail) covering each component and complex
+    values; None is a missing component."""
     g = lambda r: 1.5 * np.exp(-0.25 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
     h = lambda r: np.exp(-0.3 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
-    zero_tail = TailBound(kind="compact", cutoff=0.0)
     return [
-        ("w0 only", g, _gaussian_tail(1.5), zero_profile, zero_tail),
-        ("w1 only", zero_profile, zero_tail, g, _gaussian_tail(1.5)),
+        ("w0 only", g, _gaussian_tail(1.5), None, None),
+        ("w1 only", None, None, g, _gaussian_tail(1.5)),
         ("both", g, _gaussian_tail(1.5), h, _gaussian_tail(1.0, 0.3)),
         (
             "complex",
@@ -252,13 +293,13 @@ class TestFusedIntegrand:
     def test_matches_complex_formula(self, case, t, dim):
         _, w0, tail0, w1, tail1 = case
         params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
-        data = RadialInitialData(w0, w1, dim, tail0, tail1)
+        data = profile_data(w0, w1, dim, tail0, tail1)
         r = np.concatenate([[0.0, 1e-12], np.linspace(1e-3, 12.0, 997)])
         f = eval_dispersion(params, r)
         with np.errstate(divide="ignore", invalid="ignore"):
             prop = np.where(f > 0, np.sin(t * f) / f, t)
-        a = np.cos(t * f) * np.asarray(w0(r), dtype=complex)
-        b = prop * np.asarray(w1(r), dtype=complex)
+        a = np.cos(t * f) * (0j if w0 is None else np.asarray(w0(r), dtype=complex))
+        b = prop * (0j if w1 is None else np.asarray(w1(r), dtype=complex))
         expected = np.abs(a + b) ** 2 * r ** (dim - 1)
         scale = (np.abs(a) + np.abs(b)) ** 2 * r ** (dim - 1)
         got = _amplitude_sq(params, data)(r, t)
@@ -268,18 +309,16 @@ class TestFusedIntegrand:
             assert got[0] == pytest.approx(expected[0], rel=1e-14)
 
     def test_zero_certified_component_is_not_evaluated(self):
+        # neither w0_sq nor the cross density of a w0 certified zero
         calls = []
 
         def counted(r):
             calls.append(np.size(r))
-            return zero_profile(r)
+            return np.zeros_like(np.asarray(r, dtype=float))
 
         velocity = gaussian_velocity_data(1)
-        data = RadialInitialData(
-            counted, velocity.w1_profile, 1,
-            TailBound(kind="compact", cutoff=0.0), velocity.w1_tail,
-        )
-        calls.clear()  # construction probes both profiles
+        data = replace(velocity, w0_sq=counted, cross=counted)
+        calls.clear()  # construction probes every density
         _amplitude_sq(P1, data)(np.linspace(0.0, 3.0, 50), 5.0)
         assert calls == []
 
@@ -317,7 +356,7 @@ def _complex_data(dim):
     """Complex w0 and w1, both present: the sin(2 t f) coefficient is nonzero."""
     g = lambda r: 1.5 * np.exp(-0.25 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
     h = lambda r: np.exp(-0.3 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
-    return RadialInitialData(
+    return profile_data(
         lambda r: (0.6 - 0.8j) * g(r), lambda r: (0.3 + 2.0j) * h(r), dim,
         _gaussian_tail(1.5), _gaussian_tail(2.1, 0.3),
     )
@@ -393,10 +432,9 @@ class TestOscillatoryPath:
 
             def counted(r):
                 calls.append(np.size(r))
-                return base.w1_profile(r)
+                return base.w1_sq(r)
 
-            data = RadialInitialData(zero_profile, counted, 1,
-                                     base.w0_tail, base.w1_tail)
+            data = replace(base, w1_sq=counted)
             calls.clear()
             _norm_pieces(P1, data, t, [0.0, 6.4], DEFAULT_QUADRATURE)
             counts[t] = sum(calls)
@@ -405,7 +443,7 @@ class TestOscillatoryPath:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("theta", [1.0, 2.0])
     def test_fast_segment_cost_is_flat_in_every_dimension(self, theta, dim, monkeypatch):
-        # profile evaluations of the fast segments of [0, 6.4] stay within 2x
+        # w1_sq evaluations of the fast segments of [0, 6.4] stay within 2x
         # of their count at t = 1e3 up to t = 1e12, where the fast segments
         # start near 16 pi / t
         segments = norms.oscillation_segments
@@ -419,9 +457,9 @@ class TestOscillatoryPath:
 
         def counted(r):
             calls.append(np.size(r))
-            return base.w1_profile(r)
+            return base.w1_sq(r)
 
-        data = RadialInitialData(zero_profile, counted, dim, base.w0_tail, base.w1_tail)
+        data = replace(base, w1_sq=counted)
         counts = {}
         for t in (1e3, 1e6, 1e9, 1e12):
             calls.clear()
@@ -740,9 +778,7 @@ def _old_coarse_estimate(params, data, t, hi):
     """The tail-target scale as one K21 panel_integrals call per time."""
     def envelope(r):
         prop_sq = np.minimum(t, 1.0 / np.maximum(eval_dispersion(params, r), 1e-300)) ** 2
-        w0 = np.abs(np.asarray(data.w0_profile(r))) ** 2
-        w1 = np.abs(np.asarray(data.w1_profile(r))) ** 2
-        return (w0 + prop_sq * w1) * r ** (params.dim - 1)
+        return (data.w0_sq(r) + prop_sq * data.w1_sq(r)) * r ** (params.dim - 1)
 
     edges = np.linspace(0.0, hi, 257)
     return abs(panel_integrals(envelope, edges[:-1], edges[1:])[0].sum())
@@ -763,19 +799,13 @@ class TestCoarseEstimate:
         calls = []
         base = gaussian_velocity_data(2)
 
-        def counted(profile):
+        def counted(density):
             def fn(r):
                 calls.append(np.size(r))
-                return profile(r)
+                return density(r)
             return fn
 
-        data = RadialInitialData(
-            w0_profile=counted(base.w0_profile),
-            w1_profile=counted(base.w1_profile),
-            dim=2,
-            w0_tail=base.w0_tail,
-            w1_tail=base.w1_tail,
-        )
+        data = replace(base, w0_sq=counted(base.w0_sq), w1_sq=counted(base.w1_sq))
         counts = []
         for size in (1, 61):
             calls.clear()
@@ -798,17 +828,17 @@ class TestBatchedUnsplitNorm:
 
 
 def _w1_evaluations(params, t, rel_tol=DEFAULT_QUADRATURE.rel_tol):
-    """norm_squared of the Gaussian velocity datum and the w1 profile
+    """norm_squared of the Gaussian velocity datum and the w1_sq density
     evaluations it took."""
     base = gaussian_velocity_data(params.dim)
     calls = []
 
     def counted(r):
         calls.append(np.size(r))
-        return base.w1_profile(r)
+        return base.w1_sq(r)
 
-    data = RadialInitialData(zero_profile, counted, params.dim, base.w0_tail, base.w1_tail)
-    calls.clear()  # construction probes the profile
+    data = replace(base, w1_sq=counted)
+    calls.clear()  # construction probes the density
     value = norm_squared(params, data, t, QuadratureConfig(rel_tol=rel_tol))
     return value, sum(calls)
 
