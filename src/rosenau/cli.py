@@ -52,6 +52,7 @@ from .model import (
     ModelParams,
     SincConstants,
     dispersion_derivatives,
+    dispersion_expansion,
     epsilon0,
     eval_dispersion,
 )
@@ -365,7 +366,7 @@ def _run_energy_conservation(config: ExperimentConfig, out: Path, checks: dict) 
     _at_most(checks, "radial_energy_drift", drift, 1e-10)
 
     n = min(params.dim, 2)
-    grid_params = ModelParams(params.delta, params.mu, params.kappa, params.theta, n)
+    grid_params = replace(params, dim=n)
     size = 4096 if n == 1 else 256
     box = 200.0 if n == 1 else 60.0
     # the Gaussian is the position and the velocity datum, so that the
@@ -630,13 +631,17 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "dispersion":
         params = _params_from(args)
+        law = dispersion_expansion(params)
         rows = []
         for r in args.r:
             f = eval_dispersion(params, r)
             if r > 0:
                 fp, fpp = dispersion_derivatives(params, r)
-            else:
-                fp, fpp = math.sqrt(params.kappa), 0.0
+            elif law.low_power < 1.0:
+                raise InputDomainError(f"f''(0) is unbounded for theta < 1/2, got theta = {params.theta}")
+            else:  # f = c r (1 + b r^q + o(r^q)): f''(0) = 2 c b at q = 1, 0 for q > 1
+                c, b = law.low_coefficient, law.low_correction
+                fp, fpp = c, (2.0 * c * b if law.low_power == 1.0 else 0.0)
             rows.append({"r": r, "f": f, "f_prime": fp, "f_second": fpp})
         print(json.dumps({"epsilon0": epsilon0(params), "values": rows}, indent=2, sort_keys=True))
         return 0

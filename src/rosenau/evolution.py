@@ -34,7 +34,7 @@ import numpy as np
 from numpy.fft import fftfreq, irfftn, rfftfreq, rfftn
 
 from .artifacts import open_output
-from .errors import InputDomainError, InvariantViolation, UncertifiedTailError
+from .errors import InputDomainError, UncertifiedTailError
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
 from .quadrature import _row_blocks, integrate_radial
 from .records import Record, replace
@@ -156,7 +156,7 @@ class RadialInitialData(Record):
             if tail.kind == "gaussian":
                 bound = tail.amplitude * np.exp(-tail.rate * _PROBE**2)
                 if np.any(np.sqrt(vals) > bound * (1.0 + 1e-9) + 1e-300):
-                    raise InvariantViolation(f"{name} exceeds the square of its declared gaussian tail")
+                    raise InputDomainError(f"{name} exceeds the square of its declared gaussian tail")
             if tail.kind == "compact" and np.any(vals[_PROBE > tail.cutoff] != 0):
                 raise InputDomainError(f"{name} is nonzero past its compact cutoff {tail.cutoff}")
         if np.any(probed["cross"] ** 2 > probed["w0_sq"] * probed["w1_sq"] * (1.0 + 1e-9)):

@@ -4,16 +4,17 @@ Every other module works through the dispersion rate
 
     f(r) = sqrt((mu r^4 + kappa r^2) / (1 + delta r^(2 theta))),
 
-its first two derivatives, and a handful of universal constants: the sinc
-half-level threshold delta0, the time-dependent band radii
-beta(t) and gamma(t), and the unit-sphere areas omega_n.  Near r = 0 the rate
-is evaluated in the factored form r * sqrt((mu r^2 + kappa)/(1 + delta r^(2
-theta))) so that relative accuracy survives at the origin, where the
-low-frequency quadrature needs it most.
+its first two derivatives, its laws (dispersion_expansion: f ~ sqrt(kappa) r
+at low frequency, f ~ C r^p at high frequency, the stationary points), and
+universal constants: the sinc threshold delta0, the band radii beta(t) and
+gamma(t), and the unit-sphere areas omega_n.  Near r = 0 the rate is evaluated
+in the factored form r * sqrt((mu r^2 + kappa)/(1 + delta r^(2 theta))) so that
+relative accuracy survives at the origin, where the quadrature needs it most.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,7 +26,9 @@ __all__ = [
     "ModelParams",
     "SincConstants",
     "BandBoundaries",
+    "DispersionExpansion",
     "eval_dispersion",
+    "dispersion_expansion",
     "dispersion_derivatives",
     "dispersion_slope",
     "epsilon0",
@@ -186,6 +189,60 @@ def dispersion_derivatives(params: ModelParams, r):
     if isinstance(r, np.ndarray):
         return f_p, f_pp
     return float(f_p), float(f_pp)
+
+
+class DispersionExpansion(Record):
+    """f's laws (dispersion_expansion): f = low_coefficient r (1 + low_correction
+    r^low_power + o(r^low_power)) as r -> 0, f ~ high_coefficient r^high_power
+    as r -> inf with f^2 >= high_floor r^(2 high_power) for r >= 1, and
+    f'' = curvatures at the stationary_points, where f' changes sign, increasing.
+    """
+
+    low_coefficient: float
+    low_power: float
+    low_correction: float
+    high_coefficient: float
+    high_power: float
+    high_floor: float
+    stationary_points: tuple
+    curvatures: tuple
+
+
+@functools.cache
+def dispersion_expansion(params: ModelParams) -> DispersionExpansion:
+    """The expansions of f and its stationary points, built once per ModelParams.
+
+    The low law expands f = sqrt(kappa) r sqrt((1 + mu r^2 / kappa) / (1 + delta
+    r^(2 theta))); the floor is 1 + delta r^(2 theta) <= (1 + delta) r^(2 theta)
+    for r >= 1.  f' has the sign of (2 mu s + kappa) + delta s^theta ((2 -
+    theta) mu s + (1 - theta) kappa), s = r^2, whose coefficients change sign
+    at most twice (Descartes); its sign changes on a geometric grid of
+    [1e-10, 1e10] are bisected to adjacent floats, the root the smaller end.
+    """
+    de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
+    # at theta = 1 exactly 0 in the wave cell mu = delta kappa, where f = sqrt(kappa) r
+    low_correction = -0.5 * de if th < 1.0 else mu / (2.0 * ka) if th > 1.0 else (mu - de * ka) / (2.0 * ka)
+    top, power = (mu, 2.0 - th) if mu > 0 else (ka, 1.0 - th)
+
+    def slope(r):
+        s = r * r
+        return 2.0 * mu * s + ka + de * s**th * ((2.0 - th) * mu * s + (1.0 - th) * ka)
+
+    r = np.geomspace(1e-10, 1e10, 4096)
+    sign = np.sign(slope(r))
+    flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
+    lo, hi = r[flips], r[flips + 1]
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        stays = inside & (np.sign(slope(mid)) == sign[flips])
+        lo, hi = np.where(stays, mid, lo), np.where(inside & ~stays, mid, hi)
+    _, curvatures = dispersion_derivatives(params, lo)
+    low = (math.sqrt(ka), min(2.0 * th, 2.0), low_correction)
+    high = (math.sqrt(top / de), power, top / (1.0 + de))
+    return DispersionExpansion(*low, *high, tuple(lo.tolist()), tuple(curvatures.tolist()))
 
 
 def epsilon0(params: ModelParams) -> float:

@@ -16,8 +16,8 @@ Re[g e^(2 i t f)] over the pieces [cuts[k], cuts[k+1]] of an interval, at
 one time or at every time of a trace, each time with its own cuts.  One
 call of ``oscillation_segments`` for all the times splits each interval
 into the slow region t f <= 16 pi, windows of half-width
-min(1/4, C t^(-1/2)) around the stationary points r* of f (found once per
-ModelParams), C = sqrt(_WINDOW_PHASE / |f''(r*)|), and the fast segments
+min(1/4, C t^(-1/2)) around the stationary points r* of f (from
+model.dispersion_expansion), C = sqrt(_WINDOW_PHASE / |f''(r*)|), and the fast segments
 between them; each segment is cut at the piece boundaries and at the
 kinks of the data, each fast segment also at r_log = 1/4 (_R_LOG).  The
 pieces of every time are collected first and integrated in three
@@ -39,9 +39,9 @@ rel_tol of its own value, and refined, as if it were integrated alone.
   piece, both from the partition ``fast_segment_edges``, which does not
   depend on t, bisecting where needed.  Below r_log both run in a
   coordinate x that is ln r up to scale and shift (_fast_radius), from 2
-  panels of equal width in ln r: there f ~ sqrt(kappa) r, so the fast
-  integrands behave like r^(n-3) down to a lower end near
-  16 pi / (sqrt(kappa) t), which fixed panels in r resolve only by more
+  panels of equal width in ln r: there f ~ c r (model.dispersion_expansion),
+  so the fast integrands behave like r^(n-3) down to a lower end near
+  16 pi / (c t), which fixed panels in r resolve only by more
   bisection as t grows and fixed panels in ln r resolve at every t.  Above
   r_log they run in r from 5 edges geometric in the distance from the
   nearest stationary point, so the Levin rule bisects the pieces beside a
@@ -77,7 +77,6 @@ down like a K21 panel.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -87,10 +86,11 @@ from .errors import InputDomainError, UncertifiedTailError
 from .evolution import RadialInitialData, _check_time, propagator, total_energy
 from .model import (
     DEFAULT_SINC,
+    DispersionExpansion,
     ModelParams,
     SincConstants,
     band_boundaries,
-    dispersion_derivatives,
+    dispersion_expansion,
     dispersion_slope,
     eval_dispersion,
     unit_sphere_area,
@@ -158,24 +158,21 @@ def _physical_scale(dim: int) -> float:
     return unit_sphere_area(dim) / (2.0 * math.pi) ** dim
 
 
-def _propagator_sq_ceiling(params: ModelParams, r0: float, t: float) -> float:
-    """sup over r >= r0 of min(t, 1/f(r))^2, from explicit envelope bounds."""
-    best = t * t
-    if r0 >= 1.0:
-        if params.mu > 0:
-            best = min(best, (1.0 + params.delta) / (params.mu * r0 ** (4.0 - 2.0 * params.theta)))
-        if params.theta <= 1.0:
-            best = min(best, (1.0 + params.delta) / (params.kappa * r0 ** (2.0 - 2.0 * params.theta)))
-    return best
+def _propagator_sq_ceiling(expansion: DispersionExpansion, r0: float, t: float) -> float:
+    """sup over r >= r0 of min(t, 1/f(r))^2, from the floor of f^2 at high
+    frequency, f^2 >= high_floor r^(2 p) for r >= 1: t^2 when p < 0."""
+    if r0 < 1.0 or expansion.high_power < 0:
+        return t * t
+    return min(t * t, 1.0 / (expansion.high_floor * r0 ** (2.0 * expansion.high_power)))
 
 
-def _tail_bound(params: ModelParams, data: RadialInitialData, r0: float, t: float) -> float:
+def _tail_bound(expansion: DispersionExpansion, data: RadialInitialData, r0: float, t: float) -> float:
     """Bound on the unscaled integrand mass beyond r0 (|a+b|^2 <= 2|a|^2 + 2|b|^2)."""
     m0 = data.w0_tail.mass_beyond(r0, data.dim)
     m1 = data.w1_tail.mass_beyond(r0, data.dim)
     if math.isinf(m0) or math.isinf(m1):
         return math.inf
-    return 2.0 * m0 + 2.0 * _propagator_sq_ceiling(params, r0, t) * m1
+    return 2.0 * m0 + 2.0 * _propagator_sq_ceiling(expansion, r0, t) * m1
 
 
 def _coarse_estimate(params: ModelParams, data: RadialInitialData, ts: np.ndarray, hi: float) -> np.ndarray:
@@ -218,10 +215,11 @@ def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: Quadrat
             if tail.kind == "gaussian":
                 start = max(start, math.sqrt(10.0 / tail.rate))
         rough = _coarse_estimate(params, data, ts, start)
+        expansion = dispersion_expansion(params)
         for i, (t_i, rough_i) in enumerate(zip(ts.tolist(), rough.tolist())):
             r0, target = start, cfg.rel_tol / 10.0 * max(rough_i, 1e-280)
             for _ in range(400):
-                if _tail_bound(params, data, r0, t_i) <= target:
+                if _tail_bound(expansion, data, r0, t_i) <= target:
                     break
                 r0 *= 1.2
             else:
@@ -334,7 +332,7 @@ def oscillatory_integrals(
         np.add.at(values, (index, k), refined[0])
     if fast:
         index, k, lo, hi = (np.array(v) for v in zip(*fast))
-        edges = fast_segment_edges(lo, hi, _stationary_points(params))
+        edges = fast_segment_edges(lo, hi, dispersion_expansion(params).stationary_points)
         level = np.zeros(len(edges))
         if mean is not None:
             mean_x = _in_fast_coordinate(mean)
@@ -466,37 +464,6 @@ def band_split_norm(
 # segmentation
 
 
-@functools.cache
-def _stationary_points(params: ModelParams) -> tuple[float, ...]:
-    """The radii in [1e-10, 1e10] where f' changes sign, in increasing order.
-
-    f' has the sign of d(f^2)/ds, s = r^2, and so of
-    (2 mu s + kappa) + delta s^theta ((2 - theta) mu s + (1 - theta) kappa),
-    whose coefficients change sign at most twice: by Descartes' rule f has
-    at most two stationary points.  They depend on params alone, so they are
-    found once per ModelParams, from the sign changes of that expression on
-    a geometric grid, each bracket bisected until its ends are adjacent
-    floats; the root is the end on the side of the smaller radius.
-    """
-    de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
-
-    def slope(r):
-        s = r * r
-        return 2.0 * mu * s + ka + de * s**th * ((2.0 - th) * mu * s + (1.0 - th) * ka)
-
-    r = np.geomspace(1e-10, 1e10, 4096)
-    sign = np.sign(slope(r))
-    flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-    lo, hi = r[flips], r[flips + 1]
-    while True:
-        mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            return tuple(lo.tolist())
-        stays = inside & (np.sign(slope(mid)) == sign[flips])
-        lo, hi = np.where(stays, mid, lo), np.where(inside & ~stays, mid, hi)
-
-
 def oscillation_segments(params: ModelParams, t, lo, hi):
     """Split [lo, hi] by how fast e^(2 i t f) oscillates, left to right.
 
@@ -513,13 +480,13 @@ def oscillation_segments(params: ModelParams, t, lo, hi):
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     los, his = (np.broadcast_to(np.asarray(v, dtype=float), ts.shape) for v in (lo, hi))
-    # f(r) <= r sqrt(mu r^2 + kappa), a bound that needs no sampling
-    live = (his > los) & (ts * his * np.sqrt(params.mu * his * his + params.kappa) > _PHASE_SLOW)
+    expansion = dispersion_expansion(params)
+    live = (his > los) & (ts > 0)
     # the grid starts at 1e-10, or lower where t is so large that t f = 16 pi
-    # lies below it (f ~ sqrt(kappa) r there), and never above hi; its first
-    # column is lo itself, a repeat where lo lies above that start
+    # lies below it (f ~ c r there), and never above hi; its first column is
+    # lo itself, a repeat where lo lies above that start
     t_live, lo_live, hi_live = ts[live], los[live], his[live]
-    bottom = np.minimum(np.minimum(1e-10, _PHASE_SLOW / (t_live * math.sqrt(params.kappa))), hi_live)
+    bottom = np.minimum(np.minimum(1e-10, _PHASE_SLOW / (t_live * expansion.low_coefficient)), hi_live)
     r = np.geomspace(np.maximum(lo_live, bottom), hi_live, 256, axis=-1)
     r = np.concatenate([lo_live[:, None], r], axis=1)
     slow = t_live[:, None] * eval_dispersion(params, r) <= _PHASE_SLOW
@@ -527,9 +494,8 @@ def oscillation_segments(params: ModelParams, t, lo, hi):
     flips = np.split(r[row, col + 1], np.searchsorted(row, np.arange(1, r.shape[0])))
     starts_slow = slow[:, 0].tolist()
 
-    roots = _stationary_points(params)
-    _, curvature = dispersion_derivatives(params, np.array(roots, dtype=float))
-    windows = list(zip(roots, np.sqrt(_WINDOW_PHASE / np.maximum(np.abs(curvature), 1e-300)).tolist()))
+    widths = np.sqrt(_WINDOW_PHASE / np.maximum(np.abs(expansion.curvatures), 1e-300)).tolist()
+    windows = list(zip(expansion.stationary_points, widths))
     out = []
     grid_rows = iter(zip(flips, starts_slow, t_live.tolist()))
     for lo_i, hi_i, live_i in zip(los.tolist(), his.tolist(), live.tolist()):
@@ -565,8 +531,9 @@ def oscillation_segments(params: ModelParams, t, lo, hi):
 
 # Fast pieces below this radius are integrated in the coordinate
 # x = _R_LOG (1 + ln(r / _R_LOG)), which is ln r scaled to meet r with slope 1
-# at _R_LOG.  There f ~ sqrt(kappa) r, so the fast integrands behave like
-# r^(n-3) down to the piece's lower end, about 16 pi / (sqrt(kappa) t): in r
+# at _R_LOG.  There f ~ c r (model.dispersion_expansion), so the fast
+# integrands behave like r^(n-3) down to the piece's lower end, about
+# 16 pi / (c t): in r
 # the panels near that end must shrink with it, in ln r the same panels
 # serve at every t.  0.25 stays clear of the band split at 1 in 2-D and 3-D:
 # cut there, the unsplit norm would be integrated over the very pieces of the

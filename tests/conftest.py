@@ -23,6 +23,14 @@ from rosenau import (
 
 EXACT = QuadratureConfig()
 
+# (delta, mu, kappa, theta) cells of the dispersion's expansions: theta in
+# {1/4, 1/2, 1, 3/2, 2} at equal and unequal coefficients, and mu = 0
+EXPANSION_CELLS = [
+    (*coefficients, theta)
+    for coefficients in [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1), (4.0, 0.1, 1.0)]
+    for theta in (0.25, 0.5, 1.0, 1.5, 2.0)
+] + [(2.0, 0.0, 3.0, 0.5), (2.0, 0.0, 3.0, 1.0)]
+
 
 def k21_refine(fn, edges, rel_tol, abs_tol=0.0, max_rounds=30):
     """(value, error) of the K21 refinement of fn on one partition, as

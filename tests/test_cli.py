@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -303,6 +304,23 @@ class TestRunners:
         assert main(["dispersion", "--r", "0.5", "1.0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["values"][1]["f"] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0])
+    def test_cli_dispersion_at_the_origin(self, theta, capsys):
+        # f'(0) = sqrt(kappa); f''(0) = -delta sqrt(kappa) at theta = 1/2, 0
+        # above it and unbounded below it; r = 1e-8 reads close to both
+        flags = ["--delta", "0.7", "--mu", "1.3", "--kappa", "2.1", "--theta", str(theta)]
+        code = main(["dispersion", *flags, "--r", "0", "1e-8"])
+        if theta < 0.5:
+            assert code == 2
+            assert "theta < 1/2" in capsys.readouterr().err
+            return
+        assert code == 0
+        origin, near = json.loads(capsys.readouterr().out)["values"]
+        assert origin["f_prime"] == math.sqrt(2.1)
+        assert origin["f_second"] == pytest.approx(-0.7 * math.sqrt(2.1) if theta == 0.5 else 0.0, rel=1e-15)
+        assert near["f_prime"] == pytest.approx(origin["f_prime"], rel=1e-7)
+        assert near["f_second"] == pytest.approx(origin["f_second"], abs=1e-6)
 
     def test_cli_error_paths(self, capsys, tmp_path):
         assert main(["run"]) == 2

@@ -7,7 +7,6 @@ import pytest
 from rosenau import (
     GridField,
     InputDomainError,
-    InvariantViolation,
     ModelParams,
     RadialInitialData,
     TailBound,
@@ -435,7 +434,7 @@ class TestRadialInitialData:
 
     def test_a_density_above_its_gaussian_tail(self):
         base = gaussian_velocity_data(1)
-        with pytest.raises(InvariantViolation, match="gaussian tail"):
+        with pytest.raises(InputDomainError, match="gaussian tail"):
             replace(base, w1_sq=lambda r: 1.01 * base.w1_sq(r))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -9,14 +9,19 @@ from rosenau import (
     PreconditionError,
     SincConstants,
     band_boundaries,
+    band_split_norm,
     derivative_floor,
     dispersion_derivatives,
     epsilon0,
     eval_dispersion,
+    gaussian_velocity_data,
+    norm_squared,
     second_derivative_bound,
     unit_sphere_area,
 )
-from rosenau.model import dispersion_slope
+from rosenau.model import dispersion_expansion, dispersion_slope
+
+from conftest import EXPANSION_CELLS
 
 P_DEFAULT = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 SINC = SincConstants()
@@ -166,6 +171,91 @@ class TestScalarBranch:
         assert type(value) is float
         assert value == eval_dispersion(P_DEFAULT, np.array([0.7]))[0]
         assert eval_dispersion(P_DEFAULT, 0.0) == 0.0
+
+
+def _next_power(theta, power):
+    """The least power 2 i + 2 theta j above power: the order of the first
+    term the low-frequency law leaves out."""
+    return min(p for i in range(4) for j in range(4) if (p := 2.0 * i + 2.0 * theta * j) > power + 1e-12)
+
+
+class TestDispersionExpansion:
+    @pytest.mark.parametrize("cell", EXPANSION_CELLS)
+    def test_low_frequency_law(self, cell):
+        # f / (c r) = sqrt(1 + mu r^2 / kappa) / sqrt(1 + delta r^(2 theta)):
+        # past b r^q every term is of order r^q2 or smaller, with a
+        # coefficient below 2 (1 + mu/kappa + delta)^2 for r <= 1e-4
+        de, mu, ka, th = cell
+        law = dispersion_expansion(ModelParams(*cell, 1))
+        assert law.low_coefficient == math.sqrt(ka)
+        assert law.low_power == min(2.0 * th, 2.0)
+        q2 = _next_power(th, law.low_power)
+        size = 2.0 * (1.0 + mu / ka + de) ** 2
+        for r in (1e-8, 1e-6, 1e-4):
+            f = eval_dispersion(ModelParams(*cell, 1), r)
+            residual = f / (law.low_coefficient * r) - 1.0 - law.low_correction * r**law.low_power
+            assert abs(residual) <= size * r**q2 + 8.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("cell", EXPANSION_CELLS)
+    def test_high_frequency_law(self, cell):
+        # f / (C r^p) = sqrt((1 + kappa / (mu r^2)) / (1 + 1 / (delta r^(2 theta)))),
+        # or (1 + 1 / (delta r^(2 theta)))^(-1/2) when mu = 0
+        de, mu, ka, th = cell
+        law = dispersion_expansion(ModelParams(*cell, 1))
+        if mu > 0:
+            assert (law.high_coefficient, law.high_power) == (math.sqrt(mu / de), 2.0 - th)
+            size, order = 1.0 + ka / mu + 1.0 / de, min(2.0, 2.0 * th)
+        else:
+            assert (law.high_coefficient, law.high_power) == (math.sqrt(ka / de), 1.0 - th)
+            size, order = 1.0 / de, 2.0 * th
+        for r in (1e4, 1e6, 1e8):
+            f = eval_dispersion(ModelParams(*cell, 1), r)
+            assert abs(f / (law.high_coefficient * r**law.high_power) - 1.0) <= size * r**-order + 8.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("de,ka", [(1.0, 1.0), (0.7, 2.1), (4.0, 0.3)])
+    def test_wave_cell(self, de, ka):
+        # theta = 1, mu = delta kappa: f = sqrt(kappa) r exactly
+        params = ModelParams(de, de * ka, ka, 1.0, 1)
+        law = dispersion_expansion(params)
+        assert law.low_correction == 0.0
+        r = np.geomspace(1e-8, 1e8, 161)
+        assert np.allclose(eval_dispersion(params, r), law.low_coefficient * r, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+
+    def test_stationary_points_found_once_per_params(self):
+        params = ModelParams(0.75, 1.25, 1.5, 2.0, 1)
+        dispersion_expansion.cache_clear()
+        for t in (1e2, 1e4, 1e6):
+            band_split_norm(params, gaussian_velocity_data(1), t)
+            norm_squared(ModelParams(0.75, 1.25, 1.5, 2.0, 1), gaussian_velocity_data(1), t)
+        info = dispersion_expansion.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 0
+
+    @pytest.mark.parametrize(
+        "params,expected",
+        [
+            # f'(r) = 0 at s = r^2 = 1 + sqrt(2) for delta = mu = kappa = 1, theta = 2
+            (P_DEFAULT, (math.sqrt(1.0 + math.sqrt(2.0)),)),
+            # theta <= 1 with mu > 0: f' > 0 everywhere
+            (ModelParams(1.0, 1.0, 1.0, 1.0, 1), ()),
+            # mu = 0, theta = 2: f = r / sqrt(1 + r^4) peaks at r = 1
+            (ModelParams(1.0, 0.0, 1.0, 2.0, 1), (1.0,)),
+        ],
+    )
+    def test_stationary_points(self, params, expected):
+        roots = dispersion_expansion(params).stationary_points
+        assert len(roots) == len(expected)
+        for got, want in zip(roots, expected):
+            assert got == pytest.approx(want, rel=1e-11)
+            fp, _ = dispersion_derivatives(params, np.array([got * (1 - 1e-6), got * (1 + 1e-6)]))
+            assert fp[0] > 0 > fp[1]
+
+    @pytest.mark.parametrize("cell", EXPANSION_CELLS)
+    def test_curvatures_are_f_second_at_the_stationary_points(self, cell):
+        law = dispersion_expansion(ModelParams(*cell, 1))
+        _, f_second = dispersion_derivatives(ModelParams(*cell, 1), np.array(law.stationary_points))
+        assert law.curvatures == tuple(f_second.tolist())
+        assert len(law.curvatures) == len(law.stationary_points)
 
 
 class TestEpsilon0:

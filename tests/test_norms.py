@@ -33,14 +33,19 @@ from rosenau.norms import (
     _norm_pieces,
     _physical_scale,
     _resolve_r_max,
-    _stationary_points,
     oscillation_segments,
 )
 from rosenau.quadrature import integrate_levin, panel_integrals
-from rosenau.model import band_boundaries, dispersion_derivatives, eval_dispersion, unit_sphere_area
+from rosenau.model import (
+    band_boundaries,
+    dispersion_derivatives,
+    dispersion_expansion,
+    eval_dispersion,
+    unit_sphere_area,
+)
 from rosenau.records import replace
 
-from conftest import k21_refine, phase_edges, profile_data
+from conftest import EXPANSION_CELLS, k21_refine, phase_edges, profile_data
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -537,35 +542,6 @@ class TestOnePhasePlan:
             assert np.shape(calls[0][1]) == (samples + min(samples, 2),)
             assert np.all(calls[0][2] == 0.0)
 
-    def test_stationary_points_found_once_per_params(self):
-        params = ModelParams(0.75, 1.25, 1.5, 2.0, 1)
-        _stationary_points.cache_clear()
-        for t in (1e2, 1e4, 1e6):
-            band_split_norm(params, gaussian_velocity_data(1), t)
-            norm_squared(ModelParams(0.75, 1.25, 1.5, 2.0, 1), gaussian_velocity_data(1), t)
-        info = _stationary_points.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits > 0
-
-    @pytest.mark.parametrize(
-        "params,expected",
-        [
-            # f'(r) = 0 at s = r^2 = 1 + sqrt(2) for delta = mu = kappa = 1, theta = 2
-            (P1, (math.sqrt(1.0 + math.sqrt(2.0)),)),
-            # theta <= 1 with mu > 0: f' > 0 everywhere
-            (ModelParams(1.0, 1.0, 1.0, 1.0, 1), ()),
-            # mu = 0, theta = 2: f = r / sqrt(1 + r^4) peaks at r = 1
-            (ModelParams(1.0, 0.0, 1.0, 2.0, 1), (1.0,)),
-        ],
-    )
-    def test_stationary_points(self, params, expected):
-        roots = _stationary_points(params)
-        assert len(roots) == len(expected)
-        for got, want in zip(roots, expected):
-            assert got == pytest.approx(want, rel=1e-11)
-            fp, _ = dispersion_derivatives(params, np.array([got * (1 - 1e-6), got * (1 + 1e-6)]))
-            assert fp[0] > 0 > fp[1]
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e7])
     def test_one_segmentation_matches_one_per_band(self, dim, t):
@@ -615,7 +591,7 @@ def _bands_piece_by_piece(params, data, t, cuts):
                     )
                     bands[k] += value[0]
                     continue
-                (edges,) = norms.fast_segment_edges([p], [q], _stationary_points(params))
+                (edges,) = norms.fast_segment_edges([p], [q], dispersion_expansion(params).stationary_points)
                 mean = norms._in_fast_coordinate(lambda r: norms._mean_density(params, data, r))
                 level, _ = k21_refine(mean, edges, rel_tol)
                 (osc,), _ = integrate_levin(
@@ -702,8 +678,9 @@ class TestBatchedTrace:
 
 
 class TestRootFinder:
-    """norms._stationary_points: the sign changes of f' on a geometric grid,
-    each bisected until its ends are adjacent floats."""
+    """The stationary points of model.dispersion_expansion: the sign changes
+    of f' on a geometric grid, each bisected until its ends are adjacent
+    floats."""
 
     PARAMS = [
         (1.0, 1.0, 1.0),  # delta, mu, kappa
@@ -714,7 +691,7 @@ class TestRootFinder:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
     def test_bisection_brackets_a_sign_change(self, theta):
         def slope(params, r):
-            # the sign of f' (see norms._stationary_points)
+            # the sign of f' (see model.dispersion_expansion)
             de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
             s = r * r
             return 2.0 * mu * s + ka + de * s**th * ((2.0 - th) * mu * s + (1.0 - th) * ka)
@@ -722,14 +699,14 @@ class TestRootFinder:
         found = 0
         for de, mu, ka in self.PARAMS:
             params = ModelParams(de, mu, ka, theta, 1)
-            for root in _stationary_points(params):
+            for root in dispersion_expansion(params).stationary_points:
                 at, after = slope(params, np.array([root, math.nextafter(root, math.inf)]))
                 assert at != 0.0 and at * after <= 0.0
                 found += 1
         assert found > 0 or theta <= 1.0  # f' > 0 everywhere for theta <= 1
         if theta == 2.0:
             # mu = 0: f = r / sqrt(1 + r^4) peaks at exactly r = 1
-            (root,) = _stationary_points(ModelParams(1.0, 0.0, 1.0, 2.0, 1))
+            (root,) = dispersion_expansion(ModelParams(1.0, 0.0, 1.0, 2.0, 1)).stationary_points
             assert abs(root - 1.0) <= 2.0 * np.spacing(1.0)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
@@ -739,14 +716,14 @@ class TestRootFinder:
         kinds = set()
         for de, mu, ka in self.PARAMS:
             params = ModelParams(de, mu, ka, theta, 1)
-            _stationary_points(params)
-            misses = _stationary_points.cache_info().misses
+            dispersion_expansion(params)
+            misses = dispersion_expansion.cache_info().misses
             for t in (1e2, 1e4, 1e6):
                 for lo, hi in ((0.0, 14.0), (0.3, 5.0)):
                     segments = oscillation_segments(params, t, lo, hi)
                     assert segments[0][0] == lo and segments[-1][1] == hi
                     kinds.update(kind for *_, kind in segments)
-            assert _stationary_points.cache_info().misses == misses
+            assert dispersion_expansion.cache_info().misses == misses
         assert {"slow", "fast"} <= kinds
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
@@ -812,6 +789,21 @@ class TestCoarseEstimate:
             norms._coarse_estimate(P2, data, np.geomspace(1e2, 1e6, size), 6.0)
             counts.append(list(calls))
         assert counts[0] == counts[1] == [256 * 21, 256 * 21]
+
+
+class TestTailCeiling:
+    @pytest.mark.parametrize("cell", EXPANSION_CELLS)
+    def test_bounds_the_propagator_beyond_r0(self, cell):
+        # the certified tail reads sup over r >= r0 of min(t, 1/f)^2 from
+        # the high-frequency floor; no sample of [r0, 1e4 r0] may exceed it
+        params = ModelParams(*cell, 1)
+        expansion = dispersion_expansion(params)
+        for r0 in (1.0, 4.0, 6.4, 40.0):
+            r = np.geomspace(r0, 1e4 * r0, 20001)
+            inv_f = 1.0 / eval_dispersion(params, r)
+            for t in (1e2, 1e6):
+                ceiling = norms._propagator_sq_ceiling(expansion, r0, t)
+                assert np.max(np.minimum(t, inv_f) ** 2) <= ceiling
 
 
 class TestBatchedUnsplitNorm:
@@ -947,7 +939,7 @@ class TestWindowNeighbours:
         params = ModelParams(*coefficients, dim)
         data = gaussian_velocity_data(dim)
         r_max = _resolve_r_max(params, data, t, DEFAULT_QUADRATURE)
-        near = [r * s for r in _stationary_points(params) for s in (0.97, 1.03)]
+        near = [r * s for r in dispersion_expansion(params).stationary_points for s in (0.97, 1.03)]
         whole = _norm_pieces(params, data, t, [0.0, r_max], DEFAULT_QUADRATURE)[0]
         cut = _norm_pieces(params, data, t, [0.0, *near, r_max], DEFAULT_QUADRATURE).sum()
         assert whole == pytest.approx(cut, rel=1e-9)
