@@ -58,8 +58,6 @@ _EXPORTS = {
         "RadialProfile",
         "fluctuation",
         "l1_norm",
-        "weighted_l1_norm",
-        "zeroth_moment",
     ),
     "norms": (
         "BandSplit",

@@ -11,8 +11,11 @@ removable singularity at f = 0 filled by the limit t), the kernel
 realization for non-radial data, and the conserved quadratic energy.
 
 Both energies and the box path take many times or states per call, and
-compute what does not depend on t once: one transform per datum for all
-the times of evolve_grid_times, whose one-time case is evolve_grid.
+compute what does not depend on t once: one transform per distinct datum
+for all the times of evolve_grid_times, whose one-time case is
+evolve_grid.  Each phase t f takes one sine, which serves both sin(t f)/f
+and f sin(t f), and a field passed as both parts of a state is
+transformed once for its energy.
 
 The box path runs in real arithmetic on the half spectrum (rfftn/irfftn).
 The multipliers cos(t f), sin(t f)/f and f sin(t f) are real and even in
@@ -83,8 +86,14 @@ def propagator(t, f):
         phase = t * float(f)
         return float(t) if abs(phase) < _FLAT_PHASE else math.sin(phase) / float(f)
     phase = t * f
+    return _sine_over(t, f, phase, np.sin(phase))
+
+
+def _sine_over(t, f, phase, sine):
+    """propagator(t, f) on arrays from phase = t f and its sine, for a
+    caller that uses that sine for f sin(t f) too."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(phase) / f
+        out = sine / f
     flat = np.abs(phase) < _FLAT_PHASE
     if flat.any():
         out[flat] = np.broadcast_to(t, out.shape)[flat]
@@ -330,15 +339,16 @@ def evolve_grid_times(
     split = np.iscomplexobj(field0.values) or np.iscomplexobj(field1.values)
     shape = field0.values.shape
     hat0 = _half_spectrum(field0.values, split)
-    hat1 = _half_spectrum(field1.values, split)
+    # one datum passed as both (the energy-conservation bump) is transformed once
+    hat1 = hat0 if field1.values is field0.values else _half_spectrum(field1.values, split)
 
     def state(t: float):
         phase = t * f
-        cosine = np.cos(phase)
-        u = _from_half_spectrum(cosine * hat0 + propagator(t, f) * hat1, shape)
+        cosine, sine = np.cos(phase), np.sin(phase)
+        u = _from_half_spectrum(cosine * hat0 + _sine_over(t, f, phase, sine) * hat1, shape)
         if not with_velocity:
             return replace(field0, values=u)
-        u_t = _from_half_spectrum(-f * np.sin(phase) * hat0 + cosine * hat1, shape)
+        u_t = _from_half_spectrum(-f * sine * hat0 + cosine * hat1, shape)
         return replace(field0, values=u), replace(field0, values=u_t)
 
     return map(state, times.tolist())
@@ -404,7 +414,8 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
         # the rows in blocks, so that no temporary exceeds the row bound
         for rows in _row_blocks(ts.shape[0], r.size):
             phase = ts[rows] * f
-            c, p, q = np.cos(phase), propagator(ts[rows], f), -f * np.sin(phase)
+            c, sine = np.cos(phase), np.sin(phase)
+            p, q = _sine_over(ts[rows], f, phase, sine), -f * sine
             w_sq = c * c * w0_sq + p * p * w1_sq + 2.0 * c * p * cross
             wt_sq = q * q * w0_sq + c * c * w1_sq + 2.0 * q * c * cross
             out[rows] = 0.5 * (inertia * wt_sq + stiffness * w_sq) * radial
@@ -456,8 +467,11 @@ def _grid_energy(params: ModelParams, field: GridField):
         u, u_t = state
         if not _grid_of(u) == _grid_of(u_t) == grid:
             raise InputDomainError("the states must share one grid")
-        kinetic = float(np.sum(inertia * power(u_t.values)))
-        potential = float(np.sum(stiffness * power(u.values)))
+        u_power = power(u.values)
+        # one field as both, as the first state (bump, bump), is transformed once
+        u_t_power = u_power if u_t.values is u.values else power(u_t.values)
+        kinetic = float(np.sum(inertia * u_t_power))
+        potential = float(np.sum(stiffness * u_power))
         return 0.5 * (kinetic + potential) * cell
 
     return energy

@@ -7,7 +7,7 @@ moments.RadialProfile test functions, reading their derivatives, dimension
 and finite radius upper_limit() from them, with quadrature.integrate_radial
 cut at their kinks; drives them over witness families (the logarithmic
 capacity family in 2-D, dilations of catalog.gaussian_profile elsewhere),
-all members of a family in one call per integral; and renders
+all members of a family and both of its integrals in one call; and renders
 bounded/unbounded verdicts.
 It also contains the corrected energy identity for the time-integrated
 solution (theta = 1, n = 2), whose left side a valid Hardy inequality would
@@ -180,19 +180,22 @@ def _members(u, weight: WeightFunction | None = None, needs=()) -> tuple[list, i
     return members, dim
 
 
-def _radial_integrals(u, members, dim: int, profile, lo):
+def _radial_integrals(u, members, dim: int, lo, *profiles):
     """Integral of profile(v, r) r^(n-1) over [lo, v.upper_limit()] for the
     profile v = u, or for each v of the list u (whose profiles are members):
     the pieces of one integrate_radial call with the profile's index as
     parameter, cut at the kinks of them all.  lo is a number or one per
-    piece."""
+    piece.  Several profiles are rows of that one call, on its one
+    partition, and lead the result."""
 
     def integrand(r, member):
-        out = np.empty_like(r)
+        out = np.empty((len(profiles), r.size))
         for index, v in enumerate(members):
             at = member == index
-            out[at] = profile(v, r[at]) * r[at] ** (dim - 1)
-        return out
+            radial = r[at] ** (dim - 1)
+            for row, profile in zip(out, profiles):
+                row[at] = profile(v, r[at]) * radial
+        return out if len(profiles) > 1 else out[0]
 
     single = isinstance(u, RadialProfile)
     return integrate_radial(
@@ -205,12 +208,29 @@ def _radial_integrals(u, members, dim: int, profile, lo):
     )
 
 
+def _gradient_density(v, r):
+    return v.deriv(r) ** 2
+
+
+def _weighted(members, weight: WeightFunction, dim: int, inner_cut):
+    """The density (v/w)^2 of ||v/w||^2, the lower end of its integral and
+    the mass below that end, one per member: inner_cut and 0, except for
+    the 2-D abs_log_weight at an inner_cut of 0, whose mass below
+    _LOG_ORIGIN is added in closed form."""
+    lo, origin = inner_cut, 0.0
+    if weight.kind == "abs_log_weight" and dim == 2 and np.ndim(inner_cut) == 0 and inner_cut == 0.0:
+        lo = _LOG_ORIGIN
+        at_zero = np.array([float(v.func(np.array([0.0]))[0]) for v in members])
+        origin = at_zero**2 / (1.0 - math.log(_LOG_ORIGIN))
+    return (lambda v, r: (v.func(r) / weight.evaluate(r)) ** 2), lo, origin
+
+
 def gradient_norm_sq(u):
     """||grad u||^2 = omega_n integral |u'(r)|^2 r^(n-1) dr, for the profile
     u or, from one refinement, for each of a list of profiles of one
     dimension n."""
     members, dim = _members(u, needs=("deriv",))
-    return unit_sphere_area(dim) * _radial_integrals(u, members, dim, lambda v, r: v.deriv(r) ** 2, 0.0)
+    return unit_sphere_area(dim) * _radial_integrals(u, members, dim, 0.0, _gradient_density)
 
 
 def weighted_norm_sq(u, weight: WeightFunction, inner_cut=0.0):
@@ -222,15 +242,10 @@ def weighted_norm_sq(u, weight: WeightFunction, inner_cut=0.0):
     below _LOG_ORIGIN applies to an inner_cut of 0.
     """
     members, dim = _members(u, weight)
-    lo, origin = inner_cut, 0.0
-    if weight.kind == "abs_log_weight" and dim == 2 and np.ndim(inner_cut) == 0 and inner_cut == 0.0:
-        lo = _LOG_ORIGIN
-        at_zero = np.array([float(v.func(np.array([0.0]))[0]) for v in members])
-        origin = at_zero**2 / (1.0 - math.log(_LOG_ORIGIN))
-        if isinstance(u, RadialProfile):
-            origin = float(origin[0])
-    val = _radial_integrals(u, members, dim, lambda v, r: (v.func(r) / weight.evaluate(r)) ** 2, lo)
-    return unit_sphere_area(dim) * (origin + val)
+    density, lo, origin = _weighted(members, weight, dim, inner_cut)
+    if isinstance(u, RadialProfile) and np.ndim(origin):
+        origin = float(origin[0])
+    return unit_sphere_area(dim) * (origin + _radial_integrals(u, members, dim, lo, density))
 
 
 class QuotientTrace(Record):
@@ -273,9 +288,10 @@ def blowup_scan(weight: WeightFunction, R_grid=FAMILY_GRID) -> BlowupScan:
     weight's; the bump, and the base of the dilations, is
     catalog.gaussian_profile(n).
 
-    Each of the two integrals takes one refinement over the whole family
-    (see _radial_integrals); the exhaustion numerators are the intervals
-    [1/R, support] of one call.
+    The gradient norms and the numerators of a family are two rows of one
+    refinement over the whole family (see _radial_integrals); the
+    exhaustion numerators are the intervals [1/R, support] of one call, and
+    the bump's gradient norm one more.
     """
     grid = np.asarray(R_grid, dtype=float)
     if grid.size < 5:
@@ -294,8 +310,12 @@ def blowup_scan(weight: WeightFunction, R_grid=FAMILY_GRID) -> BlowupScan:
     else:
         mechanism = "capacity" if dim == 2 else "dilation"
         members = [capacity_family(R) if dim == 2 else dilation_family(R, bump) for R in grid]
-        grads = gradient_norm_sq(members)
-        quotients = weighted_norm_sq(members, weight) / grads
+        # both integrals from the numerator's lower end: in 2-D every member
+        # is a capacity profile, constant on [0, 1], so no gradient lies below
+        density, lo, origin = _weighted(members, weight, dim, 0.0)
+        gradients, numerators = _radial_integrals(members, members, dim, lo, _gradient_density, density)
+        grads = unit_sphere_area(dim) * gradients
+        quotients = unit_sphere_area(dim) * (origin + numerators) / grads
 
     trace = QuotientTrace(grid, quotients, grads)
     x = np.log(grid)
@@ -341,12 +361,14 @@ def energy_identity_check(
     sides read the data only through w1_sq, the density of |w1|^2: with the
     kinetic weight K = (1 + delta r^2) w1_sq r/2 and the potential weight
     P = (mu r^4 + kappa r^2) w1_sq r/2 both sides are a mean plus terms in
-    cos(t f) and cos(2 t f).  Both run through norms.oscillatory_integrals at
-    tau = t/2, whose e^(2 i tau f) is e^(i t f), cut at the data's kinks, so
-    the cost does not grow with t.  u0 = 0 is read from the certificate
-    data.w0_tail.vanishes, as the norm integrand reads it.  residual is
-    |lhs - rhs| / lhs; it is returned, and the hardy-failure preset judges
-    it.  The function raises only on its preconditions.
+    cos(t f) and cos(2 t f).  The two sides are two rows of one
+    norms.oscillatory_integrals call at tau = t/2, whose e^(2 i tau f) is
+    e^(i t f), cut at the data's kinks: they share the segmentation, the
+    nodes and each Levin panel's factorization, each held to its own
+    budget, and the cost does not grow with t.  u0 = 0 is read from the
+    certificate data.w0_tail.vanishes, as the norm integrand reads it.
+    residual is |lhs - rhs| / lhs; it is returned, and the hardy-failure
+    preset judges it.  The function raises only on its preconditions.
     """
     if params.theta != 1.0:
         raise PreconditionError("the identity is stated for theta = 1")
@@ -359,21 +381,18 @@ def energy_identity_check(
     scale = unit_sphere_area(2) / (2.0 * math.pi) ** 2
     de, mu, ka = params.delta, params.mu, params.kappa
 
-    def lhs_density(r, _tau):
+    def densities(r, _tau):
+        """The lhs and rhs densities at the nodes r, from one evaluation of
+        f and of w1_sq."""
         r = np.asarray(r, dtype=float)
         f = eval_dispersion(params, r)
         w1_sq = data.w1_sq(r)
+        inertia = 1.0 + de * r**2
         w_sq = propagator(t, f) ** 2 * w1_sq
-        v_sq = (t * t * cosc(t * f)) ** 2 * w1_sq
-        return (
-            0.5 * (1.0 + de * r**2) * w_sq + 0.5 * (mu * r**4 + ka * r**2) * v_sq
-        ) * r
-
-    def rhs_density(r, _tau):
-        r = np.asarray(r, dtype=float)
-        f = eval_dispersion(params, r)
-        v_re = t * t * cosc(t * f) * data.w1_sq(r)
-        return (1.0 + de * r**2) * v_re * r
+        kernel = t * t * cosc(t * f)
+        v_sq = kernel**2 * w1_sq
+        lhs = (0.5 * inertia * w_sq + 0.5 * (mu * r**4 + ka * r**2) * v_sq) * r
+        return np.stack([lhs, inertia * (kernel * w1_sq) * r])
 
     def weights(r):
         """f, K and P at the nodes r, from one evaluation of f and of w1_sq."""
@@ -381,34 +400,23 @@ def energy_identity_check(
         w1_sq = 0.5 * data.w1_sq(r) * r
         return f, (1.0 + de * r**2) * w1_sq, (mu * r**4 + ka * r**2) * w1_sq
 
-    def lhs_mean(r):
+    def means(r):
         f, kinetic, potential = weights(r)
-        return kinetic / (2.0 * f**2) + 1.5 * potential / f**4
+        return np.stack([kinetic / (2.0 * f**2) + 1.5 * potential / f**4, 2.0 * kinetic / f**2])
 
     # lhs has a cos(2 t f) term too, with coefficient (P/f^2 - K)/(2 f^2);
     # it vanishes because theta = 1 makes mu r^4 + kappa r^2 = f^2 (1 + delta r^2)
-    def lhs_coefficient(r):
-        f, _, potential = weights(r)
-        return -2.0 * potential / f**4
-
-    def rhs_mean(r):
-        f, kinetic, _ = weights(r)
-        return 2.0 * kinetic / f**2
-
-    def rhs_coefficient(r):
-        return -rhs_mean(r)
+    def coefficients(r):
+        f, kinetic, potential = weights(r)
+        return np.stack([-2.0 * potential / f**4, -(2.0 * kinetic / f**2)])
 
     r_max = _resolve_r_max(params, data, max(t, 1.0), cfg)
     if t == 0.0:
         return EnergyIdentity(0.0, 0.0, 0.0)
 
-    def side(density, coefficient, mean) -> float:
-        return scale * oscillatory_integrals(
-            params, 0.5 * t, [0.0, r_max], density, coefficient, mean, kinks=data.kinks, rel_tol=1e-10
-        )[0]
-
-    lhs = side(lhs_density, lhs_coefficient, lhs_mean)
-    rhs = side(rhs_density, rhs_coefficient, rhs_mean)
+    lhs, rhs = scale * oscillatory_integrals(
+        params, 0.5 * t, [0.0, r_max], densities, coefficients, means, kinks=data.kinks, rel_tol=1e-10
+    )[:, 0]
     residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return EnergyIdentity(lhs=float(lhs), rhs=float(rhs), residual=float(residual))
 
@@ -425,11 +433,11 @@ def rellich_quotient(u: RadialProfile) -> float:
     def laplacian_sq(r):
         return (u.second_deriv(r) + (dim - 1) * u.deriv(r) / r) ** 2 * r ** (dim - 1)
 
-    support = u.upper_limit()
-    numerator = integrate_radial(
-        lambda r: u.func(r) ** 2 * r ** (dim - 5), 0.0, support, u.kinks, rel_tol=_REL_TOL
-    )
-    denominator = integrate_radial(laplacian_sq, 0.0, support, u.kinks, rel_tol=_REL_TOL)
+    def rows(r):
+        """The numerator and denominator densities, two rows of one refinement."""
+        return np.stack([u.func(r) ** 2 * r ** (dim - 5), laplacian_sq(r)])
+
+    numerator, denominator = integrate_radial(rows, 0.0, u.upper_limit(), u.kinks, rel_tol=_REL_TOL)
     if denominator <= 0:
         raise InputDomainError("degenerate test function: ||Delta u|| = 0")
     return numerator / denominator

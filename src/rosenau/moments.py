@@ -20,7 +20,9 @@ evaluates without cancellation.
 Every integral runs over [0, R] for the profile's certified finite radius R
 (a compact or a Gaussian tail; a tail of kind "none" raises
 IntegrabilityError),
-through quadrature.integrate_radial, cut at the profile's kinks.  A(rho)
+through quadrature.integrate_radial, cut at the profile's kinks.  P,
+||u1||_1 and ||u1||_{1,gamma} of a decomposition are three rows of one
+call, on one partition and one evaluation of u1 per node.  A(rho)
 for the whole frequency grid is one call of it with one piece per
 frequency, rho the piece's parameter, each piece refined alone and held to
 1e-12 of its own |A(rho)|.
@@ -43,10 +45,8 @@ from .tails import TailBound
 __all__ = [
     "RadialProfile",
     "MomentDecomposition",
-    "zeroth_moment",
     "l1_norm",
     "fluctuation",
-    "weighted_l1_norm",
 ]
 
 _MOMENT_REL_TOL = 1e-12
@@ -256,26 +256,27 @@ def _chebyshev_sum(coeffs, y):
     return coeffs[0] + d * b + sign * e
 
 
-def _radial_integral(u1: RadialProfile, density) -> float:
-    """omega_n times the integral of density(u1(r), r) r^(n-1) over [0, R]."""
+def _radial_integral(u1: RadialProfile, *densities):
+    """omega_n times the integral of density(u1(r), r) r^(n-1) over [0, R]:
+    a float for one density, and for several an array, their rows of one
+    integrate_radial call, which evaluates u1 once per node for them all."""
     n = u1.dim
-    value = integrate_radial(
-        lambda r: density(u1.func(r), r) * r ** (n - 1),
-        0.0,
-        u1.upper_limit(),
-        u1.kinks,
-        rel_tol=_MOMENT_REL_TOL,
-    )
+
+    def integrand(r):
+        u, radial = u1.func(r), r ** (n - 1)
+        rows = [density(u, r) * radial for density in densities]
+        return rows[0] if len(rows) == 1 else np.stack(rows)
+
+    value = integrate_radial(integrand, 0.0, u1.upper_limit(), u1.kinks, rel_tol=_MOMENT_REL_TOL)
     return unit_sphere_area(n) * value
 
 
-def zeroth_moment(u1: RadialProfile) -> float:
-    """Total mass P = integral u1(x) dx."""
-    return _radial_integral(u1, lambda u, r: np.real(u))
+def _absolute(u, r):
+    return np.abs(u)
 
 
 def l1_norm(u1: RadialProfile) -> float:
-    return _radial_integral(u1, lambda u, r: np.abs(u))
+    return _radial_integral(u1, _absolute)
 
 
 def l2_norm_sq(u1: RadialProfile) -> float:
@@ -311,13 +312,6 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
         integrand, 0.0, u1.upper_limit(), u1.kinks, rel_tol=_MOMENT_REL_TOL, param=rhos
     )
     return unit_sphere_area(n) * values
-
-
-def weighted_l1_norm(u1: RadialProfile, gamma_exp: float) -> float:
-    """||u1||_{1,gamma} = integral (1 + |x|^gamma) |u1(x)| dx."""
-    if not (0.0 < gamma_exp <= 1.0):
-        raise InputDomainError(f"gamma must lie in (0, 1], got {gamma_exp}")
-    return _radial_integral(u1, lambda u, r: (1.0 + r**gamma_exp) * np.abs(u))
 
 
 def _moment_constant(u1: RadialProfile, gamma_exp: float, xi_grid, wnorm: float) -> float:
@@ -379,13 +373,23 @@ class MomentDecomposition(Record):
     def from_profile(
         cls, u1: RadialProfile, gamma_exp: float, xi_grid=None
     ) -> "MomentDecomposition":
+        """The decomposition of u1: the mass P = integral u1 dx, ||u1||_1
+        and ||u1||_{1,gamma} = integral (1 + |x|^gamma) |u1| dx as three
+        rows of one integrate_radial call over [0, R], then M on the grid."""
+        if not (0.0 < gamma_exp <= 1.0):
+            raise InputDomainError(f"gamma must lie in (0, 1], got {gamma_exp}")
         grid = _DEFAULT_M_GRID if xi_grid is None else xi_grid
-        wnorm = weighted_l1_norm(u1, gamma_exp)
+        p_moment, l1, wnorm = _radial_integral(
+            u1,
+            lambda u, r: np.real(u),
+            _absolute,
+            lambda u, r: (1.0 + r**gamma_exp) * np.abs(u),
+        ).tolist()
         return cls(
-            p_moment=zeroth_moment(u1),
+            p_moment=p_moment,
             gamma_exp=gamma_exp,
             weighted_norm=wnorm,
             m_constant=_moment_constant(u1, gamma_exp, grid, wnorm),
-            l1=l1_norm(u1),
+            l1=l1,
             profile=u1,
         )

@@ -59,7 +59,9 @@ in the same call on [0, r_max] at the first and last time, the unsplit rows
 of the band-sum check (``compute_norm_trace`` is one call of it),
 bounds.averaged_tail_remainder on [1/t, epsilon0] with no mean, at one time
 or at all the envelope picks of a trace, and hardy.energy_identity_check on
-[0, r_max] at t/2, whose densities oscillate like e^(i t f).  The
+[0, r_max] at t/2, whose densities oscillate like e^(i t f), its two sides
+as two rows of one call (integrand, mean and coefficient returning rows
+share the segmentation, the nodes and each Levin factorization).  The
 segmentation evaluates f once, on a (times, 257) geometric grid, and the
 Levin rule takes f and f' from one model.dispersion_slope call per node.
 Each refinement is capped and raises IntegrabilityError on a piece it
@@ -298,7 +300,13 @@ def oscillatory_integrals(
     t is a number, or an array of times with one row of cuts per time; the
     result is then one row of integrals per time.  integrand is a function
     of (r, t), t one time per radius; mean and coefficient do not depend on
-    t, and mean may be None for a purely oscillatory integrand.  Every piece
+    t, and mean may be None for a purely oscillatory integrand.  All three
+    may return an (m, nodes) array instead, m rows that share r_max, the
+    segmentation, every node and every Levin panel (each factored once for
+    all the rows); each row keeps its own budget, and the result gains a
+    leading axis of m: shape (m, cuts - 1) at one time, (m, times, cuts - 1)
+    for an array of times, against (cuts - 1,) and (times, cuts - 1) for
+    one integrand without rows.  Every piece
     is cut at the kinks, the radii where the data jump.  A slow piece or
     window is integrated as integrand, a fast piece as mean plus the real
     part of the Levin integral of coefficient e^(2 i t f), in three
@@ -321,7 +329,7 @@ def oscillatory_integrals(
                 inner = sorted({c for c in stops if lo < c < hi})
                 pieces += [(i, k, p, q) for p, q in zip([lo, *inner], [*inner, hi]) if q > p]
 
-    values = np.zeros((ts.size, rows.shape[1] - 1))
+    parts = []  # (time index, band k, integrals) of the slow and the fast pieces
     if slow:
         index, k, lo, hi = (np.array(v) for v in zip(*slow))
         edges = list(np.linspace(lo, hi, _SLOW_PANELS + 1, axis=-1))
@@ -329,7 +337,7 @@ def oscillatory_integrals(
         refined = _kronrod_refine(
             integrand, edges, rel_tol, abs_tol, _RADIAL_ROUNDS, t=ts[index], phase=top
         )
-        np.add.at(values, (index, k), refined[0])
+        parts.append((index, k, refined[0]))
     if fast:
         index, k, lo, hi = (np.array(v) for v in zip(*fast))
         edges = fast_segment_edges(lo, hi, dispersion_expansion(params).stationary_points)
@@ -351,8 +359,13 @@ def oscillatory_integrals(
             rel_tol,
             np.maximum(abs_tol, rel_tol * np.abs(level)),
         )
-        np.add.at(values, (index, k), level + osc.real)
-    return values if np.ndim(t) else values[0]
+        parts.append((index, k, level + osc.real))
+    # the rows of the integrands, if any, lead the result
+    lead = parts[0][2].shape[:-1] if parts else ()
+    values = np.zeros(lead + (ts.size, rows.shape[1] - 1))
+    for index, k, part in parts:
+        np.add.at(values, (..., index, k), part)
+    return values if np.ndim(t) else values[..., 0, :]
 
 
 def _norm_pieces(

@@ -30,9 +30,12 @@ label of every pending panel, so the pieces may differ in a parameter: the
 K21 rule hands the integrand one time per node, the Levin rule takes one
 frequency per panel, and a whole norm trace, every sample's pieces, is one
 refinement whose bookkeeping takes the same few numpy calls per round
-whatever the number of pieces.  The K21 refinement also takes row-valued
-integrands, m functions sharing the nodes: a panel is accepted once every
-row meets its share.  Its callers and their round caps:
+whatever the number of pieces.  Both rules also take row-valued
+integrands, m functions sharing the pieces, every node and every panel,
+each row with its own budget: a panel is accepted once every row meets its
+share, and each Levin panel's collocation systems are factored once for
+all its rows.  The row count is the shape the integrand returns; one row is
+the m = 1 case.  Its callers and their round caps:
 
 * ``integrate_radial``, over a finite [lo, hi] cut at given kinks and once
   per decade, 17 rounds; arrays of interval ends, or of a parameter per
@@ -251,12 +254,13 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     of its piece's budget.
 
     pieces is a list of partitions, each a strictly increasing edge array,
-    and abs_tol a number or one per piece.  rule(lo, hi, piece) gets the
-    pending panels and the piece label of each, so that a rule can give each
-    piece its own parameter (a time, a frequency), and returns per-panel
-    (values, errors, floors), each of shape (panels,) or, for m integrands
-    sharing the nodes, (m, panels).  Every pending panel carries the label
-    of its piece, and each piece keeps its own budget
+    and abs_tol a number, one per piece or, for m rows, an (m, pieces)
+    array, so that each row keeps its own budget.  rule(lo, hi, piece) gets
+    the pending panels and the piece label of each, so that a rule can give
+    each piece its own parameter (a time, a frequency), and returns
+    per-panel (values, errors, floors), each of shape (panels,) or, for m
+    integrands sharing the nodes, (m, panels).  Every pending panel carries
+    the label of its piece, and each piece keeps its own budget
     max(rel_tol * |piece estimate|, its abs_tol) per row.  A row of a panel
     meets its share when its error is below the share of its piece's budget
     proportional to the panel's width within the piece, or below its floor
@@ -281,7 +285,7 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
         raise malformed
     n_pieces = len(pieces)
     piece_len = np.array([edges[-1] - edges[0] for edges in pieces])
-    abs_floor = np.maximum(np.broadcast_to(abs_tol, (n_pieces,)), 1e-300)
+    abs_floor = np.maximum(np.asarray(abs_tol, dtype=float), 1e-300)
 
     pend_piece = np.repeat(np.arange(n_pieces), [edges.size - 1 for edges in pieces])
 
@@ -464,18 +468,21 @@ _LEVIN_MIN_PHASE = 1.0
 
 def _levin_solve(diff, half, fp, g, omega):
     """Collocation values of p with p' + i omega f' p = g on each panel,
-    omega one frequency per panel."""
+    omega one frequency per panel, for each of the m rows of g: g has shape
+    (m, panels, nodes), and each panel's system is factored once for all
+    its rows, as one solve with m right-hand sides."""
     n = diff.shape[0]
     system = np.empty((half.size, n, n), dtype=complex)
     system[:] = diff
     diag = np.arange(n)
     system[:, diag, diag] += 1j * omega[:, None] * half[:, None] * fp
     try:
-        return np.linalg.solve(system, (half[:, None] * g)[..., None])[..., 0]
+        p = np.linalg.solve(system, np.moveaxis(half[:, None] * g, 0, -1))
     except np.linalg.LinAlgError:
         raise IntegrabilityError(
             "singular Levin system: the phase is stationary on a panel"
         ) from None
+    return np.moveaxis(p, -1, 0)
 
 
 # Levin panels per chunk (see the module docstring)
@@ -501,14 +508,18 @@ def _levin_panels(g, phase, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     So the error of a Levin panel is |I17 - I9| plus the integral bound
     2 h (|c_15| + |c_16|) of the interpolation error of g and the bound
     2 (|c_15| + |c_16|) of that of p at the ends, each from its two highest
-    Chebyshev coefficients.  Returns (values, errors, rounding floors).
+    Chebyshev coefficients.  Returns (values, errors, rounding floors), each
+    of shape (panels,), or (m, panels) when g returns (m, nodes) rows.
     """
-    value = np.empty(lo.shape, dtype=complex)
-    error = np.empty(lo.shape)
-    floor = np.empty(lo.shape)
+    value = error = floor = None
     for start in range(0, lo.size, _LEVIN_CHUNK):
         sl = slice(start, start + _LEVIN_CHUNK)
-        value[sl], error[sl], floor[sl] = _levin_chunk(g, phase, omega[sl], lo[sl], hi[sl])
+        chunk = _levin_chunk(g, phase, omega[sl], lo[sl], hi[sl])
+        if value is None:
+            rows = chunk[0].shape[:-1]
+            value = np.empty(rows + lo.shape, dtype=complex)
+            error, floor = np.empty(rows + lo.shape), np.empty(rows + lo.shape)
+        value[..., sl], error[..., sl], floor[..., sl] = chunk
     return value, error, floor
 
 
@@ -519,13 +530,16 @@ def _levin_chunk(g, phase, omega, lo, hi):
     x[:, 0] = hi
     x[:, -1] = lo
     flat = x.ravel()
-    gv = np.asarray(g(flat)).reshape(x.shape)
+    gv = np.asarray(g(flat))
+    rows = gv.shape[:-1]
+    # (m, panels, nodes), one row for an integrand without rows
+    gv = gv.reshape((-1,) + x.shape)
     fv, fp = (np.asarray(v, dtype=float).reshape(x.shape) for v in phase(flat))
     if not (np.all(np.isfinite(gv)) and np.all(np.isfinite(fv)) and np.all(np.isfinite(fp))):
         raise IntegrabilityError("non-finite integrand or phase in a Levin panel")
 
-    value = np.empty(lo.shape, dtype=complex)
-    error = np.empty(lo.shape)
+    value = np.empty(gv.shape[:-1], dtype=complex)
+    error = np.empty(gv.shape[:-1])
     # e^(i omega f) rounds its phase by about eps omega |f| at every node,
     # which no bisection removes: that share of h max|g| on a direct panel,
     # of max|g| / (omega min|f'|) <= h max|g| through a Levin panel's ends.
@@ -533,26 +547,27 @@ def _levin_chunk(g, phase, omega, lo, hi):
     turn = omega * half * np.min(np.abs(fp), axis=1)
     f_max = np.maximum(np.abs(fv[:, 0]), np.abs(fv[:, -1]))
     phase_noise = np.finfo(float).eps * omega * f_max / np.maximum(turn, 1.0)
-    floor = np.maximum(_ROUNDING, phase_noise) * half * np.max(np.abs(gv), axis=1)
+    floor = np.maximum(_ROUNDING, phase_noise) * half * np.max(np.abs(gv), axis=-1)
     levin = turn >= _LEVIN_MIN_PHASE
     if np.any(levin):
-        h, fl, gl, w = half[levin], fp[levin], gv[levin], omega[levin]
+        h, fl, gl, w = half[levin], fp[levin], gv[:, levin], omega[levin]
         ends = np.exp(1j * w[:, None] * fv[levin][:, [0, -1]])
         p_high = _levin_solve(_LEVIN_DIFF, h, fl, gl, w)
-        p_low = _levin_solve(_LEVIN_DIFF_LOW, h, fl[:, ::2], gl[:, ::2], w)
-        high = p_high[:, 0] * ends[:, 0] - p_high[:, -1] * ends[:, 1]
-        low = p_low[:, 0] * ends[:, 0] - p_low[:, -1] * ends[:, 1]
-        unresolved = 2.0 * h * np.sum(np.abs(gl @ _CHEBYSHEV_TAIL), axis=1)
-        unresolved += 2.0 * np.sum(np.abs(p_high @ _CHEBYSHEV_TAIL), axis=1)
-        value[levin] = high
-        error[levin] = np.abs(high - low) + unresolved
+        p_low = _levin_solve(_LEVIN_DIFF_LOW, h, fl[:, ::2], gl[..., ::2], w)
+        high = p_high[..., 0] * ends[:, 0] - p_high[..., -1] * ends[:, 1]
+        low = p_low[..., 0] * ends[:, 0] - p_low[..., -1] * ends[:, 1]
+        unresolved = 2.0 * h * np.sum(np.abs(gl @ _CHEBYSHEV_TAIL), axis=-1)
+        unresolved += 2.0 * np.sum(np.abs(p_high @ _CHEBYSHEV_TAIL), axis=-1)
+        value[:, levin] = high
+        error[:, levin] = np.abs(high - low) + unresolved
     direct = ~levin
     if np.any(direct):
         h = half[direct]
-        vals = gv[direct] * np.exp(1j * omega[direct][:, None] * fv[direct])
-        value[direct] = h * (vals @ _CC_WEIGHTS)
-        error[direct] = np.abs(value[direct] - h * (vals[:, ::2] @ _CC_WEIGHTS_LOW))
-    return value, error, floor
+        vals = gv[:, direct] * np.exp(1j * omega[direct][:, None] * fv[direct])
+        value[:, direct] = h * (vals @ _CC_WEIGHTS)
+        error[:, direct] = np.abs(value[:, direct] - h * (vals[..., ::2] @ _CC_WEIGHTS_LOW))
+    shape = rows + lo.shape
+    return value.reshape(shape), error.reshape(shape), floor.reshape(shape)
 
 
 def integrate_levin(g, phase, omega, pieces: list, rel_tol: float, abs_tol=0.0):
@@ -560,17 +575,21 @@ def integrate_levin(g, phase, omega, pieces: list, rel_tol: float, abs_tol=0.0):
     pieces by Levin collocation, the pieces of one refinement, each held to
     its own budget.
 
-    g may be complex; phase maps the nodes to the pair (f, f') of the real
-    phase and its derivative from one evaluation, and f' must not vanish on
-    the partitions.  omega and abs_tol are a number or one per piece.
+    g may be complex, and may return an (m, nodes) array for m rows that
+    share the partitions, every node and every panel: each Levin panel is
+    then factored once for all its rows (_levin_solve), and a panel is
+    accepted once every row meets its share.  phase maps the nodes to the
+    pair (f, f') of the real phase and its derivative from one evaluation,
+    and f' must not vanish on the partitions.  omega is a number or one per
+    piece, abs_tol a number, one per piece or one per row and piece.
     Panels are refined by _refine for at most _MAX_ROUNDS rounds, with
     |I17 - I9| (plus the Chebyshev tail bounds of _levin_panels) as the
     error estimate and 64 eps h max|g| as the rounding level of a panel of
     half-width h, raised to the rounding of the phase omega f where that is
     larger.  Returns a pair of arrays, the complex values and the error
-    estimates per piece.  Raises IntegrabilityError on non-finite values
-    and singular panels, and on a piece still unresolved after the last
-    round.
+    estimates, each of shape (pieces,) or (m, pieces).  Raises
+    IntegrabilityError on non-finite values and singular panels, and on a
+    piece still unresolved after the last round.
     """
     omegas = np.broadcast_to(np.asarray(omega, dtype=float), (len(pieces),))
 

@@ -281,6 +281,23 @@ class TestEvolveGridTimes:
             else:
                 assert np.array_equal(state.values, alone.values)
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_one_datum_as_both_matches_a_copy(self, complex_field):
+        # one field passed as both data is transformed once, and its states
+        # and energies are those of the same call with a copy as velocity
+        bump = lambda x, y: np.exp(-(x**2) - 2.0 * y**2)  # noqa: E731
+        shape = (lambda x, y: bump(x, y) * (1.0 + 0.5j * x)) if complex_field else bump
+        u0 = GridField.from_function(shape, 2, 20.0, 32)
+        copy = replace(u0, values=u0.values.copy())
+        times = [0.0, 0.5, 2.0]
+        shared = list(evolve_grid_times(P2, u0, u0, times, with_velocity=True))
+        apart = list(evolve_grid_times(P2, u0, copy, times, with_velocity=True))
+        for (u, u_t), (v, v_t) in zip(shared, apart):
+            assert np.array_equal(u.values, v.values)
+            assert np.array_equal(u_t.values, v_t.values)
+        energies = total_energy_grid(P2, [(u0, u0), *shared])
+        assert np.array_equal(energies, total_energy_grid(P2, [(u0, copy), *apart]))
+
     def test_wraparound_warns_for_exactly_the_times_past_the_window(self):
         zero = GridField.from_function(lambda x: np.zeros_like(x), 1, 20.0, 64)
         bump = GridField.from_function(lambda x: np.exp(-(x**2)), 1, 20.0, 64)
@@ -543,12 +560,13 @@ class TestEnergy:
         from rosenau import evolution, quadrature
 
         sizes = []
+        sine_over = evolution._sine_over
 
-        def counted(t, f):
-            sizes.append(np.broadcast_shapes(np.shape(t), np.shape(f)))
-            return propagator(t, f)
+        def counted(t, f, phase, sine):
+            sizes.append(np.shape(phase))
+            return sine_over(t, f, phase, sine)
 
-        monkeypatch.setattr(evolution, "propagator", counted)
+        monkeypatch.setattr(evolution, "_sine_over", counted)
         total_energy(P1, gaussian_velocity_data(1), np.geomspace(1e-2, 1e6, 61))
         assert sum(rows for rows, _ in sizes) > 61
         assert max(rows * nodes for rows, nodes in sizes) <= quadrature._ROW_BLOCK_VALUES

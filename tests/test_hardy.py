@@ -39,6 +39,21 @@ def rayleigh_quotient(u, weight):
     return weighted_norm_sq(u, weight) / gradient_norm_sq(u)
 
 
+def _counted_refinements(monkeypatch) -> list:
+    """Count the calls of quadrature._refine into the returned list."""
+    from rosenau import quadrature
+
+    calls = []
+    refine = quadrature._refine
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_refine", counted)
+    return calls
+
+
 def compact(func, support, deriv=None, dim=1):
     """A profile on [0, support] with the given derivative."""
     return RadialProfile(func, dim, TailBound(kind="compact", cutoff=support), deriv=deriv)
@@ -290,22 +305,16 @@ class TestBlowupScan:
             assert grad == pytest.approx(alone, rel=1e-12)
             assert q == pytest.approx(numerator / alone, rel=1e-12)
 
-    @pytest.mark.parametrize("kind,dim", [("a1_weight", 2), ("plain_abs", 3), ("plain_abs", 2)])
-    def test_two_refinements_per_scan(self, kind, dim, monkeypatch):
-        # the gradient norms and the numerators, each one refinement over
-        # the whole family (the exhaustion bump's gradient is one piece)
-        from rosenau import quadrature
-
-        calls = []
-        refine = quadrature._refine
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return refine(*args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "_refine", counted)
+    @pytest.mark.parametrize(
+        "kind,dim,refinements", [("a1_weight", 2, 1), ("plain_abs", 3, 1), ("plain_abs", 2, 2)]
+    )
+    def test_two_refinements_per_scan(self, kind, dim, refinements, monkeypatch):
+        # a member family's gradient norms and numerators are two rows of
+        # one refinement over the whole family; the exhaustion numerators
+        # and the bump's gradient, on other pieces, take one each
+        calls = _counted_refinements(monkeypatch)
         blowup_scan(WeightFunction(kind, dim), R_GRID)
-        assert len(calls) == 2
+        assert len(calls) == refinements
 
     def test_grid_validation(self):
         with pytest.raises(InputDomainError):
@@ -361,6 +370,21 @@ class TestEnergyIdentity:
         # of [0, r_max] at rel_tol 1e-10, whose cost grew like t
         out = energy_identity_check(self.P, gaussian_velocity_data(2), t)
         assert out.lhs == pytest.approx(lhs, rel=1e-12)
+
+    def test_both_sides_are_rows_of_one_driver_call(self, monkeypatch):
+        from rosenau import hardy
+
+        calls = []
+        driver = hardy.oscillatory_integrals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(hardy, "oscillatory_integrals", counted)
+        out = energy_identity_check(self.P, gaussian_velocity_data(2), 1e3)
+        assert len(calls) == 1
+        assert out.residual <= 1e-8
 
     def test_cost_is_flat_in_t(self):
         # the phase-resolved partition took 165,648 w1 evaluations at
@@ -432,3 +456,17 @@ class TestRellich:
     def test_low_dimension_rejected(self):
         with pytest.raises(PreconditionError):
             rellich_quotient(gaussian_profile(4))
+
+    def test_one_refinement_for_both_integrals(self, monkeypatch):
+        # the numerator and the denominator are two rows of one refinement,
+        # each as it is alone
+        from rosenau.quadrature import integrate_radial
+
+        u = dilation_family(2.0, gaussian_profile(5))
+        support = u.upper_limit()
+        numerator = integrate_radial(lambda r: u.func(r) ** 2, 0.0, support, rel_tol=1e-11)
+        laplacian = lambda r: (u.second_deriv(r) + 4.0 * u.deriv(r) / r) ** 2 * r**4
+        denominator = integrate_radial(laplacian, 0.0, support, rel_tol=1e-11)
+        calls = _counted_refinements(monkeypatch)
+        assert rellich_quotient(u) == pytest.approx(numerator / denominator, rel=1e-12)
+        assert len(calls) == 1

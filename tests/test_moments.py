@@ -14,14 +14,23 @@ from rosenau import (
     fluctuation,
     gaussian_profile,
     l1_norm,
-    weighted_l1_norm,
-    zeroth_moment,
 )
 from rosenau import quadrature
 from rosenau.model import unit_sphere_area
-from rosenau.moments import _kernel_minus_one, _moment_constant
+from rosenau.moments import _kernel_minus_one, _moment_constant, _radial_integral
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
+
+
+def zeroth_moment(u1: RadialProfile) -> float:
+    """The mass P = integral u1 dx, integrated as MomentDecomposition.from_profile
+    integrates it, alone."""
+    return _radial_integral(u1, lambda u, r: np.real(u))
+
+
+def weighted_l1_norm(u1: RadialProfile, gamma_exp: float) -> float:
+    """||u1||_{1,gamma} of the decomposition of u1."""
+    return MomentDecomposition.from_profile(u1, gamma_exp).weighted_norm
 
 
 def _quad(fn, lo, hi, pieces=None):
@@ -57,7 +66,7 @@ def radial_fourier(u1: RadialProfile, rho: float) -> float:
 
 def moment_bound_check(u1, gamma_exp, xi_grid):
     """The empirical moment constant M of u1 on the grid, as from_profile finds it."""
-    return _moment_constant(u1, gamma_exp, xi_grid, weighted_l1_norm(u1, gamma_exp))
+    return MomentDecomposition.from_profile(u1, gamma_exp, xi_grid).m_constant
 
 
 def annular_profile(dim, r0, width):
@@ -82,14 +91,16 @@ def indicator_profile(dim=1):
     )
 
 
+def p_moment(u1: RadialProfile) -> float:
+    return MomentDecomposition.from_profile(u1, 1.0).p_moment
+
+
 class TestZerothMoment:
     def test_gaussian_1d(self):
-        assert zeroth_moment(gaussian_profile(1)) == pytest.approx(
-            math.sqrt(math.pi), rel=1e-10
-        )
+        assert p_moment(gaussian_profile(1)) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
     def test_gaussian_2d(self):
-        assert zeroth_moment(gaussian_profile(2)) == pytest.approx(math.pi, rel=1e-10)
+        assert p_moment(gaussian_profile(2)) == pytest.approx(math.pi, rel=1e-10)
 
     def test_massless_profile(self):
         # (1 - r^2) e^(-r^2) has zero mass in 2-D; its integrand cancels, so a
@@ -99,7 +110,7 @@ class TestZerothMoment:
             dim=2,
             tail=TailBound(kind="gaussian", amplitude=1.0, rate=0.5),
         )
-        assert zeroth_moment(massless) == pytest.approx(0.0, abs=1e-14)
+        assert p_moment(massless) == pytest.approx(0.0, abs=1e-14)
 
     def test_divergent_tail_rejected(self):
         slow = RadialProfile(
@@ -108,7 +119,7 @@ class TestZerothMoment:
             tail=TailBound(kind="none"),
         )
         with pytest.raises(IntegrabilityError):
-            zeroth_moment(slow)
+            p_moment(slow)
 
 
 class TestFluctuation:
@@ -376,8 +387,8 @@ class TestMomentBound:
 
 class TestDecomposition:
     def test_integrates_each_norm_once(self, monkeypatch):
-        # P, ||u1||_{1,gamma}, ||u1||_1 and A on the frequency grid: four
-        # radial integrals, the last row-valued
+        # P, ||u1||_1 and ||u1||_{1,gamma} as three rows of one radial
+        # integral, and A on the frequency grid in one more
         from rosenau import moments
 
         calls = []
@@ -389,10 +400,14 @@ class TestDecomposition:
 
         monkeypatch.setattr(moments, "integrate_radial", counted)
         dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert dec.weighted_norm == pytest.approx(math.sqrt(math.pi) + 1.0, rel=1e-10)
-        assert dec.m_constant == moment_bound_check(gaussian_profile(1), 1.0, moments._DEFAULT_M_GRID)
+        wnorm = _radial_integral(gaussian_profile(1), lambda u, r: (1.0 + r) * np.abs(u))
+        assert dec.m_constant == _moment_constant(gaussian_profile(1), 1.0, moments._DEFAULT_M_GRID, wnorm)
+        # each row as it is alone
         assert dec.l1 == l1_norm(gaussian_profile(1))
+        assert dec.p_moment == zeroth_moment(gaussian_profile(1))
+        assert dec.weighted_norm == wnorm
 
     def test_norm_chain(self):
         dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)
@@ -404,7 +419,7 @@ class TestDecomposition:
         s = np.polynomial.legendre.leggauss(64)
         nodes = 2.0 + s[0]
         mass = 2 * math.pi * float(np.sum(s[1] * (1 - (nodes - 2.0) ** 2) ** 3 * nodes))
-        assert zeroth_moment(profile) == pytest.approx(mass, rel=1e-10)
+        assert p_moment(profile) == pytest.approx(mass, rel=1e-10)
 
 
 class TestRadialKernelOracle:

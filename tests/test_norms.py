@@ -635,6 +635,65 @@ class TestPerPieceBudgets:
         assert split.low == pytest.approx(exact, rel=DEFAULT_QUADRATURE.rel_tol, abs=0.0)
 
 
+class TestRows:
+    """oscillatory_integrals with rows: the norm integrand of a datum whose
+    cross density makes g complex, and the same integrand times
+    1 + sin(8 r)/2, which needs more panels, as two rows of one call."""
+
+    REL_TOL = 1e-8
+    TIMES = np.geomspace(1e2, 1e8, 5)
+
+    @staticmethod
+    def _rows(params, data):
+        amplitude = _amplitude_sq(params, data)
+        ripple = lambda r: 1.0 + 0.5 * np.sin(8.0 * r)  # noqa: E731
+        integrand = lambda r, t: amplitude(r, t)  # noqa: E731
+        coefficient = lambda r: norms._oscillating_coefficient(params, data, r)  # noqa: E731
+        mean = lambda r: norms._mean_density(params, data, r)  # noqa: E731
+        plain = (integrand, coefficient, mean)
+        rippled = tuple(lambda r, *t, fn=fn: ripple(r) * fn(r, *t) for fn in plain)
+        return plain, rippled
+
+    def _call(self, params, data, cuts, integrand, coefficient, mean, rel_tol):
+        """The integrals, and the nodes at which the three functions were
+        evaluated."""
+        calls = []
+
+        def counted(fn):
+            def wrapped(r, *t):
+                calls.append(np.size(r))
+                return fn(r, *t)
+
+            return wrapped
+
+        values = norms.oscillatory_integrals(
+            params, self.TIMES, cuts, *map(counted, (integrand, coefficient, mean)),
+            kinks=data.kinks, rel_tol=rel_tol,
+        )
+        return values, sum(calls)
+
+    def test_each_row_as_alone(self):
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
+        data = _complex_data(2)
+        assert np.any(data.cross(np.linspace(0.0, 5.0, 11)) != 0.0)
+        r_max = _resolve_r_max(params, data, self.TIMES, DEFAULT_QUADRATURE)
+        cuts = [[0.0, band_boundaries(params, SINC, t).beta, 1.0, r] for t, r in zip(self.TIMES, r_max)]
+        plain, rippled = self._rows(params, data)
+        both = [lambda r, *t, k=k: np.stack([plain[k](r, *t), rippled[k](r, *t)]) for k in range(3)]
+
+        together, _ = self._call(params, data, cuts, *both, self.REL_TOL)
+        assert together.shape == (2, self.TIMES.size, 3)
+        nodes = []
+        for row, fns in zip(together, (plain, rippled)):
+            alone, count = self._call(params, data, cuts, *fns, self.REL_TOL)
+            exact, _ = self._call(params, data, cuts, *fns, 1e-13)
+            nodes.append(count)
+            np.testing.assert_allclose(row, alone, rtol=self.REL_TOL, atol=0.0)
+            # each row meets its own budget, the one that needs more panels too
+            np.testing.assert_allclose(row, exact, rtol=self.REL_TOL, atol=0.0)
+        assert nodes[1] > nodes[0]
+
+
 class TestBandTolerance:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_each_band_within_rel_tol_of_its_own_value(self, dim):

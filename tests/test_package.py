@@ -43,7 +43,6 @@ EXPORTED = {
     ],
     "moments": [
         "MomentDecomposition", "RadialProfile", "fluctuation", "l1_norm",
-        "weighted_l1_norm", "zeroth_moment",
     ],
     "norms": [
         "BandSplit", "NormTrace", "QuadratureConfig", "band_split_norm",
@@ -90,7 +89,7 @@ def fresh(code: str, *args: str, blas_threads: str | None = None) -> dict:
 
 class TestPackageTable:
     def test_all_is_the_exported_names(self):
-        assert len(NAMES) == 72
+        assert len(NAMES) == 70
         assert rosenau.__all__ == NAMES
 
     def test_each_name_is_its_module_attribute(self):

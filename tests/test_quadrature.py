@@ -548,6 +548,34 @@ class TestLevin:
         with pytest.raises(InputDomainError):
             integrate_levin(_ones, _linear, 1e3, [np.array([1.0, 0.5])], 1e-10)
 
+    def test_rows_share_every_panel_and_each_factorization(self, monkeypatch):
+        # three rows, one complex, over two pieces at two frequencies, one of
+        # them below a radian per panel: each row as it is alone, from as
+        # many Levin solves as the row that takes the most rounds alone
+        rows = [
+            lambda x: np.exp(-(x**2)),
+            lambda x: (0.3 + 1.0j) * x * np.exp(-0.5 * x),
+            lambda x: np.cos(3.0 * x) / (1.0 + x),
+        ]
+        args = (_square, [0.2, 200.0], [np.linspace(0.5, 1.5, 5), np.linspace(1.5, 3.0, 5)], 1e-10)
+        solves = []
+        solve = quadrature._levin_solve
+
+        def counted(*a):
+            solves.append(1)
+            return solve(*a)
+
+        monkeypatch.setattr(quadrature, "_levin_solve", counted)
+        together, errors = integrate_levin(lambda x: np.stack([g(x) for g in rows]), *args)
+        shared, most = len(solves), 0
+        assert together.shape == errors.shape == (3, 2)
+        for g, row in zip(rows, together):
+            del solves[:]
+            alone, _ = integrate_levin(g, *args)
+            np.testing.assert_allclose(row, alone, rtol=1e-13, atol=0.0)
+            most = max(most, len(solves))
+        assert shared == most
+
 
 
 def _norm_of_a_gaussian():
