@@ -57,7 +57,7 @@ _EXPORTS = {
         "MomentDecomposition",
         "RadialProfile",
         "fluctuation",
-        "l1_norm",
+        "l1_norm_and_l2_sq",
     ),
     "norms": (
         "BandSplit",

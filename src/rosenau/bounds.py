@@ -106,12 +106,13 @@ def fluctuation_remainder_ceiling(
     params: ModelParams,
     sinc_constants: SincConstants,
     moments: MomentDecomposition,
-    t: float,
-) -> float:
+    t,
+) -> float | np.ndarray:
     """Closed-form ceiling of the fluctuation remainder R_l(t), n = 1.
 
     2 (1+delta) M^2 ||u1||_{1,gamma}^2 beta(t)^(2 gamma - 1) / (kappa (2
     gamma - 1)); decays like t^-(2 gamma - 1) and needs gamma in (1/2, 1].
+    t is a number or an array of times, one ceiling each.
     """
     if params.dim != 1:
         raise PreconditionError("the fluctuation remainder chain is one-dimensional")
@@ -297,7 +298,7 @@ def lower_envelope(
     p_sq = moments.p_moment**2
     if dim == 1:
         floor = ts * sinc_constants.delta0 / (2.0 * math.sqrt(params.mu + params.kappa))
-        ceiling = np.array([fluctuation_remainder_ceiling(params, sinc_constants, moments, t_i) for t_i in ts.tolist()])
+        ceiling = fluctuation_remainder_ceiling(params, sinc_constants, moments, ts)
         envelope = 0.25 * p_sq * floor - ceiling - u0_norm_sq
     else:
         tail = averaged_tail_remainder(params, ts)

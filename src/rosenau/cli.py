@@ -56,7 +56,7 @@ from .model import (
     epsilon0,
     eval_dispersion,
 )
-from .moments import MomentDecomposition, l1_norm, l2_norm_sq
+from .moments import MomentDecomposition, l1_norm_and_l2_sq
 from .norms import (
     NormTrace,
     QuadratureConfig,
@@ -259,14 +259,15 @@ def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep
     if profile is not None:
         # the moment decomposition only where the sandwich and the lower
         # envelopes read it; the upper envelope needs L1 alone
+        # ||u1||_2^2 is a row of the refinement that gives ||u1||_1
         if params.dim in (1, 2):
             moments = MomentDecomposition.from_profile(profile, config.gamma_moment)
-            l1 = moments.l1
+            l1, l2_sq = moments.l1, moments.l2_sq
             sandwich = growth_mod.sandwich_report(trace, moments, params.dim)
             growth_mod.write_sandwich_csv(sandwich, out / "ratio_vs_t.csv")
         else:
-            l1 = l1_norm(profile)
-        u1_l2 = math.sqrt(l2_norm_sq(profile))
+            l1, l2_sq = l1_norm_and_l2_sq(profile)
+        u1_l2 = math.sqrt(l2_sq)
         # the envelopes at the trace samples nearest nine log-spaced times in
         # [1e2, 1e6]; the 2-D tail term T2 is defined from t = 1e2
         late = np.flatnonzero(trace.times >= 1e2)
@@ -682,7 +683,7 @@ def _dispatch(args) -> int:
         profile = gaussian_profile(params.dim)
         moments = MomentDecomposition.from_profile(profile, args.gamma)
         report = bounds_mod.envelope_report(
-            params, sinc, moments, 0.0, math.sqrt(l2_norm_sq(profile)), 0.0, args.t
+            params, sinc, moments, 0.0, math.sqrt(moments.l2_sq), 0.0, args.t
         )
         make_output_dir(args.out)
         bounds_mod.write_envelope_json(report, args.out / "envelope.json")

@@ -97,19 +97,19 @@ DEFAULT_SINC = SincConstants()
 
 
 class BandBoundaries(Record):
-    """Band radii at time t: low band ends at beta, the mid/high split is gamma_band."""
+    """Band radii at time t: low band ends at beta, the mid/high split is
+    gamma_band; numbers, or arrays with one entry per time."""
 
-    beta: float
-    gamma_band: float
-    t: float
+    beta: float | np.ndarray
+    gamma_band: float | np.ndarray
+    t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0 and self.gamma_band > 0 and self.t > 0):
+        beta, gamma_band, t = (np.asarray(v) for v in (self.beta, self.gamma_band, self.t))
+        if not ((beta > 0).all() and (gamma_band > 0).all() and (t > 0).all()):
             raise InputDomainError("band radii and time must be positive")
-        if self.beta >= self.gamma_band:
-            raise InvariantViolation(
-                f"beta(t) = {self.beta} must lie below gamma(t) = {self.gamma_band}"
-            )
+        if (beta >= gamma_band).any():
+            raise InvariantViolation(f"beta(t) = {self.beta} must lie below gamma(t) = {self.gamma_band}")
 
 
 def _check_radii(r: np.ndarray, allow_zero: bool) -> None:
@@ -208,18 +208,24 @@ class DispersionExpansion(Record):
     curvatures: tuple
 
 
-@functools.cache
 def dispersion_expansion(params: ModelParams) -> DispersionExpansion:
-    """The expansions of f and its stationary points, built once per ModelParams.
+    """The expansions of f and its stationary points, built once per
+    coefficient set (delta, mu, kappa, theta): no field depends on dim.
 
     The low law expands f = sqrt(kappa) r sqrt((1 + mu r^2 / kappa) / (1 + delta
     r^(2 theta))); the floor is 1 + delta r^(2 theta) <= (1 + delta) r^(2 theta)
     for r >= 1.  f' has the sign of (2 mu s + kappa) + delta s^theta ((2 -
     theta) mu s + (1 - theta) kappa), s = r^2, whose coefficients change sign
     at most twice (Descartes); its sign changes on a geometric grid of
-    [1e-10, 1e10] are bisected to adjacent floats, the root the smaller end.
+    [1e-10, 1e10] are bisected in floats to adjacent floats, the root the
+    smaller end.
     """
-    de, mu, ka, th = params.delta, params.mu, params.kappa, params.theta
+    return _expansion(params.delta, params.mu, params.kappa, params.theta)
+
+
+@functools.cache
+def _expansion(de: float, mu: float, ka: float, th: float) -> DispersionExpansion:
+    """dispersion_expansion of the coefficients (delta, mu, kappa, theta)."""
     # at theta = 1 exactly 0 in the wave cell mu = delta kappa, where f = sqrt(kappa) r
     low_correction = -0.5 * de if th < 1.0 else mu / (2.0 * ka) if th > 1.0 else (mu - de * ka) / (2.0 * ka)
     top, power = (mu, 2.0 - th) if mu > 0 else (ka, 1.0 - th)
@@ -231,18 +237,16 @@ def dispersion_expansion(params: ModelParams) -> DispersionExpansion:
     r = np.geomspace(1e-10, 1e10, 4096)
     sign = np.sign(slope(r))
     flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-    lo, hi = r[flips], r[flips + 1]
-    while True:
-        mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            break
-        stays = inside & (np.sign(slope(mid)) == sign[flips])
-        lo, hi = np.where(stays, mid, lo), np.where(inside & ~stays, mid, hi)
-    _, curvatures = dispersion_derivatives(params, lo)
+    roots = []
+    # each bracket keeps the grid's sign at its lower end; a zero moves the upper end
+    for lo, hi, sign_lo in zip(r[flips].tolist(), r[flips + 1].tolist(), sign[flips].tolist()):
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if slope(mid) * sign_lo > 0.0 else (lo, mid)
+        roots.append(lo)
+    _, curvatures = dispersion_derivatives(ModelParams(de, mu, ka, th, 1), np.array(roots))
     low = (math.sqrt(ka), min(2.0 * th, 2.0), low_correction)
     high = (math.sqrt(top / de), power, top / (1.0 + de))
-    return DispersionExpansion(*low, *high, tuple(lo.tolist()), tuple(curvatures.tolist()))
+    return DispersionExpansion(*low, *high, tuple(roots), tuple(curvatures.tolist()))
 
 
 def epsilon0(params: ModelParams) -> float:
@@ -285,27 +289,35 @@ def second_derivative_bound(params: ModelParams) -> float:
     ) ** 1.5 / (4.0 * ka**1.5)
 
 
-def band_boundaries(params: ModelParams, sinc: SincConstants, t: float) -> BandBoundaries:
+def band_boundaries(params: ModelParams, sinc: SincConstants, t) -> BandBoundaries:
     """Band radii beta(t) = delta0/(sqrt(mu+kappa) t), gamma(t) = delta0/(sqrt(mu+kappa) log t).
 
     Requires t > e so the radii are ordered, and beta(t) <= 1 so that
     t * f(r) <= delta0 holds throughout the low band (checked at r = beta).
+    t may be an array of times: the fields are then arrays, one entry per
+    time, and the first time that breaks a requirement raises its error.
     """
-    if not (math.isfinite(t) and t > math.e):
-        raise PreconditionError(f"band boundaries need t > e, got t = {t}")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     root = math.sqrt(params.mu + params.kappa)
-    beta = sinc.delta0 / (root * t)
-    gamma_band = sinc.delta0 / (root * math.log(t))
-    if beta > 1.0:
-        raise PreconditionError(
-            f"t = {t} too small: beta(t) = {beta} exceeds 1 for these coefficients"
-        )
-    phase = t * eval_dispersion(params, beta)
-    if phase > sinc.delta0 * (1.0 + 1e-12):
-        raise InvariantViolation(
-            f"t*f(beta(t)) = {phase} exceeds delta0 = {sinc.delta0}"
-        )
-    return BandBoundaries(beta=beta, gamma_band=gamma_band, t=float(t))
+    ok = np.isfinite(ts) & (ts > math.e)
+    beta = sinc.delta0 / (root * np.where(ok, ts, math.inf))
+    ok &= beta <= 1.0
+    phase = np.where(ok, ts, 0.0) * eval_dispersion(params, np.where(ok, beta, 0.0))
+    ok &= phase <= sinc.delta0 * (1.0 + 1e-12)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        t_bad, beta_bad = float(ts[first]), float(beta[first])
+        if not (math.isfinite(t_bad) and t_bad > math.e):
+            raise PreconditionError(f"band boundaries need t > e, got t = {t_bad}")
+        if beta_bad > 1.0:
+            raise PreconditionError(f"t = {t_bad} too small: beta(t) = {beta_bad} exceeds 1 for these coefficients")
+        raise InvariantViolation(f"t*f(beta(t)) = {float(phase[first])} exceeds delta0 = {sinc.delta0}")
+    # log t by libm, time by time: the 1-D band cut depends on its last bit,
+    # and numpy's vectorised log may differ from libm's by an ulp
+    gamma_band = sinc.delta0 / (root * np.array([math.log(t_i) for t_i in ts.tolist()]))
+    if np.ndim(t):
+        return BandBoundaries(beta=beta, gamma_band=gamma_band, t=ts)
+    return BandBoundaries(beta=float(beta[0]), gamma_band=float(gamma_band[0]), t=float(ts[0]))
 
 
 def unit_sphere_area(dim: int) -> float:

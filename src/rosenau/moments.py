@@ -21,8 +21,8 @@ Every integral runs over [0, R] for the profile's certified finite radius R
 (a compact or a Gaussian tail; a tail of kind "none" raises
 IntegrabilityError),
 through quadrature.integrate_radial, cut at the profile's kinks.  P,
-||u1||_1 and ||u1||_{1,gamma} of a decomposition are three rows of one
-call, on one partition and one evaluation of u1 per node.  A(rho)
+||u1||_1, ||u1||_{1,gamma} and ||u1||_2^2 of a decomposition are four
+rows of one call, on one partition and one evaluation of u1 per node.  A(rho)
 for the whole frequency grid is one call of it with one piece per
 frequency, rho the piece's parameter, each piece refined alone and held to
 1e-12 of its own |A(rho)|.
@@ -45,7 +45,7 @@ from .tails import TailBound
 __all__ = [
     "RadialProfile",
     "MomentDecomposition",
-    "l1_norm",
+    "l1_norm_and_l2_sq",
     "fluctuation",
 ]
 
@@ -275,13 +275,14 @@ def _absolute(u, r):
     return np.abs(u)
 
 
-def l1_norm(u1: RadialProfile) -> float:
-    return _radial_integral(u1, _absolute)
+def _squared(u, r):
+    return np.abs(u) ** 2
 
 
-def l2_norm_sq(u1: RadialProfile) -> float:
-    """Physical L2 norm squared of the radial profile."""
-    return _radial_integral(u1, lambda u, r: np.abs(u) ** 2)
+def l1_norm_and_l2_sq(u1: RadialProfile) -> tuple[float, float]:
+    """Physical L1 norm and squared L2 norm of the radial profile, as two
+    rows of one integrate_radial call."""
+    return tuple(_radial_integral(u1, _absolute, _squared).tolist())
 
 
 def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
@@ -343,7 +344,8 @@ class MomentDecomposition(Record):
     """Scalars of the moment decomposition for one velocity datum.
 
     p_moment is the mass P, gamma_exp the moment exponent, weighted_norm the
-    ||u1||_{1,gamma}, m_constant the empirical bound constant.  The source
+    ||u1||_{1,gamma}, m_constant the empirical bound constant, l2_sq the
+    squared L2 norm ||u1||_2^2 (None when not integrated).  The source
     profile rides along for the quadrature-side remainder evaluations.
     """
 
@@ -352,6 +354,7 @@ class MomentDecomposition(Record):
     weighted_norm: float
     m_constant: float
     l1: float
+    l2_sq: float | None = None
     profile: RadialProfile | None = None
 
     def __post_init__(self) -> None:
@@ -373,17 +376,19 @@ class MomentDecomposition(Record):
     def from_profile(
         cls, u1: RadialProfile, gamma_exp: float, xi_grid=None
     ) -> "MomentDecomposition":
-        """The decomposition of u1: the mass P = integral u1 dx, ||u1||_1
-        and ||u1||_{1,gamma} = integral (1 + |x|^gamma) |u1| dx as three
-        rows of one integrate_radial call over [0, R], then M on the grid."""
+        """The decomposition of u1: the mass P = integral u1 dx, ||u1||_1,
+        ||u1||_{1,gamma} = integral (1 + |x|^gamma) |u1| dx and ||u1||_2^2
+        as four rows of one integrate_radial call over [0, R], then M on the
+        grid."""
         if not (0.0 < gamma_exp <= 1.0):
             raise InputDomainError(f"gamma must lie in (0, 1], got {gamma_exp}")
         grid = _DEFAULT_M_GRID if xi_grid is None else xi_grid
-        p_moment, l1, wnorm = _radial_integral(
+        p_moment, l1, wnorm, l2_sq = _radial_integral(
             u1,
             lambda u, r: np.real(u),
             _absolute,
             lambda u, r: (1.0 + r**gamma_exp) * np.abs(u),
+            _squared,
         ).tolist()
         return cls(
             p_moment=p_moment,
@@ -391,5 +396,6 @@ class MomentDecomposition(Record):
             weighted_norm=wnorm,
             m_constant=_moment_constant(u1, gamma_exp, grid, wnorm),
             l1=l1,
+            l2_sq=l2_sq,
             profile=u1,
         )

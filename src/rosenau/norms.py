@@ -17,10 +17,11 @@ one time or at every time of a trace, each time with its own cuts.  One
 call of ``oscillation_segments`` for all the times splits each interval
 into the slow region t f <= 16 pi, windows of half-width
 min(1/4, C t^(-1/2)) around the stationary points r* of f (from
-model.dispersion_expansion), C = sqrt(_WINDOW_PHASE / |f''(r*)|), and the fast segments
-between them; each segment is cut at the piece boundaries and at the
-kinks of the data, each fast segment also at r_log = 1/4 (_R_LOG).  The
-pieces of every time are collected first and integrated in three
+model.dispersion_expansion), C = sqrt(_WINDOW_PHASE / |f''(r*)|), and the fast
+segments between them, one flat table; each segment is cut at the piece
+boundaries and at the kinks of the data, each fast segment also at r_log =
+1/4 (_R_LOG), by broadcasting: no step from the times to the panel rules
+loops in Python.  The pieces of every time are integrated in three
 refinements per call, so three per norm trace, each over all its pieces at
 once with a budget per piece (quadrature._refine): each piece is held to
 rel_tol of its own value, and refined, as if it were integrated alone.
@@ -62,19 +63,20 @@ or at all the envelope picks of a trace, and hardy.energy_identity_check on
 [0, r_max] at t/2, whose densities oscillate like e^(i t f), its two sides
 as two rows of one call (integrand, mean and coefficient returning rows
 share the segmentation, the nodes and each Levin factorization).  The
-segmentation evaluates f once, on a (times, 257) geometric grid, and the
-Levin rule takes f and f' from one model.dispersion_slope call per node.
+segmentation evaluates f once, on a geometric grid of 257 radii per run of
+times with one interval (one row for a whole trace), and the Levin rule
+takes f and f' from one model.dispersion_slope call per node.
 Each refinement is capped and raises IntegrabilityError on a piece it
 leaves unresolved, so no rel_tol runs without bound.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
 for all the times of a trace from one evaluation of f and of the densities
-on the K21 nodes of 256 panels, each time adding only its weighted sum of
-min(t, 1/f)^2.  Levin collocation needs g smooth on each panel: a jump the
-data declare as a kink, like the edge of a compact band, is a piece end,
-and an undeclared one is found from the Chebyshev tail of g and bisected
-down like a K21 panel.
+on the K21 nodes of 256 panels, and each candidate radius is tried once
+for all the times it has not yet certified.  Levin collocation needs g
+smooth on each panel: a jump the data declare as a kink, like the edge of a
+compact band, is a piece end, and an undeclared one is found from the
+Chebyshev tail of g and bisected down like a K21 panel.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ from .quadrature import (
     _RADIAL_ROUNDS,
     _kronrod_refine,
     _panel_nodes,
+    _panel_table,
+    _runs,
     integrate_levin,
 )
 from .records import Record
@@ -160,16 +164,18 @@ def _physical_scale(dim: int) -> float:
     return unit_sphere_area(dim) / (2.0 * math.pi) ** dim
 
 
-def _propagator_sq_ceiling(expansion: DispersionExpansion, r0: float, t: float) -> float:
-    """sup over r >= r0 of min(t, 1/f(r))^2, from the floor of f^2 at high
-    frequency, f^2 >= high_floor r^(2 p) for r >= 1: t^2 when p < 0."""
+def _propagator_sq_ceiling(expansion: DispersionExpansion, r0: float, t):
+    """sup over r >= r0 of min(t, 1/f(r))^2, at a time t or an array of times,
+    from the floor of f^2 at high frequency, f^2 >= high_floor r^(2 p) for
+    r >= 1: t^2 when p < 0."""
     if r0 < 1.0 or expansion.high_power < 0:
         return t * t
-    return min(t * t, 1.0 / (expansion.high_floor * r0 ** (2.0 * expansion.high_power)))
+    return np.minimum(t * t, 1.0 / (expansion.high_floor * r0 ** (2.0 * expansion.high_power)))
 
 
-def _tail_bound(expansion: DispersionExpansion, data: RadialInitialData, r0: float, t: float) -> float:
-    """Bound on the unscaled integrand mass beyond r0 (|a+b|^2 <= 2|a|^2 + 2|b|^2)."""
+def _tail_bound(expansion: DispersionExpansion, data: RadialInitialData, r0: float, t):
+    """Bound on the unscaled integrand mass beyond r0 (|a+b|^2 <= 2|a|^2 + 2|b|^2),
+    at a time t or at an array of times."""
     m0 = data.w0_tail.mass_beyond(r0, data.dim)
     m1 = data.w1_tail.mass_beyond(r0, data.dim)
     if math.isinf(m0) or math.isinf(m1):
@@ -183,17 +189,25 @@ def _coarse_estimate(params: ModelParams, data: RadialInitialData, ts: np.ndarra
     panels of [0, hi]; used only to size the tail target.
 
     f and both densities are evaluated once on the nodes, whatever the number
-    of times; per time only the weighted sum of min(t, 1/f)^2 |w1|^2 is
-    formed, one node vector at a time, so no (times x nodes) array is built.
+    of times: the level at the earliest time m is one sum, and each later time
+    t adds (min(t, 1/f)^2 - m^2) |w1|^2 over the few nodes with 1/f > m,
+    from cumulative sums over them sorted by 1/f.
     """
     edges = np.linspace(0.0, hi, 257)
     r, half = _panel_nodes(edges[:-1], edges[1:])
     radial = (half[:, None] * _KRONROD_WEIGHTS * r ** (data.dim - 1)).ravel()
     r = r.ravel()
     inv_f = 1.0 / np.maximum(eval_dispersion(params, r), 1e-300)
-    level = data.w0_sq(r) @ radial
     weight = data.w1_sq(r) * radial
-    return np.array([abs(level + np.minimum(t, inv_f) ** 2 @ weight) for t in ts.tolist()])
+    t_min = ts.min(initial=math.inf)
+    level = data.w0_sq(r) @ radial + np.minimum(t_min, inv_f) ** 2 @ weight
+    above = (inv_f > t_min).nonzero()[0]
+    above = above[inv_f[above].argsort()]
+    inv_f, weight = inv_f[above], weight[above]
+    below = np.concatenate([[0.0], ((inv_f**2 - t_min**2) * weight).cumsum()])
+    beyond = np.concatenate([weight[::-1].cumsum()[::-1], [0.0]])
+    split = inv_f.searchsorted(ts)
+    return np.abs(level + below[split] + (ts**2 - t_min**2) * beyond[split])
 
 
 def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: QuadratureConfig):
@@ -216,19 +230,17 @@ def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: Quadrat
         for tail in (data.w0_tail, data.w1_tail):
             if tail.kind == "gaussian":
                 start = max(start, math.sqrt(10.0 / tail.rate))
-        rough = _coarse_estimate(params, data, ts, start)
+        target = cfg.rel_tol / 10.0 * np.maximum(_coarse_estimate(params, data, ts, start), 1e-280)
         expansion = dispersion_expansion(params)
-        for i, (t_i, rough_i) in enumerate(zip(ts.tolist(), rough.tolist())):
-            r0, target = start, cfg.rel_tol / 10.0 * max(rough_i, 1e-280)
-            for _ in range(400):
-                if _tail_bound(expansion, data, r0, t_i) <= target:
-                    break
-                r0 *= 1.2
-            else:
-                raise UncertifiedTailError(
-                    f"could not certify the tail below {target} within r <= {r0}"
-                )
-            r_max[i] = r0
+        pending, r0 = np.arange(ts.size), start
+        for _ in range(400):
+            certified = _tail_bound(expansion, data, r0, ts[pending]) <= target[pending]
+            r_max[pending[certified]] = r0
+            if not (pending := pending[~certified]).size:
+                break
+            r0 *= 1.2
+        else:
+            raise UncertifiedTailError(f"could not certify the tail below {target[pending[0]]} within r <= {r0}")
     return r_max if np.ndim(t) else float(r_max[0])
 
 
@@ -306,45 +318,38 @@ def oscillatory_integrals(
     all the rows); each row keeps its own budget, and the result gains a
     leading axis of m: shape (m, cuts - 1) at one time, (m, times, cuts - 1)
     for an array of times, against (cuts - 1,) and (times, cuts - 1) for
-    one integrand without rows.  Every piece
-    is cut at the kinks, the radii where the data jump.  A slow piece or
-    window is integrated as integrand, a fast piece as mean plus the real
-    part of the Levin integral of coefficient e^(2 i t f), in three
-    refinements for all the pieces of every time.  Each piece is held to
-    rel_tol of its own value and to abs_tol, a Levin piece also to rel_tol
-    times |mean| of that piece, or to the rounding of its phase.  A piece
-    left unresolved at the round cap raises IntegrabilityError.
+    one integrand without rows.  Every piece (_oscillation_pieces) is cut at
+    the kinks, the radii where the data jump.  A slow piece or window is
+    integrated as integrand, a fast piece as mean plus the real part of the
+    Levin integral of coefficient e^(2 i t f), in three refinements for all
+    the pieces of every time, each from one flat table of starting panels.
+    Each piece is held to rel_tol of its own value and to abs_tol, a Levin
+    piece also to rel_tol times |mean| of that piece, or to the rounding of
+    its phase.  A piece left unresolved at the round cap raises
+    IntegrabilityError.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rows = np.atleast_2d(np.asarray(cuts, dtype=float))
     if rows.shape[0] != ts.size:
         raise InputDomainError("need one row of cuts per time")
-    slow, fast = [], []  # (time index, band k, lo, hi) of each piece
-    segmentation = oscillation_segments(params, ts, rows[:, 0], rows[:, -1])
-    for i, (row, segments) in enumerate(zip(rows.tolist(), segmentation)):
-        for seg_lo, seg_hi, kind in segments:
-            pieces, stops = (fast, [*kinks, _R_LOG]) if kind == "fast" else (slow, kinks)
-            for k, (a, b) in enumerate(zip(row[:-1], row[1:])):
-                lo, hi = max(seg_lo, a), min(seg_hi, b)
-                inner = sorted({c for c in stops if lo < c < hi})
-                pieces += [(i, k, p, q) for p, q in zip([lo, *inner], [*inner, hi]) if q > p]
-
+    slow, fast = _oscillation_pieces(params, ts, rows, kinks)
     parts = []  # (time index, band k, integrals) of the slow and the fast pieces
-    if slow:
-        index, k, lo, hi = (np.array(v) for v in zip(*slow))
-        edges = list(np.linspace(lo, hi, _SLOW_PANELS + 1, axis=-1))
-        top = 2.0 * ts[index] * np.max(eval_dispersion(params, np.stack([lo, hi])), axis=0)
+    if slow[0].size:
+        index, k, lo, hi = slow
+        panels = _panel_table(np.linspace(lo, hi, _SLOW_PANELS + 1, axis=-1))
+        f_ends = eval_dispersion(params, np.concatenate([lo, hi]))
+        top = 2.0 * ts[index] * np.maximum(f_ends[: lo.size], f_ends[lo.size :])
         refined = _kronrod_refine(
-            integrand, edges, rel_tol, abs_tol, _RADIAL_ROUNDS, t=ts[index], phase=top
+            integrand, panels, rel_tol, abs_tol, _RADIAL_ROUNDS, t=ts[index], phase=top
         )
         parts.append((index, k, refined[0]))
-    if fast:
-        index, k, lo, hi = (np.array(v) for v in zip(*fast))
-        edges = fast_segment_edges(lo, hi, dispersion_expansion(params).stationary_points)
-        level = np.zeros(len(edges))
+    if fast[0].size:
+        index, k, lo, hi = fast
+        panels = fast_segment_edges(lo, hi, dispersion_expansion(params).stationary_points)
+        level = np.zeros(lo.size)
         if mean is not None:
             mean_x = _in_fast_coordinate(mean)
-            level = _kronrod_refine(mean_x, edges, rel_tol, abs_tol, _RADIAL_ROUNDS)[0]
+            level = _kronrod_refine(mean_x, panels, rel_tol, abs_tol, _RADIAL_ROUNDS)[0]
 
         def phase(x):
             r, dr = _fast_radius(x)
@@ -355,7 +360,7 @@ def oscillatory_integrals(
             _in_fast_coordinate(coefficient),
             phase,
             2.0 * ts[index],
-            edges,
+            panels,
             rel_tol,
             np.maximum(abs_tol, rel_tol * np.abs(level)),
         )
@@ -366,6 +371,28 @@ def oscillatory_integrals(
     for index, k, part in parts:
         np.add.at(values, (..., index, k), part)
     return values if np.ndim(t) else values[..., 0, :]
+
+
+def _oscillation_pieces(params: ModelParams, ts: np.ndarray, rows: np.ndarray, kinks):
+    """The tables (time index, band k, lo, hi) of the slow (slow segments
+    and windows) and the fast pieces of oscillatory_integrals at the times
+    ts, one row of cuts each, in order of time, segment, band, then left
+    to right: each segment meets band k in [max(lo, cut k), min(hi,
+    cut k+1)], cut there at the sorted kinks (a fast one also at _R_LOG)
+    clipped to it, and pieces of no width are dropped."""
+    index, seg_lo, seg_hi, kind = oscillation_segments(params, ts, rows[:, 0], rows[:, -1])
+    lo = np.maximum(seg_lo[:, None], rows[index, :-1])[..., None]
+    hi = np.minimum(seg_hi[:, None], rows[index, 1:])[..., None]
+    tables = []
+    for chosen, stops in ((kind != _FAST, kinks), (kind == _FAST, [*kinks, _R_LOG])):
+        a, b = lo[chosen], hi[chosen]
+        stops = np.sort(np.asarray(stops, dtype=float))
+        ends = np.concatenate([a, np.minimum(np.maximum(stops, a), b), b], axis=-1)
+        p, q = ends[..., :-1], ends[..., 1:]
+        keep = q > p
+        segment, band, _ = np.nonzero(keep)
+        tables.append((index[chosen][segment], band, p[keep], q[keep]))
+    return tables
 
 
 def _norm_pieces(
@@ -451,14 +478,12 @@ def band_split_norm(
     if params.dim != data.dim:
         raise InputDomainError("params.dim and data.dim disagree")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    bands = [band_boundaries(params, sinc_constants, t_i) for t_i in ts.tolist()]
+    bands = band_boundaries(params, sinc_constants, ts)
     r_max = np.atleast_1d(_resolve_r_max(params, data, ts, cfg))
 
-    cuts = np.empty((ts.size, 4))
-    for row, band, r in zip(cuts, bands, r_max.tolist()):
-        beta = min(band.beta, r)
-        split = band.gamma_band if params.dim == 1 else 1.0
-        row[:] = 0.0, beta, min(max(split, beta), r), r
+    beta = np.minimum(bands.beta, r_max)
+    split = bands.gamma_band if params.dim == 1 else 1.0
+    cuts = np.stack([np.zeros(ts.size), beta, np.minimum(np.maximum(split, beta), r_max), r_max], axis=1)
     ends = [0, ts.size - 1] if ts.size > 1 else [0]
     uncut = np.zeros((len(ends), 4))
     uncut[:, 1:] = cuts[ends, 3:]
@@ -477,69 +502,73 @@ def band_split_norm(
 # segmentation
 
 
+# the kinds of segment, as oscillation_segments labels them
+_SLOW, _WINDOW, _FAST = range(3)
+
+
 def oscillation_segments(params: ModelParams, t, lo, hi):
     """Split [lo, hi] by how fast e^(2 i t f) oscillates, left to right.
 
-    Returns (lo, hi, kind) pieces covering [lo, hi]: "slow" where
-    t f <= 16 pi, "window" within min(1/4, C t^(-1/2)) of a stationary
+    Returns the segments covering [lo, hi] as one flat table (index, lo,
+    hi, kind) of arrays, kind one of _SLOW, _WINDOW and _FAST: slow where
+    t f <= 16 pi, a window within min(1/4, C t^(-1/2)) of a stationary
     point r* of f, C = sqrt(_WINDOW_PHASE / |f''(r*)|), so that e^(2 i t f)
-    turns by _WINDOW_PHASE between r* and either end at every t, and "fast"
+    turns by _WINDOW_PHASE between r* and either end at every t, and fast
     elsewhere, where f' does not vanish.  The slow region is judged on a
     geometric grid and cut at the first grid point past each change, so a
-    piece may reach one grid step past t f = 16 pi; both rules integrate
+    segment may reach one grid step past t f = 16 pi; both rules integrate
     any phase there.  t may be an array of times, with lo and hi numbers or
-    one per time: the result is then one list of pieces per time, from one
-    geomspace and one eval_dispersion call on a (times, 257) grid.
+    one per time: index is the time of each segment (0 for a number t), and
+    the segments run in order of time, then left to right, all from one
+    geomspace and one eval_dispersion call on a grid of 257 radii per run
+    of consecutive times that share their interval.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    los, his = (np.broadcast_to(np.asarray(v, dtype=float), ts.shape) for v in (lo, hi))
+    los, his = (np.zeros(ts.shape) + v for v in (lo, hi))
     expansion = dispersion_expansion(params)
-    live = (his > los) & (ts > 0)
+    live = his > los
     # the grid starts at 1e-10, or lower where t is so large that t f = 16 pi
     # lies below it (f ~ c r there), and never above hi; its first column is
-    # lo itself, a repeat where lo lies above that start
-    t_live, lo_live, hi_live = ts[live], los[live], his[live]
-    bottom = np.minimum(np.minimum(1e-10, _PHASE_SLOW / (t_live * expansion.low_coefficient)), hi_live)
-    r = np.geomspace(np.maximum(lo_live, bottom), hi_live, 256, axis=-1)
-    r = np.concatenate([lo_live[:, None], r], axis=1)
-    slow = t_live[:, None] * eval_dispersion(params, r) <= _PHASE_SLOW
-    row, col = np.nonzero(slow[:, 1:] != slow[:, :-1])
-    flips = np.split(r[row, col + 1], np.searchsorted(row, np.arange(1, r.shape[0])))
-    starts_slow = slow[:, 0].tolist()
+    # lo itself, a repeat where lo lies above that start.  At t <= 0 the
+    # whole interval is one slow segment.
+    t_live, lo_live, hi_live = np.where(ts > 0, ts, 0.0)[live], los[live], his[live]
+    bottom = _PHASE_SLOW / np.maximum(t_live * expansion.low_coefficient, 1e-300)
+    start = np.maximum(lo_live, np.minimum(np.minimum(1e-10, bottom), hi_live))
+    # times in a row with one interval and start, most of a trace, share a grid row
+    first, grid_row = _runs(lo_live, start, hi_live)
+    r = np.geomspace(start[first], hi_live[first], 256, axis=-1)
+    r = np.concatenate([lo_live[first, None], r], axis=1)
+    slow = t_live[:, None] * eval_dispersion(params, r)[grid_row] <= _PHASE_SLOW
+    # a region starts at lo and at the first grid point past each change,
+    # and keeps the kind of its first point until the next start or hi
+    starts = np.ones(slow.shape, dtype=bool)
+    starts[:, 1:] = slow[:, 1:] != slow[:, :-1]
+    flat = starts.ravel().nonzero()[0]
+    row, col = np.divmod(flat, slow.shape[1])
+    a, seg_slow = r[grid_row[row], col], slow.ravel()[flat]
+    b = np.where(np.concatenate([row[1:] != row[:-1], [True]]), hi_live[row], np.concatenate([a[1:], [0.0]]))
+    index = live.nonzero()[0][row]
 
-    widths = np.sqrt(_WINDOW_PHASE / np.maximum(np.abs(expansion.curvatures), 1e-300)).tolist()
-    windows = list(zip(expansion.stationary_points, widths))
-    out = []
-    grid_rows = iter(zip(flips, starts_slow, t_live.tolist()))
-    for lo_i, hi_i, live_i in zip(los.tolist(), his.tolist(), live.tolist()):
-        if not live_i:
-            out.append([(lo_i, hi_i, "slow")] if hi_i > lo_i else [])
-            continue
-        flip, first_slow, t_i = next(grid_rows)
-        cuts = [lo_i, *flip.tolist(), hi_i]
-        segments = []
-        for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            if b <= a:
-                continue
-            if first_slow == (k % 2 == 0):
-                segments.append((a, b, "slow"))
-                continue
-            cursor = a
-            for r_star, width in windows:
-                if not a < r_star < b:
-                    continue
-                # never below 1e-12 r*, so r* stays inside its window at any t
-                h_window = max(min(0.25, width * t_i**-0.5), 1e-12 * r_star)
-                w_lo, w_hi = max(cursor, r_star - h_window), min(b, r_star + h_window)
-                if w_lo > cursor:
-                    segments.append((cursor, w_lo, "fast"))
-                if w_hi > w_lo:
-                    segments.append((w_lo, w_hi, "window"))
-                cursor = max(cursor, w_hi)
-            if cursor < b:
-                segments.append((cursor, b, "fast"))
-        out.append(segments)
-    return out if np.ndim(t) else out[0]
+    # every other region is cut into fast pieces and the windows of the
+    # stationary points inside it: per region its sub-pieces, left to right,
+    # the last one the region itself when it is slow; empty ones are dropped
+    roots, curvatures = expansion.stationary_points, expansion.curvatures
+    if roots:
+        # t^(-1/2) as the scalar power rounds it: the window ends depend on its last bit
+        root_t = np.array([t_i**-0.5 if t_i > 0 else 0.0 for t_i in ts.tolist()])[index]
+    columns, cursor = [], a  # (lo, hi, kept) of each sub-piece
+    for r_star, curvature in zip(roots, curvatures):
+        width = math.sqrt(_WINDOW_PHASE / max(abs(curvature), 1e-300))
+        inside = ~seg_slow & (a < r_star) & (r_star < b)
+        # never below 1e-12 r*, so r* stays inside its window at any t
+        h_window = np.maximum(np.minimum(0.25, width * root_t), 1e-12 * r_star)
+        w_lo, w_hi = np.maximum(cursor, r_star - h_window), np.minimum(b, r_star + h_window)
+        columns += [(cursor, w_lo, inside & (w_lo > cursor)), (w_lo, w_hi, inside & (w_hi > w_lo))]
+        cursor = np.where(inside, np.maximum(cursor, w_hi), cursor)
+    columns.append((cursor, b, cursor < b))
+    lo, hi, keep = (np.array(column).T for column in zip(*columns))
+    kind = np.where(seg_slow[:, None], _SLOW, [_FAST, _WINDOW] * len(roots) + [_FAST])
+    return index.repeat(keep.sum(axis=1)), lo[keep], hi[keep], kind[keep]
 
 
 # Fast pieces below this radius are integrated in the coordinate
@@ -575,18 +604,19 @@ def _in_fast_coordinate(fn):
     return mapped
 
 
-def _step_radius(x: np.ndarray, direction: float) -> np.ndarray:
-    """x moved by direction (+1 or -1) times an ulp of x or, below _R_LOG,
-    the x-image (_R_LOG / r) spacing(r) of an ulp of r(x) if larger: near
-    x = 0, where r = _R_LOG / e, ulps of x alone took 262,147 steps."""
-    r = _fast_radius(x)[0]
+def _step_radius(x: np.ndarray, r: np.ndarray, direction) -> np.ndarray:
+    """x, of radius r = r(x), moved by direction (+1 or -1, or one per entry)
+    times an ulp of x or, below _R_LOG, the x-image (_R_LOG / r) spacing(r)
+    of an ulp of r if larger: near x = 0, where r = _R_LOG / e, ulps of x
+    alone took 262,147 steps."""
     r_ulp = np.where(x < _R_LOG, _R_LOG / r * np.spacing(r), 0.0)
     return x + direction * np.maximum(np.spacing(np.abs(x)), r_ulp)
 
 
-def fast_segment_edges(lo, hi, centres=()) -> list[np.ndarray]:
-    """Initial partitions of the fast pieces [lo_i, hi_i], 0 < lo_i, none of
-    which crosses _R_LOG, in the fast coordinate x of _fast_radius.
+def fast_segment_edges(lo, hi, centres=()) -> tuple:
+    """Initial panels of the fast pieces [lo_i, hi_i], 0 < lo_i, none of
+    which crosses _R_LOG, in the fast coordinate x of _fast_radius, as one
+    panel table (see quadrature._refine).
 
     Below _R_LOG a piece starts as 2 panels of equal width in x, that is in
     ln r; above, where x is r, as 5 edges geometric in the distance from the
@@ -600,13 +630,19 @@ def fast_segment_edges(lo, hi, centres=()) -> list[np.ndarray]:
     which no bisection removes.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if np.any(lo <= 0.0):
+    if (lo <= 0.0).any():
         raise InputDomainError("a fast piece starts above r = 0")
-    x_lo, x_hi = (np.where(r < _R_LOG, _R_LOG * (1.0 + np.log(r / _R_LOG)), r) for r in (lo, hi))
-    while (out := _fast_radius(x_lo)[0] <= lo).any():
-        x_lo[out] = _step_radius(x_lo[out], 1.0)
-    while (out := _fast_radius(x_hi)[0] >= hi).any():
-        x_hi[out] = _step_radius(x_hi[out], -1.0)
+    # lower ends step up and upper ends down while their radius is not
+    # strictly inside the piece; from _R_LOG up, where x is r, the first
+    # step is an ulp of the end
+    ends = np.concatenate([lo, hi])
+    direction = np.array([1.0, -1.0]).repeat(lo.size)
+    x = np.where(ends < _R_LOG, _R_LOG * (1.0 + np.log(ends / _R_LOG)), ends + direction * np.spacing(ends))
+    out = np.arange(x.size)
+    while (outside := direction[out] * ((r := _fast_radius(x[out])[0]) - ends[out]) <= 0.0).any():
+        out = out[outside]
+        x[out] = _step_radius(x[out], r[outside], direction[out])
+    x_lo, x_hi = x[: lo.size], x[lo.size :]
     log = x_hi <= _R_LOG
     a, b = x_lo[~log], x_hi[~log]
     centres = np.asarray(centres if len(centres) else (0.0,), dtype=float)
@@ -614,11 +650,11 @@ def fast_segment_edges(lo, hi, centres=()) -> list[np.ndarray]:
     side = np.where(c <= a, 1.0, -1.0)[:, None]
     graded = c[:, None] + side * np.geomspace(side[:, 0] * (a - c), side[:, 0] * (b - c), 5, axis=-1)
     graded[:, 0], graded[:, -1] = a, b
-    edges = [None] * lo.size
-    for mask, rows in ((log, np.linspace(x_lo[log], x_hi[log], 3, axis=-1)), (~log, graded)):
-        for i, row in zip(np.flatnonzero(mask).tolist(), rows):
-            edges[i] = row
-    return edges
+    edges = np.zeros((lo.size, 5))
+    # 2 panels of equal width, split where np.linspace puts the midpoint
+    edges[log, :3] = np.array([x_lo, x_lo + (x_hi - x_lo) / 2.0, x_hi]).T[log]
+    edges[~log] = graded
+    return _panel_table(edges, np.where(log, 3, 5))
 
 
 # ---------------------------------------------------------------------------

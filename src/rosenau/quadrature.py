@@ -23,7 +23,8 @@ the rounding of that phase), and bisects only the others.  Its one failure
 policy is IntegrabilityError: in the round that produces a non-finite
 value, and at the round cap for a piece still unresolved, with that piece's
 estimate and error estimate; it never returns a value it did not resolve.
-It takes several partitions, the pieces of one call, each with its own
+It takes the pieces of one call as one flat table of starting panels, so
+no caller and no round loops over pieces in Python, each piece with its own
 budget max(rel_tol * |piece estimate|, its abs_tol) shared out by width, so
 each piece gets what it would get alone.  The panel rule receives the piece
 label of every pending panel, so the pieces may differ in a parameter: the
@@ -39,7 +40,8 @@ the m = 1 case.  Its callers and their round caps:
 
 * ``integrate_radial``, over a finite [lo, hi] cut at given kinks and once
   per decade, 17 rounds; arrays of interval ends, or of a parameter per
-  interval, make the intervals the pieces of one refinement;
+  interval, make the intervals the pieces of one refinement, and a run of
+  repeated intervals, like moments.fluctuation's 96, shares one partition;
 * ``integrate_levin``, 30 rounds;
 * norms.oscillatory_integrals, through _kronrod_refine (17 rounds) and
   integrate_levin, and wellposed, through _kronrod_refine (30 rounds) on
@@ -249,18 +251,33 @@ def _piece_sums(x: np.ndarray, piece: np.ndarray, n_pieces: int) -> np.ndarray:
     return sums
 
 
-def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
-    """Bisect the panels of one or more partitions until each meets its share
+def _panel_table(edges, count=None) -> tuple:
+    """The panel table (see _refine) of the partitions edges[i, :count[i]],
+    one piece per row of the (pieces, m) array edges, all m edges of a row
+    by default; one partition makes one piece."""
+    edges = np.atleast_2d(np.asarray(edges, dtype=float))
+    rows, m = edges.shape
+    count = np.full(rows, m) if count is None else np.asarray(count)
+    if (count < 2).any():
+        raise InputDomainError("edges must be strictly increasing with >= 2 entries")
+    keep = np.arange(m - 1) < (count - 1)[:, None]
+    length = edges[np.arange(rows), count - 1] - edges[:, 0]
+    return edges[:, :-1][keep], edges[:, 1:][keep], np.arange(rows).repeat(count - 1), length
+
+
+def _refine(rule, panels: tuple, rel_tol: float, abs_tol, max_rounds: int):
+    """Bisect the panels of one or more pieces until each meets its share
     of its piece's budget.
 
-    pieces is a list of partitions, each a strictly increasing edge array,
-    and abs_tol a number, one per piece or, for m rows, an (m, pieces)
-    array, so that each row keeps its own budget.  rule(lo, hi, piece) gets
-    the pending panels and the piece label of each, so that a rule can give
-    each piece its own parameter (a time, a frequency), and returns
-    per-panel (values, errors, floors), each of shape (panels,) or, for m
-    integrands sharing the nodes, (m, panels).  Every pending panel carries
-    the label of its piece, and each piece keeps its own budget
+    panels is the table (lo, hi, piece, length) of the starting panels:
+    their ends and piece labels 0..pieces-1, grouped by piece in label
+    order and left to right, and each piece's length.  abs_tol is a
+    number, one per piece or, for m rows, an (m, pieces) array, so that
+    each row keeps its own budget.  rule(lo, hi, piece) gets the pending
+    panels and the piece label of each, so that a rule can give each piece
+    its own parameter (a time, a frequency), and returns per-panel
+    (values, errors, floors), each of shape (panels,) or, for m integrands
+    sharing the nodes, (m, panels).  Each piece keeps its own budget
     max(rel_tol * |piece estimate|, its abs_tol) per row.  A row of a panel
     meets its share when its error is below the share of its piece's budget
     proportional to the panel's width within the piece, or below its floor
@@ -275,19 +292,11 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     the number of pieces, and a single piece is refined as if it were
     alone.
     """
-    pieces = [np.asarray(edges, dtype=float) for edges in pieces]
-    malformed = InputDomainError("edges must be strictly increasing with >= 2 entries")
-    if any(edges.ndim != 1 or edges.size < 2 for edges in pieces):
-        raise malformed
-    pend_lo = np.concatenate([edges[:-1] for edges in pieces])
-    pend_hi = np.concatenate([edges[1:] for edges in pieces])
-    if np.any(pend_hi <= pend_lo):
-        raise malformed
-    n_pieces = len(pieces)
-    piece_len = np.array([edges[-1] - edges[0] for edges in pieces])
+    pend_lo, pend_hi, pend_piece, piece_len = panels
+    n_pieces = piece_len.size
+    if (pend_hi <= pend_lo).any():
+        raise InputDomainError("edges must be strictly increasing with >= 2 entries")
     abs_floor = np.maximum(np.asarray(abs_tol, dtype=float), 1e-300)
-
-    pend_piece = np.repeat(np.arange(n_pieces), [edges.size - 1 for edges in pieces])
 
     acc_lo: list[np.ndarray] = []
     acc_piece: list[np.ndarray] = []
@@ -341,7 +350,8 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
     if failed.size:
         # the first unresolved piece, and its first unresolved row
         index, row = failed[0]
-        lo, hi = pieces[index][[0, -1]]
+        first, last = panels[2].searchsorted([index, index + 1])
+        lo, hi = panels[0][first], panels[1][last - 1]
         raise IntegrabilityError(
             f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {max_rounds} rounds: "
             f"estimate {value.reshape(-1, n_pieces)[row, index]:.17g} "
@@ -351,7 +361,7 @@ def _refine(rule, pieces, rel_tol: float, abs_tol, max_rounds: int):
 
 
 def _kronrod_refine(
-    fn, pieces, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, phase=None
+    fn, panels: tuple, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, phase=None
 ):
     """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
 
@@ -365,21 +375,24 @@ def _kronrod_refine(
     """
     if t is not None:
         t = np.asarray(t, dtype=float)
-    phase = np.broadcast_to(0.0 if phase is None else np.asarray(phase, dtype=float), (len(pieces),))
+    phase = np.broadcast_to(0.0 if phase is None else np.asarray(phase, dtype=float), panels[3].shape)
     rounding = np.maximum(_ROUNDING, np.finfo(float).eps * phase)
 
     def rule(lo, hi, piece):
         val, err = panel_integrals(fn, lo, hi, None if t is None else t[piece])
         return val, err, rounding[piece] * np.abs(val)
 
-    return _refine(rule, pieces, rel_tol, abs_tol, max_rounds)
+    return _refine(rule, panels, rel_tol, abs_tol, max_rounds)
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """The values sorted, each once: np.unique without the numpy.ma import
-    that its first call costs."""
-    values = np.sort(values)
-    return values[np.concatenate([[True], np.diff(values) > 0])]
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each run of equal entries of the key arrays, and
+    each entry's run number: repeats in a row share a run, without a sort."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new.nonzero()[0], new.cumsum() - 1
 
 
 def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
@@ -395,7 +408,7 @@ def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
         cuts.insert(1, cuts[1] * 10.0**-_ORIGIN_DECADES)
     bottom = cuts[1] if lo == 0.0 else lo
     decades = 10.0 ** np.arange(math.floor(math.log10(bottom)), math.ceil(math.log10(hi)) + 1)
-    return _sorted_unique(np.concatenate([cuts, decades[(decades > bottom) & (decades < hi)]]))
+    return np.array(sorted({*cuts, *decades[(decades > bottom) & (decades < hi)].tolist()}))
 
 
 def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
@@ -419,12 +432,16 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     non-finite value (see _refine).
     """
     ends = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, param) if v is not None))
-    intervals = list(zip(*(v.ravel().tolist() for v in ends[:2])))
-    # intervals that differ only in their parameter share one partition
-    edges = {ab: _radial_edges(*ab, kinks) for ab in dict.fromkeys(intervals)}
-    pieces = [edges[ab] for ab in intervals]
+    lo_all, hi_all = (v.ravel() for v in ends[:2])
+    # repeated intervals, differing only in their parameter, share one partition
+    first, row = _runs(lo_all, hi_all)
+    parts = [_radial_edges(a, b, kinks) for a, b in zip(lo_all[first].tolist(), hi_all[first].tolist())]
+    # each run's partition padded with its last edge to one width
+    count = np.array([part.size for part in parts])
+    edges = np.array([np.concatenate([part, part[-1:].repeat(count.max() - part.size)]) for part in parts])
+    panels = _panel_table(edges[row], count[row])
     t = None if param is None else ends[2].ravel()
-    value, _ = _kronrod_refine(fn, pieces, rel_tol, max_rounds=_RADIAL_ROUNDS, t=t)
+    value, _ = _kronrod_refine(fn, panels, rel_tol, max_rounds=_RADIAL_ROUNDS, t=t)
     if np.ndim(lo) or np.ndim(hi) or np.ndim(param):
         return value
     value = value[..., 0]
@@ -570,10 +587,10 @@ def _levin_chunk(g, phase, omega, lo, hi):
     return value.reshape(shape), error.reshape(shape), floor.reshape(shape)
 
 
-def integrate_levin(g, phase, omega, pieces: list, rel_tol: float, abs_tol=0.0):
-    """Integrals of g(r) e^(i omega f(r)) over each partition of the list
-    pieces by Levin collocation, the pieces of one refinement, each held to
-    its own budget.
+def integrate_levin(g, phase, omega, panels: tuple, rel_tol: float, abs_tol=0.0):
+    """Integrals of g(r) e^(i omega f(r)) over each piece of the panel table
+    panels (see _refine) by Levin collocation, the pieces of one
+    refinement, each held to its own budget.
 
     g may be complex, and may return an (m, nodes) array for m rows that
     share the partitions, every node and every panel: each Levin panel is
@@ -591,9 +608,9 @@ def integrate_levin(g, phase, omega, pieces: list, rel_tol: float, abs_tol=0.0):
     IntegrabilityError on non-finite values and singular panels, and on a
     piece still unresolved after the last round.
     """
-    omegas = np.broadcast_to(np.asarray(omega, dtype=float), (len(pieces),))
+    omegas = np.broadcast_to(np.asarray(omega, dtype=float), panels[3].shape)
 
     def rule(lo, hi, piece):
         return _levin_panels(g, phase, omegas[piece], lo, hi)
 
-    return _refine(rule, pieces, rel_tol, abs_tol, _MAX_ROUNDS)
+    return _refine(rule, panels, rel_tol, abs_tol, _MAX_ROUNDS)

@@ -29,7 +29,7 @@ import numpy as np
 from .artifacts import write_columns
 from .errors import InputDomainError, PreconditionError
 from .model import ModelParams, unit_sphere_area
-from .quadrature import _kronrod_refine
+from .quadrature import _kronrod_refine, _panel_table
 from .records import Record
 
 __all__ = [
@@ -133,8 +133,8 @@ def sobolev_equivalence_check(params: ModelParams, u_hat, dim: int) -> tuple[flo
         vals = np.abs(np.asarray(u_hat(r))) ** 2
         return (1.0 + r ** (2.0 * (4.0 - params.theta))) * vals * r ** (dim - 1)
 
-    lhs = area * float(_kronrod_refine(lhs_density, [_EDGES], 1e-10)[0][0])
-    base = area * float(_kronrod_refine(base_density, [_EDGES], 1e-10)[0][0])
+    lhs = area * float(_kronrod_refine(lhs_density, _panel_table(_EDGES), 1e-10)[0][0])
+    base = area * float(_kronrod_refine(base_density, _panel_table(_EDGES), 1e-10)[0][0])
     return float(lhs), float(scan.m_lower * base), float(scan.m_upper * base)
 
 
@@ -155,7 +155,7 @@ def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int) -> float
         skew = v * np.conj(u) - u * np.conj(v)
         return weight * skew.real * r ** (dim - 1)
 
-    return area * float(_kronrod_refine(residual_density, [_EDGES], 1e-9, abs_tol=1e-14)[0][0])
+    return area * float(_kronrod_refine(residual_density, _panel_table(_EDGES), 1e-9, abs_tol=1e-14)[0][0])
 
 
 def write_multiplier_csv(scan: MultiplierScan, path) -> None:

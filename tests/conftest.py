@@ -6,9 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from rosenau import norms
 from rosenau.evolution import propagator
-from rosenau.model import dispersion_derivatives, eval_dispersion
-from rosenau.quadrature import _kronrod_refine
+from rosenau.model import dispersion_derivatives, dispersion_expansion, eval_dispersion
+from rosenau.quadrature import _kronrod_refine, _panel_table
 
 from rosenau import (
     ModelParams,
@@ -32,12 +33,94 @@ EXPANSION_CELLS = [
 ] + [(2.0, 0.0, 3.0, 0.5), (2.0, 0.0, 3.0, 1.0)]
 
 
+def panels(*partitions):
+    """The panel table (see quadrature._refine) of one piece per partition,
+    each a sequence of edges."""
+    count = [len(edges) for edges in partitions]
+    rows = np.zeros((len(partitions), max(count)))
+    for row, edges in zip(rows, partitions):
+        row[: len(edges)] = edges
+    return _panel_table(rows, count)
+
+
+def partitions(table):
+    """The edges of each piece of a panel table: its panels' lower ends and
+    the last upper end."""
+    lo, hi, piece, length = table
+    last = np.append(piece[1:] != piece[:-1], True)
+    return [np.append(lo[piece == k], hi[last][k]) for k in range(length.size)]
+
+
 def k21_refine(fn, edges, rel_tol, abs_tol=0.0, max_rounds=30):
     """(value, error) of the K21 refinement of fn on one partition, as
     floats: the reference refinement of the oracles below, raising
     IntegrabilityError when it does not resolve fn within max_rounds."""
-    value, error = _kronrod_refine(fn, [edges], rel_tol, abs_tol, max_rounds)
+    value, error = _kronrod_refine(fn, panels(edges), rel_tol, abs_tol, max_rounds)
     return float(value[0]), float(error[0])
+
+
+SEGMENT_KINDS = {norms._SLOW: "slow", norms._WINDOW: "window", norms._FAST: "fast"}
+
+
+def segments_by_time(table, times=1):
+    """A table of norms.oscillation_segments as one list of (lo, hi, kind)
+    per time, kind named, for times times."""
+    out = [[] for _ in range(times)]
+    for i, lo, hi, kind in zip(*(column.tolist() for column in table)):
+        out[i].append((lo, hi, SEGMENT_KINDS[kind]))
+    return out
+
+
+def reference_segments(params, t, lo, hi):
+    """The segments of [lo, hi] at one time t > 0 as a list of (lo, hi,
+    kind), enumerated one region and one window at a time: the reference
+    that the table of norms.oscillation_segments is checked against."""
+    expansion = dispersion_expansion(params)
+    if not (hi > lo and t > 0):
+        return [(lo, hi, "slow")] if hi > lo else []
+    bottom = min(1e-10, norms._PHASE_SLOW / (t * expansion.low_coefficient), hi)
+    r = np.concatenate([[lo], np.geomspace(max(lo, bottom), hi, 256)])
+    slow = t * eval_dispersion(params, r) <= norms._PHASE_SLOW
+    cuts = [lo, *r[1:][slow[1:] != slow[:-1]].tolist(), hi]
+    widths = np.sqrt(norms._WINDOW_PHASE / np.maximum(np.abs(expansion.curvatures), 1e-300)).tolist()
+    segments = []
+    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if b <= a:
+            continue
+        if slow[0] == (k % 2 == 0):
+            segments.append((a, b, "slow"))
+            continue
+        cursor = a
+        for r_star, width in zip(expansion.stationary_points, widths):
+            if not a < r_star < b:
+                continue
+            h_window = max(min(0.25, width * t**-0.5), 1e-12 * r_star)
+            w_lo, w_hi = max(cursor, r_star - h_window), min(b, r_star + h_window)
+            if w_lo > cursor:
+                segments.append((cursor, w_lo, "fast"))
+            if w_hi > w_lo:
+                segments.append((w_lo, w_hi, "window"))
+            cursor = max(cursor, w_hi)
+        if cursor < b:
+            segments.append((cursor, b, "fast"))
+    return segments
+
+
+def reference_pieces(params, times, rows, kinks):
+    """The slow and the fast pieces of norms.oscillatory_integrals at each
+    time, one row of cuts each, as two lists of (time index, band k, lo,
+    hi): every segment of reference_segments cut at each band of its row
+    and at the kinks inside it, a fast one also at norms._R_LOG, enumerated
+    time by time, segment by segment, band by band."""
+    slow, fast = [], []
+    for i, (t, row) in enumerate(zip(times, rows)):
+        for seg_lo, seg_hi, kind in reference_segments(params, t, row[0], row[-1]):
+            pieces, stops = (fast, [*kinks, norms._R_LOG]) if kind == "fast" else (slow, kinks)
+            for k, (a, b) in enumerate(zip(row[:-1], row[1:])):
+                lo, hi = max(seg_lo, a), min(seg_hi, b)
+                inner = sorted({c for c in stops if lo < c < hi})
+                pieces += [(i, k, p, q) for p, q in zip([lo, *inner], [*inner, hi]) if q > p]
+    return slow, fast
 
 
 def profile_data(w0, w1, dim, w0_tail=None, w1_tail=None):

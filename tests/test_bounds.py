@@ -20,7 +20,6 @@ from rosenau import (
     weighted_gaussian_constant,
 )
 from rosenau.bounds import log_band_main_term, write_envelope_json
-from rosenau.moments import l2_norm_sq
 
 from conftest import k21_refine, phase_edges
 
@@ -279,13 +278,13 @@ class TestEnvelopes:
     def test_sandwich_1d(self, moments_1d, gauss_data_1d, t):
         spec_sq = 2.0 * math.pi * norm_squared(P1, gauss_data_1d, t)
         low = lower_envelope(P1, SINC, moments_1d, 0.0, t, 1)
-        u1_l2 = math.sqrt(l2_norm_sq(gaussian_profile(1)))
+        u1_l2 = math.sqrt(moments_1d.l2_sq)
         up = upper_envelope(P1, SINC, moments_1d.l1, u1_l2, 0.0, t, 1)
         assert low <= 2.0 * spec_sq
         assert 2.0 * spec_sq <= up  # even the doubled norm stays below the ceiling
 
     def test_upper_log_rate_2d(self, moments_2d):
-        u1_l2 = math.sqrt(l2_norm_sq(gaussian_profile(2)))
+        u1_l2 = math.sqrt(moments_2d.l2_sq)
         ratios = [
             upper_envelope(P2, SINC, moments_2d.l1, u1_l2, 0.0, t, 2) / math.log(t)
             for t in (1e4, 1e6)
@@ -313,7 +312,7 @@ class TestEnvelopes:
 
 class TestEnvelopeReport:
     def test_components_present_1d(self, moments_1d, tmp_path):
-        u1_l2 = math.sqrt(l2_norm_sq(gaussian_profile(1)))
+        u1_l2 = math.sqrt(moments_1d.l2_sq)
         report = envelope_report(P1, SINC, moments_1d, 0.0, u1_l2, 0.0, 1e3)
         for name in ("I_l", "I_l_floor", "R_l", "R_l_ceiling", "lower_envelope", "upper_envelope"):
             assert name in report.components
@@ -326,7 +325,7 @@ class TestEnvelopeReport:
         assert payload["components"]["I_l"]["provenance"] == "quadrature"
 
     def test_components_present_2d(self, moments_2d):
-        u1_l2 = math.sqrt(l2_norm_sq(gaussian_profile(2)))
+        u1_l2 = math.sqrt(moments_2d.l2_sq)
         report = envelope_report(P2, SINC, moments_2d, 0.0, u1_l2, 0.0, 1e3)
         for name in ("T1", "T2", "T2_bound", "K0", "lower_envelope", "upper_envelope"):
             assert name in report.components

@@ -19,6 +19,7 @@ from rosenau import (
     second_derivative_bound,
     unit_sphere_area,
 )
+from rosenau import model
 from rosenau.model import dispersion_expansion, dispersion_slope
 
 from conftest import EXPANSION_CELLS
@@ -223,13 +224,39 @@ class TestDispersionExpansion:
 
     def test_stationary_points_found_once_per_params(self):
         params = ModelParams(0.75, 1.25, 1.5, 2.0, 1)
-        dispersion_expansion.cache_clear()
+        model._expansion.cache_clear()
         for t in (1e2, 1e4, 1e6):
             band_split_norm(params, gaussian_velocity_data(1), t)
             norm_squared(ModelParams(0.75, 1.25, 1.5, 2.0, 1), gaussian_velocity_data(1), t)
-        info = dispersion_expansion.cache_info()
+        info = model._expansion.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert info.hits > 0
+
+    def test_one_cache_entry_for_every_dimension(self):
+        # no field of the expansion depends on dim
+        model._expansion.cache_clear()
+        laws = {dispersion_expansion(ModelParams(0.7, 1.3, 2.1, 1.5, dim)) for dim in range(1, 6)}
+        assert len(laws) == 1
+        assert model._expansion.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("cell", EXPANSION_CELLS + [(1.0, 0.1, 1.0, 1.5)])
+    def test_slope_changes_sign_at_each_stationary_point(self, cell):
+        # the form whose sign is that of f', in the float arithmetic of the
+        # bisection, is nonzero at r* and of the other sign or zero one float
+        # above it
+        de, mu, ka, th = cell
+
+        def slope(r):
+            s = r * r
+            return 2.0 * mu * s + ka + de * s**th * ((2.0 - th) * mu * s + (1.0 - th) * ka)
+
+        roots = dispersion_expansion(ModelParams(*cell, 1)).stationary_points
+        assert all(type(r) is float for r in roots)
+        for root in roots:
+            at, after = slope(root), slope(math.nextafter(root, math.inf))
+            assert at != 0.0 and at * after <= 0.0
+        if cell in [(4.0, 0.1, 1.0, 1.5), (1.0, 0.1, 1.0, 1.5)]:
+            assert len(roots) == 2
 
     @pytest.mark.parametrize(
         "params,expected",
@@ -304,6 +331,29 @@ class TestBands:
     def test_rejects_small_time(self):
         with pytest.raises(PreconditionError):
             band_boundaries(P_DEFAULT, SINC, 2.0)
+
+    def test_array_of_times_matches_one_time_at_a_time(self):
+        times = np.geomspace(3.0, 1e12, 41)
+        bands = band_boundaries(P_DEFAULT, SINC, times)
+        for k, t in enumerate(times.tolist()):
+            alone = band_boundaries(P_DEFAULT, SINC, t)
+            assert type(alone.beta) is float
+            assert (alone.beta, alone.gamma_band, alone.t) == (bands.beta[k], bands.gamma_band[k], bands.t[k])
+
+    @pytest.mark.parametrize("bad", [2.0, math.e, -1.0, math.nan, math.inf])
+    def test_array_raises_at_the_first_bad_time(self, bad):
+        times = np.array([10.0, 1e3, bad, 0.5, 1e4])
+        with pytest.raises(PreconditionError, match=f"got t = {bad}"):
+            band_boundaries(P_DEFAULT, SINC, times)
+
+    def test_array_raises_where_beta_exceeds_one(self):
+        # sqrt(mu + kappa) = 0.1: beta(t) = 9 / t exceeds 1 below t = 9
+        params = ModelParams(1.0, 0.005, 0.005, 2.0, 1)
+        with pytest.raises(PreconditionError, match="t = 5.0 too small"):
+            band_boundaries(params, SINC, np.array([20.0, 5.0, 2.0]))
+        with pytest.raises(PreconditionError, match="need t > e, got t = 2.0"):
+            band_boundaries(params, SINC, np.array([20.0, 2.0, 5.0]))
+        assert np.all(band_boundaries(params, SINC, np.array([9.0, 20.0])).beta <= 1.0)
 
     def test_scaled_radii_are_time_free(self):
         vals_beta = []

@@ -13,11 +13,13 @@ from rosenau import (
     TailBound,
     fluctuation,
     gaussian_profile,
-    l1_norm,
+    l1_norm_and_l2_sq,
 )
 from rosenau import quadrature
 from rosenau.model import unit_sphere_area
 from rosenau.moments import _kernel_minus_one, _moment_constant, _radial_integral
+
+from conftest import panels
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
 
@@ -180,6 +182,28 @@ class TestFluctuation:
 
 
 class TestPanelFluctuation:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_96_pieces_refine_as_their_listed_partitions_did(self, dim, monkeypatch):
+        # the flat panel table of the 96 frequencies, one shared partition,
+        # is the partition listed once per frequency, and _refine gives the
+        # same values from it bit for bit
+        calls = []
+        refine = quadrature._kronrod_refine
+
+        def recorded(fn, table, *args, **kwargs):
+            calls.append((fn, table, args, kwargs, refine(fn, table, *args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(quadrature, "_kronrod_refine", recorded)
+        u1 = gaussian_profile(dim)
+        fluctuation(u1, np.geomspace(1e-3, 50.0, 96))
+        ((fn, table, args, kwargs, value),) = calls
+        listed = panels(*[quadrature._radial_edges(0.0, u1.upper_limit(), u1.kinks)] * 96)
+        for column, expected in zip(table, listed):
+            assert np.array_equal(column, expected)
+        again = refine(fn, listed, *args, **kwargs)
+        assert np.array_equal(again[0], value[0]) and np.array_equal(again[1], value[1])
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gaussian_closed_form_on_the_default_grid(self, dim):
         # u1 = e^(-|x|^2) has the transform pi^(n/2) e^(-rho^2/4)
@@ -341,7 +365,7 @@ class TestWeightedNorm:
     def test_small_gamma_limit(self):
         profile = gaussian_profile(1)
         val = weighted_l1_norm(profile, 1e-6)
-        assert val == pytest.approx(2.0 * l1_norm(profile), rel=1e-4)
+        assert val == pytest.approx(2.0 * l1_norm_and_l2_sq(profile)[0], rel=1e-4)
 
     def test_indicator(self):
         assert weighted_l1_norm(indicator_profile(), 1.0) == pytest.approx(3.0, rel=1e-10)
@@ -349,7 +373,7 @@ class TestWeightedNorm:
     def test_dominates_plain_l1(self):
         for gamma in (0.25, 0.6, 1.0):
             profile = gaussian_profile(2, a=0.7)
-            assert weighted_l1_norm(profile, gamma) >= l1_norm(profile)
+            assert weighted_l1_norm(profile, gamma) >= l1_norm_and_l2_sq(profile)[0]
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(InputDomainError):
@@ -387,8 +411,8 @@ class TestMomentBound:
 
 class TestDecomposition:
     def test_integrates_each_norm_once(self, monkeypatch):
-        # P, ||u1||_1 and ||u1||_{1,gamma} as three rows of one radial
-        # integral, and A on the frequency grid in one more
+        # P, ||u1||_1, ||u1||_{1,gamma} and ||u1||_2^2 as four rows of one
+        # radial integral, and A on the frequency grid in one more
         from rosenau import moments
 
         calls = []
@@ -405,9 +429,28 @@ class TestDecomposition:
         wnorm = _radial_integral(gaussian_profile(1), lambda u, r: (1.0 + r) * np.abs(u))
         assert dec.m_constant == _moment_constant(gaussian_profile(1), 1.0, moments._DEFAULT_M_GRID, wnorm)
         # each row as it is alone
-        assert dec.l1 == l1_norm(gaussian_profile(1))
+        assert dec.l1 == _radial_integral(gaussian_profile(1), moments._absolute)
         assert dec.p_moment == zeroth_moment(gaussian_profile(1))
         assert dec.weighted_norm == wnorm
+        assert dec.l2_sq == _radial_integral(gaussian_profile(1), moments._squared)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_l1_and_l2_as_two_rows_of_one_call(self, dim, monkeypatch):
+        from rosenau import moments
+
+        calls = []
+        integrate_radial = moments.integrate_radial
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_radial(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "integrate_radial", counted)
+        l1, l2_sq = l1_norm_and_l2_sq(gaussian_profile(dim))
+        assert len(calls) == 1
+        # u1 = e^(-|x|^2): ||u1||_1 = pi^(n/2), ||u1||_2^2 = (pi/2)^(n/2)
+        assert l1 == pytest.approx(math.pi ** (dim / 2), rel=1e-12)
+        assert l2_sq == pytest.approx((math.pi / 2) ** (dim / 2), rel=1e-12)
 
     def test_norm_chain(self):
         dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)

@@ -25,7 +25,7 @@ from rosenau import (
     total_energy_grid,
     write_norm_trace_csv,
 )
-from rosenau import norms
+from rosenau import model, norms
 from rosenau.catalog import data_from_spec
 from rosenau.norms import (
     DEFAULT_QUADRATURE,
@@ -45,7 +45,17 @@ from rosenau.model import (
 )
 from rosenau.records import replace
 
-from conftest import EXPANSION_CELLS, k21_refine, phase_edges, profile_data
+from conftest import (
+    EXPANSION_CELLS,
+    k21_refine,
+    panels,
+    partitions,
+    phase_edges,
+    profile_data,
+    reference_pieces,
+    reference_segments,
+    segments_by_time,
+)
 
 P1 = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 P2 = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -387,6 +397,12 @@ _PHASE_RESOLVED_CASES = [
 ] + [("gaussian", 1, 1e3), ("gaussian", 2, 1e3), ("high-band", 1, 2e3), ("high-band", 1, 2e4)]
 
 
+def _fast_only(table):
+    """The fast segments of a table of oscillation_segments."""
+    fast = table[3] == norms._FAST
+    return tuple(column[fast] for column in table)
+
+
 class TestOscillatoryPath:
     @pytest.mark.parametrize("name,dim,t", _PHASE_RESOLVED_CASES)
     def test_matches_phase_resolved_path(self, name, dim, t):
@@ -406,7 +422,7 @@ class TestOscillatoryPath:
         # for smaller t
         for t, hi in [(10.0, 14.0), (1e2, 14.0), (1e4, 14.0), (1e9, 14.0),
                       (1e12, 8e-11), (1e13, 5e-11), (1e30, 1e-11)]:
-            segments = oscillation_segments(P1, t, 0.0, hi)
+            (segments,) = segments_by_time(oscillation_segments(P1, t, 0.0, hi))
             assert segments[0][0] == 0.0 and segments[-1][1] == hi
             for (_, b, _), (a, _, _) in zip(segments[:-1], segments[1:]):
                 assert a == b
@@ -421,15 +437,12 @@ class TestOscillatoryPath:
                     fp, _ = dispersion_derivatives(P1, np.linspace(a, b, 1001)[1:])
                     assert np.all(fp > 0) or np.all(fp < 0)
         # below t f = 16 pi everywhere, the whole interval is slow
-        assert oscillation_segments(P1, 10.0, 0.0, 14.0) == [(0.0, 14.0, "slow")]
+        assert segments_by_time(oscillation_segments(P1, 10.0, 0.0, 14.0)) == [[(0.0, 14.0, "slow")]]
 
     def test_fast_segment_cost_does_not_grow_with_t(self, monkeypatch):
         # the driver integrates only the fast segments of [0, 6.4]
         segments = norms.oscillation_segments
-        monkeypatch.setattr(
-            norms, "oscillation_segments",
-            lambda *args: [[s for s in row if s[2] == "fast"] for row in segments(*args)],
-        )
+        monkeypatch.setattr(norms, "oscillation_segments", lambda *args: _fast_only(segments(*args)))
         counts = {}
         for t in (1e3, 1e9):
             calls = []
@@ -452,10 +465,7 @@ class TestOscillatoryPath:
         # of their count at t = 1e3 up to t = 1e12, where the fast segments
         # start near 16 pi / t
         segments = norms.oscillation_segments
-        monkeypatch.setattr(
-            norms, "oscillation_segments",
-            lambda *args: [[s for s in row if s[2] == "fast"] for row in segments(*args)],
-        )
+        monkeypatch.setattr(norms, "oscillation_segments", lambda *args: _fast_only(segments(*args)))
         params = ModelParams(1.0, 1.0, 1.0, theta, dim)
         base = gaussian_velocity_data(dim)
         calls = []
@@ -482,14 +492,15 @@ class TestOscillatoryPath:
         params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
         data = compact_band_data(dim, r_lo, 3.0)
         t = 1e4
-        assert any(a < r_lo < b and kind == "fast" for a, b, kind in oscillation_segments(params, t, 0.0, 3.0))
+        (segments,) = segments_by_time(oscillation_segments(params, t, 0.0, 3.0))
+        assert any(a < r_lo < b and kind == "fast" for a, b, kind in segments)
         radii, levin_rounds = [], []
         kronrod_refine, levin = norms._kronrod_refine, norms.integrate_levin
 
-        def recorded_kronrod(fn, pieces, *args, t=None, **kwargs):
+        def recorded_kronrod(fn, table, *args, t=None, **kwargs):
             # the slow pieces come with their times and in r, the fast ones in x
-            radii.extend(p if t is not None else norms._fast_radius(p)[0] for p in pieces)
-            return kronrod_refine(fn, pieces, *args, t=t, **kwargs)
+            radii.extend(p if t is not None else norms._fast_radius(p)[0] for p in partitions(table))
+            return kronrod_refine(fn, table, *args, t=t, **kwargs)
 
         def recorded_levin(g, *args, **kwargs):
             def counted(x):
@@ -575,7 +586,8 @@ def _bands_piece_by_piece(params, data, t, cuts):
         return eval_dispersion(params, r), dispersion_derivatives(params, r)[0] * dr
 
     bands = np.zeros(len(cuts) - 1)
-    for seg_lo, seg_hi, kind in oscillation_segments(params, t, cuts[0], cuts[-1]):
+    (segments,) = segments_by_time(oscillation_segments(params, t, cuts[0], cuts[-1]))
+    for seg_lo, seg_hi, kind in segments:
         stops = [*data.kinks, norms._R_LOG] if kind == "fast" else list(data.kinks)
         for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
             lo, hi = max(seg_lo, a), min(seg_hi, b)
@@ -586,19 +598,19 @@ def _bands_piece_by_piece(params, data, t, cuts):
                 if kind != "fast":
                     phase_bound = 2.0 * t * max(eval_dispersion(params, p), eval_dispersion(params, q))
                     value, _ = norms._kronrod_refine(
-                        lambda r, _t: integrand(r), [np.linspace(p, q, 17)], rel_tol,
+                        lambda r, _t: integrand(r), panels(np.linspace(p, q, 17)), rel_tol,
                         t=[t], phase=[phase_bound],
                     )
                     bands[k] += value[0]
                     continue
-                (edges,) = norms.fast_segment_edges([p], [q], dispersion_expansion(params).stationary_points)
+                (edges,) = partitions(norms.fast_segment_edges([p], [q], dispersion_expansion(params).stationary_points))
                 mean = norms._in_fast_coordinate(lambda r: norms._mean_density(params, data, r))
                 level, _ = k21_refine(mean, edges, rel_tol)
                 (osc,), _ = integrate_levin(
                     norms._in_fast_coordinate(lambda r: norms._oscillating_coefficient(params, data, r)),
                     phase,
                     2.0 * t,
-                    [edges],
+                    panels(edges),
                     rel_tol,
                     rel_tol * abs(level),
                 )
@@ -776,13 +788,13 @@ class TestRootFinder:
         for de, mu, ka in self.PARAMS:
             params = ModelParams(de, mu, ka, theta, 1)
             dispersion_expansion(params)
-            misses = dispersion_expansion.cache_info().misses
+            misses = model._expansion.cache_info().misses
             for t in (1e2, 1e4, 1e6):
                 for lo, hi in ((0.0, 14.0), (0.3, 5.0)):
-                    segments = oscillation_segments(params, t, lo, hi)
+                    (segments,) = segments_by_time(oscillation_segments(params, t, lo, hi))
                     assert segments[0][0] == lo and segments[-1][1] == hi
                     kinds.update(kind for *_, kind in segments)
-            assert dispersion_expansion.cache_info().misses == misses
+            assert model._expansion.cache_info().misses == misses
         assert {"slow", "fast"} <= kinds
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
@@ -801,8 +813,8 @@ class TestRootFinder:
             for de, mu, ka in self.PARAMS:
                 params = ModelParams(de, mu, ka, theta, 1)
                 for t in (1e2, 1e4, 1e6):
-                    out += oscillation_segments(params, t, 0.0, 14.0)
-                    out += oscillation_segments(params, t, 0.3, 5.0)
+                    out += segments_by_time(oscillation_segments(params, t, 0.0, 14.0))[0]
+                    out += segments_by_time(oscillation_segments(params, t, 0.3, 5.0))[0]
             return out
 
         roots = cuts()
@@ -848,6 +860,31 @@ class TestCoarseEstimate:
             norms._coarse_estimate(P2, data, np.geomspace(1e2, 1e6, size), 6.0)
             counts.append(list(calls))
         assert counts[0] == counts[1] == [256 * 21, 256 * 21]
+
+
+class TestResolveRMax:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-12])
+    def test_matches_the_search_one_time_at_a_time(self, dim, rel_tol):
+        # each time's first radius r0 1.2^k whose tail bound meets its own
+        # target, searched alone as a loop over k
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = data_from_spec("gaussian", dim, a=2.0, amplitude=1.0)
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        times = np.concatenate([[0.0, 0.5], norms.geometric_times(1.0, 1e12, 3)])
+        expansion = dispersion_expansion(params)
+        start = max(4.0, *(math.sqrt(10.0 / tail.rate) for tail in (data.w0_tail, data.w1_tail) if tail.kind == "gaussian"))
+        targets = rel_tol / 10.0 * np.maximum(norms._coarse_estimate(params, data, times, start), 1e-280)
+        expected = []
+        for t, target in zip(times.tolist(), targets.tolist()):
+            r0 = start
+            while float(norms._tail_bound(expansion, data, r0, t)) > target:
+                r0 *= 1.2
+            expected.append(r0)
+        got = _resolve_r_max(params, data, times, cfg)
+        assert got.tolist() == expected
+        assert len(set(expected)) > 1 or rel_tol > 1e-12
+        assert [_resolve_r_max(params, data, t, cfg) for t in times.tolist()] == expected
 
 
 class TestTailCeiling:
@@ -941,7 +978,7 @@ class TestFastSegmentEdges:
         best = math.inf
         for _ in range(3):
             start = time.perf_counter()
-            (edges,) = norms.fast_segment_edges([lo], [0.2])
+            (edges,) = partitions(norms.fast_segment_edges([lo], [0.2]))
             best = min(best, time.perf_counter() - start)
         assert best < 0.01
         r_ends = norms._fast_radius(edges[[0, -1]])[0]
@@ -951,12 +988,12 @@ class TestFastSegmentEdges:
     def test_graded_towards_the_anchor(self):
         # edges geometric in the distance from the nearest centre, which lies
         # outside the piece; without centres, geometric in r
-        right, left, far = norms.fast_segment_edges([1.6, 0.5, 9.0], [6.0, 1.4, 12.0], (1.5, 8.0))
+        right, left, far = partitions(norms.fast_segment_edges([1.6, 0.5, 9.0], [6.0, 1.4, 12.0], (1.5, 8.0)))
         assert np.allclose(np.diff(np.log(right - 1.5)), np.log(4.5 / 0.1) / 4)
         assert np.all(np.diff(left) > 0)
         assert np.allclose(np.diff(np.log(1.5 - left)), np.log(0.1 / 1.0) / 4)
         assert np.allclose(np.diff(np.log(far - 8.0)), np.log(4.0 / 1.0) / 4)
-        (plain,) = norms.fast_segment_edges([0.5], [6.0])
+        (plain,) = partitions(norms.fast_segment_edges([0.5], [6.0]))
         assert np.array_equal(plain[1:-1], np.geomspace(plain[0], plain[-1], 5)[1:-1])
 
 
@@ -974,10 +1011,10 @@ class TestSegmentationOfATrace:
             return eval_dispersion(p, r)
 
         monkeypatch.setattr(norms, "eval_dispersion", counted)
-        batch = oscillation_segments(params, times, los, his)
+        batch = segments_by_time(oscillation_segments(params, times, los, his), times.size)
         assert len(calls) == 1
         for segments, t, lo, hi in zip(batch, times.tolist(), los.tolist(), his.tolist()):
-            assert segments == oscillation_segments(params, t, lo, hi)
+            assert [segments] == segments_by_time(oscillation_segments(params, t, lo, hi))
         assert batch[3] == []  # an empty interval
         assert batch[0] == [(0.0, 14.0, "slow")]
 
@@ -1011,3 +1048,98 @@ class TestWindowNeighbours:
         value, _ = _w1_evaluations(P1, 1e12, rel_tol=rel_tol)
         assert time.perf_counter() - start < 10.0
         assert value / (math.pi * 1e12 / 2) == pytest.approx(1.0, abs=1e-9)
+
+
+def _rows(table):
+    """A table of columns as a list of rows, in Python numbers."""
+    return list(zip(*(column.tolist() for column in table)))
+
+
+class TestPieceTable:
+    """The flat tables of segments and pieces against the enumeration one
+    time, segment, band and stop at a time (conftest.reference_pieces),
+    order included."""
+
+    @staticmethod
+    def check(params, times, rows, kinks):
+        times, rows = np.asarray(times, dtype=float), np.asarray(rows, dtype=float)
+        segments = oscillation_segments(params, times, rows[:, 0], rows[:, -1])
+        expected = [reference_segments(params, t, row[0], row[-1]) for t, row in zip(times.tolist(), rows.tolist())]
+        assert segments_by_time(segments, times.size) == expected
+        slow, fast = norms._oscillation_pieces(params, times, rows, kinks)
+        reference_slow, reference_fast = reference_pieces(params, times.tolist(), rows.tolist(), kinks)
+        assert (_rows(slow), _rows(fast)) == (reference_slow, reference_fast)
+        assert len(reference_slow) > 0 and len(reference_fast) > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cuts_and_kinks(self, seed):
+        rng = np.random.default_rng(seed)
+        cells = [(1.0, 1.0, 1.0, 2.0), (4.0, 0.1, 1.0, 1.5), (1.0, 0.1, 1.0, 1.5), (0.7, 1.3, 2.1, 1.0)]
+        params = ModelParams(*cells[seed % 4], 1 + seed % 3)
+        times = 10.0 ** rng.uniform(0.0, 12.0, 25)
+        rows = np.sort(rng.uniform(0.0, 7.0, (25, 5)), axis=1)
+        rows[::2, 0] = 0.0
+        rows[::3, 2] = rows[::3, 1]  # an empty band
+        rows[::4, 1] = norms._R_LOG  # a cut on r_log
+        # kinks inside the bands, one on r_log and one on a cut
+        kinks = (*rng.uniform(0.0, 7.0, 3).tolist(), norms._R_LOG, float(rows[1, 2]))
+        self.check(params, times, rows, kinks)
+
+    @pytest.mark.parametrize("cell", [(4.0, 0.1, 1.0, 1.5), (1.0, 0.1, 1.0, 1.5)])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_two_stationary_points(self, cell, dim):
+        params = ModelParams(*cell, dim)
+        assert len(dispersion_expansion(params).stationary_points) == 2
+        times = np.geomspace(1e2, 1e12, 21)
+        cuts = [0.0, 0.5, 0.9, 3.0, 3.1, 6.0]
+        self.check(params, times, np.tile(cuts, (times.size, 1)), (1.0, 2.9))
+
+    @pytest.mark.parametrize("preset", ["theorem-1-1", "theorem-1-2", "prop-4-1"])
+    def test_preset_windows(self, preset, monkeypatch):
+        # the rows of cuts of the preset's trace, bands and unsplit rows, as
+        # its one oscillatory_integrals call receives them
+        from rosenau.cli import ExperimentConfig
+
+        config = ExperimentConfig.from_dict({"preset": preset})
+        calls = []
+        pieces = norms._oscillation_pieces
+
+        def recorded(*args):
+            calls.append(args)
+            return pieces(*args)
+
+        monkeypatch.setattr(norms, "_oscillation_pieces", recorded)
+        times = norms.geometric_times(*config.t_window)
+        band_split_norm(config.params, gaussian_velocity_data(config.params.dim), times)
+        ((params, ts, rows, kinks),) = calls
+        assert ts.size == times.size + 2
+        self.check(params, ts, rows, kinks)
+
+
+class TestFlatTableRefinesAsTheListDid:
+    """_refine on the flat tables gives bit for bit what it gave on the
+    partitions listed one per piece (conftest.panels builds that table)."""
+
+    def test_slow_pieces_of_a_trace(self, monkeypatch):
+        calls, rows = [], []
+        refine, pieces = norms._kronrod_refine, norms._oscillation_pieces
+
+        def recorded(fn, table, *args, t=None, **kwargs):
+            value = refine(fn, table, *args, t=t, **kwargs)
+            if t is not None:
+                calls.append((fn, table, args, t, kwargs, value))
+            return value
+
+        monkeypatch.setattr(norms, "_kronrod_refine", recorded)
+        monkeypatch.setattr(norms, "_oscillation_pieces", lambda *args: rows.append(args) or pieces(*args))
+        times = norms.geometric_times(1e2, 1e6, 12)
+        band_split_norm(P1, gaussian_velocity_data(1), times)
+        ((fn, table, args, t, kwargs, value),) = calls
+        ((params, ts, cuts, kinks),) = rows
+        slow, _ = reference_pieces(params, ts.tolist(), cuts.tolist(), kinks)
+        assert len(slow) > 100
+        listed = panels(*(np.linspace(lo, hi, 17) for _, _, lo, hi in slow))
+        for column, expected in zip(table, listed):
+            assert np.array_equal(column, expected)
+        again = refine(fn, listed, *args, t=t, **kwargs)
+        assert np.array_equal(again[0], value[0]) and np.array_equal(again[1], value[1])

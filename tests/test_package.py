@@ -42,7 +42,7 @@ EXPORTED = {
         "gaussian_velocity_data",
     ],
     "moments": [
-        "MomentDecomposition", "RadialProfile", "fluctuation", "l1_norm",
+        "MomentDecomposition", "RadialProfile", "fluctuation", "l1_norm_and_l2_sq",
     ],
     "norms": [
         "BandSplit", "NormTrace", "QuadratureConfig", "band_split_norm",

@@ -15,7 +15,7 @@ from rosenau.quadrature import (
     panel_integrals,
 )
 
-from conftest import k21_refine, phase_edges
+from conftest import k21_refine, panels, phase_edges
 
 P = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
 
@@ -290,7 +290,7 @@ class TestPieces:
         fn = lambda x: np.sqrt(x) * np.cos(30.0 * x)  # noqa: E731
         pieces = [np.linspace(0.0, 0.4, 3), np.linspace(0.4, 2.0, 5), np.array([2.5, 3.0])]
         abs_tols = np.array([0.0, 1e-9, 1e-14])
-        values, errors = quadrature._kronrod_refine(fn, pieces, 1e-11, abs_tols)
+        values, errors = quadrature._kronrod_refine(fn, panels(*pieces), 1e-11, abs_tols)
         for edges, abs_tol, value, error in zip(pieces, abs_tols, values, errors):
             alone, alone_error = k21_refine(fn, edges, 1e-11, abs_tol)
             assert value == pytest.approx(alone, rel=1e-14)
@@ -299,10 +299,10 @@ class TestPieces:
     def test_levin_pieces_as_if_alone(self):
         g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
         pieces = [np.linspace(0.5, 1.0, 3), np.linspace(1.0, 4.0, 5)]
-        values, errors = integrate_levin(g, _square, 300.0, pieces, 1e-10, np.array([1e-13, 0.0]))
+        values, errors = integrate_levin(g, _square, 300.0, panels(*pieces), 1e-10, np.array([1e-13, 0.0]))
         assert values.shape == errors.shape == (2,)
         for edges, abs_tol, value, error in zip(pieces, (1e-13, 0.0), values, errors):
-            (alone,), (alone_error,) = integrate_levin(g, _square, 300.0, [edges], 1e-10, abs_tol)
+            (alone,), (alone_error,) = integrate_levin(g, _square, 300.0, panels(edges), 1e-10, abs_tol)
             assert value == pytest.approx(alone, rel=1e-14)
             assert abs(error - alone_error) <= 1e-14 * abs(alone)
 
@@ -311,7 +311,7 @@ class TestPieces:
         # far coarser panels; held to rel_tol of its own value, it is resolved
         fn = lambda x: np.where(x < 1.0, 1e-9 * np.sqrt(np.abs(x)), np.exp(x))  # noqa: E731
         pieces = [np.linspace(0.0, 1.0, 3), np.linspace(1.0, 2.0, 3)]
-        values, _ = quadrature._kronrod_refine(fn, pieces, 1e-10)
+        values, _ = quadrature._kronrod_refine(fn, panels(*pieces), 1e-10)
         assert values[0] == pytest.approx(2e-9 / 3.0, rel=1e-10, abs=0.0)
         assert values[1] == pytest.approx(math.e**2 - math.e, rel=1e-10, abs=0.0)
         shared, _ = k21_refine(fn, np.linspace(0.0, 2.0, 5), 1e-10)
@@ -325,7 +325,7 @@ class TestPieces:
         fn = lambda x, t: np.cos(t * x) * np.exp(-x)  # noqa: E731
         pieces = [np.linspace(0.0, 1.0, 3), np.linspace(1.0, 3.0, 5), np.linspace(0.5, 2.0, 4)]
         times = np.array([3.0, 40.0, 0.0])
-        values, errors = quadrature._kronrod_refine(fn, pieces, 1e-11, t=times)
+        values, errors = quadrature._kronrod_refine(fn, panels(*pieces), 1e-11, t=times)
         for edges, t, value, error in zip(pieces, times, values, errors):
             alone, alone_error = k21_refine(lambda x: fn(x, t), edges, 1e-11)  # noqa: B023
             assert value == pytest.approx(alone, rel=1e-14)
@@ -335,9 +335,9 @@ class TestPieces:
         g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
         pieces = [np.linspace(0.5, 1.0, 3), np.linspace(1.0, 4.0, 5), np.linspace(0.5, 2.0, 4)]
         omegas = np.array([300.0, 7.0, 2e4])
-        values, errors = integrate_levin(g, _square, omegas, pieces, 1e-10)
+        values, errors = integrate_levin(g, _square, omegas, panels(*pieces), 1e-10)
         for edges, omega, value, error in zip(pieces, omegas, values, errors):
-            (alone,), (alone_error,) = integrate_levin(g, _square, omega, [edges], 1e-10)
+            (alone,), (alone_error,) = integrate_levin(g, _square, omega, panels(edges), 1e-10)
             assert value == pytest.approx(alone, rel=1e-14)
             assert abs(error - alone_error) <= 1e-14 * abs(alone)
 
@@ -355,7 +355,7 @@ def test_levin_takes_the_phase_and_its_derivative_from_one_function():
         nodes["phase"].append(x.copy())
         return _square(x)
 
-    (val,), _ = integrate_levin(g, phase, 300.0, [np.linspace(0.5, 4.0, 6)], 1e-12)
+    (val,), _ = integrate_levin(g, phase, 300.0, panels(np.linspace(0.5, 4.0, 6)), 1e-12)
     assert len(nodes["g"]) == len(nodes["phase"]) > 0
     for x_g, x_phase in zip(nodes["g"], nodes["phase"]):
         np.testing.assert_array_equal(x_g, x_phase)
@@ -442,7 +442,7 @@ class TestLevin:
 
     @pytest.mark.parametrize("omega", OMEGAS)
     def test_constant_amplitude_linear_phase_exact(self, omega):
-        (val,), (err,) = integrate_levin(_ones, _linear, omega, [np.array([0.3, 2.0])], 1e-12)
+        (val,), (err,) = integrate_levin(_ones, _linear, omega, panels(np.array([0.3, 2.0])), 1e-12)
         exact = _linear_exact(0.3, 2.0, omega)
         assert abs(val - exact) <= 1e-14 * abs(exact)
         assert err <= 1e-13
@@ -456,19 +456,19 @@ class TestLevin:
             return np.exp(iw * x) * (x**3 / iw - 3 * x**2 / iw**2 + 6 * x / iw**3 - 6 / iw**4)
 
         exact = antiderivative(2.0) - antiderivative(-1.0)
-        (val,), _ = integrate_levin(lambda x: x**3, _linear, omega, [np.linspace(-1.0, 2.0, 4)], 1e-12)
+        (val,), _ = integrate_levin(lambda x: x**3, _linear, omega, panels(np.linspace(-1.0, 2.0, 4)), 1e-12)
         assert abs(val - exact) <= 1e-13 * max(abs(exact), 1.0 / omega)
 
     @pytest.mark.parametrize("omega", OMEGAS)
     def test_nonlinear_phase_closed_form(self, omega):
         # 2x e^(i w x^2) has the antiderivative e^(i w x^2)/(i w)
-        (val,), _ = integrate_levin(lambda x: 2 * x, _square, omega, [np.linspace(0.5, 3.0, 5)], 1e-12)
+        (val,), _ = integrate_levin(lambda x: 2 * x, _square, omega, panels(np.linspace(0.5, 3.0, 5)), 1e-12)
         exact = (np.exp(1j * omega * 9.0) - np.exp(1j * omega * 0.25)) / (1j * omega)
         assert abs(val - exact) <= 1e-13 * abs(exact)
 
     def test_complex_amplitude_is_linear(self):
         g = lambda x: np.exp(-x) * (1.0 + 0.5j * x)  # noqa: E731
-        args = (_square, 300.0, [np.linspace(0.5, 3.0, 9)], 1e-12)
+        args = (_square, 300.0, panels(np.linspace(0.5, 3.0, 9)), 1e-12)
         (whole,), _ = integrate_levin(g, *args)
         (re,), _ = integrate_levin(lambda x: g(x).real, *args)
         (im,), _ = integrate_levin(lambda x: g(x).imag, *args)
@@ -481,7 +481,7 @@ class TestLevin:
         g = lambda r: np.exp(-0.25 * r**2) / r  # noqa: E731
         (val,), _ = integrate_levin(
             g, lambda r: (eval_dispersion(P, r), dispersion_derivatives(P, r)[0]), 2 * t,
-            [np.geomspace(2.0, 9.0, 9)], 1e-12,
+            panels(np.geomspace(2.0, 9.0, 9)), 1e-12,
         )
         r = np.linspace(2.0, 9.0, 2_000_001)
         oracle = simpson(g(r) * np.exp(2j * t * eval_dispersion(P, r)), x=r)
@@ -497,7 +497,7 @@ class TestLevin:
                 return np.exp(-x) / (1.0 + x)
 
             integrate_levin(g, lambda x: (np.log1p(x), 1.0 / (1.0 + x)), omega,
-                            [np.linspace(0.0, 5.0, 9)], 1e-10)
+                            panels(np.linspace(0.0, 5.0, 9)), 1e-10)
             nodes[omega] = sum(calls)
         assert nodes[1e9] <= 2 * nodes[1e3]
         assert nodes[1e3] <= 2 * 8 * LEVIN_POINTS
@@ -511,7 +511,7 @@ class TestLevin:
             calls.append(x.size)
             return np.exp(-x)
 
-        (val,), _ = integrate_levin(g, _linear, 2e7, [np.linspace(1.0, 2.0, 5)], 1e-16)
+        (val,), _ = integrate_levin(g, _linear, 2e7, panels(np.linspace(1.0, 2.0, 5)), 1e-16)
         exact = (np.exp((-1 + 2e7j) * 2.0) - np.exp((-1 + 2e7j) * 1.0)) / (-1 + 2e7j)
         assert abs(val - exact) <= 1e-12 * abs(exact)
         assert len(calls) <= 4
@@ -524,7 +524,7 @@ class TestLevin:
         # estimate within 1e-10 and an error estimate that covers its error
         with pytest.raises(IntegrabilityError, match="unresolved after 30 rounds") as info:
             integrate_levin(lambda x: np.where(x < 0.4, 1.0, 0.0), _linear,
-                            omega, [np.linspace(0.0, 1.0, 3)], 1e-10)
+                            omega, panels(np.linspace(0.0, 1.0, 3)), 1e-10)
         val, err = reported(info.value)
         exact = _linear_exact(0.0, 0.4, omega)
         assert abs(val - exact) <= 1e-10
@@ -533,7 +533,7 @@ class TestLevin:
     def test_stationary_phase_panel_stays_finite(self):
         # f' = 0: no Levin system is solved, the rule integrates g e^(i w c) directly
         (val,), _ = integrate_levin(lambda x: x, lambda x: (np.full_like(x, 2.0), np.zeros_like(x)),
-                                    50.0, [np.linspace(0.0, 1.0, 3)], 1e-12)
+                                    50.0, panels(np.linspace(0.0, 1.0, 3)), 1e-12)
         assert val == pytest.approx(0.5 * np.exp(100j), rel=1e-14)
 
     @pytest.mark.parametrize("part", ["g", "f", "fprime"])
@@ -542,11 +542,11 @@ class TestLevin:
         fns[part] = lambda x: np.where(x > 0.5, np.nan, x)
         phase = lambda x: (fns["f"](x), fns["fprime"](x))  # noqa: E731
         with pytest.raises(IntegrabilityError):
-            integrate_levin(fns["g"], phase, 1e3, [np.linspace(0.0, 1.0, 5)], 1e-10)
+            integrate_levin(fns["g"], phase, 1e3, panels(np.linspace(0.0, 1.0, 5)), 1e-10)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(InputDomainError):
-            integrate_levin(_ones, _linear, 1e3, [np.array([1.0, 0.5])], 1e-10)
+            integrate_levin(_ones, _linear, 1e3, panels(np.array([1.0, 0.5])), 1e-10)
 
     def test_rows_share_every_panel_and_each_factorization(self, monkeypatch):
         # three rows, one complex, over two pieces at two frequencies, one of
@@ -557,7 +557,7 @@ class TestLevin:
             lambda x: (0.3 + 1.0j) * x * np.exp(-0.5 * x),
             lambda x: np.cos(3.0 * x) / (1.0 + x),
         ]
-        args = (_square, [0.2, 200.0], [np.linspace(0.5, 1.5, 5), np.linspace(1.5, 3.0, 5)], 1e-10)
+        args = (_square, [0.2, 200.0], panels(np.linspace(0.5, 1.5, 5), np.linspace(1.5, 3.0, 5)), 1e-10)
         solves = []
         solve = quadrature._levin_solve
 
@@ -599,9 +599,9 @@ class TestRoundCap:
 
     CALLERS = {
         "integrate_radial": (lambda: integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12), [17]),
-        "kronrod_refine": (lambda: quadrature._kronrod_refine(np.exp, [np.linspace(0.0, 1.0, 3)], 1e-12), [30]),
+        "kronrod_refine": (lambda: quadrature._kronrod_refine(np.exp, panels(np.linspace(0.0, 1.0, 3)), 1e-12), [30]),
         "integrate_levin": (
-            lambda: integrate_levin(np.exp, _linear, 300.0, [np.linspace(0.0, 1.0, 3)], 1e-10),
+            lambda: integrate_levin(np.exp, _linear, 300.0, panels(np.linspace(0.0, 1.0, 3)), 1e-10),
             [30],
         ),
         "norm_squared": (_norm_of_a_gaussian, [17, 17, 30]),
