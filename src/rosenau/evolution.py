@@ -39,7 +39,7 @@ from numpy.fft import fftfreq, irfftn, rfftfreq, rfftn
 from .artifacts import open_output
 from .errors import InputDomainError, UncertifiedTailError
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
-from .quadrature import _row_blocks, integrate_radial
+from .quadrature import _RADIAL_ROUNDS, _kronrod_refine, _panel_table, _radial_edges, _row_blocks
 from .records import Record, replace
 from .tails import TailBound
 
@@ -170,6 +170,15 @@ class RadialInitialData(Record):
                 raise InputDomainError(f"{name} is nonzero past its compact cutoff {tail.cutoff}")
         if np.any(probed["cross"] ** 2 > probed["w0_sq"] * probed["w1_sq"] * (1.0 + 1e-9)):
             raise InputDomainError("cross^2 exceeds w0_sq * w1_sq")
+
+    # False when the tail certifies the density zero: integrals skip it and cross
+    has_w0 = property(lambda self: not self.w0_tail.vanishes)
+    has_w1 = property(lambda self: not self.w1_tail.vanishes)
+
+    def densities(self, r) -> tuple:
+        """(w0_sq, w1_sq, cross) at the radii r, 0.0 for each that has_w0 and has_w1 skip."""
+        w0, w1 = self.has_w0, self.has_w1
+        return self.w0_sq(r) if w0 else 0.0, self.w1_sq(r) if w1 else 0.0, self.cross(r) if w0 and w1 else 0.0
 
     def support_radius(self) -> float | None:
         """Common support bound when both tails are compact, else None."""
@@ -392,21 +401,21 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
 
     Integrates the conserved density
     (1/2) [(1 + delta r^(2 theta)) |w_t|^2 + (mu r^4 + kappa r^2) |w|^2] r^(n-1)
-    with the Plancherel factor (2 pi)^(-n), cut at the kinks of the data,
-    |w|^2 and |w_t|^2 formed at each t from the three densities of the data.
-    The density equals its t = 0 value pointwise, so the total is conserved
-    to round-off.  For an array of times it returns one value per time, all
-    from one row-valued integral.
+    with the Plancherel factor (2 pi)^(-n), |w|^2 and |w_t|^2 formed at each
+    t from RadialInitialData.densities; it equals its t = 0 value pointwise,
+    so the total is conserved to round-off.  An array of times gives one
+    value per time, each a row of one refinement on quadrature._radial_edges,
+    without the origin decades for a whole 2 theta, where r^(2 theta) and so
+    the density (for data smooth at r = 0, as in the catalog) are smooth.
     """
     _check_time(t)
     _check_dim(params, data.dim)
     n = params.dim
-    # one row per time; a single time gives one flat row
     ts = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
 
     def density(r):
         f = eval_dispersion(params, r)
-        w0_sq, w1_sq, cross = data.w0_sq(r), data.w1_sq(r), data.cross(r)
+        w0_sq, w1_sq, cross = data.densities(r)
         inertia = 1.0 + params.delta * r ** (2.0 * params.theta)
         stiffness = params.mu * r**4 + params.kappa * r**2
         radial = r ** (n - 1)
@@ -419,10 +428,13 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
             w_sq = c * c * w0_sq + p * p * w1_sq + 2.0 * c * p * cross
             wt_sq = q * q * w0_sq + c * c * w1_sq + 2.0 * q * c * cross
             out[rows] = 0.5 * (inertia * wt_sq + stiffness * w_sq) * radial
-        return out if np.ndim(t) else out[0]
+        return out
 
-    value = integrate_radial(density, 0.0, _energy_radius(data), data.kinks, rel_tol=_ENERGY_REL_TOL)
-    return unit_sphere_area(n) / (2.0 * math.pi) ** n * value
+    origin = not (2.0 * params.theta).is_integer()  # r^(2 theta) is smooth at 0 only for a whole 2 theta
+    panels = _panel_table(_radial_edges(0.0, _energy_radius(data), data.kinks, origin=origin))
+    value = _kronrod_refine(density, panels, _ENERGY_REL_TOL, max_rounds=_RADIAL_ROUNDS)[0][:, 0]
+    energy = unit_sphere_area(n) / (2.0 * math.pi) ** n * value
+    return energy if np.ndim(t) else float(energy[0])
 
 
 def total_energy_grid(params: ModelParams, states) -> np.ndarray:

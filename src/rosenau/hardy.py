@@ -365,8 +365,8 @@ def energy_identity_check(
     norms.oscillatory_integrals call at tau = t/2, whose e^(2 i tau f) is
     e^(i t f), cut at the data's kinks: they share the segmentation, the
     nodes and each Levin panel's factorization, each held to its own
-    budget, and the cost does not grow with t.  u0 = 0 is read from the
-    certificate data.w0_tail.vanishes, as the norm integrand reads it.
+    budget, and the cost does not grow with t.  u0 = 0 is read from
+    data.has_w0, w0's tail certifying it zero, as the norm integrand reads it.
     residual is |lhs - rhs| / lhs; it is returned, and the hardy-failure
     preset judges it.  The function raises only on its preconditions.
     """
@@ -374,7 +374,7 @@ def energy_identity_check(
         raise PreconditionError("the identity is stated for theta = 1")
     if params.dim != 2 or data.dim != 2:
         raise PreconditionError("the identity is stated for dim = 2")
-    if not data.w0_tail.vanishes:
+    if data.has_w0:
         raise PreconditionError("the time-integral route requires u0 = 0")
     _check_time(t)
 

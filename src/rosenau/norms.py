@@ -31,10 +31,11 @@ rel_tol of its own value, and refined, as if it were integrated alone.
   piece spans at most 32 pi of the phase 2 t f, a window 2 _WINDOW_PHASE,
   so each starting panel holds about one period of e^(2 i t f) at every t.
   The norm integrand, a real quadratic form in the densities, skips a
-  component whose tail certifies it zero.  A panel is accepted once |K21 - G10| is
-  below its share of the piece's tolerance or below the rounding of the
-  phase, eps 2 t max f |K21|: t f carries an error of about eps t f, which
-  from t ~ rel_tol / eps on no bisection removes;
+  component whose tail certifies it zero, as do the mean and the Levin
+  coefficient.  A panel is accepted once |K21 - G10| is below its share
+  of the piece's tolerance or below the rounding of the phase,
+  eps 2 t max f |K21|: t f carries an error of about eps t f, which from
+  t ~ rel_tol / eps on no bisection removes;
 * the fast pieces: the mean with the K21 rule, then Re[g e^(2 i t f)] by
   Levin collocation, each piece also held to rel_tol times |mean| of that
   piece, both from the partition ``fast_segment_edges``, which does not
@@ -248,10 +249,10 @@ def _amplitude_sq(params: ModelParams, data: RadialInitialData):
     """The norm integrand (c^2 w0_sq + p^2 w1_sq + 2 c p cross) r^(n-1), c = cos(t f) and
     p = sin(t f)/f, as a function of (r, t), t a number or one time per radius.
 
-    A component whose tail certifies it zero is skipped, with the cross density.
+    A component that RadialInitialData.has_w0 or has_w1 rules out is skipped, with cross.
     """
     n = data.dim
-    has_w0, has_w1 = not data.w0_tail.vanishes, not data.w1_tail.vanishes
+    has_w0, has_w1 = data.has_w0, data.has_w1
 
     def fn(r, t):
         r = np.asarray(r, dtype=float)
@@ -276,7 +277,8 @@ def _mean_density(params: ModelParams, data: RadialInitialData, r):
     """The mean (w0_sq + w1_sq/f^2) r^(n-1)/2 of the norm integrand over sin^2(t f)."""
     r = np.asarray(r, dtype=float)
     f = eval_dispersion(params, r)
-    return 0.5 * (data.w0_sq(r) + data.w1_sq(r) / f**2) * r ** (data.dim - 1)
+    w0_sq, w1_sq, _ = data.densities(r)
+    return 0.5 * (w0_sq + w1_sq / f**2) * r ** (data.dim - 1)
 
 
 def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
@@ -284,14 +286,14 @@ def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
 
     g = cos_coefficient - i sin_coefficient, the coefficients of cos(2 t f)
     and sin(2 t f): (w0_sq - w1_sq/f^2) r^(n-1)/2 and cross/f r^(n-1).
-    Neither depends on t; both need f > 0.
+    Neither depends on t; both need f > 0.  g is real when cross is skipped.
     """
     r = np.asarray(r, dtype=float)
     f = eval_dispersion(params, r)
     weight = r ** (data.dim - 1)
-    cos_coefficient = 0.5 * (data.w0_sq(r) - data.w1_sq(r) / f**2) * weight
-    sin_coefficient = data.cross(r) / f * weight
-    return cos_coefficient - 1j * sin_coefficient
+    w0_sq, w1_sq, cross = data.densities(r)
+    cos_coefficient = 0.5 * (w0_sq - w1_sq / f**2) * weight
+    return cos_coefficient - 1j * (cross / f * weight) if data.has_w0 and data.has_w1 else cos_coefficient
 
 
 def oscillatory_integrals(

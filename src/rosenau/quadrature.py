@@ -41,22 +41,23 @@ the m = 1 case.  Its callers and their round caps:
 * ``integrate_radial``, over a finite [lo, hi] cut at given kinks and once
   per decade, 17 rounds; arrays of interval ends, or of a parameter per
   interval, make the intervals the pieces of one refinement, and a run of
-  repeated intervals, like moments.fluctuation's 96, shares one partition;
+  repeated intervals shares one partition;
 * ``integrate_levin``, 30 rounds;
-* norms.oscillatory_integrals, through _kronrod_refine (17 rounds) and
-  integrate_levin, and wellposed, through _kronrod_refine (30 rounds) on
-  its fixed geometric partition.
+* _kronrod_refine from the caller's own panels: norms.oscillatory_integrals
+  (17 rounds, with integrate_levin), evolution.total_energy (17),
+  moments.fluctuation (13) and wellposed (30, a fixed geometric partition).
 
 The rule for callers: a smooth radial integrand goes through
-``integrate_radial``, with its jumps passed as kinks; an integrand that
+``integrate_radial``, with its jumps passed as kinks (one smooth at r = 0,
+or vanishing there, may start without the origin decades); an integrand that
 oscillates like sin(t f) goes through ``norms.oscillatory_integrals``, which
 splits it into a mean and Re[g e^(2 i t f)] and runs the K21 refinement
 where the phase is slow or stationary and ``integrate_levin`` where it is
 fast.  Many integrals of one kind are one call: integrals that differ in
 their interval are one call with arrays of interval ends, and integrals
 whose integrands differ in a number (a frequency, a family member) are one
-call with that number as the per-interval parameter, handed to the
-integrand at each node; each is then a piece, refined as if alone.
+call with that number as the per-interval parameter, handed to the integrand
+at each node; each is then a piece, refined as if alone.
 
 A batch of many pieces can hold tens of thousands of panels, so both rules
 work in chunks that keep every temporary small:
@@ -67,11 +68,9 @@ work in chunks that keep every temporary small:
 * a row-valued integrand with many rows evaluates them in blocks of at
   most 2^13 values (_row_blocks, _ROW_BLOCK_VALUES), and so does
   moments.fluctuation's Bessel kernel with its nodes, so that each of the
-  kernel's dozen temporaries stays within 64 KiB.  Blocks there, when its
-  96 frequencies were rows, and in the 61 energy rows of
-  evolution.total_energy took the peak RSS of an averaged-2d3d pass from
-  43.2 to 38.9 MB; blocks of 2^15 values in fluctuation alone left it at
-  40.3 MB;
+  kernel's dozen temporaries stays within 64 KiB.  Blocks there and in the
+  energy rows of evolution.total_energy took the peak RSS of an
+  averaged-2d3d pass from 43.2 to 38.9 MB;
 * Levin runs 256 panels at a time (_LEVIN_CHUNK): its collocation systems
   are 17 x 17 complex matrices, 4.6 KB a panel, and a whole trace's Levin
   panels at once raised the peak RSS of an averaged-2d3d pass from 43 to
@@ -395,20 +394,26 @@ def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return new.nonzero()[0], new.cumsum() - 1
 
 
-def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
+def _kink_edges(lo: float, hi: float, kinks) -> list:
+    """lo, hi and the kinks strictly between them, in increasing order."""
+    return sorted({lo, hi, *(float(k) for k in kinks if lo < k < hi)})
+
+
+def _radial_edges(lo: float, hi: float, kinks, origin: bool = True) -> np.ndarray:
     """[lo, hi] cut at the kinks inside it and at every power of ten inside it.
 
     A first piece that starts at 0 is cut once more, _ORIGIN_DECADES
-    decades below its upper end, and from there on per decade.
+    decades below its upper end, and from there on per decade, unless
+    origin=False: then only at the powers of ten from 1 up.
     """
     if not (0.0 <= lo < hi < math.inf):
         raise InputDomainError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
-    cuts = sorted({lo, hi, *(float(k) for k in kinks if lo < k < hi)})
-    if lo == 0.0:
+    cuts = _kink_edges(lo, hi, kinks)
+    if lo == 0.0 and origin:
         cuts.insert(1, cuts[1] * 10.0**-_ORIGIN_DECADES)
-    bottom = cuts[1] if lo == 0.0 else lo
+    bottom = lo if lo > 0.0 else cuts[1] if origin else 1.0
     decades = 10.0 ** np.arange(math.floor(math.log10(bottom)), math.ceil(math.log10(hi)) + 1)
-    return np.array(sorted({*cuts, *decades[(decades > bottom) & (decades < hi)].tolist()}))
+    return np.array(sorted({*cuts, *decades[(decades >= bottom) & (decades < hi)].tolist()}))
 
 
 def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):

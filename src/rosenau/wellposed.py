@@ -123,18 +123,13 @@ def sobolev_equivalence_check(params: ModelParams, u_hat, dim: int) -> tuple[flo
     scan = h_ratio_scan(params)
     area = unit_sphere_area(dim)
 
-    def lhs_density(r):
+    def densities(r):
         r = np.asarray(r, dtype=float)
         vals = np.abs(np.asarray(u_hat(r))) ** 2
-        return h_weighted_symbol(params, r) * vals * r ** (dim - 1)
+        weights = np.stack([h_weighted_symbol(params, r), 1.0 + r ** (2.0 * (4.0 - params.theta))])
+        return weights * vals * r ** (dim - 1)
 
-    def base_density(r):
-        r = np.asarray(r, dtype=float)
-        vals = np.abs(np.asarray(u_hat(r))) ** 2
-        return (1.0 + r ** (2.0 * (4.0 - params.theta))) * vals * r ** (dim - 1)
-
-    lhs = area * float(_kronrod_refine(lhs_density, _panel_table(_EDGES), 1e-10)[0][0])
-    base = area * float(_kronrod_refine(base_density, _panel_table(_EDGES), 1e-10)[0][0])
+    lhs, base = area * _kronrod_refine(densities, _panel_table(_EDGES), 1e-10)[0][:, 0]
     return float(lhs), float(scan.m_lower * base), float(scan.m_upper * base)
 
 

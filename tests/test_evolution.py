@@ -478,6 +478,76 @@ class TestEnergy:
         expected = 0.5 * math.sqrt(math.pi / 2) * (1.0 + 3.0 * P1.delta)
         assert total_energy(P1, gaussian_velocity_data(1), 0.0) == pytest.approx(expected, rel=1e-13)
 
+    @staticmethod
+    def gaussian_oracle(params):
+        """E of u1 = e^(-|x|^2), u0 = 0: (1/2) pi^n (2 pi)^-n omega_n times
+        [2^(n/2-1) Gamma(n/2) + delta 2^(theta+n/2-1) Gamma(theta+n/2)],
+        the integrals of e^(-r^2/2) r^(n-1) (1 + delta r^(2 theta))."""
+        from rosenau import unit_sphere_area
+
+        n, half = params.dim, params.dim / 2.0
+        moments = 2.0 ** (half - 1.0) * math.gamma(half) + params.delta * 2.0 ** (
+            params.theta + half - 1.0
+        ) * math.gamma(params.theta + half)
+        return 0.5 * math.pi**n * (2.0 * math.pi) ** -n * unit_sphere_area(n) * moments
+
+    def test_gaussian_oracle_matches_the_reference_energy(self):
+        # the energy column of the 1-D benchmark reference reads 2.5066282746310002
+        assert self.gaussian_oracle(P1) == pytest.approx(2.5066282746310002, rel=2e-16, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cell", [(1.0, 1.0, 1.0, 2.0), (0.7, 1.3, 2.1, 1.5), (1.0, 1.0, 1.0, 0.1), (1.0, 1.0, 1.0, 0.25)]
+    )
+    def test_gaussian_energy_reads_delta_and_theta(self, cell, dim):
+        # at t = 0 and at the 61 times of a 1e2..1e7 trace, against the
+        # closed form, whose inertia term carries delta and theta; a small
+        # theta makes the density's r^(2 theta) r^(n-1) steep at r = 0
+        from rosenau import geometric_times
+
+        params = ModelParams(*cell, dim)
+        expected, data = self.gaussian_oracle(params), gaussian_velocity_data(dim)
+        assert total_energy(params, data, 0.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        ts = geometric_times(1e2, 1e7, 12)
+        assert ts.size == 61
+        np.testing.assert_allclose(total_energy(params, data, ts), expected, rtol=1e-13, atol=0.0)
+
+    def test_panels_skip_origin_decades_only_for_a_whole_two_theta(self, monkeypatch):
+        # [0, R] cut at the kinks and at 1 and 10 when the density is smooth
+        # at r = 0; every time is a row of the one refinement.  A fractional
+        # 2 theta keeps integrate_radial's origin decades
+        from rosenau import evolution, quadrature
+
+        tables = []
+        refine = evolution._kronrod_refine
+
+        def recorded(fn, table, *args, **kwargs):
+            tables.append(table)
+            return refine(fn, table, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "_kronrod_refine", recorded)
+        ts = np.geomspace(1e2, 1e7, 61)
+        energies = total_energy(P1, gaussian_velocity_data(1), ts)
+        assert energies.shape == (61,)
+        total_energy(P1, compact_band_data(1, 0.3, 2.5), 0.0)
+        total_energy(P1, compact_band_data(1, 0.1, 0.5), 0.0)
+        total_energy(ModelParams(1.0, 1.0, 1.0, 1.5, 1), gaussian_velocity_data(1), 0.0)
+        total_energy(ModelParams(1.0, 1.0, 1.0, 0.1, 1), gaussian_velocity_data(1), 0.0)
+        total_energy(ModelParams(1.0, 1.0, 1.0, 0.25, 2), compact_band_data(2, 0.3, 2.5), 0.0)
+        radius = math.sqrt(80.0 / gaussian_velocity_data(1).w1_tail.rate)
+        expected = [
+            [0.0, 1.0, 10.0, radius],
+            [0.0, 0.3, 1.0, 2.5],
+            [0.0, 0.1, 0.5],
+            [0.0, 1.0, 10.0, radius],
+            quadrature._radial_edges(0.0, radius, ()).tolist(),
+            quadrature._radial_edges(0.0, 2.5, (0.3, 2.5)).tolist(),
+        ]
+        assert expected[4][:2] == [0.0, radius * 1e-16]
+        assert len(tables) == len(expected)
+        for table, edges in zip(tables, expected):
+            assert [*table[0], table[1][-1]] == edges
+
     @pytest.mark.parametrize("t", [0.0, 1e3])
     @pytest.mark.parametrize(
         "params,band",

@@ -147,6 +147,11 @@ class TestFluctuation:
         expected = math.sqrt(math.pi) * (math.exp(-0.25) - 1.0)
         assert a == pytest.approx(expected, rel=1e-10)
 
+    def test_a_number_gives_a_float(self):
+        value = fluctuation(gaussian_profile(1), 1.0)
+        assert isinstance(value, float)
+        assert value == fluctuation(gaussian_profile(1), [1.0])[0]
+
     def test_accepts_vector_argument(self):
         # a grid gives each rho the value it gets alone
         grid = fluctuation(gaussian_profile(2), np.array([0.6, 0.8, 1.0]))
@@ -182,23 +187,46 @@ class TestFluctuation:
 
 
 class TestPanelFluctuation:
+    @staticmethod
+    def kinked_profile(dim):
+        # 1 on [0, 0.7), 1/2 on [0.7, 2], the jump declared as a kink
+        return RadialProfile(
+            func=lambda r: np.where(np.asarray(r) < 0.7, 1.0, 0.5),
+            dim=dim,
+            tail=TailBound(kind="compact", cutoff=2.0),
+            kinks=(0.7,),
+        )
+
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_96_pieces_refine_as_their_listed_partitions_did(self, dim, monkeypatch):
-        # the flat panel table of the 96 frequencies, one shared partition,
-        # is the partition listed once per frequency, and _refine gives the
-        # same values from it bit for bit
+    @pytest.mark.parametrize("kinked", [False, True])
+    def test_96_pieces_refine_as_their_listed_partitions_did(self, dim, kinked, monkeypatch):
+        # the flat panel table of the 96 frequencies is each frequency's
+        # own partition, listed: every kink interval of width w in
+        # max(4, ceil(rho w / 8)) equal panels, at most 64, and no origin
+        # decades; _refine gives the same values from the list bit for bit
+        from rosenau import moments
+
         calls = []
-        refine = quadrature._kronrod_refine
+        refine = moments._kronrod_refine
 
         def recorded(fn, table, *args, **kwargs):
             calls.append((fn, table, args, kwargs, refine(fn, table, *args, **kwargs)))
             return calls[-1][-1]
 
-        monkeypatch.setattr(quadrature, "_kronrod_refine", recorded)
-        u1 = gaussian_profile(dim)
-        fluctuation(u1, np.geomspace(1e-3, 50.0, 96))
+        monkeypatch.setattr(moments, "_kronrod_refine", recorded)
+        u1 = self.kinked_profile(dim) if kinked else gaussian_profile(dim)
+        rhos = np.geomspace(1e-3, 50.0, 96)
+        fluctuation(u1, rhos)
         ((fn, table, args, kwargs, value),) = calls
-        listed = panels(*[quadrature._radial_edges(0.0, u1.upper_limit(), u1.kinks)] * 96)
+        cuts = [0.0, *u1.kinks, u1.upper_limit()]
+        listed = []
+        for rho in rhos:
+            edges = []
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                count = min(max(4, math.ceil(rho * (b - a) / 8.0)), 64)
+                edges.extend(np.linspace(a, b, count + 1)[:-1].tolist())
+            listed.append(edges + [cuts[-1]])
+        listed = panels(*listed)
         for column, expected in zip(table, listed):
             assert np.array_equal(column, expected)
         again = refine(fn, listed, *args, **kwargs)
@@ -233,9 +261,10 @@ class TestPanelFluctuation:
 
     def test_each_frequency_is_refined_alone(self, monkeypatch):
         # one piece per rho, each on the panels its own frequency needs: the
-        # 96 frequencies of the n = 2 Gaussian take under 3,000 panels (one
-        # value per panel and frequency), where rows sharing the partition
-        # of the highest frequency took 96 x 78
+        # 96 frequencies of the n = 2 Gaussian take under 1,400 panels (one
+        # value per panel and frequency) in at most 3 rounds, where rows
+        # sharing the partition of the highest frequency took 96 x 78, and
+        # the per-decade start 2,722 in 7 rounds
         panels = []
         panel_integrals = quadrature.panel_integrals
 
@@ -250,7 +279,8 @@ class TestPanelFluctuation:
         monkeypatch.setattr(quadrature, "panel_integrals", counted)
         rhos = np.geomspace(1e-3, 50.0, 96)
         values = fluctuation(gaussian_profile(2), rhos)
-        assert sum(panels) <= 3000
+        assert sum(panels) <= 1400
+        assert len(panels) <= 3
         for rho, value in zip(rhos[::19], values[::19]):
             assert fluctuation(gaussian_profile(2), [rho])[0] == pytest.approx(value, rel=1e-15, abs=0.0)
 
@@ -412,19 +442,25 @@ class TestMomentBound:
 class TestDecomposition:
     def test_integrates_each_norm_once(self, monkeypatch):
         # P, ||u1||_1, ||u1||_{1,gamma} and ||u1||_2^2 as four rows of one
-        # radial integral, and A on the frequency grid in one more
+        # radial integral, and A on the frequency grid in one refinement
+        # from its own panel table
         from rosenau import moments
 
-        calls = []
-        integrate_radial = moments.integrate_radial
+        calls, refinements = [], []
+        integrate_radial, refine = moments.integrate_radial, moments._kronrod_refine
 
         def counted(*args, **kwargs):
             calls.append(args)
             return integrate_radial(*args, **kwargs)
 
+        def refined(*args, **kwargs):
+            refinements.append(args)
+            return refine(*args, **kwargs)
+
         monkeypatch.setattr(moments, "integrate_radial", counted)
+        monkeypatch.setattr(moments, "_kronrod_refine", refined)
         dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)
-        assert len(calls) == 2
+        assert len(calls) == 1 and len(refinements) == 1
         assert dec.weighted_norm == pytest.approx(math.sqrt(math.pi) + 1.0, rel=1e-10)
         wnorm = _radial_integral(gaussian_profile(1), lambda u, r: (1.0 + r) * np.abs(u))
         assert dec.m_constant == _moment_constant(gaussian_profile(1), 1.0, moments._DEFAULT_M_GRID, wnorm)

@@ -337,6 +337,55 @@ class TestFusedIntegrand:
         _amplitude_sq(P1, data)(np.linspace(0.0, 3.0, 50), 5.0)
         assert calls == []
 
+    @pytest.mark.parametrize("catalog,missing", [(gaussian_velocity_data, "w0"), (gaussian_position_data, "w1")])
+    def test_no_integral_evaluates_a_density_the_datum_lacks(self, catalog, missing):
+        # the norm's mean, its Levin coefficient and the energy skip the
+        # missing density and the cross density, as the integrand does
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return np.zeros_like(np.asarray(r, dtype=float))
+
+        data = replace(catalog(1), **{f"{missing}_sq": counted, "cross": counted})
+        calls.clear()  # construction probes every density
+        times = np.geomspace(1e2, 1e6, 5)
+        _norm_pieces(P1, data, times, np.tile([0.0, 0.5, 2.0, 9.0], (times.size, 1)), DEFAULT_QUADRATURE)
+        total_energy(P1, data, [0.0, 1e3])
+        assert calls == []
+
+    @staticmethod
+    def general_path_twin(data, missing):
+        """The datum with its missing density and the cross density given
+        as explicit zeros under a Gaussian tail that does not certify them
+        zero, so that every integrand takes its general formula.  The tail
+        shares the rate of the datum's and is far too small to move r_max."""
+        present = data.w1_tail if missing == "w0" else data.w0_tail
+        tail = TailBound(kind="gaussian", amplitude=1e-30, rate=present.rate)
+        zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))  # noqa: E731
+        return replace(data, **{f"{missing}_sq": zero, "cross": zero, f"{missing}_tail": tail})
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("catalog,missing", [(gaussian_velocity_data, "w0"), (gaussian_position_data, "w1")])
+    def test_skipping_branches_equal_the_general_formulas_bit_for_bit(self, catalog, missing, dim):
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        data = catalog(dim)
+        twin = self.general_path_twin(data, missing)
+        assert not (twin.w0_tail.vanishes or twin.w1_tail.vanishes)
+        times = norms.geometric_times(1e2, 1e6, 3)
+        assert times.size == 13
+        skipped, general = band_split_norm(params, data, times), band_split_norm(params, twin, times)
+        for field in ("low", "mid", "high", "unsplit"):
+            assert np.array_equal(getattr(skipped, field), getattr(general, field))
+        ts = np.concatenate([[0.0], times])
+        assert np.array_equal(total_energy(params, data, ts), total_energy(params, twin, ts))
+        r = np.geomspace(1e-3, 12.0, 997)
+        assert np.array_equal(norms._mean_density(params, data, r), norms._mean_density(params, twin, r))
+        g_skipped = norms._oscillating_coefficient(params, data, r)
+        g_general = norms._oscillating_coefficient(params, twin, r)
+        assert g_skipped.dtype == np.float64 and not g_general.imag.any()
+        assert np.array_equal(g_skipped, g_general.real)
+
 
 # values from the previous panel rule (16-point Gauss-Legendre, accepted by
 # comparing a panel with its two halves), default configuration

@@ -145,13 +145,17 @@ class TestSinglePassAdaptive:
 
 class TestRadial:
     def test_cuts_at_kinks_and_decades(self):
-        edges = quadrature._radial_edges(0.5, 60.0, (2.0,))
-        np.testing.assert_array_equal(edges, [0.5, 1.0, 2.0, 10.0, 60.0])
+        edges_from_half = quadrature._radial_edges(0.5, 60.0, (2.0,)).tolist()
+        assert edges_from_half == [0.5, 1.0, 2.0, 10.0, 60.0]
         # a piece from 0 is cut first 16 decades below its upper end
         edges = quadrature._radial_edges(0.0, 20.0, (1.0, 20.0))
         assert edges[:2].tolist() == [0.0, 1e-16]
         assert edges[-3:].tolist() == [1.0, 10.0, 20.0]
         assert np.all(np.diff(edges) > 0)
+        # without the origin decades a piece from 0 is cut at 1, 10, ... only
+        assert quadrature._radial_edges(0.0, 20.0, (0.3,), origin=False).tolist() == [0.0, 0.3, 1.0, 10.0, 20.0]
+        assert quadrature._radial_edges(0.0, 0.5, (0.1,), origin=False).tolist() == [0.0, 0.1, 0.5]
+        assert quadrature._radial_edges(0.5, 60.0, (2.0,), origin=False).tolist() == edges_from_half
 
     @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-1.0, 1.0), (2.0, 1.0)])
     def test_only_finite_intervals(self, lo, hi):
@@ -592,10 +596,24 @@ def _wellposed_checks():
     dissipativity_residual(P, gauss, lambda r: 1j * gauss(r), 1)
 
 
+def _energy_of_a_gaussian():
+    from rosenau import gaussian_velocity_data, total_energy
+
+    return total_energy(P, gaussian_velocity_data(1), [0.0, 1e3])
+
+
+def _fluctuation_of_a_gaussian():
+    from rosenau import fluctuation, gaussian_profile
+
+    return fluctuation(gaussian_profile(1), [0.5, 40.0])
+
+
 class TestRoundCap:
     """Every K21 and Levin refinement raises IntegrabilityError at its round
-    cap: 17 rounds for integrate_radial and the norm driver's two K21
-    refinements, 30 for Levin, a direct _kronrod_refine and wellposed."""
+    cap: 17 rounds for integrate_radial, the energy and the norm driver's
+    two K21 refinements, 13 for the fluctuation, 30 for Levin, a direct
+    _kronrod_refine and wellposed (its two densities are rows of one
+    refinement)."""
 
     CALLERS = {
         "integrate_radial": (lambda: integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12), [17]),
@@ -605,7 +623,9 @@ class TestRoundCap:
             [30],
         ),
         "norm_squared": (_norm_of_a_gaussian, [17, 17, 30]),
-        "wellposed": (_wellposed_checks, [30, 30, 30]),
+        "wellposed": (_wellposed_checks, [30, 30]),
+        "total_energy": (_energy_of_a_gaussian, [17]),
+        "fluctuation": (_fluctuation_of_a_gaussian, [13]),
     }
 
     @staticmethod
