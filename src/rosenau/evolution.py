@@ -39,7 +39,7 @@ from numpy.fft import fftfreq, irfftn, rfftfreq, rfftn
 from .artifacts import open_output
 from .errors import InputDomainError, UncertifiedTailError
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
-from .quadrature import _RADIAL_ROUNDS, _kronrod_refine, _panel_table, _radial_edges, _row_blocks
+from .quadrature import _kronrod_refine, _panel_table, _radial_edges, _row_blocks
 from .records import Record, replace
 from .tails import TailBound
 
@@ -432,7 +432,7 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
 
     origin = not (2.0 * params.theta).is_integer()  # r^(2 theta) is smooth at 0 only for a whole 2 theta
     panels = _panel_table(_radial_edges(0.0, _energy_radius(data), data.kinks, origin=origin))
-    value = _kronrod_refine(density, panels, _ENERGY_REL_TOL, max_rounds=_RADIAL_ROUNDS)[0][:, 0]
+    value = _kronrod_refine(density, panels, _ENERGY_REL_TOL)[0][:, 0]
     energy = unit_sphere_area(n) / (2.0 * math.pi) ** n * value
     return energy if np.ndim(t) else float(energy[0])
 

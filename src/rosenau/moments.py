@@ -22,8 +22,8 @@ Every integral runs over [0, R] for the profile's certified finite radius R
 IntegrabilityError), cut at the profile's kinks.  P, ||u1||_1,
 ||u1||_{1,gamma} and ||u1||_2^2 are four rows of one integrate_radial call.
 A(rho) on the whole frequency grid is one _kronrod_refine call, one piece
-per rho, each refined alone to 1e-12 of its own |A(rho)| from
-_frequency_panels, with no origin decades: the integrand vanishes at r = 0.
+per rho, each held to 1e-12 of its own |A(rho)| from _frequency_panels,
+with no origin decades: the integrand vanishes at r = 0.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ __all__ = [
 ]
 
 _MOMENT_REL_TOL = 1e-12
-# fluctuation gives up in 13 rounds on u1 = cos(1e7 r) e^(-r^2), 2-D, in 21 s
-# at 0.6 GB peak RSS (2-core Xeon); 17 rounds exhausted 3 GB
-_FLUCTUATION_ROUNDS = 13
 
 
 class RadialProfile(Record):
@@ -305,9 +302,9 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
     """A(rho) for every rho of the grid, each rho a piece of one refinement.
 
     Integrates u1(r) (K(rho r) - 1) r^(n-1) over [0, R] with rho as its
-    piece's parameter, so that each A(rho) is refined alone, from panels
-    sized to its own frequency (_frequency_panels), to 1e-12 of its own
-    |A(rho)|, for at most _FLUCTUATION_ROUNDS rounds.  The kernel sees at
+    piece's parameter, so that each A(rho) starts from panels sized to its
+    own frequency (_frequency_panels) and is held to 1e-12 of its own
+    |A(rho)|, to quadrature._refine's stopping rule.  The kernel sees at
     most _ROW_BLOCK_VALUES values at a time.  Raises InputDomainError for a
     non-finite rho, and IntegrabilityError when some A(rho) is not resolved
     (a jump the kinks do not declare, an oscillation without bound).  The
@@ -327,7 +324,7 @@ def fluctuation(u1: RadialProfile, rhos) -> np.ndarray:
 
     flat = rhos.ravel()
     panels = _frequency_panels(u1.upper_limit(), u1.kinks, flat)
-    values, _ = _kronrod_refine(integrand, panels, _MOMENT_REL_TOL, max_rounds=_FLUCTUATION_ROUNDS, t=flat)
+    values, _ = _kronrod_refine(integrand, panels, _MOMENT_REL_TOL, t=flat)
     return unit_sphere_area(n) * (values if rhos.ndim else float(values[0]))
 
 

@@ -24,7 +24,7 @@ boundaries and at the kinks of the data, each fast segment also at r_log =
 loops in Python.  The pieces of every time are integrated in three
 refinements per call, so three per norm trace, each over all its pieces at
 once with a budget per piece (quadrature._refine): each piece is held to
-rel_tol of its own value, and refined, as if it were integrated alone.
+rel_tol of its own value, as if it were integrated alone.
 
 * the slow pieces and windows: the integrand itself, at the time of its
   piece, with the G10/K21 Gauss-Kronrod pair from 16 equal panels.  A slow
@@ -67,8 +67,8 @@ share the segmentation, the nodes and each Levin factorization).  The
 segmentation evaluates f once, on a geometric grid of 257 radii per run of
 times with one interval (one row for a whole trace), and the Levin rule
 takes f and f' from one model.dispersion_slope call per node.
-Each refinement is capped and raises IntegrabilityError on a piece it
-leaves unresolved, so no rel_tol runs without bound.
+Each refinement is bounded in depth and work (quadrature._refine) and raises
+IntegrabilityError on an unresolved piece, so no rel_tol runs without bound.
 
 Truncation at r_max is certified against the declared tail of the data; the
 tail bound is kept below rel_tol/10 of a coarse estimate of the integral,
@@ -102,7 +102,6 @@ from .model import (
 )
 from .quadrature import (
     _KRONROD_WEIGHTS,
-    _RADIAL_ROUNDS,
     _kronrod_refine,
     _panel_nodes,
     _panel_table,
@@ -327,8 +326,8 @@ def oscillatory_integrals(
     the pieces of every time, each from one flat table of starting panels.
     Each piece is held to rel_tol of its own value and to abs_tol, a Levin
     piece also to rel_tol times |mean| of that piece, or to the rounding of
-    its phase.  A piece left unresolved at the round cap raises
-    IntegrabilityError.
+    its phase.  A piece left unresolved at quadrature._refine's depth cap
+    or work budget raises IntegrabilityError.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rows = np.atleast_2d(np.asarray(cuts, dtype=float))
@@ -341,9 +340,7 @@ def oscillatory_integrals(
         panels = _panel_table(np.linspace(lo, hi, _SLOW_PANELS + 1, axis=-1))
         f_ends = eval_dispersion(params, np.concatenate([lo, hi]))
         top = 2.0 * ts[index] * np.maximum(f_ends[: lo.size], f_ends[lo.size :])
-        refined = _kronrod_refine(
-            integrand, panels, rel_tol, abs_tol, _RADIAL_ROUNDS, t=ts[index], phase=top
-        )
+        refined = _kronrod_refine(integrand, panels, rel_tol, abs_tol, t=ts[index], phase=top)
         parts.append((index, k, refined[0]))
     if fast[0].size:
         index, k, lo, hi = fast
@@ -351,7 +348,7 @@ def oscillatory_integrals(
         level = np.zeros(lo.size)
         if mean is not None:
             mean_x = _in_fast_coordinate(mean)
-            level = _kronrod_refine(mean_x, panels, rel_tol, abs_tol, _RADIAL_ROUNDS)[0]
+            level = _kronrod_refine(mean_x, panels, rel_tol, abs_tol)[0]
 
         def phase(x):
             r, dr = _fast_radius(x)

@@ -21,7 +21,7 @@ width-proportional share of the tolerance or has reached rounding level
 (which, for Levin and for a K21 integrand that rounds a phase t f, includes
 the rounding of that phase), and bisects only the others.  Its one failure
 policy is IntegrabilityError: in the round that produces a non-finite
-value, and at the round cap for a piece still unresolved, with that piece's
+value, and when it stops with a piece unresolved, with that piece's
 estimate and error estimate; it never returns a value it did not resolve.
 It takes the pieces of one call as one flat table of starting panels, so
 no caller and no round loops over pieces in Python, each piece with its own
@@ -36,16 +36,16 @@ integrands, m functions sharing the pieces, every node and every panel,
 each row with its own budget: a panel is accepted once every row meets its
 share, and each Levin panel's collocation systems are factored once for
 all its rows.  The row count is the shape the integrand returns; one row is
-the m = 1 case.  Its callers and their round caps:
+the m = 1 case.
 
-* ``integrate_radial``, over a finite [lo, hi] cut at given kinks and once
-  per decade, 17 rounds; arrays of interval ends, or of a parameter per
-  interval, make the intervals the pieces of one refinement, and a run of
-  repeated intervals shares one partition;
-* ``integrate_levin``, 30 rounds;
-* _kronrod_refine from the caller's own panels: norms.oscillatory_integrals
-  (17 rounds, with integrate_levin), evolution.total_energy (17),
-  moments.fluctuation (13) and wellposed (30, a fixed geometric partition).
+One rule, known only to _refine, stops every refinement, bounded as
+QUADPACK bounds its adaptive loop, by its subdivisions and not by its
+caller: a depth cap of _MAX_ROUNDS bisections, and a budget in panel-rows
+(one integrand row on one panel): the starting table, plus four panels a
+round for _MAX_ROUNDS rounds per row and piece, which lets a piece bisected
+towards a point resolve in a call of any size as alone, plus _WORK for the
+whole call.  No round starts that would pass it; then a piece whose pending
+panels carry more error than its budget raises.
 
 The rule for callers: a smooth radial integrand goes through
 ``integrate_radial``, with its jumps passed as kinks (one smooth at r = 0,
@@ -57,7 +57,8 @@ fast.  Many integrals of one kind are one call: integrals that differ in
 their interval are one call with arrays of interval ends, and integrals
 whose integrands differ in a number (a frequency, a family member) are one
 call with that number as the per-interval parameter, handed to the integrand
-at each node; each is then a piece, refined as if alone.
+at each node; each is then a piece, held to the tolerance it would get
+alone.
 
 A batch of many pieces can hold tens of thousands of panels, so both rules
 work in chunks that keep every temporary small:
@@ -146,9 +147,19 @@ _WG_HALF = np.array([
 ])
 
 KRONROD_POINTS = 21
-# bisection rounds of integrate_levin and wellposed before an unresolved
-# piece raises
+# The depth cap of every refinement.  _WORK alone would not do: uncapped, the
+# abs_log_weight Hardy quotient at n = 3 bisected towards r = 0 to r ~ 5e-155,
+# where its integrand overflowed, and a jump bisected without end reaches
+# panels whose midpoint rounds to one of their ends.
 _MAX_ROUNDS = 30
+# The panel-rows a refinement shares beyond its allowance per row and piece
+# (module docstring).  No preset refinement takes over 2,992, 22 a row and
+# piece beyond its start, or 4 rounds; a 9,996-sample trace at most 8 beyond.
+# 2 int sin(1e5 r)^2 e^(-2 r^2) over [0.5, 6.8] resolves to 1e-11 in 167,602
+# (21 rounds, 0.1 s); sin(1e7 r)^2 gives up after 183,834 (0.12 s), and the
+# 2-D fluctuation of cos(1e7 r) e^(-r^2) after 127,629 (0.5 s, 40 MB peak
+# RSS, 2-core Xeon).
+_WORK = 200_000
 # An error below this share of a panel's scale is rounding level: bisection
 # cannot lower it.  The scale is |K21| for the Gauss-Kronrod pair and h max|g|
 # for Levin panels, where it bounds the Levin rounding too,
@@ -162,11 +173,6 @@ _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 # one product gives K21 and K21 - G10 per panel
 _RULE = np.stack([_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS], axis=1)
 
-# Bisection rounds of integrate_radial.  Each round may double the failing
-# panels, so an integrand the pair cannot resolve would exhaust memory well
-# before _MAX_ROUNDS.  17 rounds resolve sin(1e5 r)^2 e^(-2 r^2) on [0.5, 6.8]
-# to 1e-11 in about 0.15 s and give up on sin(1e7 r)^2 in about 0.3 s.
-_RADIAL_ROUNDS = 17
 # a piece [0, b] of integrate_radial is first cut at b 10^-16
 _ORIGIN_DECADES = 16
 
@@ -264,7 +270,7 @@ def _panel_table(edges, count=None) -> tuple:
     return edges[:, :-1][keep], edges[:, 1:][keep], np.arange(rows).repeat(count - 1), length
 
 
-def _refine(rule, panels: tuple, rel_tol: float, abs_tol, max_rounds: int):
+def _refine(rule, panels: tuple, rel_tol: float, abs_tol):
     """Bisect the panels of one or more pieces until each meets its share
     of its piece's budget.
 
@@ -281,15 +287,13 @@ def _refine(rule, panels: tuple, rel_tol: float, abs_tol, max_rounds: int):
     meets its share when its error is below the share of its piece's budget
     proportional to the panel's width within the piece, or below its floor
     (the rounding level of the rule); a panel is accepted once every row
-    meets its share, and bisected for the next round otherwise.  After
-    max_rounds bisections a piece whose failing panels carry more error than
-    its budget raises IntegrabilityError, which names the piece, its
-    estimate and its error estimate (the accepted and failing panels'
-    errors summed).  Returns (value, error), each of shape (pieces,) or
-    (m, pieces) and summed per piece in left-to-right order over the
-    accepted panels.  Each round takes the same few numpy calls whatever
-    the number of pieces, and a single piece is refined as if it were
-    alone.
+    meets its share, and bisected for the next round otherwise.  When it
+    stops (see the module docstring), a piece whose failing panels carry
+    more error than its budget raises IntegrabilityError, which names the
+    piece, its estimate and its error estimate (the accepted and failing
+    panels' errors summed).  Returns (value, error), each of shape
+    (pieces,) or (m, pieces) and summed per piece in left-to-right order
+    over the accepted panels.
     """
     pend_lo, pend_hi, pend_piece, piece_len = panels
     n_pieces = piece_len.size
@@ -303,8 +307,9 @@ def _refine(rule, panels: tuple, rel_tol: float, abs_tol, max_rounds: int):
     acc_err: list[np.ndarray] = []
     acc_sum = None
     failed = np.empty(0, dtype=int)
+    work = 0
 
-    for depth in range(max_rounds + 1):
+    for depth in range(_MAX_ROUNDS + 1):
         val, err, floor = rule(pend_lo, pend_hi, pend_piece)
         if not (np.isfinite(val).all() and np.isfinite(err).all()):
             bad = ~(np.isfinite(val) & np.isfinite(err)).reshape(-1, pend_lo.size).all(axis=0)
@@ -318,7 +323,12 @@ def _refine(rule, panels: tuple, rel_tol: float, abs_tol, max_rounds: int):
         share = budget[..., pend_piece] * (pend_hi - pend_lo) / piece_len[pend_piece]
         met = (err <= share) | (err <= floor)
         ok = met.all(axis=0) if met.ndim > 1 else met
-        if depth == max_rounds:
+        rows = val.size // ok.size
+        if depth == 0:
+            limit = val.size + 4 * _MAX_ROUNDS * rows * n_pieces + _WORK
+        work += val.size
+        # stop at the depth cap, or before a round (both halves of each failing panel) past the budget
+        if depth == _MAX_ROUNDS or work + 2 * rows * np.count_nonzero(~ok) > limit:
             unresolved = _piece_sums(err[..., ~ok], pend_piece[~ok], n_pieces) > budget
             failed = np.argwhere(unresolved.reshape(-1, n_pieces).T)
             ok[:] = True
@@ -352,16 +362,14 @@ def _refine(rule, panels: tuple, rel_tol: float, abs_tol, max_rounds: int):
         first, last = panels[2].searchsorted([index, index + 1])
         lo, hi = panels[0][first], panels[1][last - 1]
         raise IntegrabilityError(
-            f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {max_rounds} rounds: "
+            f"integral over [{lo:.17g}, {hi:.17g}] unresolved after {depth} rounds and {work} panel-rows: "
             f"estimate {value.reshape(-1, n_pieces)[row, index]:.17g} "
             f"with error {error.reshape(-1, n_pieces)[row, index]:.17g}"
         )
     return value, error
 
 
-def _kronrod_refine(
-    fn, panels: tuple, rel_tol: float, abs_tol=0.0, max_rounds: int = _MAX_ROUNDS, t=None, phase=None
-):
+def _kronrod_refine(fn, panels: tuple, rel_tol: float, abs_tol=0.0, t=None, phase=None):
     """_refine with the G10/K21 pair, whose floor is 64 eps |K21| per panel.
 
     fn may return (m, nodes) rows; the results are numpy arrays of shape
@@ -381,7 +389,7 @@ def _kronrod_refine(
         val, err = panel_integrals(fn, lo, hi, None if t is None else t[piece])
         return val, err, rounding[piece] * np.abs(val)
 
-    return _refine(rule, panels, rel_tol, abs_tol, max_rounds)
+    return _refine(rule, panels, rel_tol, abs_tol)
 
 
 def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,19 +430,17 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     fn maps a flat array of radii to values, or to an (m, nodes) array for m
     integrands; the result is then a float, or an (m,) array.  The
     partition is cut at the kinks and once per decade (see _radial_edges)
-    and refined by _kronrod_refine for at most _RADIAL_ROUNDS rounds, a
-    panel being accepted once every row meets its share of rel_tol.
+    and refined by _kronrod_refine until _refine's stopping rule, a panel
+    being accepted once every row meets its share of rel_tol.
     lo and hi may also be arrays, broadcast against each other: the
     intervals are then the pieces of one refinement, each with its own
-    budget and so refined as if alone, and the result has one entry per
-    interval on its last axis.  param, when given, holds one parameter per
+    budget, as if alone, and the result has one entry per interval on its
+    last axis.  param, when given, holds one parameter per
     interval, broadcast against lo and hi: fn is then called as
     fn(radii, param at each radius), as the K21 rule hands a norm trace its
     times (see panel_integrals), so that intervals whose integrands differ
     in a number (a frequency, a family member) are one refinement too.
-    Raises IntegrabilityError when the panels still failing after the last
-    round carry more error than rel_tol times a row's |value|, or on a
-    non-finite value (see _refine).
+    Raises IntegrabilityError as _refine does.
     """
     ends = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, param) if v is not None))
     lo_all, hi_all = (v.ravel() for v in ends[:2])
@@ -446,7 +452,7 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     edges = np.array([np.concatenate([part, part[-1:].repeat(count.max() - part.size)]) for part in parts])
     panels = _panel_table(edges[row], count[row])
     t = None if param is None else ends[2].ravel()
-    value, _ = _kronrod_refine(fn, panels, rel_tol, max_rounds=_RADIAL_ROUNDS, t=t)
+    value, _ = _kronrod_refine(fn, panels, rel_tol, t=t)
     if np.ndim(lo) or np.ndim(hi) or np.ndim(param):
         return value
     value = value[..., 0]
@@ -604,18 +610,17 @@ def integrate_levin(g, phase, omega, panels: tuple, rel_tol: float, abs_tol=0.0)
     pair (f, f') of the real phase and its derivative from one evaluation,
     and f' must not vanish on the partitions.  omega is a number or one per
     piece, abs_tol a number, one per piece or one per row and piece.
-    Panels are refined by _refine for at most _MAX_ROUNDS rounds, with
-    |I17 - I9| (plus the Chebyshev tail bounds of _levin_panels) as the
-    error estimate and 64 eps h max|g| as the rounding level of a panel of
-    half-width h, raised to the rounding of the phase omega f where that is
-    larger.  Returns a pair of arrays, the complex values and the error
-    estimates, each of shape (pieces,) or (m, pieces).  Raises
-    IntegrabilityError on non-finite values and singular panels, and on a
-    piece still unresolved after the last round.
+    Panels are refined by _refine with |I17 - I9| (plus the Chebyshev tail
+    bounds of _levin_panels) as the error estimate and 64 eps h max|g| as
+    the rounding level of a panel of half-width h, raised to the rounding
+    of the phase omega f where that is larger.  Returns a pair of arrays,
+    the complex values and the error estimates, each of shape (pieces,) or
+    (m, pieces).  Raises IntegrabilityError as _refine does, and on
+    singular panels.
     """
     omegas = np.broadcast_to(np.asarray(omega, dtype=float), panels[3].shape)
 
     def rule(lo, hi, piece):
         return _levin_panels(g, phase, omegas[piece], lo, hi)
 
-    return _refine(rule, panels, rel_tol, abs_tol, _MAX_ROUNDS)
+    return _refine(rule, panels, rel_tol, abs_tol)

@@ -51,11 +51,12 @@ def partitions(table):
     return [np.append(lo[piece == k], hi[last][k]) for k in range(length.size)]
 
 
-def k21_refine(fn, edges, rel_tol, abs_tol=0.0, max_rounds=30):
+def k21_refine(fn, edges, rel_tol, abs_tol=0.0):
     """(value, error) of the K21 refinement of fn on one partition, as
     floats: the reference refinement of the oracles below, raising
-    IntegrabilityError when it does not resolve fn within max_rounds."""
-    value, error = _kronrod_refine(fn, panels(edges), rel_tol, abs_tol, max_rounds)
+    IntegrabilityError when it does not resolve fn within the refinement's
+    depth cap and work budget."""
+    value, error = _kronrod_refine(fn, panels(edges), rel_tol, abs_tol)
     return float(value[0]), float(error[0])
 
 

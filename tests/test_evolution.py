@@ -512,6 +512,20 @@ class TestEnergy:
         assert ts.size == 61
         np.testing.assert_allclose(total_energy(params, data, ts), expected, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("s", [0.1, 0.25])
+    def test_a_density_rough_at_the_origin(self, s):
+        # w1_sq = r^(2s) e^(-r^2) at theta = 2 starts without the origin
+        # decades, so the panel at r = 0 is bisected towards it; within the
+        # depth cap the energy at t = 0 matches its closed form
+        # (1/(4 pi)) [Gamma(s + 1/2) + delta Gamma(s + 5/2)]
+        data = RadialInitialData(
+            1,
+            w1_sq=lambda r: r ** (2.0 * s) * np.exp(-r * r),
+            w1_tail=TailBound(kind="gaussian", amplitude=1.0, rate=0.25),
+        )
+        expected = (math.gamma(s + 0.5) + P1.delta * math.gamma(s + 2.5)) / (4.0 * math.pi)
+        assert total_energy(P1, data, 0.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_panels_skip_origin_decades_only_for_a_whole_two_theta(self, monkeypatch):
         # [0, R] cut at the kinks and at 1 and 10 when the density is smooth
         # at r = 0; every time is a row of the one refinement.  A fractional

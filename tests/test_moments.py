@@ -17,7 +17,7 @@ from rosenau import (
 )
 from rosenau import quadrature
 from rosenau.model import unit_sphere_area
-from rosenau.moments import _kernel_minus_one, _moment_constant, _radial_integral
+from rosenau.moments import _DEFAULT_M_GRID, _kernel_minus_one, _moment_constant, _radial_integral
 
 from conftest import panels
 
@@ -363,9 +363,10 @@ class TestPanelFluctuation:
     def test_unbounded_oscillation_stops_at_the_panel_cap(self, monkeypatch):
         # sin(200 ln|r - 1/2|) oscillates without bound at r = 1/2, so the
         # failing panels grow about 1.5-fold a round: millions and gigabytes
-        # by round 30.  integrate_radial's cap of 17 rounds stops it after
-        # about 9 k panels; it must raise in well under 2 s, and the panel
-        # count stops a regression before it exhausts memory.
+        # by round 30.  The refinement's work budget stops it after 20
+        # rounds and about 186 k panels; it must raise in
+        # well under 2 s, and the panel count stops a regression before it
+        # exhausts memory.
         panels = []
         panel_integrals = quadrature.panel_integrals
 
@@ -384,6 +385,20 @@ class TestPanelFluctuation:
         with pytest.raises(IntegrabilityError, match="unresolved"):
             fluctuation(spiral, np.array([0.5, 3.0, 20.0]))
         assert time.perf_counter() - start < 2.0
+
+    def test_fast_oscillation_gives_up_within_seconds(self):
+        # u1 = cos(1e7 r) e^(-r^2) in 2-D on the default grid: no A(rho)
+        # meets 1e-12, and every failing panel doubles each round; the work
+        # budget stops it in about 0.5 s.
+        u1 = RadialProfile(
+            func=lambda r: np.cos(1e7 * np.asarray(r)) * np.exp(-np.asarray(r) ** 2),
+            dim=2,
+            tail=TailBound(kind="gaussian", amplitude=1.0, rate=1.0),
+        )
+        start = time.perf_counter()
+        with pytest.raises(IntegrabilityError, match="unresolved"):
+            fluctuation(u1, _DEFAULT_M_GRID)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestWeightedNorm:

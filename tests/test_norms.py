@@ -796,6 +796,26 @@ class TestBatchedTrace:
             ):
                 assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0)
 
+    def test_a_trace_of_the_most_samples_matches_one_time_at_a_time(self):
+        # 9,996 samples, near _MAX_SAMPLES: the band integrals' refinements
+        # and the energy's, one each for the whole trace, take far more than
+        # _WORK panel-rows in all, and every sample still gets what it gets
+        # alone
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, 2)
+        data = _CATALOG["gaussian"](2)
+        times = norms.geometric_times(1e2, 1e7, 1999)
+        trace = norms.compute_norm_trace(params, data, times)
+        assert times.size == 9996
+        for i in (0, 4321, times.size - 1):
+            alone = band_split_norm(params, data, times[i])
+            for column, value in (
+                (trace.band_low, alone.low),
+                (trace.band_mid, alone.mid),
+                (trace.band_high, alone.high),
+                (trace.energy, total_energy(params, data, times[i])),
+            ):
+                assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0)
+
 
 class TestRootFinder:
     """The stationary points of model.dispersion_expansion: the sign changes
@@ -1008,10 +1028,13 @@ class TestFlatCost:
         assert tight == pytest.approx(_w1_evaluations(params, 1e8)[0], rel=1e-6)
 
     def test_unresolved_piece_is_a_typed_error(self):
-        # an undeclared jump inside a slow piece cannot meet 1e-13 within the
-        # round cap: the driver raises instead of returning an unresolved value
+        # sin(200 ln|r - r0|) oscillates without bound at r0 inside a slow
+        # piece, so the piece cannot meet 1e-13 within the depth cap or the
+        # work budget: the driver raises instead of returning an unresolved
+        # value.  (An undeclared jump resolves within 30 rounds.)
         def integrand(r, t):
-            return np.where(r < 0.123456789, 1.0, 2.0) * np.sin(t * eval_dispersion(P1, r)) ** 2
+            spiral = 1.0 + np.sin(200.0 * np.log(np.abs(r - 0.123456789)))
+            return spiral * np.sin(t * eval_dispersion(P1, r)) ** 2
 
         with pytest.raises(IntegrabilityError, match="unresolved after"):
             norms.oscillatory_integrals(

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestSinglePassAdaptive:
             calls.append(x.size)
             return np.exp(x)
 
-        val, _ = k21_refine(counted, np.linspace(0.0, 1.0, 5), 1e-20, max_rounds=8)
+        val, _ = k21_refine(counted, np.linspace(0.0, 1.0, 5), 1e-20)
         assert val == pytest.approx(math.e - 1.0, rel=1e-14)
         assert calls == [4 * KRONROD_POINTS]
 
@@ -133,11 +134,12 @@ class TestSinglePassAdaptive:
         ],
     )
     @pytest.mark.parametrize("max_rounds", [0, 1, 3])
-    def test_exhausted_rounds_error_covers_true_error(self, fn, lo, hi, exact, max_rounds):
-        # the refinement raises at its round cap, and the error estimate it
+    def test_exhausted_rounds_error_covers_true_error(self, fn, lo, hi, exact, max_rounds, monkeypatch):
+        # the refinement raises at its depth cap, and the error estimate it
         # reports covers the error of the estimate it reports
+        monkeypatch.setattr(quadrature, "_MAX_ROUNDS", max_rounds)
         with pytest.raises(IntegrabilityError, match=f"unresolved after {max_rounds} rounds") as info:
-            k21_refine(fn, np.linspace(lo, hi, 3), 1e-15, max_rounds=max_rounds)
+            k21_refine(fn, np.linspace(lo, hi, 3), 1e-15)
         val, err = reported(info.value)
         assert err >= abs(val - exact)
         assert err > 0.0
@@ -407,6 +409,87 @@ def test_deterministic_repeatability():
     assert a == b
 
 
+class TestWorkBudget:
+    """A refinement stops before a round that would take it past its budget
+    of panel-rows, one integrand row on one panel, whatever its depth: its
+    starting table, four panels a round through every round for each row
+    of each piece, and _WORK more."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_no_round_passes_the_budget(self, rows, monkeypatch):
+        # every panel fails, so the rounds evaluate 4, 8, 16, 32, 64, 128
+        # panels; a budget of 4 + 4 * 30 + 100 panel-rows a row lets the
+        # first five run (124 panels) and not the sixth
+        monkeypatch.setattr(quadrature, "_WORK", 100 * rows)
+        seen = []
+
+        def failing(lo, hi, piece):
+            seen.append(lo.size)
+            return np.zeros((rows, lo.size)), np.ones((rows, lo.size)), np.zeros((rows, lo.size))
+
+        with pytest.raises(IntegrabilityError, match=f"unresolved after 4 rounds and {124 * rows} panel-rows"):
+            quadrature._refine(failing, panels(np.linspace(0.0, 1.0, 5)), 1e-10, 0.0)
+        assert seen == [4, 8, 16, 32, 64]
+
+    def test_the_starting_table_is_always_evaluated(self, monkeypatch):
+        # a budget below the starting table still lets the first round run,
+        # and an integrand it resolves returns
+        monkeypatch.setattr(quadrature, "_WORK", 1)
+        val, _ = k21_refine(np.exp, np.linspace(0.0, 1.0, 5), 1e-10)
+        assert val == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    def test_a_piece_resolves_in_a_call_of_any_size_as_alone(self):
+        # k r ln r on [0, 1] is bisected towards r = 0 for 26 rounds, two
+        # panels a round, before it meets 1e-12: 10,000 such pieces need
+        # 520,000 panel-rows beyond their start, more than _WORK, and each
+        # still resolves to what it resolves to alone
+        k = np.linspace(1.0, 2.0, 10_000)
+        edges = np.tile(np.linspace(0.0, 1.0, 3), (k.size, 1))
+        work = []
+        panel_integrals = quadrature.panel_integrals
+
+        def counted(fn, lo, hi, t=None):
+            work.append(np.size(lo))
+            return panel_integrals(fn, lo, hi, t)
+
+        def fn(r, k):
+            return k * r * np.log(np.maximum(r, 1e-300))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "panel_integrals", counted)
+            value, _ = quadrature._kronrod_refine(fn, quadrature._panel_table(edges), 1e-12, t=k)
+        assert sum(work) - work[0] > quadrature._WORK
+        np.testing.assert_allclose(value, -0.25 * k, rtol=1e-12)
+        for i in (0, 4321, k.size - 1):
+            alone, _ = quadrature._kronrod_refine(fn, panels(edges[i]), 1e-12, t=k[i : i + 1])
+            assert value[i] == pytest.approx(alone[0], rel=1e-14, abs=0.0)
+
+    def test_oscillating_rows_stop_within_the_budget(self, monkeypatch):
+        # 62 rows of sin^2(t r) e^(-r^2), at t = 0 and the 61 times of a
+        # 1e2..1e7 trace, on the energy's partition: the late rows cannot
+        # meet 1e-12, and their failing panels double every round, so the
+        # refinement must raise within its budget and a bounded memory
+        ts = np.concatenate([[0.0], np.logspace(2.0, 7.0, 61)])[:, None]
+        work = []
+        panel_integrals = quadrature.panel_integrals
+
+        def counted(fn, lo, hi, t=None):
+            work.append(ts.size * np.size(lo))
+            return panel_integrals(fn, lo, hi, t)
+
+        monkeypatch.setattr(quadrature, "panel_integrals", counted)
+        table = quadrature._panel_table(quadrature._radial_edges(0.0, 17.9, ()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrabilityError, match="unresolved"):
+                quadrature._kronrod_refine(lambda r: np.sin(ts * r) ** 2 * np.exp(-r * r), table, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(work) <= work[0] + 4 * quadrature._MAX_ROUNDS * ts.size + quadrature._WORK
+        assert peak <= 64e6
+
+
 class TestNonFiniteIntegrand:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_raises_in_first_round(self, bad):
@@ -417,7 +500,7 @@ class TestNonFiniteIntegrand:
             return np.where(x > 0.5, bad, x)
 
         with pytest.raises(IntegrabilityError, match="non-finite"), np.errstate(invalid="ignore"):
-            k21_refine(fn, np.linspace(0.0, 1.0, 5), 1e-10, max_rounds=8)
+            k21_refine(fn, np.linspace(0.0, 1.0, 5), 1e-10)
         assert sum(nodes) <= KRONROD_POINTS * 4
 
 
@@ -609,55 +692,56 @@ def _fluctuation_of_a_gaussian():
 
 
 class TestRoundCap:
-    """Every K21 and Levin refinement raises IntegrabilityError at its round
-    cap: 17 rounds for integrate_radial, the energy and the norm driver's
-    two K21 refinements, 13 for the fluctuation, 30 for Levin, a direct
-    _kronrod_refine and wellposed (its two densities are rows of one
-    refinement)."""
+    """Every K21 and Levin refinement raises IntegrabilityError at the one
+    depth cap of _refine, 30 rounds: integrate_radial, a direct
+    _kronrod_refine, integrate_levin, the norm driver's two K21 refinements
+    and its Levin one, wellposed (its two densities are rows of one
+    refinement), the energy and the fluctuation."""
 
+    # each caller and the number of refinements it makes
     CALLERS = {
-        "integrate_radial": (lambda: integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12), [17]),
-        "kronrod_refine": (lambda: quadrature._kronrod_refine(np.exp, panels(np.linspace(0.0, 1.0, 3)), 1e-12), [30]),
+        "integrate_radial": (lambda: integrate_radial(np.exp, 0.0, 1.0, rel_tol=1e-12), 1),
+        "kronrod_refine": (lambda: quadrature._kronrod_refine(np.exp, panels(np.linspace(0.0, 1.0, 3)), 1e-12), 1),
         "integrate_levin": (
             lambda: integrate_levin(np.exp, _linear, 300.0, panels(np.linspace(0.0, 1.0, 3)), 1e-10),
-            [30],
+            1,
         ),
-        "norm_squared": (_norm_of_a_gaussian, [17, 17, 30]),
-        "wellposed": (_wellposed_checks, [30, 30]),
-        "total_energy": (_energy_of_a_gaussian, [17]),
-        "fluctuation": (_fluctuation_of_a_gaussian, [13]),
+        "norm_squared": (_norm_of_a_gaussian, 3),
+        "wellposed": (_wellposed_checks, 2),
+        "total_energy": (_energy_of_a_gaussian, 1),
+        "fluctuation": (_fluctuation_of_a_gaussian, 1),
     }
 
     @staticmethod
     def failing_at(monkeypatch, which):
         """Make the which-th refinement never resolve its leftmost pending
-        panel, one panel bisected per round, and record every cap."""
-        caps = []
+        panel, one panel bisected per round, and record every refinement."""
+        calls = []
         refine = quadrature._refine
 
-        def refine_counted(rule, pieces, rel_tol, abs_tol, max_rounds):
-            caps.append(max_rounds)
-            if len(caps) - 1 != which:
-                return refine(rule, pieces, rel_tol, abs_tol, max_rounds)
+        def refine_counted(rule, pieces, rel_tol, abs_tol):
+            calls.append(rule)
+            if len(calls) - 1 != which:
+                return refine(rule, pieces, rel_tol, abs_tol)
 
             def failing(lo, hi, piece):
                 val, err, floor = rule(lo, hi, piece)
                 first = lo == lo.min()
                 return val, np.where(first, 1.0 + np.abs(val), err), np.where(first, 0.0, floor)
 
-            return refine(failing, pieces, rel_tol, abs_tol, max_rounds)
+            return refine(failing, pieces, rel_tol, abs_tol)
 
         monkeypatch.setattr(quadrature, "_refine", refine_counted)
-        return caps
+        return calls
 
     @pytest.mark.parametrize("caller", sorted(CALLERS))
     def test_raises_at_its_cap(self, caller, monkeypatch):
-        run, expected = self.CALLERS[caller]
-        for which, cap in enumerate(expected):
-            caps = self.failing_at(monkeypatch, which)
-            with pytest.raises(IntegrabilityError, match=f"unresolved after {cap} rounds: estimate"):
+        run, refinements = self.CALLERS[caller]
+        for which in range(refinements):
+            calls = self.failing_at(monkeypatch, which)
+            with pytest.raises(IntegrabilityError, match=r"unresolved after 30 rounds and \d+ panel-rows: estimate"):
                 run()
-            assert caps == expected[: which + 1]
+            assert len(calls) == which + 1
         # unpatched, every refinement resolves
         monkeypatch.undo()
         run()
