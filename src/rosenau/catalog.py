@@ -66,10 +66,14 @@ def _gaussian_density(dim: int, a: float, amplitude: float):
     """|w|^2 of amplitude * exp(-a |x|^2), and the tail of its transform."""
     if a <= 0:
         raise InputDomainError("gaussian rate a must be positive")
-    factor = amplitude * (math.pi / a) ** (dim / 2.0)
+    try:
+        factor = amplitude * (math.pi / a) ** (dim / 2.0)
+        peak = factor**2
+    except OverflowError:
+        raise InputDomainError(f"the transform of the Gaussian overflows a float at dim {dim}") from None
 
     def density(r):
-        return factor**2 * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * a))
+        return peak * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * a))
 
     tail = TailBound(kind="gaussian", amplitude=abs(factor), rate=1.0 / (4.0 * a))
     return density, tail

@@ -39,7 +39,7 @@ from numpy.fft import fftfreq, irfftn, rfftfreq, rfftn
 from .artifacts import open_output
 from .errors import InputDomainError, UncertifiedTailError
 from .model import ModelParams, dispersion_slope, eval_dispersion, unit_sphere_area
-from .quadrature import _kronrod_refine, _panel_table, _radial_edges, _row_blocks
+from .quadrature import _row_blocks, integrate_radial
 from .records import Record, replace
 from .tails import TailBound
 
@@ -403,10 +403,9 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
     (1/2) [(1 + delta r^(2 theta)) |w_t|^2 + (mu r^4 + kappa r^2) |w|^2] r^(n-1)
     with the Plancherel factor (2 pi)^(-n), |w|^2 and |w_t|^2 formed at each
     t from RadialInitialData.densities; it equals its t = 0 value pointwise,
-    so the total is conserved to round-off.  An array of times gives one
-    value per time, each a row of one refinement on quadrature._radial_edges,
-    without the origin decades for a whole 2 theta, where r^(2 theta) and so
-    the density (for data smooth at r = 0, as in the catalog) are smooth.
+    so the total is conserved to round-off.  The density is integrated over
+    [0, R] by quadrature.integrate_radial, cut at the data's kinks; an array
+    of times gives one value per time, each a row of that one call.
     """
     _check_time(t)
     _check_dim(params, data.dim)
@@ -430,9 +429,7 @@ def total_energy(params: ModelParams, data: RadialInitialData, t):
             out[rows] = 0.5 * (inertia * wt_sq + stiffness * w_sq) * radial
         return out
 
-    origin = not (2.0 * params.theta).is_integer()  # r^(2 theta) is smooth at 0 only for a whole 2 theta
-    panels = _panel_table(_radial_edges(0.0, _energy_radius(data), data.kinks, origin=origin))
-    value = _kronrod_refine(density, panels, _ENERGY_REL_TOL)[0][:, 0]
+    value = integrate_radial(density, 0.0, _energy_radius(data), data.kinks, rel_tol=_ENERGY_REL_TOL)
     energy = unit_sphere_area(n) / (2.0 * math.pi) ** n * value
     return energy if np.ndim(t) else float(energy[0])
 

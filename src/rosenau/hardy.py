@@ -4,7 +4,7 @@ A weight w admits a Hardy-type inequality ||u/w|| <= C ||grad u|| exactly
 when the Rayleigh quotient ||u/w||^2 / ||grad u||^2 stays bounded over the
 admissible class.  This module evaluates such quotients for
 moments.RadialProfile test functions, reading their derivatives, dimension
-and finite radius upper_limit() from them, with quadrature.integrate_radial
+and finite radius upper_limit() from them, with moments._radial_integrals
 cut at their kinks; drives them over witness families (the logarithmic
 capacity family in 2-D, dilations of catalog.gaussian_profile elsewhere),
 all members of a family and both of its integrals in one call; and renders
@@ -35,14 +35,13 @@ from .catalog import gaussian_profile
 from .errors import InputDomainError, InvariantViolation, PreconditionError
 from .evolution import RadialInitialData, _check_time, cosc, propagator
 from .model import ModelParams, eval_dispersion, unit_sphere_area
-from .moments import RadialProfile
+from .moments import RadialProfile, _radial_integrals
 from .norms import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     _resolve_r_max,
     oscillatory_integrals,
 )
-from .quadrature import integrate_radial
 from .records import Record, replace
 from .tails import TailBound
 
@@ -163,65 +162,20 @@ def dilation_family(R: float, base: RadialProfile) -> RadialProfile:
     )
 
 
-def _members(u, weight: WeightFunction | None = None, needs=()) -> tuple[list, int]:
-    """The profiles of u, u itself or the profiles of a list, and their one
-    dimension, which must be the weight's when one is given; each profile
-    must carry the derivatives named in needs."""
-    members = [u] if isinstance(u, RadialProfile) else list(u)
-    dims = {v.dim for v in members}
-    if len(dims) != 1:
-        raise InputDomainError(f"profiles of dimensions {sorted(dims)} in one call")
-    (dim,) = dims
-    if weight is not None and weight.dim != dim:
-        raise InputDomainError(f"a profile of dimension {dim} against a weight of dimension {weight.dim}")
-    for need in needs:
-        if any(getattr(v, need) is None for v in members):
-            raise InputDomainError(f"the quotient needs the {need} of each profile")
-    return members, dim
-
-
-def _radial_integrals(u, members, dim: int, lo, *profiles):
-    """Integral of profile(v, r) r^(n-1) over [lo, v.upper_limit()] for the
-    profile v = u, or for each v of the list u (whose profiles are members):
-    the pieces of one integrate_radial call with the profile's index as
-    parameter, cut at the kinks of them all.  lo is a number or one per
-    piece.  Several profiles are rows of that one call, on its one
-    partition, and lead the result."""
-
-    def integrand(r, member):
-        out = np.empty((len(profiles), r.size))
-        for index, v in enumerate(members):
-            at = member == index
-            radial = r[at] ** (dim - 1)
-            for row, profile in zip(out, profiles):
-                row[at] = profile(v, r[at]) * radial
-        return out if len(profiles) > 1 else out[0]
-
-    single = isinstance(u, RadialProfile)
-    return integrate_radial(
-        integrand,
-        lo,
-        u.upper_limit() if single else [v.upper_limit() for v in members],
-        sorted({k for v in members for k in v.kinks}),
-        rel_tol=_REL_TOL,
-        param=0.0 if single else np.arange(len(members)),
-    )
-
-
 def _gradient_density(v, r):
     return v.deriv(r) ** 2
 
 
-def _weighted(members, weight: WeightFunction, dim: int, inner_cut):
+def _weighted(members, weight: WeightFunction, inner_cut):
     """The density (v/w)^2 of ||v/w||^2, the lower end of its integral and
-    the mass below that end, one per member: inner_cut and 0, except for
-    the 2-D abs_log_weight at an inner_cut of 0, whose mass below
-    _LOG_ORIGIN is added in closed form."""
+    the part of ||v/w||^2 below that end, one per member: inner_cut and 0,
+    except for the 2-D abs_log_weight at an inner_cut of 0, whose part
+    below _LOG_ORIGIN is added in closed form."""
     lo, origin = inner_cut, 0.0
-    if weight.kind == "abs_log_weight" and dim == 2 and np.ndim(inner_cut) == 0 and inner_cut == 0.0:
+    if weight.kind == "abs_log_weight" and weight.dim == 2 and np.ndim(inner_cut) == 0 and inner_cut == 0.0:
         lo = _LOG_ORIGIN
         at_zero = np.array([float(v.func(np.array([0.0]))[0]) for v in members])
-        origin = at_zero**2 / (1.0 - math.log(_LOG_ORIGIN))
+        origin = unit_sphere_area(2) * (at_zero**2 / (1.0 - math.log(_LOG_ORIGIN)))
     return (lambda v, r: (v.func(r) / weight.evaluate(r)) ** 2), lo, origin
 
 
@@ -229,23 +183,28 @@ def gradient_norm_sq(u):
     """||grad u||^2 = omega_n integral |u'(r)|^2 r^(n-1) dr, for the profile
     u or, from one refinement, for each of a list of profiles of one
     dimension n."""
-    members, dim = _members(u, needs=("deriv",))
-    return unit_sphere_area(dim) * _radial_integrals(u, members, dim, 0.0, _gradient_density)
+    if any(v.deriv is None for v in ([u] if isinstance(u, RadialProfile) else u)):
+        raise InputDomainError("the quotient needs the deriv of each profile")
+    return _radial_integrals(u, 0.0, _REL_TOL, _gradient_density)
 
 
 def weighted_norm_sq(u, weight: WeightFunction, inner_cut=0.0):
     """||u/w||^2, optionally truncated to r >= inner_cut (exhaustion use).
 
     u may be a list of profiles and inner_cut one cut per piece: the
-    integrals are then the pieces of one refinement (see _radial_integrals).
-    Every profile must have the weight's dimension.  The closed-form mass
-    below _LOG_ORIGIN applies to an inner_cut of 0.
+    integrals are then the pieces of one refinement (see
+    moments._radial_integrals).  Every profile must have the weight's
+    dimension.  The closed-form mass below _LOG_ORIGIN applies to an
+    inner_cut of 0.
     """
-    members, dim = _members(u, weight)
-    density, lo, origin = _weighted(members, weight, dim, inner_cut)
+    members = [u] if isinstance(u, RadialProfile) else list(u)
+    for v in members:
+        if v.dim != weight.dim:
+            raise InputDomainError(f"a profile of dimension {v.dim} against a weight of dimension {weight.dim}")
+    density, lo, origin = _weighted(members, weight, inner_cut)
     if isinstance(u, RadialProfile) and np.ndim(origin):
         origin = float(origin[0])
-    return unit_sphere_area(dim) * (origin + _radial_integrals(u, members, dim, lo, density))
+    return origin + _radial_integrals(u, lo, _REL_TOL, density)
 
 
 class QuotientTrace(Record):
@@ -289,7 +248,7 @@ def blowup_scan(weight: WeightFunction, R_grid=FAMILY_GRID) -> BlowupScan:
     catalog.gaussian_profile(n).
 
     The gradient norms and the numerators of a family are two rows of one
-    refinement over the whole family (see _radial_integrals); the
+    refinement over the whole family (see moments._radial_integrals); the
     exhaustion numerators are the intervals [1/R, support] of one call, and
     the bump's gradient norm one more.
     """
@@ -312,10 +271,9 @@ def blowup_scan(weight: WeightFunction, R_grid=FAMILY_GRID) -> BlowupScan:
         members = [capacity_family(R) if dim == 2 else dilation_family(R, bump) for R in grid]
         # both integrals from the numerator's lower end: in 2-D every member
         # is a capacity profile, constant on [0, 1], so no gradient lies below
-        density, lo, origin = _weighted(members, weight, dim, 0.0)
-        gradients, numerators = _radial_integrals(members, members, dim, lo, _gradient_density, density)
-        grads = unit_sphere_area(dim) * gradients
-        quotients = unit_sphere_area(dim) * (origin + numerators) / grads
+        density, lo, origin = _weighted(members, weight, 0.0)
+        grads, numerators = _radial_integrals(members, lo, _REL_TOL, _gradient_density, density)
+        quotients = (origin + numerators) / grads
 
     trace = QuotientTrace(grid, quotients, grads)
     x = np.log(grid)
@@ -430,14 +388,14 @@ def rellich_quotient(u: RadialProfile) -> float:
     if u.deriv is None or u.second_deriv is None:
         raise InputDomainError("the Rellich quotient needs the deriv and second_deriv of its profile")
 
-    def laplacian_sq(r):
-        return (u.second_deriv(r) + (dim - 1) * u.deriv(r) / r) ** 2 * r ** (dim - 1)
+    def weighted_sq(v, r):
+        return v.func(r) ** 2 / r**4
 
-    def rows(r):
-        """The numerator and denominator densities, two rows of one refinement."""
-        return np.stack([u.func(r) ** 2 * r ** (dim - 5), laplacian_sq(r)])
+    def laplacian_sq(v, r):
+        return (v.second_deriv(r) + (dim - 1) * v.deriv(r) / r) ** 2
 
-    numerator, denominator = integrate_radial(rows, 0.0, u.upper_limit(), u.kinks, rel_tol=_REL_TOL)
+    # the numerator and denominator, two rows of one refinement
+    numerator, denominator = _radial_integrals(u, 0.0, _REL_TOL, weighted_sq, laplacian_sq)
     if denominator <= 0:
         raise InputDomainError("degenerate test function: ||Delta u|| = 0")
     return numerator / denominator

@@ -324,4 +324,7 @@ def unit_sphere_area(dim: int) -> float:
     """Surface area omega_n of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     if int(dim) != dim or dim < 1:
         raise InputDomainError(f"dimension must be an integer >= 1, got {dim}")
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    try:
+        return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    except OverflowError:  # Gamma(n/2) overflows from n = 344, and omega_344 ~ 5e-224 does not
+        return 2.0 * math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0))

@@ -19,11 +19,12 @@ evaluates without cancellation.
 
 Every integral runs over [0, R] for the profile's certified finite radius R
 (a compact or a Gaussian tail; a tail of kind "none" raises
-IntegrabilityError), cut at the profile's kinks.  P, ||u1||_1,
-||u1||_{1,gamma} and ||u1||_2^2 are four rows of one integrate_radial call.
+IntegrabilityError), cut at the profile's kinks.  _radial_integrals, which
+hardy's quotients share, integrates densities of a profile or of a family:
+P, ||u1||_1, ||u1||_{1,gamma} and ||u1||_2^2 are four rows of one call.
 A(rho) on the whole frequency grid is one _kronrod_refine call, one piece
-per rho, each held to 1e-12 of its own |A(rho)| from _frequency_panels,
-with no origin decades: the integrand vanishes at r = 0.
+per rho, each held to 1e-12 of its own |A(rho)|, from panels sized to its
+frequency (_frequency_panels).
 """
 
 from __future__ import annotations
@@ -254,33 +255,47 @@ def _chebyshev_sum(coeffs, y):
     return coeffs[0] + d * b + sign * e
 
 
-def _radial_integral(u1: RadialProfile, *densities):
-    """omega_n times the integral of density(u1(r), r) r^(n-1) over [0, R]:
-    a float for one density, and for several an array, their rows of one
-    integrate_radial call, which evaluates u1 once per node for them all."""
-    n = u1.dim
+def _radial_integrals(u, lo, rel_tol: float, *densities):
+    """omega_n times the integral of density(v, r) r^(n-1) over
+    [lo, v.upper_limit()] to rel_tol, for the profile v = u, or for each v
+    of the list u, profiles of one dimension n: the pieces of one
+    integrate_radial call with the profile's index as parameter, cut at the
+    kinks of them all, lo a number or one per piece.  Several densities are
+    rows of that call and lead the result."""
+    single = isinstance(u, RadialProfile)
+    members = [u] if single else list(u)
+    dims = {v.dim for v in members}
+    if len(dims) != 1:
+        raise InputDomainError(f"profiles of dimensions {sorted(dims)} in one call")
+    (n,) = dims
 
-    def integrand(r):
-        u, radial = u1.func(r), r ** (n - 1)
-        rows = [density(u, r) * radial for density in densities]
-        return rows[0] if len(rows) == 1 else np.stack(rows)
+    def integrand(r, member):
+        out = np.empty((len(densities), r.size))
+        for index, v in enumerate(members):
+            at = member == index
+            radial = r[at] ** (n - 1)
+            for row, density in zip(out, densities):
+                row[at] = density(v, r[at]) * radial
+        return out if len(densities) > 1 else out[0]
 
-    value = integrate_radial(integrand, 0.0, u1.upper_limit(), u1.kinks, rel_tol=_MOMENT_REL_TOL)
-    return unit_sphere_area(n) * value
+    his = u.upper_limit() if single else [v.upper_limit() for v in members]
+    kinks = sorted({k for v in members for k in v.kinks})
+    param = 0.0 if single else np.arange(len(members))
+    return unit_sphere_area(n) * integrate_radial(integrand, lo, his, kinks, rel_tol=rel_tol, param=param)
 
 
-def _absolute(u, r):
-    return np.abs(u)
+def _absolute(v, r):
+    return np.abs(v.func(r))
 
 
-def _squared(u, r):
-    return np.abs(u) ** 2
+def _squared(v, r):
+    return np.abs(v.func(r)) ** 2
 
 
 def l1_norm_and_l2_sq(u1: RadialProfile) -> tuple[float, float]:
     """Physical L1 norm and squared L2 norm of the radial profile, as two
     rows of one integrate_radial call."""
-    return tuple(_radial_integral(u1, _absolute, _squared).tolist())
+    return tuple(_radial_integrals(u1, 0.0, _MOMENT_REL_TOL, _absolute, _squared).tolist())
 
 
 def _frequency_panels(hi: float, kinks, rhos: np.ndarray) -> tuple:
@@ -396,11 +411,13 @@ class MomentDecomposition(Record):
         if not (0.0 < gamma_exp <= 1.0):
             raise InputDomainError(f"gamma must lie in (0, 1], got {gamma_exp}")
         grid = _DEFAULT_M_GRID if xi_grid is None else xi_grid
-        p_moment, l1, wnorm, l2_sq = _radial_integral(
+        p_moment, l1, wnorm, l2_sq = _radial_integrals(
             u1,
-            lambda u, r: np.real(u),
+            0.0,
+            _MOMENT_REL_TOL,
+            lambda v, r: np.real(v.func(r)),
             _absolute,
-            lambda u, r: (1.0 + r**gamma_exp) * np.abs(u),
+            lambda v, r: (1.0 + r**gamma_exp) * np.abs(v.func(r)),
             _squared,
         ).tolist()
         return cls(

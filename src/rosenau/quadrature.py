@@ -48,17 +48,18 @@ whole call.  No round starts that would pass it; then a piece whose pending
 panels carry more error than its budget raises.
 
 The rule for callers: a smooth radial integrand goes through
-``integrate_radial``, with its jumps passed as kinks (one smooth at r = 0,
-or vanishing there, may start without the origin decades); an integrand that
-oscillates like sin(t f) goes through ``norms.oscillatory_integrals``, which
-splits it into a mean and Re[g e^(2 i t f)] and runs the K21 refinement
-where the phase is slow or stationary and ``integrate_levin`` where it is
-fast.  Many integrals of one kind are one call: integrals that differ in
-their interval are one call with arrays of interval ends, and integrals
-whose integrands differ in a number (a frequency, a family member) are one
-call with that number as the per-interval parameter, handed to the integrand
-at each node; each is then a piece, held to the tolerance it would get
-alone.
+``integrate_radial``, with its jumps passed as kinks; it starts from [lo, hi]
+cut there and at the powers of ten from lo's decade (from 1 when lo = 0),
+and bisection finds where the integrand needs panels, as in QUADPACK's QAG.
+An integrand that oscillates like sin(t f) goes through
+``norms.oscillatory_integrals``, which splits it into a mean and
+Re[g e^(2 i t f)] and runs the K21 refinement where the phase is slow or
+stationary and ``integrate_levin`` where it is fast.  Many integrals of one
+kind are one call: integrals that differ in their interval are one call with
+arrays of interval ends, and integrals whose integrands differ in a number
+(a frequency, a family member) are one call with that number as the
+per-interval parameter, handed to the integrand at each node; each is then a
+piece, held to the tolerance it would get alone.
 
 A batch of many pieces can hold tens of thousands of panels, so both rules
 work in chunks that keep every temporary small:
@@ -106,7 +107,7 @@ __all__ = [
 
 # Order of the Gauss-Legendre rule the package first used.  Nothing in the
 # package reads it; perfbench/tracer.py does when it installs, and it stays
-# until the tracer counts Kronrod nodes (ROADMAP item 3).
+# until the tracer counts Kronrod nodes (ROADMAP item 9).
 GL_ORDER = 16
 
 # Nonnegative G10/K21 abscissae on [-1, 1] in decreasing order, with the
@@ -172,9 +173,6 @@ _GAUSS_WEIGHTS = np.zeros(KRONROD_POINTS)
 _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 # one product gives K21 and K21 - G10 per panel
 _RULE = np.stack([_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS], axis=1)
-
-# a piece [0, b] of integrate_radial is first cut at b 10^-16
-_ORIGIN_DECADES = 16
 
 # K21 panels per chunk: at most 2^15 integrand nodes at a time (see the
 # module docstring)
@@ -407,21 +405,14 @@ def _kink_edges(lo: float, hi: float, kinks) -> list:
     return sorted({lo, hi, *(float(k) for k in kinks if lo < k < hi)})
 
 
-def _radial_edges(lo: float, hi: float, kinks, origin: bool = True) -> np.ndarray:
-    """[lo, hi] cut at the kinks inside it and at every power of ten inside it.
-
-    A first piece that starts at 0 is cut once more, _ORIGIN_DECADES
-    decades below its upper end, and from there on per decade, unless
-    origin=False: then only at the powers of ten from 1 up.
-    """
+def _radial_edges(lo: float, hi: float, kinks) -> np.ndarray:
+    """[lo, hi] cut at the kinks inside it and at every power of ten inside
+    it, from lo's decade, or from 1 when lo = 0."""
     if not (0.0 <= lo < hi < math.inf):
         raise InputDomainError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
-    cuts = _kink_edges(lo, hi, kinks)
-    if lo == 0.0 and origin:
-        cuts.insert(1, cuts[1] * 10.0**-_ORIGIN_DECADES)
-    bottom = lo if lo > 0.0 else cuts[1] if origin else 1.0
-    decades = 10.0 ** np.arange(math.floor(math.log10(bottom)), math.ceil(math.log10(hi)) + 1)
-    return np.array(sorted({*cuts, *decades[(decades >= bottom) & (decades < hi)].tolist()}))
+    decades = 10.0 ** np.arange(math.floor(math.log10(lo or 1.0)), math.ceil(math.log10(hi)) + 1)
+    decades = decades[(decades > lo) & (decades < hi)].tolist()
+    return np.array(sorted({*_kink_edges(lo, hi, kinks), *decades}))
 
 
 def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputDomainError
+from .errors import InputDomainError, UncertifiedTailError
 from .records import Record
 
 __all__ = ["TailBound"]
@@ -46,7 +46,11 @@ class TailBound(Record):
             s = 2.0 * self.rate
             half = dim / 2.0
             # integral_{r0}^inf e^{-s r^2} r^(n-1) dr = Gamma(n/2, s r0^2) / (2 s^(n/2))
-            return self.amplitude**2 * _upper_incomplete_gamma(dim, s * r0**2) / (2.0 * s**half)
+            try:  # Gamma(n/2) overflows a float from n = 344
+                gamma = _upper_incomplete_gamma(dim, s * r0**2)
+            except OverflowError:
+                raise UncertifiedTailError(f"the Gaussian tail bound overflows a float at dim {dim}") from None
+            return self.amplitude**2 * gamma / (2.0 * s**half)
         return math.inf
 
 

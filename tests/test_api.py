@@ -68,7 +68,7 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list:
 
 # Definitions that only the benchmark reads: perfbench/tracer.py takes
 # quadrature.GL_ORDER when it installs, until it counts Kronrod nodes itself
-# (ROADMAP item 3).  Each must still be named there.
+# (ROADMAP item 9).  Each must still be named there.
 READ_BY_PERFBENCH = {("quadrature", "GL_ORDER")}
 
 
@@ -98,3 +98,14 @@ def unused_imports(package: Path = PACKAGE) -> list:
 
 def test_every_import_is_named_in_its_module():
     assert unused_imports() == []
+
+
+def test_one_start_rule_for_radial_integrals():
+    # every smooth radial integral starts from quadrature's one table, so
+    # no other module names the table's builder
+    named = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "quadrature" and "_radial_edges" in _names(ast.parse(path.read_text()))
+    ]
+    assert named == []

@@ -567,6 +567,32 @@ class TestSubcommands:
         assert (out / "norm_trace.csv").read_bytes().startswith(b"t,norm_sq,")
         assert json.loads((out / "verdict.json").read_text())["preset"] == "custom"
 
+    @pytest.mark.parametrize(
+        "command,dim,message",
+        [
+            ("norm-growth", 344, "the Gaussian tail bound overflows a float at dim 344"),
+            ("prop-4-1", 344, "the Gaussian tail bound overflows a float at dim 344"),
+            ("wellposed-check", 344, "non-finite integrand"),
+            ("wellposed-check", 400, "non-finite integrand"),
+        ],
+    )
+    def test_a_dimension_past_the_overflow_of_gamma_exits_2(self, capsys, tmp_path, command, dim, message):
+        # Gamma(n/2) overflows a float from n = 344: the tail bound raises a
+        # typed error there, and omega_n comes from logs, so that the
+        # wellposed integrals run until r^(n-1) overflows.  numpy warns of
+        # that overflow on the way, which is not what is tested here
+        out = tmp_path / "out"
+        if command == "norm-growth":
+            argv = ["norm-growth", "--dim", str(dim), "--out", str(out)]
+        else:
+            cfg_path = tmp_path / "big.yaml"
+            cfg_path.write_text(f"preset: {command}\nparams: {{dim: {dim}}}\noutput_dir: {out}\n")
+            argv = ["run", str(cfg_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 2
+        assert message in error_line(capsys)
+
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["norm-growth", "--threads", "2"])

@@ -514,9 +514,9 @@ class TestEnergy:
 
     @pytest.mark.parametrize("s", [0.1, 0.25])
     def test_a_density_rough_at_the_origin(self, s):
-        # w1_sq = r^(2s) e^(-r^2) at theta = 2 starts without the origin
-        # decades, so the panel at r = 0 is bisected towards it; within the
-        # depth cap the energy at t = 0 matches its closed form
+        # w1_sq = r^(2s) e^(-r^2) at theta = 2: the panel [0, 1] of the one
+        # radial table is bisected towards r = 0, and within the depth cap
+        # the energy at t = 0 matches its closed form
         # (1/(4 pi)) [Gamma(s + 1/2) + delta Gamma(s + 5/2)]
         data = RadialInitialData(
             1,
@@ -526,20 +526,20 @@ class TestEnergy:
         expected = (math.gamma(s + 0.5) + P1.delta * math.gamma(s + 2.5)) / (4.0 * math.pi)
         assert total_energy(P1, data, 0.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
-    def test_panels_skip_origin_decades_only_for_a_whole_two_theta(self, monkeypatch):
-        # [0, R] cut at the kinks and at 1 and 10 when the density is smooth
-        # at r = 0; every time is a row of the one refinement.  A fractional
-        # 2 theta keeps integrate_radial's origin decades
-        from rosenau import evolution, quadrature
+    def test_panels_start_from_the_one_radial_table(self, monkeypatch):
+        # [0, R] cut at the kinks and at 1 and 10, whatever theta: the one
+        # table of quadrature.integrate_radial.  Every time is a row of the
+        # one refinement
+        from rosenau import quadrature
 
         tables = []
-        refine = evolution._kronrod_refine
+        refine = quadrature._kronrod_refine
 
         def recorded(fn, table, *args, **kwargs):
             tables.append(table)
             return refine(fn, table, *args, **kwargs)
 
-        monkeypatch.setattr(evolution, "_kronrod_refine", recorded)
+        monkeypatch.setattr(quadrature, "_kronrod_refine", recorded)
         ts = np.geomspace(1e2, 1e7, 61)
         energies = total_energy(P1, gaussian_velocity_data(1), ts)
         assert energies.shape == (61,)
@@ -554,10 +554,9 @@ class TestEnergy:
             [0.0, 0.3, 1.0, 2.5],
             [0.0, 0.1, 0.5],
             [0.0, 1.0, 10.0, radius],
-            quadrature._radial_edges(0.0, radius, ()).tolist(),
-            quadrature._radial_edges(0.0, 2.5, (0.3, 2.5)).tolist(),
+            [0.0, 1.0, 10.0, radius],
+            [0.0, 0.3, 1.0, 2.5],
         ]
-        assert expected[4][:2] == [0.0, radius * 1e-16]
         assert len(tables) == len(expected)
         for table, edges in zip(tables, expected):
             assert [*table[0], table[1][-1]] == edges

@@ -377,3 +377,9 @@ class TestSphereArea:
     def test_rejects_bad_dimension(self):
         with pytest.raises(InputDomainError):
             unit_sphere_area(0)
+
+    def test_past_the_overflow_of_gamma(self):
+        # Gamma(n/2) overflows a float from n = 344, where omega_n is still
+        # one: omega_344 = 5.212307078041086e-224 (mpmath)
+        assert unit_sphere_area(343) == 2.0 * math.pi**171.5 / math.gamma(171.5)
+        assert unit_sphere_area(344) == pytest.approx(5.212307078041086e-224, rel=1e-12)

@@ -17,7 +17,7 @@ from rosenau import (
 )
 from rosenau import quadrature
 from rosenau.model import unit_sphere_area
-from rosenau.moments import _DEFAULT_M_GRID, _kernel_minus_one, _moment_constant, _radial_integral
+from rosenau.moments import _DEFAULT_M_GRID, _kernel_minus_one, _moment_constant, _radial_integrals
 
 from conftest import panels
 
@@ -27,7 +27,7 @@ _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
 def zeroth_moment(u1: RadialProfile) -> float:
     """The mass P = integral u1 dx, integrated as MomentDecomposition.from_profile
     integrates it, alone."""
-    return _radial_integral(u1, lambda u, r: np.real(u))
+    return _radial_integrals(u1, 0.0, 1e-12, lambda v, r: np.real(v.func(r)))
 
 
 def weighted_l1_norm(u1: RadialProfile, gamma_exp: float) -> float:
@@ -202,8 +202,8 @@ class TestPanelFluctuation:
     def test_96_pieces_refine_as_their_listed_partitions_did(self, dim, kinked, monkeypatch):
         # the flat panel table of the 96 frequencies is each frequency's
         # own partition, listed: every kink interval of width w in
-        # max(4, ceil(rho w / 8)) equal panels, at most 64, and no origin
-        # decades; _refine gives the same values from the list bit for bit
+        # max(4, ceil(rho w / 8)) equal panels, at most 64; _refine gives
+        # the same values from the list bit for bit
         from rosenau import moments
 
         calls = []
@@ -407,6 +407,15 @@ class TestWeightedNorm:
             math.sqrt(math.pi) + 1.0, rel=1e-10
         )
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.3, 0.6])
+    def test_gaussian_fractional_gamma(self, dim, gamma):
+        # integral (1 + |x|^gamma) e^(-|x|^2) dx
+        # = (omega_n / 2) [Gamma(n/2) + Gamma((n + gamma)/2)]: r^gamma is not
+        # smooth at r = 0, so the panel [0, 1] is bisected towards it
+        expected = 0.5 * unit_sphere_area(dim) * (math.gamma(dim / 2) + math.gamma((dim + gamma) / 2))
+        assert weighted_l1_norm(gaussian_profile(dim), gamma) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_small_gamma_limit(self):
         profile = gaussian_profile(1)
         val = weighted_l1_norm(profile, 1e-6)
@@ -477,13 +486,13 @@ class TestDecomposition:
         dec = MomentDecomposition.from_profile(gaussian_profile(1), 1.0)
         assert len(calls) == 1 and len(refinements) == 1
         assert dec.weighted_norm == pytest.approx(math.sqrt(math.pi) + 1.0, rel=1e-10)
-        wnorm = _radial_integral(gaussian_profile(1), lambda u, r: (1.0 + r) * np.abs(u))
+        wnorm = _radial_integrals(gaussian_profile(1), 0.0, 1e-12, lambda v, r: (1.0 + r) * np.abs(v.func(r)))
         assert dec.m_constant == _moment_constant(gaussian_profile(1), 1.0, moments._DEFAULT_M_GRID, wnorm)
         # each row as it is alone
-        assert dec.l1 == _radial_integral(gaussian_profile(1), moments._absolute)
+        assert dec.l1 == _radial_integrals(gaussian_profile(1), 0.0, 1e-12, moments._absolute)
         assert dec.p_moment == zeroth_moment(gaussian_profile(1))
         assert dec.weighted_norm == wnorm
-        assert dec.l2_sq == _radial_integral(gaussian_profile(1), moments._squared)
+        assert dec.l2_sq == _radial_integrals(gaussian_profile(1), 0.0, 1e-12, moments._squared)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_l1_and_l2_as_two_rows_of_one_call(self, dim, monkeypatch):

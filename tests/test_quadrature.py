@@ -147,17 +147,31 @@ class TestSinglePassAdaptive:
 
 class TestRadial:
     def test_cuts_at_kinks_and_decades(self):
-        edges_from_half = quadrature._radial_edges(0.5, 60.0, (2.0,)).tolist()
-        assert edges_from_half == [0.5, 1.0, 2.0, 10.0, 60.0]
-        # a piece from 0 is cut first 16 decades below its upper end
-        edges = quadrature._radial_edges(0.0, 20.0, (1.0, 20.0))
-        assert edges[:2].tolist() == [0.0, 1e-16]
-        assert edges[-3:].tolist() == [1.0, 10.0, 20.0]
-        assert np.all(np.diff(edges) > 0)
-        # without the origin decades a piece from 0 is cut at 1, 10, ... only
-        assert quadrature._radial_edges(0.0, 20.0, (0.3,), origin=False).tolist() == [0.0, 0.3, 1.0, 10.0, 20.0]
-        assert quadrature._radial_edges(0.0, 0.5, (0.1,), origin=False).tolist() == [0.0, 0.1, 0.5]
-        assert quadrature._radial_edges(0.5, 60.0, (2.0,), origin=False).tolist() == edges_from_half
+        # one table: [lo, hi] cut at the kinks and at the powers of ten from
+        # lo's decade, or from 1 when lo = 0, so a piece from 0 is cut only
+        # at its kinks, 1, 10, ...
+        def edges(lo, hi, kinks=()):
+            return quadrature._radial_edges(lo, hi, kinks).tolist()
+
+        assert edges(0.5, 60.0, (2.0,)) == [0.5, 1.0, 2.0, 10.0, 60.0]
+        assert edges(2e-3, 0.5) == [2e-3, 1e-2, 0.1, 0.5]
+        assert edges(0.0, 20.0, (1.0, 20.0)) == [0.0, 1.0, 10.0, 20.0]
+        assert edges(0.0, 20.0, (0.3,)) == [0.0, 0.3, 1.0, 10.0, 20.0]
+        assert edges(0.0, 0.5, (0.1,)) == [0.0, 0.1, 0.5]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_a_power_at_the_origin_is_bisected_to_its_closed_form(self, alpha):
+        # integral_0^8 r^alpha e^(-r^2) dr = Gamma((alpha + 1)/2) / 2, the
+        # tail beyond 8 being below e^-64: the panel [0, 1] is bisected
+        # towards r = 0
+        value = integrate_radial(lambda r: r**alpha * np.exp(-r * r), 0.0, 8.0, rel_tol=1e-12)
+        assert value == pytest.approx(math.gamma(0.5 * (alpha + 1.0)) / 2.0, rel=1e-13, abs=0.0)
+
+    def test_an_origin_singularity_at_a_tight_tolerance_raises(self):
+        # r^(-1/2) at r = 0 is integrable, but the depth cap leaves its
+        # panel at the origin about 1.5e-6 off: an error, not a value
+        with pytest.raises(IntegrabilityError, match=r"\[0, 8\] unresolved after 30 rounds"):
+            integrate_radial(lambda r: np.exp(-r * r) / np.sqrt(r), 0.0, 8.0, rel_tol=1e-10)
 
     @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-1.0, 1.0), (2.0, 1.0)])
     def test_only_finite_intervals(self, lo, hi):
