@@ -197,7 +197,8 @@ def averaged_tail_remainder(params: ModelParams, t) -> TailTerm:
 
     T2(t) = integral_{1/t}^{eps0} e^(-r^2) cos(2 t f) (1 + delta r^(2 theta))
     / (mu r^3 + kappa r) dr, evaluated by the norm's oscillatory driver,
-    norms.oscillatory_integrals, with no mean term: K21 quadrature where
+    norms.oscillatory_integrals, whose terms are w and w for the weight w
+    of the integrand, so that its mean is 0: K21 quadrature where
     t f <= 16 pi and near stationary points of f, Levin collocation on the
     fast segments, so the cost does not grow with t.
     The bound is (K1 + K2)/(2 t) with K1 the boundary envelope at both ends
@@ -219,18 +220,13 @@ def averaged_tail_remainder(params: ModelParams, t) -> TailTerm:
     lo = _log_band_start(params, ts)
     eps = epsilon0(params)
 
-    def integrand(r, t):
-        f = eval_dispersion(params, r)
-        return _t2_weight(params, r) * np.cos(2.0 * t * f)
-
     # cos(2 t f) has the frequency of sin^2(t f), so the norm's starting
-    # panels serve it too
+    # panels serve it too: w cos(2 t f) = w + Re[w (e^(2 i t f) - 1)]
     (value,) = oscillatory_integrals(
         params,
         ts,
         np.stack([lo, np.full_like(lo, eps)], axis=1),
-        integrand,
-        lambda r: _t2_weight(params, r),
+        lambda r, f: (w := _t2_weight(params, r), w),
         rel_tol=1e-9,
         abs_tol=1e-12,
     ).T
@@ -281,19 +277,17 @@ def lower_envelope(
     moments: MomentDecomposition,
     u0_norm_sq: float,
     t,
-    dim: int,
 ) -> float | np.ndarray:
     """Spectral-side lower envelope of ||w(t)||^2; clamped at zero.
 
     n = 1 grows like t, n = 2 like log t; proportional to P^2, hence vacuous
     when the velocity datum has no mass.  t is a number or an array of
     times, one envelope each; in 2-D the tail and main terms of all the
-    times then come from one call each.
+    times then come from one call each.  The dimension is params.dim.
     """
+    dim = params.dim
     if dim not in (1, 2):
         raise InputDomainError("lower envelopes exist for dim 1 and 2 only")
-    if params.dim != dim:
-        raise InputDomainError("params.dim and dim disagree")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     p_sq = moments.p_moment**2
     if dim == 1:
@@ -319,17 +313,15 @@ def upper_envelope(
     u1_l2: float,
     u0_l2: float,
     t: float,
-    dim: int,
 ) -> float:
     """Spectral-side ceiling on ||w(t)||^2 with every constant explicit.
 
     Inputs are physical-side norms ||u1||_1, ||u1||, ||u0||; the conversion
     int |w1|^2 dxi = (2 pi)^n ||u1||^2 happens here.  Requires mu > 0 (the
-    high-band chain divides by mu).
+    high-band chain divides by mu).  The dimension is params.dim.
     """
     params.require_mu_positive("the upper envelope")
-    if params.dim != dim:
-        raise InputDomainError("params.dim and dim disagree")
+    dim = params.dim
     de, mu, ka = params.delta, params.mu, params.kappa
     d0 = sinc_constants.delta0
     root = math.sqrt(mu + ka)
@@ -402,7 +394,7 @@ def envelope_report(
         rem = fluctuation_remainder(params, sinc_constants, moments, t)
         put("R_l", rem.value, "quadrature")
         put("R_l_ceiling", rem.ceiling, "closed-form")
-        lower_1d = lower_envelope(params, sinc_constants, moments, u0_norm_sq_spectral, t, 1)
+        lower_1d = lower_envelope(params, sinc_constants, moments, u0_norm_sq_spectral, t)
         put("lower_envelope", lower_1d, "closed-form")
     elif dim == 2:
         t1 = log_band_main_term(params, t)
@@ -411,12 +403,10 @@ def envelope_report(
         put("T2", tail.value, "quadrature")
         put("T2_bound", tail.bound, "closed-form")
         put("K0", weighted_gaussian_constant(params, moments.gamma_exp), "closed-form")
-        lower_2d = lower_envelope(params, sinc_constants, moments, u0_norm_sq_spectral, t, 2)
+        lower_2d = lower_envelope(params, sinc_constants, moments, u0_norm_sq_spectral, t)
         put("lower_envelope", lower_2d, "quadrature")
     if params.mu > 0:
-        upper = upper_envelope(
-            params, sinc_constants, moments.l1, u1_l2, u0_l2, t, dim
-        )
+        upper = upper_envelope(params, sinc_constants, moments.l1, u1_l2, u0_l2, t)
         put("upper_envelope", upper, "closed-form")
     return EnvelopeReport(
         t=t, lower_1d=lower_1d, lower_2d=lower_2d, upper=upper, components=comp

@@ -279,11 +279,11 @@ def _trace_step(config: ExperimentConfig, out: Path, checks: dict) -> _TraceStep
         # terms T2 take one oscillatory driver call, their main terms T1 and
         # the K2 integrals of the T2 bounds one refinement each
         if picks and params.dim in (1, 2):
-            lowers = bounds_mod.lower_envelope(params, config.sinc, moments, 0.0, trace.times[picks], params.dim)
+            lowers = bounds_mod.lower_envelope(params, config.sinc, moments, 0.0, trace.times[picks])
         for k, i in enumerate(picks):
             t = float(trace.times[i])
             spec_sq = float(trace.norms_sq[i]) * (2.0 * math.pi) ** params.dim
-            upper = bounds_mod.upper_envelope(params, config.sinc, l1, u1_l2, 0.0, t, params.dim)
+            upper = bounds_mod.upper_envelope(params, config.sinc, l1, u1_l2, 0.0, t)
             if params.dim in (1, 2):
                 lower = float(lowers[k])
                 sandwich_ok &= lower <= 2.0 * spec_sq
@@ -340,7 +340,7 @@ def _run_prop_4_1(config: ExperimentConfig, out: Path, checks: dict) -> None:
     params, trace = config.params, step.trace
     if step.l1 is not None:
         ceiling = bounds_mod.upper_envelope(
-            params, config.sinc, step.l1, step.u1_l2, 0.0, float(trace.times[-1]), params.dim
+            params, config.sinc, step.l1, step.u1_l2, 0.0, float(trace.times[-1])
         ) / (2.0 * math.pi) ** params.dim
         _check(
             checks,
@@ -439,15 +439,13 @@ def _run_wellposed(config: ExperimentConfig, out: Path, checks: dict) -> None:
     # the multiplier norm of e^(-r^2) normalises the residuals and is the
     # middle term of the equivalence
     gauss_hat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
-    lhs, rhs_low, rhs_high = wellposed_mod.sobolev_equivalence_check(
-        params, gauss_hat, params.dim
-    )
+    lhs, rhs_low, rhs_high = wellposed_mod.sobolev_equivalence_check(params, gauss_hat)
     worst = 0.0
     for k in range(2):
         u_c, v_c = _PROBE_COEFFS[2 * k], _PROBE_COEFFS[2 * k + 1]
         u_hat = lambda r, c=u_c: c * np.exp(-np.asarray(r, dtype=float) ** 2)
         v_hat = lambda r, c=v_c: c * np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)
-        res = wellposed_mod.dissipativity_residual(params, u_hat, v_hat, params.dim)
+        res = wellposed_mod.dissipativity_residual(params, u_hat, v_hat)
         worst = max(worst, abs(res) / max(lhs, 1e-300))
     _at_most(checks, "dissipativity_residual", worst, 1e-10)
 

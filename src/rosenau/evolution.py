@@ -49,7 +49,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RadialInitialData",
     "GridField",
-    "cosc",
     "propagator",
     "evolve_grid",
     "evolve_grid_times",
@@ -57,7 +56,6 @@ __all__ = [
     "total_energy_grid",
 ]
 
-_SERIES_CUT = 1e-4
 # |K21 - G10| overstates a smooth panel's error: this resolves the density to round-off
 _ENERGY_REL_TOL = 1e-12
 # below this |t f|, sin(t f)/f equals t to double precision (relative gap (t f)^2/6)
@@ -98,15 +96,6 @@ def _sine_over(t, f, phase, sine):
     if flat.any():
         out[flat] = np.broadcast_to(t, out.shape)[flat]
     return out
-
-
-def cosc(x):
-    """(1 - cos(x))/x^2 with the x = 0 singularity removed (series below 1e-4)."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 0.5 - x * x / 24.0, (1.0 - np.cos(safe)) / safe**2)
-    return out if out.ndim else float(out)
 
 
 _ZERO_TAIL = TailBound(kind="compact", cutoff=0.0)

@@ -33,8 +33,8 @@ import numpy as np
 from .artifacts import write_columns
 from .catalog import gaussian_profile
 from .errors import InputDomainError, InvariantViolation, PreconditionError
-from .evolution import RadialInitialData, _check_time, cosc, propagator
-from .model import ModelParams, eval_dispersion, unit_sphere_area
+from .evolution import RadialInitialData, _check_time
+from .model import ModelParams, unit_sphere_area
 from .moments import RadialProfile, _radial_integrals
 from .norms import (
     DEFAULT_QUADRATURE,
@@ -318,13 +318,15 @@ def energy_identity_check(
     Mode by mode v = (1 - cos(t f))/f^2 w1 and v_t = sin(t f)/f w1, so both
     sides read the data only through w1_sq, the density of |w1|^2: with the
     kinetic weight K = (1 + delta r^2) w1_sq r/2 and the potential weight
-    P = (mu r^4 + kappa r^2) w1_sq r/2 both sides are a mean plus terms in
-    cos(t f) and cos(2 t f).  The two sides are two rows of one
+    P = (mu r^4 + kappa r^2) w1_sq r/2, theta = 1 makes P = f^2 K and the
+    sides 4 P sin^2(t f/2)/f^4 and 4 K sin^2(t f/2)/f^2: they differ only
+    through P against f^2 K.  Both vanish at t = 0, where v = 0, and have
+    the coefficients -2 P/f^4 and -2 K/f^2 of e^(i t f): two rows of one
     norms.oscillatory_integrals call at tau = t/2, whose e^(2 i tau f) is
-    e^(i t f), cut at the data's kinks: they share the segmentation, the
+    e^(i t f), cut at the data's kinks.  They share the segmentation, the
     nodes and each Levin panel's factorization, each held to its own
     budget, and the cost does not grow with t.  u0 = 0 is read from
-    data.has_w0, w0's tail certifying it zero, as the norm integrand reads it.
+    data.has_w0, w0's tail certifying it zero, as the norm's terms read it.
     residual is |lhs - rhs| / lhs; it is returned, and the hardy-failure
     preset judges it.  The function raises only on its preconditions.
     """
@@ -339,41 +341,18 @@ def energy_identity_check(
     scale = unit_sphere_area(2) / (2.0 * math.pi) ** 2
     de, mu, ka = params.delta, params.mu, params.kappa
 
-    def densities(r, _tau):
-        """The lhs and rhs densities at the nodes r, from one evaluation of
-        f and of w1_sq."""
-        r = np.asarray(r, dtype=float)
-        f = eval_dispersion(params, r)
-        w1_sq = data.w1_sq(r)
-        inertia = 1.0 + de * r**2
-        w_sq = propagator(t, f) ** 2 * w1_sq
-        kernel = t * t * cosc(t * f)
-        v_sq = kernel**2 * w1_sq
-        lhs = (0.5 * inertia * w_sq + 0.5 * (mu * r**4 + ka * r**2) * v_sq) * r
-        return np.stack([lhs, inertia * (kernel * w1_sq) * r])
-
-    def weights(r):
-        """f, K and P at the nodes r, from one evaluation of f and of w1_sq."""
-        f = eval_dispersion(params, r)
-        w1_sq = 0.5 * data.w1_sq(r) * r
-        return f, (1.0 + de * r**2) * w1_sq, (mu * r**4 + ka * r**2) * w1_sq
-
-    def means(r):
-        f, kinetic, potential = weights(r)
-        return np.stack([kinetic / (2.0 * f**2) + 1.5 * potential / f**4, 2.0 * kinetic / f**2])
-
-    # lhs has a cos(2 t f) term too, with coefficient (P/f^2 - K)/(2 f^2);
-    # it vanishes because theta = 1 makes mu r^4 + kappa r^2 = f^2 (1 + delta r^2)
-    def coefficients(r):
-        f, kinetic, potential = weights(r)
-        return np.stack([-2.0 * potential / f**4, -(2.0 * kinetic / f**2)])
+    def terms(r, f):
+        """0 at t = 0, and the coefficients -2 P/f^4 and -2 K/f^2 from one
+        evaluation of w1_sq."""
+        w1_sq = -data.w1_sq(r) * r / (f * f)
+        return 0.0, np.stack([(mu * r**4 + ka * r**2) / (f * f) * w1_sq, (1.0 + de * r**2) * w1_sq])
 
     r_max = _resolve_r_max(params, data, max(t, 1.0), cfg)
     if t == 0.0:
         return EnergyIdentity(0.0, 0.0, 0.0)
 
     lhs, rhs = scale * oscillatory_integrals(
-        params, 0.5 * t, [0.0, r_max], densities, coefficients, means, kinks=data.kinks, rel_tol=1e-10
+        params, 0.5 * t, [0.0, r_max], terms, kinks=data.kinks, rel_tol=1e-10
     )[:, 0]
     residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return EnergyIdentity(lhs=float(lhs), rhs=float(rhs), residual=float(residual))

@@ -8,12 +8,19 @@ The squared norm of the evolved state is
 an integrand that oscillates in r with local period pi/(t f'(r)).  It reads
 the data through the three densities of RadialInitialData, the spherical
 means w0_sq, w1_sq and cross of |w0|^2, |w1|^2 and Re(w0 conj(w1)), and
-equals the mean (w0_sq + w1_sq/f^2) r^(n-1)/2 plus Re[g e^(2 i t f)] with
-g = [(w0_sq - w1_sq/f^2)/2 - i cross/f] r^(n-1).
+is described by two terms that do not depend on t (_norm_terms): its value
+base = w0_sq r^(n-1) at t = 0 and its coefficient
+g = [(w0_sq - w1_sq/f^2)/2 - i cross/f] r^(n-1), so that it equals
+base + Re[g (e^(2 i t f) - 1)].
 
-One driver, ``oscillatory_integrals``, integrates any such mean plus
-Re[g e^(2 i t f)] over the pieces [cuts[k], cuts[k+1]] of an interval, at
-one time or at every time of a trace, each time with its own cuts.  One
+One driver, ``oscillatory_integrals``, integrates any integrand so
+described, its caller giving one function terms(r, f) -> (base, g), over
+the pieces [cuts[k], cuts[k+1]] of an interval, at one time or at every
+time of a trace, each time with its own cuts.  From the terms it builds
+the slow integrand base - 2 Re g sin^2(t f) - Im g sin(2 t f), which does
+not cancel where Re g ~ -w1_sq/(2 f^2) is large near r = 0, the mean
+base - Re g and the Levin coefficient g, and it evaluates f for terms at
+every node itself.  One
 call of ``oscillation_segments`` for all the times splits each interval
 into the slow region t f <= 16 pi, windows of half-width
 min(1/4, C t^(-1/2)) around the stationary points r* of f (from
@@ -26,16 +33,15 @@ refinements per call, so three per norm trace, each over all its pieces at
 once with a budget per piece (quadrature._refine): each piece is held to
 rel_tol of its own value, as if it were integrated alone.
 
-* the slow pieces and windows: the integrand itself, at the time of its
+* the slow pieces and windows: the slow integrand, at the time of its
   piece, with the G10/K21 Gauss-Kronrod pair from 16 equal panels.  A slow
   piece spans at most 32 pi of the phase 2 t f, a window 2 _WINDOW_PHASE,
   so each starting panel holds about one period of e^(2 i t f) at every t.
-  The norm integrand, a real quadratic form in the densities, skips a
-  component whose tail certifies it zero, as do the mean and the Levin
-  coefficient.  A panel is accepted once |K21 - G10| is below its share
-  of the piece's tolerance or below the rounding of the phase,
-  eps 2 t max f |K21|: t f carries an error of about eps t f, which from
-  t ~ rel_tol / eps on no bisection removes;
+  The norm's terms skip a density whose tail certifies it zero, and so
+  does every integrand built from them.  A panel is accepted once
+  |K21 - G10| is below its share of the piece's tolerance or below the
+  rounding of the phase, eps 2 t max f |K21|: t f carries an error of
+  about eps t f, which from t ~ rel_tol / eps on no bisection removes;
 * the fast pieces: the mean with the K21 rule, then Re[g e^(2 i t f)] by
   Levin collocation, each piece also held to rel_tol times |mean| of that
   piece, both from the partition ``fast_segment_edges``, which does not
@@ -59,11 +65,12 @@ sin(t f).  ``norm_squared`` runs it on [0, r_max] at one time or at several,
 all the times of a trace, so the three bands share one segmentation, and
 in the same call on [0, r_max] at the first and last time, the unsplit rows
 of the band-sum check (``compute_norm_trace`` is one call of it),
-bounds.averaged_tail_remainder on [1/t, epsilon0] with no mean, at one time
-or at all the envelope picks of a trace, and hardy.energy_identity_check on
-[0, r_max] at t/2, whose densities oscillate like e^(i t f), its two sides
-as two rows of one call (integrand, mean and coefficient returning rows
-share the segmentation, the nodes and each Levin factorization).  The
+bounds.averaged_tail_remainder on [1/t, epsilon0], whose terms (w, w) make
+its mean 0, at one time or at all the envelope picks of a trace, and
+hardy.energy_identity_check on [0, r_max] at t/2, whose densities
+oscillate like e^(i t f), its two sides as two rows of one call (terms
+returning rows share the segmentation, the nodes and each Levin
+factorization).  The
 segmentation evaluates f once, on a geometric grid of 257 radii per run of
 times with one interval (one row for a whole trace), and the Levin rule
 takes f and f' from one model.dispersion_slope call per node.
@@ -88,7 +95,7 @@ import numpy as np
 
 from .artifacts import write_columns
 from .errors import InputDomainError, UncertifiedTailError
-from .evolution import RadialInitialData, _check_time, propagator, total_energy
+from .evolution import RadialInitialData, _check_time, total_energy
 from .model import (
     DEFAULT_SINC,
     DispersionExpansion,
@@ -105,7 +112,6 @@ from .quadrature import (
     _kronrod_refine,
     _panel_nodes,
     _panel_table,
-    _runs,
     integrate_levin,
 )
 from .records import Record
@@ -230,104 +236,109 @@ def _resolve_r_max(params: ModelParams, data: RadialInitialData, t, cfg: Quadrat
         for tail in (data.w0_tail, data.w1_tail):
             if tail.kind == "gaussian":
                 start = max(start, math.sqrt(10.0 / tail.rate))
-        target = cfg.rel_tol / 10.0 * np.maximum(_coarse_estimate(params, data, ts, start), 1e-280)
         expansion = dispersion_expansion(params)
         pending, r0 = np.arange(ts.size), start
+        # the first bound raises where it overflows a float, before the
+        # coarse estimate's weights r^(n-1) would
+        bound = _tail_bound(expansion, data, r0, ts)
+        target = cfg.rel_tol / 10.0 * np.maximum(_coarse_estimate(params, data, ts, start), 1e-280)
         for _ in range(400):
-            certified = _tail_bound(expansion, data, r0, ts[pending]) <= target[pending]
+            certified = bound <= target[pending]
             r_max[pending[certified]] = r0
             if not (pending := pending[~certified]).size:
                 break
             r0 *= 1.2
+            bound = _tail_bound(expansion, data, r0, ts[pending])
         else:
             raise UncertifiedTailError(f"could not certify the tail below {target[pending[0]]} within r <= {r0}")
     return r_max if np.ndim(t) else float(r_max[0])
 
 
-def _amplitude_sq(params: ModelParams, data: RadialInitialData):
-    """The norm integrand (c^2 w0_sq + p^2 w1_sq + 2 c p cross) r^(n-1), c = cos(t f) and
-    p = sin(t f)/f, as a function of (r, t), t a number or one time per radius.
+def _norm_terms(data: RadialInitialData, r, f):
+    """The terms (base, g) of the norm integrand at the radii r, f = f(r) > 0
+    (see oscillatory_integrals): base = w0_sq r^(n-1), its value at t = 0,
+    and g = [(w0_sq - w1_sq/f^2)/2 - i cross/f] r^(n-1).  Neither depends on
+    t.  A density that RadialInitialData.has_w0 or has_w1 rules out is
+    skipped, base is then 0.0 and g is real without cross, and r^(n-1) is
+    skipped at n = 1."""
+    w0_sq, w1_sq, cross = data.densities(r)
+    g = 0.5 * (w0_sq - w1_sq / (f * f)) if data.has_w1 else 0.5 * w0_sq
+    if data.has_w0 and data.has_w1:
+        g = g - 1j * (cross / f)
+    if data.dim == 1:
+        return w0_sq, g
+    weight = r ** (data.dim - 1)
+    return w0_sq * weight if data.has_w0 else 0.0, g * weight
 
-    A component that RadialInitialData.has_w0 or has_w1 rules out is skipped, with cross.
-    """
-    n = data.dim
-    has_w0, has_w1 = data.has_w0, data.has_w1
 
-    def fn(r, t):
-        r = np.asarray(r, dtype=float)
+def _slow_integrand(params: ModelParams, terms):
+    """The integrand base + Re[g (e^(2 i t f) - 1)] of terms, as a function
+    of (r, t), t one time per radius: base - 2 Re g sin^2(t f) - Im g
+    sin(2 t f), with no cancellation where Re g is large, as near r = 0;
+    the Im g term only for a complex g."""
+
+    def integrand(r, t):
         f = eval_dispersion(params, r)
-        out = np.zeros_like(r)
-        if has_w0:
-            c = np.cos(t * f)
-            out += c * c * data.w0_sq(r)
-        if has_w1:
-            p = propagator(t, f)
-            out += p * p * data.w1_sq(r)
-        if has_w0 and has_w1:
-            out += 2.0 * c * p * data.cross(r)
-        if n > 1:
-            out *= r ** (n - 1)
+        base, g = terms(r, f)
+        sine = np.sin(t * f)
+        out = base - 2.0 * sine * sine * g.real
+        if np.iscomplexobj(g):
+            out -= np.sin(2.0 * t * f) * g.imag
         return out
 
-    return fn
+    return integrand
 
 
-def _mean_density(params: ModelParams, data: RadialInitialData, r):
-    """The mean (w0_sq + w1_sq/f^2) r^(n-1)/2 of the norm integrand over sin^2(t f)."""
-    r = np.asarray(r, dtype=float)
-    f = eval_dispersion(params, r)
-    w0_sq, w1_sq, _ = data.densities(r)
-    return 0.5 * (w0_sq + w1_sq / f**2) * r ** (data.dim - 1)
+def _fast_parts(params: ModelParams, terms):
+    """The mean base - Re g and the coefficient g of terms, each times
+    dr/dx, as functions of the fast coordinate x (_fast_radius), for
+    integrating them over the fast pieces in x."""
 
+    def mean(x):
+        r, dr = _fast_radius(x)
+        base, g = terms(r, eval_dispersion(params, r))
+        return (base - g.real) * dr
 
-def _oscillating_coefficient(params: ModelParams, data: RadialInitialData, r):
-    """g with norm integrand = mean density + Re[g e^(2 i t f)].
+    def coefficient(x):
+        r, dr = _fast_radius(x)
+        return terms(r, eval_dispersion(params, r))[1] * dr
 
-    g = cos_coefficient - i sin_coefficient, the coefficients of cos(2 t f)
-    and sin(2 t f): (w0_sq - w1_sq/f^2) r^(n-1)/2 and cross/f r^(n-1).
-    Neither depends on t; both need f > 0.  g is real when cross is skipped.
-    """
-    r = np.asarray(r, dtype=float)
-    f = eval_dispersion(params, r)
-    weight = r ** (data.dim - 1)
-    w0_sq, w1_sq, cross = data.densities(r)
-    cos_coefficient = 0.5 * (w0_sq - w1_sq / f**2) * weight
-    return cos_coefficient - 1j * (cross / f * weight) if data.has_w0 and data.has_w1 else cos_coefficient
+    return mean, coefficient
 
 
 def oscillatory_integrals(
     params: ModelParams,
     t,
     cuts,
-    integrand,
-    coefficient,
-    mean=None,
+    terms,
     *,
     kinks=(),
     rel_tol: float,
     abs_tol: float = 0.0,
 ) -> np.ndarray:
-    """Integrals of integrand = mean + Re[coefficient e^(2 i t f)] over each
-    [cuts[k], cuts[k+1]], for nondecreasing cuts (see the module docstring).
+    """Integrals over each [cuts[k], cuts[k+1]], for nondecreasing cuts, of
+    the integrand that terms describes (see the module docstring).
 
-    t is a number, or an array of times with one row of cuts per time; the
-    result is then one row of integrals per time.  integrand is a function
-    of (r, t), t one time per radius; mean and coefficient do not depend on
-    t, and mean may be None for a purely oscillatory integrand.  All three
-    may return an (m, nodes) array instead, m rows that share r_max, the
-    segmentation, every node and every Levin panel (each factored once for
-    all the rows); each row keeps its own budget, and the result gains a
-    leading axis of m: shape (m, cuts - 1) at one time, (m, times, cuts - 1)
-    for an array of times, against (cuts - 1,) and (times, cuts - 1) for
-    one integrand without rows.  Every piece (_oscillation_pieces) is cut at
-    the kinks, the radii where the data jump.  A slow piece or window is
-    integrated as integrand, a fast piece as mean plus the real part of the
-    Levin integral of coefficient e^(2 i t f), in three refinements for all
-    the pieces of every time, each from one flat table of starting panels.
-    Each piece is held to rel_tol of its own value and to abs_tol, a Levin
-    piece also to rel_tol times |mean| of that piece, or to the rounding of
-    its phase.  A piece left unresolved at quadrature._refine's depth cap
-    or work budget raises IntegrabilityError.
+    terms(r, f) gets the radii and f there and returns (base, g): base, the
+    integrand at t = 0, and g, its coefficient, neither depending on t, so
+    that the integrand is base + Re[g (e^(2 i t f) - 1)].  base may be a
+    number, g is real or complex.  t is a number, or an array of times with
+    one row of cuts per time; the result is then one row of integrals per
+    time.  base and g may also be (m, nodes) arrays, m rows that share
+    r_max, the segmentation, every node and every Levin panel (each factored
+    once for all the rows); each row keeps its own budget, and the result
+    gains a leading axis of m: shape (m, cuts - 1) at one time,
+    (m, times, cuts - 1) for an array of times, against (cuts - 1,) and
+    (times, cuts - 1) for one integrand without rows.  Every piece
+    (_oscillation_pieces) is cut at the kinks, the radii where the data
+    jump.  A slow piece or window is integrated as the integrand
+    (_slow_integrand), a fast piece as the mean base - Re g plus the real
+    part of the Levin integral of g e^(2 i t f), in three refinements for
+    all the pieces of every time, each from one flat table of starting
+    panels.  Each piece is held to rel_tol of its own value and to abs_tol,
+    a Levin piece also to rel_tol times |mean| of that piece, or to the
+    rounding of its phase.  A piece left unresolved at quadrature._refine's
+    depth cap or work budget raises IntegrabilityError.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rows = np.atleast_2d(np.asarray(cuts, dtype=float))
@@ -340,15 +351,14 @@ def oscillatory_integrals(
         panels = _panel_table(np.linspace(lo, hi, _SLOW_PANELS + 1, axis=-1))
         f_ends = eval_dispersion(params, np.concatenate([lo, hi]))
         top = 2.0 * ts[index] * np.maximum(f_ends[: lo.size], f_ends[lo.size :])
+        integrand = _slow_integrand(params, terms)
         refined = _kronrod_refine(integrand, panels, rel_tol, abs_tol, t=ts[index], phase=top)
         parts.append((index, k, refined[0]))
     if fast[0].size:
         index, k, lo, hi = fast
         panels = fast_segment_edges(lo, hi, dispersion_expansion(params).stationary_points)
-        level = np.zeros(lo.size)
-        if mean is not None:
-            mean_x = _in_fast_coordinate(mean)
-            level = _kronrod_refine(mean_x, panels, rel_tol, abs_tol)[0]
+        mean, coefficient = _fast_parts(params, terms)
+        level = _kronrod_refine(mean, panels, rel_tol, abs_tol)[0]
 
         def phase(x):
             r, dr = _fast_radius(x)
@@ -356,7 +366,7 @@ def oscillatory_integrals(
             return f, fp * dr
 
         osc, _ = integrate_levin(
-            _in_fast_coordinate(coefficient),
+            coefficient,
             phase,
             2.0 * ts[index],
             panels,
@@ -407,9 +417,7 @@ def _norm_pieces(
         params,
         t,
         cuts,
-        _amplitude_sq(params, data),
-        lambda r: _oscillating_coefficient(params, data, r),
-        lambda r: _mean_density(params, data, r),
+        lambda r, f: _norm_terms(data, r, f),
         kinks=data.kinks,
         rel_tol=0.5 * cfg.rel_tol,
     )
@@ -501,6 +509,16 @@ def band_split_norm(
 # segmentation
 
 
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each run of equal entries of the key arrays, and
+    each entry's run number: repeats in a row share a run, without a sort."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new.nonzero()[0], new.cumsum() - 1
+
+
 # the kinds of segment, as oscillation_segments labels them
 _SLOW, _WINDOW, _FAST = range(3)
 
@@ -590,17 +608,6 @@ def _fast_radius(x):
     below = x < _R_LOG
     r = np.where(below, _R_LOG * np.exp(np.minimum(x / _R_LOG - 1.0, 0.0)), x)
     return r, np.where(below, r / _R_LOG, 1.0)
-
-
-def _in_fast_coordinate(fn):
-    """fn(r) dr/dx as a function of the fast coordinate x, for integrating fn
-    over the fast pieces in x."""
-
-    def mapped(x):
-        r, dr = _fast_radius(x)
-        return np.asarray(fn(r)) * dr
-
-    return mapped
 
 
 def _step_radius(x: np.ndarray, r: np.ndarray, direction) -> np.ndarray:

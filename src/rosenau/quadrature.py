@@ -52,9 +52,12 @@ The rule for callers: a smooth radial integrand goes through
 cut there and at the powers of ten from lo's decade (from 1 when lo = 0),
 and bisection finds where the integrand needs panels, as in QUADPACK's QAG.
 An integrand that oscillates like sin(t f) goes through
-``norms.oscillatory_integrals``, which splits it into a mean and
-Re[g e^(2 i t f)] and runs the K21 refinement where the phase is slow or
-stationary and ``integrate_levin`` where it is fast.  Many integrals of one
+``norms.oscillatory_integrals``, described once by its terms(r, f): its
+value base at t = 0 and its coefficient g, so that it equals
+base + Re[g (e^(2 i t f) - 1)].  The driver builds from them the
+integrand of the K21 refinement where the phase is slow or stationary, and
+the mean base - Re g and the coefficient g of ``integrate_levin`` where it
+is fast.  Many integrals of one
 kind are one call: integrals that differ in their interval are one call with
 arrays of interval ends, and integrals whose integrands differ in a number
 (a frequency, a family member) are one call with that number as the
@@ -390,16 +393,6 @@ def _kronrod_refine(fn, panels: tuple, rel_tol: float, abs_tol=0.0, t=None, phas
     return _refine(rule, panels, rel_tol, abs_tol)
 
 
-def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each run of equal entries of the key arrays, and
-    each entry's run number: repeats in a row share a run, without a sort."""
-    new = np.zeros(keys[0].size, dtype=bool)
-    new[:1] = True
-    for key in keys:
-        new[1:] |= key[1:] != key[:-1]
-    return new.nonzero()[0], new.cumsum() - 1
-
-
 def _kink_edges(lo: float, hi: float, kinks) -> list:
     """lo, hi and the kinks strictly between them, in increasing order."""
     return sorted({lo, hi, *(float(k) for k in kinks if lo < k < hi)})
@@ -434,14 +427,11 @@ def integrate_radial(fn, lo, hi, kinks=(), *, rel_tol: float, param=None):
     Raises IntegrabilityError as _refine does.
     """
     ends = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, param) if v is not None))
-    lo_all, hi_all = (v.ravel() for v in ends[:2])
-    # repeated intervals, differing only in their parameter, share one partition
-    first, row = _runs(lo_all, hi_all)
-    parts = [_radial_edges(a, b, kinks) for a, b in zip(lo_all[first].tolist(), hi_all[first].tolist())]
-    # each run's partition padded with its last edge to one width
+    parts = [_radial_edges(a, b, kinks) for a, b in zip(ends[0].ravel().tolist(), ends[1].ravel().tolist())]
+    # each interval's partition padded with its last edge to one width
     count = np.array([part.size for part in parts])
     edges = np.array([np.concatenate([part, part[-1:].repeat(count.max() - part.size)]) for part in parts])
-    panels = _panel_table(edges[row], count[row])
+    panels = _panel_table(edges, count)
     t = None if param is None else ends[2].ravel()
     value, _ = _kronrod_refine(fn, panels, rel_tol, t=t)
     if np.ndim(lo) or np.ndim(hi) or np.ndim(param):

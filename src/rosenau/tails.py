@@ -57,10 +57,18 @@ class TailBound(Record):
 def _upper_incomplete_gamma(dim: int, x: float) -> float:
     """Gamma(n/2, x) = integral_x^inf e^(-y) y^(n/2 - 1) dy for n = dim >= 1, x >= 0.
 
-    Closed forms: for integer a = n/2, Gamma(a) e^(-x) sum_{k<a} x^k / k!;
-    for half-integer a, sqrt(pi) erfc(sqrt(x)) at a = 1/2, stepped up by
+    Closed forms: for integer a = n/2, Gamma(a) e^(-x) sum_{k<a} x^k / k!,
+    from x = 700 on in logs, where e^(-x) nears underflow:
+    x^(a-1) e^(-x) times sum_{j<a} (a-1)!/(a-1-j)! x^(-j); for half-integer
+    a, sqrt(pi) erfc(sqrt(x)) at a = 1/2, stepped up by
     Gamma(a + 1, x) = a Gamma(a, x) + x^a e^(-x).
     """
+    if dim % 2 == 0 and x >= 700.0:
+        term = total = 1.0
+        for k in range(dim // 2 - 1, 0, -1):
+            term *= k / x
+            total += term
+        return math.exp((dim / 2.0 - 1.0) * math.log(x) - x + math.log(total))
     if dim % 2 == 0:
         term = total = math.exp(-x)
         for k in range(1, dim // 2):

@@ -110,37 +110,49 @@ def h_ratio_scan(params: ModelParams, r_grid=None) -> MultiplierScan:
     )
 
 
-def sobolev_equivalence_check(params: ModelParams, u_hat, dim: int) -> tuple[float, float, float]:
+def _spectral_area(dim: int) -> float:
+    """omega_n, n = dim, for the spectral integrals over _EDGES; raises
+    InputDomainError where their weight r^(n-1) overflows a float, before
+    any integrand is evaluated."""
+    try:
+        math.pow(_EDGES[-1], dim - 1)
+    except OverflowError:
+        raise InputDomainError(f"r^(n-1) overflows a float on [0, {_EDGES[-1]:g}] at dim {dim}") from None
+    return unit_sphere_area(dim)
+
+
+def sobolev_equivalence_check(params: ModelParams, u_hat) -> tuple[float, float, float]:
     """Two-sided norm equivalence through the multiplier, on one profile.
 
     Returns (lhs, rhs_low, rhs_high) where lhs is the h-weighted spectral
     integral of |u_hat|^2 and rhs_low/rhs_high multiply the (1 + r^(2 (4 -
     theta)))-weighted integral by the grid infimum / supremum of the ratio.
     The ordering rhs_low <= lhs <= rhs_high holds when the grid brackets the
-    ratio over the profile's support; it is returned, not asserted.
+    ratio over the profile's support; it is returned, not asserted.  The
+    dimension is params.dim.
     """
     params.require_mu_positive("the multiplier equivalence")
     scan = h_ratio_scan(params)
-    area = unit_sphere_area(dim)
+    area, n = _spectral_area(params.dim), params.dim
 
     def densities(r):
         r = np.asarray(r, dtype=float)
         vals = np.abs(np.asarray(u_hat(r))) ** 2
         weights = np.stack([h_weighted_symbol(params, r), 1.0 + r ** (2.0 * (4.0 - params.theta))])
-        return weights * vals * r ** (dim - 1)
+        return weights * vals * r ** (n - 1)
 
     lhs, base = area * _kronrod_refine(densities, _panel_table(_EDGES), 1e-10)[0][:, 0]
     return float(lhs), float(scan.m_lower * base), float(scan.m_upper * base)
 
 
-def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int) -> float:
+def dissipativity_residual(params: ModelParams, u_hat, v_hat) -> float:
     """Re[(v, u)_{H2} - (p u, v)_{H theta}] evaluated spectrally; vanishes identically.
 
     The integrand reduces to (1 + kappa r^2 + mu r^4)(v u* - u v*), which is
     purely imaginary pointwise, so the real part integrates to zero up to
-    quadrature round-off.
+    quadrature round-off.  The dimension is params.dim.
     """
-    area = unit_sphere_area(dim)
+    area, n = _spectral_area(params.dim), params.dim
 
     def residual_density(r):
         r = np.asarray(r, dtype=float)
@@ -148,7 +160,7 @@ def dissipativity_residual(params: ModelParams, u_hat, v_hat, dim: int) -> float
         v = np.asarray(v_hat(r))
         weight = 1.0 + params.kappa * r**2 + params.mu * r**4
         skew = v * np.conj(u) - u * np.conj(v)
-        return weight * skew.real * r ** (dim - 1)
+        return weight * skew.real * r ** (n - 1)
 
     return area * float(_kronrod_refine(residual_density, _panel_table(_EDGES), 1e-9, abs_tol=1e-14)[0][0])
 

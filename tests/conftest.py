@@ -141,6 +141,23 @@ def profile_data(w0, w1, dim, w0_tail=None, w1_tail=None):
     return RadialInitialData(dim, **fields)
 
 
+def amplitude_sq(params, data):
+    """The norm integrand (c^2 w0_sq + p^2 w1_sq + 2 c p cross) r^(n-1),
+    c = cos(t f) and p = sin(t f)/f, as a function of (r, t), t a number or
+    one time per radius: the direct quadratic form in the densities, the
+    independent oracle the driver's terms (norms._norm_terms) and the
+    integrals of the norm are checked against."""
+
+    def fn(r, t):
+        r = np.asarray(r, dtype=float)
+        f = eval_dispersion(params, r)
+        c, p = np.cos(t * f), propagator(t, f)
+        w0_sq, w1_sq, cross = data.densities(r)
+        return (c * c * w0_sq + p * p * w1_sq + 2.0 * c * p * cross) * r ** (data.dim - 1)
+
+    return fn
+
+
 def phase_edges(params, t, lo, hi):
     """A phase-resolved partition of [lo, hi] at time t, the reference the
     oscillatory driver is checked against; the driver itself never uses it.

@@ -13,6 +13,7 @@ re-exports of ``__init__.py`` and ``from __future__`` imports are exempt.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rosenau"
@@ -109,3 +110,13 @@ def test_one_start_rule_for_radial_integrals():
         if path.stem != "quadrature" and "_radial_edges" in _names(ast.parse(path.read_text()))
     ]
     assert named == []
+
+
+def test_one_description_per_oscillatory_integrand():
+    # a caller describes an oscillatory integrand once, by its terms(r, f):
+    # the driver builds the slow integrand, the mean and the Levin
+    # coefficient from them
+    from rosenau.norms import oscillatory_integrals
+
+    parameters = inspect.signature(oscillatory_integrals).parameters
+    assert list(parameters) == ["params", "t", "cuts", "terms", "kinks", "rel_tol", "abs_tol"]

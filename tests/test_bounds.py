@@ -225,8 +225,8 @@ class TestBatchedPicks:
 
     def test_lower_envelope_of_an_array(self, moments_1d, moments_2d):
         for params, moments in ((P1, moments_1d), (P2, moments_2d)):
-            batch = lower_envelope(params, SINC, moments, 0.0, self.TIMES, params.dim)
-            alone = [lower_envelope(params, SINC, moments, 0.0, t, params.dim) for t in self.TIMES.tolist()]
+            batch = lower_envelope(params, SINC, moments, 0.0, self.TIMES)
+            alone = [lower_envelope(params, SINC, moments, 0.0, t) for t in self.TIMES.tolist()]
             np.testing.assert_allclose(batch, alone, rtol=1e-14, atol=0.0)
 
     def test_any_bad_time_is_rejected(self):
@@ -252,13 +252,13 @@ class TestBatchedPicks:
 
 class TestEnvelopes:
     def test_lower_linear_rate_1d(self, moments_1d):
-        ratios = [lower_envelope(P1, SINC, moments_1d, 0.0, t, 1) / t for t in (1e4, 1e5, 1e6)]
+        ratios = [lower_envelope(P1, SINC, moments_1d, 0.0, t) / t for t in (1e4, 1e5, 1e6)]
         assert ratios[0] > 0
         assert max(ratios) / min(ratios) <= 1.05
 
     def test_lower_log_rate_2d(self, moments_2d):
         ratios = [
-            lower_envelope(P2, SINC, moments_2d, 0.0, t, 2) / math.log(t)
+            lower_envelope(P2, SINC, moments_2d, 0.0, t) / math.log(t)
             for t in (1e4, 1e5, 1e6)
         ]
         assert ratios[0] > 0
@@ -272,21 +272,21 @@ class TestEnvelopes:
             m_constant=moments_1d.m_constant,
             l1=moments_1d.l1,
         )
-        assert lower_envelope(P1, SINC, vacuous, 0.0, 1e4, 1) == 0.0
+        assert lower_envelope(P1, SINC, vacuous, 0.0, 1e4) == 0.0
 
     @pytest.mark.parametrize("t", [1e3, 1e5])
     def test_sandwich_1d(self, moments_1d, gauss_data_1d, t):
         spec_sq = 2.0 * math.pi * norm_squared(P1, gauss_data_1d, t)
-        low = lower_envelope(P1, SINC, moments_1d, 0.0, t, 1)
+        low = lower_envelope(P1, SINC, moments_1d, 0.0, t)
         u1_l2 = math.sqrt(moments_1d.l2_sq)
-        up = upper_envelope(P1, SINC, moments_1d.l1, u1_l2, 0.0, t, 1)
+        up = upper_envelope(P1, SINC, moments_1d.l1, u1_l2, 0.0, t)
         assert low <= 2.0 * spec_sq
         assert 2.0 * spec_sq <= up  # even the doubled norm stays below the ceiling
 
     def test_upper_log_rate_2d(self, moments_2d):
         u1_l2 = math.sqrt(moments_2d.l2_sq)
         ratios = [
-            upper_envelope(P2, SINC, moments_2d.l1, u1_l2, 0.0, t, 2) / math.log(t)
+            upper_envelope(P2, SINC, moments_2d.l1, u1_l2, 0.0, t) / math.log(t)
             for t in (1e4, 1e6)
         ]
         assert max(ratios) / min(ratios) <= 1.5
@@ -294,20 +294,20 @@ class TestEnvelopes:
     def test_upper_time_free_n3(self, moments_1d):
         p3 = ModelParams(1.0, 1.0, 1.0, 2.0, 3)
         vals = [
-            upper_envelope(p3, SINC, 1.0, 1.0, 0.5, t, 3) for t in (1e2, 1e5, 1e8)
+            upper_envelope(p3, SINC, 1.0, 1.0, 0.5, t) for t in (1e2, 1e5, 1e8)
         ]
         assert vals[0] == vals[1] == vals[2]
 
     def test_upper_monotone_in_norms(self, moments_1d):
-        base = upper_envelope(P1, SINC, 1.0, 1.0, 1.0, 1e4, 1)
-        assert upper_envelope(P1, SINC, 1.5, 1.0, 1.0, 1e4, 1) > base
-        assert upper_envelope(P1, SINC, 1.0, 1.5, 1.0, 1e4, 1) > base
-        assert upper_envelope(P1, SINC, 1.0, 1.0, 1.5, 1e4, 1) > base
+        base = upper_envelope(P1, SINC, 1.0, 1.0, 1.0, 1e4)
+        assert upper_envelope(P1, SINC, 1.5, 1.0, 1.0, 1e4) > base
+        assert upper_envelope(P1, SINC, 1.0, 1.5, 1.0, 1e4) > base
+        assert upper_envelope(P1, SINC, 1.0, 1.0, 1.5, 1e4) > base
 
     def test_upper_requires_mu(self):
         p_nomu = ModelParams(1.0, 0.0, 1.0, 2.0, 1)
         with pytest.raises(PreconditionError):
-            upper_envelope(p_nomu, SINC, 1.0, 1.0, 0.0, 1e3, 1)
+            upper_envelope(p_nomu, SINC, 1.0, 1.0, 0.0, 1e3)
 
 
 class TestEnvelopeReport:

@@ -572,15 +572,16 @@ class TestSubcommands:
         [
             ("norm-growth", 344, "the Gaussian tail bound overflows a float at dim 344"),
             ("prop-4-1", 344, "the Gaussian tail bound overflows a float at dim 344"),
-            ("wellposed-check", 344, "non-finite integrand"),
-            ("wellposed-check", 400, "non-finite integrand"),
+            ("wellposed-check", 344, "r^(n-1) overflows a float on [0, 40] at dim 344"),
+            ("wellposed-check", 400, "r^(n-1) overflows a float on [0, 40] at dim 400"),
         ],
     )
     def test_a_dimension_past_the_overflow_of_gamma_exits_2(self, capsys, tmp_path, command, dim, message):
         # Gamma(n/2) overflows a float from n = 344: the tail bound raises a
-        # typed error there, and omega_n comes from logs, so that the
-        # wellposed integrals run until r^(n-1) overflows.  numpy warns of
-        # that overflow on the way, which is not what is tested here
+        # typed error there before any integrand is evaluated, and the
+        # wellposed integrals raise one before their weight r^(n-1)
+        # overflows on their partition; no numpy overflow warning comes
+        # first, so the suite's -W error::RuntimeWarning run checks that too
         out = tmp_path / "out"
         if command == "norm-growth":
             argv = ["norm-growth", "--dim", str(dim), "--out", str(out)]
@@ -589,7 +590,7 @@ class TestSubcommands:
             cfg_path.write_text(f"preset: {command}\nparams: {{dim: {dim}}}\noutput_dir: {out}\n")
             argv = ["run", str(cfg_path)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
         assert message in error_line(capsys)
 

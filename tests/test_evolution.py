@@ -20,7 +20,7 @@ from rosenau import (
     total_energy,
     total_energy_grid,
 )
-from rosenau.evolution import cosc, propagator
+from rosenau.evolution import propagator
 from rosenau.model import dispersion_slope
 from rosenau.records import replace
 
@@ -62,9 +62,15 @@ def evolve_mode(params, w0, w1, r, t):
     return complex(u.values[0]), complex(v.values[0])
 
 
+def cosc(x):
+    """(1 - cos x)/x^2, as 2 sin^2(x/2)/x^2 without cancellation, with its
+    limit 1/2 at x = 0."""
+    return 2.0 * math.sin(0.5 * x) ** 2 / x**2 if x else 0.5
+
+
 def time_integral(params, w1, r, t):
     """Fourier transform of integral_0^t u(s) ds for w0 = 0: t^2 cosc(t f) w1."""
-    return t * t * float(cosc(t * eval_dispersion(params, r))) * w1
+    return t * t * cosc(float(t * eval_dispersion(params, r))) * w1
 
 
 class TestMultipliers:

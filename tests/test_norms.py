@@ -29,7 +29,6 @@ from rosenau import model, norms
 from rosenau.catalog import data_from_spec
 from rosenau.norms import (
     DEFAULT_QUADRATURE,
-    _amplitude_sq,
     _norm_pieces,
     _physical_scale,
     _resolve_r_max,
@@ -47,6 +46,7 @@ from rosenau.records import replace
 
 from conftest import (
     EXPANSION_CELLS,
+    amplitude_sq,
     k21_refine,
     panels,
     partitions,
@@ -317,11 +317,22 @@ class TestFusedIntegrand:
         b = prop * (0j if w1 is None else np.asarray(w1(r), dtype=complex))
         expected = np.abs(a + b) ** 2 * r ** (dim - 1)
         scale = (np.abs(a) + np.abs(b)) ** 2 * r ** (dim - 1)
-        got = _amplitude_sq(params, data)(r, t)
-        assert got.dtype == np.float64
-        assert np.all(np.abs(got - expected) <= 1e-14 * scale + 1e-300)
+        oracle = amplitude_sq(params, data)(r, t)
+        assert oracle.dtype == np.float64
+        assert np.all(np.abs(oracle - expected) <= 1e-14 * scale + 1e-300)
         if dim == 1:
-            assert got[0] == pytest.approx(expected[0], rel=1e-14)
+            assert oracle[0] == pytest.approx(expected[0], rel=1e-14)
+        # The driver's slow integrand from the norm's terms, which need
+        # f > 0: from r = 1e-12 on.  It reads |w0|^2 and |w1|^2/f^2 only
+        # through base and g, so it is held to its envelope
+        # (|w0| + |w1|/f)^2 r^(n-1), its largest value at any t: where
+        # cos(t f) ~ 0 and |w0|^2 >> |w1|^2/f^2, |a + b|^2 is far below
+        # the rounding of base.
+        driver = norms._slow_integrand(params, lambda r, f: norms._norm_terms(data, r, f))(r[1:], t)
+        w0_abs, w1_abs = (0.0 if w is None else np.abs(w(r[1:])) for w in (w0, w1))
+        envelope = (w0_abs + w1_abs / f[1:]) ** 2 * r[1:] ** (dim - 1)
+        assert driver.dtype == np.float64
+        assert np.all(np.abs(driver - expected[1:]) <= 1e-14 * envelope)
 
     def test_zero_certified_component_is_not_evaluated(self):
         # neither w0_sq nor the cross density of a w0 certified zero
@@ -334,7 +345,7 @@ class TestFusedIntegrand:
         velocity = gaussian_velocity_data(1)
         data = replace(velocity, w0_sq=counted, cross=counted)
         calls.clear()  # construction probes every density
-        _amplitude_sq(P1, data)(np.linspace(0.0, 3.0, 50), 5.0)
+        norms._slow_integrand(P1, lambda r, f: norms._norm_terms(data, r, f))(np.linspace(1e-3, 3.0, 50), 5.0)
         assert calls == []
 
     @pytest.mark.parametrize("catalog,missing", [(gaussian_velocity_data, "w0"), (gaussian_position_data, "w1")])
@@ -380,9 +391,10 @@ class TestFusedIntegrand:
         ts = np.concatenate([[0.0], times])
         assert np.array_equal(total_energy(params, data, ts), total_energy(params, twin, ts))
         r = np.geomspace(1e-3, 12.0, 997)
-        assert np.array_equal(norms._mean_density(params, data, r), norms._mean_density(params, twin, r))
-        g_skipped = norms._oscillating_coefficient(params, data, r)
-        g_general = norms._oscillating_coefficient(params, twin, r)
+        f = eval_dispersion(params, r)
+        base_skipped, g_skipped = norms._norm_terms(data, r, f)
+        base_general, g_general = norms._norm_terms(twin, r, f)
+        assert np.all(base_skipped == base_general)
         assert g_skipped.dtype == np.float64 and not g_general.imag.any()
         assert np.array_equal(g_skipped, g_general.real)
 
@@ -462,7 +474,7 @@ class TestOscillatoryPath:
         r_max = _resolve_r_max(params, data, t, cfg)
         edges = phase_edges(params, t, 0.0, r_max)
         reference = _physical_scale(dim) * k21_refine(
-            lambda r: _amplitude_sq(params, data)(r, t), edges, 0.5 * cfg.rel_tol
+            lambda r: amplitude_sq(params, data)(r, t), edges, 0.5 * cfg.rel_tol
         )[0]
         assert value == pytest.approx(reference, rel=1e-10)
 
@@ -568,7 +580,7 @@ class TestOscillatoryPath:
         assert len(levin_rounds) <= 2
 
         cfg = DEFAULT_QUADRATURE
-        integrand = lambda r: _amplitude_sq(params, data)(r, t)  # noqa: E731
+        integrand = lambda r: amplitude_sq(params, data)(r, t)  # noqa: E731
         reference = _physical_scale(dim) * sum(
             k21_refine(integrand, phase_edges(params, t, lo, hi), 0.5 * cfg.rel_tol)[0]
             for lo, hi in [(0.0, r_lo), (r_lo, 3.0)]
@@ -621,14 +633,16 @@ class TestOnePhasePlan:
 def _bands_piece_by_piece(params, data, t, cuts):
     """The unscaled norm over each [cuts[k], cuts[k+1]], one refinement per
     piece, every piece cut at the data's kinks and every fast piece at
-    norms._R_LOG: on every fast piece the K21 refinement of the mean plus
-    integrate_levin, both in the fast coordinate from partitions graded
-    towards the nearest stationary point, and on every slow piece and
-    window the K21 refinement from 16 equal panels, accepting a panel at the
-    rounding of its phase."""
+    norms._R_LOG, with the driver's integrands of the norm's terms: on every
+    fast piece the K21 refinement of the mean plus integrate_levin, both in
+    the fast coordinate from partitions graded towards the nearest
+    stationary point, and on every slow piece and window the K21 refinement
+    from 16 equal panels, accepting a panel at the rounding of its phase."""
     cfg = DEFAULT_QUADRATURE
     rel_tol = 0.5 * cfg.rel_tol
-    integrand = lambda r: _amplitude_sq(params, data)(r, t)  # noqa: E731
+    terms = lambda r, f: norms._norm_terms(data, r, f)  # noqa: E731
+    integrand = norms._slow_integrand(params, terms)
+    mean, coefficient = norms._fast_parts(params, terms)
 
     def phase(x):
         r, dr = norms._fast_radius(x)
@@ -647,16 +661,14 @@ def _bands_piece_by_piece(params, data, t, cuts):
                 if kind != "fast":
                     phase_bound = 2.0 * t * max(eval_dispersion(params, p), eval_dispersion(params, q))
                     value, _ = norms._kronrod_refine(
-                        lambda r, _t: integrand(r), panels(np.linspace(p, q, 17)), rel_tol,
-                        t=[t], phase=[phase_bound],
+                        integrand, panels(np.linspace(p, q, 17)), rel_tol, t=[t], phase=[phase_bound]
                     )
                     bands[k] += value[0]
                     continue
                 (edges,) = partitions(norms.fast_segment_edges([p], [q], dispersion_expansion(params).stationary_points))
-                mean = norms._in_fast_coordinate(lambda r: norms._mean_density(params, data, r))
                 level, _ = k21_refine(mean, edges, rel_tol)
                 (osc,), _ = integrate_levin(
-                    norms._in_fast_coordinate(lambda r: norms._oscillating_coefficient(params, data, r)),
+                    coefficient,
                     phase,
                     2.0 * t,
                     panels(edges),
@@ -697,39 +709,30 @@ class TestPerPieceBudgets:
 
 
 class TestRows:
-    """oscillatory_integrals with rows: the norm integrand of a datum whose
-    cross density makes g complex, and the same integrand times
-    1 + sin(8 r)/2, which needs more panels, as two rows of one call."""
+    """oscillatory_integrals with rows: the norm's terms for a datum whose
+    cross density makes g complex, and the same terms times
+    1 + sin(8 r)/2, which need more panels, as two rows of one call."""
 
     REL_TOL = 1e-8
     TIMES = np.geomspace(1e2, 1e8, 5)
 
     @staticmethod
-    def _rows(params, data):
-        amplitude = _amplitude_sq(params, data)
+    def _rows(data):
         ripple = lambda r: 1.0 + 0.5 * np.sin(8.0 * r)  # noqa: E731
-        integrand = lambda r, t: amplitude(r, t)  # noqa: E731
-        coefficient = lambda r: norms._oscillating_coefficient(params, data, r)  # noqa: E731
-        mean = lambda r: norms._mean_density(params, data, r)  # noqa: E731
-        plain = (integrand, coefficient, mean)
-        rippled = tuple(lambda r, *t, fn=fn: ripple(r) * fn(r, *t) for fn in plain)
+        plain = lambda r, f: norms._norm_terms(data, r, f)  # noqa: E731
+        rippled = lambda r, f: tuple(ripple(r) * part for part in plain(r, f))  # noqa: E731
         return plain, rippled
 
-    def _call(self, params, data, cuts, integrand, coefficient, mean, rel_tol):
-        """The integrals, and the nodes at which the three functions were
-        evaluated."""
+    def _call(self, params, data, cuts, terms, rel_tol):
+        """The integrals, and the nodes at which terms was evaluated."""
         calls = []
 
-        def counted(fn):
-            def wrapped(r, *t):
-                calls.append(np.size(r))
-                return fn(r, *t)
-
-            return wrapped
+        def counted(r, f):
+            calls.append(np.size(r))
+            return terms(r, f)
 
         values = norms.oscillatory_integrals(
-            params, self.TIMES, cuts, *map(counted, (integrand, coefficient, mean)),
-            kinks=data.kinks, rel_tol=rel_tol,
+            params, self.TIMES, cuts, counted, kinks=data.kinks, rel_tol=rel_tol
         )
         return values, sum(calls)
 
@@ -739,15 +742,15 @@ class TestRows:
         assert np.any(data.cross(np.linspace(0.0, 5.0, 11)) != 0.0)
         r_max = _resolve_r_max(params, data, self.TIMES, DEFAULT_QUADRATURE)
         cuts = [[0.0, band_boundaries(params, SINC, t).beta, 1.0, r] for t, r in zip(self.TIMES, r_max)]
-        plain, rippled = self._rows(params, data)
-        both = [lambda r, *t, k=k: np.stack([plain[k](r, *t), rippled[k](r, *t)]) for k in range(3)]
+        plain, rippled = self._rows(data)
+        both = lambda r, f: tuple(map(np.stack, zip(plain(r, f), rippled(r, f))))  # noqa: E731
 
-        together, _ = self._call(params, data, cuts, *both, self.REL_TOL)
+        together, _ = self._call(params, data, cuts, both, self.REL_TOL)
         assert together.shape == (2, self.TIMES.size, 3)
         nodes = []
-        for row, fns in zip(together, (plain, rippled)):
-            alone, count = self._call(params, data, cuts, *fns, self.REL_TOL)
-            exact, _ = self._call(params, data, cuts, *fns, 1e-13)
+        for row, terms in zip(together, (plain, rippled)):
+            alone, count = self._call(params, data, cuts, terms, self.REL_TOL)
+            exact, _ = self._call(params, data, cuts, terms, 1e-13)
             nodes.append(count)
             np.testing.assert_allclose(row, alone, rtol=self.REL_TOL, atol=0.0)
             # each row meets its own budget, the one that needs more panels too
@@ -1032,14 +1035,14 @@ class TestFlatCost:
         # piece, so the piece cannot meet 1e-13 within the depth cap or the
         # work budget: the driver raises instead of returning an unresolved
         # value.  (An undeclared jump resolves within 30 rounds.)
-        def integrand(r, t):
+        # The integrand spiral sin^2(t f) is 0 at t = 0 and has the
+        # coefficient -spiral/2.
+        def terms(r, f):
             spiral = 1.0 + np.sin(200.0 * np.log(np.abs(r - 0.123456789)))
-            return spiral * np.sin(t * eval_dispersion(P1, r)) ** 2
+            return 0.0, -0.5 * spiral
 
         with pytest.raises(IntegrabilityError, match="unresolved after"):
-            norms.oscillatory_integrals(
-                P1, 1.0, [0.0, 3.0], integrand, lambda r: np.zeros_like(r, dtype=complex), rel_tol=1e-13
-            )
+            norms.oscillatory_integrals(P1, 1.0, [0.0, 3.0], terms, rel_tol=1e-13)
 
 
 class TestFastSegmentEdges:

@@ -689,8 +689,8 @@ def _wellposed_checks():
     from rosenau.wellposed import dissipativity_residual, sobolev_equivalence_check
 
     gauss = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
-    sobolev_equivalence_check(P, gauss, 1)
-    dissipativity_residual(P, gauss, lambda r: 1j * gauss(r), 1)
+    sobolev_equivalence_check(P, gauss)
+    dissipativity_residual(P, gauss, lambda r: 1j * gauss(r))
 
 
 def _energy_of_a_gaussian():

@@ -39,6 +39,18 @@ def test_upper_incomplete_gamma_underflows_to_zero_not_nan(dim):
         assert math.isfinite(value) and 0.0 <= value < 1e-300
 
 
+@pytest.mark.parametrize(
+    "dim,x", [(300, 800.0), (100, 800.0), (40, 760.0), (20, 744.0), (20, 746.0), (300, 744.0), (300, 746.0)]
+)
+def test_upper_incomplete_gamma_past_the_underflow_of_exp(dim, x):
+    # e^(-x) underflows from x = 745, where Gamma(n/2, x) of an even n is
+    # still far from 0: 1.64e85 at (300, 800)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        expected = float(mpmath.gammainc(mpmath.mpf(dim) / 2, mpmath.mpf(x)))
+    assert _upper_incomplete_gamma(dim, x) == pytest.approx(expected, rel=1e-12)
+
+
 def test_gaussian_mass_beyond_zero_is_the_whole_mass():
     # integral_0^inf e^(-2 r^2) r^2 dr = sqrt(pi/2) / 8
     tail = TailBound(kind="gaussian", amplitude=1.0, rate=1.0)

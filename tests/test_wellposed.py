@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rosenau import (
+    InputDomainError,
     IntegrabilityError,
     ModelParams,
     PreconditionError,
@@ -98,13 +100,13 @@ class TestRatioScan:
 class TestSobolevEquivalence:
     def test_gaussian_ordering(self):
         u_hat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
-        lhs, lo, hi = sobolev_equivalence_check(P, u_hat, 1)
+        lhs, lo, hi = sobolev_equivalence_check(P, u_hat)
         assert lo <= lhs <= hi
 
     def test_single_shell_reproduces_pointwise_ratio(self):
         r_star = 2.7
         shell = lambda r: np.exp(-1e4 * (np.asarray(r, dtype=float) - r_star) ** 2)  # noqa: E731
-        lhs, lo, hi = sobolev_equivalence_check(P, shell, 1)
+        lhs, lo, hi = sobolev_equivalence_check(P, shell)
         scan = h_ratio_scan(P)
         base = lo / scan.m_lower
         pointwise = h_weighted_symbol(P, r_star) / (1 + r_star ** (2 * (4 - P.theta)))
@@ -117,26 +119,52 @@ class TestSobolevEquivalence:
         # values
         step = lambda r: ((np.asarray(r) >= 2.7) & (np.asarray(r) < 2.71)).astype(float)  # noqa: E731
         with pytest.raises(IntegrabilityError, match="unresolved after 30 rounds"):
-            sobolev_equivalence_check(P, step, 1)
+            sobolev_equivalence_check(P, step)
 
     def test_theta_two_relates_like_weights(self):
         # 4 - theta = 2: both sides carry the same polynomial order
         params = ModelParams(1.0, 1.0, 1.0, 2.0, 1)
         u_hat = lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
-        lhs, lo, hi = sobolev_equivalence_check(params, u_hat, 1)
+        lhs, lo, hi = sobolev_equivalence_check(params, u_hat)
         assert lo > 0 and hi / lo < 10.0
+
+
+    @pytest.mark.parametrize("dim,area", [(2, 2.0 * math.pi), (3, 4.0 * math.pi)])
+    def test_integrates_in_the_dimension_of_params(self, dim, area):
+        # omega_n and the weight r^(n-1) come from params.dim
+        from scipy.integrate import quad
+
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        u_hat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
+        lhs, _, _ = sobolev_equivalence_check(params, u_hat)
+        density = lambda r: h_weighted_symbol(params, r) * math.exp(-2.0 * r * r) * r ** (dim - 1)  # noqa: E731
+        expected, _ = quad(density, 0.0, 40.0, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert lhs == pytest.approx(area * expected, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [194, 344])
+    def test_a_weight_past_the_float_range_is_a_typed_error(self, dim):
+        # 40^(n-1) overflows a float from n = 194: both integrals raise
+        # before any integrand is evaluated, so no overflow warning comes first
+        params = ModelParams(1.0, 1.0, 1.0, 2.0, dim)
+        u_hat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputDomainError, match=f"overflows a float on \\[0, 40\\] at dim {dim}"):
+                sobolev_equivalence_check(params, u_hat)
+            with pytest.raises(InputDomainError, match=f"at dim {dim}"):
+                dissipativity_residual(params, u_hat, u_hat)
 
 
 class TestDissipativity:
     def test_real_profiles_vanish_exactly(self):
         u_hat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
         v_hat = lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)  # noqa: E731
-        assert dissipativity_residual(P, u_hat, v_hat, 1) == 0.0
+        assert dissipativity_residual(P, u_hat, v_hat) == 0.0
 
     def test_quadrature_phase_pair(self):
         u_hat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
         v_hat = lambda r: 1j * np.exp(-np.asarray(r, dtype=float) ** 2)  # noqa: E731
-        assert abs(dissipativity_residual(P, u_hat, v_hat, 1)) <= 1e-14
+        assert abs(dissipativity_residual(P, u_hat, v_hat)) <= 1e-14
 
     def test_random_complex_profiles(self):
         rng = np.random.default_rng(2024)
@@ -151,7 +179,7 @@ class TestDissipativity:
                 r = np.asarray(r, dtype=float)
                 return c2 * np.exp(-0.5 * r**2) + c3 * r**2 * np.exp(-(r**2))
 
-            res = dissipativity_residual(P, u_hat, v_hat, 1)
+            res = dissipativity_residual(P, u_hat, v_hat)
             # normalize by one of the pairing magnitudes
             mag, _ = k21_refine(
                 lambda r: np.abs(
